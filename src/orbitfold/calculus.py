@@ -44,7 +44,18 @@ _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
     3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
+
+
+def _central_difference(g: Callable[[float], object], order: int,
+                        step: float) -> np.ndarray:
+    """Derivative of the given order of g at 0 by the central stencil."""
+    acc = None
+    for shift, weight in _STENCILS[order]:
+        term = weight * np.asarray(g(shift * step), dtype=float)
+        acc = term if acc is None else acc + term
+    return acc / step ** order
 
 
 def fd_directional(fn: MapFn, p: np.ndarray, direction: np.ndarray,
@@ -54,7 +65,7 @@ def fd_directional(fn: MapFn, p: np.ndarray, direction: np.ndarray,
     Exact (up to rounding) on polynomials one degree past the order, since
     the stencils are symmetric.
     """
-    if order not in _STENCILS:
+    if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
     if step <= 0:
         raise ValueError("step must be positive")
@@ -62,11 +73,7 @@ def fd_directional(fn: MapFn, p: np.ndarray, direction: np.ndarray,
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     p = np.asarray(p, dtype=float)
-    acc = None
-    for shift, weight in _STENCILS[order]:
-        val = weight * np.asarray(fn(p + (shift * step) * direction), dtype=float)
-        acc = val if acc is None else acc + val
-    return acc / step ** order
+    return _central_difference(lambda s: fn(p + s * direction), order, step)
 
 
 def fd_hessian(fn: MapFn, p: np.ndarray, step: float) -> np.ndarray:
@@ -287,15 +294,9 @@ def curve_jump_probe(
     for delta in offsets:
         step = STEP_FRACTION * delta
         for order in orders:
-            stencil = _STENCILS[order]
-            vals = []
-            for s0 in (delta, -delta):
-                acc = None
-                for shift, weight in stencil:
-                    term = weight * np.asarray(fn(s0 + shift * step), dtype=float)
-                    acc = term if acc is None else acc + term
-                vals.append(acc / step ** order)
-            jumps[order].append(max(float(np.linalg.norm(vals[0] - vals[1])), JUMP_FLOOR))
+            a = _central_difference(lambda s: fn(delta + s), order, step)
+            b = _central_difference(lambda s: fn(-delta + s), order, step)
+            jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
     jump_t = {o: tuple(js) for o, js in jumps.items()}
     return CurveReport(
         offsets=offsets, orders=orders, jumps=jump_t,

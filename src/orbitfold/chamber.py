@@ -20,7 +20,6 @@ import numpy as np
 from .groups import GroupElement, ReflectionGroup, essential_split
 
 ON_WALL_TOL = 1e-9        # relative wall-incidence tolerance for classify
-CHAMBER_TOL = 1e-12       # fold images satisfy inequalities >= -CHAMBER_TOL
 _RANK_TOL = 1e-9
 
 
@@ -77,27 +76,39 @@ def chamber_from_group(group: ReflectionGroup) -> Chamber:
     return Chamber(simple_normals=normals, witness=witness)
 
 
-def _fold_image(normals: np.ndarray, p: np.ndarray, max_steps: int) -> tuple[np.ndarray, int]:
-    """Reflect across the lowest-index violated wall until inside. Fast path.
+def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
+                          max_steps: int) -> tuple[np.ndarray, list[int]]:
+    """Reflect across the lowest-index violated wall until inside.
 
-    Points within rounding distance of a wall count as inside: a dot product
-    of a few ulps below zero calls for a correction smaller than the spacing
-    of floats at that coordinate, so reflecting would leave the point
-    bitwise unchanged and the loop would never terminate.
+    Returns the image and the reflection word (wall indices in the order
+    applied). Points within rounding distance of a wall count as inside: a
+    dot product of a few ulps below zero calls for a correction smaller than
+    the spacing of floats at that coordinate, so reflecting would leave the
+    point bitwise unchanged and the loop would never terminate.
     """
     cur = np.array(p, dtype=float)
     tol = 1e-14 * (1.0 + float(np.linalg.norm(cur)))
-    steps = 0
+    word: list[int] = []
     while True:
         dots = normals @ cur
         bad = np.flatnonzero(dots < -tol)
         if bad.size == 0:
-            return cur, steps
+            return cur, word
         i = int(bad[0])
         cur = cur - (2.0 * dots[i]) * normals[i]
-        steps += 1
-        if steps > max_steps:
+        word.append(i)
+        if len(word) > max_steps:
             raise RuntimeError("folding did not terminate; chamber data inconsistent")
+
+
+def _fold_image(normals: np.ndarray, p: np.ndarray, max_steps: int) -> tuple[np.ndarray, int]:
+    """Fold image and step count, without the group element.
+
+    This is the entry apply_H and the FD fold control call; the per-layer
+    trace in perfbench/tracer.py counts it by name.
+    """
+    image, word = _reflect_into_chamber(normals, p, max_steps)
+    return image, len(word)
 
 
 def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldResult:
@@ -106,24 +117,13 @@ def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldRe
     if p.shape != (chamber.dimension,):
         raise ValueError(f"point must have shape ({chamber.dimension},)")
     normals = chamber.simple_normals
-    cur = p.copy()
+    image, word = _reflect_into_chamber(normals, p, group.order)
     mat = np.eye(chamber.dimension)
-    tol = 1e-14 * (1.0 + float(np.linalg.norm(cur)))
-    steps = 0
-    while True:
-        dots = normals @ cur
-        bad = np.flatnonzero(dots < -tol)
-        if bad.size == 0:
-            break
-        i = int(bad[0])
+    for i in word:
         n_i = normals[i]
-        cur = cur - (2.0 * dots[i]) * n_i
         mat = mat - 2.0 * np.outer(n_i, n_i @ mat)
-        steps += 1
-        if steps > group.order:
-            raise RuntimeError("folding exceeded the group order; not terminating")
     element = group.elements[group.element_index(mat)]
-    return FoldResult(image=cur, element=element, steps=steps)
+    return FoldResult(image=image, element=element, steps=len(word))
 
 
 def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TOL) -> StratumDescriptor:
@@ -194,10 +194,6 @@ class Face:
     inactive: tuple[int, ...]
     level: int
     basis: np.ndarray            # (n, d) orthonormal basis of the linear span
-
-    @property
-    def span_dimension(self) -> int:
-        return self.basis.shape[1]
 
     def project_to_span(self, p: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ p)

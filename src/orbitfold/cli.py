@@ -18,12 +18,12 @@ import sys
 
 import numpy as np
 
-from .calculus import curve_jump_probe, wall_jump_probe
+from .calculus import curve_jump_probe
 from .chamber import chamber_from_group, classify, fold
 from .config import ConfigError, RunConfig, parse_config, tube_spec_from_config
 from .polar import eigen_crossing_curve, model_H, random_rotation, sym_eig_model, sym_to_matrix
 from .smoothing import SmoothChain, TubeConfigError, apply_H, build_chain, validate_tubes
-from .verify import CheckResult, PRESET_ORDERS, run_verification, sample_face_point
+from .verify import CheckResult, PRESET_ORDERS, _wall_probes, run_verification
 
 
 def _fmt(x: float) -> str:
@@ -165,19 +165,20 @@ def cmd_grid(cfg: RunConfig) -> int:
 def _tube_check(chain: SmoothChain) -> tuple[CheckResult, dict]:
     try:
         report = validate_tubes(chain)
+    except TubeConfigError as exc:
+        ok, detail = False, str(exc)
+        info = {"ok": False, "error": str(exc)}
+    else:
+        ok = True
         detail = (f"{report.tube_points_checked} tube points, "
                   f"min slope margin "
                   f"{min(report.slope_margins.values(), default=math.inf):.3g}")
-        ok = report.ok
         info = {
-            "ok": ok,
+            "ok": True,
             "theta_min": report.theta_min,
             "slope_margins": {str(k): v for k, v in report.slope_margins.items()},
             "tube_points_checked": report.tube_points_checked,
         }
-    except TubeConfigError as exc:
-        ok, detail = False, str(exc)
-        info = {"ok": False, "error": str(exc)}
     result = CheckResult(name="tube geometry (slope bound, disjoint, unique feet)",
                          value=1.0 if ok else 0.0, threshold=1.0, passed=ok,
                          detail=detail)
@@ -211,14 +212,9 @@ def cmd_build_map(cfg: RunConfig) -> int:
 
 def cmd_probe(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    faces = chain.stratification.faces_at_level(chain.rank - 1)
-    fn = lambda q: apply_H(chain, q)
     probes = []
-    for j in range(cfg.count):
-        face = faces[j % len(faces)]
-        x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
-        rep = wall_jump_probe(chain, fn, x, offsets=cfg.offsets, orders=cfg.orders)
+    for rep in _wall_probes(chain, cfg.count, cfg.seed,
+                            offsets=cfg.offsets, orders=cfg.orders):
         probes.append({
             "point": rep.point,
             "direction": rep.direction,

@@ -14,9 +14,8 @@ import re
 
 import numpy as np
 
+from .calculus import DEFAULT_OFFSETS
 from .groups import ReflectionGroup, generate_group, preset_group
-
-DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 _PRESET_PATTERN = re.compile(r"^(a2|b2|a3|b3|i2[-(:]?\s*\d+\)?)$")
 

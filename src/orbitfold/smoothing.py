@@ -178,11 +178,6 @@ class TubeSpec:
                 if val <= 0:
                     raise ValueError(f"{label}_{i} must be positive, got {val}")
 
-    def bounds_for(self, i: int, lower_face_count: int) -> tuple[float, float]:
-        """Two-sided linear bounds (A_i, B_i) on l_i in the distance d."""
-        b = self.b[i]
-        return b * lower_face_count ** (-1.0 / self.softmin_exponent), b
-
 
 def minimal_wall_angle(group: ReflectionGroup) -> tuple[float, tuple[int, int] | None]:
     """Smallest dihedral angle between any two mirrors, with the pair."""
@@ -386,12 +381,6 @@ class TubeReport:
     theta_min: float | None
     slope_margins: dict[int, float]    # bound minus configured slope
     tube_points_checked: int
-    disjoint: bool
-    feet_unique: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.disjoint and self.feet_unique
 
 
 def _normal_space_directions(face: Face, dim: int, rng: np.random.Generator,
@@ -467,6 +456,4 @@ def validate_tubes(chain: SmoothChain, samples_per_face: int = 48,
         theta_min=theta,
         slope_margins=slope_margins,
         tube_points_checked=checked,
-        disjoint=True,
-        feet_unique=True,
     )

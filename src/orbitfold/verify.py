@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .calculus import (
+    DEFAULT_OFFSETS,
+    ProbeReport,
+    _central_difference,
     fd_directional,
     fd_jacobian,
     growth_bound_check,
@@ -22,7 +25,7 @@ from .calculus import (
     wall_jump_probe,
 )
 from .chamber import Chamber, chamber_from_group, classify, fold
-from .groups import ReflectionGroup, reflection_matrix
+from .groups import ReflectionGroup, essential_split, reflection_matrix
 from .smoothing import (
     SmoothChain,
     SmoothProfile,
@@ -36,7 +39,6 @@ from .smoothing import (
 )
 
 PRESET_ORDERS = {"i2-3": 6, "i2-4": 8, "a2": 6, "b2": 8, "a3": 24, "b3": 48}
-ACCEPTANCE_PRESETS = ("i2-3", "i2-4", "a2", "b2", "a3", "b3")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,7 +143,7 @@ def check_profile(profile: SmoothProfile | None = None,
 
     worst_fd = 0.0
     for order in (1, 2, 3, 4):
-        d = _scalar_fd(lambda t: eval_h(prof, t), 1e-3, order, 5e-5)
+        d = _central_difference(lambda s: eval_h(prof, 1e-3 + s), order, 5e-5)
         worst_fd = max(worst_fd, abs(d))
     out.append(_result("derivatives vanish at t=1e-3 (orders 1-4)",
                        worst_fd, 1e-8))
@@ -160,17 +162,6 @@ def check_profile(profile: SmoothProfile | None = None,
             mode="min",
             detail="smallest consecutive difference over the grid"))
     return out
-
-
-def _scalar_fd(fn: Callable[[float], float], t: float, order: int,
-               step: float) -> float:
-    stencils = {
-        1: ((-1, -0.5), (1, 0.5)),
-        2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-        3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-        4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-    }
-    return sum(w * fn(t + k * step) for k, w in stencils[order]) / step ** order
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +191,6 @@ def sample_regular_margin_point(chain: SmoothChain, rng: np.random.Generator,
         desc = classify(chain.group, q)
         if desc.walls_containing:
             continue
-        from .groups import essential_split
         _, q_eff = essential_split(chain.group, q)
         if float(np.linalg.norm(q_eff)) < 0.3 * chain.tubes.c0:
             continue
@@ -262,21 +252,29 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
 # 5: smoothness across walls and at the origin
 # ---------------------------------------------------------------------------
 
-def check_wall_smoothness(chain: SmoothChain, points: int = 20, seed: int = 0,
-                          tag: str = "") -> list[CheckResult]:
+def _wall_probes(chain: SmoothChain, points: int, seed: int,
+                 offsets: Sequence[float] = DEFAULT_OFFSETS,
+                 orders: Sequence[int] = (1, 2)) -> Iterator[ProbeReport]:
+    """Wall-jump probes of H at seeded points of the codimension-one faces,
+    cycling through the faces; a sample not on exactly one wall is skipped."""
     rng = np.random.default_rng(seed)
     faces = chain.stratification.faces_at_level(chain.rank - 1)
     fn = lambda q: apply_H(chain, q)
-    slopes = {1: [], 2: []}
-    unresolved = {1: 0, 2: 0}
-    control_slope = -math.inf
-    control_jump = math.inf
     for j in range(points):
         face = faces[j % len(faces)]
         x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
         if len(classify(chain.group, x).walls_containing) != 1:
             continue
-        rep = wall_jump_probe(chain, fn, x)
+        yield wall_jump_probe(chain, fn, x, offsets=offsets, orders=orders)
+
+
+def check_wall_smoothness(chain: SmoothChain, points: int = 20, seed: int = 0,
+                          tag: str = "") -> list[CheckResult]:
+    slopes = {1: [], 2: []}
+    unresolved = {1: 0, 2: 0}
+    control_slope = -math.inf
+    control_jump = math.inf
+    for rep in _wall_probes(chain, points, seed):
         for order in (1, 2):
             if rep.resolved(order):
                 slopes[order].append(rep.slopes[order])
@@ -398,8 +396,6 @@ def check_growth(chain: SmoothChain, tag: str = "") -> list[CheckResult]:
 
 def check_identity_tail(chain: SmoothChain, count: int = 1000, seed: int = 0,
                         tag: str = "") -> CheckResult:
-    from .groups import essential_split
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     accepted = 0

@@ -23,6 +23,7 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
+from orbitfold.chamber import _fold_image
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -211,6 +212,29 @@ def test_fold_step_count_is_word_length():
     for _ in range(20):
         result = fold(group, chamber, rng.normal(size=3))
         assert len(result.element.word) <= result.steps
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_fold_and_fast_fold_agree_bitwise(preset):
+    # fold and the fast entry _fold_image must run the same reflection loop:
+    # identical images (bit for bit) and step counts on random points, on
+    # points projected onto each mirror, and across scales.  The scale range
+    # stops below ~1e154, where |p|^2 overflows.
+    group, chamber = make(preset)
+    rng = np.random.default_rng(11)
+    points = [rng.normal(scale=2.0, size=group.dimension) for _ in range(50)]
+    for m in group.mirrors:
+        for _ in range(3):
+            q = rng.normal(size=group.dimension)
+            points.append(q - (q @ m.normal) * m.normal)
+    for _ in range(50):
+        q = rng.normal(size=group.dimension)
+        points.append(q / np.linalg.norm(q) * 10.0 ** rng.uniform(-300, 150))
+    for p in points:
+        result = fold(group, chamber, p)
+        image, steps = _fold_image(chamber.simple_normals, p, group.order)
+        assert result.image.tobytes() == image.tobytes()
+        assert result.steps == steps
 
 
 # ---------------------------------------------------------------------------

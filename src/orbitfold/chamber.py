@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Iterable
 
 import numpy as np
@@ -87,14 +88,14 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
     point bitwise unchanged and the loop would never terminate.
     """
     cur = np.array(p, dtype=float)
-    tol = 1e-14 * (1.0 + float(np.linalg.norm(cur)))
+    tol = 1e-14 * (1.0 + math.sqrt(cur.dot(cur)))
     word: list[int] = []
     while True:
         dots = normals @ cur
-        bad = np.flatnonzero(dots < -tol)
-        if bad.size == 0:
+        bad = dots < -tol
+        if not bad.any():
             return cur, word
-        i = int(bad[0])
+        i = int(bad.argmax())
         cur = cur - (2.0 * dots[i]) * normals[i]
         word.append(i)
         if len(word) > max_steps:
@@ -111,11 +112,24 @@ def _fold_image(normals: np.ndarray, p: np.ndarray, max_steps: int) -> tuple[np.
     return image, len(word)
 
 
+def _as_point(p: Iterable[float], dim: int) -> np.ndarray:
+    """p as a float vector, checked before any arithmetic touches it.
+
+    Raises ValueError when the shape is not (dim,) or a coordinate is NaN
+    or infinite; such points would otherwise fail deep inside a matmul or
+    come back as a confident but meaningless answer.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.shape != (dim,):
+        raise ValueError(f"point must have shape ({dim},), got {p.shape}")
+    if not all(map(math.isfinite, p.tolist())):
+        raise ValueError(f"point has a non-finite coordinate: {p.tolist()}")
+    return p
+
+
 def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldResult:
     """Fold p into the closed chamber, recording the orthogonal transform."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (chamber.dimension,):
-        raise ValueError(f"point must have shape ({chamber.dimension},)")
+    p = _as_point(p, chamber.dimension)
     normals = chamber.simple_normals
     image, word = _reflect_into_chamber(normals, p, group.order)
     mat = np.eye(chamber.dimension)
@@ -133,7 +147,7 @@ def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TO
     essential_rank minus the rank of the collected normals, so the minimal
     stratum gets level 0 everywhere the group acts.
     """
-    p = np.asarray(p, dtype=float)
+    p = _as_point(p, group.dimension)
     _, p_eff = essential_split(group, p)
     scale = 1.0 + float(np.linalg.norm(p_eff))
     walls = tuple(
@@ -188,12 +202,22 @@ def _edge_rays(normals: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Face:
-    """Closed chamber face: active walls set to equality, the rest inequalities."""
+    """Closed chamber face: active walls set to equality, the rest inequalities.
+
+    subfaces lists the face's own subfaces, the face itself first, in the
+    order dist_to_face walks them: every subset `extra` of the inactive
+    walls, by size and then lexicographically, made active as well. Each
+    entry is (basis, rest_normals): the orthonormal basis of that subface's
+    span, and the rows of the inactive normals not in `extra` (None when
+    every inactive wall is in `extra`).
+    """
 
     active: tuple[int, ...]      # indices into chamber.simple_normals
     inactive: tuple[int, ...]
     level: int
     basis: np.ndarray            # (n, d) orthonormal basis of the linear span
+    inactive_normals: np.ndarray  # (len(inactive), n) rows of simple_normals
+    subfaces: tuple[tuple[np.ndarray, np.ndarray | None], ...]
 
     def project_to_span(self, p: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ p)
@@ -201,21 +225,30 @@ class Face:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Stratification:
-    """All chamber faces grouped by level, plus projection caches."""
+    """All chamber faces, sorted by (level, active) and grouped by level.
+
+    Each face carries its own subface table (see Face), so distances need
+    no lookup here; the per-level face tuples are built once, at creation.
+    """
 
     group: ReflectionGroup
     chamber: Chamber
     faces: tuple[Face, ...]
     by_level: dict[int, tuple[int, ...]]      # level -> face indices
     edge_rays: np.ndarray                     # (rank, n) chamber edge rays
-    subset_bases: dict[frozenset, np.ndarray]
+    _at_level: dict[int, tuple[Face, ...]] = dataclasses.field(
+        init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_at_level", {
+            lv: tuple(self.faces[i] for i in ix) for lv, ix in self.by_level.items()})
 
     @property
     def rank(self) -> int:
         return self.group.essential_rank
 
-    def faces_at_level(self, level: int) -> list[Face]:
-        return [self.faces[i] for i in self.by_level.get(level, ())]
+    def faces_at_level(self, level: int) -> tuple[Face, ...]:
+        return self._at_level.get(level, ())
 
     def face_contains(self, face: Face, p: np.ndarray, tol: float = 1e-9,
                       strict_interior: bool = False) -> bool:
@@ -260,12 +293,21 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
         for subset in itertools.combinations(range(k), size):
             active = tuple(subset)
             inactive = tuple(j for j in range(k) if j not in subset)
+            subfaces = []
+            for extra in itertools.chain.from_iterable(
+                itertools.combinations(inactive, r) for r in range(len(inactive) + 1)
+            ):
+                rest = [j for j in inactive if j not in extra]
+                subfaces.append((subset_bases[frozenset(active + extra)],
+                                 normals[rest] if rest else None))
             faces.append(
                 Face(
                     active=active,
                     inactive=inactive,
                     level=k - size,
                     basis=subset_bases[frozenset(subset)],
+                    inactive_normals=normals[list(inactive)],
+                    subfaces=tuple(subfaces),
                 )
             )
     faces.sort(key=lambda f: (f.level, f.active))
@@ -278,7 +320,6 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
         faces=tuple(faces),
         by_level={lv: tuple(ix) for lv, ix in by_level.items()},
         edge_rays=_edge_rays(normals),
-        subset_bases=subset_bases,
     )
 
 
@@ -287,23 +328,20 @@ def dist_to_face(strat: Stratification, face: Face, p: Iterable[float]) -> float
 
     The nearest point of a polyhedral cone lies in the relative interior of
     one of its subfaces, and there it is the orthogonal projection onto that
-    subface's span. Enumerating the (at most 2^rank) subfaces is exact.
+    subface's span. Walking the face's subface table (at most 2^rank
+    entries, built once by strata_levels) is exact: each entry projects p
+    onto its span and keeps the distance if the projection satisfies the
+    walls that stay inequalities there.
     """
     p = np.asarray(p, dtype=float)
-    normals = strat.chamber.simple_normals
-    scale = 1.0 + float(np.linalg.norm(p))
+    scale = 1.0 + math.sqrt(p.dot(p))
     best = np.inf
-    inactive = face.inactive
-    for extra in itertools.chain.from_iterable(
-        itertools.combinations(inactive, r) for r in range(len(inactive) + 1)
-    ):
-        key = frozenset(face.active + extra)
-        basis = strat.subset_bases[key]
+    for basis, rest_normals in face.subfaces:
         q = basis @ (basis.T @ p)
-        rest = [j for j in inactive if j not in extra]
-        if rest and np.min(normals[rest] @ q) < -1e-9 * scale:
+        if rest_normals is not None and (rest_normals @ q).min() < -1e-9 * scale:
             continue
-        d = float(np.linalg.norm(p - q))
+        r = p - q
+        d = math.sqrt(r.dot(r))
         if d < best:
             best = d
     return best

@@ -85,6 +85,8 @@ def _read_points(path: str, width: int) -> list[np.ndarray]:
         if p.size != width:
             raise ConfigError(
                 f"points file row {idx}: expected {width} coordinates, got {p.size}")
+        if not np.isfinite(p).all():
+            raise ConfigError(f"points file row {idx} has a non-finite coordinate: {line!r}")
         points.append(p)
     return points
 

@@ -32,6 +32,7 @@ from .chamber import (
     Chamber,
     Face,
     Stratification,
+    _as_point,
     _fold_image,
     chamber_from_group,
     classify,
@@ -243,12 +244,20 @@ class SmoothChain:
     profile: SmoothProfile
     tubes: TubeSpec
 
+    _lower: tuple[tuple[Face, ...], ...] = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        faces = self.stratification.faces
+        object.__setattr__(self, "_lower", tuple(
+            tuple(f for f in faces if f.level < lv) for lv in range(self.rank + 2)))
+
     @property
     def rank(self) -> int:
         return self.group.essential_rank
 
-    def lower_faces(self, level: int) -> list[Face]:
-        return [f for f in self.stratification.faces if f.level < level]
+    def lower_faces(self, level: int) -> tuple[Face, ...]:
+        """Faces of lower level than `level`, in stratification order."""
+        return self._lower[min(max(level, 0), self.rank + 1)]
 
 
 def build_chain(
@@ -294,7 +303,7 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
 
 def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
     """Tube radius of level i at a point x of a level-i face."""
-    x = np.asarray(x, dtype=float)
+    x = _as_point(x, chain.chamber.dimension)
     desc = classify(chain.group, x)
     if desc.level != i:
         raise ValueError(f"point classifies to level {desc.level}, not {i}")
@@ -312,17 +321,18 @@ def _claiming_faces(chain: SmoothChain, i: int, p: np.ndarray) -> list[TubeCoord
     for face in chain.stratification.faces_at_level(i):
         x = face.project_to_span(p)
         if face.inactive:
-            vals = chain.chamber.simple_normals[list(face.inactive)] @ x
+            vals = face.inactive_normals @ x
             # the open-face test carries the classification fuzz: feet within
             # it of the boundary belong to lower strata, and admitting them
             # would feed (numerically) zero distances to the radius field
-            if float(np.min(vals)) <= ON_WALL_TOL * (1.0 + float(np.linalg.norm(x))):
+            if vals.min() <= ON_WALL_TOL * (1.0 + math.sqrt(x.dot(x))):
                 continue
-        t = float(np.linalg.norm(p - x))
+        r = p - x
+        t = math.sqrt(r.dot(r))
         radius = _radius_at(chain, face, x)
         if t >= radius:
             continue
-        normal = (p - x) / t if t > 0.0 else None
+        normal = r / t if t > 0.0 else None
         hits.append(TubeCoords(face=face, foot=x, normal=normal, t=t, radius=radius))
     return hits
 
@@ -358,8 +368,8 @@ def apply_partial(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
 
 def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """Full composite on the closed chamber (walls first, origin last)."""
-    p = np.asarray(p, dtype=float)
-    scale = 1.0 + float(np.linalg.norm(p))
+    p = _as_point(p, chain.chamber.dimension)
+    scale = 1.0 + math.sqrt(p.dot(p))
     if float(np.min(chain.chamber.simple_normals @ p)) < -CHAMBER_REL_TOL * scale:
         raise ValueError("point lies outside the closed chamber")
     return apply_partial(chain, 0, p)
@@ -367,7 +377,7 @@ def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
 
 def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """The invariant map: fold into the chamber, then smooth."""
-    p = np.asarray(p, dtype=float)
+    p = _as_point(p, chain.chamber.dimension)
     image, _ = _fold_image(chain.chamber.simple_normals, p, chain.group.order)
     return apply_partial(chain, 0, image)
 

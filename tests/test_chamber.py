@@ -23,7 +23,7 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
-from orbitfold.chamber import _fold_image
+from orbitfold.chamber import _fold_image, _null_space_basis
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -415,3 +415,54 @@ def test_dist_to_missing_level_raises():
     strat = strata_levels(group, chamber)
     with pytest.raises(ValueError, match="level"):
         dist_to_level(strat, 7, np.array([1.0, 0.5]))
+
+
+def _dist_by_subset_enumeration(strat, face, p):
+    """Frozen copy of the subset enumeration that the subface table replaced:
+    every subface basis is rebuilt from its active walls on each call."""
+    p = np.asarray(p, dtype=float)
+    normals = strat.chamber.simple_normals
+    dim = normals.shape[1]
+    scale = 1.0 + float(np.linalg.norm(p))
+    best = np.inf
+    inactive = face.inactive
+    for extra in itertools.chain.from_iterable(
+        itertools.combinations(inactive, r) for r in range(len(inactive) + 1)
+    ):
+        basis = _null_space_basis(normals[sorted(face.active + extra)], dim)
+        q = basis @ (basis.T @ p)
+        rest = [j for j in inactive if j not in extra]
+        if rest and np.min(normals[rest] @ q) < -1e-9 * scale:
+            continue
+        d = float(np.linalg.norm(p - q))
+        if d < best:
+            best = d
+    return best
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_dist_to_face_agrees_bitwise_with_subset_enumeration(preset):
+    # The per-face subface table must walk the same subfaces, in the same
+    # order, with the same arithmetic as the enumeration it replaced: equal
+    # results bit for bit on random points, on face points x and points
+    # within 1e-10*(1+|x|) of them, and across scales.
+    group, chamber = make(preset)
+    strat = strata_levels(group, chamber)
+    rng = np.random.default_rng(17)
+    n = group.dimension
+    points = [rng.normal(scale=2.0, size=n) for _ in range(40)]
+    for face in strat.faces:
+        for radius in (0.3, 1.0, 4.0):
+            x = strat.interior_point(face, radius=radius)
+            points.append(x)
+            for _ in range(3):
+                v = rng.normal(size=n)
+                offset = 1e-10 * (1.0 + np.linalg.norm(x)) * rng.uniform()
+                points.append(x + offset * v / np.linalg.norm(v))
+    for _ in range(40):
+        q = rng.normal(size=n)
+        points.append(q / np.linalg.norm(q) * 10.0 ** rng.uniform(-300, 150))
+    for p in points:
+        for face in strat.faces:
+            assert dist_to_face(strat, face, p) == _dist_by_subset_enumeration(
+                strat, face, p), (face.active, p)

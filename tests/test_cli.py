@@ -59,6 +59,15 @@ class TestFold:
         assert code == 2
         assert "row 1" in err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_row_names_row_number(self, capsys, tmp_path, token):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"1,2\n{token},1\n")
+        code, out, err = run(capsys, "fold", str(pts), "--preset", "b2")
+        assert code == 2
+        assert "row 2" in err and "non-finite" in err
+        assert out == ""
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "fold", "no-such-file.csv", "--preset", "b2")
         assert code == 2

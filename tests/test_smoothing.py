@@ -7,6 +7,7 @@ they share nothing with the package's calculus helpers.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -531,3 +532,51 @@ class TestValidation:
             tubes = default_tubes(preset_group(preset))
             want = min(0.1, math.sin(theta) / 4.0)
             assert tubes.b[1] == pytest.approx(want, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# face sequences and input checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset", ["i2-3", "i2-4", "a2", "b2", "a3", "b3"])
+def test_face_sequences_match_their_definitions(preset):
+    # faces_at_level and lower_faces are built once per chain; they must
+    # still be the definitional filters over strat.faces, in the same order
+    chain = build_chain(preset_group(preset))
+    strat = chain.stratification
+    for level in range(-1, chain.rank + 2):
+        at = [f for f in strat.faces if f.level == level]
+        below = [f for f in strat.faces if f.level < level]
+        assert list(strat.faces_at_level(level)) == at
+        assert list(chain.lower_faces(level)) == below
+
+
+BAD_POINTS = {
+    "nan": [float("nan"), 1.0, 2.0],
+    "inf": [float("inf"), 1.0, 2.0],
+    "-inf": [1.0, float("-inf"), 2.0],
+    "short": [1.0, 2.0],
+    "long": [1.0, 2.0, 3.0, 4.0],
+    "matrix": [[1.0, 2.0, 3.0]],
+}
+
+ENTRY_POINTS = {
+    "fold": lambda chain, p: fold(chain.group, chain.chamber, p),
+    "classify": lambda chain, p: classify(chain.group, p),
+    "apply_G": apply_G,
+    "apply_H": apply_H,
+    "eval_l": lambda chain, p: eval_l(chain, 2, p),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_POINTS))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_bad_points(entry, bad):
+    # a non-finite or wrong-shape point is named as such, before any
+    # arithmetic: no RuntimeWarning and no error from deep inside a matmul
+    chain = build_chain(preset_group("b3"))
+    match = "non-finite" if bad in ("nan", "inf", "-inf") else "shape"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            ENTRY_POINTS[entry](chain, np.array(BAD_POINTS[bad]))

@@ -27,19 +27,6 @@ STEP_FRACTION = 0.125          # FD step as a fraction of the probe offset
 MapFn = Callable[[np.ndarray], np.ndarray]
 
 
-def fd_jacobian(fn: MapFn, p: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian, one column per input coordinate."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for j in range(p.size):
-        e = np.zeros_like(p)
-        e[j] = step
-        cols.append((np.asarray(fn(p + e)) - np.asarray(fn(p - e))) / (2.0 * step))
-    return np.stack(cols, axis=-1)
-
-
 _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
@@ -56,6 +43,15 @@ def _central_difference(g: Callable[[float], object], order: int,
         term = weight * np.asarray(g(shift * step), dtype=float)
         acc = term if acc is None else acc + term
     return acc / step ** order
+
+
+def fd_jacobian(fn: MapFn, p: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference Jacobian, one column per input coordinate."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    p = np.asarray(p, dtype=float)
+    return np.stack([_central_difference(lambda s: fn(p + s * e), 1, step)
+                     for e in np.eye(p.size)], axis=-1)
 
 
 def fd_directional(fn: MapFn, p: np.ndarray, direction: np.ndarray,
@@ -130,6 +126,10 @@ def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+class _RoundingFloorError(ValueError):
+    """A probe offset at or below the rounding floor of its probe point."""
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class ProbeReport:
     """Derivative mismatches across a stratum at shrinking offsets."""
@@ -149,7 +149,7 @@ class ProbeReport:
             raise ValueError("offsets must be strictly decreasing")
         eps_scale = 10.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(self.point)))
         if min(offsets) <= eps_scale:
-            raise ValueError("offsets reach the rounding floor")
+            raise _RoundingFloorError("offsets reach the rounding floor")
         for d in (self.slopes, self.control_slopes or {}):
             for order, slope in d.items():
                 if not math.isfinite(slope):
@@ -162,13 +162,13 @@ class ProbeReport:
         identical), not for numerical ones."""
         return max(self.jumps[order]) > RESOLUTION_FLOOR
 
-    def shows_decay(self, order: int, min_slope: float = 0.8) -> bool:
-        """Decay evidence: a fitted slope past min_slope, or a mismatch
+    def shows_decay(self, order: int) -> bool:
+        """Decay evidence: a fitted slope of at least 0.8, or a mismatch
         already indistinguishable from zero at every offset (converged
         beyond measurability, which is stronger than decay)."""
         if not self.resolved(order):
             return True
-        return self.slopes[order] >= min_slope
+        return self.slopes[order] >= 0.8
 
 
 def _two_sided_jumps(fn: MapFn, x: np.ndarray, v: np.ndarray,
@@ -204,13 +204,13 @@ def wall_jump_probe(
     chain: SmoothChain,
     fn: MapFn,
     x: Iterable[float],
-    v: Iterable[float] | None = None,
     offsets: Sequence[float] = DEFAULT_OFFSETS,
     orders: Sequence[int] = (1, 2),
 ) -> ProbeReport:
     """Compare derivatives of fn on the two sides of a single wall.
 
-    x must lie on exactly one mirror; offsets are rescaled so the nominal
+    x must lie on exactly one mirror; the probe runs along that mirror's
+    normal, pointed into the chamber. Offsets are rescaled so the nominal
     schedule probes fixed fractions of the local tube radius at x. The raw
     fold runs through the identical probe as the control.
     """
@@ -219,11 +219,9 @@ def wall_jump_probe(
     if len(desc.walls_containing) != 1:
         raise ValueError(
             f"probe point must sit on exactly one wall, found {len(desc.walls_containing)}")
-    if v is None:
-        v = chain.group.mirrors[desc.walls_containing[0]].normal
-        if float(v @ chain.chamber.witness) < 0:
-            v = -v
-    v = np.asarray(v, dtype=float)
+    v = chain.group.mirrors[desc.walls_containing[0]].normal
+    if float(v @ chain.chamber.witness) < 0:
+        v = -v
     v = v / np.linalg.norm(v)
 
     radius = eval_l(chain, chain.rank - 1, x)
@@ -246,16 +244,16 @@ def origin_line_probe(
     fn: MapFn,
     count: int = 20,
     seed: int = 0,
-    offsets: Sequence[float] = DEFAULT_OFFSETS,
-    orders: Sequence[int] = (1, 2),
 ) -> list[ProbeReport]:
-    """Two-sided derivative probes along random lines through the origin
-    of the essential subspace (where every stratum meets)."""
+    """Two-sided derivative probes of orders 1 and 2, at the nominal
+    offsets, along random lines through the origin of the essential
+    subspace (where every stratum meets)."""
     group = chain.group
     rng = np.random.default_rng(seed)
     fixed = group.fixed_subspace
-    scaled = tuple(float(d) * chain.tubes.c0 / REFERENCE_RADIUS for d in offsets)
-    orders = tuple(orders)
+    scaled = tuple(float(d) * chain.tubes.c0 / REFERENCE_RADIUS
+                   for d in DEFAULT_OFFSETS)
+    orders = (1, 2)
     origin = np.zeros(group.dimension)
     reports = []
     for _ in range(count):
@@ -347,30 +345,25 @@ def growth_bound_check(
     """
     strat = chain.stratification
     fn = lambda q: apply_partial(chain, i, q)
-    dists, radii = [], []
+    radii = []
     d1, d2 = [], []
     for d in distances:
         if i == 0:
             x = d * chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
             radius = chain.tubes.c0
-            p = x
             v = chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
-            realized = d
             step = 0.02 * max(d, 1e-6)
         else:
             face = strat.faces_at_level(i)[0]
             base = strat.interior_point(face, radius=1.0)
-            base_d = min(
-                dist_to_face(strat, f, base) for f in chain.lower_faces(i))
+            base_d = min(dist_to_face(f, base) for f in chain.lower_faces(i))
             x = base * (d / base_d)
-            realized = d
             radius = eval_l(chain, i, x)
             active = list(face.active)
             v = chain.chamber.simple_normals[active].sum(axis=0)
             v = v / np.linalg.norm(v)
-            p = x + (0.5 * radius) * v
             step = 0.02 * radius
-        dists.append(realized)
+        p = x + (0.5 * radius) * v if i > 0 else x
         radii.append(radius)
         d1.append(float(np.linalg.norm(fd_jacobian(fn, p, step))))
         tangent = x / np.linalg.norm(x) if np.linalg.norm(x) > 0 else v
@@ -382,11 +375,11 @@ def growth_bound_check(
         )
         d2.append(second)
 
-    regressor = [1.0 / r for r in radii] if i > 0 else [1.0 / d for d in dists]
+    regressor = [1.0 / r for r in radii] if i > 0 else [1.0 / d for d in distances]
     exponents = {1: _fit_exponent(regressor, d1), 2: _fit_exponent(regressor, d2)}
     return GrowthReport(
         level=i,
-        distances=tuple(dists),
+        distances=tuple(distances),
         radii=tuple(radii),
         norms={1: tuple(d1), 2: tuple(d2)},
         exponents=exponents,

@@ -250,20 +250,21 @@ class Stratification:
     def faces_at_level(self, level: int) -> tuple[Face, ...]:
         return self._at_level.get(level, ())
 
-    def face_contains(self, face: Face, p: np.ndarray, tol: float = 1e-9,
+    def face_contains(self, face: Face, p: np.ndarray,
                       strict_interior: bool = False) -> bool:
-        """Membership of p in the closed face (or its relative interior)."""
+        """Membership of p in the closed face (or its relative interior),
+        to a relative tolerance of 1e-9."""
         scale = 1.0 + float(np.linalg.norm(p))
         off_span = float(np.linalg.norm(p - face.project_to_span(p)))
-        if off_span > tol * scale:
+        if off_span > 1e-9 * scale:
             return False
         normals = self.chamber.simple_normals
         for j in face.inactive:
             v = float(normals[j] @ p)
             if strict_interior:
-                if v <= tol * scale:
+                if v <= 1e-9 * scale:
                     return False
-            elif v < -tol * scale:
+            elif v < -1e-9 * scale:
                 return False
         return True
 
@@ -323,7 +324,7 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
     )
 
 
-def dist_to_face(strat: Stratification, face: Face, p: Iterable[float]) -> float:
+def dist_to_face(face: Face, p: Iterable[float]) -> float:
     """Exact Euclidean distance from p to one closed face.
 
     The nearest point of a polyhedral cone lies in the relative interior of
@@ -331,7 +332,7 @@ def dist_to_face(strat: Stratification, face: Face, p: Iterable[float]) -> float
     subface's span. Walking the face's subface table (at most 2^rank
     entries, built once by strata_levels) is exact: each entry projects p
     onto its span and keeps the distance if the projection satisfies the
-    walls that stay inequalities there.
+    walls that stay inequalities there. Only the face is read.
     """
     p = np.asarray(p, dtype=float)
     scale = 1.0 + math.sqrt(p.dot(p))
@@ -352,4 +353,4 @@ def dist_to_level(strat: Stratification, level: int, p: Iterable[float]) -> floa
     if level not in strat.by_level:
         raise ValueError(f"no faces at level {level}")
     p = np.asarray(p, dtype=float)
-    return min(dist_to_face(strat, f, p) for f in strat.faces_at_level(level))
+    return min(dist_to_face(f, p) for f in strat.faces_at_level(level))

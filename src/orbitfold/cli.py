@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .calculus import curve_jump_probe
+from .calculus import _RoundingFloorError, curve_jump_probe
 from .chamber import chamber_from_group, classify, fold
 from .config import ConfigError, RunConfig, parse_config, tube_spec_from_config
 from .polar import eigen_crossing_curve, model_H, random_rotation, sym_eig_model, sym_to_matrix
@@ -139,11 +139,11 @@ def cmd_fold(cfg: RunConfig, points_path: str) -> int:
 
 
 def cmd_grid(cfg: RunConfig) -> int:
-    group = cfg.build_group()
+    group, tubes = tube_spec_from_config(cfg)
     dim = group.dimension
     if dim > 3:
         raise ConfigError(f"grid emission supports dimensions 1-3, group lives in R^{dim}")
-    chain = _build_chain(cfg)
+    chain = build_chain(group, tubes=tubes)
     if cfg.nodes is not None:
         box_min, box_max, nodes = cfg.box_min, cfg.box_max, cfg.nodes
         if len(nodes) != dim:
@@ -214,9 +214,15 @@ def cmd_build_map(cfg: RunConfig) -> int:
 
 def cmd_probe(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
+    try:
+        reports = list(_wall_probes(chain, cfg.count, cfg.seed,
+                                    offsets=cfg.offsets, orders=cfg.orders))
+    except _RoundingFloorError as exc:
+        offsets = ",".join(f"{d:g}" for d in cfg.offsets)
+        raise ConfigError(f"probe offsets {offsets} reach the rounding floor "
+                          "at the probe points; use larger offsets") from exc
     probes = []
-    for rep in _wall_probes(chain, cfg.count, cfg.seed,
-                            offsets=cfg.offsets, orders=cfg.orders):
+    for rep in reports:
         probes.append({
             "point": rep.point,
             "direction": rep.direction,

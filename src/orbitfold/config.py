@@ -82,11 +82,10 @@ class RunConfig:
                 if hi < lo:
                     raise ConfigError("box_max must dominate box_min")
 
-    def build_group(self, cap: int = 10_000) -> ReflectionGroup:
+    def build_group(self) -> ReflectionGroup:
         if self.preset is not None:
             return preset_group(self.preset)
-        return generate_group([np.asarray(row, dtype=float) for row in self.normals],
-                              cap=cap)
+        return generate_group([np.asarray(row, dtype=float) for row in self.normals])
 
 
 def _floats(text: str) -> tuple[float, ...]:

@@ -70,12 +70,12 @@ class Hyperplane:
     def dimension(self) -> int:
         return self.normal.size
 
-    def same_as(self, other: "Hyperplane", tol: float = MATCH_TOL) -> bool:
+    def same_as(self, other: "Hyperplane") -> bool:
         if self.normal.size != other.normal.size:
             return False
         return bool(
-            np.all(np.abs(self.normal - other.normal) <= tol)
-            or np.all(np.abs(self.normal + other.normal) <= tol)
+            np.all(np.abs(self.normal - other.normal) <= MATCH_TOL)
+            or np.all(np.abs(self.normal + other.normal) <= MATCH_TOL)
         )
 
     def canonical(self) -> "Hyperplane":
@@ -141,8 +141,8 @@ class GroupElement:
         normal = proj[:, col] / np.linalg.norm(proj[:, col])
         return Hyperplane(_canonical_sign(normal))
 
-    def same_as(self, other: "GroupElement", tol: float = MATCH_TOL) -> bool:
-        return bool(np.all(np.abs(self.matrix - other.matrix) <= tol))
+    def same_as(self, other: "GroupElement") -> bool:
+        return bool(np.all(np.abs(self.matrix - other.matrix) <= MATCH_TOL))
 
 
 def _matrix_key(mat: np.ndarray) -> bytes:
@@ -372,7 +372,7 @@ _PRESET_BUILDERS = {
 PRESET_NAMES = ("I2", "A2", "B2", "A3", "B3")
 
 
-def preset_group(name: str, m: int | None = None, cap: int = DEFAULT_CAP) -> ReflectionGroup:
+def preset_group(name: str, m: int | None = None) -> ReflectionGroup:
     """Named small groups: I2(m) (pass m), A2, B2, A3, B3.
 
     A2 acts on R^3 and A3 on R^4 by coordinate permutations, so both have a
@@ -390,13 +390,13 @@ def preset_group(name: str, m: int | None = None, cap: int = DEFAULT_CAP) -> Ref
         normals = _i2_normals(m)
         theta = math.pi / (2 * m)
         witness = np.array([math.cos(theta), math.sin(theta)])
-        return generate_group(normals, cap=cap, witness=witness)
+        return generate_group(normals, witness=witness)
     try:
         builder = _PRESET_BUILDERS[key.upper()]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
     normals, witness = builder()
-    return generate_group(normals, cap=cap, witness=witness)
+    return generate_group(normals, witness=witness)
 
 
 def essential_split(group: ReflectionGroup, p: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:

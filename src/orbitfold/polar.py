@@ -54,15 +54,15 @@ def _check_symmetric(A: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric")
 
 
-def jacobi_eigensystem(A: np.ndarray, tol: float = JACOBI_TOL,
-                       max_sweeps: int = 40) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a
     symmetric 3x3 matrix, by cyclic Jacobi rotations.
 
     Each sweep zeroes the off-diagonal entries one at a time; the
     off-diagonal mass falls quadratically, so a handful of sweeps reach
     rounding level. Convergence is declared when every off-diagonal entry
-    is below tol relative to the matrix scale.
+    is below JACOBI_TOL relative to the matrix scale; 40 sweeps without
+    convergence raise RuntimeError.
     """
     A = np.array(A, dtype=float)
     _check_symmetric(A)
@@ -70,13 +70,13 @@ def jacobi_eigensystem(A: np.ndarray, tol: float = JACOBI_TOL,
     n = A.shape[0]
     V = np.eye(n)
     scale = 1.0 + float(np.max(np.abs(A)))
-    for _ in range(max_sweeps):
+    for _ in range(40):
         off = max(abs(A[i, j]) for i in range(n) for j in range(i + 1, n))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             break
         for p in range(n):
             for q in range(p + 1, n):
-                if abs(A[p, q]) <= tol * scale * 1e-2:
+                if abs(A[p, q]) <= JACOBI_TOL * scale * 1e-2:
                     continue
                 tau = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
                 t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0

@@ -39,7 +39,7 @@ from .chamber import (
     dist_to_face,
     strata_levels,
 )
-from .groups import ReflectionGroup, essential_split
+from .groups import ReflectionGroup
 
 ARG_DEAD_EPS = 1e-8      # below this (or within it of 1) the jet is replaced
 E_RATE = 5.5             # a in e(t) = exp(-a/sqrt(t))
@@ -260,26 +260,19 @@ class SmoothChain:
         return self._lower[min(max(level, 0), self.rank + 1)]
 
 
-def build_chain(
-    group: ReflectionGroup,
-    chamber: Chamber | None = None,
-    profile: SmoothProfile | None = None,
-    tubes: TubeSpec | None = None,
-) -> SmoothChain:
-    """Assemble the smoothing chain; parameters default to the safe preset."""
-    if chamber is None:
-        chamber = chamber_from_group(group)
-    if profile is None:
-        profile = SmoothProfile()
+def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> SmoothChain:
+    """Assemble the smoothing chain over the group's chamber; tubes default
+    to the safe preset."""
+    chamber = chamber_from_group(group)
     if tubes is None:
         tubes = default_tubes(group)
     for i in range(1, group.essential_rank):
         if i not in tubes.b or i not in tubes.c:
             raise ValueError(f"tube parameters missing for level {i}")
-    strat = strata_levels(group, chamber)
     return SmoothChain(
-        group=group, chamber=chamber, stratification=strat,
-        profile=profile, tubes=tubes,
+        group=group, chamber=chamber,
+        stratification=strata_levels(group, chamber),
+        profile=SmoothProfile(), tubes=tubes,
     )
 
 
@@ -289,7 +282,7 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     if i == 0:
         return chain.tubes.c0
     k = chain.tubes.softmin_exponent
-    dists = [dist_to_face(chain.stratification, f, x) for f in chain.lower_faces(i)]
+    dists = [dist_to_face(f, x) for f in chain.lower_faces(i)]
     raw = chain.tubes.b[i] * softmin(dists, k)
     cap = chain.tubes.c[i]
     ratio = raw / cap
@@ -409,14 +402,14 @@ def _normal_space_directions(face: Face, dim: int, rng: np.random.Generator,
     return out
 
 
-def validate_tubes(chain: SmoothChain, samples_per_face: int = 48,
-                   seed: int = 0) -> TubeReport:
+def validate_tubes(chain: SmoothChain) -> TubeReport:
     """Check the slope bound, tube disjointness, and foot uniqueness.
 
     The analytic bound b_i <= sin(theta_min)/4 is checked first and raises
     TubeConfigError naming the offending wall pair; the sampling checks then
     confirm disjointness of same-level tubes and that each sampled tube
-    point projects back to the face it was built over.
+    point projects back to the face it was built over. Each face is sampled
+    along 4 random normal directions (seed 0) at 3 scales and 3 heights.
     """
     group = chain.group
     theta: float | None
@@ -434,14 +427,13 @@ def validate_tubes(chain: SmoothChain, samples_per_face: int = 48,
         theta = None
         slope_margins = {i: math.inf for i in chain.tubes.b}
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     strat = chain.stratification
     checked = 0
     for level in range(1, chain.rank):
         faces = strat.faces_at_level(level)
         for face in faces:
-            n_dirs = max(2, samples_per_face // 12)
-            dirs = _normal_space_directions(face, chain.chamber.dimension, rng, n_dirs)
+            dirs = _normal_space_directions(face, chain.chamber.dimension, rng, 4)
             for scale in (0.3, 1.0, 3.0):
                 x = strat.interior_point(face, radius=scale)
                 radius = _radius_at(chain, face, x)

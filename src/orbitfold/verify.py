@@ -24,7 +24,7 @@ from .calculus import (
     origin_line_probe,
     wall_jump_probe,
 )
-from .chamber import Chamber, chamber_from_group, classify, fold
+from .chamber import Chamber, classify, fold
 from .groups import ReflectionGroup, essential_split, reflection_matrix
 from .smoothing import (
     SmoothChain,
@@ -32,7 +32,6 @@ from .smoothing import (
     apply_F,
     apply_G,
     apply_H,
-    build_chain,
     eval_h,
     eval_l,
     tube_coords,
@@ -66,12 +65,12 @@ def _result(name: str, value: float, threshold: float, *, mode: str = "max",
 # 1: group closure
 # ---------------------------------------------------------------------------
 
-def check_closure(group: ReflectionGroup, expected_order: int | None = None,
-                  tag: str = "") -> list[CheckResult]:
+def check_closure(group: ReflectionGroup,
+                  expected_order: int | None = None) -> list[CheckResult]:
     out = []
     if expected_order is not None:
         out.append(CheckResult(
-            name=f"group order{tag}", value=float(group.order),
+            name="group order", value=float(group.order),
             threshold=float(expected_order),
             passed=group.order == expected_order))
     mats = np.stack([e.matrix for e in group.elements])
@@ -81,7 +80,7 @@ def check_closure(group: ReflectionGroup, expected_order: int | None = None,
         for p in prods:
             dev = min(float(np.max(np.abs(p - m))) for m in mats)
             worst = max(worst, dev)
-    out.append(_result(f"closure under products{tag}", worst, 1e-9))
+    out.append(_result("closure under products", worst, 1e-9))
 
     conj = 0.0
     for e in group.elements:
@@ -90,7 +89,7 @@ def check_closure(group: ReflectionGroup, expected_order: int | None = None,
             moved = e.matrix @ r @ e.matrix.T
             dev = min(float(np.max(np.abs(moved - g.matrix))) for g in group.elements)
             conj = max(conj, dev)
-    out.append(_result(f"mirror conjugation closed{tag}", conj, 1e-9))
+    out.append(_result("mirror conjugation closed", conj, 1e-9))
     return out
 
 
@@ -99,7 +98,7 @@ def check_closure(group: ReflectionGroup, expected_order: int | None = None,
 # ---------------------------------------------------------------------------
 
 def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
-               seed: int = 0, tag: str = "") -> list[CheckResult]:
+               seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     mats = np.stack([e.matrix for e in group.elements])
     worst_violation = 0.0       # chamber inequality shortfall
@@ -118,9 +117,9 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
             worst_invariance = max(worst_invariance,
                                    float(np.linalg.norm(im2 - image)))
     return [
-        _result(f"fold image in chamber{tag}", worst_violation, 1e-12),
-        _result(f"fold image on orbit{tag}", worst_orbit, 1e-12),
-        _result(f"fold orbit invariance{tag}", worst_invariance, 1e-10),
+        _result("fold image in chamber", worst_violation, 1e-12),
+        _result("fold image on orbit", worst_orbit, 1e-12),
+        _result("fold orbit invariance", worst_invariance, 1e-10),
     ]
 
 
@@ -128,10 +127,8 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
 # 3: profile properties
 # ---------------------------------------------------------------------------
 
-def check_profile(profile: SmoothProfile | None = None,
-                  grid_points: int = 1000,
-                  mono_points: int = 200) -> list[CheckResult]:
-    prof = profile or SmoothProfile()
+def check_profile() -> list[CheckResult]:
+    prof = SmoothProfile()
     out = []
 
     ts = np.linspace(1.0, 3.0, 200)
@@ -148,12 +145,12 @@ def check_profile(profile: SmoothProfile | None = None,
     out.append(_result("derivatives vanish at t=1e-3 (orders 1-4)",
                        worst_fd, 1e-8))
 
-    grid = np.linspace(2.0 / grid_points, 2.0, grid_points)
+    grid = np.linspace(2.0 / 1000, 2.0, 1000)
     min_slope = min(eval_h(prof, float(t), order=1) for t in grid)
     out.append(_result("h' positive on (0,2]", min_slope, 0.0, mode="min",
                        detail="minimum of h' over the grid; must stay above 0"))
 
-    mono_grid = np.linspace(0.2 / mono_points, 0.2, mono_points)
+    mono_grid = np.linspace(0.2 / 200, 0.2, 200)
     for order in range(5):
         vals = [eval_h(prof, float(t), order=order) for t in mono_grid]
         min_diff = min(b - a for a, b in zip(vals, vals[1:]))
@@ -171,7 +168,10 @@ def check_profile(profile: SmoothProfile | None = None,
 def sample_face_point(chain: SmoothChain, face, rng: np.random.Generator,
                       radius_range: tuple[float, float] = (0.5, 2.0)) -> np.ndarray:
     """Random point in the relative interior of a face (positive edge-ray
-    combination at a random scale)."""
+    combination at a random scale). A face with no inactive walls is the
+    minimal stratum; its point is the origin."""
+    if not face.inactive:
+        return np.zeros(chain.group.dimension)
     rays = chain.stratification.edge_rays[list(face.inactive)]
     weights = rng.uniform(0.2, 1.8, size=len(rays))
     x = weights @ rays
@@ -179,13 +179,13 @@ def sample_face_point(chain: SmoothChain, face, rng: np.random.Generator,
     return float(rng.uniform(*radius_range)) * x
 
 
-def sample_regular_margin_point(chain: SmoothChain, rng: np.random.Generator,
-                                max_tries: int = 500) -> np.ndarray:
+def sample_regular_margin_point(chain: SmoothChain,
+                                rng: np.random.Generator) -> np.ndarray:
     """Regular chamber point staying a definite fraction inside every tube
     it meets: tube height fraction >= 0.3 at each level it enters and
     essential norm >= 0.3*c0, so derivative information is not squeezed
     through the flat throat of the profile."""
-    for _ in range(max_tries):
+    for _ in range(500):
         p = rng.normal(scale=1.5, size=chain.group.dimension)
         q = fold(chain.group, chain.chamber, p).image
         desc = classify(chain.group, q)
@@ -210,7 +210,7 @@ def sample_regular_margin_point(chain: SmoothChain, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def check_flatness(chain: SmoothChain, points_per_level: int = 50,
-                   seed: int = 0, tag: str = "") -> CheckResult:
+                   seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
@@ -244,7 +244,7 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
                 d = fd_directional(fn, p, v, order, step=0.012 * radius)
                 worst = max(worst, float(np.linalg.norm(d)))
             checked += 1
-    return _result(f"flat normal derivatives at strata{tag}", worst, 1e-6,
+    return _result("flat normal derivatives at strata", worst, 1e-6,
                    detail=f"max over {checked} points, orders 1-3")
 
 
@@ -268,58 +268,52 @@ def _wall_probes(chain: SmoothChain, points: int, seed: int,
         yield wall_jump_probe(chain, fn, x, offsets=offsets, orders=orders)
 
 
-def check_wall_smoothness(chain: SmoothChain, points: int = 20, seed: int = 0,
-                          tag: str = "") -> list[CheckResult]:
-    slopes = {1: [], 2: []}
-    unresolved = {1: 0, 2: 0}
-    control_slope = -math.inf
-    control_jump = math.inf
-    for rep in _wall_probes(chain, points, seed):
-        for order in (1, 2):
-            if rep.resolved(order):
-                slopes[order].append(rep.slopes[order])
-            else:
-                unresolved[order] += 1
-        control_slope = max(control_slope, abs(rep.control_slopes[1]))
-        control_jump = min(control_jump, rep.control_jumps[1][0])
-    out = []
-    for order in (1, 2):
-        vals = slopes[order] or [math.inf]
-        note = (f"{unresolved[order]} probes already below resolution"
-                if unresolved[order] else "")
-        out.append(_result(
-            f"wall jump decay slope (order {order}){tag}",
-            min(vals), 0.8, mode="min", detail=note))
-    out.append(_result(f"fold control slope stays flat{tag}",
-                       control_slope, 0.1))
-    out.append(_result(f"fold control jump stays large{tag}",
-                       control_jump, 0.5, mode="min"))
-    return out
-
-
-def check_origin_smoothness(chain: SmoothChain, lines: int = 20, seed: int = 0,
-                            tag: str = "") -> list[CheckResult]:
-    fn = lambda q: apply_H(chain, q)
-    reports = origin_line_probe(chain, fn, count=lines, seed=seed)
+def _decay_results(reports: Sequence[ProbeReport], name: str,
+                   unresolved_note: str) -> list[CheckResult]:
+    """Orders 1 and 2: the least resolved decay slope (inf when none
+    resolves) against 0.8, noting how many reports were unresolved."""
     out = []
     for order in (1, 2):
         resolved = [r.slopes[order] for r in reports if r.resolved(order)]
         n_unres = len(reports) - len(resolved)
-        vals = resolved or [math.inf]
-        note = (f"{n_unres} lines already below resolution (antipodal "
-                "symmetry makes even orders exact)") if n_unres else ""
         out.append(_result(
-            f"origin line jump decay (order {order}){tag}",
-            min(vals), 0.8, mode="min", detail=note))
+            f"{name} (order {order})", min(resolved or [math.inf]), 0.8,
+            mode="min", detail=f"{n_unres} {unresolved_note}" if n_unres else ""))
     return out
+
+
+def check_wall_smoothness(chain: SmoothChain, points: int = 20,
+                          seed: int = 0) -> list[CheckResult]:
+    reports = list(_wall_probes(chain, points, seed))
+    control_slope = max((abs(r.control_slopes[1]) for r in reports),
+                        default=-math.inf)
+    control_jump = min((r.control_jumps[1][0] for r in reports),
+                       default=math.inf)
+    out = _decay_results(reports, "wall jump decay slope",
+                         "probes already below resolution")
+    out.append(_result("fold control slope stays flat",
+                       control_slope, 0.1))
+    out.append(_result("fold control jump stays large",
+                       control_jump, 0.5, mode="min"))
+    return out
+
+
+def check_origin_smoothness(chain: SmoothChain, lines: int = 20,
+                            seed: int = 0) -> list[CheckResult]:
+    reports = origin_line_probe(chain, lambda q: apply_H(chain, q),
+                                count=lines, seed=seed)
+    return _decay_results(
+        reports, "origin line jump decay",
+        "lines already below resolution (antipodal symmetry makes even "
+        "orders exact)")
 
 
 # ---------------------------------------------------------------------------
 # 6: injectivity / regularity / wall preservation
 # ---------------------------------------------------------------------------
 
-def check_injectivity(chain: SmoothChain, pairs: int = 1000, seed: int = 0,
-                      tag: str = "") -> CheckResult:
+def check_injectivity(chain: SmoothChain, pairs: int = 1000,
+                      seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = math.inf
     done = 0
@@ -333,12 +327,12 @@ def check_injectivity(chain: SmoothChain, pairs: int = 1000, seed: int = 0,
         sep = float(np.linalg.norm(apply_G(chain, p) - apply_G(chain, q)))
         worst = min(worst, sep)
         done += 1
-    return _result(f"separated points stay separated{tag}", worst, 1e-8,
+    return _result("separated points stay separated", worst, 1e-8,
                    mode="min", detail=f"min image separation over {pairs} pairs")
 
 
 def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
-                           seed: int = 0, tag: str = "") -> CheckResult:
+                           seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     fn = lambda q: apply_G(chain, q)
     worst = math.inf
@@ -346,13 +340,13 @@ def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
         p = sample_regular_margin_point(chain, rng)
         J = fd_jacobian(fn, p, step=1e-5 * (1.0 + float(np.linalg.norm(p))))
         worst = min(worst, abs(float(np.linalg.det(J))))
-    return _result(f"Jacobian determinant bounded away from zero{tag}",
+    return _result("Jacobian determinant bounded away from zero",
                    worst, 1e-6, mode="min",
                    detail=f"min |det DG| over {points} margin-sampled points")
 
 
 def check_wall_preservation(chain: SmoothChain, points: int = 1000,
-                            seed: int = 0, tag: str = "") -> CheckResult:
+                            seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     strat = chain.stratification
     singular_faces = [f for f in strat.faces if 0 < f.level < chain.rank] or \
@@ -371,7 +365,7 @@ def check_wall_preservation(chain: SmoothChain, points: int = 1000,
             worst = max(worst, dev)
         if classify(chain.group, image).walls_containing != walls:
             worst = max(worst, 1.0)
-    return _result(f"wall sets preserved by the composite{tag}", worst, 1e-9,
+    return _result("wall sets preserved by the composite", worst, 1e-9,
                    detail=f"max relative wall deviation over {points} points")
 
 
@@ -379,13 +373,13 @@ def check_wall_preservation(chain: SmoothChain, points: int = 1000,
 # 7: derivative growth bounds
 # ---------------------------------------------------------------------------
 
-def check_growth(chain: SmoothChain, tag: str = "") -> list[CheckResult]:
+def check_growth(chain: SmoothChain) -> list[CheckResult]:
     out = []
     for level in range(chain.rank):
         rep = growth_bound_check(chain, level)
         for order in (1, 2):
             out.append(_result(
-                f"derivative growth exponent (level {level}, order {order}){tag}",
+                f"derivative growth exponent (level {level}, order {order})",
                 rep.exponents[order], rep.limits[order]))
     return out
 
@@ -394,8 +388,8 @@ def check_growth(chain: SmoothChain, tag: str = "") -> list[CheckResult]:
 # 9: identity tail
 # ---------------------------------------------------------------------------
 
-def check_identity_tail(chain: SmoothChain, count: int = 1000, seed: int = 0,
-                        tag: str = "") -> CheckResult:
+def check_identity_tail(chain: SmoothChain, count: int = 1000,
+                        seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     accepted = 0
@@ -412,7 +406,7 @@ def check_identity_tail(chain: SmoothChain, count: int = 1000, seed: int = 0,
             continue
         accepted += 1
         worst = max(worst, float(np.max(np.abs(apply_H(chain, p) - image))))
-    return _result(f"identity outside all tubes{tag}", worst, 1e-12,
+    return _result("identity outside all tubes", worst, 1e-12,
                    detail=f"max |H - fold| over {accepted} tail points")
 
 
@@ -427,7 +421,7 @@ def run_verification(chain: SmoothChain, count: int = 200, seed: int = 0,
     results = []
     results += check_closure(chain.group, expected_order)
     results += check_fold(chain.group, chain.chamber, count=count, seed=seed)
-    results += check_profile(profile=chain.profile)
+    results += check_profile()
     results.append(check_flatness(chain, points_per_level=min(count, 50),
                                   seed=seed))
     results += check_wall_smoothness(chain, points=min(count, 20), seed=seed)

@@ -18,8 +18,10 @@ from orbitfold.calculus import (
     origin_line_probe,
     wall_jump_probe,
 )
+from orbitfold.chamber import fold
 from orbitfold.groups import preset_group
-from orbitfold.smoothing import SmoothProfile, apply_H, build_chain, eval_h, eval_l
+from orbitfold.smoothing import (
+    SmoothProfile, apply_G, apply_H, build_chain, eval_h, eval_l)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,40 @@ class TestSlopeFit:
         # A non-decaying sequence with one noisy dip must not read as decay.
         jumps = (2.0, 1.9, 2.0, 2.1, 2.0)
         assert calculus._loglog_slope(self.OFFSETS, jumps) < 0.8
+
+
+def _fd_jacobian_by_columns(fn, p, step):
+    """Frozen copy of the hand-written column loop fd_jacobian had before it
+    evaluated the stencil table: (fn(p + h e_j) - fn(p - h e_j)) / (2h)."""
+    p = np.asarray(p, dtype=float)
+    cols = []
+    for j in range(p.size):
+        e = np.zeros_like(p)
+        e[j] = step
+        cols.append((np.asarray(fn(p + e)) - np.asarray(fn(p - e))) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("preset", ["i2-3", "i2-4", "a2", "b2", "a3", "b3"])
+def test_fd_jacobian_agrees_bitwise_with_column_loop(preset):
+    # The stencil's +-0.5 weights and /step round to the same quotient as
+    # the column loop's /(2 step), so the two must agree bit for bit.
+    chain = build_chain(preset_group(preset))
+    H = lambda q: apply_H(chain, q)
+    G = lambda q: apply_G(chain, q)
+    rng = np.random.default_rng(41)
+    g_checked = 0
+    for _ in range(20):
+        p = rng.normal(scale=1.5, size=chain.group.dimension)
+        step = 10.0 ** rng.uniform(-8.0, -2.0) * (1.0 + np.linalg.norm(p))
+        assert np.array_equal(fd_jacobian(H, p, step),
+                              _fd_jacobian_by_columns(H, p, step))
+        q = fold(chain.group, chain.chamber, p).image
+        if np.min(chain.chamber.simple_normals @ q) > step:
+            assert np.array_equal(fd_jacobian(G, q, step),
+                                  _fd_jacobian_by_columns(G, q, step))
+            g_checked += 1
+    assert g_checked >= 10
 
 
 # ---------------------------------------------------------------------------

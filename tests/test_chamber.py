@@ -383,7 +383,7 @@ def test_on_face_points_have_zero_distance():
     strat = strata_levels(group, chamber)
     for face in strat.faces:
         pt = strat.interior_point(face, radius=3.0)
-        assert dist_to_face(strat, face, pt) <= 1e-10
+        assert dist_to_face(face, pt) <= 1e-10
 
 
 @pytest.mark.parametrize("preset", ["b2", "a2", "a3", "b3"])
@@ -395,7 +395,7 @@ def test_dist_to_face_matches_convex_projection(preset):
     points.append(fold(group, chamber, rng.normal(size=group.dimension)).image)
     for p in points:
         for face in strat.faces:
-            got = dist_to_face(strat, face, p)
+            got = dist_to_face(face, p)
             want = projection_dist_oracle(strat, face, p)
             assert got == pytest.approx(want, abs=2e-6), (face.active, p)
 
@@ -406,7 +406,7 @@ def test_dist_to_level_is_min_over_faces():
     rng = np.random.default_rng(5)
     p = rng.normal(size=4)
     for level, ixs in strat.by_level.items():
-        per_face = [dist_to_face(strat, strat.faces[i], p) for i in ixs]
+        per_face = [dist_to_face(strat.faces[i], p) for i in ixs]
         assert dist_to_level(strat, level, p) == pytest.approx(min(per_face), abs=0)
 
 
@@ -464,5 +464,5 @@ def test_dist_to_face_agrees_bitwise_with_subset_enumeration(preset):
         points.append(q / np.linalg.norm(q) * 10.0 ** rng.uniform(-300, 150))
     for p in points:
         for face in strat.faces:
-            assert dist_to_face(strat, face, p) == _dist_by_subset_enumeration(
+            assert dist_to_face(face, p) == _dist_by_subset_enumeration(
                 strat, face, p), (face.active, p)

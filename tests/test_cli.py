@@ -171,6 +171,37 @@ class TestProbe:
         assert first["control_jumps"]["1"][0] >= 0.5
 
 
+    def test_offsets_at_rounding_floor_exit_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\npreset = b2\n\n[probe]\noffsets = 1e-20,1e-21\n"
+                       "\n[sampling]\ncount = 2\n")
+        code, out, err = run(capsys, "probe", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "1e-20,1e-21" in err and "rounding floor" in err
+
+
+class TestRankOne:
+    @pytest.mark.parametrize("command", ["verify", "probe"])
+    def test_command_succeeds(self, capsys, tmp_path, command):
+        # The group of the radial model: one mirror on the line, whose only
+        # wall face is the origin.
+        out_path = tmp_path / "out.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\nnormals = 1.0\n\n[sampling]\ncount = 5\n")
+        code, _, err = run(capsys, command, "--config", str(cfg),
+                           "--out", str(out_path))
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out_path.read_text())
+        if command == "verify":
+            assert doc["passed"] is True
+        else:
+            assert len(doc["probes"]) == 5
+            assert all(p["point"] == [0.0] for p in doc["probes"])
+
+
 class TestDemoSym3:
     def test_matrices_from_file(self, capsys, tmp_path):
         mats = tmp_path / "m.csv"

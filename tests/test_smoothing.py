@@ -210,8 +210,8 @@ class TestRadii:
         # walk along the face to the locus equidistant from its two edges
         u = strat.edge_rays[1] + strat.edge_rays[2]
         w = strat.edge_rays[1] - strat.edge_rays[2]
-        gap = lambda s: (dist_to_face(strat, edge_a, u + s * w)
-                         - dist_to_face(strat, edge_b, u + s * w))
+        gap = lambda s: (dist_to_face(edge_a, u + s * w)
+                         - dist_to_face(edge_b, u + s * w))
         lo, hi = -0.49, 0.49
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -220,15 +220,15 @@ class TestRadii:
             else:
                 lo = mid
         x = u + 0.5 * (lo + hi) * w
-        d = dist_to_face(strat, edge_a, x)
-        assert dist_to_face(strat, edge_b, x) == pytest.approx(d, abs=1e-10)
+        d = dist_to_face(edge_a, x)
+        assert dist_to_face(edge_b, x) == pytest.approx(d, abs=1e-10)
 
         got = eval_l(chain, 2, x)
         # two dominant equal distances: b*d*2^(-1/4), corrected ~2% by the
         # third edge and the origin
         assert got == pytest.approx(0.1 * d * 2 ** -0.25, rel=0.025)
         # and exactly the k=4 formula over all four lower faces
-        dists = [dist_to_face(strat, f, x) for f in chain.lower_faces(2)]
+        dists = [dist_to_face(f, x) for f in chain.lower_faces(2)]
         assert got == pytest.approx(0.1 * softmin(dists, 4), rel=1e-12)
 
     def test_tube_spec_validation(self):

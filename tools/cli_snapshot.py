@@ -1,0 +1,144 @@
+"""Snapshot the deterministic command-line output into one directory.
+
+    python3 tools/cli_snapshot.py OUTDIR [--src SRC]
+
+Runs `python -m orbitfold.cli` from SRC (default: this checkout's src/) for
+every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
+NAME.exit and, for commands given --out, NAME.out. The cases are `verify
+--out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
+b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
+--out, and three edge configurations (a rank-1 group under `verify` and
+`probe`, and probe offsets at the rounding floor). The `fold` inputs are
+generated here from numpy alone and written to OUTDIR/inputs, so they do
+not depend on the code under test.
+
+Two checkouts behave the same when `diff -r` of their snapshots is empty:
+
+    python3 tools/cli_snapshot.py /tmp/snap-a --src ../parent/src
+    python3 tools/cli_snapshot.py /tmp/snap-b
+    diff -r /tmp/snap-a /tmp/snap-b
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ("i2-3", "i2-4", "a2", "b2", "a3", "b3")
+SEEDS = (0, 1)
+DIMENSIONS = {"i2-3": 2, "i2-4": 2, "a2": 3, "b2": 2, "a3": 4, "b3": 3}
+EDGE_CONFIGS = {
+    "rank1": "[group]\nnormals = 1.0\n",
+    "offset-floor": "[group]\npreset = b2\n\n[probe]\noffsets = 1e-20,1e-21\n",
+}
+
+
+def _on_mirrors(preset: str, rng: np.random.Generator) -> list[np.ndarray]:
+    """Points exactly on each mirror of the preset, three per mirror."""
+    dim = DIMENSIONS[preset]
+    out = []
+    if preset.startswith("i2"):
+        m = int(preset[3:])
+        for k in range(m):
+            line = np.array([math.cos(k * math.pi / m), math.sin(k * math.pi / m)])
+            out += [float(r) * line for r in rng.uniform(-3.0, 3.0, size=3)]
+        return out
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for sign in ((1.0,) if preset.startswith("a") else (1.0, -1.0)):
+                for p in rng.normal(scale=2.0, size=(3, dim)):
+                    p[j] = sign * p[i]
+                    out.append(p)
+        if preset.startswith("b"):
+            for p in rng.normal(scale=2.0, size=(3, dim)):
+                p[i] = 0.0
+                out.append(p)
+    return out
+
+
+def fold_points(preset: str) -> list[np.ndarray]:
+    """Random, on-mirror and log-scale points (|p| from 1e-300 to 1e150),
+    and the origin."""
+    rng = np.random.default_rng(7)
+    dim = DIMENSIONS[preset]
+    pts = list(rng.normal(scale=2.0, size=(40, dim)))
+    pts += _on_mirrors(preset, rng)
+    for mag in 10.0 ** rng.uniform(-300.0, 150.0, size=30):
+        u = rng.normal(size=dim)
+        pts.append(mag * u / np.linalg.norm(u))
+    pts.append(np.zeros(dim))
+    return pts
+
+
+def cases(outdir: Path) -> list[tuple[str, list[str]]]:
+    inputs = outdir / "inputs"
+    out = []
+    for preset in PRESETS:
+        points = inputs / f"{preset}.csv"
+        points.write_text("".join(
+            ",".join("%.17g" % x for x in p) + "\n" for p in fold_points(preset)))
+        for seed in SEEDS:
+            base = ["--preset", preset, "--seed", str(seed)]
+            name = f"{preset}-s{seed}"
+            out += [
+                (f"{name}-verify", ["verify", *base, "--out", f"{name}-verify.out"]),
+                (f"{name}-probe", ["probe", *base, "--out", f"{name}-probe.out"]),
+                (f"{name}-build-map", ["build-map", *base]),
+                (f"{name}-grid", ["grid", *base]),
+                (f"{name}-fold", ["fold", str(points), *base]),
+            ]
+    for seed in SEEDS:
+        out += [
+            (f"sym3-s{seed}-demo", ["demo-sym3", "--seed", str(seed)]),
+            (f"sym3-s{seed}-demo-out",
+             ["demo-sym3", "--seed", str(seed), "--out", f"sym3-s{seed}-demo-out.out"]),
+        ]
+    for label, text in EDGE_CONFIGS.items():
+        config = inputs / f"{label}.ini"
+        config.write_text(text)
+        commands = ("verify", "probe") if label == "rank1" else ("probe",)
+        for command in commands:
+            name = f"{label}-{command}"
+            out.append((name, [command, "--config", str(config),
+                               "--out", f"{name}.out"]))
+    return out
+
+
+def run_case(src: Path, outdir: Path, name: str, args: list[str]) -> None:
+    args = [str(outdir / a) if a.endswith(".out") else a for a in args]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "orbitfold.cli", *args],
+                          env=env, capture_output=True, text=True, cwd=outdir)
+    (outdir / f"{name}.stdout").write_text(proc.stdout)
+    (outdir / f"{name}.stderr").write_text(proc.stderr)
+    (outdir / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the orbitfold package")
+    args = parser.parse_args(argv)
+    outdir = args.outdir.resolve()
+    (outdir / "inputs").mkdir(parents=True, exist_ok=True)
+    src = args.src.resolve()
+    todo = cases(outdir)
+    # two interpreters at a time: each case is CPU-bound and holds ~80 MB
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for fut in [pool.submit(run_case, src, outdir, n, a) for n, a in todo]:
+            fut.result()
+    print(f"{len(todo)} cases written to {outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,6 +22,7 @@ DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 REFERENCE_RADIUS = 0.1
 JUMP_FLOOR = 1e-16
 RESOLUTION_FLOOR = 1e-12       # below this a jump is zero as far as FD can tell
+DECAY_SLOPE = 0.8              # least fitted jump slope that counts as decay
 STEP_FRACTION = 0.125          # FD step as a fraction of the probe offset
 
 MapFn = Callable[[np.ndarray], np.ndarray]
@@ -126,22 +127,36 @@ def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _fit_slopes(offsets: Sequence[float],
+                jumps: dict[int, tuple[float, ...]]) -> dict[int, float]:
+    """Per-order log-log slopes of jumps against offsets; each must be finite."""
+    slopes = {o: _loglog_slope(offsets, js) for o, js in jumps.items()}
+    for order, slope in slopes.items():
+        if not math.isfinite(slope):
+            raise ValueError(f"slope for order {order} is not finite")
+    return slopes
+
+
 class _RoundingFloorError(ValueError):
     """A probe offset at or below the rounding floor of its probe point."""
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ProbeReport:
-    """Derivative mismatches across a stratum at shrinking offsets."""
+    """Derivative mismatches across a stratum at shrinking offsets.
+
+    slopes and control_slopes are the log-log fits of jumps and
+    control_jumps against offsets, derived at construction.
+    """
 
     point: np.ndarray
     direction: np.ndarray
     offsets: tuple[float, ...]
     orders: tuple[int, ...]
     jumps: dict[int, tuple[float, ...]]
-    slopes: dict[int, float]
     control_jumps: dict[int, tuple[float, ...]] | None = None
-    control_slopes: dict[int, float] | None = None
+    slopes: dict[int, float] = dataclasses.field(init=False)
+    control_slopes: dict[int, float] | None = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         offsets = self.offsets
@@ -150,10 +165,9 @@ class ProbeReport:
         eps_scale = 10.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(self.point)))
         if min(offsets) <= eps_scale:
             raise _RoundingFloorError("offsets reach the rounding floor")
-        for d in (self.slopes, self.control_slopes or {}):
-            for order, slope in d.items():
-                if not math.isfinite(slope):
-                    raise ValueError(f"slope for order {order} is not finite")
+        object.__setattr__(self, "slopes", _fit_slopes(offsets, self.jumps))
+        object.__setattr__(self, "control_slopes", None if self.control_jumps is None
+                           else _fit_slopes(offsets, self.control_jumps))
 
     def resolved(self, order: int) -> bool:
         """Whether the mismatch ever rose above what FD can distinguish
@@ -162,13 +176,13 @@ class ProbeReport:
         identical), not for numerical ones."""
         return max(self.jumps[order]) > RESOLUTION_FLOOR
 
-    def shows_decay(self, order: int) -> bool:
-        """Decay evidence: a fitted slope of at least 0.8, or a mismatch
-        already indistinguishable from zero at every offset (converged
-        beyond measurability, which is stronger than decay)."""
-        if not self.resolved(order):
-            return True
-        return self.slopes[order] >= 0.8
+
+def _least_resolved_slope(reports: Sequence[ProbeReport], order: int) -> float:
+    """Least fitted slope of the given order over the probes that resolve
+    it, inf when none does (no measurable mismatch is stronger than decay).
+    Decay holds when this is at least DECAY_SLOPE."""
+    return min((r.slopes[order] for r in reports if r.resolved(order)),
+               default=math.inf)
 
 
 def _two_sided_jumps(fn: MapFn, x: np.ndarray, v: np.ndarray,
@@ -232,10 +246,7 @@ def wall_jump_probe(
     control = _two_sided_jumps(_fold_map(chain), x, v, scaled, orders)
     return ProbeReport(
         point=x, direction=v, offsets=scaled, orders=orders,
-        jumps=jumps,
-        slopes={o: _loglog_slope(scaled, js) for o, js in jumps.items()},
-        control_jumps=control,
-        control_slopes={o: _loglog_slope(scaled, js) for o, js in control.items()},
+        jumps=jumps, control_jumps=control,
     )
 
 
@@ -265,7 +276,6 @@ def origin_line_probe(
         reports.append(ProbeReport(
             point=origin, direction=v, offsets=scaled, orders=orders,
             jumps=jumps,
-            slopes={o: _loglog_slope(scaled, js) for o, js in jumps.items()},
         ))
     return reports
 
@@ -277,7 +287,10 @@ class CurveReport:
     offsets: tuple[float, ...]
     orders: tuple[int, ...]
     jumps: dict[int, tuple[float, ...]]
-    slopes: dict[int, float]
+    slopes: dict[int, float] = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slopes", _fit_slopes(self.offsets, self.jumps))
 
 
 def curve_jump_probe(
@@ -295,11 +308,8 @@ def curve_jump_probe(
             a = _central_difference(lambda s: fn(delta + s), order, step)
             b = _central_difference(lambda s: fn(-delta + s), order, step)
             jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
-    jump_t = {o: tuple(js) for o, js in jumps.items()}
-    return CurveReport(
-        offsets=offsets, orders=orders, jumps=jump_t,
-        slopes={o: _loglog_slope(offsets, js) for o, js in jump_t.items()},
-    )
+    return CurveReport(offsets=offsets, orders=orders,
+                       jumps={o: tuple(js) for o, js in jumps.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +328,6 @@ class GrowthReport:
     norms: dict[int, tuple[float, ...]]
     exponents: dict[int, float]
     limits: dict[int, float]
-
-    @property
-    def within_bounds(self) -> dict[int, bool]:
-        return {o: self.exponents[o] <= self.limits[o] for o in self.exponents}
 
 
 def _fit_exponent(regressor: Sequence[float], norms: Sequence[float]) -> float:

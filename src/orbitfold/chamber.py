@@ -20,7 +20,7 @@ import numpy as np
 
 from .groups import GroupElement, ReflectionGroup, essential_split
 
-ON_WALL_TOL = 1e-9        # relative wall-incidence tolerance for classify
+ON_WALL_TOL = 1e-9        # relative wall-incidence and membership tolerance
 _RANK_TOL = 1e-9
 
 
@@ -48,9 +48,10 @@ class Chamber:
     def inequality_values(self, p: np.ndarray) -> np.ndarray:
         return self.simple_normals @ p
 
-    def contains(self, p: Iterable[float], tol: float = 1e-9) -> bool:
+    def contains(self, p: Iterable[float], tol: float = ON_WALL_TOL) -> bool:
+        """Membership of p in the closed chamber, to tol relative to 1 + |p|."""
         p = np.asarray(p, dtype=float)
-        scale = 1.0 + float(np.linalg.norm(p))
+        scale = 1.0 + math.sqrt(p.dot(p))
         return bool(np.min(self.simple_normals @ p) >= -tol * scale)
 
 
@@ -234,37 +235,31 @@ class Stratification:
     group: ReflectionGroup
     chamber: Chamber
     faces: tuple[Face, ...]
-    by_level: dict[int, tuple[int, ...]]      # level -> face indices
+    by_level: dict[int, tuple[Face, ...]]     # level -> faces, in faces order
     edge_rays: np.ndarray                     # (rank, n) chamber edge rays
-    _at_level: dict[int, tuple[Face, ...]] = dataclasses.field(
-        init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_at_level", {
-            lv: tuple(self.faces[i] for i in ix) for lv, ix in self.by_level.items()})
 
     @property
     def rank(self) -> int:
         return self.group.essential_rank
 
     def faces_at_level(self, level: int) -> tuple[Face, ...]:
-        return self._at_level.get(level, ())
+        return self.by_level.get(level, ())
 
     def face_contains(self, face: Face, p: np.ndarray,
                       strict_interior: bool = False) -> bool:
         """Membership of p in the closed face (or its relative interior),
-        to a relative tolerance of 1e-9."""
-        scale = 1.0 + float(np.linalg.norm(p))
+        to ON_WALL_TOL relative to 1 + |p|."""
+        tol = ON_WALL_TOL * (1.0 + float(np.linalg.norm(p)))
         off_span = float(np.linalg.norm(p - face.project_to_span(p)))
-        if off_span > 1e-9 * scale:
+        if off_span > tol:
             return False
         normals = self.chamber.simple_normals
         for j in face.inactive:
             v = float(normals[j] @ p)
             if strict_interior:
-                if v <= 1e-9 * scale:
+                if v <= tol:
                     return False
-            elif v < -1e-9 * scale:
+            elif v < -tol:
                 return False
         return True
 
@@ -312,14 +307,14 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
                 )
             )
     faces.sort(key=lambda f: (f.level, f.active))
-    by_level: dict[int, list[int]] = {}
-    for i, f in enumerate(faces):
-        by_level.setdefault(f.level, []).append(i)
+    by_level: dict[int, list[Face]] = {}
+    for f in faces:
+        by_level.setdefault(f.level, []).append(f)
     return Stratification(
         group=group,
         chamber=chamber,
         faces=tuple(faces),
-        by_level={lv: tuple(ix) for lv, ix in by_level.items()},
+        by_level={lv: tuple(fs) for lv, fs in by_level.items()},
         edge_rays=_edge_rays(normals),
     )
 
@@ -335,22 +330,14 @@ def dist_to_face(face: Face, p: Iterable[float]) -> float:
     walls that stay inequalities there. Only the face is read.
     """
     p = np.asarray(p, dtype=float)
-    scale = 1.0 + math.sqrt(p.dot(p))
+    tol = ON_WALL_TOL * (1.0 + math.sqrt(p.dot(p)))
     best = np.inf
     for basis, rest_normals in face.subfaces:
         q = basis @ (basis.T @ p)
-        if rest_normals is not None and (rest_normals @ q).min() < -1e-9 * scale:
+        if rest_normals is not None and (rest_normals @ q).min() < -tol:
             continue
         r = p - q
         d = math.sqrt(r.dot(r))
         if d < best:
             best = d
     return best
-
-
-def dist_to_level(strat: Stratification, level: int, p: Iterable[float]) -> float:
-    """Distance from p to the union of closed chamber faces at one level."""
-    if level not in strat.by_level:
-        raise ValueError(f"no faces at level {level}")
-    p = np.asarray(p, dtype=float)
-    return min(dist_to_face(f, p) for f in strat.faces_at_level(level))

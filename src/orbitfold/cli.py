@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .calculus import _RoundingFloorError, curve_jump_probe
+from .calculus import _RoundingFloorError, _least_resolved_slope, curve_jump_probe
 from .chamber import chamber_from_group, classify, fold
 from .config import ConfigError, RunConfig, parse_config, tube_spec_from_config
 from .polar import eigen_crossing_curve, model_H, random_rotation, sym_eig_model, sym_to_matrix
@@ -233,8 +233,7 @@ def cmd_probe(cfg: RunConfig) -> int:
             "control_slopes": {str(o): rep.control_slopes[o] for o in rep.orders},
         })
     summary = {
-        "min_slope": {str(o): min(p["slopes"][str(o)] for p in probes)
-                      for o in cfg.orders},
+        "min_slope": {str(o): _least_resolved_slope(reports, o) for o in cfg.orders},
         "max_control_slope": {str(o): max(p["control_slopes"][str(o)] for p in probes)
                               for o in cfg.orders},
     }

@@ -29,15 +29,13 @@ class GroupClosureError(RuntimeError):
 
 def _as_unit_vector(v: Iterable[float]) -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.size == 0:
         raise ValueError("normal must be a nonempty 1-D vector")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-6:
-        if norm == 0.0:
-            raise ValueError("normal must be nonzero")
+    if norm == 0.0:
+        raise ValueError("normal must be nonzero")
+    if abs(norm - 1.0) > UNIT_TOL:
         arr = arr / norm
-    if abs(float(np.linalg.norm(arr)) - 1.0) > UNIT_TOL:
-        arr = arr / float(np.linalg.norm(arr))
     arr.flags.writeable = False
     return arr
 
@@ -82,15 +80,6 @@ class Hyperplane:
         return Hyperplane(_canonical_sign(self.normal))
 
 
-def reflect(p: Iterable[float], mirror: Hyperplane) -> np.ndarray:
-    """Reflect a point across a mirror: p - 2 <p, n> n."""
-    p = np.asarray(p, dtype=float)
-    n = mirror.normal
-    if p.shape[-1] != n.size:
-        raise ValueError(f"point dimension {p.shape[-1]} != mirror dimension {n.size}")
-    return p - 2.0 * (p @ n)[..., None] * n if p.ndim > 1 else p - 2.0 * float(p @ n) * n
-
-
 def reflection_matrix(normal: np.ndarray) -> np.ndarray:
     n = np.asarray(normal, dtype=float)
     return np.eye(n.size) - 2.0 * np.outer(n, n)
@@ -118,10 +107,6 @@ class GroupElement:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.allclose(self.matrix, np.eye(self.dimension), atol=MATCH_TOL))
 
     def is_reflection(self) -> bool:
         """Orthogonal involution whose -1 eigenspace is one-dimensional."""

@@ -40,12 +40,6 @@ def sym_to_matrix(v: np.ndarray) -> np.ndarray:
     return A
 
 
-def matrix_to_sym(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    _check_symmetric(A)
-    return np.array([A[i, j] for i, j in _SYM_AXES])
-
-
 def _check_symmetric(A: np.ndarray) -> None:
     if A.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")

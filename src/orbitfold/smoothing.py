@@ -43,7 +43,7 @@ from .groups import ReflectionGroup
 
 ARG_DEAD_EPS = 1e-8      # below this (or within it of 1) the jet is replaced
 E_RATE = 5.5             # a in e(t) = exp(-a/sqrt(t))
-CHAMBER_REL_TOL = 1e-9   # apply_G membership tolerance
+DERIVATIVE_ORDER_MAX = 4  # highest order eval_h evaluates
 
 
 class TubeConfigError(ValueError):
@@ -123,9 +123,8 @@ def _g0(t: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SmoothProfile:
-    """The fixed flat-step profile h(t) = t*g(t); derivatives up to order 4."""
-
-    derivative_order_max: int = 4
+    """The fixed flat-step profile h(t) = t*g(t); derivatives up to order
+    DERIVATIVE_ORDER_MAX."""
 
 
 def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
@@ -136,9 +135,9 @@ def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
     t = float(t)
     if not t >= 0.0:
         raise ValueError("h is only evaluated at t >= 0")
-    if not 0 <= order <= profile.derivative_order_max:
+    if not 0 <= order <= DERIVATIVE_ORDER_MAX:
         raise ValueError(
-            f"order {order} outside supported range 0..{profile.derivative_order_max}")
+            f"order {order} outside supported range 0..{DERIVATIVE_ORDER_MAX}")
     if t <= ARG_DEAD_EPS:
         return 0.0
     if t >= 1.0 - ARG_DEAD_EPS:
@@ -230,10 +229,6 @@ class TubeCoords:
     normal: np.ndarray | None
     t: float
     radius: float
-
-    @property
-    def on_stratum(self) -> bool:
-        return self.t == 0.0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -362,8 +357,7 @@ def apply_partial(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
 def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """Full composite on the closed chamber (walls first, origin last)."""
     p = _as_point(p, chain.chamber.dimension)
-    scale = 1.0 + math.sqrt(p.dot(p))
-    if float(np.min(chain.chamber.simple_normals @ p)) < -CHAMBER_REL_TOL * scale:
+    if not chain.chamber.contains(p):
         raise ValueError("point lies outside the closed chamber")
     return apply_partial(chain, 0, p)
 

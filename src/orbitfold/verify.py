@@ -15,9 +15,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .calculus import (
+    DECAY_SLOPE,
     DEFAULT_OFFSETS,
     ProbeReport,
     _central_difference,
+    _least_resolved_slope,
     fd_directional,
     fd_jacobian,
     growth_bound_check,
@@ -271,14 +273,14 @@ def _wall_probes(chain: SmoothChain, points: int, seed: int,
 def _decay_results(reports: Sequence[ProbeReport], name: str,
                    unresolved_note: str) -> list[CheckResult]:
     """Orders 1 and 2: the least resolved decay slope (inf when none
-    resolves) against 0.8, noting how many reports were unresolved."""
+    resolves) against DECAY_SLOPE, noting how many reports were unresolved."""
     out = []
     for order in (1, 2):
-        resolved = [r.slopes[order] for r in reports if r.resolved(order)]
-        n_unres = len(reports) - len(resolved)
+        n_unres = sum(not r.resolved(order) for r in reports)
         out.append(_result(
-            f"{name} (order {order})", min(resolved or [math.inf]), 0.8,
-            mode="min", detail=f"{n_unres} {unresolved_note}" if n_unres else ""))
+            f"{name} (order {order})", _least_resolved_slope(reports, order),
+            DECAY_SLOPE, mode="min",
+            detail=f"{n_unres} {unresolved_note}" if n_unres else ""))
     return out
 
 

@@ -22,6 +22,7 @@ from orbitfold.chamber import fold
 from orbitfold.groups import preset_group
 from orbitfold.smoothing import (
     SmoothProfile, apply_G, apply_H, build_chain, eval_h, eval_l)
+from orbitfold.verify import check_growth
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +100,12 @@ class TestStencils:
 # report invariants
 # ---------------------------------------------------------------------------
 
-def _mk_report(offsets, slopes=None):
+def _mk_report(offsets, jumps=None):
     offs = tuple(offsets)
     return ProbeReport(
         point=np.zeros(2), direction=np.array([0.0, 1.0]),
         offsets=offs, orders=(1,),
-        jumps={1: tuple(1.0 for _ in offs)},
-        slopes=slopes if slopes is not None else {1: 0.0},
+        jumps={1: jumps if jumps is not None else tuple(1.0 for _ in offs)},
     )
 
 
@@ -122,7 +122,7 @@ class TestProbeReport:
 
     def test_slopes_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            _mk_report([1e-2, 1e-3], slopes={1: float("nan")})
+            _mk_report([1e-2, 1e-3], jumps=(1.0, float("inf")))
 
     def test_valid_report_constructs(self):
         rep = _mk_report([1e-2, 1e-3])
@@ -251,7 +251,7 @@ class TestOriginLines:
         assert len(reports) == 5
         for rep in reports:
             assert rep.slopes[1] >= 0.8
-            assert rep.shows_decay(2)
+            assert calculus._least_resolved_slope([rep], 2) >= calculus.DECAY_SLOPE
             assert abs(np.linalg.norm(rep.direction) - 1.0) < 1e-12
 
     def test_minus_identity_makes_even_orders_exact(self, b2_chain):
@@ -322,14 +322,14 @@ class TestFlatness:
 class TestGrowth:
     def test_wall_level_exponents(self, b2_chain):
         rep = growth_bound_check(b2_chain, 1)
-        assert all(rep.within_bounds.values())
+        assert all(rep.exponents[o] <= rep.limits[o] for o in (1, 2))
         # second derivative should track 1/l almost exactly mid-tube
         assert 0.7 <= rep.exponents[2] <= 1.3
         assert rep.exponents[1] <= 1.3
 
     def test_bottom_level_exponents(self, b2_chain):
         rep = growth_bound_check(b2_chain, 0)
-        assert all(rep.within_bounds.values())
+        assert all(rep.exponents[o] <= rep.limits[o] for o in (1, 2))
         assert rep.radii == tuple([b2_chain.tubes.c0] * len(rep.distances))
 
     def test_capped_region_is_flat(self, b2_chain):
@@ -341,9 +341,8 @@ class TestGrowth:
 
     def test_three_dimensional_group(self):
         chain = build_chain(preset_group("b3"))
-        for level in (0, 1, 2):
-            rep = growth_bound_check(chain, level)
-            assert all(rep.within_bounds.values()), (level, rep.exponents)
+        results = check_growth(chain)          # levels 0, 1 and 2
+        assert all(r.passed for r in results), [r.line() for r in results]
 
 
 # ---------------------------------------------------------------------------

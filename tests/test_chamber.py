@@ -18,7 +18,6 @@ from orbitfold import (
     chamber_from_group,
     classify,
     dist_to_face,
-    dist_to_level,
     fold,
     preset_group,
     strata_levels,
@@ -143,7 +142,7 @@ def test_fold_of_chamber_point_is_identity():
     group, chamber = make("b2")
     result = fold(group, chamber, chamber.witness)
     assert result.steps == 0
-    assert result.element.is_identity
+    assert np.array_equal(result.element.matrix, np.eye(2))
     assert np.array_equal(result.image, chamber.witness)
 
 
@@ -350,13 +349,18 @@ def test_face_span_contains_fixed_subspace():
 # distances
 # ---------------------------------------------------------------------------
 
+def level_dist(strat, level, p):
+    """Distance from p to the union of the closed faces at one level."""
+    return min(dist_to_face(f, p) for f in strat.faces_at_level(level))
+
+
 def test_dist_to_level_b2_analytic():
     group, chamber = make("b2")
     strat = strata_levels(group, chamber)
     p = np.array([2.0, 1.0])
     # nearest wall point: (2, 0) on the axis vs (1.5, 1.5) on the diagonal
-    assert dist_to_level(strat, 1, p) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-    assert dist_to_level(strat, 0, p) == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    assert level_dist(strat, 1, p) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert level_dist(strat, 0, p) == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
 
 def test_dist_to_level_clamps_to_cone_apex():
@@ -365,7 +369,7 @@ def test_dist_to_level_clamps_to_cone_apex():
     # p points away from both wall rays, so the apex is nearest at level 1
     p = np.array([-3.0, 0.5])
     expected = np.linalg.norm(p)
-    assert dist_to_level(strat, 1, p) == pytest.approx(expected, abs=1e-12)
+    assert level_dist(strat, 1, p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_dist_to_minimal_level_is_effective_norm():
@@ -375,7 +379,7 @@ def test_dist_to_minimal_level_is_effective_norm():
     for _ in range(10):
         p = rng.normal(size=3)
         expected = np.linalg.norm(p - np.mean(p))   # distance to the diagonal
-        assert dist_to_level(strat, 0, p) == pytest.approx(expected, abs=1e-10)
+        assert level_dist(strat, 0, p) == pytest.approx(expected, abs=1e-10)
 
 
 def test_on_face_points_have_zero_distance():
@@ -398,23 +402,6 @@ def test_dist_to_face_matches_convex_projection(preset):
             got = dist_to_face(face, p)
             want = projection_dist_oracle(strat, face, p)
             assert got == pytest.approx(want, abs=2e-6), (face.active, p)
-
-
-def test_dist_to_level_is_min_over_faces():
-    group, chamber = make("a3")
-    strat = strata_levels(group, chamber)
-    rng = np.random.default_rng(5)
-    p = rng.normal(size=4)
-    for level, ixs in strat.by_level.items():
-        per_face = [dist_to_face(strat.faces[i], p) for i in ixs]
-        assert dist_to_level(strat, level, p) == pytest.approx(min(per_face), abs=0)
-
-
-def test_dist_to_missing_level_raises():
-    group, chamber = make("b2")
-    strat = strata_levels(group, chamber)
-    with pytest.raises(ValueError, match="level"):
-        dist_to_level(strat, 7, np.array([1.0, 0.5]))
 
 
 def _dist_by_subset_enumeration(strat, face, p):

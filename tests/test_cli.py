@@ -201,6 +201,19 @@ class TestRankOne:
             assert len(doc["probes"]) == 5
             assert all(p["point"] == [0.0] for p in doc["probes"])
 
+    def test_probe_min_slope_skips_unresolved_probes(self, capsys, tmp_path):
+        # H is even on the line, so its second derivatives at +d and -d
+        # agree to rounding: every order-2 probe is unresolved, and the
+        # summary reports inf as verify does, not a fit to rounding noise.
+        out_path = tmp_path / "out.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\nnormals = 1.0\n\n[sampling]\ncount = 5\n")
+        code, _, _ = run(capsys, "probe", "--config", str(cfg), "--out", str(out_path))
+        assert code == 0
+        summary = json.loads(out_path.read_text())["summary"]
+        assert summary["min_slope"]["2"] == "inf"
+        assert summary["min_slope"]["1"] >= 0.8
+
 
 class TestDemoSym3:
     def test_matrices_from_file(self, capsys, tmp_path):

@@ -19,9 +19,8 @@ from orbitfold import (
     essential_split,
     generate_group,
     preset_group,
-    reflect,
 )
-from orbitfold.groups import reflection_matrix
+from orbitfold.groups import UNIT_TOL, _as_unit_vector, reflection_matrix
 
 TOL = 1e-9
 
@@ -205,13 +204,38 @@ def unit_vectors(draw, dim=3):
 @settings(max_examples=60, deadline=None)
 def test_reflect_is_an_involutive_isometry(normal, point):
     mirror = Hyperplane(normal)
-    image = reflect(point, mirror)
-    again = reflect(image, mirror)
+    r = reflection_matrix(mirror.normal)
+    image = r @ point
+    again = r @ image
     assert np.allclose(again, point, atol=1e-12)
     assert abs(np.linalg.norm(image) - np.linalg.norm(point)) < 1e-12
     # the mirror itself is fixed pointwise
     tangent = point - float(point @ mirror.normal) * mirror.normal
-    assert np.allclose(reflect(tangent, mirror), tangent, atol=1e-12)
+    assert np.allclose(r @ tangent, tangent, atol=1e-12)
+
+
+def _as_unit_vector_two_pass(v):
+    """Frozen copy of the two-pass normalization that _as_unit_vector
+    replaced: a coarse renormalization past 1e-6, then one past UNIT_TOL."""
+    arr = np.asarray(v, dtype=float).reshape(-1)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("normal must be a nonempty 1-D vector")
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > 1e-6:
+        if norm == 0.0:
+            raise ValueError("normal must be nonzero")
+        arr = arr / norm
+    if abs(float(np.linalg.norm(arr)) - 1.0) > UNIT_TOL:
+        arr = arr / float(np.linalg.norm(arr))
+    return arr
+
+
+@given(unit_vectors(), st.sampled_from([1e-13, 1e-9, 1e-3]),
+       st.floats(-1, 1, allow_nan=False))
+@settings(max_examples=100, deadline=None)
+def test_unit_vector_matches_two_pass_normalization(direction, size, frac):
+    v = direction * (1.0 + size * frac)
+    assert np.array_equal(_as_unit_vector(v), _as_unit_vector_two_pass(v))
 
 
 def test_hyperplane_sign_identification():

@@ -10,7 +10,6 @@ from orbitfold.polar import (
     eigen_crossing_curve,
     equidistance_probe,
     jacobi_eigensystem,
-    matrix_to_sym,
     model_H,
     radial_model,
     random_rotation,
@@ -83,14 +82,17 @@ class TestJacobi:
 class TestSymCoords:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
-        S = random_sym(rng)
-        assert np.array_equal(sym_to_matrix(matrix_to_sym(S)), S)
+        v = rng.normal(size=6)
+        S = sym_to_matrix(v)
+        assert np.array_equal(S, S.T)
+        # (a11, a22, a33, a12, a13, a23) read back from the matrix
+        assert np.array_equal([S[0, 0], S[1, 1], S[2, 2], S[0, 1], S[0, 2], S[1, 2]], v)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             sym_to_matrix(np.zeros(5))
-        with pytest.raises(ValueError):
-            matrix_to_sym(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="3x3"):
+            jacobi_eigensystem(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ class TestSymModel:
         model, chain = sym_setup
         S = np.diag([3.0, 1.0, 2.0])
         a = model_H(model, chain, S)
-        b = model_H(model, chain, matrix_to_sym(S))
+        b = model_H(model, chain, np.array([3.0, 1.0, 2.0, 0.0, 0.0, 0.0]))
         assert np.array_equal(a, b)
 
     def test_level_set_fidelity(self, sym_setup):

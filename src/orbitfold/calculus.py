@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .chamber import _fold_image, classify
-from .smoothing import SmoothChain, apply_partial, eval_l
+from .chamber import _fold_rows, classify
+from .smoothing import SmoothChain, _apply_partial_rows, eval_l
 
 DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 REFERENCE_RADIUS = 0.1
@@ -28,6 +28,19 @@ STEP_FRACTION = 0.125          # FD step as a fraction of the probe offset
 MapFn = Callable[[np.ndarray], np.ndarray]
 
 
+@dataclasses.dataclass(frozen=True)
+class RowMap:
+    """A map that takes a whole stack of points: rows maps an (N, n) array
+    to the (N, m) array of its values, row for row.
+
+    The FD helpers build every point a stencil or probe needs and make one
+    call; a RowMap gets them all as one stack, and any other map is called
+    once per point.
+    """
+
+    rows: Callable[[np.ndarray], np.ndarray]
+
+
 _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
@@ -35,45 +48,144 @@ _STENCILS = {
     4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
 
+# a stencil's points, and the function taking their values to its result
+_Stencil = tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+
+
+def _evaluate(fn: MapFn | RowMap, points: np.ndarray) -> np.ndarray:
+    """Values of fn at every row of points, stacked: one call for a RowMap,
+    one call per point otherwise."""
+    if isinstance(fn, RowMap):
+        return np.asarray(fn.rows(points), dtype=float)
+    return np.stack([np.asarray(fn(p), dtype=float) for p in points])
+
+
+def _run_stencils(fn: MapFn | RowMap, stencils: Sequence[_Stencil]) -> list[np.ndarray]:
+    """Evaluate the points of all stencils together, then combine each."""
+    values = _evaluate(fn, np.concatenate([points for points, _ in stencils]))
+    out = []
+    start = 0
+    for points, combine in stencils:
+        out.append(combine(values[start:start + len(points)]))
+        start += len(points)
+    return out
+
+
+def _weighted_sum(weights: Sequence[float], values: Iterable[np.ndarray],
+                  scale: float) -> np.ndarray:
+    """sum_k weights[k]*values[k] / scale, accumulated in stencil order."""
+    acc = None
+    for weight, value in zip(weights, values):
+        term = weight * value
+        acc = term if acc is None else acc + term
+    return acc / scale
+
 
 def _central_difference(g: Callable[[float], object], order: int,
                         step: float) -> np.ndarray:
     """Derivative of the given order of g at 0 by the central stencil."""
-    acc = None
-    for shift, weight in _STENCILS[order]:
-        term = weight * np.asarray(g(shift * step), dtype=float)
-        acc = term if acc is None else acc + term
-    return acc / step ** order
+    row = _STENCILS[order]
+    return _weighted_sum([w for _, w in row],
+                         [np.asarray(g(shift * step), dtype=float) for shift, _ in row],
+                         step ** order)
 
 
-def fd_jacobian(fn: MapFn, p: np.ndarray, step: float) -> np.ndarray:
+def _moves(shifts: Sequence[int], step: float, axes: np.ndarray) -> np.ndarray:
+    """(len(axes), len(shifts), n) array of the moves (shift*step)*e, e a
+    row of axes."""
+    return (np.array(shifts, dtype=float) * step)[None, :, None] * axes[:, None, :]
+
+
+def _line_stencil(p: np.ndarray, directions: np.ndarray, order: int,
+                  step: float) -> _Stencil:
+    """The order's stencil points p + (shift*step)*e along each row e of
+    directions, and the function giving the derivative along each
+    direction, stacked on the first axis."""
+    row = _STENCILS[order]
+    points = (p + _moves([s for s, _ in row], step, directions)).reshape(-1, p.size)
+
+    def combine(values: np.ndarray) -> np.ndarray:
+        terms = values.reshape(len(directions), len(row), *values.shape[1:]).swapaxes(0, 1)
+        return _weighted_sum([w for _, w in row], terms, step ** order)
+
+    return points, combine
+
+
+def _jacobian_stencil(p: np.ndarray, step: float) -> _Stencil:
+    points, combine = _line_stencil(p, np.eye(p.size), 1, step)
+    return points, lambda values: np.moveaxis(combine(values), 0, -1)
+
+
+def _directional_stencil(p: np.ndarray, direction: np.ndarray, order: int,
+                         step: float) -> _Stencil:
+    if order not in (1, 2, 3):
+        raise ValueError("order must be 1, 2, or 3")
+    points, combine = _line_stencil(p, direction[None, :], order, step)
+    return points, lambda values: combine(values)[0]
+
+
+def _hessian_stencil(p: np.ndarray, step: float) -> _Stencil:
+    """Diagonal entries from the order-2 row along each axis, with p itself
+    as one point they share; each mixed entry from the product of two
+    order-1 rows along its axis pair, one value filling (j, k) and (k, j)."""
+    n = p.size
+    axes = np.eye(n)
+    row1, row2 = _STENCILS[1], _STENCILS[2]
+    off = [s for s, _ in row2 if s]
+    shift_j, shift_k, mixed_weights = zip(*[(sj, sk, wj * wk)
+                                            for sj, wj in row1 for sk, wk in row1])
+    first, second = np.triu_indices(n, 1)
+    # row of each diagonal stencil point in `points`: p is row 0
+    diag_idx = np.zeros((n, len(row2)), dtype=int)
+    diag_idx[:, [i for i, (s, _) in enumerate(row2) if s]] = (
+        1 + np.arange(n * len(off)).reshape(n, len(off)))
+    mixed_start = 1 + n * len(off)
+    points = np.concatenate([
+        p[None, :],
+        (p + _moves(off, step, axes)).reshape(-1, n),
+        ((p + _moves(shift_j, step, axes[first]))
+         + _moves(shift_k, step, axes[second])).reshape(-1, n),
+    ])
+
+    def combine(values: np.ndarray) -> np.ndarray:
+        diag = _weighted_sum([w for _, w in row2], values[diag_idx].swapaxes(0, 1),
+                             step ** 2)
+        mixed_terms = values[mixed_start:].reshape(len(first), len(mixed_weights),
+                                                   *values.shape[1:])
+        mixed = _weighted_sum(mixed_weights, mixed_terms.swapaxes(0, 1), step ** 2)
+        tensor = np.zeros((values[0].size, n, n))
+        tensor[:, range(n), range(n)] = diag.T
+        tensor[:, first, second] = tensor[:, second, first] = mixed.T
+        return tensor
+
+    return points, combine
+
+
+def fd_jacobian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
     """Central-difference Jacobian, one column per input coordinate."""
     if step <= 0:
         raise ValueError("step must be positive")
     p = np.asarray(p, dtype=float)
-    return np.stack([_central_difference(lambda s: fn(p + s * e), 1, step)
-                     for e in np.eye(p.size)], axis=-1)
+    return _run_stencils(fn, [_jacobian_stencil(p, step)])[0]
 
 
-def fd_directional(fn: MapFn, p: np.ndarray, direction: np.ndarray,
+def fd_directional(fn: MapFn | RowMap, p: np.ndarray, direction: np.ndarray,
                    order: int, step: float) -> np.ndarray:
     """Directional derivative of the given order by a central stencil.
 
     Exact (up to rounding) on polynomials one degree past the order, since
     the stencils are symmetric.
     """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
     if step <= 0:
         raise ValueError("step must be positive")
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     p = np.asarray(p, dtype=float)
-    return _central_difference(lambda s: fn(p + s * direction), order, step)
+    return _run_stencils(fn, [_directional_stencil(p, direction, order, step)])[0]
 
 
-def fd_hessian(fn: MapFn, p: np.ndarray, step: float) -> np.ndarray:
+def fd_hessian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
     """Full second-derivative tensor (m, n, n) by central differences.
 
     Exact on quadratic maps. This is the object to compare across a
@@ -84,29 +196,7 @@ def fd_hessian(fn: MapFn, p: np.ndarray, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError("step must be positive")
     p = np.asarray(p, dtype=float)
-    n = p.size
-    f0 = np.asarray(fn(p), dtype=float)
-    tensor = np.zeros((f0.size, n, n))
-    offs = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        offs.append(e)
-        plus = np.asarray(fn(p + e), dtype=float)
-        minus = np.asarray(fn(p - e), dtype=float)
-        tensor[:, j, j] = (plus - 2.0 * f0 + minus) / step ** 2
-    for j in range(n):
-        for k in range(j + 1, n):
-            ej, ek = offs[j], offs[k]
-            mixed = (
-                np.asarray(fn(p + ej + ek), dtype=float)
-                - np.asarray(fn(p + ej - ek), dtype=float)
-                - np.asarray(fn(p - ej + ek), dtype=float)
-                + np.asarray(fn(p - ej - ek), dtype=float)
-            ) / (4.0 * step ** 2)
-            tensor[:, j, k] = mixed
-            tensor[:, k, j] = mixed
-    return tensor
+    return _run_stencils(fn, [_hessian_stencil(p, step)])[0]
 
 
 def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
@@ -185,38 +275,42 @@ def _least_resolved_slope(reports: Sequence[ProbeReport], order: int) -> float:
                default=math.inf)
 
 
-def _two_sided_jumps(fn: MapFn, x: np.ndarray, v: np.ndarray,
-                     offsets: Sequence[float], orders: Sequence[int]) -> dict[int, tuple[float, ...]]:
+def _two_sided_jumps(fn: MapFn | RowMap, x: np.ndarray, v: np.ndarray,
+                     offsets: Sequence[float],
+                     orders: Sequence[int]) -> dict[int, tuple[float, ...]]:
     # Order 1 compares Jacobians, order 2 full second-derivative tensors
     # (see fd_hessian for why), order 3 the normal third derivative,
-    # which survives the symmetry because it is odd.
-    jumps: dict[int, list[float]] = {o: [] for o in orders}
+    # which survives the symmetry because it is odd. Every stencil of
+    # every offset, side and order is evaluated in one call.
+    stencils = []
     for delta in offsets:
         step = STEP_FRACTION * delta
-        plus, minus = x + delta * v, x - delta * v
         for order in orders:
-            if order == 1:
-                a = fd_jacobian(fn, plus, step)
-                b = fd_jacobian(fn, minus, step)
-            elif order == 2:
-                a = fd_hessian(fn, plus, step)
-                b = fd_hessian(fn, minus, step)
-            else:
-                a = fd_directional(fn, plus, v, order, step)
-                b = fd_directional(fn, minus, v, order, step)
+            for side in (x + delta * v, x - delta * v):
+                if order == 1:
+                    stencils.append(_jacobian_stencil(side, step))
+                elif order == 2:
+                    stencils.append(_hessian_stencil(side, step))
+                else:
+                    stencils.append(_directional_stencil(side, v, order, step))
+    results = iter(_run_stencils(fn, stencils))
+    jumps: dict[int, list[float]] = {o: [] for o in orders}
+    for _ in offsets:
+        for order in orders:
+            a, b = next(results), next(results)
             jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
     return {o: tuple(js) for o, js in jumps.items()}
 
 
-def _fold_map(chain: SmoothChain) -> MapFn:
+def _fold_map(chain: SmoothChain) -> RowMap:
     normals = chain.chamber.simple_normals
     cap = chain.group.order
-    return lambda p: _fold_image(normals, p, cap)[0]
+    return RowMap(lambda points: _fold_rows(normals, points, cap))
 
 
 def wall_jump_probe(
     chain: SmoothChain,
-    fn: MapFn,
+    fn: MapFn | RowMap,
     x: Iterable[float],
     offsets: Sequence[float] = DEFAULT_OFFSETS,
     orders: Sequence[int] = (1, 2),
@@ -252,7 +346,7 @@ def wall_jump_probe(
 
 def origin_line_probe(
     chain: SmoothChain,
-    fn: MapFn,
+    fn: MapFn | RowMap,
     count: int = 20,
     seed: int = 0,
 ) -> list[ProbeReport]:
@@ -350,7 +444,7 @@ def growth_bound_check(
     radius is the constant c0, so the regressor is 1/distance instead.
     """
     strat = chain.stratification
-    fn = lambda q: apply_partial(chain, i, q)
+    fn = RowMap(lambda points: _apply_partial_rows(chain, i, points))
     radii = []
     d1, d2 = [], []
     for d in distances:
@@ -371,15 +465,14 @@ def growth_bound_check(
             step = 0.02 * radius
         p = x + (0.5 * radius) * v if i > 0 else x
         radii.append(radius)
-        d1.append(float(np.linalg.norm(fd_jacobian(fn, p, step))))
         tangent = x / np.linalg.norm(x) if np.linalg.norm(x) > 0 else v
         mixed = v + tangent
         mixed = mixed / np.linalg.norm(mixed)
-        second = max(
-            float(np.linalg.norm(fd_directional(fn, p, u / np.linalg.norm(u), 2, step)))
-            for u in (v, tangent, mixed)
-        )
-        d2.append(second)
+        jacobian, *second = _run_stencils(fn, [_jacobian_stencil(p, step)] + [
+            _directional_stencil(p, u / np.linalg.norm(u), 2, step)
+            for u in (v, tangent, mixed)])
+        d1.append(float(np.linalg.norm(jacobian)))
+        d2.append(max(float(np.linalg.norm(d)) for d in second))
 
     regressor = [1.0 / r for r in radii] if i > 0 else [1.0 / d for d in distances]
     exponents = {1: _fit_exponent(regressor, d1), 2: _fit_exponent(regressor, d2)}

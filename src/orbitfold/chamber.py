@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -23,6 +24,7 @@ from .groups import GroupElement, ReflectionGroup, essential_split
 ON_WALL_TOL = 1e-9        # relative wall-incidence and membership tolerance
 _RANK_TOL = 1e-9
 _EXIT_MARGIN = 1e-6       # wall clearance, relative to 1 + |p|, ending dist_to_face's walk
+_SQ_MIN = sys.float_info.min  # least |p|^2 the fold takes without rescaling
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -79,6 +81,13 @@ def chamber_from_group(group: ReflectionGroup) -> Chamber:
     return Chamber(simple_normals=normals, witness=witness)
 
 
+def _unit_exponent(p: np.ndarray) -> np.ndarray:
+    """Power-of-two exponent e of the largest |coordinate| along the last
+    axis: p * 2**-e has its largest entry in [0.5, 1), and the scaling is
+    exact (0 for a zero point)."""
+    return np.frexp(np.max(np.abs(p), axis=-1))[1]
+
+
 def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
                           max_steps: int) -> tuple[np.ndarray, list[int]]:
     """Reflect across the lowest-index violated wall until inside.
@@ -87,16 +96,28 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
     applied). Points within rounding distance of a wall count as inside: a
     dot product of a few ulps below zero calls for a correction smaller than
     the spacing of floats at that coordinate, so reflecting would leave the
-    point bitwise unchanged and the loop would never terminate.
+    point bitwise unchanged and the loop would never terminate. The
+    tolerance is 1e-14*|p|, relative at every scale. Where |p|^2 overflows
+    or leaves the normal range the fold runs on p scaled to unit size by a
+    power of two and scales the image back: reflections are linear and the
+    scaling is exact, so p takes the word of its unit-size copy. In the
+    normal range no scaling is done: it could change only the bits of
+    subnormal coordinates.
     """
     cur = np.array(p, dtype=float)
-    tol = 1e-14 * (1.0 + math.sqrt(cur.dot(cur)))
+    sq = cur.dot(cur)
+    e = 0
+    if not _SQ_MIN <= sq < math.inf:
+        e = int(_unit_exponent(cur))
+        cur = np.ldexp(cur, -e)
+        sq = cur.dot(cur)
+    tol = 1e-14 * math.sqrt(sq)
     word: list[int] = []
     while True:
         dots = normals @ cur
         bad = dots < -tol
         if not bad.any():
-            return cur, word
+            return (np.ldexp(cur, e) if e else cur), word
         i = int(bad.argmax())
         cur = cur - (2.0 * dots[i]) * normals[i]
         word.append(i)
@@ -107,11 +128,47 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
 def _fold_image(normals: np.ndarray, p: np.ndarray, max_steps: int) -> tuple[np.ndarray, int]:
     """Fold image and step count, without the group element.
 
-    This is the entry apply_H and the FD fold control call; the per-layer
-    trace in perfbench/tracer.py counts it by name.
+    This is the entry apply_H calls; the per-layer trace in
+    perfbench/tracer.py counts it by name.
     """
     image, word = _reflect_into_chamber(normals, p, max_steps)
     return image, len(word)
+
+
+def _fold_rows(normals: np.ndarray, points: np.ndarray, max_steps: int) -> np.ndarray:
+    """Fold images of every row of an (N, n) stack.
+
+    Each row follows _reflect_into_chamber: the same lowest-index violated
+    wall, the same tolerance and power-of-two scaling, the same step cap
+    and error. Dot products are stacked matrix-vector products, which round
+    as the per-point `normals @ cur` does, so each image equals the
+    per-point image bit for bit. Rows leave the loop once inside.
+    """
+    cur = np.array(points, dtype=float)
+    sq = np.matmul(cur[:, None, :], cur[:, :, None])[:, 0, 0]
+    e = np.where((sq >= _SQ_MIN) & (sq < math.inf), 0, _unit_exponent(cur))
+    scaled = e != 0
+    if scaled.any():
+        cur[scaled] = np.ldexp(cur[scaled], -e[scaled, None])
+        sq[scaled] = np.matmul(cur[scaled, None, :], cur[scaled, :, None])[:, 0, 0]
+    tol = 1e-14 * np.sqrt(sq)
+    rows = np.arange(len(cur))
+    steps = 0
+    while True:
+        dots = np.matmul(normals, cur[rows, :, None])[:, :, 0]
+        bad = dots < -tol[rows, None]
+        hit = bad.any(axis=1)
+        if not hit.any():
+            break
+        rows, dots, bad = rows[hit], dots[hit], bad[hit]
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError("folding did not terminate; chamber data inconsistent")
+        i = bad.argmax(axis=1)
+        cur[rows] -= (2.0 * dots[np.arange(rows.size), i])[:, None] * normals[i]
+    if scaled.any():
+        cur[scaled] = np.ldexp(cur[scaled], e[scaled, None])
+    return cur
 
 
 def _as_point(p: Iterable[float], dim: int) -> np.ndarray:

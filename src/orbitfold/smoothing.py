@@ -34,6 +34,7 @@ from .chamber import (
     Stratification,
     _as_point,
     _fold_image,
+    _fold_rows,
     _null_space_basis,
     chamber_from_group,
     classify,
@@ -119,6 +120,16 @@ def _g0(t: float) -> float:
     u = math.exp(-E_RATE / math.sqrt(t))
     v = math.exp(-E_RATE / math.sqrt(1.0 - t))
     return u / (u + v)
+
+
+def _g_rows(t: np.ndarray) -> np.ndarray:
+    """_g0 at every entry of t."""
+    g = (t >= 1.0 - ARG_DEAD_EPS).astype(float)
+    mid = (t > ARG_DEAD_EPS) & (t < 1.0 - ARG_DEAD_EPS)
+    u = np.exp(-E_RATE / np.sqrt(t[mid]))
+    v = np.exp(-E_RATE / np.sqrt(1.0 - t[mid]))
+    g[mid] = u / (u + v)
+    return g
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,6 +262,10 @@ class SmoothChain:
     # level i >= 1 -> (stacked complement rows of every lower face, row offsets)
     _lower_rows: dict[int, tuple[np.ndarray, np.ndarray]] = dataclasses.field(
         init=False, repr=False)
+    # level i -> (projectors of its faces stacked as (F*n, n), (F, k) penalty
+    # rows: inf at each face's active walls, 0 at its inactive ones)
+    _face_rows: tuple[tuple[np.ndarray, np.ndarray], ...] = dataclasses.field(
+        init=False, repr=False)
 
     def __post_init__(self) -> None:
         faces = self.stratification.faces
@@ -264,6 +279,15 @@ class SmoothChain:
             sizes = [b.shape[0] for b in blocks]
             rows[lv] = (np.concatenate(blocks), np.cumsum([0] + sizes[:-1]))
         object.__setattr__(self, "_lower_rows", rows)
+        face_rows = []
+        for lv in range(self.rank):
+            level_faces = self.stratification.faces_at_level(lv)
+            penalty = np.zeros((len(level_faces), len(self.chamber.simple_normals)))
+            for row, face in zip(penalty, level_faces):
+                row[list(face.active)] = np.inf
+            projectors = [face.basis @ face.basis.T for face in level_faces]
+            face_rows.append((np.concatenate(projectors), penalty))
+        object.__setattr__(self, "_face_rows", tuple(face_rows))
 
     @property
     def rank(self) -> int:
@@ -335,6 +359,27 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     return (1.0 - w) * raw + w * cap
 
 
+def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
+    """_radius_at for every row of a stack of feet in open level-i faces."""
+    if i == 0:
+        return np.full(len(feet), chain.tubes.c0)
+    rows, starts = chain._lower_rows[i]
+    y = feet @ rows.T
+    dists = np.sqrt(np.add.reduceat(y * y, starts, axis=1))
+    # softmin, scaled as in the scalar form
+    k = chain.tubes.softmin_exponent
+    d_min = dists.min(axis=1)
+    acc = ((d_min[:, None] / dists) ** k).sum(axis=1)
+    raw = chain.tubes.b[i] * (d_min * acc ** (-1.0 / k))
+    cap = chain.tubes.c[i]
+    ratio = raw / cap
+    blend = (ratio > 1.0) & (ratio < 2.0)
+    w = _g_rows(ratio[blend] - 1.0)
+    radius = np.where(ratio <= 1.0, raw, cap)
+    radius[blend] = (1.0 - w) * raw[blend] + w * cap
+    return radius
+
+
 def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
     """Tube radius of level i at a point x of a level-i face."""
     x = _as_point(x, chain.chamber.dimension)
@@ -390,6 +435,62 @@ def apply_F(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
         return p.copy()
     u = tc.t / tc.radius
     return tc.foot + (tc.radius * eval_h(chain.profile, u, 0)) * tc.normal
+
+
+def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
+    """apply_F at every row of an (N, n) stack.
+
+    One matmul gives every row's foot on every level-i face; the open-face
+    test, the heights t and the radii of the feet that pass it are each
+    one array operation over all (row, face) pairs. Each row then takes
+    the first face, in faces_at_level order, whose tube holds it, as
+    tube_coords does.
+    """
+    projectors, penalty = chain._face_rows[i]
+    n_rows, dim = points.shape
+    n_faces = len(penalty)
+    feet = (points @ projectors.T).reshape(n_rows, n_faces, dim)
+    foot_norm = np.sqrt(np.einsum("rfj,rfj->rf", feet, feet))
+    wall_vals = feet @ chain.chamber.simple_normals.T + penalty
+    open_face = wall_vals.min(axis=2) > ON_WALL_TOL * (1.0 + foot_norm)
+    offset = points[:, None, :] - feet
+    t = np.sqrt(np.einsum("rfj,rfj->rf", offset, offset))
+    radius = np.zeros((n_rows, n_faces))
+    radius[open_face] = _radius_rows(chain, i, feet[open_face])
+    claims = open_face & (t < radius)
+    rows = np.flatnonzero(claims.any(axis=1))
+    face = claims[rows].argmax(axis=1)
+    # a row on its face (t == 0) stays where it is, as in apply_F
+    off_face = t[rows, face] > 0.0
+    rows, face = rows[off_face], face[off_face]
+    height, rad = t[rows, face], radius[rows, face]
+    u = height / rad
+    h = u * _g_rows(u)          # eval_h at order 0
+    out = points.copy()
+    out[rows] = feet[rows, face] + (rad * h)[:, None] * (offset[rows, face] / height[:, None])
+    return out
+
+
+def _apply_partial_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
+    """apply_partial at every row of an (N, n) stack."""
+    for j in range(chain.rank - 1, i - 1, -1):
+        points = _apply_F_rows(chain, j, points)
+    return points
+
+
+def _apply_G_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
+    """apply_G at every row of an (N, n) stack of closed-chamber points."""
+    normals = chain.chamber.simple_normals
+    size = 1.0 + np.sqrt(np.einsum("rj,rj->r", points, points))
+    if not np.all((points @ normals.T).min(axis=1) >= -ON_WALL_TOL * size):
+        raise ValueError("point lies outside the closed chamber")
+    return _apply_partial_rows(chain, 0, points)
+
+
+def _apply_H_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
+    """apply_H at every row of an (N, n) stack."""
+    images = _fold_rows(chain.chamber.simple_normals, points, chain.group.order)
+    return _apply_partial_rows(chain, 0, images)
 
 
 def apply_partial(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:

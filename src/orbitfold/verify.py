@@ -18,20 +18,24 @@ from .calculus import (
     DECAY_SLOPE,
     DEFAULT_OFFSETS,
     ProbeReport,
+    RowMap,
     _central_difference,
+    _directional_stencil,
     _least_resolved_slope,
-    fd_directional,
+    _run_stencils,
     fd_jacobian,
     growth_bound_check,
     origin_line_probe,
     wall_jump_probe,
 )
-from .chamber import Chamber, classify, fold
+from .chamber import Chamber, _fold_rows, classify, fold
 from .groups import ReflectionGroup, essential_split, reflection_matrix
 from .smoothing import (
     SmoothChain,
     SmoothProfile,
-    apply_F,
+    _apply_F_rows,
+    _apply_G_rows,
+    _apply_H_rows,
     apply_G,
     apply_H,
     eval_h,
@@ -114,10 +118,11 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
         translates = mats @ p
         worst_orbit = max(worst_orbit,
                           float(np.min(np.linalg.norm(translates - image, axis=1))))
-        for t in translates:
-            im2 = fold(group, chamber, t).image
-            worst_invariance = max(worst_invariance,
-                                   float(np.linalg.norm(im2 - image)))
+        # the whole orbit as one stack; it holds p itself, so the public
+        # fold and the stacked one are checked against each other too
+        images = _fold_rows(chamber.simple_normals, translates, group.order)
+        worst_invariance = max(worst_invariance,
+                               float(np.max(np.linalg.norm(images - image, axis=1))))
     return [
         _result("fold image in chamber", worst_violation, 1e-12),
         _result("fold image on orbit", worst_orbit, 1e-12),
@@ -218,7 +223,7 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
     checked = 0
     for level in range(1, chain.rank):
         faces = chain.stratification.faces_at_level(level)
-        fn = lambda q: apply_F(chain, level, q)
+        fn = RowMap(lambda points: _apply_F_rows(chain, level, points))
         for j in range(points_per_level):
             face = faces[j % len(faces)]
             x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
@@ -236,14 +241,14 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
             v = chain.chamber.simple_normals[list(face.active)].sum(axis=0)
             v = v / np.linalg.norm(v)
             p = x + (1e-3 * radius) * v
-            for order in (1, 2, 3):
-                # Step must stay well above the rounding blowup of the
-                # order-3 stencil (~eps/step**3) while keeping the whole
-                # stencil (heights up to 0.025*radius) where the profile is
-                # still nearly flat: h(0.025) ~ 5e-15, so the profile adds
-                # at most ~1e-7 to the order-3 difference at radius 0.15.
-                # 0.012*radius satisfies both.
-                d = fd_directional(fn, p, v, order, step=0.012 * radius)
+            # Step must stay well above the rounding blowup of the
+            # order-3 stencil (~eps/step**3) while keeping the whole
+            # stencil (heights up to 0.025*radius) where the profile is
+            # still nearly flat: h(0.025) ~ 5e-15, so the profile adds
+            # at most ~1e-7 to the order-3 difference at radius 0.15.
+            # 0.012*radius satisfies both. Orders 1-3 share one evaluation.
+            for d in _run_stencils(fn, [_directional_stencil(p, v, order, 0.012 * radius)
+                                        for order in (1, 2, 3)]):
                 worst = max(worst, float(np.linalg.norm(d)))
             checked += 1
     return _result("flat normal derivatives at strata", worst, 1e-6,
@@ -261,7 +266,7 @@ def _wall_probes(chain: SmoothChain, points: int, seed: int,
     cycling through the faces; a sample not on exactly one wall is skipped."""
     rng = np.random.default_rng(seed)
     faces = chain.stratification.faces_at_level(chain.rank - 1)
-    fn = lambda q: apply_H(chain, q)
+    fn = RowMap(lambda points: _apply_H_rows(chain, points))
     for j in range(points):
         face = faces[j % len(faces)]
         x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
@@ -302,8 +307,8 @@ def check_wall_smoothness(chain: SmoothChain, points: int = 20,
 
 def check_origin_smoothness(chain: SmoothChain, lines: int = 20,
                             seed: int = 0) -> list[CheckResult]:
-    reports = origin_line_probe(chain, lambda q: apply_H(chain, q),
-                                count=lines, seed=seed)
+    fn = RowMap(lambda points: _apply_H_rows(chain, points))
+    reports = origin_line_probe(chain, fn, count=lines, seed=seed)
     return _decay_results(
         reports, "origin line jump decay",
         "lines already below resolution (antipodal symmetry makes even "
@@ -336,7 +341,7 @@ def check_injectivity(chain: SmoothChain, pairs: int = 1000,
 def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
                            seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    fn = lambda q: apply_G(chain, q)
+    fn = RowMap(lambda points: _apply_G_rows(chain, points))
     worst = math.inf
     for _ in range(points):
         p = sample_regular_margin_point(chain, rng)

@@ -1,0 +1,201 @@
+"""Stacked (N, n) kernels against the per-point entries they stand in for,
+the FD harness's two evaluation paths, and the fold at extreme scales.
+
+The per-point entries (fold, apply_F, apply_G, apply_H) are the reference:
+the fold kernel must match them bit for bit, the tube kernels to
+1e-15 * max(1, |p|_inf), and an FD helper must give the same bits whether
+its map takes one point or the whole stack.
+"""
+
+import numpy as np
+import pytest
+
+from orbitfold.calculus import (
+    RowMap,
+    fd_directional,
+    fd_hessian,
+    fd_jacobian,
+    origin_line_probe,
+    wall_jump_probe,
+)
+from orbitfold.chamber import _fold_image, _fold_rows, fold
+from orbitfold.groups import preset_group
+from orbitfold.smoothing import (
+    _apply_F_rows,
+    _apply_G_rows,
+    _apply_H_rows,
+    apply_F,
+    apply_G,
+    apply_H,
+    build_chain,
+    eval_l,
+)
+from orbitfold.verify import sample_face_point
+
+PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
+AGREEMENT = 1e-15
+
+
+@pytest.fixture(scope="module", params=PRESETS)
+def chain(request):
+    return build_chain(preset_group(request.param))
+
+
+def _test_points(chain, rng):
+    """Generic points, points inside every tube and points on a mirror,
+    at |p| from 1e-3 to 1e3, each also moved by a random group element."""
+    group, strat = chain.group, chain.stratification
+    dim = group.dimension
+    pts = [rng.normal(size=dim) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(60)]
+    for level in range(chain.rank):
+        for face in strat.faces_at_level(level):
+            for _ in range(6):
+                scale = 10.0 ** rng.uniform(-3.0, 3.0)
+                x = sample_face_point(chain, face, rng, radius_range=(scale, 2.0 * scale))
+                v = rng.normal(size=dim)
+                v -= face.basis @ (face.basis.T @ v)
+                if np.linalg.norm(v) < 1e-6:
+                    continue
+                radius = eval_l(chain, level, x)
+                pts.append(x + (rng.uniform(0.05, 0.95) * radius / np.linalg.norm(v)) * v)
+    for mirror in group.mirrors:
+        for _ in range(3):
+            q = rng.normal(size=dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+            pts.append(q - (q @ mirror.normal) * mirror.normal)
+    mats = [group.elements[k].matrix for k in rng.integers(group.order, size=len(pts))]
+    return np.array(pts + [m @ p for m, p in zip(mats, pts)])
+
+
+def _assert_agrees(rows, ref, points):
+    err = np.max(np.abs(rows - ref), axis=1) / np.maximum(1.0, np.max(np.abs(points), axis=1))
+    assert err.max() <= AGREEMENT, f"worst {err.max():.3g} at {points[err.argmax()]}"
+
+
+def test_row_kernels_agree_with_point_entries(chain):
+    rng = np.random.default_rng(19)
+    points = _test_points(chain, rng)
+    normals, order = chain.chamber.simple_normals, chain.group.order
+
+    images = _fold_rows(normals, points, order)
+    ref = np.array([_fold_image(normals, p, order)[0] for p in points])
+    assert images.tobytes() == ref.tobytes()
+
+    _assert_agrees(_apply_H_rows(chain, points),
+                   np.array([apply_H(chain, p) for p in points]), points)
+    _assert_agrees(_apply_G_rows(chain, images),
+                   np.array([apply_G(chain, q) for q in images]), images)
+    claimed = 0
+    for level in range(chain.rank):
+        mapped = _apply_F_rows(chain, level, images)
+        _assert_agrees(mapped, np.array([apply_F(chain, level, q) for q in images]), images)
+        claimed += int(np.any(mapped != images, axis=1).sum())
+    assert claimed > 0
+
+
+def test_apply_G_rows_rejects_outside_points():
+    chain = build_chain(preset_group("b2"))
+    with pytest.raises(ValueError, match="chamber"):
+        _apply_G_rows(chain, np.array([[2.0, 1.0], [-1.0, 0.5]]))
+
+
+def test_fold_rows_step_cap_matches_point_fold():
+    group = preset_group("b2")
+    chain = build_chain(group)
+    p = np.array([-1.0, 2.0])
+    for call in (lambda: _fold_image(chain.chamber.simple_normals, p, 1),
+                 lambda: _fold_rows(chain.chamber.simple_normals, p[None, :], 1)):
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the FD harness: one stack or one point at a time, same bits
+# ---------------------------------------------------------------------------
+
+def _stacked(fn, calls):
+    def rows(points):
+        calls.append(len(points))
+        return np.array([fn(p) for p in points])
+    return RowMap(rows)
+
+
+@pytest.mark.parametrize("preset", ["b2", "a3"])
+def test_fd_helpers_agree_bitwise_across_paths(preset):
+    chain = build_chain(preset_group(preset))
+    f = lambda q: apply_H(chain, q)
+    rng = np.random.default_rng(5)
+    dim = chain.group.dimension
+    for _ in range(4):
+        p = rng.normal(size=dim)
+        v = rng.normal(size=dim)
+        v /= np.linalg.norm(v)
+        step = 10.0 ** rng.uniform(-4.0, -2.0)
+        calls = []
+        row_map = _stacked(f, calls)
+        assert fd_jacobian(f, p, step).tobytes() == fd_jacobian(row_map, p, step).tobytes()
+        hess = fd_hessian(row_map, p, step)
+        assert fd_hessian(f, p, step).tobytes() == hess.tobytes()
+        # the centre point is shared by the diagonal entries
+        assert calls[-1] == 1 + 2 * dim + 2 * dim * (dim - 1)
+        for order in (1, 2, 3):
+            assert (fd_directional(f, p, v, order, step).tobytes()
+                    == fd_directional(row_map, p, v, order, step).tobytes())
+        assert len(calls) == 5
+
+
+@pytest.mark.parametrize("preset", ["b2", "a3"])
+def test_probes_agree_bitwise_across_paths(preset):
+    chain = build_chain(preset_group(preset))
+    f = lambda q: apply_H(chain, q)
+    calls = []
+    row_map = _stacked(f, calls)
+    face = chain.stratification.faces_at_level(chain.rank - 1)[0]
+    x = sample_face_point(chain, face, np.random.default_rng(3), radius_range=(1.0, 2.0))
+    a = wall_jump_probe(chain, f, x, orders=(1, 2, 3))
+    b = wall_jump_probe(chain, row_map, x, orders=(1, 2, 3))
+    assert a.jumps == b.jumps and a.control_jumps == b.control_jumps
+    assert len(calls) == 1
+    for ra, rb in zip(origin_line_probe(chain, f, count=2, seed=1),
+                      origin_line_probe(chain, row_map, count=2, seed=1)):
+        assert ra.jumps == rb.jumps
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# fold at extreme scales
+# ---------------------------------------------------------------------------
+
+def _assert_folded(chamber, p, res):
+    # relative to |p|, plus a few subnormal spacings for the tiniest points
+    tol = 1e-13 * np.max(np.abs(p)) + 1e-322
+    assert np.min(chamber.simple_normals @ res.image) >= -tol
+    assert np.max(np.abs(res.element.matrix @ p - res.image)) <= tol
+
+
+def test_fold_far_out_lands_in_chamber_with_right_element():
+    group = preset_group("b3")
+    chain = build_chain(group)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        u = rng.normal(size=3)
+        unit = fold(group, chain.chamber, u)
+        for scale in (1e160, 1e200, 1e300):
+            p = u * scale
+            res = fold(group, chain.chamber, p)
+            _assert_folded(chain.chamber, p, res)
+            assert res.element is unit.element and res.steps == unit.steps
+            rows = _fold_rows(chain.chamber.simple_normals, p[None, :], group.order)
+            assert rows[0].tobytes() == res.image.tobytes()
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-13, 1e-14, 1e-16, 1e-300, 1e-320])
+def test_fold_tiny_points_take_every_step(s):
+    group = preset_group("b2")
+    chain = build_chain(group)
+    p = np.array([-1.0, 2.0]) * s
+    res = fold(group, chain.chamber, p)
+    assert res.steps == 2
+    assert res.element is fold(group, chain.chamber, np.array([-1.0, 2.0])).element
+    _assert_folded(chain.chamber, p, res)
+    rows = _fold_rows(chain.chamber.simple_normals, p[None, :], group.order)
+    assert rows[0].tobytes() == res.image.tobytes()

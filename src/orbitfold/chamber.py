@@ -24,7 +24,9 @@ from .groups import GroupElement, ReflectionGroup, essential_split
 ON_WALL_TOL = 1e-9        # relative wall-incidence and membership tolerance
 _RANK_TOL = 1e-9
 _EXIT_MARGIN = 1e-6       # wall clearance, relative to 1 + |p|, ending dist_to_face's walk
-_SQ_MIN = sys.float_info.min  # least |p|^2 the fold takes without rescaling
+_SQ_MIN = sys.float_info.min  # least square sum taken without rescaling
+_SQ_MAX = 2.0 ** 1022         # square sums are formed only where they stay below this
+_NORM_SAFE = 2.0 ** 510       # no square sum of a vector shorter than this overflows
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -54,7 +56,7 @@ class Chamber:
     def contains(self, p: Iterable[float], tol: float = ON_WALL_TOL) -> bool:
         """Membership of p in the closed chamber, to tol relative to 1 + |p|."""
         p = np.asarray(p, dtype=float)
-        scale = 1.0 + math.sqrt(p.dot(p))
+        scale = 1.0 + _norm(p)
         return bool(np.min(self.simple_normals @ p) >= -tol * scale)
 
 
@@ -81,11 +83,83 @@ def chamber_from_group(group: ReflectionGroup) -> Chamber:
     return Chamber(simple_normals=normals, witness=witness)
 
 
-def _unit_exponent(p: np.ndarray) -> np.ndarray:
-    """Power-of-two exponent e of the largest |coordinate| along the last
-    axis: p * 2**-e has its largest entry in [0.5, 1), and the scaling is
-    exact (0 for a zero point)."""
-    return np.frexp(np.max(np.abs(p), axis=-1))[1]
+def _fits(big, dim: int):
+    """Whether dim squares of entries at most big in size sum below _SQ_MAX,
+    far from overflow (big a float or an array)."""
+    return big < math.sqrt(_SQ_MAX / dim)
+
+
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(w, e, sq) with w = v * 2**-e and sq = w.w: the form in which v's
+    square sum neither overflows nor leaves the normal range.
+
+    Where v.v is a normal float, e = 0, w is v and sq is v.dot(v), the bits
+    every caller had. Elsewhere e is the power-of-two exponent of max|v_i|,
+    so w has its largest entry in [0.5, 1) and the scaling is exact. The sum
+    is formed only where _fits holds; a larger v is scaled without it. A
+    zero v has sum 0 and e = 0.
+    """
+    vals = v.tolist()
+    big = max(max(vals), -min(vals))
+    if _fits(big, len(vals)):
+        sq = v.dot(v)
+        if sq >= _SQ_MIN or big == 0.0:
+            return v, 0, sq
+    e = math.frexp(big)[1]
+    w = np.ldexp(v, -e)
+    return w, e, w.dot(w)
+
+
+def _square_sums(v: np.ndarray) -> np.ndarray:
+    """Square sums along the last axis as stacked matrix-vector products,
+    which round as the per-point v.dot(v) does."""
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def _unit_scaled_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_unit_scaled along the last axis of a stack, bit for bit: e and sq
+    have the shape of v.shape[:-1]."""
+    big = np.abs(v).max(axis=-1)
+    fits = _fits(big, v.shape[-1])
+    if fits.all():
+        sq = _square_sums(v)
+        if sq.min(initial=math.inf) >= _SQ_MIN:
+            return v, np.zeros(big.shape, dtype=int), sq
+    else:
+        sq = _square_sums(np.where(fits[..., None], v, 0.0))
+    e = np.where(fits & ((sq >= _SQ_MIN) | (big == 0.0)), 0, np.frexp(big)[1])
+    w = np.ldexp(v, -e[..., None])
+    return w, e, _square_sums(w)
+
+
+def _norm(v: np.ndarray, below: float = math.inf) -> float:
+    """|v|: math.sqrt(v.dot(v)) where that sum is a normal float, otherwise
+    math.hypot, which rescales by powers of two, so the norm is neither 0
+    for a nonzero v nor inf for a representable one.
+
+    A caller that knows |v| <= below, with below < _NORM_SAFE, skips the
+    scan for the largest entry: the sum cannot overflow there.
+    """
+    if below >= _NORM_SAFE:
+        vals = v.tolist()
+        if not _fits(max(max(vals), -min(vals)), len(vals)):
+            return math.hypot(*vals)
+    sq = v.dot(v)
+    return math.sqrt(sq) if sq >= _SQ_MIN else math.hypot(*v.tolist())
+
+
+def _norms(v: np.ndarray, below: float = math.inf) -> np.ndarray:
+    """_norm along the last axis of a stack, `below` bounding every row. In
+    range the sums are einsum's, whose bits the stacked tube kernels have
+    always had."""
+    fits = True if below < _NORM_SAFE else _fits(np.abs(v).max(axis=-1), v.shape[-1])
+    safe = v if np.all(fits) else np.where(fits[..., None], v, 0.0)
+    sq = np.einsum("...j,...j->...", safe, safe)
+    out = np.sqrt(sq)
+    redo = (sq < _SQ_MIN) | np.logical_not(fits)
+    if redo.any():
+        out[redo] = np.hypot.reduce(v[redo], axis=-1)
+    return out
 
 
 def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
@@ -97,29 +171,25 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
     dot product of a few ulps below zero calls for a correction smaller than
     the spacing of floats at that coordinate, so reflecting would leave the
     point bitwise unchanged and the loop would never terminate. The
-    tolerance is 1e-14*|p|, relative at every scale. Where |p|^2 overflows
-    or leaves the normal range the fold runs on p scaled to unit size by a
-    power of two and scales the image back: reflections are linear and the
-    scaling is exact, so p takes the word of its unit-size copy. In the
-    normal range no scaling is done: it could change only the bits of
-    subnormal coordinates.
+    tolerance is 1e-14*|p|, relative at every scale. Where |p|^2 would
+    overflow or leave the normal range the fold runs on p scaled to unit
+    size by a power of two (_unit_scaled) and scales the image back:
+    reflections are linear and the scaling is exact, so p takes the word of
+    its unit-size copy. In the normal range no scaling is done: it could
+    change only the bits of subnormal coordinates. The walls are scanned as
+    Python floats, in index order, for the first one below -tol.
     """
-    cur = np.array(p, dtype=float)
-    sq = cur.dot(cur)
-    e = 0
-    if not _SQ_MIN <= sq < math.inf:
-        e = int(_unit_exponent(cur))
-        cur = np.ldexp(cur, -e)
-        sq = cur.dot(cur)
+    cur, e, sq = _unit_scaled(np.array(p, dtype=float))
     tol = 1e-14 * math.sqrt(sq)
     word: list[int] = []
     while True:
         dots = normals @ cur
-        bad = dots < -tol
-        if not bad.any():
+        for i, d in enumerate(dots.tolist()):
+            if d < -tol:
+                break
+        else:
             return (np.ldexp(cur, e) if e else cur), word
-        i = int(bad.argmax())
-        cur = cur - (2.0 * dots[i]) * normals[i]
+        cur = cur - (2.0 * d) * normals[i]
         word.append(i)
         if len(word) > max_steps:
             raise RuntimeError("folding did not terminate; chamber data inconsistent")
@@ -144,13 +214,8 @@ def _fold_rows(normals: np.ndarray, points: np.ndarray, max_steps: int) -> np.nd
     as the per-point `normals @ cur` does, so each image equals the
     per-point image bit for bit. Rows leave the loop once inside.
     """
-    cur = np.array(points, dtype=float)
-    sq = np.matmul(cur[:, None, :], cur[:, :, None])[:, 0, 0]
-    e = np.where((sq >= _SQ_MIN) & (sq < math.inf), 0, _unit_exponent(cur))
+    cur, e, sq = _unit_scaled_rows(np.array(points, dtype=float))
     scaled = e != 0
-    if scaled.any():
-        cur[scaled] = np.ldexp(cur[scaled], -e[scaled, None])
-        sq[scaled] = np.matmul(cur[scaled, None, :], cur[scaled, :, None])[:, 0, 0]
     tol = 1e-14 * np.sqrt(sq)
     rows = np.arange(len(cur))
     steps = 0

@@ -35,7 +35,11 @@ from .chamber import (
     _as_point,
     _fold_image,
     _fold_rows,
+    _norm,
+    _norms,
     _null_space_basis,
+    _unit_scaled,
+    _unit_scaled_rows,
     chamber_from_group,
     classify,
     strata_levels,
@@ -266,6 +270,8 @@ class SmoothChain:
     # rows: inf at each face's active walls, 0 at its inactive ones)
     _face_rows: tuple[tuple[np.ndarray, np.ndarray], ...] = dataclasses.field(
         init=False, repr=False)
+    # level i -> active-wall bitmask of each of its faces (bit j for wall j)
+    _face_masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         faces = self.stratification.faces
@@ -288,6 +294,10 @@ class SmoothChain:
             projectors = [face.basis @ face.basis.T for face in level_faces]
             face_rows.append((np.concatenate(projectors), penalty))
         object.__setattr__(self, "_face_rows", tuple(face_rows))
+        object.__setattr__(self, "_face_masks", tuple(
+            tuple(sum(1 << j for j in face.active)
+                  for face in self.stratification.faces_at_level(lv))
+            for lv in range(self.rank)))
 
     @property
     def rank(self) -> int:
@@ -312,11 +322,15 @@ class SmoothChain:
         then the norm of x in the face's orthogonal complement: one matmul
         against the stacked complement rows and one segmented sum of
         squares. Off the chamber it is only a lower bound; there
-        chamber.dist_to_face is the exact distance.
+        chamber.dist_to_face is the exact distance. Where |x|^2 would leave
+        the normal range, x is scaled by a power of two first and the
+        distances scaled back (chamber._unit_scaled).
         """
         rows, starts = self._lower_rows[level]
-        y = rows @ x
-        return np.sqrt(np.add.reduceat(y * y, starts))
+        w, e, _ = _unit_scaled(x)
+        y = rows @ w
+        dists = np.sqrt(np.add.reduceat(y * y, starts))
+        return np.ldexp(dists, e) if e else dists
 
 
 def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> SmoothChain:
@@ -359,13 +373,29 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     return (1.0 - w) * raw + w * cap
 
 
+def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T, each row rounded as in any stack of two or more rows.
+
+    BLAS takes a one-row product as a matrix-vector product, which rounds
+    differently, so a row's bits would depend on whether other rows share
+    the call. A lone row is therefore evaluated twice over.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b.T)[:1]
+    return a @ b.T
+
+
 def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
     """_radius_at for every row of a stack of feet in open level-i faces."""
     if i == 0:
         return np.full(len(feet), chain.tubes.c0)
     rows, starts = chain._lower_rows[i]
-    y = feet @ rows.T
+    unit, e, _ = _unit_scaled_rows(feet)
+    y = _stack_product(unit, rows)
     dists = np.sqrt(np.add.reduceat(y * y, starts, axis=1))
+    scaled = e != 0
+    if scaled.any():
+        dists[scaled] = np.ldexp(dists[scaled], e[scaled, None])
     # softmin, scaled as in the scalar form
     k = chain.tubes.softmin_exponent
     d_min = dists.min(axis=1)
@@ -394,20 +424,62 @@ def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
     raise ValueError(f"point is not on any level-{i} chamber face")
 
 
+def _reach(chain: SmoothChain, i: int, size):
+    """Bound on |<p, n_j>| at every active wall j of a level-i face whose
+    tube can hold p, where size = |p| (a float, or an array of row norms).
+
+    Let F_S be a level-i face with active walls S, x the foot of p on its
+    span and t = |p - x|. Each n_j (j in S) is a unit vector orthogonal to
+    the span, so |<p, n_j>| = |<p - x, n_j>| <= t. The tube holds p only if
+    t < l_i(x). At level 0, l_0 = c0. At level i >= 1 the cap blend gives
+    l_i <= raw and l_i < 2c_i (raw itself when raw <= c_i, c_i when
+    raw >= 2c_i, and between c_i and raw otherwise), and raw = b_i*softmin
+    <= b_i*|x_eff| <= b_i*|x| <= b_i*|p|: softmin is at most its least
+    distance, and the level-0 face, at distance |x_eff|, is among the lower
+    faces. So every such wall has |<p, n_j>| < R_i, with R_0 = c0 and
+    R_i = min(b_i*|p|, 2c_i).
+
+    The bound returned is R_i + 1e-9*(1 + |p| + R_i). The computed wall
+    values, t and l_i are each within a few ulps of the exact ones, that is
+    about 1e-15*(|p| + R_i), far inside the margin. So a face with a wall
+    value beyond the bound would also fail the computed test t < l_i, and
+    skipping it leaves the claimed face and every output bit unchanged.
+    """
+    tubes = chain.tubes
+    if i == 0:
+        bound = tubes.c0
+    else:
+        minimum = min if isinstance(size, float) else np.minimum
+        bound = minimum(tubes.b[i] * size, 2.0 * tubes.c[i])
+    return bound + 1e-9 * (1.0 + size + bound)
+
+
 def _claiming_faces(chain: SmoothChain, i: int, p: np.ndarray) -> list[TubeCoords]:
-    """Tube coordinates of p with respect to every level-i tube that holds it."""
+    """Tube coordinates of p with respect to every level-i tube that holds it.
+
+    Faces with an active wall farther from p than _reach allows are skipped
+    before their projection: their tubes cannot hold p.
+    """
+    size = _norm(p)
+    reach = _reach(chain, i, size)
+    far = 0
+    for j, w in enumerate((chain.chamber.simple_normals @ p).tolist()):
+        if w > reach or w < -reach:
+            far |= 1 << j
     hits = []
-    for face in chain.stratification.faces_at_level(i):
+    for face, mask in zip(chain.stratification.faces_at_level(i), chain._face_masks[i]):
+        if mask & far:
+            continue
         x = face.project_to_span(p)
         if face.inactive:
             vals = face.inactive_normals @ x
             # the open-face test carries the classification fuzz: feet within
             # it of the boundary belong to lower strata, and admitting them
             # would feed (numerically) zero distances to the radius field
-            if vals.min() <= ON_WALL_TOL * (1.0 + math.sqrt(x.dot(x))):
+            if vals.min() <= ON_WALL_TOL * (1.0 + _norm(x, size)):
                 continue
         r = p - x
-        t = math.sqrt(r.dot(r))
+        t = _norm(r, size)
         radius = _radius_at(chain, face, x)
         if t >= radius:
             continue
@@ -440,21 +512,35 @@ def apply_F(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
 def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
     """apply_F at every row of an (N, n) stack.
 
-    One matmul gives every row's foot on every level-i face; the open-face
-    test, the heights t and the radii of the feet that pass it are each
-    one array operation over all (row, face) pairs. Each row then takes
-    the first face, in faces_at_level order, whose tube holds it, as
-    tube_coords does.
+    _reach rules out each (row, face) pair with an active wall farther
+    from the row than it allows, as in _claiming_faces; rows left with no
+    pair keep their value. One matmul gives each remaining row's foot on
+    every level-i face; the open-face test, the heights t and the radii of
+    the candidate feet that pass it are each one array operation over the
+    (row, face) pairs. Each row then takes the first face, in
+    faces_at_level order, whose tube holds it, as tube_coords does. Every
+    product rounds each row as _stack_product does, so a row's result does
+    not depend on the rest of the stack.
     """
     projectors, penalty = chain._face_rows[i]
+    normals = chain.chamber.simple_normals
+    size = _norms(points)
+    far = np.abs(points @ normals.T) > _reach(chain, i, size)[:, None]
+    far_bits = far @ (1 << np.arange(len(normals)))
+    candidate = (far_bits[:, None] & np.array(chain._face_masks[i])) == 0
+    live = np.flatnonzero(candidate.any(axis=1))
+    out = points.copy()
+    if live.size == 0:
+        return out
+    points, candidate, below = points[live], candidate[live], size[live].max()
     n_rows, dim = points.shape
     n_faces = len(penalty)
-    feet = (points @ projectors.T).reshape(n_rows, n_faces, dim)
-    foot_norm = np.sqrt(np.einsum("rfj,rfj->rf", feet, feet))
-    wall_vals = feet @ chain.chamber.simple_normals.T + penalty
-    open_face = wall_vals.min(axis=2) > ON_WALL_TOL * (1.0 + foot_norm)
+    feet = _stack_product(points, projectors).reshape(n_rows, n_faces, dim)
+    foot_norm = _norms(feet, below)
+    wall_vals = feet @ normals.T + penalty
+    open_face = candidate & (wall_vals.min(axis=2) > ON_WALL_TOL * (1.0 + foot_norm))
     offset = points[:, None, :] - feet
-    t = np.sqrt(np.einsum("rfj,rfj->rf", offset, offset))
+    t = _norms(offset, below)
     radius = np.zeros((n_rows, n_faces))
     radius[open_face] = _radius_rows(chain, i, feet[open_face])
     claims = open_face & (t < radius)
@@ -466,8 +552,7 @@ def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
     height, rad = t[rows, face], radius[rows, face]
     u = height / rad
     h = u * _g_rows(u)          # eval_h at order 0
-    out = points.copy()
-    out[rows] = feet[rows, face] + (rad * h)[:, None] * (offset[rows, face] / height[:, None])
+    out[live[rows]] = feet[rows, face] + (rad * h)[:, None] * (offset[rows, face] / height[:, None])
     return out
 
 
@@ -481,7 +566,7 @@ def _apply_partial_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.nd
 def _apply_G_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
     """apply_G at every row of an (N, n) stack of closed-chamber points."""
     normals = chain.chamber.simple_normals
-    size = 1.0 + np.sqrt(np.einsum("rj,rj->r", points, points))
+    size = 1.0 + _norms(points)
     if not np.all((points @ normals.T).min(axis=1) >= -ON_WALL_TOL * size):
         raise ValueError("point lies outside the closed chamber")
     return _apply_partial_rows(chain, 0, points)

@@ -80,21 +80,15 @@ def check_closure(group: ReflectionGroup,
             threshold=float(expected_order),
             passed=group.order == expected_order))
     mats = np.stack([e.matrix for e in group.elements])
-    worst = 0.0
-    for a in mats:
-        prods = a @ mats
-        for p in prods:
-            dev = min(float(np.max(np.abs(p - m))) for m in mats)
-            worst = max(worst, dev)
-    out.append(_result("closure under products", worst, 1e-9))
 
-    conj = 0.0
-    for e in group.elements:
-        for m in group.mirrors:
-            r = reflection_matrix(m.normal)
-            moved = e.matrix @ r @ e.matrix.T
-            dev = min(float(np.max(np.abs(moved - g.matrix))) for g in group.elements)
-            conj = max(conj, dev)
+    def nearest(moved: np.ndarray) -> float:
+        """Largest max-norm distance from a stack of matrices to the group."""
+        return float(np.abs(moved[:, None] - mats).max(axis=(2, 3)).min(axis=1).max())
+
+    worst = max(nearest(a @ mats) for a in mats)
+    out.append(_result("closure under products", worst, 1e-9))
+    reflections = np.stack([reflection_matrix(m.normal) for m in group.mirrors])
+    conj = max(nearest(e @ reflections @ e.T) for e in mats)
     out.append(_result("mirror conjugation closed", conj, 1e-9))
     return out
 

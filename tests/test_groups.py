@@ -21,6 +21,7 @@ from orbitfold import (
     preset_group,
 )
 from orbitfold.groups import UNIT_TOL, _as_unit_vector, reflection_matrix
+from orbitfold.verify import check_closure
 
 TOL = 1e-9
 
@@ -305,3 +306,17 @@ def test_essential_split_b2_has_no_fixed_part():
     p_fixed, p_eff = essential_split(group, np.array([0.7, -0.4]))
     assert np.allclose(p_fixed, 0.0)
     assert group.fixed_subspace.shape == (2, 0)
+
+
+@pytest.mark.parametrize("name", ["i2-3", "a2", "b2", "a3"])
+def test_check_closure_equals_the_pairwise_loop(name):
+    """The broadcast residuals are the element-by-element loop's, exactly."""
+    group = preset_group(name)
+    mats = [e.matrix for e in group.elements]
+    prods = max(min(float(np.max(np.abs(a @ b - m))) for m in mats)
+                for a in mats for b in mats)
+    conj = max(min(float(np.max(np.abs(e @ reflection_matrix(h.normal) @ e.T - m)))
+                   for m in mats)
+               for e in mats for h in group.mirrors)
+    results = check_closure(group, group.order)
+    assert [r.value for r in results] == [float(group.order), prods, conj]

@@ -169,22 +169,6 @@ def fd_jacobian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
     return _run_stencils(fn, [_jacobian_stencil(p, step)])[0]
 
 
-def fd_directional(fn: MapFn | RowMap, p: np.ndarray, direction: np.ndarray,
-                   order: int, step: float) -> np.ndarray:
-    """Directional derivative of the given order by a central stencil.
-
-    Exact (up to rounding) on polynomials one degree past the order, since
-    the stencils are symmetric.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    p = np.asarray(p, dtype=float)
-    return _run_stencils(fn, [_directional_stencil(p, direction, order, step)])[0]
-
-
 def fd_hessian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
     """Full second-derivative tensor (m, n, n) by central differences.
 

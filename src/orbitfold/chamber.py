@@ -23,7 +23,6 @@ from .groups import GroupElement, ReflectionGroup, essential_split
 
 ON_WALL_TOL = 1e-9        # relative wall-incidence and membership tolerance
 _RANK_TOL = 1e-9
-_EXIT_MARGIN = 1e-6       # wall clearance, relative to 1 + |p|, ending dist_to_face's walk
 _SQ_MIN = sys.float_info.min  # least square sum taken without rescaling
 _SQ_MAX = 2.0 ** 1022         # square sums are formed only where they stay below this
 _NORM_SAFE = 2.0 ** 510       # no square sum of a vector shorter than this overflows
@@ -270,10 +269,16 @@ def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TO
     Incidence is relative: |<p_eff, n>| <= tol * (1 + |p_eff|). The level is
     essential_rank minus the rank of the collected normals, so the minimal
     stratum gets level 0 everywhere the group acts.
+
+    The 1 keeps the tolerance at tol or more near 0, so a point with
+    |p_eff| below about tol lies on every mirror and classifies to level 0:
+    (3, 2, 1)*1e-200 on b3 is on all 9 walls. This is the contract, and it
+    matches apply_H, which is flat there. |p_eff| is taken without
+    overflow or underflow at any scale.
     """
     p = _as_point(p, group.dimension)
     _, p_eff = essential_split(group, p)
-    scale = 1.0 + float(np.linalg.norm(p_eff))
+    scale = 1.0 + _norm(p_eff)
     walls = tuple(
         i for i, m in enumerate(group.mirrors)
         if abs(float(m.normal @ p_eff)) <= tol * scale
@@ -326,22 +331,13 @@ def _edge_rays(normals: np.ndarray) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Face:
-    """Closed chamber face: active walls set to equality, the rest inequalities.
-
-    subfaces lists the face's own subfaces, the face itself first, in the
-    order dist_to_face walks them: every subset `extra` of the inactive
-    walls, by size and then lexicographically, made active as well. Each
-    entry is (basis, rest_normals): the orthonormal basis of that subface's
-    span, and the rows of the inactive normals not in `extra` (None when
-    every inactive wall is in `extra`).
-    """
+    """Closed chamber face: active walls set to equality, the rest inequalities."""
 
     active: tuple[int, ...]      # indices into chamber.simple_normals
     inactive: tuple[int, ...]
     level: int
     basis: np.ndarray            # (n, d) orthonormal basis of the linear span
     inactive_normals: np.ndarray  # (len(inactive), n) rows of simple_normals
-    subfaces: tuple[tuple[np.ndarray, np.ndarray | None], ...]
 
     def project_to_span(self, p: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ p)
@@ -349,11 +345,8 @@ class Face:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Stratification:
-    """All chamber faces, sorted by (level, active) and grouped by level.
-
-    Each face carries its own subface table (see Face), so distances need
-    no lookup here; the per-level face tuples are built once, at creation.
-    """
+    """All chamber faces, sorted by (level, active) and grouped by level;
+    the per-level face tuples are built once, at creation."""
 
     group: ReflectionGroup
     chamber: Chamber
@@ -368,23 +361,14 @@ class Stratification:
     def faces_at_level(self, level: int) -> tuple[Face, ...]:
         return self.by_level.get(level, ())
 
-    def face_contains(self, face: Face, p: np.ndarray,
-                      strict_interior: bool = False) -> bool:
-        """Membership of p in the closed face (or its relative interior),
-        to ON_WALL_TOL relative to 1 + |p|."""
-        tol = ON_WALL_TOL * (1.0 + float(np.linalg.norm(p)))
-        off_span = float(np.linalg.norm(p - face.project_to_span(p)))
-        if off_span > tol:
+    def face_contains(self, face: Face, p: np.ndarray) -> bool:
+        """Membership of p in the closed face, to ON_WALL_TOL relative to
+        1 + |p|."""
+        tol = ON_WALL_TOL * (1.0 + _norm(p))
+        if _norm(p - face.project_to_span(p)) > tol:
             return False
         normals = self.chamber.simple_normals
-        for j in face.inactive:
-            v = float(normals[j] @ p)
-            if strict_interior:
-                if v <= tol:
-                    return False
-            elif v < -tol:
-                return False
-        return True
+        return all(float(normals[j] @ p) >= -tol for j in face.inactive)
 
     def interior_point(self, face: Face, radius: float = 1.0) -> np.ndarray:
         """A point in the relative interior of the face at the given scale."""
@@ -400,33 +384,17 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
     k, dim = normals.shape
     if k != group.essential_rank:
         raise ValueError("chamber wall count must equal the essential rank")
-    subset_bases: dict[frozenset, np.ndarray] = {}
-    for size in range(k + 1):
-        for subset in itertools.combinations(range(k), size):
-            key = frozenset(subset)
-            rows = normals[list(subset)] if subset else np.zeros((0, dim))
-            subset_bases[key] = _null_space_basis(rows, dim)
-
     faces: list[Face] = []
     for size in range(k + 1):
         for subset in itertools.combinations(range(k), size):
-            active = tuple(subset)
             inactive = tuple(j for j in range(k) if j not in subset)
-            subfaces = []
-            for extra in itertools.chain.from_iterable(
-                itertools.combinations(inactive, r) for r in range(len(inactive) + 1)
-            ):
-                rest = [j for j in inactive if j not in extra]
-                subfaces.append((subset_bases[frozenset(active + extra)],
-                                 normals[rest] if rest else None))
             faces.append(
                 Face(
-                    active=active,
+                    active=subset,
                     inactive=inactive,
                     level=k - size,
-                    basis=subset_bases[frozenset(subset)],
+                    basis=_null_space_basis(normals[list(subset)], dim),
                     inactive_normals=normals[list(inactive)],
-                    subfaces=tuple(subfaces),
                 )
             )
     faces.sort(key=lambda f: (f.level, f.active))
@@ -440,43 +408,3 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
         by_level={lv: tuple(fs) for lv, fs in by_level.items()},
         edge_rays=_edge_rays(normals),
     )
-
-
-def dist_to_face(face: Face, p: Iterable[float]) -> float:
-    """Exact Euclidean distance from p to one closed face.
-
-    The nearest point of a polyhedral cone lies in the relative interior of
-    one of its subfaces, and there it is the orthogonal projection onto that
-    subface's span. Walking the face's subface table (at most 2^rank
-    entries, built once by strata_levels) is exact: each entry projects p
-    onto its span and keeps the distance if the projection satisfies the
-    walls that stay inequalities there. Only the face is read.
-
-    Entry 0 is the face's own span. When its projection q clears every
-    inactive wall by more than mu = _EXIT_MARGIN*(1 + |p|), its distance d0
-    is returned without walking further, and it is the walk's result bit
-    for bit. Every later entry makes some inactive wall j active, so its
-    projection q' lies in the span with <q', n_j> = 0, and
-    |p - q'|^2 = d0^2 + |q - q'|^2 >= d0^2 + <q, n_j>^2 > d0^2 + mu^2.
-    Both distances are at most |p|, so the exact gap |p - q'| - d0 exceeds
-    mu^2/(2|p|) >= 5e-13*(1 + |p|). Each computed distance is within about
-    30u*(1 + |p|) = 3.3e-15*(1 + |p|) of its exact value (u = 2^-53), so the
-    gap is more than 75 times their summed error and the walk's strict
-    `d < best` would never replace entry 0. If p.p overflows, mu is inf and
-    the walk runs.
-    """
-    p = np.asarray(p, dtype=float)
-    size = 1.0 + math.sqrt(p.dot(p))
-    best = np.inf
-    for k, (basis, rest_normals) in enumerate(face.subfaces):
-        q = basis @ (basis.T @ p)
-        clearance = np.inf if rest_normals is None else (rest_normals @ q).min()
-        if clearance < -ON_WALL_TOL * size:
-            continue
-        r = p - q
-        d = math.sqrt(r.dot(r))
-        if k == 0 and clearance > _EXIT_MARGIN * size:
-            return d
-        if d < best:
-            best = d
-    return best

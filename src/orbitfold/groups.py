@@ -181,13 +181,6 @@ class ReflectionGroup:
                 return i
         raise ValueError("matrix does not match any group element")
 
-    def contains_matrix(self, matrix: np.ndarray) -> bool:
-        try:
-            self.element_index(matrix)
-            return True
-        except ValueError:
-            return False
-
 
 def _deduplicate_mirrors(mirrors: Sequence[Hyperplane]) -> list[Hyperplane]:
     out: list[Hyperplane] = []

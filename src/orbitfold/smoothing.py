@@ -148,7 +148,9 @@ def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
     Zero at and near 0 (flat), exactly t from 1 on, jets in between.
     """
     t = float(t)
-    if not t >= 0.0:
+    if not math.isfinite(t):
+        raise ValueError(f"t is not finite: {t}")
+    if t < 0.0:
         raise ValueError("h is only evaluated at t >= 0")
     if not 0 <= order <= DERIVATIVE_ORDER_MAX:
         raise ValueError(
@@ -262,7 +264,6 @@ class SmoothChain:
     profile: SmoothProfile
     tubes: TubeSpec
 
-    _lower: tuple[tuple[Face, ...], ...] = dataclasses.field(init=False, repr=False)
     # level i >= 1 -> (stacked complement rows of every lower face, row offsets)
     _lower_rows: dict[int, tuple[np.ndarray, np.ndarray]] = dataclasses.field(
         init=False, repr=False)
@@ -275,13 +276,11 @@ class SmoothChain:
 
     def __post_init__(self) -> None:
         faces = self.stratification.faces
-        lower = tuple(
-            tuple(f for f in faces if f.level < lv) for lv in range(self.rank + 2))
-        object.__setattr__(self, "_lower", lower)
         dim = self.chamber.dimension
         rows = {}
         for lv in range(1, self.rank):
-            blocks = [_null_space_basis(f.basis.T, dim).T for f in lower[lv]]
+            blocks = [_null_space_basis(f.basis.T, dim).T
+                      for f in faces if f.level < lv]
             sizes = [b.shape[0] for b in blocks]
             rows[lv] = (np.concatenate(blocks), np.cumsum([0] + sizes[:-1]))
         object.__setattr__(self, "_lower_rows", rows)
@@ -303,13 +302,9 @@ class SmoothChain:
     def rank(self) -> int:
         return self.group.essential_rank
 
-    def lower_faces(self, level: int) -> tuple[Face, ...]:
-        """Faces of lower level than `level`, in stratification order."""
-        return self._lower[min(max(level, 0), self.rank + 1)]
-
     def lower_face_distances(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Distances from a closed-chamber point x to each of
-        lower_faces(level), in that order, for 1 <= level < rank.
+        """Distances from a closed-chamber point x to each face of lower
+        level than `level`, in stratification order, for 1 <= level < rank.
 
         On the closed chamber the distance to a face is the distance to
         its linear span. Inward simple normals meet pairwise at
@@ -321,10 +316,9 @@ class SmoothChain:
         <., n_j> >= <x, n_j> >= 0 and lies in the face. Each distance is
         then the norm of x in the face's orthogonal complement: one matmul
         against the stacked complement rows and one segmented sum of
-        squares. Off the chamber it is only a lower bound; there
-        chamber.dist_to_face is the exact distance. Where |x|^2 would leave
-        the normal range, x is scaled by a power of two first and the
-        distances scaled back (chamber._unit_scaled).
+        squares. Off the chamber it is only a lower bound. Where |x|^2
+        would leave the normal range, x is scaled by a power of two first
+        and the distances scaled back (chamber._unit_scaled).
         """
         rows, starts = self._lower_rows[level]
         w, e, _ = _unit_scaled(x)

@@ -4,25 +4,30 @@ Two independent oracles back the module:
   * folding is checked against a brute-force scan of the whole orbit for a
     translate lying in the chamber;
   * face distances are checked against a convex projection solved with
-    scipy (grid seed + SLSQP polish), which shares no code with the
-    subface-enumeration route.
+    scipy (grid seed + trust-constr polish, certified by its KKT system),
+    which shares no code with the span-distance route of
+    SmoothChain.lower_face_distances or with the subface enumeration in
+    distance_oracle.
 """
 
 import itertools
+import warnings
+import zlib
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from distance_oracle import _dist_by_subset_enumeration
 from orbitfold import (
+    build_chain,
     chamber_from_group,
     classify,
-    dist_to_face,
     fold,
     preset_group,
     strata_levels,
 )
-from orbitfold.chamber import _EXIT_MARGIN, _fold_image, _null_space_basis
+from orbitfold.chamber import ON_WALL_TOL, _fold_image
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -149,7 +154,7 @@ def test_fold_of_chamber_point_is_identity():
 @pytest.mark.parametrize("preset", PRESETS)
 def test_fold_matches_orbit_scan(preset):
     group, chamber = make(preset)
-    rng = np.random.default_rng(hash(preset) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(preset.encode()))
     for _ in range(25):
         p = rng.normal(size=group.dimension) * rng.uniform(0.2, 5.0)
         result = fold(group, chamber, p)
@@ -276,6 +281,22 @@ def test_classify_relative_tolerance_scales():
     assert classify(group, [1.0, 5e-9]).level == 2
 
 
+def test_classify_at_extreme_scales():
+    # |p| ~ 4e200 overflows a plain square sum; the tolerance must still be
+    # relative to 1 + |p| rather than inf. Near 0 the tolerance is about
+    # ON_WALL_TOL itself, so a tiny point lies on every wall at level 0.
+    group, _ = make("b3")
+    p = np.array([3.0, 2.0, 1.0])
+    regular = classify(group, p)
+    assert regular.level == 3 and regular.walls_containing == ()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(group, p * 1e200) == regular
+        tiny = classify(group, p * 1e-200)
+    assert tiny.level == 0
+    assert len(tiny.walls_containing) == len(group.mirrors) == 9
+
+
 @pytest.mark.parametrize("preset", ["b2", "a3", "b3"])
 def test_classify_agrees_with_face_lattice(preset):
     group, chamber = make(preset)
@@ -286,8 +307,7 @@ def test_classify_agrees_with_face_lattice(preset):
         if np.min(np.abs(chamber.inequality_values(p))) < 1e-6:
             continue   # keep the sample unambiguous for the strict test
         desc = classify(group, p)
-        homes = [f for f in strat.faces
-                 if strat.face_contains(f, p, strict_interior=True)]
+        homes = [f for f in strat.faces if in_relative_interior(strat, f, p)]
         assert len(homes) == 1
         assert homes[0].level == desc.level
 
@@ -295,6 +315,14 @@ def test_classify_agrees_with_face_lattice(preset):
 # ---------------------------------------------------------------------------
 # face lattice
 # ---------------------------------------------------------------------------
+
+def in_relative_interior(strat, face, p):
+    """Membership of p in the face's relative interior: in the closed face,
+    and clear of every inactive wall by more than ON_WALL_TOL*(1 + |p|)."""
+    tol = ON_WALL_TOL * (1.0 + float(np.linalg.norm(p)))
+    return strat.face_contains(face, p) and all(
+        float(strat.chamber.simple_normals[j] @ p) > tol for j in face.inactive)
+
 
 @pytest.mark.parametrize("preset,counts", [
     ("b2", {0: 1, 1: 2, 2: 1}),
@@ -325,7 +353,7 @@ def test_interior_points_live_on_their_faces(preset):
         pt = strat.interior_point(face, radius=2.0)
         assert strat.face_contains(face, pt)
         if face.inactive:
-            assert strat.face_contains(face, pt, strict_interior=True)
+            assert in_relative_interior(strat, face, pt)
         desc = classify(group, pt)
         assert desc.level == face.level
 
@@ -349,145 +377,71 @@ def test_face_span_contains_fixed_subspace():
 # distances
 # ---------------------------------------------------------------------------
 
-def level_dist(strat, level, p):
-    """Distance from p to the union of the closed faces at one level."""
-    return min(dist_to_face(f, p) for f in strat.faces_at_level(level))
+def lower_distances(chain, level, p):
+    """{face.active: distance} for every face below `level`, from
+    SmoothChain.lower_face_distances."""
+    lower = [f for f in chain.stratification.faces if f.level < level]
+    return dict(zip([f.active for f in lower], chain.lower_face_distances(level, p)))
 
 
 def test_dist_to_level_b2_analytic():
     group, chamber = make("b2")
     strat = strata_levels(group, chamber)
+    chain = build_chain(group)
     p = np.array([2.0, 1.0])
     # nearest wall point: (2, 0) on the axis vs (1.5, 1.5) on the diagonal
-    assert level_dist(strat, 1, p) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
-    assert level_dist(strat, 0, p) == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    walls = min(_dist_by_subset_enumeration(strat, f, p) for f in strat.faces_at_level(1))
+    assert walls == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert lower_distances(chain, 1, p) == {(0, 1): pytest.approx(np.sqrt(5.0), abs=1e-12)}
 
 
 def test_dist_to_level_clamps_to_cone_apex():
     group, chamber = make("b2")
     strat = strata_levels(group, chamber)
-    # p points away from both wall rays, so the apex is nearest at level 1
+    # p points away from both wall rays, so the apex is nearest at level 1;
+    # the reference is exact off the chamber as well
     p = np.array([-3.0, 0.5])
     expected = np.linalg.norm(p)
-    assert level_dist(strat, 1, p) == pytest.approx(expected, abs=1e-12)
+    walls = min(_dist_by_subset_enumeration(strat, f, p) for f in strat.faces_at_level(1))
+    assert walls == pytest.approx(expected, abs=1e-12)
 
 
 def test_dist_to_minimal_level_is_effective_norm():
-    group, chamber = make("a2")
-    strat = strata_levels(group, chamber)
+    # the minimal face is the fixed subspace itself, so the span distance
+    # is exact at every point, off the chamber too
+    chain = build_chain(preset_group("a2"))
     rng = np.random.default_rng(21)
     for _ in range(10):
         p = rng.normal(size=3)
         expected = np.linalg.norm(p - np.mean(p))   # distance to the diagonal
-        assert level_dist(strat, 0, p) == pytest.approx(expected, abs=1e-10)
+        assert chain.lower_face_distances(1, p)[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_on_face_points_have_zero_distance():
     group, chamber = make("b3")
-    strat = strata_levels(group, chamber)
+    chain = build_chain(group)
+    strat = chain.stratification
     for face in strat.faces:
         pt = strat.interior_point(face, radius=3.0)
-        assert dist_to_face(face, pt) <= 1e-10
+        assert _dist_by_subset_enumeration(strat, face, pt) <= 1e-10
+        for level in range(face.level + 1, chain.rank):
+            assert lower_distances(chain, level, pt)[face.active] <= 1e-10
 
 
 @pytest.mark.parametrize("preset", ["b2", "a2", "a3", "b3"])
 def test_dist_to_face_matches_convex_projection(preset):
+    # folded points lie in the closed chamber, where the span distance of
+    # every level's stack is the exact distance to each lower face
     group, chamber = make(preset)
-    strat = strata_levels(group, chamber)
-    rng = np.random.default_rng(hash(preset) % 2**31)
+    chain = build_chain(group)
+    strat = chain.stratification
+    rng = np.random.default_rng(zlib.crc32(preset.encode()))
     points = [rng.normal(size=group.dimension) * s for s in (0.5, 1.0, 3.0)]
-    points.append(fold(group, chamber, rng.normal(size=group.dimension)).image)
+    points.append(rng.normal(size=group.dimension))
     for p in points:
-        for face in strat.faces:
-            got = dist_to_face(face, p)
-            want = projection_dist_oracle(strat, face, p)
-            assert got == pytest.approx(want, abs=2e-6), (face.active, p)
-
-
-def _dist_by_subset_enumeration(strat, face, p):
-    """Frozen copy of the subset enumeration that the subface table replaced:
-    every subface basis is rebuilt from its active walls on each call."""
-    p = np.asarray(p, dtype=float)
-    normals = strat.chamber.simple_normals
-    dim = normals.shape[1]
-    scale = 1.0 + float(np.linalg.norm(p))
-    best = np.inf
-    inactive = face.inactive
-    for extra in itertools.chain.from_iterable(
-        itertools.combinations(inactive, r) for r in range(len(inactive) + 1)
-    ):
-        basis = _null_space_basis(normals[sorted(face.active + extra)], dim)
-        q = basis @ (basis.T @ p)
-        rest = [j for j in inactive if j not in extra]
-        if rest and np.min(normals[rest] @ q) < -1e-9 * scale:
-            continue
-        d = float(np.linalg.norm(p - q))
-        if d < best:
-            best = d
-    return best
-
-
-def _entry_zero_margin_points(strat, factor, rng):
-    """For each face and each of its inactive walls j, a point p off the
-    face's span whose projection q onto the span meets wall j at
-    <q, n_j> = factor*mu, mu = _EXIT_MARGIN*(1 + |p|), and clears the other
-    inactive walls by far more. Returns (face, j, p) triples."""
-    normals = strat.chamber.simple_normals
-    by_active = {f.active: f for f in strat.faces}
-    out = []
-    for face in strat.faces:
-        for j in face.inactive:
-            x = strat.interior_point(by_active[tuple(sorted(face.active + (j,)))])
-            w = rng.normal(size=len(x))
-            w = w - face.project_to_span(w)
-            if np.linalg.norm(w) > 0:
-                w = 0.5 * w / np.linalg.norm(w)
-            u = face.project_to_span(normals[j])
-            mu = _EXIT_MARGIN * (1.0 + np.linalg.norm(x + w))
-            out.append((face, j, x + w + factor * mu * u / (u @ u)))
-    return out
-
-
-@pytest.mark.parametrize("preset", PRESETS)
-def test_dist_to_face_agrees_bitwise_with_subset_enumeration(preset):
-    # The per-face subface table must walk the same subfaces, in the same
-    # order, with the same arithmetic as the enumeration it replaced: equal
-    # results bit for bit on random points, on face points x and points
-    # within 1e-10*(1+|x|) of them, and across scales. Its early exit at
-    # entry 0 must not change a bit either, also at a wall clearance of
-    # half and twice the margin that decides between exit and walk.
-    group, chamber = make(preset)
-    strat = strata_levels(group, chamber)
-    rng = np.random.default_rng(17)
-    n = group.dimension
-    points = [rng.normal(scale=2.0, size=n) for _ in range(40)]
-    for face in strat.faces:
-        for radius in (0.3, 1.0, 4.0):
-            x = strat.interior_point(face, radius=radius)
-            points.append(x)
-            for _ in range(3):
-                v = rng.normal(size=n)
-                offset = 1e-10 * (1.0 + np.linalg.norm(x)) * rng.uniform()
-                points.append(x + offset * v / np.linalg.norm(v))
-    for _ in range(40):
-        q = rng.normal(size=n)
-        points.append(q / np.linalg.norm(q) * 10.0 ** rng.uniform(-300, 150))
-    for p in points:
-        for face in strat.faces:
-            assert dist_to_face(face, p) == _dist_by_subset_enumeration(
-                strat, face, p), (face.active, p)
-    if preset == "a3":
-        # entry 0 of face (1,) gives 9.614813431917819e-17 at clearance 0,
-        # so the walk runs on to a smaller rounding-level distance
-        by_active = {f.active: f for f in strat.faces}
-        x = strat.interior_point(by_active[(0, 1)], radius=1.0)
-        assert dist_to_face(by_active[(1,)], x) == 7.850462293418876e-17
-    for factor in (0.5, 2.0):
-        for face, j, p in _entry_zero_margin_points(strat, factor, rng):
-            q = face.project_to_span(p)
-            mu = _EXIT_MARGIN * (1.0 + np.linalg.norm(p))
-            assert np.min(face.inactive_normals @ q) == pytest.approx(
-                factor * mu, rel=1e-6), (face.active, j)
-            for other in strat.faces:
-                assert dist_to_face(other, p) == _dist_by_subset_enumeration(
-                    strat, other, p), (face.active, j, other.active)
+        x = fold(group, chamber, p).image
+        want = {f.active: projection_dist_oracle(strat, f, x)
+                for f in strat.faces if f.level < chain.rank - 1}
+        for level in range(1, chain.rank):
+            for active, got in lower_distances(chain, level, x).items():
+                assert got == pytest.approx(want[active], abs=2e-6), (active, x)

@@ -131,20 +131,23 @@ def test_group_axioms_and_mirror_conjugation(name, m):
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
             assert np.max(np.abs(a - b)) > TOL
-    # closure under products and inverses
+    # closure under products and inverses: element_index raises on a
+    # matrix that is no element
     for a in mats:
-        assert group.contains_matrix(a.T)
+        group.element_index(a.T)
         for b in mats:
-            assert group.contains_matrix(a @ b)
+            group.element_index(a @ b)
     # every mirror's reflection is an element, and conjugation permutes mirrors
     for mir in group.mirrors:
         rm = reflection_matrix(mir.normal)
-        assert group.contains_matrix(rm)
+        group.element_index(rm)
         for a in mats:
             conj = a @ rm @ a.T
             conj_mirror = Hyperplane(a @ mir.normal)
-            assert group.contains_matrix(conj)
+            group.element_index(conj)
             assert any(conj_mirror.same_as(other) for other in group.mirrors)
+    with pytest.raises(ValueError, match="does not match"):
+        group.element_index(2.0 * eye)
 
 
 @pytest.mark.parametrize("name,m", [("I2", 5), ("B2", None), ("A2", None)])

@@ -12,7 +12,8 @@ import pytest
 
 from orbitfold.calculus import (
     RowMap,
-    fd_directional,
+    _directional_stencil,
+    _run_stencils,
     fd_hessian,
     fd_jacobian,
     origin_line_probe,
@@ -138,8 +139,9 @@ def test_fd_helpers_agree_bitwise_across_paths(preset):
         # the centre point is shared by the diagonal entries
         assert calls[-1] == 1 + 2 * dim + 2 * dim * (dim - 1)
         for order in (1, 2, 3):
-            assert (fd_directional(f, p, v, order, step).tobytes()
-                    == fd_directional(row_map, p, v, order, step).tobytes())
+            stencil = _directional_stencil(p, v, order, step)
+            assert (_run_stencils(f, [stencil])[0].tobytes()
+                    == _run_stencils(row_map, [stencil])[0].tobytes())
         assert len(calls) == 5
 
 

@@ -6,16 +6,19 @@ test); finite-difference stencils in this file are written from scratch so
 they share nothing with the package's calculus helpers.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distance_oracle import _dist_by_subset_enumeration
 from orbitfold import (
     chamber_from_group,
     classify,
-    dist_to_face,
     fold,
     generate_group,
     preset_group,
@@ -113,6 +116,15 @@ class TestProfile:
         with pytest.raises(ValueError, match="order"):
             eval_h(PROF, 0.5, -1)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_t(self, t):
+        # a non-finite t is named as such; a negative finite one keeps
+        # its own message
+        with pytest.raises(ValueError, match="not finite"):
+            eval_h(PROF, t)
+        with pytest.raises(ValueError, match=r"t >= 0"):
+            eval_h(PROF, -0.1)
+
     @pytest.mark.parametrize("t", [0.3, 0.6, 0.85])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_jets_match_finite_differences(self, t, order):
@@ -206,6 +218,13 @@ class TestRadii:
         for t in (0.0, 1.0, -2.5):
             assert eval_l(chain, 0, np.array([t, t, t])) == chain.tubes.c0
 
+    def test_eval_l_at_huge_points(self):
+        # |x| ~ 3.6e200: every square sum is scaled, and the radius is the cap
+        chain = build_chain(preset_group("b3"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_l(chain, 2, np.array([3.0, 2.0, 0.0]) * 1e200) == chain.tubes.c[2]
+
     def test_eval_l_rejects_wrong_level(self):
         chain = build_chain(preset_group("b2"))
         with pytest.raises(ValueError, match="level"):
@@ -224,8 +243,8 @@ class TestRadii:
         # walk along the face to the locus equidistant from its two edges
         u = strat.edge_rays[1] + strat.edge_rays[2]
         w = strat.edge_rays[1] - strat.edge_rays[2]
-        gap = lambda s: (dist_to_face(edge_a, u + s * w)
-                         - dist_to_face(edge_b, u + s * w))
+        dist = lambda f, x: _dist_by_subset_enumeration(strat, f, x)
+        gap = lambda s: dist(edge_a, u + s * w) - dist(edge_b, u + s * w)
         lo, hi = -0.49, 0.49
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -234,20 +253,20 @@ class TestRadii:
             else:
                 lo = mid
         x = u + 0.5 * (lo + hi) * w
-        d = dist_to_face(edge_a, x)
-        assert dist_to_face(edge_b, x) == pytest.approx(d, abs=1e-10)
+        d = dist(edge_a, x)
+        assert dist(edge_b, x) == pytest.approx(d, abs=1e-10)
 
         got = eval_l(chain, 2, x)
         # two dominant equal distances: b*d*2^(-1/4), corrected ~2% by the
         # third edge and the origin
         assert got == pytest.approx(0.1 * d * 2 ** -0.25, rel=0.025)
         # and exactly the k=4 formula over all four lower faces
-        dists = [dist_to_face(f, x) for f in chain.lower_faces(2)]
+        dists = [dist(f, x) for f in strat.faces if f.level < 2]
         assert got == pytest.approx(0.1 * softmin(dists, 4), rel=1e-12)
 
     @pytest.mark.parametrize("preset", ["i2-3", "i2-4", "a2", "b2", "a3", "b3"])
     def test_radius_field_matches_face_walk(self, preset):
-        # the stacked span distances against chamber.dist_to_face, at every
+        # the stacked span distances against the subface enumeration, at every
         # open-face foot of folded points from |p| = 1e-3 to 1e3; caps out
         # of reach, so the radius is b_i * softmin itself
         group = preset_group(preset)
@@ -265,7 +284,8 @@ class TestRadii:
                         size = 1.0 + np.linalg.norm(x)
                         if face.inactive and (face.inactive_normals @ x).min() <= ON_WALL_TOL * size:
                             continue
-                        dists = [dist_to_face(f, x) for f in chain.lower_faces(i)]
+                        dists = [_dist_by_subset_enumeration(chain.stratification, f, x)
+                                 for f in chain.stratification.faces if f.level < i]
                         want = slopes[i] * softmin(dists, 4)
                         assert abs(_radius_at(chain, face, x) - want) <= 1e-15 * size
                         checked += 1
@@ -612,15 +632,20 @@ class TestValidation:
 
 @pytest.mark.parametrize("preset", ["i2-3", "i2-4", "a2", "b2", "a3", "b3"])
 def test_face_sequences_match_their_definitions(preset):
-    # faces_at_level and lower_faces are built once per chain; they must
-    # still be the definitional filters over strat.faces, in the same order
+    # faces_at_level and the lower-face stacks are built once per chain;
+    # they must still follow the definitional filters over strat.faces, in
+    # the same order: one distance per lower face, each that face's own
     chain = build_chain(preset_group(preset))
     strat = chain.stratification
+    # an open-chamber point at unequal distances from faces of one level
+    x = np.arange(1.0, chain.rank + 1) @ strat.edge_rays
     for level in range(-1, chain.rank + 2):
         at = [f for f in strat.faces if f.level == level]
-        below = [f for f in strat.faces if f.level < level]
         assert list(strat.faces_at_level(level)) == at
-        assert list(chain.lower_faces(level)) == below
+        if 1 <= level < chain.rank:
+            below = [f for f in strat.faces if f.level < level]
+            want = [_dist_by_subset_enumeration(strat, f, x) for f in below]
+            assert chain.lower_face_distances(level, x) == pytest.approx(want, abs=1e-15)
 
 
 BAD_POINTS = {
@@ -652,3 +677,41 @@ def test_entry_points_reject_bad_points(entry, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             ENTRY_POINTS[entry](chain, np.array(BAD_POINTS[bad]))
+
+
+@functools.cache
+def _scale_chain(preset):
+    return build_chain(preset_group(preset))
+
+
+@given(preset=st.sampled_from(["a3", "b3"]),
+       exponent=st.floats(-300.0, 300.0),
+       coords=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       face_pick=st.integers(0, 6),
+       element_pick=st.integers(0, 47))
+@settings(max_examples=300, deadline=None)
+def test_classify_and_eval_l_hold_at_every_scale(preset, exponent, coords,
+                                                 face_pick, element_pick):
+    # log10 |p| drawn from -300..300, at a generic point and at a point
+    # inside a lower chamber face: a group element moves neither the level,
+    # the dimension nor the wall count, and no square sum overflows or
+    # underflows into a warning on the way
+    chain = _scale_chain(preset)
+    group, strat = chain.group, chain.stratification
+    scale = 10.0 ** exponent
+    g = group.elements[element_pick % group.order].matrix
+    v = np.array(coords[:group.dimension])
+    generic = v / max(np.linalg.norm(v), 1e-3) * scale
+    lower = [f for f in strat.faces if f.level < chain.rank]
+    face = lower[face_pick % len(lower)]
+    weights = 0.1 + np.abs(coords[:len(face.inactive)])
+    on_face = scale * (weights @ strat.edge_rays[list(face.inactive)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (generic, on_face):
+            desc, moved = classify(group, p), classify(group, g @ p)
+            assert (moved.level, moved.dimension, len(moved.walls_containing)) == (
+                desc.level, desc.dimension, len(desc.walls_containing)), p
+        level = classify(group, on_face).level
+        radius = eval_l(chain, level, on_face)
+    assert 0.0 < radius < math.inf

@@ -26,6 +26,7 @@ _RANK_TOL = 1e-9
 _SQ_MIN = sys.float_info.min  # least square sum taken without rescaling
 _SQ_MAX = 2.0 ** 1022         # square sums are formed only where they stay below this
 _NORM_SAFE = 2.0 ** 510       # no square sum of a vector shorter than this overflows
+_SPLIT_ROUNDING = 1e-14       # relative rounding of the essential split, as the fold's
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -263,10 +264,25 @@ def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldRe
     return FoldResult(image=image, element=element, steps=len(word))
 
 
+def _incidence(group: ReflectionGroup, p: np.ndarray,
+               tol: float = ON_WALL_TOL) -> tuple[np.ndarray, float]:
+    """(p_eff, slack): p's essential part and the wall-incidence threshold
+    that classify and Stratification.face_contains share.
+
+    The slack is tol*(1 + |p_eff|) + _SPLIT_ROUNDING*|p_fixed|. The second
+    term covers the rounding p_eff = p - p_fixed inherits from the fixed
+    part, a few ulps of |p_fixed|; without it a3 (1, 1, 1, 1)*1e7, on every
+    mirror, sat off all but one.
+    """
+    p_fixed, p_eff = essential_split(group, p)
+    return p_eff, tol * (1.0 + _norm(p_eff)) + _SPLIT_ROUNDING * _norm(p_fixed)
+
+
 def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TOL) -> StratumDescriptor:
     """Mirror incidences of p and the level of its orbit-type stratum.
 
-    Incidence is relative: |<p_eff, n>| <= tol * (1 + |p_eff|). The level is
+    Incidence is relative: |<p_eff, n>| <= tol * (1 + |p_eff|), plus the
+    rounding of the essential split (_incidence). The level is
     essential_rank minus the rank of the collected normals, so the minimal
     stratum gets level 0 everywhere the group acts.
 
@@ -277,11 +293,10 @@ def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TO
     overflow or underflow at any scale.
     """
     p = _as_point(p, group.dimension)
-    _, p_eff = essential_split(group, p)
-    scale = 1.0 + _norm(p_eff)
+    p_eff, slack = _incidence(group, p, tol)
     walls = tuple(
         i for i, m in enumerate(group.mirrors)
-        if abs(float(m.normal @ p_eff)) <= tol * scale
+        if abs(float(m.normal @ p_eff)) <= slack
     )
     if walls:
         stack = np.stack([group.mirrors[i].normal for i in walls])
@@ -362,13 +377,18 @@ class Stratification:
         return self.by_level.get(level, ())
 
     def face_contains(self, face: Face, p: np.ndarray) -> bool:
-        """Membership of p in the closed face, to ON_WALL_TOL relative to
-        1 + |p|."""
-        tol = ON_WALL_TOL * (1.0 + _norm(p))
-        if _norm(p - face.project_to_span(p)) > tol:
-            return False
-        normals = self.chamber.simple_normals
-        return all(float(normals[j] @ p) >= -tol for j in face.inactive)
+        """Membership of p in the closed face, wall by wall with classify's
+        threshold: on every active wall and not beyond any inactive one.
+
+        On the closed chamber the mirrors through p are spanned by the
+        simple walls through p, since the nonzero coefficients of a positive
+        root over unit simple roots are >= 1. So a chamber point classify
+        puts at level i passes for some level-i face.
+        """
+        p_eff, slack = _incidence(self.group, p)
+        vals = (self.chamber.simple_normals @ p_eff).tolist()
+        return (all(abs(vals[j]) <= slack for j in face.active)
+                and all(vals[j] >= -slack for j in face.inactive))
 
     def interior_point(self, face: Face, radius: float = 1.0) -> np.ndarray:
         """A point in the relative interior of the face at the given scale."""

@@ -14,7 +14,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 UNIT_TOL = 1e-12       # generator normals must be unit length to this
 MATCH_TOL = 1e-9       # entrywise tolerance identifying elements / mirrors
@@ -210,28 +209,25 @@ def _simple_from_mirrors(
     essential_rank: int,
     generators: Sequence[Hyperplane],
 ) -> tuple[Hyperplane, ...]:
-    """Extreme (irredundant) chamber walls for the chamber containing witness.
+    """Simple walls of the chamber containing witness.
 
-    Orient all normals toward the witness; a wall is simple exactly when its
-    normal is not a nonnegative combination of the others (tested with NNLS).
+    The unit normals, oriented toward the witness, are the positive roots.
+    A positive root a is simple exactly when its reflection s_a makes one
+    positive root negative, namely a itself: the length of w equals the
+    number of positive roots w makes negative, and the reflections of
+    length 1 are the simple ones (Humphreys, Reflection Groups and Coxeter
+    Groups, 1.6-1.7). All images b - 2<b, a>a are formed in one broadcast.
+    Each image is plus or minus some mirror normal, so its sign against the
+    witness is as far from 0 as the on-mirror check below demands.
     """
-    oriented = []
-    for m in mirrors:
-        s = float(m.normal @ witness)
-        if abs(s) < 1e-12:
-            raise ValueError("witness lies on a mirror; cannot pick a chamber")
-        oriented.append(m.normal if s > 0 else -m.normal)
-    oriented_arr = np.stack(oriented)
-
-    simple_idx: list[int] = []
-    for i in range(len(oriented)):
-        others = np.delete(oriented_arr, i, axis=0)
-        if others.shape[0] == 0:
-            simple_idx.append(i)
-            continue
-        _, residual = nnls(others.T, oriented_arr[i])
-        if residual > 1e-7:
-            simple_idx.append(i)
+    normals = np.stack([m.normal for m in mirrors])
+    sides = normals @ witness
+    if np.min(np.abs(sides)) < 1e-12:
+        raise ValueError("witness lies on a mirror; cannot pick a chamber")
+    oriented_arr = np.where(sides[:, None] > 0, normals, -normals)
+    gram = oriented_arr @ oriented_arr.T
+    images = oriented_arr[None, :, :] - 2.0 * gram[:, :, None] * oriented_arr[:, None, :]
+    simple_idx = np.flatnonzero(np.sum(images @ witness < 0, axis=1) == 1).tolist()
 
     if len(simple_idx) != essential_rank:
         raise RuntimeError(

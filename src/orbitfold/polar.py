@@ -19,7 +19,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .chamber import classify, fold
 from .groups import ReflectionGroup, generate_group, preset_group
@@ -45,17 +44,6 @@ def sym_to_matrix(v: np.ndarray) -> np.ndarray:
     return A
 
 
-def _check_symmetric(A: np.ndarray) -> None:
-    if A.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    for k, x in enumerate(A.ravel().tolist()):
-        if not math.isfinite(x):
-            raise ValueError(f"matrix entry {divmod(k, 3)} is not finite: {x}")
-    scale = 1.0 + float(np.max(np.abs(A)))
-    if float(np.max(np.abs(A - A.T))) > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric")
-
-
 def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a
     symmetric 3x3 matrix, by cyclic Jacobi rotations.
@@ -65,7 +53,8 @@ def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     handful of sweeps reach rounding level. Convergence is declared when
     every off-diagonal entry is below JACOBI_TOL relative to the matrix
     scale; 40 sweeps without convergence raise RuntimeError. A non-finite
-    entry is refused before any sweep.
+    entry or an asymmetry above 1e-9 relative to the matrix scale is
+    refused before any sweep, in the same pass over Python floats.
 
     The sweeps run on Python floats with the symmetric update (Golub & Van
     Loan, Matrix Computations, 4th ed., section 8.5.2): the rotation in the
@@ -75,9 +64,19 @@ def jacobi_eigensystem(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sorting the eigenpairs multiplies det V by the sign of the sort
     permutation; an odd permutation is undone by negating the last column.
     """
-    A = np.array(A, dtype=float)
-    _check_symmetric(A)
-    a = (0.5 * (A + A.T)).tolist()
+    A = np.asarray(A, dtype=float)
+    if A.shape != (3, 3):
+        raise ValueError("expected a 3x3 matrix")
+    a = A.tolist()
+    for k, x in enumerate(a[0] + a[1] + a[2]):
+        if not math.isfinite(x):
+            raise ValueError(f"matrix entry {divmod(k, 3)} is not finite: {x}")
+    lower = ((1, 0), (2, 0), (2, 1))
+    if max(abs(a[i][j] - a[j][i]) for i, j in lower) > \
+            1e-9 * (1.0 + max(map(abs, a[0] + a[1] + a[2]))):
+        raise ValueError("matrix is not symmetric")
+    for i, j in lower:
+        a[i][j] = a[j][i] = 0.5 * (a[i][j] + a[j][i])
     V = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     scale = 1.0 + max(map(abs, a[0] + a[1] + a[2]))
     for _ in range(40):
@@ -246,6 +245,8 @@ def equidistance_probe(
             dists.append(abs(float(np.linalg.norm(p)) - r2))
         analytic = abs(r1 - r2)
     elif model.name == "sym3-eig":
+        from scipy import optimize  # the only scipy use, so not loaded on import
+
         D2 = np.diag(b)
         dists = []
         for _ in range(samples):

@@ -405,7 +405,14 @@ def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
 
 
 def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
-    """Tube radius of level i at a point x of a level-i face."""
+    """Tube radius of level i at a point x of a level-i face.
+
+    Levels with a tube run 0..rank-1; the open chamber, level rank, has
+    none. A point classify puts at level i on the closed chamber passes the
+    face test (Stratification.face_contains shares its threshold).
+    """
+    if not 0 <= i < chain.rank:
+        raise ValueError(f"no tube at level {i}; tube levels run 0..{chain.rank - 1}")
     x = _as_point(x, chain.chamber.dimension)
     desc = classify(chain.group, x)
     if desc.level != i:

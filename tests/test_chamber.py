@@ -297,6 +297,31 @@ def test_classify_at_extreme_scales():
     assert len(tiny.walls_containing) == len(group.mirrors) == 9
 
 
+@pytest.mark.parametrize("preset,offsets", [
+    ("a3", ([3.0, 1.0, -0.5, -3.5], [1.0, 1.0, 0.0, -2.0])),
+    ("a2", ([2.0, 0.5, -2.5], [1.0, 1.0, -2.0])),
+], ids=["a3", "a2"])
+def test_classify_on_and_near_the_fixed_line(preset, offsets):
+    # the fixed line is level 0, on every mirror, however large; the split
+    # p - p_fixed rounds at a few ulps of |p_fixed|, which must not move a
+    # point off a mirror. An essential offset of 1e-3 |p| keeps its own
+    # class: generic, or on the one mirror it lies on.
+    group, _ = make(preset)
+    ones = np.ones(group.dimension)
+    for scale in (1.0, 1e7, 1e13, 1e100, 1e300):
+        for sign in (1.0, -1.0):
+            fixed = sign * scale * ones
+            desc = classify(group, fixed)
+            assert desc.level == 0, (scale, desc)
+            assert desc.walls_containing == tuple(range(len(group.mirrors)))
+            for offset in offsets:
+                q = 1e-3 * scale * np.array(offset)
+                assert classify(group, fixed + q) == classify(group, q), (scale, offset)
+    generic, on_wall = (classify(group, offsets[0]), classify(group, offsets[1]))
+    assert generic.level == group.essential_rank and generic.walls_containing == ()
+    assert on_wall.level == group.essential_rank - 1 and len(on_wall.walls_containing) == 1
+
+
 @pytest.mark.parametrize("preset", ["b2", "a3", "b3"])
 def test_classify_agrees_with_face_lattice(preset):
     group, chamber = make(preset)

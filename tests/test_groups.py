@@ -7,12 +7,18 @@ independent routes.
 """
 
 import math
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitfold
 from orbitfold import (
     GroupClosureError,
     Hyperplane,
@@ -20,8 +26,14 @@ from orbitfold import (
     generate_group,
     preset_group,
 )
-from orbitfold.groups import UNIT_TOL, _as_unit_vector, reflection_matrix
+from orbitfold.groups import (
+    UNIT_TOL,
+    _as_unit_vector,
+    _simple_from_mirrors,
+    reflection_matrix,
+)
 from orbitfold.verify import check_closure
+from simple_root_oracle import simple_normals_by_nnls
 
 TOL = 1e-9
 
@@ -323,3 +335,48 @@ def test_check_closure_equals_the_pairwise_loop(name):
                for e in mats for h in group.mirrors)
     results = check_closure(group, group.order)
     assert [r.value for r in results] == [float(group.order), prods, conj]
+
+
+SIMPLE_GROUPS = [("A2", None), ("B2", None), ("A3", None), ("B3", None)] + [
+    ("I2", m) for m in (2, 3, 4, 5, 6, 8, 12, 17)]
+
+
+@pytest.mark.parametrize("name,m", SIMPLE_GROUPS)
+def test_simple_walls_match_nnls_oracle(name, m):
+    """The reflection rule picks the walls NNLS picks, at 20 seeded
+    witnesses in distinct chambers (every chamber when there are fewer),
+    the group's own chamber first."""
+    group = preset_group(name, m=m)
+    rng = np.random.default_rng(zlib.crc32(f"{name}-{m}".encode()))
+    normals = np.stack([h.normal for h in group.simple_system])
+    picks = [0] + rng.permutation(np.arange(1, group.order))[:19].tolist()
+    systems = set()
+    for k in picks:
+        # a point with every simple wall value in [0.2, 1], moved by element k
+        inner = normals.T @ np.linalg.solve(normals @ normals.T,
+                                            rng.uniform(0.2, 1.0, len(normals)))
+        witness = group.elements[k].matrix @ inner
+        got = {h.normal.tobytes() for h in _simple_from_mirrors(
+            group.mirrors, witness, group.essential_rank, group.generators)}
+        want = {v.tobytes() for v in simple_normals_by_nnls(group.mirrors, witness)}
+        assert got == want
+        if k == 0:
+            assert got == {h.normal.tobytes() for h in group.simple_system}
+        systems.add(frozenset(got))
+    assert len(systems) == len(picks) == min(20, group.order)
+
+
+def test_simple_walls_reject_a_wrong_rank():
+    group = preset_group("B2")
+    with pytest.raises(RuntimeError, match="chamber has 2 walls, expected essential rank 3"):
+        _simple_from_mirrors(group.mirrors, np.array([2.0, 1.0]), 3, group.generators)
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported only inside polar.equidistance_probe."""
+    src = str(Path(orbitfold.__file__).resolve().parents[1])
+    code = ("import sys, orbitfold, orbitfold.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

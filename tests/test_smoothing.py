@@ -232,6 +232,35 @@ class TestRadii:
         with pytest.raises(ValueError, match="level"):
             eval_l(chain, 0, np.array([1.0, 0.0]))   # wall point
 
+    @pytest.mark.parametrize("preset", ["b3", "a3"])
+    def test_eval_l_names_levels_without_a_tube(self, preset):
+        chain = build_chain(preset_group(preset))
+        x = chain.chamber.witness        # open chamber: level rank
+        assert classify(chain.group, x).level == chain.rank == 3
+        for level in (3, 4, -1):
+            with pytest.raises(ValueError, match=rf"no tube at level {level}; "
+                                                 r"tube levels run 0\.\.2"):
+                eval_l(chain, level, x)
+
+    @pytest.mark.parametrize("preset", ["b3", "a3"])
+    def test_eval_l_accepts_what_classify_puts_on_lower_faces(self, preset):
+        # near |x| = 1e-9 the tolerance is about |x| itself; classify tests
+        # wall by wall, and eval_l's face test must agree with it
+        chain = build_chain(preset_group(preset))
+        strat = chain.stratification
+        lower = [f for f in strat.faces if 0 < f.level < chain.rank]
+        rng = np.random.default_rng(2024)
+        points = [np.array([3.7918252786341984e-09, 1.3239546586276328e-09,
+                            -4.190706236555578e-27])] if preset == "b3" else []
+        for k in range(1500):
+            face = lower[k % len(lower)]
+            x = rng.uniform(0.1, 1.0, len(face.inactive)) @ strat.edge_rays[list(face.inactive)]
+            points.append(x * (10.0 ** rng.uniform(-10.0, -8.0) / np.linalg.norm(x)))
+        for x in points:
+            level = classify(chain.group, x).level
+            if level < chain.rank:
+                assert 0.0 < eval_l(chain, level, x) < math.inf, (x.tolist(), level)
+
     def test_b3_equidistant_two_face_point(self):
         group = preset_group("b3")
         chain = build_chain(group)

@@ -5,6 +5,12 @@ stencils, mismatches across a wall are fitted on a log-log scale, and the
 raw fold is run through the same probes as a negative control. Offsets in
 the nominal schedule are fractions of a reference tube radius (0.1), so a
 nominal 1e-2 probes at a tenth of the local radius wherever the probe sits.
+
+The stencils are the central-difference tables (Fornberg, "Generation of
+finite difference formulas on arbitrarily spaced grids", Math. Comp.
+1988). They are the same linear map at every base point, so each builder
+takes an (M, n) stack of base points with one step per point, and each
+check evaluates the stencils of all its points and probes as one stack.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ JUMP_FLOOR = 1e-16
 RESOLUTION_FLOOR = 1e-12       # below this a jump is zero as far as FD can tell
 DECAY_SLOPE = 0.8              # least fitted jump slope that counts as decay
 STEP_FRACTION = 0.125          # FD step as a fraction of the probe offset
+ROW_CAP = 1024                 # most rows one RowMap call is given
 
 MapFn = Callable[[np.ndarray], np.ndarray]
 
@@ -33,9 +40,9 @@ class RowMap:
     """A map that takes a whole stack of points: rows maps an (N, n) array
     to the (N, m) array of its values, row for row.
 
-    The FD helpers build every point a stencil or probe needs and make one
-    call; a RowMap gets them all as one stack, and any other map is called
-    once per point.
+    Each FD check builds every point its stencils and probes need and
+    evaluates them together; a RowMap gets them as stacks of at most
+    ROW_CAP rows, and any other map is called once per point.
     """
 
     rows: Callable[[np.ndarray], np.ndarray]
@@ -48,15 +55,20 @@ _STENCILS = {
     4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
 
-# a stencil's points, and the function taking their values to its result
+# The stencils of M base points: their (M*k, n) points, k per base point
+# in base order, and the function taking the (M*k, m) values to the M
+# results, stacked on the first axis.
 _Stencil = tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 def _evaluate(fn: MapFn | RowMap, points: np.ndarray) -> np.ndarray:
-    """Values of fn at every row of points, stacked: one call for a RowMap,
-    one call per point otherwise."""
+    """Values of fn at every row of points, stacked: one call per ROW_CAP
+    rows for a RowMap, one call per point otherwise. The stacked kernels
+    round each row on its own, so the chunking changes no bit."""
     if isinstance(fn, RowMap):
-        return np.asarray(fn.rows(points), dtype=float)
+        return np.concatenate([np.asarray(fn.rows(points[start:start + ROW_CAP]),
+                                          dtype=float)
+                               for start in range(0, len(points), ROW_CAP) or [0]])
     return np.stack([np.asarray(fn(p), dtype=float) for p in points])
 
 
@@ -72,7 +84,7 @@ def _run_stencils(fn: MapFn | RowMap, stencils: Sequence[_Stencil]) -> list[np.n
 
 
 def _weighted_sum(weights: Sequence[float], values: Iterable[np.ndarray],
-                  scale: float) -> np.ndarray:
+                  scale: float | np.ndarray) -> np.ndarray:
     """sum_k weights[k]*values[k] / scale, accumulated in stencil order."""
     acc = None
     for weight, value in zip(weights, values):
@@ -90,75 +102,102 @@ def _central_difference(g: Callable[[float], object], order: int,
                          step ** order)
 
 
-def _moves(shifts: Sequence[int], step: float, axes: np.ndarray) -> np.ndarray:
-    """(len(axes), len(shifts), n) array of the moves (shift*step)*e, e a
-    row of axes."""
-    return (np.array(shifts, dtype=float) * step)[None, :, None] * axes[:, None, :]
+def _divisors(steps: np.ndarray, order: int, ndim: int) -> np.ndarray:
+    """step**order for each base point, shaped to divide its results.
+    The power is taken on Python floats: numpy's array power squares by
+    multiplying, which rounds differently from pow in about 1e-3 of cases."""
+    powers = np.array([step ** order for step in steps.tolist()])
+    return powers.reshape(-1, *([1] * (ndim - 1)))
 
 
-def _line_stencil(p: np.ndarray, directions: np.ndarray, order: int,
-                  step: float) -> _Stencil:
-    """The order's stencil points p + (shift*step)*e along each row e of
-    directions, and the function giving the derivative along each
-    direction, stacked on the first axis."""
+def _moves(shifts: Sequence[int], steps: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """(M, len(axes), len(shifts), n) array of the moves (shift*step)*e, one
+    step per base point and e a row of axes (or of each point's own axes
+    when axes is (M, d, n))."""
+    scaled = np.array(shifts, dtype=float)[None, :] * steps[:, None]
+    return scaled[:, None, :, None] * axes[..., None, :]
+
+
+def _line_stencils(base: np.ndarray, directions: np.ndarray, order: int,
+                   steps: np.ndarray) -> _Stencil:
+    """The order's stencil points p + (shift*step)*e for each base point p
+    and each row e of directions ((d, n), or (M, d, n) for directions of
+    each point's own), and the function giving the (M, d, ...) derivatives
+    along them."""
     row = _STENCILS[order]
-    points = (p + _moves([s for s, _ in row], step, directions)).reshape(-1, p.size)
+    moves = _moves([s for s, _ in row], steps, directions)
+    points = (base[:, None, None, :] + moves).reshape(-1, base.shape[1])
+    count, d = moves.shape[:2]
 
     def combine(values: np.ndarray) -> np.ndarray:
-        terms = values.reshape(len(directions), len(row), *values.shape[1:]).swapaxes(0, 1)
-        return _weighted_sum([w for _, w in row], terms, step ** order)
+        terms = values.reshape(count, d, len(row), *values.shape[1:])
+        return _weighted_sum([w for _, w in row], np.moveaxis(terms, 2, 0),
+                             _divisors(steps, order, terms.ndim - 1))
 
     return points, combine
 
 
-def _jacobian_stencil(p: np.ndarray, step: float) -> _Stencil:
-    points, combine = _line_stencil(p, np.eye(p.size), 1, step)
-    return points, lambda values: np.moveaxis(combine(values), 0, -1)
+def _jacobian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
+    """Central Jacobians (M, m, n), one column per input coordinate."""
+    steps = np.asarray(steps, dtype=float)
+    points, combine = _line_stencils(base, np.eye(base.shape[1]), 1, steps)
+    return points, lambda values: np.moveaxis(combine(values), 1, -1)
 
 
-def _directional_stencil(p: np.ndarray, direction: np.ndarray, order: int,
-                         step: float) -> _Stencil:
+def _directional_stencils(base: np.ndarray, directions: np.ndarray, order: int,
+                          steps: Sequence[float]) -> _Stencil:
+    """Derivatives of the order along each point's own directions, given as
+    an (M, n) array (results (M, m)) or an (M, d, n) one (results (M, d, m))."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
-    points, combine = _line_stencil(p, direction[None, :], order, step)
-    return points, lambda values: combine(values)[0]
+    steps = np.asarray(steps, dtype=float)
+    if directions.ndim == 2:
+        points, combine = _line_stencils(base, directions[:, None, :], order, steps)
+        return points, lambda values: combine(values)[:, 0]
+    return _line_stencils(base, directions, order, steps)
 
 
-def _hessian_stencil(p: np.ndarray, step: float) -> _Stencil:
-    """Diagonal entries from the order-2 row along each axis, with p itself
-    as one point they share; each mixed entry from the product of two
-    order-1 rows along its axis pair, one value filling (j, k) and (k, j)."""
-    n = p.size
+def _hessian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
+    """Full second-derivative tensors (M, m, n, n). Diagonal entries come
+    from the order-2 row along each axis, with p itself as one point they
+    share; each mixed entry from the product of two order-1 rows along its
+    axis pair, one value filling (j, k) and (k, j)."""
+    steps = np.asarray(steps, dtype=float)
+    count, n = base.shape
     axes = np.eye(n)
     row1, row2 = _STENCILS[1], _STENCILS[2]
     off = [s for s, _ in row2 if s]
     shift_j, shift_k, mixed_weights = zip(*[(sj, sk, wj * wk)
                                             for sj, wj in row1 for sk, wk in row1])
     first, second = np.triu_indices(n, 1)
-    # row of each diagonal stencil point in `points`: p is row 0
+    # row of each diagonal stencil point among a base point's own: p is row 0
     diag_idx = np.zeros((n, len(row2)), dtype=int)
     diag_idx[:, [i for i, (s, _) in enumerate(row2) if s]] = (
         1 + np.arange(n * len(off)).reshape(n, len(off)))
     mixed_start = 1 + n * len(off)
-    points = np.concatenate([
-        p[None, :],
-        (p + _moves(off, step, axes)).reshape(-1, n),
-        ((p + _moves(shift_j, step, axes[first]))
-         + _moves(shift_k, step, axes[second])).reshape(-1, n),
-    ])
+    p = base[:, None, None, :]
+    own = np.concatenate([
+        base[:, None, :],
+        (p + _moves(off, steps, axes)).reshape(count, -1, n),
+        ((p + _moves(shift_j, steps, axes[first]))
+         + _moves(shift_k, steps, axes[second])).reshape(count, -1, n),
+    ], axis=1)
+    per_point = own.shape[1]
 
     def combine(values: np.ndarray) -> np.ndarray:
-        diag = _weighted_sum([w for _, w in row2], values[diag_idx].swapaxes(0, 1),
-                             step ** 2)
-        mixed_terms = values[mixed_start:].reshape(len(first), len(mixed_weights),
-                                                   *values.shape[1:])
-        mixed = _weighted_sum(mixed_weights, mixed_terms.swapaxes(0, 1), step ** 2)
-        tensor = np.zeros((values[0].size, n, n))
-        tensor[:, range(n), range(n)] = diag.T
-        tensor[:, first, second] = tensor[:, second, first] = mixed.T
+        values = values.reshape(count, per_point, -1)
+        scale = _divisors(steps, 2, 3)
+        diag = _weighted_sum([w for _, w in row2],
+                             np.moveaxis(values[:, diag_idx], 2, 0), scale)
+        mixed_terms = values[:, mixed_start:].reshape(count, len(first),
+                                                      len(mixed_weights), values.shape[2])
+        mixed = _weighted_sum(mixed_weights, np.moveaxis(mixed_terms, 2, 0), scale)
+        tensor = np.zeros((count, values.shape[2], n, n))
+        tensor[:, :, range(n), range(n)] = diag.swapaxes(1, 2)
+        tensor[:, :, first, second] = tensor[:, :, second, first] = mixed.swapaxes(1, 2)
         return tensor
 
-    return points, combine
+    return own.reshape(-1, n), combine
 
 
 def fd_jacobian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
@@ -166,7 +205,7 @@ def fd_jacobian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError("step must be positive")
     p = np.asarray(p, dtype=float)
-    return _run_stencils(fn, [_jacobian_stencil(p, step)])[0]
+    return _run_stencils(fn, [_jacobian_stencils(p[None, :], [step])])[0][0]
 
 
 def fd_hessian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
@@ -180,7 +219,7 @@ def fd_hessian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError("step must be positive")
     p = np.asarray(p, dtype=float)
-    return _run_stencils(fn, [_hessian_stencil(p, step)])[0]
+    return _run_stencils(fn, [_hessian_stencils(p[None, :], [step])])[0][0]
 
 
 def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
@@ -215,6 +254,16 @@ class _RoundingFloorError(ValueError):
     """A probe offset at or below the rounding floor of its probe point."""
 
 
+def _check_offsets(point: np.ndarray, offsets: Sequence[float]) -> None:
+    """Offsets must strictly decrease and stay above the rounding floor
+    10*eps*(1 + |point|) of the point they probe around."""
+    if any(b >= a for a, b in zip(offsets, offsets[1:])):
+        raise ValueError("offsets must be strictly decreasing")
+    eps_scale = 10.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(point)))
+    if min(offsets) <= eps_scale:
+        raise _RoundingFloorError("offsets reach the rounding floor")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class ProbeReport:
     """Derivative mismatches across a stratum at shrinking offsets.
@@ -233,15 +282,10 @@ class ProbeReport:
     control_slopes: dict[int, float] | None = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        offsets = self.offsets
-        if any(b >= a for a, b in zip(offsets, offsets[1:])):
-            raise ValueError("offsets must be strictly decreasing")
-        eps_scale = 10.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(self.point)))
-        if min(offsets) <= eps_scale:
-            raise _RoundingFloorError("offsets reach the rounding floor")
-        object.__setattr__(self, "slopes", _fit_slopes(offsets, self.jumps))
+        _check_offsets(self.point, self.offsets)
+        object.__setattr__(self, "slopes", _fit_slopes(self.offsets, self.jumps))
         object.__setattr__(self, "control_slopes", None if self.control_jumps is None
-                           else _fit_slopes(offsets, self.control_jumps))
+                           else _fit_slopes(self.offsets, self.control_jumps))
 
     def resolved(self, order: int) -> bool:
         """Whether the mismatch ever rose above what FD can distinguish
@@ -259,37 +303,77 @@ def _least_resolved_slope(reports: Sequence[ProbeReport], order: int) -> float:
                default=math.inf)
 
 
-def _two_sided_jumps(fn: MapFn | RowMap, x: np.ndarray, v: np.ndarray,
-                     offsets: Sequence[float],
-                     orders: Sequence[int]) -> dict[int, tuple[float, ...]]:
-    # Order 1 compares Jacobians, order 2 full second-derivative tensors
-    # (see fd_hessian for why), order 3 the normal third derivative,
-    # which survives the symmetry because it is odd. Every stencil of
-    # every offset, side and order is evaluated in one call.
+def _two_sided_jumps(fn: MapFn | RowMap, xs: np.ndarray, vs: np.ndarray,
+                     offsets: Sequence[Sequence[float]],
+                     orders: Sequence[int]) -> list[dict[int, tuple[float, ...]]]:
+    """Jumps of each probe: xs[i] is its point, vs[i] its direction and
+    offsets[i] its offsets.
+
+    Order 1 compares Jacobians, order 2 full second-derivative tensors
+    (see fd_hessian for why), order 3 the normal third derivative, which
+    survives the symmetry because it is odd. Every stencil of every probe,
+    offset, side and order is evaluated in one stack.
+    """
+    if not len(xs):
+        return []
+    deltas = np.asarray(offsets, dtype=float)
+    count, k = deltas.shape
+    x = np.repeat(xs, k, axis=0)
+    v = np.repeat(vs, k, axis=0)
+    dv = deltas.reshape(-1, 1) * v
+    # rows by probe, then offset, then side (+ first)
+    sides = np.stack([x + dv, x - dv], axis=1).reshape(-1, xs.shape[1])
+    steps = np.repeat(STEP_FRACTION * deltas.reshape(-1), 2)
     stencils = []
-    for delta in offsets:
-        step = STEP_FRACTION * delta
-        for order in orders:
-            for side in (x + delta * v, x - delta * v):
-                if order == 1:
-                    stencils.append(_jacobian_stencil(side, step))
-                elif order == 2:
-                    stencils.append(_hessian_stencil(side, step))
-                else:
-                    stencils.append(_directional_stencil(side, v, order, step))
-    results = iter(_run_stencils(fn, stencils))
-    jumps: dict[int, list[float]] = {o: [] for o in orders}
-    for _ in offsets:
-        for order in orders:
-            a, b = next(results), next(results)
-            jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
-    return {o: tuple(js) for o, js in jumps.items()}
+    for order in orders:
+        if order == 1:
+            stencils.append(_jacobian_stencils(sides, steps))
+        elif order == 2:
+            stencils.append(_hessian_stencils(sides, steps))
+        else:
+            stencils.append(_directional_stencils(sides, np.repeat(v, 2, axis=0),
+                                                  order, steps))
+    results = [r.reshape(count, k, 2, *r.shape[1:]) for r in _run_stencils(fn, stencils)]
+    return [{order: tuple(max(float(np.linalg.norm(r[i, j, 0] - r[i, j, 1])), JUMP_FLOOR)
+                          for j in range(k))
+             for order, r in zip(orders, results)}
+            for i in range(count)]
 
 
 def _fold_map(chain: SmoothChain) -> RowMap:
     normals = chain.chamber.simple_normals
     cap = chain.group.order
     return RowMap(lambda points: _fold_rows(normals, points, cap))
+
+
+def _wall_reports(chain: SmoothChain, fn: MapFn | RowMap, points: Sequence[np.ndarray],
+                  offsets: Sequence[float], orders: Sequence[int]) -> list[ProbeReport]:
+    """wall_jump_probe at every point, with one stacked evaluation of fn and
+    one of the fold control. Every point's offsets are checked first, so a
+    schedule at the rounding floor evaluates nothing."""
+    xs, vs, scaled = [], [], []
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        desc = classify(chain.group, x)
+        if len(desc.walls_containing) != 1:
+            raise ValueError(
+                f"probe point must sit on exactly one wall, found {len(desc.walls_containing)}")
+        v = chain.group.mirrors[desc.walls_containing[0]].normal
+        if float(v @ chain.chamber.witness) < 0:
+            v = -v
+        radius = eval_l(chain, chain.rank - 1, x)
+        xs.append(x)
+        vs.append(v / np.linalg.norm(v))
+        scaled.append(tuple(float(d) * radius / REFERENCE_RADIUS for d in offsets))
+        _check_offsets(x, scaled[-1])
+    orders = tuple(orders)
+    xs_stack = np.reshape(xs, (len(xs), chain.group.dimension))
+    vs_stack = np.reshape(vs, xs_stack.shape)
+    jumps = _two_sided_jumps(fn, xs_stack, vs_stack, scaled, orders)
+    control = _two_sided_jumps(_fold_map(chain), xs_stack, vs_stack, scaled, orders)
+    return [ProbeReport(point=x, direction=v, offsets=offs, orders=orders,
+                        jumps=j, control_jumps=c)
+            for x, v, offs, j, c in zip(xs, vs, scaled, jumps, control)]
 
 
 def wall_jump_probe(
@@ -306,26 +390,7 @@ def wall_jump_probe(
     schedule probes fixed fractions of the local tube radius at x. The raw
     fold runs through the identical probe as the control.
     """
-    x = np.asarray(x, dtype=float)
-    desc = classify(chain.group, x)
-    if len(desc.walls_containing) != 1:
-        raise ValueError(
-            f"probe point must sit on exactly one wall, found {len(desc.walls_containing)}")
-    v = chain.group.mirrors[desc.walls_containing[0]].normal
-    if float(v @ chain.chamber.witness) < 0:
-        v = -v
-    v = v / np.linalg.norm(v)
-
-    radius = eval_l(chain, chain.rank - 1, x)
-    scaled = tuple(float(d) * radius / REFERENCE_RADIUS for d in offsets)
-    orders = tuple(orders)
-
-    jumps = _two_sided_jumps(fn, x, v, scaled, orders)
-    control = _two_sided_jumps(_fold_map(chain), x, v, scaled, orders)
-    return ProbeReport(
-        point=x, direction=v, offsets=scaled, orders=orders,
-        jumps=jumps, control_jumps=control,
-    )
+    return _wall_reports(chain, fn, [x], offsets, orders)[0]
 
 
 def origin_line_probe(
@@ -344,18 +409,18 @@ def origin_line_probe(
                    for d in DEFAULT_OFFSETS)
     orders = (1, 2)
     origin = np.zeros(group.dimension)
-    reports = []
+    _check_offsets(origin, scaled)
+    directions = []
     for _ in range(count):
         v = rng.normal(size=group.dimension)
         if fixed.shape[1]:
             v = v - fixed @ (fixed.T @ v)
-        v = v / np.linalg.norm(v)
-        jumps = _two_sided_jumps(fn, origin, v, scaled, orders)
-        reports.append(ProbeReport(
-            point=origin, direction=v, offsets=scaled, orders=orders,
-            jumps=jumps,
-        ))
-    return reports
+        directions.append(v / np.linalg.norm(v))
+    vs = np.reshape(directions, (count, group.dimension))
+    jumps = _two_sided_jumps(fn, np.zeros_like(vs), vs, [scaled] * count, orders)
+    return [ProbeReport(point=origin, direction=v, offsets=scaled, orders=orders,
+                        jumps=j)
+            for v, j in zip(directions, jumps)]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -429,8 +494,7 @@ def growth_bound_check(
     """
     strat = chain.stratification
     fn = RowMap(lambda points: _apply_partial_rows(chain, i, points))
-    radii = []
-    d1, d2 = [], []
+    radii, bases, steps, lines = [], [], [], []
     for d in distances:
         if i == 0:
             x = d * chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
@@ -447,16 +511,19 @@ def growth_bound_check(
             v = chain.chamber.simple_normals[active].sum(axis=0)
             v = v / np.linalg.norm(v)
             step = 0.02 * radius
-        p = x + (0.5 * radius) * v if i > 0 else x
+        bases.append(x + (0.5 * radius) * v if i > 0 else x)
+        steps.append(step)
         radii.append(radius)
         tangent = x / np.linalg.norm(x) if np.linalg.norm(x) > 0 else v
         mixed = v + tangent
         mixed = mixed / np.linalg.norm(mixed)
-        jacobian, *second = _run_stencils(fn, [_jacobian_stencil(p, step)] + [
-            _directional_stencil(p, u / np.linalg.norm(u), 2, step)
-            for u in (v, tangent, mixed)])
-        d1.append(float(np.linalg.norm(jacobian)))
-        d2.append(max(float(np.linalg.norm(d)) for d in second))
+        lines.append([u / np.linalg.norm(u) for u in (v, tangent, mixed)])
+    points = np.array(bases)
+    jacobians, second = _run_stencils(fn, [
+        _jacobian_stencils(points, steps),
+        _directional_stencils(points, np.array(lines), 2, steps)])
+    d1 = [float(np.linalg.norm(jacobian)) for jacobian in jacobians]
+    d2 = [max(float(np.linalg.norm(d)) for d in along) for along in second]
 
     regressor = [1.0 / r for r in radii] if i > 0 else [1.0 / d for d in distances]
     exponents = {1: _fit_exponent(regressor, d1), 2: _fit_exponent(regressor, d2)}

@@ -215,8 +215,8 @@ def cmd_build_map(cfg: RunConfig) -> int:
 def cmd_probe(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     try:
-        reports = list(_wall_probes(chain, cfg.count, cfg.seed,
-                                    offsets=cfg.offsets, orders=cfg.orders))
+        reports = _wall_probes(chain, cfg.count, cfg.seed,
+                               offsets=cfg.offsets, orders=cfg.orders)
     except _RoundingFloorError as exc:
         offsets = ",".join(f"{d:g}" for d in cfg.offsets)
         raise ConfigError(f"probe offsets {offsets} reach the rounding floor "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,13 +20,14 @@ from .calculus import (
     ProbeReport,
     RowMap,
     _central_difference,
-    _directional_stencil,
+    _directional_stencils,
+    _evaluate,
+    _jacobian_stencils,
     _least_resolved_slope,
     _run_stencils,
-    fd_jacobian,
+    _wall_reports,
     growth_bound_check,
     origin_line_probe,
-    wall_jump_probe,
 )
 from .chamber import Chamber, _fold_rows, classify, fold
 from .groups import ReflectionGroup, essential_split, reflection_matrix
@@ -103,8 +104,9 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
     mats = np.stack([e.matrix for e in group.elements])
     worst_violation = 0.0       # chamber inequality shortfall
     worst_orbit = 0.0           # distance to the nearest true translate
-    worst_invariance = 0.0      # spread of fold over the whole orbit
-    for _ in range(count):
+    images = np.empty((count, group.dimension))
+    orbits = np.empty((count, len(mats), group.dimension))
+    for k in range(count):
         p = rng.normal(scale=2.0, size=group.dimension)
         image = fold(group, chamber, p).image
         worst_violation = max(worst_violation,
@@ -112,11 +114,14 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
         translates = mats @ p
         worst_orbit = max(worst_orbit,
                           float(np.min(np.linalg.norm(translates - image, axis=1))))
-        # the whole orbit as one stack; it holds p itself, so the public
-        # fold and the stacked one are checked against each other too
-        images = _fold_rows(chamber.simple_normals, translates, group.order)
-        worst_invariance = max(worst_invariance,
-                               float(np.max(np.linalg.norm(images - image, axis=1))))
+        images[k], orbits[k] = image, translates
+    # every orbit as one stack, fed ROW_CAP rows at a time; each orbit holds
+    # its p, so the public fold and the stacked one are checked against
+    # each other too
+    fold_rows = RowMap(lambda rows: _fold_rows(chamber.simple_normals, rows, group.order))
+    folded = _evaluate(fold_rows, orbits.reshape(-1, group.dimension))
+    spread = np.linalg.norm(folded.reshape(orbits.shape) - images[:, None], axis=2)
+    worst_invariance = float(np.max(spread, initial=0.0))   # fold's spread over an orbit
     return [
         _result("fold image in chamber", worst_violation, 1e-12),
         _result("fold image on orbit", worst_orbit, 1e-12),
@@ -217,7 +222,7 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
     checked = 0
     for level in range(1, chain.rank):
         faces = chain.stratification.faces_at_level(level)
-        fn = RowMap(lambda points: _apply_F_rows(chain, level, points))
+        bases, normals, steps = [], [], []
         for j in range(points_per_level):
             face = faces[j % len(faces)]
             x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
@@ -234,17 +239,25 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
                 radius = eval_l(chain, level, x)
             v = chain.chamber.simple_normals[list(face.active)].sum(axis=0)
             v = v / np.linalg.norm(v)
-            p = x + (1e-3 * radius) * v
+            bases.append(x + (1e-3 * radius) * v)
+            normals.append(v)
             # Step must stay well above the rounding blowup of the
             # order-3 stencil (~eps/step**3) while keeping the whole
             # stencil (heights up to 0.025*radius) where the profile is
             # still nearly flat: h(0.025) ~ 5e-15, so the profile adds
             # at most ~1e-7 to the order-3 difference at radius 0.15.
-            # 0.012*radius satisfies both. Orders 1-3 share one evaluation.
-            for d in _run_stencils(fn, [_directional_stencil(p, v, order, 0.012 * radius)
-                                        for order in (1, 2, 3)]):
+            # 0.012*radius satisfies both.
+            steps.append(0.012 * radius)
+        if not bases:
+            continue
+        fn = RowMap(lambda points: _apply_F_rows(chain, level, points))
+        # orders 1-3 at every sample of the level share one evaluation
+        stencils = [_directional_stencils(np.array(bases), np.array(normals), order, steps)
+                    for order in (1, 2, 3)]
+        for derivatives in _run_stencils(fn, stencils):
+            for d in derivatives:
                 worst = max(worst, float(np.linalg.norm(d)))
-            checked += 1
+        checked += len(bases)
     return _result("flat normal derivatives at strata", worst, 1e-6,
                    detail=f"max over {checked} points, orders 1-3")
 
@@ -255,18 +268,20 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
 
 def _wall_probes(chain: SmoothChain, points: int, seed: int,
                  offsets: Sequence[float] = DEFAULT_OFFSETS,
-                 orders: Sequence[int] = (1, 2)) -> Iterator[ProbeReport]:
+                 orders: Sequence[int] = (1, 2)) -> list[ProbeReport]:
     """Wall-jump probes of H at seeded points of the codimension-one faces,
-    cycling through the faces; a sample not on exactly one wall is skipped."""
+    cycling through the faces; a sample not on exactly one wall is skipped.
+    All probes share one stacked evaluation of H and one of the fold."""
     rng = np.random.default_rng(seed)
     faces = chain.stratification.faces_at_level(chain.rank - 1)
-    fn = RowMap(lambda points: _apply_H_rows(chain, points))
+    samples = []
     for j in range(points):
         face = faces[j % len(faces)]
         x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
-        if len(classify(chain.group, x).walls_containing) != 1:
-            continue
-        yield wall_jump_probe(chain, fn, x, offsets=offsets, orders=orders)
+        if len(classify(chain.group, x).walls_containing) == 1:
+            samples.append(x)
+    fn = RowMap(lambda rows: _apply_H_rows(chain, rows))
+    return _wall_reports(chain, fn, samples, offsets, orders)
 
 
 def _decay_results(reports: Sequence[ProbeReport], name: str,
@@ -285,7 +300,7 @@ def _decay_results(reports: Sequence[ProbeReport], name: str,
 
 def check_wall_smoothness(chain: SmoothChain, points: int = 20,
                           seed: int = 0) -> list[CheckResult]:
-    reports = list(_wall_probes(chain, points, seed))
+    reports = _wall_probes(chain, points, seed)
     control_slope = max((abs(r.control_slopes[1]) for r in reports),
                         default=-math.inf)
     control_jump = min((r.control_jumps[1][0] for r in reports),
@@ -335,12 +350,12 @@ def check_injectivity(chain: SmoothChain, pairs: int = 1000,
 def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
                            seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    fn = RowMap(lambda points: _apply_G_rows(chain, points))
-    worst = math.inf
-    for _ in range(points):
-        p = sample_regular_margin_point(chain, rng)
-        J = fd_jacobian(fn, p, step=1e-5 * (1.0 + float(np.linalg.norm(p))))
-        worst = min(worst, abs(float(np.linalg.det(J))))
+    samples = np.reshape([sample_regular_margin_point(chain, rng) for _ in range(points)],
+                         (points, chain.group.dimension))
+    steps = [1e-5 * (1.0 + float(np.linalg.norm(p))) for p in samples]
+    fn = RowMap(lambda rows: _apply_G_rows(chain, rows))
+    jacobians = _run_stencils(fn, [_jacobian_stencils(samples, steps)])[0]
+    worst = min((abs(float(np.linalg.det(J))) for J in jacobians), default=math.inf)
     return _result("Jacobian determinant bounded away from zero",
                    worst, 1e-6, mode="min",
                    detail=f"min |det DG| over {points} margin-sampled points")

@@ -1,0 +1,118 @@
+"""Per-point stencils and per-probe wall jumps, frozen for tests.
+
+This is the finite-difference harness as it was before the stencils were
+built on stacks: each stencil belongs to one base point, every stencil of
+one probe is evaluated in one call, and each result is combined on its
+own. The stacked builders in orbitfold.calculus must reproduce it bit for
+bit: the same sides x +- delta*v, moves (shift*step)*e, mixed points
+(p + mj) + mk, sums in stencil order and the divisor step**order taken
+on Python floats.
+"""
+
+import numpy as np
+
+from orbitfold.calculus import _STENCILS, JUMP_FLOOR, STEP_FRACTION, RowMap
+
+
+def evaluate(fn, points):
+    if isinstance(fn, RowMap):
+        return np.asarray(fn.rows(points), dtype=float)
+    return np.stack([np.asarray(fn(p), dtype=float) for p in points])
+
+
+def run_stencils(fn, stencils):
+    values = evaluate(fn, np.concatenate([points for points, _ in stencils]))
+    out = []
+    start = 0
+    for points, combine in stencils:
+        out.append(combine(values[start:start + len(points)]))
+        start += len(points)
+    return out
+
+
+def weighted_sum(weights, values, scale):
+    acc = None
+    for weight, value in zip(weights, values):
+        term = weight * value
+        acc = term if acc is None else acc + term
+    return acc / scale
+
+
+def moves(shifts, step, axes):
+    return (np.array(shifts, dtype=float) * step)[None, :, None] * axes[:, None, :]
+
+
+def line_stencil(p, directions, order, step):
+    row = _STENCILS[order]
+    points = (p + moves([s for s, _ in row], step, directions)).reshape(-1, p.size)
+
+    def combine(values):
+        terms = values.reshape(len(directions), len(row), *values.shape[1:]).swapaxes(0, 1)
+        return weighted_sum([w for _, w in row], terms, step ** order)
+
+    return points, combine
+
+
+def jacobian_stencil(p, step):
+    points, combine = line_stencil(p, np.eye(p.size), 1, step)
+    return points, lambda values: np.moveaxis(combine(values), 0, -1)
+
+
+def directional_stencil(p, direction, order, step):
+    points, combine = line_stencil(p, direction[None, :], order, step)
+    return points, lambda values: combine(values)[0]
+
+
+def hessian_stencil(p, step):
+    n = p.size
+    axes = np.eye(n)
+    row1, row2 = _STENCILS[1], _STENCILS[2]
+    off = [s for s, _ in row2 if s]
+    shift_j, shift_k, mixed_weights = zip(*[(sj, sk, wj * wk)
+                                            for sj, wj in row1 for sk, wk in row1])
+    first, second = np.triu_indices(n, 1)
+    diag_idx = np.zeros((n, len(row2)), dtype=int)
+    diag_idx[:, [i for i, (s, _) in enumerate(row2) if s]] = (
+        1 + np.arange(n * len(off)).reshape(n, len(off)))
+    mixed_start = 1 + n * len(off)
+    points = np.concatenate([
+        p[None, :],
+        (p + moves(off, step, axes)).reshape(-1, n),
+        ((p + moves(shift_j, step, axes[first]))
+         + moves(shift_k, step, axes[second])).reshape(-1, n),
+    ])
+
+    def combine(values):
+        diag = weighted_sum([w for _, w in row2], values[diag_idx].swapaxes(0, 1),
+                            step ** 2)
+        mixed_terms = values[mixed_start:].reshape(len(first), len(mixed_weights),
+                                                   *values.shape[1:])
+        mixed = weighted_sum(mixed_weights, mixed_terms.swapaxes(0, 1), step ** 2)
+        tensor = np.zeros((values[0].size, n, n))
+        tensor[:, range(n), range(n)] = diag.T
+        tensor[:, first, second] = tensor[:, second, first] = mixed.T
+        return tensor
+
+    return points, combine
+
+
+def two_sided_jumps(fn, x, v, offsets, orders):
+    """Jumps of one probe at x along v, all its stencils in one call."""
+    stencils = []
+    for delta in offsets:
+        step = STEP_FRACTION * delta
+        for order in orders:
+            for side in (x + delta * v, x - delta * v):
+                if order == 1:
+                    stencils.append(jacobian_stencil(side, step))
+                elif order == 2:
+                    stencils.append(hessian_stencil(side, step))
+                else:
+                    stencils.append(directional_stencil(side, v, order, step))
+    results = iter(run_stencils(fn, stencils))
+    jumps = {o: [] for o in orders}
+    for _ in offsets:
+        for order in orders:
+            a, b = next(results), next(results)
+            jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
+    return {o: tuple(js) for o, js in jumps.items()}

@@ -10,7 +10,7 @@ from orbitfold.calculus import (
     CurveReport,
     GrowthReport,
     ProbeReport,
-    _directional_stencil,
+    _directional_stencils,
     _run_stencils,
     curve_jump_probe,
     fd_hessian,
@@ -28,8 +28,9 @@ from orbitfold.verify import check_growth
 
 def directional(fn, p, direction, order, step):
     """Directional derivative through the stencil path that verify and
-    growth_bound_check take."""
-    return _run_stencils(fn, [_directional_stencil(p, direction, order, step)])[0]
+    growth_bound_check take, at a stack of one point."""
+    return _run_stencils(fn, [_directional_stencils(p[None, :], direction[None, :],
+                                                    order, [step])])[0][0]
 
 
 @pytest.fixture(scope="module")

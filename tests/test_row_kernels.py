@@ -4,16 +4,28 @@ the FD harness's two evaluation paths, and the fold at extreme scales.
 The per-point entries (fold, apply_F, apply_G, apply_H) are the reference:
 the fold kernel must match them bit for bit, the tube kernels to
 1e-15 * max(1, |p|_inf), and an FD helper must give the same bits whether
-its map takes one point or the whole stack.
+its map takes one point or the whole stack. The stacked stencil builders
+must give the bits of the per-point ones frozen in stencil_oracle.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+import stencil_oracle as oracle
 from orbitfold.calculus import (
+    ROW_CAP,
+    STEP_FRACTION,
     RowMap,
-    _directional_stencil,
+    _RoundingFloorError,
+    _directional_stencils,
+    _evaluate,
+    _fold_map,
+    _hessian_stencils,
+    _jacobian_stencils,
     _run_stencils,
+    _two_sided_jumps,
     fd_hessian,
     fd_jacobian,
     origin_line_probe,
@@ -139,7 +151,7 @@ def test_fd_helpers_agree_bitwise_across_paths(preset):
         # the centre point is shared by the diagonal entries
         assert calls[-1] == 1 + 2 * dim + 2 * dim * (dim - 1)
         for order in (1, 2, 3):
-            stencil = _directional_stencil(p, v, order, step)
+            stencil = _directional_stencils(p[None, :], v[None, :], order, [step])
             assert (_run_stencils(f, [stencil])[0].tobytes()
                     == _run_stencils(row_map, [stencil])[0].tobytes())
         assert len(calls) == 5
@@ -160,7 +172,77 @@ def test_probes_agree_bitwise_across_paths(preset):
     for ra, rb in zip(origin_line_probe(chain, f, count=2, seed=1),
                       origin_line_probe(chain, row_map, count=2, seed=1)):
         assert ra.jumps == rb.jumps
-    assert len(calls) == 3
+    # both lines share one call
+    assert len(calls) == 2
+
+
+def _square_rounds_apart():
+    """A probe offset in (1e-3, 1e-2) whose FD step squares differently in
+    numpy (a multiply) and in Python (pow)."""
+    deltas = np.random.default_rng(0).uniform(1e-3, 1e-2, size=20000)
+    steps = STEP_FRACTION * deltas
+    apart = steps ** 2 != np.array([s ** 2 for s in steps.tolist()])
+    return float(deltas[np.argmax(apart)]) if apart.any() else None
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_stacked_stencils_match_frozen_per_point_path(preset):
+    chain = build_chain(preset_group(preset))
+    rng = np.random.default_rng(29)
+    dim = chain.group.dimension
+    count = 4
+    faces = chain.stratification.faces_at_level(chain.rank - 1)
+    xs = np.array([sample_face_point(chain, faces[j % len(faces)], rng, (1.0, 2.0))
+                   for j in range(count)])
+    vs = rng.normal(size=(count, dim))
+    vs /= np.linalg.norm(vs, axis=1)[:, None]
+    special = _square_rounds_apart()
+    assert special is not None
+    offsets = [(1e-1, special, 1e-3, 3e-4, 1e-4)] + [
+        tuple(sorted(10.0 ** rng.uniform(-4.0, -1.0, size=5), reverse=True))
+        for _ in range(count - 1)]
+    orders = (1, 2, 3)
+    for fn in (RowMap(lambda rows: _apply_H_rows(chain, rows)), _fold_map(chain)):
+        stacked = _two_sided_jumps(fn, xs, vs, offsets, orders)
+        for x, v, offs, jumps in zip(xs, vs, offsets, stacked):
+            assert jumps == oracle.two_sided_jumps(fn, x, v, offs, orders)
+
+        steps = [STEP_FRACTION * special] + list(10.0 ** rng.uniform(-5.0, -2.0, count - 1))
+        jac, hess, *lines = _run_stencils(fn, [
+            _jacobian_stencils(xs, steps), _hessian_stencils(xs, steps)]
+            + [_directional_stencils(xs, vs, order, steps) for order in orders])
+        for i, (x, v, step) in enumerate(zip(xs, vs, steps)):
+            ref = oracle.run_stencils(fn, [
+                oracle.jacobian_stencil(x, step), oracle.hessian_stencil(x, step)]
+                + [oracle.directional_stencil(x, v, order, step) for order in orders])
+            for got, want in zip([jac[i], hess[i]] + [d[i] for d in lines], ref):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_row_maps_get_at_most_row_cap_rows_per_call():
+    chain = build_chain(preset_group("b2"))
+    rng = np.random.default_rng(31)
+    points = rng.normal(size=(2 * ROW_CAP + 1, 2))
+    calls = []
+
+    def rows(stack):
+        calls.append(len(stack))
+        return _apply_H_rows(chain, stack)
+
+    values = _evaluate(RowMap(rows), points)
+    assert calls == [ROW_CAP, ROW_CAP, 1]
+    assert len(calls) == math.ceil(len(points) / ROW_CAP)
+    one_by_one = np.concatenate([_apply_H_rows(chain, p[None, :]) for p in points])
+    assert values.tobytes() == one_by_one.tobytes()
+
+
+def test_rounding_floor_is_refused_before_any_evaluation():
+    chain = build_chain(preset_group("b2"))
+    calls = []
+    row_map = _stacked(lambda q: apply_H(chain, q), calls)
+    with pytest.raises(_RoundingFloorError):
+        wall_jump_probe(chain, row_map, np.array([1.5, 0.0]), offsets=(1e-20, 1e-21))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

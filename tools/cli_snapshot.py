@@ -7,10 +7,11 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, and three edge configurations (a rank-1 group under `verify` and
-`probe`, and probe offsets at the rounding floor). The `fold` inputs are
-generated here from numpy alone and written to OUTDIR/inputs, so they do
-not depend on the code under test.
+--out, and four edge configurations: a rank-1 group under `verify` and
+`probe`, probe offsets at the rounding floor, and a3 probes of orders 1, 2
+and 3, which put the directional stencils of the jump path under test. The
+`fold` inputs are generated here from numpy alone and written to
+OUTDIR/inputs, so they do not depend on the code under test.
 
 Two checkouts behave the same when `diff -r` of their snapshots is empty:
 
@@ -38,6 +39,7 @@ DIMENSIONS = {"i2-3": 2, "i2-4": 2, "a2": 3, "b2": 2, "a3": 4, "b3": 3}
 EDGE_CONFIGS = {
     "rank1": "[group]\nnormals = 1.0\n",
     "offset-floor": "[group]\npreset = b2\n\n[probe]\noffsets = 1e-20,1e-21\n",
+    "orders-123": "[group]\npreset = a3\n\n[probe]\norders = 1,2,3\n",
 }
 
 

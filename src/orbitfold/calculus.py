@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .chamber import _fold_rows, classify
-from .smoothing import SmoothChain, _apply_partial_rows, eval_l
+from .chamber import Face, _fold_rows
+from .smoothing import SmoothChain, _apply_partial_rows, _radius_at, eval_l
 
 DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 REFERENCE_RADIUS = 0.1
@@ -30,22 +30,11 @@ JUMP_FLOOR = 1e-16
 RESOLUTION_FLOOR = 1e-12       # below this a jump is zero as far as FD can tell
 DECAY_SLOPE = 0.8              # least fitted jump slope that counts as decay
 STEP_FRACTION = 0.125          # FD step as a fraction of the probe offset
-ROW_CAP = 1024                 # most rows one RowMap call is given
+ROW_CAP = 1024                 # most rows one call of a stack map is given
 
-MapFn = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclasses.dataclass(frozen=True)
-class RowMap:
-    """A map that takes a whole stack of points: rows maps an (N, n) array
-    to the (N, m) array of its values, row for row.
-
-    Each FD check builds every point its stencils and probes need and
-    evaluates them together; a RowMap gets them as stacks of at most
-    ROW_CAP rows, and any other map is called once per point.
-    """
-
-    rows: Callable[[np.ndarray], np.ndarray]
+# The maps the stencils evaluate take an (N, n) stack of points and return
+# the (N, m) stack of their values, row for row.
+StackMap = Callable[[np.ndarray], np.ndarray]
 
 
 _STENCILS = {
@@ -61,18 +50,15 @@ _STENCILS = {
 _Stencil = tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
-def _evaluate(fn: MapFn | RowMap, points: np.ndarray) -> np.ndarray:
-    """Values of fn at every row of points, stacked: one call per ROW_CAP
-    rows for a RowMap, one call per point otherwise. The stacked kernels
-    round each row on its own, so the chunking changes no bit."""
-    if isinstance(fn, RowMap):
-        return np.concatenate([np.asarray(fn.rows(points[start:start + ROW_CAP]),
-                                          dtype=float)
-                               for start in range(0, len(points), ROW_CAP) or [0]])
-    return np.stack([np.asarray(fn(p), dtype=float) for p in points])
+def _evaluate(fn: StackMap, points: np.ndarray) -> np.ndarray:
+    """Values of fn at every row of points, one call per ROW_CAP rows,
+    which bounds the memory of the kernels' intermediates. The stacked
+    kernels round each row on its own, so the chunking changes no bit."""
+    return np.concatenate([np.asarray(fn(points[start:start + ROW_CAP]), dtype=float)
+                           for start in range(0, len(points), ROW_CAP) or [0]])
 
 
-def _run_stencils(fn: MapFn | RowMap, stencils: Sequence[_Stencil]) -> list[np.ndarray]:
+def _run_stencils(fn: StackMap, stencils: Sequence[_Stencil]) -> list[np.ndarray]:
     """Evaluate the points of all stencils together, then combine each."""
     values = _evaluate(fn, np.concatenate([points for points, _ in stencils]))
     out = []
@@ -91,15 +77,6 @@ def _weighted_sum(weights: Sequence[float], values: Iterable[np.ndarray],
         term = weight * value
         acc = term if acc is None else acc + term
     return acc / scale
-
-
-def _central_difference(g: Callable[[float], object], order: int,
-                        step: float) -> np.ndarray:
-    """Derivative of the given order of g at 0 by the central stencil."""
-    row = _STENCILS[order]
-    return _weighted_sum([w for _, w in row],
-                         [np.asarray(g(shift * step), dtype=float) for shift, _ in row],
-                         step ** order)
 
 
 def _divisors(steps: np.ndarray, order: int, ndim: int) -> np.ndarray:
@@ -200,28 +177,6 @@ def _hessian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
     return own.reshape(-1, n), combine
 
 
-def fd_jacobian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian, one column per input coordinate."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    p = np.asarray(p, dtype=float)
-    return _run_stencils(fn, [_jacobian_stencils(p[None, :], [step])])[0][0]
-
-
-def fd_hessian(fn: MapFn | RowMap, p: np.ndarray, step: float) -> np.ndarray:
-    """Full second-derivative tensor (m, n, n) by central differences.
-
-    Exact on quadratic maps. This is the object to compare across a
-    mirror: pure even-order slices along the normal cancel by reflection
-    symmetry, so a normal-only second difference would read zero even
-    for maps whose second derivative genuinely jumps.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    p = np.asarray(p, dtype=float)
-    return _run_stencils(fn, [_hessian_stencils(p[None, :], [step])])[0][0]
-
-
 def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
     """Least-squares decay exponent of ``values`` against ``offsets``.
 
@@ -303,16 +258,19 @@ def _least_resolved_slope(reports: Sequence[ProbeReport], order: int) -> float:
                default=math.inf)
 
 
-def _two_sided_jumps(fn: MapFn | RowMap, xs: np.ndarray, vs: np.ndarray,
+def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
                      offsets: Sequence[Sequence[float]],
                      orders: Sequence[int]) -> list[dict[int, tuple[float, ...]]]:
     """Jumps of each probe: xs[i] is its point, vs[i] its direction and
     offsets[i] its offsets.
 
-    Order 1 compares Jacobians, order 2 full second-derivative tensors
-    (see fd_hessian for why), order 3 the normal third derivative, which
-    survives the symmetry because it is odd. Every stencil of every probe,
-    offset, side and order is evaluated in one stack.
+    Order 1 compares Jacobians, order 2 full second-derivative tensors,
+    order 3 the normal third derivative. Order 2 takes the full tensor
+    because pure even-order slices along a mirror normal cancel by the
+    reflection symmetry: a normal-only second difference reads zero even
+    for maps whose second derivative genuinely jumps. The third derivative
+    along the normal survives the symmetry because it is odd. Every stencil
+    of every probe, offset, side and order is evaluated in one stack.
     """
     if not len(xs):
         return []
@@ -340,28 +298,32 @@ def _two_sided_jumps(fn: MapFn | RowMap, xs: np.ndarray, vs: np.ndarray,
             for i in range(count)]
 
 
-def _fold_map(chain: SmoothChain) -> RowMap:
+def _fold_map(chain: SmoothChain) -> StackMap:
     normals = chain.chamber.simple_normals
     cap = chain.group.order
-    return RowMap(lambda points: _fold_rows(normals, points, cap))
+    return lambda points: _fold_rows(normals, points, cap)
 
 
-def _wall_reports(chain: SmoothChain, fn: MapFn | RowMap, points: Sequence[np.ndarray],
+def _wall_reports(chain: SmoothChain, fn: StackMap,
+                  samples: Sequence[tuple[np.ndarray, Face, int]],
                   offsets: Sequence[float], orders: Sequence[int]) -> list[ProbeReport]:
-    """wall_jump_probe at every point, with one stacked evaluation of fn and
-    one of the fold control. Every point's offsets are checked first, so a
-    schedule at the rounding floor evaluates nothing."""
+    """Derivatives of fn compared on the two sides of a wall, at every
+    sample (x, face, wall): x lies in the open codimension-one face and on
+    group mirror `wall` alone.
+
+    Each probe runs along the mirror's normal, pointed into the chamber.
+    Offsets are rescaled so the nominal schedule probes fixed fractions of
+    the local tube radius at x, and the raw fold runs through the same
+    probes as the control. fn and the fold are each evaluated once, over
+    every probe. Every sample's offsets are checked first, so a schedule at
+    the rounding floor evaluates nothing.
+    """
     xs, vs, scaled = [], [], []
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        desc = classify(chain.group, x)
-        if len(desc.walls_containing) != 1:
-            raise ValueError(
-                f"probe point must sit on exactly one wall, found {len(desc.walls_containing)}")
-        v = chain.group.mirrors[desc.walls_containing[0]].normal
+    for x, face, wall in samples:
+        v = chain.group.mirrors[wall].normal
         if float(v @ chain.chamber.witness) < 0:
             v = -v
-        radius = eval_l(chain, chain.rank - 1, x)
+        radius = _radius_at(chain, face, x)
         xs.append(x)
         vs.append(v / np.linalg.norm(v))
         scaled.append(tuple(float(d) * radius / REFERENCE_RADIUS for d in offsets))
@@ -376,26 +338,9 @@ def _wall_reports(chain: SmoothChain, fn: MapFn | RowMap, points: Sequence[np.nd
             for x, v, offs, j, c in zip(xs, vs, scaled, jumps, control)]
 
 
-def wall_jump_probe(
-    chain: SmoothChain,
-    fn: MapFn | RowMap,
-    x: Iterable[float],
-    offsets: Sequence[float] = DEFAULT_OFFSETS,
-    orders: Sequence[int] = (1, 2),
-) -> ProbeReport:
-    """Compare derivatives of fn on the two sides of a single wall.
-
-    x must lie on exactly one mirror; the probe runs along that mirror's
-    normal, pointed into the chamber. Offsets are rescaled so the nominal
-    schedule probes fixed fractions of the local tube radius at x. The raw
-    fold runs through the identical probe as the control.
-    """
-    return _wall_reports(chain, fn, [x], offsets, orders)[0]
-
-
 def origin_line_probe(
     chain: SmoothChain,
-    fn: MapFn | RowMap,
+    fn: StackMap,
     count: int = 20,
     seed: int = 0,
 ) -> list[ProbeReport]:
@@ -441,18 +386,14 @@ def curve_jump_probe(
     offsets: Sequence[float] = DEFAULT_OFFSETS,
     orders: Sequence[int] = (1,),
 ) -> CurveReport:
-    """Derivative mismatch of a curve s -> fn(s) across s = 0."""
+    """Derivative mismatch of a curve s -> fn(s) across s = 0: the two-sided
+    jumps of a wall probe at x = 0 along v = 1, with fn called once per
+    stencil point."""
     offsets = tuple(float(d) for d in offsets)
     orders = tuple(orders)
-    jumps: dict[int, list[float]] = {o: [] for o in orders}
-    for delta in offsets:
-        step = STEP_FRACTION * delta
-        for order in orders:
-            a = _central_difference(lambda s: fn(delta + s), order, step)
-            b = _central_difference(lambda s: fn(-delta + s), order, step)
-            jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
-    return CurveReport(offsets=offsets, orders=orders,
-                       jumps={o: tuple(js) for o, js in jumps.items()})
+    rows = lambda points: np.array([fn(s) for s in points[:, 0].tolist()], dtype=float)
+    jumps = _two_sided_jumps(rows, np.zeros((1, 1)), np.ones((1, 1)), [offsets], orders)
+    return CurveReport(offsets=offsets, orders=orders, jumps=jumps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +434,7 @@ def growth_bound_check(
     radius is the constant c0, so the regressor is 1/distance instead.
     """
     strat = chain.stratification
-    fn = RowMap(lambda points: _apply_partial_rows(chain, i, points))
+    fn = lambda points: _apply_partial_rows(chain, i, points)
     radii, bases, steps, lines = [], [], [], []
     for d in distances:
         if i == 0:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -348,9 +349,9 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
 
     The lower-face distances come from SmoothChain.lower_face_distances,
     exact on the closed chamber. Every caller stays there: the feet of
-    _claiming_faces pass the open-face test, eval_l points lie on a face
-    (to the classification tolerance) and validate_tubes uses interior
-    points.
+    _claiming_faces pass the open-face test, eval_l points and wall-probe
+    samples lie on a face (to the classification tolerance) and
+    validate_tubes uses interior points.
     """
     i = face.level
     if i == 0:
@@ -404,15 +405,20 @@ def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
     return radius
 
 
+def _check_tube_level(chain: SmoothChain, i: int) -> None:
+    """Levels with a tube run 0..rank-1; the open chamber, level rank, has
+    none."""
+    if not 0 <= i < chain.rank:
+        raise ValueError(f"no tube at level {i}; tube levels run 0..{chain.rank - 1}")
+
+
 def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
     """Tube radius of level i at a point x of a level-i face.
 
-    Levels with a tube run 0..rank-1; the open chamber, level rank, has
-    none. A point classify puts at level i on the closed chamber passes the
-    face test (Stratification.face_contains shares its threshold).
+    A point classify puts at level i on the closed chamber passes the face
+    test (Stratification.face_contains shares its threshold).
     """
-    if not 0 <= i < chain.rank:
-        raise ValueError(f"no tube at level {i}; tube levels run 0..{chain.rank - 1}")
+    _check_tube_level(chain, i)
     x = _as_point(x, chain.chamber.dimension)
     desc = classify(chain.group, x)
     if desc.level != i:
@@ -459,9 +465,14 @@ def _claiming_faces(chain: SmoothChain, i: int, p: np.ndarray) -> list[TubeCoord
     """Tube coordinates of p with respect to every level-i tube that holds it.
 
     Faces with an active wall farther from p than _reach allows are skipped
-    before their projection: their tubes cannot hold p.
+    before their projection: their tubes cannot hold p. Every coordinate of
+    p may be finite while |p| exceeds the largest float; the projections
+    would then overflow, so such a p is refused by name.
     """
     size = _norm(p)
+    if size == math.inf:
+        raise ValueError("|p| overflows: the point's norm exceeds the largest "
+                         f"float, {sys.float_info.max:.17g}")
     reach = _reach(chain, i, size)
     far = 0
     for j, w in enumerate((chain.chamber.simple_normals @ p).tolist()):
@@ -495,19 +506,25 @@ def tube_coords(chain: SmoothChain, i: int, p: Iterable[float]) -> TubeCoords | 
     The foot must land in the open face and the height must be under the
     local radius; t = 0 flags the on-stratum case with normal = None.
     """
-    p = np.asarray(p, dtype=float)
-    hits = _claiming_faces(chain, i, p)
+    _check_tube_level(chain, i)
+    hits = _claiming_faces(chain, i, _as_point(p, chain.chamber.dimension))
     return hits[0] if hits else None
+
+
+def _apply_F(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
+    """apply_F at a float point of the right shape and a level with a tube."""
+    hits = _claiming_faces(chain, i, p)
+    if not hits or hits[0].t == 0.0:
+        return p.copy()
+    tc = hits[0]
+    u = tc.t / tc.radius
+    return tc.foot + (tc.radius * eval_h(chain.profile, u, 0)) * tc.normal
 
 
 def apply_F(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
     """One tube map: radial reparametrization by h inside, identity outside."""
-    p = np.asarray(p, dtype=float)
-    tc = tube_coords(chain, i, p)
-    if tc is None or tc.t == 0.0:
-        return p.copy()
-    u = tc.t / tc.radius
-    return tc.foot + (tc.radius * eval_h(chain.profile, u, 0)) * tc.normal
+    _check_tube_level(chain, i)
+    return _apply_F(chain, i, _as_point(p, chain.chamber.dimension))
 
 
 def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
@@ -583,7 +600,7 @@ def apply_partial(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
     """The partial composite: F_{n-1} first, descending to F_i last."""
     q = np.asarray(p, dtype=float)
     for j in range(chain.rank - 1, i - 1, -1):
-        q = apply_F(chain, j, q)
+        q = _apply_F(chain, j, q)
     return q
 
 

@@ -18,12 +18,11 @@ from .calculus import (
     DECAY_SLOPE,
     DEFAULT_OFFSETS,
     ProbeReport,
-    RowMap,
-    _central_difference,
     _directional_stencils,
     _evaluate,
     _jacobian_stencils,
     _least_resolved_slope,
+    _line_stencils,
     _run_stencils,
     _wall_reports,
     growth_bound_check,
@@ -118,8 +117,8 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
     # every orbit as one stack, fed ROW_CAP rows at a time; each orbit holds
     # its p, so the public fold and the stacked one are checked against
     # each other too
-    fold_rows = RowMap(lambda rows: _fold_rows(chamber.simple_normals, rows, group.order))
-    folded = _evaluate(fold_rows, orbits.reshape(-1, group.dimension))
+    folded = _evaluate(lambda rows: _fold_rows(chamber.simple_normals, rows, group.order),
+                       orbits.reshape(-1, group.dimension))
     spread = np.linalg.norm(folded.reshape(orbits.shape) - images[:, None], axis=2)
     worst_invariance = float(np.max(spread, initial=0.0))   # fold's spread over an orbit
     return [
@@ -133,6 +132,16 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
 # 3: profile properties
 # ---------------------------------------------------------------------------
 
+def _flat_derivatives(prof: SmoothProfile) -> list[float]:
+    """h^(1), ..., h^(4) at t = 1e-3 by central differences of step 5e-5,
+    all from one stacked evaluation of h."""
+    base, steps = np.array([[1e-3]]), np.array([5e-5])
+    h_rows = lambda rows: np.array([[eval_h(prof, t)] for t in rows[:, 0].tolist()])
+    derivatives = _run_stencils(h_rows, [_line_stencils(base, np.eye(1), order, steps)
+                                         for order in (1, 2, 3, 4)])
+    return [float(d[0, 0, 0]) for d in derivatives]
+
+
 def check_profile() -> list[CheckResult]:
     prof = SmoothProfile()
     out = []
@@ -144,10 +153,7 @@ def check_profile() -> list[CheckResult]:
     out.append(_result("symmetry value h(1/2)=1/4",
                        abs(eval_h(prof, 0.5) - 0.25), 0.0))
 
-    worst_fd = 0.0
-    for order in (1, 2, 3, 4):
-        d = _central_difference(lambda s: eval_h(prof, 1e-3 + s), order, 5e-5)
-        worst_fd = max(worst_fd, abs(d))
+    worst_fd = max(abs(d) for d in _flat_derivatives(prof))
     out.append(_result("derivatives vanish at t=1e-3 (orders 1-4)",
                        worst_fd, 1e-8))
 
@@ -250,7 +256,7 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
             steps.append(0.012 * radius)
         if not bases:
             continue
-        fn = RowMap(lambda points: _apply_F_rows(chain, level, points))
+        fn = lambda points: _apply_F_rows(chain, level, points)
         # orders 1-3 at every sample of the level share one evaluation
         stencils = [_directional_stencils(np.array(bases), np.array(normals), order, steps)
                     for order in (1, 2, 3)]
@@ -270,18 +276,20 @@ def _wall_probes(chain: SmoothChain, points: int, seed: int,
                  offsets: Sequence[float] = DEFAULT_OFFSETS,
                  orders: Sequence[int] = (1, 2)) -> list[ProbeReport]:
     """Wall-jump probes of H at seeded points of the codimension-one faces,
-    cycling through the faces; a sample not on exactly one wall is skipped.
-    All probes share one stacked evaluation of H and one of the fold."""
+    cycling through the faces; a sample not on exactly one wall is skipped,
+    and a kept one is probed across that wall. All probes share one stacked
+    evaluation of H and one of the fold."""
     rng = np.random.default_rng(seed)
     faces = chain.stratification.faces_at_level(chain.rank - 1)
     samples = []
     for j in range(points):
         face = faces[j % len(faces)]
         x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
-        if len(classify(chain.group, x).walls_containing) == 1:
-            samples.append(x)
-    fn = RowMap(lambda rows: _apply_H_rows(chain, rows))
-    return _wall_reports(chain, fn, samples, offsets, orders)
+        walls = classify(chain.group, x).walls_containing
+        if len(walls) == 1:
+            samples.append((x, face, walls[0]))
+    return _wall_reports(chain, lambda rows: _apply_H_rows(chain, rows), samples,
+                         offsets, orders)
 
 
 def _decay_results(reports: Sequence[ProbeReport], name: str,
@@ -316,8 +324,8 @@ def check_wall_smoothness(chain: SmoothChain, points: int = 20,
 
 def check_origin_smoothness(chain: SmoothChain, lines: int = 20,
                             seed: int = 0) -> list[CheckResult]:
-    fn = RowMap(lambda points: _apply_H_rows(chain, points))
-    reports = origin_line_probe(chain, fn, count=lines, seed=seed)
+    reports = origin_line_probe(chain, lambda points: _apply_H_rows(chain, points),
+                                count=lines, seed=seed)
     return _decay_results(
         reports, "origin line jump decay",
         "lines already below resolution (antipodal symmetry makes even "
@@ -353,8 +361,8 @@ def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
     samples = np.reshape([sample_regular_margin_point(chain, rng) for _ in range(points)],
                          (points, chain.group.dimension))
     steps = [1e-5 * (1.0 + float(np.linalg.norm(p))) for p in samples]
-    fn = RowMap(lambda rows: _apply_G_rows(chain, rows))
-    jacobians = _run_stencils(fn, [_jacobian_stencils(samples, steps)])[0]
+    jacobians = _run_stencils(lambda rows: _apply_G_rows(chain, rows),
+                              [_jacobian_stencils(samples, steps)])[0]
     worst = min((abs(float(np.linalg.det(J))) for J in jacobians), default=math.inf)
     return _result("Jacobian determinant bounded away from zero",
                    worst, 1e-6, mode="min",

@@ -1,4 +1,5 @@
-"""Per-point stencils and per-probe wall jumps, frozen for tests.
+"""Per-point stencils, per-probe wall jumps and the scalar central
+difference, frozen for tests.
 
 This is the finite-difference harness as it was before the stencils were
 built on stacks: each stencil belongs to one base point, every stencil of
@@ -6,18 +7,38 @@ one probe is evaluated in one call, and each result is combined on its
 own. The stacked builders in orbitfold.calculus must reproduce it bit for
 bit: the same sides x +- delta*v, moves (shift*step)*e, mixed points
 (p + mj) + mk, sums in stencil order and the divisor step**order taken
-on Python floats.
+on Python floats. The curve probe and the profile's flatness check took
+their derivatives from central_difference, one call of g per stencil
+point; curve_jumps is the curve probe's loop over offsets and orders.
+
+Every map here takes an (N, n) stack of points and returns the (N, m)
+stack of values, as in orbitfold.calculus; per_point turns a map of one
+point into one. wall_sample gives a wall probe's sample at a point.
 """
 
 import numpy as np
 
-from orbitfold.calculus import _STENCILS, JUMP_FLOOR, STEP_FRACTION, RowMap
+from orbitfold.calculus import _STENCILS, JUMP_FLOOR, STEP_FRACTION
+from orbitfold.chamber import classify
+
+
+def per_point(fn):
+    """The stack map that calls fn once per row."""
+    return lambda points: np.array([fn(p) for p in points], dtype=float)
+
+
+def wall_sample(chain, x):
+    """(x, face, wall), as the wall probes take a sample: x on group mirror
+    `wall` alone, in the codimension-one face `face`."""
+    x = np.asarray(x, dtype=float)
+    wall, = classify(chain.group, x).walls_containing
+    strat = chain.stratification
+    face = next(f for f in strat.faces_at_level(chain.rank - 1) if strat.face_contains(f, x))
+    return x, face, wall
 
 
 def evaluate(fn, points):
-    if isinstance(fn, RowMap):
-        return np.asarray(fn.rows(points), dtype=float)
-    return np.stack([np.asarray(fn(p), dtype=float) for p in points])
+    return np.asarray(fn(points), dtype=float)
 
 
 def run_stencils(fn, stencils):
@@ -114,5 +135,25 @@ def two_sided_jumps(fn, x, v, offsets, orders):
     for _ in offsets:
         for order in orders:
             a, b = next(results), next(results)
+            jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
+    return {o: tuple(js) for o, js in jumps.items()}
+
+
+def central_difference(g, order, step):
+    """Derivative of the given order of g at 0 by the central stencil."""
+    row = _STENCILS[order]
+    return weighted_sum([w for _, w in row],
+                        [np.asarray(g(shift * step), dtype=float) for shift, _ in row],
+                        step ** order)
+
+
+def curve_jumps(fn, offsets, orders):
+    """Jumps of a curve s -> fn(s) across s = 0, offset by offset."""
+    jumps = {o: [] for o in orders}
+    for delta in offsets:
+        step = STEP_FRACTION * delta
+        for order in orders:
+            a = central_difference(lambda s: fn(delta + s), order, step)
+            b = central_difference(lambda s: fn(-delta + s), order, step)
             jumps[order].append(max(float(np.linalg.norm(a - b)), JUMP_FLOOR))
     return {o: tuple(js) for o, js in jumps.items()}

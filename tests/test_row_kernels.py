@@ -1,11 +1,13 @@
 """Stacked (N, n) kernels against the per-point entries they stand in for,
-the FD harness's two evaluation paths, and the fold at extreme scales.
+the FD harness on whole stacks and on one row at a time, and the fold at
+extreme scales.
 
 The per-point entries (fold, apply_F, apply_G, apply_H) are the reference:
 the fold kernel must match them bit for bit, the tube kernels to
 1e-15 * max(1, |p|_inf), and an FD helper must give the same bits whether
-its map takes one point or the whole stack. The stacked stencil builders
-must give the bits of the per-point ones frozen in stencil_oracle.
+the stacked kernel gets the whole stack or one row per call. The stacked
+stencil builders, the curve probe and the profile's flatness derivatives
+must give the bits of the per-point harness frozen in stencil_oracle.
 """
 
 import math
@@ -15,9 +17,9 @@ import pytest
 
 import stencil_oracle as oracle
 from orbitfold.calculus import (
+    DEFAULT_OFFSETS,
     ROW_CAP,
     STEP_FRACTION,
-    RowMap,
     _RoundingFloorError,
     _directional_stencils,
     _evaluate,
@@ -26,14 +28,15 @@ from orbitfold.calculus import (
     _jacobian_stencils,
     _run_stencils,
     _two_sided_jumps,
-    fd_hessian,
-    fd_jacobian,
+    _wall_reports,
+    curve_jump_probe,
     origin_line_probe,
-    wall_jump_probe,
 )
 from orbitfold.chamber import _fold_image, _fold_rows, fold
 from orbitfold.groups import preset_group
+from orbitfold.polar import eigen_crossing_curve, model_H, sym_eig_model
 from orbitfold.smoothing import (
+    SmoothProfile,
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
@@ -41,9 +44,10 @@ from orbitfold.smoothing import (
     apply_G,
     apply_H,
     build_chain,
+    eval_h,
     eval_l,
 )
-from orbitfold.verify import sample_face_point
+from orbitfold.verify import _flat_derivatives, sample_face_point
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 AGREEMENT = 1e-15
@@ -122,55 +126,62 @@ def test_fold_rows_step_cap_matches_point_fold():
 
 
 # ---------------------------------------------------------------------------
-# the FD harness: one stack or one point at a time, same bits
+# the FD harness: the whole stack or one row per call, same bits
 # ---------------------------------------------------------------------------
 
-def _stacked(fn, calls):
+def _counted(fn, calls):
+    """fn, recording the number of rows of each call."""
     def rows(points):
         calls.append(len(points))
-        return np.array([fn(p) for p in points])
-    return RowMap(rows)
+        return fn(points)
+    return rows
+
+
+def _row_by_row(chain):
+    """The stacked apply_H kernel, given one row per call."""
+    return oracle.per_point(lambda p: _apply_H_rows(chain, p[None, :])[0])
 
 
 @pytest.mark.parametrize("preset", ["b2", "a3"])
 def test_fd_helpers_agree_bitwise_across_paths(preset):
+    # A row's value must not depend on the stack it is evaluated in, so
+    # the stencils give the same bits whichever rows share the call.
     chain = build_chain(preset_group(preset))
-    f = lambda q: apply_H(chain, q)
+    one_row = _row_by_row(chain)
     rng = np.random.default_rng(5)
     dim = chain.group.dimension
     for _ in range(4):
-        p = rng.normal(size=dim)
-        v = rng.normal(size=dim)
+        p = rng.normal(size=(1, dim))
+        v = rng.normal(size=(1, dim))
         v /= np.linalg.norm(v)
-        step = 10.0 ** rng.uniform(-4.0, -2.0)
+        step = [10.0 ** rng.uniform(-4.0, -2.0)]
+        stencils = [_jacobian_stencils(p, step), _hessian_stencils(p, step)] + [
+            _directional_stencils(p, v, order, step) for order in (1, 2, 3)]
         calls = []
-        row_map = _stacked(f, calls)
-        assert fd_jacobian(f, p, step).tobytes() == fd_jacobian(row_map, p, step).tobytes()
-        hess = fd_hessian(row_map, p, step)
-        assert fd_hessian(f, p, step).tobytes() == hess.tobytes()
-        # the centre point is shared by the diagonal entries
-        assert calls[-1] == 1 + 2 * dim + 2 * dim * (dim - 1)
-        for order in (1, 2, 3):
-            stencil = _directional_stencils(p[None, :], v[None, :], order, [step])
-            assert (_run_stencils(f, [stencil])[0].tobytes()
-                    == _run_stencils(row_map, [stencil])[0].tobytes())
-        assert len(calls) == 5
+        whole = _run_stencils(_counted(lambda rows: _apply_H_rows(chain, rows), calls),
+                              stencils)
+        # all five stencils share one call; the Hessian's centre point is
+        # shared by its diagonal entries
+        assert calls == [2 * dim + (1 + 2 * dim + 2 * dim * (dim - 1)) + 2 + 3 + 4]
+        for got, want in zip(whole, _run_stencils(one_row, stencils)):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("preset", ["b2", "a3"])
 def test_probes_agree_bitwise_across_paths(preset):
     chain = build_chain(preset_group(preset))
-    f = lambda q: apply_H(chain, q)
     calls = []
-    row_map = _stacked(f, calls)
+    whole = _counted(lambda rows: _apply_H_rows(chain, rows), calls)
+    one_row = _row_by_row(chain)
     face = chain.stratification.faces_at_level(chain.rank - 1)[0]
     x = sample_face_point(chain, face, np.random.default_rng(3), radius_range=(1.0, 2.0))
-    a = wall_jump_probe(chain, f, x, orders=(1, 2, 3))
-    b = wall_jump_probe(chain, row_map, x, orders=(1, 2, 3))
+    sample = oracle.wall_sample(chain, x)
+    a, = _wall_reports(chain, whole, [sample], DEFAULT_OFFSETS, (1, 2, 3))
+    b, = _wall_reports(chain, one_row, [sample], DEFAULT_OFFSETS, (1, 2, 3))
     assert a.jumps == b.jumps and a.control_jumps == b.control_jumps
     assert len(calls) == 1
-    for ra, rb in zip(origin_line_probe(chain, f, count=2, seed=1),
-                      origin_line_probe(chain, row_map, count=2, seed=1)):
+    for ra, rb in zip(origin_line_probe(chain, whole, count=2, seed=1),
+                      origin_line_probe(chain, one_row, count=2, seed=1)):
         assert ra.jumps == rb.jumps
     # both lines share one call
     assert len(calls) == 2
@@ -202,7 +213,7 @@ def test_stacked_stencils_match_frozen_per_point_path(preset):
         tuple(sorted(10.0 ** rng.uniform(-4.0, -1.0, size=5), reverse=True))
         for _ in range(count - 1)]
     orders = (1, 2, 3)
-    for fn in (RowMap(lambda rows: _apply_H_rows(chain, rows)), _fold_map(chain)):
+    for fn in (lambda rows: _apply_H_rows(chain, rows), _fold_map(chain)):
         stacked = _two_sided_jumps(fn, xs, vs, offsets, orders)
         for x, v, offs, jumps in zip(xs, vs, offsets, stacked):
             assert jumps == oracle.two_sided_jumps(fn, x, v, offs, orders)
@@ -229,7 +240,7 @@ def test_row_maps_get_at_most_row_cap_rows_per_call():
         calls.append(len(stack))
         return _apply_H_rows(chain, stack)
 
-    values = _evaluate(RowMap(rows), points)
+    values = _evaluate(rows, points)
     assert calls == [ROW_CAP, ROW_CAP, 1]
     assert len(calls) == math.ceil(len(points) / ROW_CAP)
     one_by_one = np.concatenate([_apply_H_rows(chain, p[None, :]) for p in points])
@@ -239,10 +250,38 @@ def test_row_maps_get_at_most_row_cap_rows_per_call():
 def test_rounding_floor_is_refused_before_any_evaluation():
     chain = build_chain(preset_group("b2"))
     calls = []
-    row_map = _stacked(lambda q: apply_H(chain, q), calls)
+    fn = _counted(lambda rows: _apply_H_rows(chain, rows), calls)
+    sample = oracle.wall_sample(chain, [1.5, 0.0])
     with pytest.raises(_RoundingFloorError):
-        wall_jump_probe(chain, row_map, np.array([1.5, 0.0]), offsets=(1e-20, 1e-21))
+        _wall_reports(chain, fn, [sample], (1e-20, 1e-21), (1, 2))
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def sym3():
+    model = sym_eig_model()
+    return model, build_chain(model.weyl)
+
+
+@pytest.mark.parametrize("offsets", [DEFAULT_OFFSETS, (0.3, 0.1, 0.03, 0.01, 0.001)])
+@pytest.mark.parametrize("orders", [(1,), (1, 2), (1, 2, 3)])
+def test_curve_probe_matches_frozen_central_differences(sym3, offsets, orders):
+    model, chain = sym3
+    for seed in range(4):
+        curve = eigen_crossing_curve(seed=seed)
+        for fn in (lambda s: model.section_map(curve(s)),
+                   lambda s: model_H(model, chain, curve(s))):
+            rep = curve_jump_probe(fn, offsets, orders)
+            assert rep.jumps == oracle.curve_jumps(fn, offsets, orders)
+
+
+def test_profile_flatness_derivatives_match_frozen_central_differences():
+    prof = SmoothProfile()
+    want = [float(oracle.central_difference(lambda s: eval_h(prof, 1e-3 + s), order, 5e-5))
+            for order in (1, 2, 3, 4)]
+    got = _flat_derivatives(prof)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert any(d != 0.0 for d in got)
 
 
 # ---------------------------------------------------------------------------

@@ -692,6 +692,8 @@ ENTRY_POINTS = {
     "apply_G": apply_G,
     "apply_H": apply_H,
     "eval_l": lambda chain, p: eval_l(chain, 2, p),
+    "apply_F": lambda chain, p: apply_F(chain, 1, p),
+    "tube_coords": lambda chain, p: tube_coords(chain, 1, p),
 }
 
 
@@ -706,6 +708,56 @@ def test_entry_points_reject_bad_points(entry, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             ENTRY_POINTS[entry](chain, np.array(BAD_POINTS[bad]))
+
+
+@pytest.mark.parametrize("entry", [apply_F, tube_coords])
+def test_tube_entry_points_name_levels_without_a_tube(entry):
+    chain = build_chain(preset_group("b3"))
+    for level in (3, 4, -1):
+        with pytest.raises(ValueError, match=rf"no tube at level {level}; "
+                                             r"tube levels run 0\.\.2"):
+            entry(chain, level, chain.chamber.witness)
+
+
+def _overflowing_maps(chain, p):
+    """apply_H at p and apply_G at its fold image, each under
+    warnings-as-errors: the value, or the message of a ValueError."""
+    image = fold(chain.group, chain.chamber, p).image
+    out = []
+    for call in (lambda: apply_H(chain, p), lambda: apply_G(chain, image)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out.append(call())
+            except ValueError as err:
+                out.append(str(err))
+    return out
+
+
+def test_norm_overflow_is_named():
+    # every coordinate is finite, but |p| exceeds the largest float
+    chain = build_chain(preset_group("b3"))
+    p = np.array([-1.7e308, 1.7e308, 1e308])
+    assert math.hypot(*p) == math.inf
+    for got in _overflowing_maps(chain, p):
+        assert isinstance(got, str) and got.startswith("|p| overflows")
+
+
+def test_box_sample_maps_or_names_the_overflow():
+    # about half of a box reaching the float limit has |p| past it: those
+    # points are refused by name, the rest map to finite values
+    chain = build_chain(preset_group("b3"))
+    points = 1.79e308 * np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 3))
+    overflowing = 0
+    for p in points:
+        over = math.hypot(*p) == math.inf
+        overflowing += over
+        for got in _overflowing_maps(chain, p):
+            if over:
+                assert isinstance(got, str) and got.startswith("|p| overflows"), p
+            else:
+                assert not isinstance(got, str) and np.all(np.isfinite(got)), p
+    assert 800 < overflowing < 1200
 
 
 @functools.cache

@@ -7,9 +7,11 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, and four edge configurations: a rank-1 group under `verify` and
-`probe`, probe offsets at the rounding floor, and a3 probes of orders 1, 2
-and 3, which put the directional stencils of the jump path under test. The
+--out, and five edge configurations: a rank-1 group under `verify` and
+`probe`, probe offsets at the rounding floor, a3 probes of orders 1, 2
+and 3, which put the directional stencils of the jump path under test, and
+`demo-sym3` with and without --out under a probe offset schedule other than
+the default one, which its curve probes take. The
 `fold` inputs are generated here from numpy alone and written to
 OUTDIR/inputs, so they do not depend on the code under test.
 
@@ -36,10 +38,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("i2-3", "i2-4", "a2", "b2", "a3", "b3")
 SEEDS = (0, 1)
 DIMENSIONS = {"i2-3": 2, "i2-4": 2, "a2": 3, "b2": 2, "a3": 4, "b3": 3}
+# label -> (the commands run under the configuration, its text); each
+# command runs with --out, and demo-sym3, whose stdout then differs, also
+# without. demo-sym3 builds its own group, but a configuration must name one.
 EDGE_CONFIGS = {
-    "rank1": "[group]\nnormals = 1.0\n",
-    "offset-floor": "[group]\npreset = b2\n\n[probe]\noffsets = 1e-20,1e-21\n",
-    "orders-123": "[group]\npreset = a3\n\n[probe]\norders = 1,2,3\n",
+    "rank1": (("verify", "probe"), "[group]\nnormals = 1.0\n"),
+    "offset-floor": (("probe",),
+                     "[group]\npreset = b2\n\n[probe]\noffsets = 1e-20,1e-21\n"),
+    "orders-123": (("probe",), "[group]\npreset = a3\n\n[probe]\norders = 1,2,3\n"),
+    "sym3-offsets": (("demo-sym3",), "[group]\npreset = a2\n\n[probe]\n"
+                                     "offsets = 0.3,0.1,0.03,0.01,0.001\n"),
 }
 
 
@@ -103,14 +111,15 @@ def cases(outdir: Path) -> list[tuple[str, list[str]]]:
             (f"sym3-s{seed}-demo-out",
              ["demo-sym3", "--seed", str(seed), "--out", f"sym3-s{seed}-demo-out.out"]),
         ]
-    for label, text in EDGE_CONFIGS.items():
+    for label, (commands, text) in EDGE_CONFIGS.items():
         config = inputs / f"{label}.ini"
         config.write_text(text)
-        commands = ("verify", "probe") if label == "rank1" else ("probe",)
         for command in commands:
             name = f"{label}-{command}"
-            out.append((name, [command, "--config", str(config),
-                               "--out", f"{name}.out"]))
+            args = [command, "--config", str(config)]
+            out.append((name, [*args, "--out", f"{name}.out"]))
+            if command == "demo-sym3":
+                out.append((f"{name}-stdout", args))
     return out
 
 

@@ -11,6 +11,12 @@ finite difference formulas on arbitrarily spaced grids", Math. Comp.
 1988). They are the same linear map at every base point, so each builder
 takes an (M, n) stack of base points with one step per point, and each
 check evaluates the stencils of all its points and probes as one stack.
+
+Probes across a wall, along lines through the origin and along a curve
+of one parameter are one measurement, and _probe_reports makes it for
+all three: it refuses offsets at the rounding floor before evaluating
+anything, takes the two-sided jumps of the map (and of the fold control
+for walls) and returns ProbeReports.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .chamber import Face, _fold_rows
-from .smoothing import SmoothChain, _apply_partial_rows, _radius_at, eval_l
+from .smoothing import SmoothChain, _apply_partial_rows, _radius_at
 
 DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 REFERENCE_RADIUS = 0.1
@@ -119,19 +125,6 @@ def _jacobian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
     steps = np.asarray(steps, dtype=float)
     points, combine = _line_stencils(base, np.eye(base.shape[1]), 1, steps)
     return points, lambda values: np.moveaxis(combine(values), 1, -1)
-
-
-def _directional_stencils(base: np.ndarray, directions: np.ndarray, order: int,
-                          steps: Sequence[float]) -> _Stencil:
-    """Derivatives of the order along each point's own directions, given as
-    an (M, n) array (results (M, m)) or an (M, d, n) one (results (M, d, m))."""
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
-    steps = np.asarray(steps, dtype=float)
-    if directions.ndim == 2:
-        points, combine = _line_stencils(base, directions[:, None, :], order, steps)
-        return points, lambda values: combine(values)[:, 0]
-    return _line_stencils(base, directions, order, steps)
 
 
 def _hessian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
@@ -289,8 +282,8 @@ def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
         elif order == 2:
             stencils.append(_hessian_stencils(sides, steps))
         else:
-            stencils.append(_directional_stencils(sides, np.repeat(v, 2, axis=0),
-                                                  order, steps))
+            stencils.append(_line_stencils(sides, np.repeat(v, 2, axis=0)[:, None],
+                                           order, steps))
     results = [r.reshape(count, k, 2, *r.shape[1:]) for r in _run_stencils(fn, stencils)]
     return [{order: tuple(max(float(np.linalg.norm(r[i, j, 0] - r[i, j, 1])), JUMP_FLOOR)
                           for j in range(k))
@@ -298,10 +291,23 @@ def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
             for i in range(count)]
 
 
-def _fold_map(chain: SmoothChain) -> StackMap:
-    normals = chain.chamber.simple_normals
-    cap = chain.group.order
-    return lambda points: _fold_rows(normals, points, cap)
+def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
+                   offsets: Sequence[tuple[float, ...]], orders: tuple[int, ...],
+                   control: StackMap | None = None) -> list[ProbeReport]:
+    """The ProbeReports of the two-sided probes at the points xs along vs,
+    each with its own offsets; control, when given, runs through the same
+    probes. Every probe's orders and offsets are checked first, so a
+    schedule at the rounding floor evaluates nothing."""
+    if any(order not in (1, 2, 3) for order in orders):
+        raise ValueError("order must be 1, 2, or 3")
+    for x, offs in zip(xs, offsets):
+        _check_offsets(x, offs)
+    jumps = _two_sided_jumps(fn, xs, vs, offsets, orders)
+    controls = ([None] * len(xs) if control is None
+                else _two_sided_jumps(control, xs, vs, offsets, orders))
+    return [ProbeReport(point=x, direction=v, offsets=offs, orders=orders,
+                        jumps=j, control_jumps=c)
+            for x, v, offs, j, c in zip(xs, vs, offsets, jumps, controls)]
 
 
 def _wall_reports(chain: SmoothChain, fn: StackMap,
@@ -315,8 +321,7 @@ def _wall_reports(chain: SmoothChain, fn: StackMap,
     Offsets are rescaled so the nominal schedule probes fixed fractions of
     the local tube radius at x, and the raw fold runs through the same
     probes as the control. fn and the fold are each evaluated once, over
-    every probe. Every sample's offsets are checked first, so a schedule at
-    the rounding floor evaluates nothing.
+    every probe.
     """
     xs, vs, scaled = [], [], []
     for x, face, wall in samples:
@@ -327,15 +332,10 @@ def _wall_reports(chain: SmoothChain, fn: StackMap,
         xs.append(x)
         vs.append(v / np.linalg.norm(v))
         scaled.append(tuple(float(d) * radius / REFERENCE_RADIUS for d in offsets))
-        _check_offsets(x, scaled[-1])
-    orders = tuple(orders)
-    xs_stack = np.reshape(xs, (len(xs), chain.group.dimension))
-    vs_stack = np.reshape(vs, xs_stack.shape)
-    jumps = _two_sided_jumps(fn, xs_stack, vs_stack, scaled, orders)
-    control = _two_sided_jumps(_fold_map(chain), xs_stack, vs_stack, scaled, orders)
-    return [ProbeReport(point=x, direction=v, offsets=offs, orders=orders,
-                        jumps=j, control_jumps=c)
-            for x, v, offs, j, c in zip(xs, vs, scaled, jumps, control)]
+    xs = np.reshape(xs, (len(xs), chain.group.dimension))
+    normals, cap = chain.chamber.simple_normals, chain.group.order
+    return _probe_reports(fn, xs, np.reshape(vs, xs.shape), scaled, tuple(orders),
+                          control=lambda points: _fold_rows(normals, points, cap))
 
 
 def origin_line_probe(
@@ -352,9 +352,6 @@ def origin_line_probe(
     fixed = group.fixed_subspace
     scaled = tuple(float(d) * chain.tubes.c0 / REFERENCE_RADIUS
                    for d in DEFAULT_OFFSETS)
-    orders = (1, 2)
-    origin = np.zeros(group.dimension)
-    _check_offsets(origin, scaled)
     directions = []
     for _ in range(count):
         v = rng.normal(size=group.dimension)
@@ -362,38 +359,20 @@ def origin_line_probe(
             v = v - fixed @ (fixed.T @ v)
         directions.append(v / np.linalg.norm(v))
     vs = np.reshape(directions, (count, group.dimension))
-    jumps = _two_sided_jumps(fn, np.zeros_like(vs), vs, [scaled] * count, orders)
-    return [ProbeReport(point=origin, direction=v, offsets=scaled, orders=orders,
-                        jumps=j)
-            for v, j in zip(directions, jumps)]
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class CurveReport:
-    """One-parameter version of ProbeReport for probes along curves."""
-
-    offsets: tuple[float, ...]
-    orders: tuple[int, ...]
-    jumps: dict[int, tuple[float, ...]]
-    slopes: dict[int, float] = dataclasses.field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slopes", _fit_slopes(self.offsets, self.jumps))
+    return _probe_reports(fn, np.zeros_like(vs), vs, [scaled] * count, (1, 2))
 
 
 def curve_jump_probe(
     fn: Callable[[float], np.ndarray],
     offsets: Sequence[float] = DEFAULT_OFFSETS,
     orders: Sequence[int] = (1,),
-) -> CurveReport:
-    """Derivative mismatch of a curve s -> fn(s) across s = 0: the two-sided
-    jumps of a wall probe at x = 0 along v = 1, with fn called once per
-    stencil point."""
+) -> ProbeReport:
+    """Derivative mismatch of a curve s -> fn(s) across s = 0: the probe at
+    point (0,) along direction (1,), with fn called once per stencil point."""
     offsets = tuple(float(d) for d in offsets)
-    orders = tuple(orders)
     rows = lambda points: np.array([fn(s) for s in points[:, 0].tolist()], dtype=float)
-    jumps = _two_sided_jumps(rows, np.zeros((1, 1)), np.ones((1, 1)), [offsets], orders)
-    return CurveReport(offsets=offsets, orders=orders, jumps=jumps[0])
+    return _probe_reports(rows, np.zeros((1, 1)), np.ones((1, 1)), [offsets],
+                          tuple(orders))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +426,7 @@ def growth_bound_check(
             base = strat.interior_point(face, radius=1.0)
             base_d = float(chain.lower_face_distances(i, base).min())
             x = base * (d / base_d)
-            radius = eval_l(chain, i, x)
+            radius = _radius_at(chain, face, x)
             active = list(face.active)
             v = chain.chamber.simple_normals[active].sum(axis=0)
             v = v / np.linalg.norm(v)
@@ -462,7 +441,7 @@ def growth_bound_check(
     points = np.array(bases)
     jacobians, second = _run_stencils(fn, [
         _jacobian_stencils(points, steps),
-        _directional_stencils(points, np.array(lines), 2, steps)])
+        _line_stencils(points, np.array(lines), 2, np.asarray(steps))])
     d1 = [float(np.linalg.norm(jacobian)) for jacobian in jacobians]
     d2 = [max(float(np.linalg.norm(d)) for d in along) for along in second]
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .calculus import _RoundingFloorError, _least_resolved_slope, curve_jump_probe
 from .chamber import chamber_from_group, classify, fold
-from .config import ConfigError, RunConfig, parse_config, tube_spec_from_config
+from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
+                     tube_spec_from_config)
 from .polar import eigen_crossing_curve, model_H, random_rotation, sym_eig_model, sym_to_matrix
 from .smoothing import SmoothChain, TubeConfigError, apply_H, build_chain, validate_tubes
 from .verify import CheckResult, PRESET_ORDERS, _wall_probes, run_verification
@@ -99,7 +100,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     else:
-        cfg = RunConfig(preset="b2")
+        cfg = RunConfig(preset=DEFAULT_PRESET)
     overrides = {}
     if getattr(args, "preset", None):
         overrides["preset"] = args.preset
@@ -214,13 +215,8 @@ def cmd_build_map(cfg: RunConfig) -> int:
 
 def cmd_probe(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
-    try:
-        reports = _wall_probes(chain, cfg.count, cfg.seed,
-                               offsets=cfg.offsets, orders=cfg.orders)
-    except _RoundingFloorError as exc:
-        offsets = ",".join(f"{d:g}" for d in cfg.offsets)
-        raise ConfigError(f"probe offsets {offsets} reach the rounding floor "
-                          "at the probe points; use larger offsets") from exc
+    reports = _wall_probes(chain, cfg.count, cfg.seed,
+                           offsets=cfg.offsets, orders=cfg.orders)
     probes = []
     for rep in reports:
         probes.append({
@@ -251,6 +247,12 @@ def cmd_demo_sym3(cfg: RunConfig, matrices_path: str | None) -> int:
         coords = _read_points(matrices_path, 6)
     else:
         coords = [rng.normal(size=6) for _ in range(cfg.count)]
+    # raw eigenvalue kink vs the smoothed map along one curve through a
+    # repeated-eigenvalue matrix, probed before any row is written (the
+    # curve has its own seeded rng)
+    curve = eigen_crossing_curve(seed=cfg.seed)
+    raw = curve_jump_probe(lambda s: model.section_map(curve(s)), cfg.offsets)
+    smooth = curve_jump_probe(lambda s: model_H(model, chain, curve(s)), cfg.offsets)
     rows = []
     for q in coords:
         h = model_H(model, chain, q)
@@ -258,8 +260,7 @@ def cmd_demo_sym3(cfg: RunConfig, matrices_path: str | None) -> int:
     header = ["a11", "a22", "a33", "a12", "a13", "a23", "h1", "h2", "h3"]
     _emit_csv(cfg.out, header, rows)
 
-    # contrast summary: invariance residual, and raw eigenvalue kink vs the
-    # smoothed map along one curve through a repeated-eigenvalue matrix
+    # contrast summary: invariance residual, and the two curve probes
     inv_worst = 0.0
     for q in coords[: min(len(coords), 20)]:
         a = sym_to_matrix(q)
@@ -268,9 +269,6 @@ def cmd_demo_sym3(cfg: RunConfig, matrices_path: str | None) -> int:
             rot = random_rotation(rng)
             moved = model_H(model, chain, rot @ a @ rot.T)
             inv_worst = max(inv_worst, float(np.max(np.abs(moved - base))))
-    curve = eigen_crossing_curve(seed=cfg.seed)
-    raw = curve_jump_probe(lambda s: model.section_map(curve(s)), cfg.offsets)
-    smooth = curve_jump_probe(lambda s: model_H(model, chain, curve(s)), cfg.offsets)
     summary = {
         "matrices": len(coords),
         "invariance_max_residual": inv_worst,
@@ -365,6 +363,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
+    except _RoundingFloorError:
+        offsets = ",".join(f"{d:g}" for d in cfg.offsets)
+        sys.stderr.write(f"error: probe offsets {offsets} reach the rounding floor "
+                         "at the probe points; use larger offsets\n")
+        return 2
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

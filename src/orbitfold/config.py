@@ -18,6 +18,7 @@ from .calculus import DEFAULT_OFFSETS
 from .groups import ReflectionGroup, generate_group, preset_group
 
 _PRESET_PATTERN = re.compile(r"^(a2|b2|a3|b3|i2[-(:]?\s*\d+\)?)$")
+DEFAULT_PRESET = "b2"          # the group of a run that names none
 
 
 class ConfigError(ValueError):
@@ -129,6 +130,8 @@ def parse_config(text: str) -> RunConfig:
     if parser.has_option("group", "normals"):
         rows = [r for r in parser.get("group", "normals").split(";") if r.strip()]
         kwargs["normals"] = tuple(_floats(r) for r in rows)
+    if not kwargs:
+        kwargs["preset"] = DEFAULT_PRESET
 
     section_fields = {
         "tubes": (("c0", float), ("k", int), ("b", _level_map), ("c", _level_map)),

@@ -18,7 +18,6 @@ from .calculus import (
     DECAY_SLOPE,
     DEFAULT_OFFSETS,
     ProbeReport,
-    _directional_stencils,
     _evaluate,
     _jacobian_stencils,
     _least_resolved_slope,
@@ -36,10 +35,10 @@ from .smoothing import (
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
+    _radius_at,
     apply_G,
     apply_H,
     eval_h,
-    eval_l,
     tube_coords,
 )
 
@@ -234,7 +233,7 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
             x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
             if classify(chain.group, x).level != level:
                 continue
-            radius = eval_l(chain, level, x)
+            radius = _radius_at(chain, face, x)
             if radius < 0.15:
                 # Order-3 stencil noise is ~eps*|x|/step**3, so narrow tubes
                 # (deep-level faces) cannot resolve 1e-6 at any step.  Faces
@@ -242,7 +241,7 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
                 # below the caps, so slide the sample outward until the tube
                 # is wide enough to measure through.
                 x = x * (0.15 / radius)
-                radius = eval_l(chain, level, x)
+                radius = _radius_at(chain, face, x)
             v = chain.chamber.simple_normals[list(face.active)].sum(axis=0)
             v = v / np.linalg.norm(v)
             bases.append(x + (1e-3 * radius) * v)
@@ -258,7 +257,8 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
             continue
         fn = lambda points: _apply_F_rows(chain, level, points)
         # orders 1-3 at every sample of the level share one evaluation
-        stencils = [_directional_stencils(np.array(bases), np.array(normals), order, steps)
+        stencils = [_line_stencils(np.array(bases), np.array(normals)[:, None], order,
+                                   np.asarray(steps))
                     for order in (1, 2, 3)]
         for derivatives in _run_stencils(fn, stencils):
             for d in derivatives:

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from orbitfold import calculus
+from orbitfold import calculus, verify
 
 from orbitfold.calculus import (
+    DEFAULT_GROWTH_DISTANCES,
     DEFAULT_OFFSETS,
-    CurveReport,
     GrowthReport,
     ProbeReport,
-    _directional_stencils,
     _hessian_stencils,
     _jacobian_stencils,
+    _line_stencils,
     _run_stencils,
     _wall_reports,
     curve_jump_probe,
@@ -22,7 +22,7 @@ from orbitfold.calculus import (
 from orbitfold.chamber import fold
 from orbitfold.groups import preset_group
 from orbitfold.smoothing import (
-    SmoothProfile, apply_G, apply_H, build_chain, eval_h, eval_l)
+    SmoothProfile, _radius_at, apply_G, apply_H, build_chain, eval_h, eval_l)
 from orbitfold.verify import check_growth
 from stencil_oracle import per_point, wall_sample
 
@@ -39,8 +39,8 @@ def hessian(fn, p, step):
 
 
 def directional(fn, p, direction, order, step):
-    return _run_stencils(per_point(fn), [_directional_stencils(p[None, :], direction[None, :],
-                                                               order, [step])])[0][0]
+    stencil = _line_stencils(p[None, :], direction[None, None, :], order, np.array([step]))
+    return _run_stencils(per_point(fn), [stencil])[0][0, 0]
 
 
 def wall_probe(chain, fn, x):
@@ -102,8 +102,12 @@ class TestStencils:
         assert np.max(np.abs(T[0] - T[0].T)) == 0.0
 
     def test_directional_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            directional(lambda p: p, np.zeros(2), np.array([1.0, 0.0]), 4, 1e-3)
+        # the probes take directional orders 1-3 and refuse others before
+        # evaluating anything
+        calls = []
+        with pytest.raises(ValueError, match="order"):
+            curve_jump_probe(lambda s: calls.append(s) or np.array([s]), orders=(4,))
+        assert calls == []
 
     def test_jacobian_of_full_map_in_identity_tail(self, b2_chain):
         # Far from every stratum all tube maps copy their input through.
@@ -354,6 +358,29 @@ class TestGrowth:
         assert all(r.passed for r in results), [r.line() for r in results]
 
 
+@pytest.mark.parametrize("preset", ["i2-3", "i2-4", "a2", "b2", "a3", "b3"])
+def test_radius_of_the_sampled_face_is_eval_l(preset, monkeypatch):
+    # The flatness and growth checks take the radius on the face they
+    # sampled; at every such point it must be the bits eval_l finds.
+    chain = build_chain(preset_group(preset))
+    seen = []
+
+    def radius_at(chain, face, x):
+        radius = _radius_at(chain, face, x)
+        assert radius == eval_l(chain, face.level, x), (face.active, x.tolist())
+        seen.append(radius)
+        return radius
+
+    monkeypatch.setattr(verify, "_radius_at", radius_at)
+    monkeypatch.setattr(calculus, "_radius_at", radius_at)
+    for seed in (0, 1):
+        verify.check_flatness(chain, points_per_level=50, seed=seed)
+    flatness = len(seen)
+    assert min(seen, default=1.0) < 0.15        # some samples slide outward
+    verify.check_growth(chain)
+    assert len(seen) - flatness == len(DEFAULT_GROWTH_DISTANCES) * (chain.rank - 1)
+
+
 # ---------------------------------------------------------------------------
 # curve probes
 # ---------------------------------------------------------------------------
@@ -373,6 +400,8 @@ class TestCurveProbe:
 
     def test_report_fields(self):
         rep = curve_jump_probe(lambda s: np.array([abs(s)]), orders=(1, 2))
-        assert isinstance(rep, CurveReport)
+        assert isinstance(rep, ProbeReport)
+        assert rep.point.tolist() == [0.0] and rep.direction.tolist() == [1.0]
+        assert rep.control_jumps is None and rep.control_slopes is None
         assert rep.offsets == DEFAULT_OFFSETS
         assert set(rep.jumps) == {1, 2}

@@ -155,6 +155,17 @@ class TestBuildMap:
         assert doc["validation"]["ok"] is False
         assert "slope" in doc["validation"]["error"]
 
+    @pytest.mark.parametrize("preset", [None, "a3"])
+    def test_config_without_group_takes_default_or_preset(self, capsys, tmp_path, preset):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[probe]\noffsets = 0.3,0.1,0.03\n")
+        extra = ["--preset", preset] if preset else []
+        code, out, _ = run(capsys, "build-map", "--config", str(cfg), *extra)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["group"]["preset"] == (preset or "b2")
+        assert doc["group"]["order"] == (24 if preset else 8)
+
 
 class TestProbe:
     def test_emits_probe_document(self, capsys, tmp_path):
@@ -247,6 +258,35 @@ class TestDemoSym3:
         code, _, err = run(capsys, "demo-sym3", str(mats))
         assert code == 2
         assert "row 1" in err
+
+    def test_offsets_at_rounding_floor_exit_two(self, capsys, tmp_path):
+        # the curve probes refuse the schedule as probe does, before any
+        # row of the CSV is written
+        out_path = tmp_path / "demo.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\npreset = a2\n\n[probe]\noffsets = 1e-15,1e-16\n")
+        for extra in ([], ["--out", str(out_path)]):
+            code, out, err = run(capsys, "demo-sym3", "--config", str(cfg), *extra)
+            assert code == 2
+            assert out == ""
+            assert err == ("error: probe offsets 1e-15,1e-16 reach the rounding floor "
+                           "at the probe points; use larger offsets\n")
+        assert not out_path.exists()
+
+    def test_config_without_group(self, capsys, tmp_path):
+        # a config that names no group runs on the default one (b2), which
+        # the demo does not use: the output is that of a config naming a2
+        offsets = "\n[probe]\noffsets = 0.3,0.1,0.03,0.01,0.001\n"
+        outputs = []
+        for group in ("", "[group]\npreset = a2\n"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(group + offsets + "\n[sampling]\ncount = 3\n")
+            code, out, err = run(capsys, "demo-sym3", "--config", str(cfg),
+                                 "--out", str(tmp_path / "demo.csv"))
+            assert code == 0 and err == ""
+            outputs.append((out, (tmp_path / "demo.csv").read_text()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["crossing_smoothed_slope"] >= 0.8
 
 
 # ---------------------------------------------------------------------------

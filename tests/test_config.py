@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orbitfold.config import (
+    DEFAULT_PRESET,
     ConfigError,
     RunConfig,
     parse_config,
@@ -80,6 +81,11 @@ class TestValidation:
             RunConfig()
         with pytest.raises(ConfigError, match="exactly one"):
             RunConfig(preset="b2", normals=((1.0,),))
+
+    def test_config_without_group_takes_the_default(self):
+        cfg = parse_config("[probe]\noffsets = 0.3,0.1\n")
+        assert cfg.preset == DEFAULT_PRESET == "b2" and cfg.normals is None
+        assert cfg.offsets == (0.3, 0.1)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):

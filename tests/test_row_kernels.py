@@ -21,11 +21,10 @@ from orbitfold.calculus import (
     ROW_CAP,
     STEP_FRACTION,
     _RoundingFloorError,
-    _directional_stencils,
     _evaluate,
-    _fold_map,
     _hessian_stencils,
     _jacobian_stencils,
+    _line_stencils,
     _run_stencils,
     _two_sided_jumps,
     _wall_reports,
@@ -156,7 +155,7 @@ def test_fd_helpers_agree_bitwise_across_paths(preset):
         v /= np.linalg.norm(v)
         step = [10.0 ** rng.uniform(-4.0, -2.0)]
         stencils = [_jacobian_stencils(p, step), _hessian_stencils(p, step)] + [
-            _directional_stencils(p, v, order, step) for order in (1, 2, 3)]
+            _line_stencils(p, v[:, None], order, np.array(step)) for order in (1, 2, 3)]
         calls = []
         whole = _run_stencils(_counted(lambda rows: _apply_H_rows(chain, rows), calls),
                               stencils)
@@ -213,7 +212,9 @@ def test_stacked_stencils_match_frozen_per_point_path(preset):
         tuple(sorted(10.0 ** rng.uniform(-4.0, -1.0, size=5), reverse=True))
         for _ in range(count - 1)]
     orders = (1, 2, 3)
-    for fn in (lambda rows: _apply_H_rows(chain, rows), _fold_map(chain)):
+    normals, cap = chain.chamber.simple_normals, chain.group.order
+    for fn in (lambda rows: _apply_H_rows(chain, rows),
+               lambda rows: _fold_rows(normals, rows, cap)):
         stacked = _two_sided_jumps(fn, xs, vs, offsets, orders)
         for x, v, offs, jumps in zip(xs, vs, offsets, stacked):
             assert jumps == oracle.two_sided_jumps(fn, x, v, offs, orders)
@@ -221,12 +222,12 @@ def test_stacked_stencils_match_frozen_per_point_path(preset):
         steps = [STEP_FRACTION * special] + list(10.0 ** rng.uniform(-5.0, -2.0, count - 1))
         jac, hess, *lines = _run_stencils(fn, [
             _jacobian_stencils(xs, steps), _hessian_stencils(xs, steps)]
-            + [_directional_stencils(xs, vs, order, steps) for order in orders])
+            + [_line_stencils(xs, vs[:, None], order, np.array(steps)) for order in orders])
         for i, (x, v, step) in enumerate(zip(xs, vs, steps)):
             ref = oracle.run_stencils(fn, [
                 oracle.jacobian_stencil(x, step), oracle.hessian_stencil(x, step)]
                 + [oracle.directional_stencil(x, v, order, step) for order in orders])
-            for got, want in zip([jac[i], hess[i]] + [d[i] for d in lines], ref):
+            for got, want in zip([jac[i], hess[i]] + [d[i, 0] for d in lines], ref):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -254,6 +255,8 @@ def test_rounding_floor_is_refused_before_any_evaluation():
     sample = oracle.wall_sample(chain, [1.5, 0.0])
     with pytest.raises(_RoundingFloorError):
         _wall_reports(chain, fn, [sample], (1e-20, 1e-21), (1, 2))
+    with pytest.raises(_RoundingFloorError):
+        curve_jump_probe(lambda s: calls.append(s) or np.array([s]), (1e-15, 1e-16))
     assert calls == []
 
 

@@ -7,13 +7,15 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, and five edge configurations: a rank-1 group under `verify` and
+--out, and seven edge configurations: a rank-1 group under `verify` and
 `probe`, probe offsets at the rounding floor, a3 probes of orders 1, 2
 and 3, which put the directional stencils of the jump path under test, and
 `demo-sym3` with and without --out under a probe offset schedule other than
-the default one, which its curve probes take. The
-`fold` inputs are generated here from numpy alone and written to
-OUTDIR/inputs, so they do not depend on the code under test.
+the default one, which its curve probes take, under a schedule at the
+rounding floor, which they refuse, and under a configuration that sets the
+offsets alone and names no group. The `fold` inputs are generated here
+from numpy alone and written to OUTDIR/inputs, so they do not depend on
+the code under test.
 
 Two checkouts behave the same when `diff -r` of their snapshots is empty:
 
@@ -40,7 +42,8 @@ SEEDS = (0, 1)
 DIMENSIONS = {"i2-3": 2, "i2-4": 2, "a2": 3, "b2": 2, "a3": 4, "b3": 3}
 # label -> (the commands run under the configuration, its text); each
 # command runs with --out, and demo-sym3, whose stdout then differs, also
-# without. demo-sym3 builds its own group, but a configuration must name one.
+# without. demo-sym3 builds its own group; a configuration that names none
+# falls back to the default one.
 EDGE_CONFIGS = {
     "rank1": (("verify", "probe"), "[group]\nnormals = 1.0\n"),
     "offset-floor": (("probe",),
@@ -48,6 +51,9 @@ EDGE_CONFIGS = {
     "orders-123": (("probe",), "[group]\npreset = a3\n\n[probe]\norders = 1,2,3\n"),
     "sym3-offsets": (("demo-sym3",), "[group]\npreset = a2\n\n[probe]\n"
                                      "offsets = 0.3,0.1,0.03,0.01,0.001\n"),
+    "sym3-offset-floor": (("demo-sym3",), "[group]\npreset = a2\n\n[probe]\n"
+                                          "offsets = 1e-15,1e-16\n"),
+    "sym3-offsets-only": (("demo-sym3",), "[probe]\noffsets = 0.3,0.1,0.03,0.01,0.001\n"),
 }
 
 

@@ -264,18 +264,87 @@ def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldRe
     return FoldResult(image=image, element=element, steps=len(word))
 
 
+def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T, each row rounded as in any stack of two or more rows.
+
+    BLAS takes a one-row product as a matrix-vector product, which rounds
+    differently, so a row's bits would depend on whether other rows share
+    the call. A lone row is therefore evaluated twice over.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b.T)[:1]
+    return a @ b.T
+
+
+def _split_rows(group: ReflectionGroup, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """essential_split at every row of an (N, n) stack: (p_fixed, p_eff)."""
+    basis = group.fixed_subspace
+    if basis.shape[1] == 0:
+        return np.zeros_like(points), points
+    p_fixed = _stack_product(_stack_product(points, basis.T), basis)
+    return p_fixed, points - p_fixed
+
+
+def _slack(tol: float, eff_norm, fixed_norm):
+    """The wall-incidence threshold tol*(1 + |p_eff|) + _SPLIT_ROUNDING*|p_fixed|,
+    for floats or arrays of norms.
+
+    The second term covers the rounding p_eff = p - p_fixed inherits from
+    the fixed part, a few ulps of |p_fixed|; without it a3 (1, 1, 1, 1)*1e7,
+    on every mirror, sat off all but one.
+    """
+    return tol * (1.0 + eff_norm) + _SPLIT_ROUNDING * fixed_norm
+
+
 def _incidence(group: ReflectionGroup, p: np.ndarray,
                tol: float = ON_WALL_TOL) -> tuple[np.ndarray, float]:
     """(p_eff, slack): p's essential part and the wall-incidence threshold
-    that classify and Stratification.face_contains share.
-
-    The slack is tol*(1 + |p_eff|) + _SPLIT_ROUNDING*|p_fixed|. The second
-    term covers the rounding p_eff = p - p_fixed inherits from the fixed
-    part, a few ulps of |p_fixed|; without it a3 (1, 1, 1, 1)*1e7, on every
-    mirror, sat off all but one.
-    """
+    (_slack) that classify and Stratification.face_contains share."""
     p_fixed, p_eff = essential_split(group, p)
-    return p_eff, tol * (1.0 + _norm(p_eff)) + _SPLIT_ROUNDING * _norm(p_fixed)
+    return p_eff, _slack(tol, _norm(p_eff), _norm(p_fixed))
+
+
+def _incident_rows(group: ReflectionGroup, points: np.ndarray,
+                   tol: float = ON_WALL_TOL) -> np.ndarray:
+    """(N, m) mask of the mirrors through each row of an (N, n) stack, by
+    classify's rule: |<p_eff, n>| <= _slack. Each row rounds as it would
+    alone (_stack_product)."""
+    p_fixed, p_eff = _split_rows(group, points)
+    fixed_norm = _norms(p_fixed) if group.fixed_subspace.shape[1] else 0.0
+    slack = _slack(tol, _norms(p_eff), fixed_norm)
+    return np.abs(_stack_product(p_eff, group._mirror_normals)) <= slack[:, None]
+
+
+def _wall_rank(group: ReflectionGroup, walls: tuple[int, ...]) -> int:
+    """Rank of the normals of the mirrors `walls`, from the group's table.
+
+    The rank depends on the wall subset alone, so its SVD is taken once per
+    subset, at the subset's first use, and kept in group._wall_ranks.
+    """
+    rank = group._wall_ranks.get(walls)
+    if rank is None:
+        rank = 0
+        if walls:
+            svals = np.linalg.svd(group._mirror_normals[list(walls)], compute_uv=False)
+            rank = int(np.sum(svals > _RANK_TOL))
+        group._wall_ranks[walls] = rank
+    return rank
+
+
+def _classify_rows(group: ReflectionGroup, points: np.ndarray,
+                   tol: float = ON_WALL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """classify at every row of an (N, n) stack: (incident, level), with
+    incident the (N, m) mask of the mirrors through each row and level its
+    stratum's level. Each distinct wall subset looks its rank up once."""
+    incident = _incident_rows(group, points, tol)
+    if not len(incident):
+        return incident, np.zeros(0, dtype=int)
+    packed = np.packbits(incident, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ranks = np.array([_wall_rank(group, tuple(np.flatnonzero(incident[k]).tolist()))
+                      for k in first.tolist()])
+    return incident, group.essential_rank - ranks[inverse.reshape(-1)]
 
 
 def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TOL) -> StratumDescriptor:
@@ -283,8 +352,9 @@ def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TO
 
     Incidence is relative: |<p_eff, n>| <= tol * (1 + |p_eff|), plus the
     rounding of the essential split (_incidence). The level is
-    essential_rank minus the rank of the collected normals, so the minimal
-    stratum gets level 0 everywhere the group acts.
+    essential_rank minus the rank of the collected normals, read from the
+    table _classify_rows shares (_wall_rank), so the minimal stratum gets
+    level 0 everywhere the group acts.
 
     The 1 keeps the tolerance at tol or more near 0, so a point with
     |p_eff| below about tol lies on every mirror and classifies to level 0:
@@ -298,12 +368,7 @@ def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TO
         i for i, m in enumerate(group.mirrors)
         if abs(float(m.normal @ p_eff)) <= slack
     )
-    if walls:
-        stack = np.stack([group.mirrors[i].normal for i in walls])
-        svals = np.linalg.svd(stack, compute_uv=False)
-        rank = int(np.sum(svals > _RANK_TOL))
-    else:
-        rank = 0
+    rank = _wall_rank(group, walls)
     return StratumDescriptor(
         walls_containing=walls,
         level=group.essential_rank - rank,

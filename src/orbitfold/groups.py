@@ -165,6 +165,10 @@ class ReflectionGroup:
 
     def __post_init__(self) -> None:
         self._index = {_matrix_key(e.matrix): i for i, e in enumerate(self.elements)}
+        # read by chamber's classify: the mirror normals as (m, n) rows, and
+        # the rank of each wall subset met so far (chamber._wall_rank)
+        self._mirror_normals = np.reshape([m.normal for m in self.mirrors], (-1, self.dimension))
+        self._wall_ranks: dict[tuple[int, ...], int] = {}
 
     @property
     def order(self) -> int:

@@ -39,6 +39,7 @@ from .chamber import (
     _norm,
     _norms,
     _null_space_basis,
+    _stack_product,
     _unit_scaled,
     _unit_scaled_rows,
     chamber_from_group,
@@ -368,18 +369,6 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     return (1.0 - w) * raw + w * cap
 
 
-def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b.T, each row rounded as in any stack of two or more rows.
-
-    BLAS takes a one-row product as a matrix-vector product, which rounds
-    differently, so a row's bits would depend on whether other rows share
-    the call. A lone row is therefore evaluated twice over.
-    """
-    if len(a) == 1:
-        return (np.concatenate([a, a]) @ b.T)[:1]
-    return a @ b.T
-
-
 def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
     """_radius_at for every row of a stack of feet in open level-i faces."""
     if i == 0:
@@ -527,50 +516,62 @@ def apply_F(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
     return _apply_F(chain, i, _as_point(p, chain.chamber.dimension))
 
 
-def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
-    """apply_F at every row of an (N, n) stack.
+def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Which level-i tubes hold each row of an (N, n) stack:
+    (live, claims, t, radius, feet).
 
     _reach rules out each (row, face) pair with an active wall farther
-    from the row than it allows, as in _claiming_faces; rows left with no
-    pair keep their value. One matmul gives each remaining row's foot on
-    every level-i face; the open-face test, the heights t and the radii of
-    the candidate feet that pass it are each one array operation over the
-    (row, face) pairs. Each row then takes the first face, in
-    faces_at_level order, whose tube holds it, as tube_coords does. Every
-    product rounds each row as _stack_product does, so a row's result does
-    not depend on the rest of the stack.
+    from the row than it allows, as in _claiming_faces; `live` indexes the
+    rows left with a pair, and the other arrays hold those rows alone, in
+    that order. One matmul gives each live row's foot on every level-i face
+    (feet, (L, F, n), faces in faces_at_level order); the open-face test,
+    the heights t and the radii of the candidate feet that pass it are each
+    one array operation over the (row, face) pairs. claims (L, F) marks the
+    pairs whose tube holds the row; radius is 0 where the foot failed the
+    open-face test. A row's first claimed face is the one tube_coords
+    picks. Every product rounds each row as _stack_product does, so a row's
+    result does not depend on the rest of the stack.
     """
     projectors, penalty = chain._face_rows[i]
     normals = chain.chamber.simple_normals
+    n_faces = len(penalty)
     size = _norms(points)
     far = np.abs(points @ normals.T) > _reach(chain, i, size)[:, None]
     far_bits = far @ (1 << np.arange(len(normals)))
     candidate = (far_bits[:, None] & np.array(chain._face_masks[i])) == 0
     live = np.flatnonzero(candidate.any(axis=1))
-    out = points.copy()
-    if live.size == 0:
-        return out
-    points, candidate, below = points[live], candidate[live], size[live].max()
-    n_rows, dim = points.shape
-    n_faces = len(penalty)
+    n_rows, dim = len(live), points.shape[1]
+    if not n_rows:
+        empty = np.zeros((0, n_faces))
+        return live, empty.astype(bool), empty, empty, np.zeros((0, n_faces, dim))
+    points, candidate = points[live], candidate[live]
+    below = size[live].max()
     feet = _stack_product(points, projectors).reshape(n_rows, n_faces, dim)
     foot_norm = _norms(feet, below)
     wall_vals = feet @ normals.T + penalty
     open_face = candidate & (wall_vals.min(axis=2) > ON_WALL_TOL * (1.0 + foot_norm))
-    offset = points[:, None, :] - feet
-    t = _norms(offset, below)
+    t = _norms(points[:, None, :] - feet, below)
     radius = np.zeros((n_rows, n_faces))
     radius[open_face] = _radius_rows(chain, i, feet[open_face])
-    claims = open_face & (t < radius)
+    return live, open_face & (t < radius), t, radius, feet
+
+
+def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
+    """apply_F at every row of an (N, n) stack. Each row is mapped in the
+    first tube that holds it, in faces_at_level order (_tube_claims), as
+    apply_F maps it; a row no tube holds keeps its value."""
+    live, claims, t, radius, feet = _tube_claims(chain, i, points)
+    out = points.copy()
     rows = np.flatnonzero(claims.any(axis=1))
     face = claims[rows].argmax(axis=1)
     # a row on its face (t == 0) stays where it is, as in apply_F
     off_face = t[rows, face] > 0.0
     rows, face = rows[off_face], face[off_face]
-    height, rad = t[rows, face], radius[rows, face]
+    height, rad, foot = t[rows, face], radius[rows, face], feet[rows, face]
     u = height / rad
     h = u * _g_rows(u)          # eval_h at order 0
-    out[live[rows]] = feet[rows, face] + (rad * h)[:, None] * (offset[rows, face] / height[:, None])
+    offset = points[live[rows]] - foot
+    out[live[rows]] = foot + (rad * h)[:, None] * (offset / height[:, None])
     return out
 
 
@@ -653,7 +654,9 @@ def validate_tubes(chain: SmoothChain) -> TubeReport:
     TubeConfigError naming the offending wall pair; the sampling checks then
     confirm disjointness of same-level tubes and that each sampled tube
     point projects back to the face it was built over. Each face is sampled
-    along 4 random normal directions (seed 0) at 3 scales and 3 heights.
+    along 4 random normal directions (seed 0) at 3 scales and 3 heights;
+    each level's samples meet its tubes in one _tube_claims pass, and the
+    first offending sample, in sampling order, raises.
     """
     group = chain.group
     theta: float | None
@@ -673,31 +676,45 @@ def validate_tubes(chain: SmoothChain) -> TubeReport:
 
     rng = np.random.default_rng(0)
     strat = chain.stratification
+    dim = chain.chamber.dimension
     checked = 0
     for level in range(1, chain.rank):
         faces = strat.faces_at_level(level)
-        for face in faces:
-            dirs = _normal_space_directions(face, chain.chamber.dimension, rng, 4)
+        owner, bases, scales, points = [], [], [], []    # per sample
+        for f, face in enumerate(faces):
+            dirs = _normal_space_directions(face, dim, rng, 4)
             for scale in (0.3, 1.0, 3.0):
                 x = strat.interior_point(face, radius=scale)
                 radius = _radius_at(chain, face, x)
                 for v in dirs:
                     for frac in (0.25, 0.6, 0.95):
-                        p = x + (frac * radius) * v
-                        hits = _claiming_faces(chain, level, p)
-                        checked += 1
-                        owners = [h for h in hits if h.face is face]
-                        others = [h for h in hits if h.face is not face]
-                        if others:
-                            raise TubeConfigError(
-                                f"tubes overlap at level {level}: faces"
-                                f" {face.active} and {others[0].face.active}"
-                                f" both contain {p}")
-                        if not owners:
-                            continue       # fell past a face edge; harmless
-                        if np.linalg.norm(owners[0].foot - x) > 1e-9 * (1 + scale):
-                            raise TubeConfigError(
-                                f"foot of a level-{level} tube point is not unique")
+                        owner.append(f)
+                        bases.append(x)
+                        scales.append(scale)
+                        points.append(x + (frac * radius) * v)
+        # every sample of the level against every level face, in one pass
+        n, rows, owner = len(points), np.arange(len(points)), np.array(owner, dtype=int)
+        live, claims, _, _, feet = _tube_claims(chain, level, np.reshape(points, (n, dim)))
+        held = np.zeros((n, len(faces)), dtype=bool)
+        held[live] = claims
+        own_foot = np.zeros((n, dim))
+        own_foot[live] = feet[np.arange(len(live)), owner[live]]
+        owned = held[rows, owner]
+        held[rows, owner] = False       # what is left is held by another face
+        overlap = held.any(axis=1)
+        # a sample its own tube does not hold fell past a face edge; harmless
+        moved = owned & (np.linalg.norm(own_foot - bases, axis=1)
+                         > 1e-9 * (1.0 + np.array(scales)))
+        checked += n
+        bad = np.flatnonzero(overlap | moved)
+        if bad.size:
+            k = bad[0]
+            if overlap[k]:
+                raise TubeConfigError(
+                    f"tubes overlap at level {level}: faces"
+                    f" {faces[owner[k]].active} and {faces[held[k].argmax()].active}"
+                    f" both contain {points[k]}")
+            raise TubeConfigError(f"foot of a level-{level} tube point is not unique")
     return TubeReport(
         theta_min=theta,
         slope_margins=slope_margins,

@@ -4,6 +4,12 @@ Each check returns CheckResult records: an invariant name, the measured
 value, the threshold it is held to, and whether it passed. Checks never
 raise on a failed invariant — they report — so a verification run always
 produces the complete list.
+
+Each check makes one stacked evaluation: its samples are drawn first, in
+the order a point-at-a-time loop would draw them, and then folded,
+classified, tested against the tubes and mapped as (N, n) stacks through
+the row kernels. check_fold is where the public scalar fold is checked
+against the stacked one.
 """
 
 from __future__ import annotations
@@ -27,8 +33,17 @@ from .calculus import (
     growth_bound_check,
     origin_line_probe,
 )
-from .chamber import Chamber, _fold_rows, classify, fold
-from .groups import ReflectionGroup, essential_split, reflection_matrix
+from .chamber import (
+    Chamber,
+    _classify_rows,
+    _fold_rows,
+    _incident_rows,
+    _split_rows,
+    _square_sums,
+    _stack_product,
+    fold,
+)
+from .groups import ReflectionGroup, reflection_matrix
 from .smoothing import (
     SmoothChain,
     SmoothProfile,
@@ -36,10 +51,8 @@ from .smoothing import (
     _apply_G_rows,
     _apply_H_rows,
     _radius_at,
-    apply_G,
-    apply_H,
+    _tube_claims,
     eval_h,
-    tube_coords,
 )
 
 PRESET_ORDERS = {"i2-3": 6, "i2-4": 8, "a2": 6, "b2": 8, "a3": 24, "b3": 48}
@@ -190,30 +203,114 @@ def sample_face_point(chain: SmoothChain, face, rng: np.random.Generator,
     return float(rng.uniform(*radius_range)) * x
 
 
-def sample_regular_margin_point(chain: SmoothChain,
-                                rng: np.random.Generator) -> np.ndarray:
-    """Regular chamber point staying a definite fraction inside every tube
-    it meets: tube height fraction >= 0.3 at each level it enters and
-    essential norm >= 0.3*c0, so derivative information is not squeezed
-    through the flat throat of the profile."""
-    for _ in range(500):
-        p = rng.normal(scale=1.5, size=chain.group.dimension)
-        q = fold(chain.group, chain.chamber, p).image
-        desc = classify(chain.group, q)
-        if desc.walls_containing:
-            continue
-        _, q_eff = essential_split(chain.group, q)
-        if float(np.linalg.norm(q_eff)) < 0.3 * chain.tubes.c0:
-            continue
-        ok = True
+def _face_samples(chain: SmoothChain, faces, count: int, rng: np.random.Generator,
+                  radius_range: tuple[float, float]) -> tuple[list, np.ndarray]:
+    """(faces drawn, (count, n) stack of points): sample j from
+    sample_face_point on faces[j % len(faces)], in order."""
+    drawn = [faces[j % len(faces)] for j in range(count)]
+    points = [sample_face_point(chain, face, rng, radius_range) for face in drawn]
+    return drawn, np.reshape(points, (count, chain.group.dimension))
+
+
+def _essential_norms(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
+    """|p_eff| of every row of a stack, rounded as np.linalg.norm rounds one."""
+    return np.sqrt(_square_sums(_split_rows(chain.group, points)[1]))
+
+
+def _first_claims(chain: SmoothChain, level: int,
+                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(held, t, radius) for every row of a stack: whether a level tube
+    holds the row, and its height and radius in the first tube that does,
+    the one tube_coords gives (0 where none does)."""
+    live, claims, t, radius, _ = _tube_claims(chain, level, points)
+    rows = np.flatnonzero(claims.any(axis=1))
+    face = claims[rows].argmax(axis=1)
+    held = np.zeros(len(points), dtype=bool)
+    height, rad = np.zeros(len(points)), np.zeros(len(points))
+    held[live[rows]] = True
+    height[live[rows]], rad[live[rows]] = t[rows, face], radius[rows, face]
+    return held, height, rad
+
+
+def _fold_gaussians(chain: SmoothChain, rng: np.random.Generator, scale: float,
+                    rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, fold images) of `rows` Gaussian rows: the stream of `rows`
+    draws of one point each, folded as one stack."""
+    points = rng.normal(scale=scale, size=(rows, chain.group.dimension))
+    return points, _fold_rows(chain.chamber.simple_normals, points, chain.group.order)
+
+
+def _separated_pairs(chain: SmoothChain, rng: np.random.Generator,
+                     pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, seconds): `pairs` pairs of fold images of Gaussian points
+    at least 1e-4 apart. The Gaussians are drawn `pairs` pairs at a time,
+    pair k as rows 2k and 2k + 1, and the first pairs accepted are kept in
+    draw order: the pairs that drawing one point at a time would give."""
+    dim = chain.group.dimension
+    firsts, seconds = np.empty((0, dim)), np.empty((0, dim))
+    while len(firsts) < pairs:
+        _, block = _fold_gaussians(chain, rng, 2.0, 2 * pairs)
+        p, q = block[0::2], block[1::2]
+        apart = np.flatnonzero(np.sqrt(_square_sums(p - q)) >= 1e-4)[:pairs - len(firsts)]
+        firsts = np.concatenate([firsts, p[apart]])
+        seconds = np.concatenate([seconds, q[apart]])
+    return firsts, seconds
+
+
+def _tail_points(chain: SmoothChain, rng: np.random.Generator,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, fold images) of up to `count` Gaussian points whose image
+    lies outside every tube: essential norm >= c0 and held by no tube of
+    levels 1..rank-1. At most 100*count points are drawn, `count` rows at
+    a time, and the first accepted are kept in draw order, as drawing one
+    point at a time would keep them."""
+    dim = chain.group.dimension
+    points, images = np.empty((0, dim)), np.empty((0, dim))
+    tries = 0
+    while len(points) < count and tries < 100 * count:
+        p, image = _fold_gaussians(chain, rng, 3.0, min(count, 100 * count - tries))
+        tries += len(p)
+        tail = _essential_norms(chain, image) >= chain.tubes.c0
         for i in range(1, chain.rank):
-            coords = tube_coords(chain, i, q)
-            if coords is not None and coords.t < 0.3 * coords.radius:
-                ok = False
-                break
-        if ok:
-            return q
-    raise RuntimeError("could not sample a regular point with tube margins")
+            tail &= ~_first_claims(chain, i, image)[0]
+        keep = np.flatnonzero(tail)[:count - len(points)]
+        points = np.concatenate([points, p[keep]])
+        images = np.concatenate([images, image[keep]])
+    return points, images
+
+
+def _regular_margin_points(chain: SmoothChain, rng: np.random.Generator,
+                           count: int) -> np.ndarray:
+    """`count` regular chamber points staying a definite fraction inside
+    every tube they meet: tube height fraction >= 0.3 at each level they
+    enter and essential norm >= 0.3*c0, so derivative information is not
+    squeezed through the flat throat of the profile.
+
+    Gaussians are drawn and tested `count` rows at a time, and the first
+    rows accepted are kept in draw order: the points that drawing one at a
+    time would give. 500 rejections in a row raise RuntimeError, as 500
+    failed tries for one point did.
+    """
+    kept: list[np.ndarray] = []
+    misses = 0
+    while len(kept) < count:
+        _, q = _fold_gaussians(chain, rng, 1.5, count)
+        ok = ~_incident_rows(chain.group, q).any(axis=1)
+        ok &= _essential_norms(chain, q) >= 0.3 * chain.tubes.c0
+        for i in range(1, chain.rank):
+            held, t, radius = _first_claims(chain, i, q)
+            ok &= ~held | (t >= 0.3 * radius)
+        for row, good in zip(q, ok.tolist()):
+            if good:
+                kept.append(row)
+                misses = 0
+                if len(kept) == count:
+                    break
+            else:
+                misses += 1
+                if misses == 500:
+                    raise RuntimeError("could not sample a regular point with tube margins")
+    return np.reshape(kept, (count, chain.group.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +323,11 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
     worst = 0.0
     checked = 0
     for level in range(1, chain.rank):
-        faces = chain.stratification.faces_at_level(level)
+        drawn, xs = _face_samples(chain, chain.stratification.faces_at_level(level),
+                                  points_per_level, rng, (1.0, 2.0))
         bases, normals, steps = [], [], []
-        for j in range(points_per_level):
-            face = faces[j % len(faces)]
-            x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
-            if classify(chain.group, x).level != level:
+        for face, x, x_level in zip(drawn, xs, _classify_rows(chain.group, xs)[1].tolist()):
+            if x_level != level:
                 continue
             radius = _radius_at(chain, face, x)
             if radius < 0.15:
@@ -280,14 +376,11 @@ def _wall_probes(chain: SmoothChain, points: int, seed: int,
     and a kept one is probed across that wall. All probes share one stacked
     evaluation of H and one of the fold."""
     rng = np.random.default_rng(seed)
-    faces = chain.stratification.faces_at_level(chain.rank - 1)
-    samples = []
-    for j in range(points):
-        face = faces[j % len(faces)]
-        x = sample_face_point(chain, face, rng, radius_range=(1.0, 2.0))
-        walls = classify(chain.group, x).walls_containing
-        if len(walls) == 1:
-            samples.append((x, face, walls[0]))
+    drawn, xs = _face_samples(chain, chain.stratification.faces_at_level(chain.rank - 1),
+                              points, rng, (1.0, 2.0))
+    incident, _ = _classify_rows(chain.group, xs)
+    samples = [(x, face, int(walls.argmax()))
+               for x, face, walls in zip(xs, drawn, incident) if walls.sum() == 1]
     return _wall_reports(chain, lambda rows: _apply_H_rows(chain, rows), samples,
                          offsets, orders)
 
@@ -338,19 +431,9 @@ def check_origin_smoothness(chain: SmoothChain, lines: int = 20,
 
 def check_injectivity(chain: SmoothChain, pairs: int = 1000,
                       seed: int = 0) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    done = 0
-    while done < pairs:
-        p = fold(chain.group, chain.chamber,
-                 rng.normal(scale=2.0, size=chain.group.dimension)).image
-        q = fold(chain.group, chain.chamber,
-                 rng.normal(scale=2.0, size=chain.group.dimension)).image
-        if float(np.linalg.norm(p - q)) < 1e-4:
-            continue
-        sep = float(np.linalg.norm(apply_G(chain, p) - apply_G(chain, q)))
-        worst = min(worst, sep)
-        done += 1
+    firsts, seconds = _separated_pairs(chain, np.random.default_rng(seed), pairs)
+    images = _apply_G_rows(chain, np.concatenate([firsts, seconds]))
+    worst = np.sqrt(_square_sums(images[:pairs] - images[pairs:])).min(initial=math.inf)
     return _result("separated points stay separated", worst, 1e-8,
                    mode="min", detail=f"min image separation over {pairs} pairs")
 
@@ -358,8 +441,7 @@ def check_injectivity(chain: SmoothChain, pairs: int = 1000,
 def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
                            seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    samples = np.reshape([sample_regular_margin_point(chain, rng) for _ in range(points)],
-                         (points, chain.group.dimension))
+    samples = _regular_margin_points(chain, rng, points)
     steps = [1e-5 * (1.0 + float(np.linalg.norm(p))) for p in samples]
     jacobians = _run_stencils(lambda rows: _apply_G_rows(chain, rows),
                               [_jacobian_stencils(samples, steps)])[0]
@@ -372,23 +454,22 @@ def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
 def check_wall_preservation(chain: SmoothChain, points: int = 1000,
                             seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    strat = chain.stratification
+    group, strat = chain.group, chain.stratification
     singular_faces = [f for f in strat.faces if 0 < f.level < chain.rank] or \
                      [f for f in strat.faces if f.level == 0]
-    worst = 0.0
+    xs = []
     for j in range(points):
         face = singular_faces[j % len(singular_faces)]
-        if not face.inactive:
-            continue
-        x = sample_face_point(chain, face, rng)
-        walls = classify(chain.group, x).walls_containing
-        image = apply_G(chain, x)
-        scale = 1.0 + float(np.linalg.norm(image))
-        for w in walls:
-            dev = abs(float(chain.group.mirrors[w].normal @ image)) / scale
-            worst = max(worst, dev)
-        if classify(chain.group, image).walls_containing != walls:
-            worst = max(worst, 1.0)
+        if face.inactive:
+            xs.append(sample_face_point(chain, face, rng))
+    xs = np.reshape(xs, (len(xs), group.dimension))
+    walls = _incident_rows(group, xs)
+    images = _apply_G_rows(chain, xs)
+    scale = 1.0 + np.sqrt(_square_sums(images))
+    deviation = np.abs(_stack_product(images, group._mirror_normals)) / scale[:, None]
+    worst = float(deviation[walls].max(initial=0.0))
+    if (_incident_rows(group, images) != walls).any():
+        worst = max(worst, 1.0)
     return _result("wall sets preserved by the composite", worst, 1e-9,
                    detail=f"max relative wall deviation over {points} points")
 
@@ -414,24 +495,10 @@ def check_growth(chain: SmoothChain) -> list[CheckResult]:
 
 def check_identity_tail(chain: SmoothChain, count: int = 1000,
                         seed: int = 0) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    accepted = 0
-    tries = 0
-    while accepted < count and tries < 100 * count:
-        tries += 1
-        p = rng.normal(scale=3.0, size=chain.group.dimension)
-        image = fold(chain.group, chain.chamber, p).image
-        _, eff = essential_split(chain.group, image)
-        if float(np.linalg.norm(eff)) < chain.tubes.c0:
-            continue
-        if any(tube_coords(chain, i, image) is not None
-               for i in range(1, chain.rank)):
-            continue
-        accepted += 1
-        worst = max(worst, float(np.max(np.abs(apply_H(chain, p) - image))))
+    points, images = _tail_points(chain, np.random.default_rng(seed), count)
+    worst = float(np.abs(_apply_H_rows(chain, points) - images).max(initial=0.0))
     return _result("identity outside all tubes", worst, 1e-12,
-                   detail=f"max |H - fold| over {accepted} tail points")
+                   detail=f"max |H - fold| over {len(points)} tail points")
 
 
 # ---------------------------------------------------------------------------

@@ -148,21 +148,33 @@ def test_stacked_tube_maps_equal_the_oracle_bitwise(chain, monkeypatch):
 
 
 def test_validate_tubes_sees_the_oracle_hits(chain, monkeypatch):
+    """validate_tubes meets each level's samples through one _tube_claims
+    pass; every sample's claimed faces are the oracle's, with its feet, t
+    and radii to 1e-15 relative."""
     seen = []
-    claiming = smoothing._claiming_faces
+    claims_of = smoothing._tube_claims
 
-    def recording(chain_, level, p):
-        hits = claiming(chain_, level, p)
-        seen.append((level, p, hits))
-        return hits
+    def recording(chain_, level, points):
+        out = claims_of(chain_, level, points)
+        seen.append((level, points, out))
+        return out
 
-    monkeypatch.setattr(smoothing, "_claiming_faces", recording)
+    monkeypatch.setattr(smoothing, "_tube_claims", recording)
     validate_tubes(chain)
-    assert seen
-    for level, p, hits in seen:
-        expected = _oracle_hits(chain, level, p)
-        assert len(hits) == len(expected)
-        assert all(_same_hit(a, b) for a, b in zip(hits, expected))
+    assert [level for level, _, _ in seen] == list(range(1, chain.rank))
+    for level, points, (live, claims, t, radius, feet) in seen:
+        faces = chain.stratification.faces_at_level(level)
+        row_of = dict(zip(live.tolist(), range(len(live))))
+        for k, p in enumerate(points):
+            expected = _oracle_hits(chain, level, p)
+            r = row_of.get(k)
+            held = [] if r is None else np.flatnonzero(claims[r]).tolist()
+            assert [faces[f] for f in held] == [h.face for h in expected]
+            for f, hit in zip(held, expected):
+                scale = max(1.0, float(np.max(np.abs(p))))
+                assert np.max(np.abs(feet[r, f] - hit.foot)) <= 1e-15 * scale
+                assert abs(t[r, f] - hit.t) <= 1e-15 * scale
+                assert abs(radius[r, f] - hit.radius) <= 1e-15 * max(1.0, hit.radius)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import weakref
 from typing import Iterable
 
 import numpy as np
@@ -304,39 +305,43 @@ def _incidence(group: ReflectionGroup, p: np.ndarray,
     return p_eff, _slack(tol, _norm(p_eff), _norm(p_fixed))
 
 
-def _incident_rows(group: ReflectionGroup, points: np.ndarray,
-                   tol: float = ON_WALL_TOL) -> np.ndarray:
+def _incident_rows(group: ReflectionGroup, points: np.ndarray) -> np.ndarray:
     """(N, m) mask of the mirrors through each row of an (N, n) stack, by
-    classify's rule: |<p_eff, n>| <= _slack. Each row rounds as it would
-    alone (_stack_product)."""
+    classify's rule at ON_WALL_TOL: |<p_eff, n>| <= _slack. Each row rounds
+    as it would alone (_stack_product)."""
     p_fixed, p_eff = _split_rows(group, points)
     fixed_norm = _norms(p_fixed) if group.fixed_subspace.shape[1] else 0.0
-    slack = _slack(tol, _norms(p_eff), fixed_norm)
-    return np.abs(_stack_product(p_eff, group._mirror_normals)) <= slack[:, None]
+    slack = _slack(ON_WALL_TOL, _norms(p_eff), fixed_norm)
+    return np.abs(_stack_product(p_eff, group.mirror_normals)) <= slack[:, None]
+
+
+# per group, the rank of each wall subset met so far (_wall_rank)
+_WALL_RANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _wall_rank(group: ReflectionGroup, walls: tuple[int, ...]) -> int:
-    """Rank of the normals of the mirrors `walls`, from the group's table.
+    """Rank of the normals of the mirrors `walls`.
 
     The rank depends on the wall subset alone, so its SVD is taken once per
-    subset, at the subset's first use, and kept in group._wall_ranks.
+    subset, at the subset's first use, and kept in _WALL_RANKS.
     """
-    rank = group._wall_ranks.get(walls)
+    ranks = _WALL_RANKS.setdefault(group, {})
+    rank = ranks.get(walls)
     if rank is None:
         rank = 0
         if walls:
-            svals = np.linalg.svd(group._mirror_normals[list(walls)], compute_uv=False)
+            svals = np.linalg.svd(group.mirror_normals[list(walls)], compute_uv=False)
             rank = int(np.sum(svals > _RANK_TOL))
-        group._wall_ranks[walls] = rank
+        ranks[walls] = rank
     return rank
 
 
-def _classify_rows(group: ReflectionGroup, points: np.ndarray,
-                   tol: float = ON_WALL_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """classify at every row of an (N, n) stack: (incident, level), with
-    incident the (N, m) mask of the mirrors through each row and level its
-    stratum's level. Each distinct wall subset looks its rank up once."""
-    incident = _incident_rows(group, points, tol)
+def _classify_rows(group: ReflectionGroup, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """classify at every row of an (N, n) stack, at ON_WALL_TOL: (incident,
+    level), with incident the (N, m) mask of the mirrors through each row
+    and level its stratum's level. Each distinct wall subset looks its rank
+    up once."""
+    incident = _incident_rows(group, points)
     if not len(incident):
         return incident, np.zeros(0, dtype=int)
     packed = np.packbits(incident, axis=1)

@@ -152,7 +152,8 @@ class ReflectionGroup:
     """A finite reflection group with its arrangement data.
 
     fixed_subspace is an (n, f) orthonormal basis of the subspace fixed by
-    every element (f may be zero); essential_rank = n - f.
+    every element (f may be zero); essential_rank = n - f. mirror_normals
+    stacks the mirrors' unit normals as (m, n) rows, in mirrors order.
     """
 
     dimension: int
@@ -165,10 +166,7 @@ class ReflectionGroup:
 
     def __post_init__(self) -> None:
         self._index = {_matrix_key(e.matrix): i for i, e in enumerate(self.elements)}
-        # read by chamber's classify: the mirror normals as (m, n) rows, and
-        # the rank of each wall subset met so far (chamber._wall_rank)
-        self._mirror_normals = np.reshape([m.normal for m in self.mirrors], (-1, self.dimension))
-        self._wall_ranks: dict[tuple[int, ...], int] = {}
+        self.mirror_normals = np.reshape([m.normal for m in self.mirrors], (-1, self.dimension))
 
     @property
     def order(self) -> int:

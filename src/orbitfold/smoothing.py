@@ -350,7 +350,7 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
 
     The lower-face distances come from SmoothChain.lower_face_distances,
     exact on the closed chamber. Every caller stays there: the feet of
-    _claiming_faces pass the open-face test, eval_l points and wall-probe
+    _claiming_face pass the open-face test, eval_l points and wall-probe
     samples lie on a face (to the classification tolerance) and
     validate_tubes uses interior points.
     """
@@ -450,8 +450,9 @@ def _reach(chain: SmoothChain, i: int, size):
     return bound + 1e-9 * (1.0 + size + bound)
 
 
-def _claiming_faces(chain: SmoothChain, i: int, p: np.ndarray) -> list[TubeCoords]:
-    """Tube coordinates of p with respect to every level-i tube that holds it.
+def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray) -> TubeCoords | None:
+    """Tube coordinates of p in the first level-i tube, in faces_at_level
+    order, that holds it; None when none does.
 
     Faces with an active wall farther from p than _reach allows are skipped
     before their projection: their tubes cannot hold p. Every coordinate of
@@ -467,7 +468,6 @@ def _claiming_faces(chain: SmoothChain, i: int, p: np.ndarray) -> list[TubeCoord
     for j, w in enumerate((chain.chamber.simple_normals @ p).tolist()):
         if w > reach or w < -reach:
             far |= 1 << j
-    hits = []
     for face, mask in zip(chain.stratification.faces_at_level(i), chain._face_masks[i]):
         if mask & far:
             continue
@@ -485,8 +485,8 @@ def _claiming_faces(chain: SmoothChain, i: int, p: np.ndarray) -> list[TubeCoord
         if t >= radius:
             continue
         normal = r / t if t > 0.0 else None
-        hits.append(TubeCoords(face=face, foot=x, normal=normal, t=t, radius=radius))
-    return hits
+        return TubeCoords(face=face, foot=x, normal=normal, t=t, radius=radius)
+    return None
 
 
 def tube_coords(chain: SmoothChain, i: int, p: Iterable[float]) -> TubeCoords | None:
@@ -496,16 +496,14 @@ def tube_coords(chain: SmoothChain, i: int, p: Iterable[float]) -> TubeCoords | 
     local radius; t = 0 flags the on-stratum case with normal = None.
     """
     _check_tube_level(chain, i)
-    hits = _claiming_faces(chain, i, _as_point(p, chain.chamber.dimension))
-    return hits[0] if hits else None
+    return _claiming_face(chain, i, _as_point(p, chain.chamber.dimension))
 
 
 def _apply_F(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
     """apply_F at a float point of the right shape and a level with a tube."""
-    hits = _claiming_faces(chain, i, p)
-    if not hits or hits[0].t == 0.0:
+    tc = _claiming_face(chain, i, p)
+    if tc is None or tc.t == 0.0:
         return p.copy()
-    tc = hits[0]
     u = tc.t / tc.radius
     return tc.foot + (tc.radius * eval_h(chain.profile, u, 0)) * tc.normal
 
@@ -521,7 +519,7 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     (live, claims, t, radius, feet).
 
     _reach rules out each (row, face) pair with an active wall farther
-    from the row than it allows, as in _claiming_faces; `live` indexes the
+    from the row than it allows, as in _claiming_face; `live` indexes the
     rows left with a pair, and the other arrays hold those rows alone, in
     that order. One matmul gives each live row's foot on every level-i face
     (feet, (L, F, n), faces in faces_at_level order); the open-face test,
@@ -556,22 +554,34 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     return live, open_face & (t < radius), t, radius, feet
 
 
-def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
-    """apply_F at every row of an (N, n) stack. Each row is mapped in the
-    first tube that holds it, in faces_at_level order (_tube_claims), as
-    apply_F maps it; a row no tube holds keeps its value."""
+def _first_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns): the rows of a 2-D boolean array that hold a True,
+    and the column of each one's first."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    return rows, mask[rows].argmax(axis=1)
+
+
+def _first_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of an (N, n) stack that a level-i tube holds, with the
+    tube tube_coords gives each, the first in faces_at_level order:
+    (rows, face, t, radius, foot), rows indexing the stack."""
     live, claims, t, radius, feet = _tube_claims(chain, i, points)
+    rows, face = _first_true(claims)
+    return live[rows], face, t[rows, face], radius[rows, face], feet[rows, face]
+
+
+def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
+    """apply_F at every row of an (N, n) stack: each row held by a tube is
+    mapped in the one _first_claims gives, as apply_F maps it; a row no
+    tube holds keeps its value."""
+    rows, _, height, rad, foot = _first_claims(chain, i, points)
     out = points.copy()
-    rows = np.flatnonzero(claims.any(axis=1))
-    face = claims[rows].argmax(axis=1)
     # a row on its face (t == 0) stays where it is, as in apply_F
-    off_face = t[rows, face] > 0.0
-    rows, face = rows[off_face], face[off_face]
-    height, rad, foot = t[rows, face], radius[rows, face], feet[rows, face]
+    off_face = height > 0.0
+    rows, height, rad, foot = rows[off_face], height[off_face], rad[off_face], foot[off_face]
     u = height / rad
     h = u * _g_rows(u)          # eval_h at order 0
-    offset = points[live[rows]] - foot
-    out[live[rows]] = foot + (rad * h)[:, None] * (offset / height[:, None])
+    out[rows] = foot + (rad * h)[:, None] * ((points[rows] - foot) / height[:, None])
     return out
 
 
@@ -701,19 +711,18 @@ def validate_tubes(chain: SmoothChain) -> TubeReport:
         own_foot[live] = feet[np.arange(len(live)), owner[live]]
         owned = held[rows, owner]
         held[rows, owner] = False       # what is left is held by another face
-        overlap = held.any(axis=1)
+        overlap, other = _first_true(held)
         # a sample its own tube does not hold fell past a face edge; harmless
-        moved = owned & (np.linalg.norm(own_foot - bases, axis=1)
-                         > 1e-9 * (1.0 + np.array(scales)))
+        moved = np.flatnonzero(owned & (np.linalg.norm(own_foot - bases, axis=1)
+                                        > 1e-9 * (1.0 + np.array(scales))))
         checked += n
-        bad = np.flatnonzero(overlap | moved)
-        if bad.size:
-            k = bad[0]
-            if overlap[k]:
-                raise TubeConfigError(
-                    f"tubes overlap at level {level}: faces"
-                    f" {faces[owner[k]].active} and {faces[held[k].argmax()].active}"
-                    f" both contain {points[k]}")
+        if overlap.size and (not moved.size or overlap[0] <= moved[0]):
+            k = overlap[0]
+            raise TubeConfigError(
+                f"tubes overlap at level {level}: faces"
+                f" {faces[owner[k]].active} and {faces[other[0]].active}"
+                f" both contain {points[k]}")
+        if moved.size:
             raise TubeConfigError(f"foot of a level-{level} tube point is not unique")
     return TubeReport(
         theta_min=theta,

@@ -50,8 +50,8 @@ from .smoothing import (
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
+    _first_claims,
     _radius_at,
-    _tube_claims,
     eval_h,
 )
 
@@ -217,21 +217,6 @@ def _essential_norms(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
     return np.sqrt(_square_sums(_split_rows(chain.group, points)[1]))
 
 
-def _first_claims(chain: SmoothChain, level: int,
-                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(held, t, radius) for every row of a stack: whether a level tube
-    holds the row, and its height and radius in the first tube that does,
-    the one tube_coords gives (0 where none does)."""
-    live, claims, t, radius, _ = _tube_claims(chain, level, points)
-    rows = np.flatnonzero(claims.any(axis=1))
-    face = claims[rows].argmax(axis=1)
-    held = np.zeros(len(points), dtype=bool)
-    height, rad = np.zeros(len(points)), np.zeros(len(points))
-    held[live[rows]] = True
-    height[live[rows]], rad[live[rows]] = t[rows, face], radius[rows, face]
-    return held, height, rad
-
-
 def _fold_gaussians(chain: SmoothChain, rng: np.random.Generator, scale: float,
                     rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(points, fold images) of `rows` Gaussian rows: the stream of `rows`
@@ -272,7 +257,7 @@ def _tail_points(chain: SmoothChain, rng: np.random.Generator,
         tries += len(p)
         tail = _essential_norms(chain, image) >= chain.tubes.c0
         for i in range(1, chain.rank):
-            tail &= ~_first_claims(chain, i, image)[0]
+            tail[_first_claims(chain, i, image)[0]] = False
         keep = np.flatnonzero(tail)[:count - len(points)]
         points = np.concatenate([points, p[keep]])
         images = np.concatenate([images, image[keep]])
@@ -298,8 +283,8 @@ def _regular_margin_points(chain: SmoothChain, rng: np.random.Generator,
         ok = ~_incident_rows(chain.group, q).any(axis=1)
         ok &= _essential_norms(chain, q) >= 0.3 * chain.tubes.c0
         for i in range(1, chain.rank):
-            held, t, radius = _first_claims(chain, i, q)
-            ok &= ~held | (t >= 0.3 * radius)
+            held, _, t, radius, _ = _first_claims(chain, i, q)
+            ok[held] &= t >= 0.3 * radius
         for row, good in zip(q, ok.tolist()):
             if good:
                 kept.append(row)
@@ -466,7 +451,7 @@ def check_wall_preservation(chain: SmoothChain, points: int = 1000,
     walls = _incident_rows(group, xs)
     images = _apply_G_rows(chain, xs)
     scale = 1.0 + np.sqrt(_square_sums(images))
-    deviation = np.abs(_stack_product(images, group._mirror_normals)) / scale[:, None]
+    deviation = np.abs(_stack_product(images, group.mirror_normals)) / scale[:, None]
     worst = float(deviation[walls].max(initial=0.0))
     if (_incident_rows(group, images) != walls).any():
         worst = max(worst, 1.0)

@@ -1,18 +1,41 @@
-"""The verify samplers as they were before they were stacked, frozen for
-tests.
+"""The verify samplers and validate_tubes' sampling checks as they were
+before they were stacked, frozen for tests.
 
-Each draws one Gaussian point per try from the rng it is given, folds it
-with the public fold, and tests it with the public classify, essential_split
-and tube_coords, one point at a time. The stacked samplers in
-orbitfold.verify must choose the same points, bit for bit, from the same
-seed.
+Each sampler draws one Gaussian point per try from the rng it is given,
+folds it with the public fold, and tests it with the public classify,
+essential_split and tube_coords, one point at a time. The stacked samplers
+in orbitfold.verify must choose the same points, bit for bit, from the same
+seed. tube_hits walks every face of a level for the tubes that hold a
+point, with no bound on which faces to try.
 """
+
+import math
 
 import numpy as np
 
-from orbitfold.chamber import classify, fold
+from orbitfold import smoothing
+from orbitfold.chamber import ON_WALL_TOL, classify, fold
 from orbitfold.groups import essential_split
-from orbitfold.smoothing import tube_coords
+from orbitfold.smoothing import TubeCoords, TubeConfigError, tube_coords
+
+
+def tube_hits(chain, i, p):
+    """Every level-i tube that holds p, in faces_at_level order."""
+    hits = []
+    for face in chain.stratification.faces_at_level(i):
+        x = face.project_to_span(p)
+        if face.inactive:
+            vals = face.inactive_normals @ x
+            if vals.min() <= ON_WALL_TOL * (1.0 + math.sqrt(x.dot(x))):
+                continue
+        r = p - x
+        t = math.sqrt(r.dot(r))
+        radius = smoothing._radius_at(chain, face, x)
+        if t >= radius:
+            continue
+        hits.append(TubeCoords(face=face, foot=x, normal=r / t if t > 0.0 else None,
+                               t=t, radius=radius))
+    return hits
 
 
 def separated_pairs(chain, rng, pairs):
@@ -77,28 +100,21 @@ def regular_margin_points(chain, rng, count):
 
 def validate_tube_samples(chain):
     """validate_tubes' sampling checks, one point at a time through
-    _claiming_faces: the number of points checked, or the TubeConfigError
-    of the first offending point."""
-    from orbitfold.smoothing import (
-        TubeConfigError,
-        _claiming_faces,
-        _normal_space_directions,
-        _radius_at,
-    )
-
+    tube_hits: the number of points checked, or the TubeConfigError of the
+    first offending point."""
     rng = np.random.default_rng(0)
     strat = chain.stratification
     checked = 0
     for level in range(1, chain.rank):
         for face in strat.faces_at_level(level):
-            dirs = _normal_space_directions(face, chain.chamber.dimension, rng, 4)
+            dirs = smoothing._normal_space_directions(face, chain.chamber.dimension, rng, 4)
             for scale in (0.3, 1.0, 3.0):
                 x = strat.interior_point(face, radius=scale)
-                radius = _radius_at(chain, face, x)
+                radius = smoothing._radius_at(chain, face, x)
                 for v in dirs:
                     for frac in (0.25, 0.6, 0.95):
                         p = x + (frac * radius) * v
-                        hits = _claiming_faces(chain, level, p)
+                        hits = tube_hits(chain, level, p)
                         checked += 1
                         owners = [h for h in hits if h.face is face]
                         others = [h for h in hits if h.face is not face]

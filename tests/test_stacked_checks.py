@@ -53,7 +53,7 @@ def _scale_sample(chain, rng, count=150):
     units = rng.normal(size=(count, group.dimension))
     units /= np.linalg.norm(units, axis=1)[:, None]
     near = np.arange(count) % 2 == 1
-    normals = group._mirror_normals[rng.integers(len(group.mirrors), size=count)][near]
+    normals = group.mirror_normals[rng.integers(len(group.mirrors), size=count)][near]
     units[near] -= np.sum(units[near] * normals, axis=1)[:, None] * normals
     units[near] += rng.uniform(-1e-10, 1e-10, size=(near.sum(), 1)) * normals
     points = units * 10.0 ** rng.uniform(-300.0, 300.0, size=(count, 1))

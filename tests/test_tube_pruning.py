@@ -1,8 +1,8 @@
 """The wall-distance rule that skips tube faces, and the tube maps at the
 extremes of the float range.
 
-The oracle below walks every face of a level with no bound, as the tube
-kernels did before the rule; with the rule the claimed face and every bit
+The oracle, sampler_oracle.tube_hits, walks every face of a level with no
+bound, as the tube kernels did before the rule; with the rule the claimed face and every bit
 of tube_coords, apply_F and _apply_F_rows must stay the same. The stacked
 oracle is the kernel itself with the bound switched off.
 """
@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 
 from orbitfold import smoothing
-from orbitfold.chamber import ON_WALL_TOL, fold
+from orbitfold.chamber import fold
 from orbitfold.groups import essential_split, preset_group
 from orbitfold.smoothing import (
-    TubeCoords,
     _apply_F_rows,
     _apply_H_rows,
-    _radius_at,
     apply_F,
     apply_H,
     build_chain,
@@ -30,6 +28,7 @@ from orbitfold.smoothing import (
     validate_tubes,
 )
 from orbitfold.verify import sample_face_point
+from sampler_oracle import tube_hits
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -39,27 +38,8 @@ def chain(request):
     return build_chain(preset_group(request.param))
 
 
-def _oracle_hits(chain, i, p):
-    """Every level-i tube that holds p, found by walking all faces."""
-    hits = []
-    for face in chain.stratification.faces_at_level(i):
-        x = face.project_to_span(p)
-        if face.inactive:
-            vals = face.inactive_normals @ x
-            if vals.min() <= ON_WALL_TOL * (1.0 + math.sqrt(x.dot(x))):
-                continue
-        r = p - x
-        t = math.sqrt(r.dot(r))
-        radius = _radius_at(chain, face, x)
-        if t >= radius:
-            continue
-        hits.append(TubeCoords(face=face, foot=x, normal=r / t if t > 0.0 else None,
-                               t=t, radius=radius))
-    return hits
-
-
 def _oracle_apply_F(chain, i, p):
-    hits = _oracle_hits(chain, i, p)
+    hits = tube_hits(chain, i, p)
     if not hits or hits[0].t == 0.0:
         return p.copy()
     tc = hits[0]
@@ -128,7 +108,7 @@ def test_scalar_tube_maps_equal_the_oracle_bitwise(chain):
     claimed = 0
     for i in range(chain.rank):
         for p in points:
-            hits = _oracle_hits(chain, i, p)
+            hits = tube_hits(chain, i, p)
             tc = tube_coords(chain, i, p)
             assert _same_hit(tc, hits[0] if hits else None), (i, p)
             assert apply_F(chain, i, p).tobytes() == _oracle_apply_F(chain, i, p).tobytes()
@@ -166,7 +146,7 @@ def test_validate_tubes_sees_the_oracle_hits(chain, monkeypatch):
         faces = chain.stratification.faces_at_level(level)
         row_of = dict(zip(live.tolist(), range(len(live))))
         for k, p in enumerate(points):
-            expected = _oracle_hits(chain, level, p)
+            expected = tube_hits(chain, level, p)
             r = row_of.get(k)
             held = [] if r is None else np.flatnonzero(claims[r]).tolist()
             assert [faces[f] for f in held] == [h.face for h in expected]

@@ -11,6 +11,12 @@ finite difference formulas on arbitrarily spaced grids", Math. Comp.
 1988). They are the same linear map at every base point, so each builder
 takes an (M, n) stack of base points with one step per point, and each
 check evaluates the stencils of all its points and probes as one stack.
+The stencils of several orders on one base point and step share their
+points: each distinct point is evaluated once, and each order is combined
+with its own weights, order of summation and divisor, so it keeps the
+bits it has alone. Orders 1-4 along one line take 5 points, not 14, and
+a Jacobian asked for with a Hessian is read from the Hessian's +-step
+axis rows.
 
 Probes across a wall, along lines through the origin and along a curve
 of one parameter are one measurement, and _probe_reports makes it for
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,8 +58,9 @@ _STENCILS = {
 
 # The stencils of M base points: their (M*k, n) points, k per base point
 # in base order, and the function taking the (M*k, m) values to the M
-# results, stacked on the first axis.
-_Stencil = tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+# results, stacked on the first axis (or to a list of such stacks, one per
+# order, for the stencils of several orders sharing their points).
+_Stencil = tuple[np.ndarray, Callable[[np.ndarray], Any]]
 
 
 def _evaluate(fn: StackMap, points: np.ndarray) -> np.ndarray:
@@ -101,23 +108,34 @@ def _moves(shifts: Sequence[int], steps: np.ndarray, axes: np.ndarray) -> np.nda
     return scaled[:, None, :, None] * axes[..., None, :]
 
 
-def _line_stencils(base: np.ndarray, directions: np.ndarray, order: int,
-                   steps: np.ndarray) -> _Stencil:
-    """The order's stencil points p + (shift*step)*e for each base point p
-    and each row e of directions ((d, n), or (M, d, n) for directions of
-    each point's own), and the function giving the (M, d, ...) derivatives
-    along them."""
-    row = _STENCILS[order]
-    moves = _moves([s for s, _ in row], steps, directions)
+def _shared_line_stencils(base: np.ndarray, directions: np.ndarray,
+                          orders: Sequence[int], steps: np.ndarray) -> _Stencil:
+    """The stencil points p + (shift*step)*e of several orders at once, for
+    each base point p and each row e of directions ((d, n), or (M, d, n)
+    for directions of each point's own): the union of the orders' shifts,
+    in increasing order, each point once. The combine gives the (M, d, ...)
+    derivatives along them, one per order."""
+    shifts = sorted({s for order in orders for s, _ in _STENCILS[order]})
+    moves = _moves(shifts, steps, directions)
     points = (base[:, None, None, :] + moves).reshape(-1, base.shape[1])
     count, d = moves.shape[:2]
 
-    def combine(values: np.ndarray) -> np.ndarray:
-        terms = values.reshape(count, d, len(row), *values.shape[1:])
-        return _weighted_sum([w for _, w in row], np.moveaxis(terms, 2, 0),
-                             _divisors(steps, order, terms.ndim - 1))
+    def combine(values: np.ndarray) -> list[np.ndarray]:
+        terms = values.reshape(count, d, len(shifts), *values.shape[1:])
+        return [_weighted_sum([w for _, w in _STENCILS[order]],
+                              [terms[:, :, shifts.index(s)] for s, _ in _STENCILS[order]],
+                              _divisors(steps, order, terms.ndim - 1))
+                for order in orders]
 
     return points, combine
+
+
+def _line_stencils(base: np.ndarray, directions: np.ndarray, order: int,
+                   steps: np.ndarray) -> _Stencil:
+    """The one order's stencils of _shared_line_stencils: the combine gives
+    the (M, d, ...) derivatives."""
+    points, combine = _shared_line_stencils(base, directions, (order,), steps)
+    return points, lambda values: combine(values)[0]
 
 
 def _jacobian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
@@ -168,6 +186,27 @@ def _hessian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
         return tensor
 
     return own.reshape(-1, n), combine
+
+
+def _axis_stencils(base: np.ndarray, steps: Sequence[float],
+                   orders: Sequence[int]) -> _Stencil:
+    """Jacobians (order 1) and full second-derivative tensors (order 2) on
+    the points of the highest order asked; the combine lists them in
+    orders' order. With order 2, the Jacobian reads the Hessian's rows
+    1..2n of each base point: its +-step axis points, in the (axis, shift)
+    order _jacobian_stencils evaluates them."""
+    jacobian_points, jacobians = _jacobian_stencils(base, steps)
+    if 2 not in orders:
+        return jacobian_points, lambda values: [jacobians(values)]
+    points, hessians = _hessian_stencils(base, steps)
+    count, n = base.shape
+
+    def combine(values: np.ndarray) -> list[np.ndarray]:
+        shape = values.shape[1:]
+        rows = values.reshape(count, -1, *shape)[:, 1:1 + 2 * n].reshape(-1, *shape)
+        return [jacobians(rows) if order == 1 else hessians(values) for order in orders]
+
+    return points, combine
 
 
 def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
@@ -263,7 +302,8 @@ def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
     reflection symmetry: a normal-only second difference reads zero even
     for maps whose second derivative genuinely jumps. The third derivative
     along the normal survives the symmetry because it is odd. Every stencil
-    of every probe, offset, side and order is evaluated in one stack.
+    of every probe, offset, side and order is evaluated in one stack, each
+    distinct point once: orders 1 and 2 take the Hessian's points alone.
     """
     if not len(xs):
         return []
@@ -275,19 +315,24 @@ def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
     # rows by probe, then offset, then side (+ first)
     sides = np.stack([x + dv, x - dv], axis=1).reshape(-1, xs.shape[1])
     steps = np.repeat(STEP_FRACTION * deltas.reshape(-1), 2)
-    stencils = []
-    for order in orders:
-        if order == 1:
-            stencils.append(_jacobian_stencils(sides, steps))
-        elif order == 2:
-            stencils.append(_hessian_stencils(sides, steps))
-        else:
-            stencils.append(_line_stencils(sides, np.repeat(v, 2, axis=0)[:, None],
-                                           order, steps))
-    results = [r.reshape(count, k, 2, *r.shape[1:]) for r in _run_stencils(fn, stencils)]
+    groups, stencils = [], []     # orders that share points, and their stencil
+    axis = [order for order in orders if order < 3]
+    if axis:
+        groups.append(axis)
+        stencils.append(_axis_stencils(sides, steps, axis))
+    line = [order for order in orders if order >= 3]
+    if line:
+        groups.append(line)
+        stencils.append(_shared_line_stencils(sides, np.repeat(v, 2, axis=0)[:, None],
+                                              line, steps))
+    derivatives = {}
+    for group, results in zip(groups, _run_stencils(fn, stencils)):
+        derivatives.update(zip(group, results))
+    results = {order: derivatives[order].reshape(count, k, 2, *derivatives[order].shape[1:])
+               for order in orders}
     return [{order: tuple(max(float(np.linalg.norm(r[i, j, 0] - r[i, j, 1])), JUMP_FLOOR)
                           for j in range(k))
-             for order, r in zip(orders, results)}
+             for order, r in results.items()}
             for i in range(count)]
 
 

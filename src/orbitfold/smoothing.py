@@ -144,10 +144,29 @@ class SmoothProfile:
     DERIVATIVE_ORDER_MAX."""
 
 
-def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
-    """h or an analytic derivative of it: h^(order)(t).
+def _h_derivatives(t: float, order: int) -> list[float]:
+    """[h(t), h'(t), ..., h^(order)(t)] from one jet, at a finite t >= 0.
 
-    Zero at and near 0 (flat), exactly t from 1 on, jets in between.
+    Zero at and near 0 (flat), exactly t from 1 on, jets in between. A
+    jet's coefficient k does not depend on how far the jet runs, so each
+    entry has the bits a jet of its own order gives it.
+    """
+    if t <= ARG_DEAD_EPS:
+        return [0.0] * (order + 1)
+    identity = ([t, 1.0] + [0.0] * order)[:order + 1]     # the jet of t itself
+    if t >= 1.0 - ARG_DEAD_EPS:
+        return identity
+    et = _jet_e(t, order)
+    er = _jet_e_reflected(t, order)
+    den = [x + y for x, y in zip(et, er)]
+    g = _jet_div(et, den)
+    h = _jet_mul(g, identity)
+    return [c * math.factorial(k) for k, c in enumerate(h)]
+
+
+def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
+    """h or an analytic derivative of it: h^(order)(t), from
+    _h_derivatives; h itself away from the flat zone is t*g(t), with no jet.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -157,20 +176,9 @@ def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
     if not 0 <= order <= DERIVATIVE_ORDER_MAX:
         raise ValueError(
             f"order {order} outside supported range 0..{DERIVATIVE_ORDER_MAX}")
-    if t <= ARG_DEAD_EPS:
-        return 0.0
-    if t >= 1.0 - ARG_DEAD_EPS:
-        if order == 0:
-            return t
-        return 1.0 if order == 1 else 0.0
-    if order == 0:
+    if order == 0 and t > ARG_DEAD_EPS:
         return t * _g0(t)
-    et = _jet_e(t, order)
-    er = _jet_e_reflected(t, order)
-    den = [x + y for x, y in zip(et, er)]
-    g = _jet_div(et, den)
-    h = _jet_mul(g, [t, 1.0] + [0.0] * (order - 1))
-    return h[order] * math.factorial(order)
+    return _h_derivatives(t, order)[order]
 
 
 # ---------------------------------------------------------------------------

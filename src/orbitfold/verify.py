@@ -10,6 +10,11 @@ the order a point-at-a-time loop would draw them, and then folded,
 classified, tested against the tubes and mapped as (N, n) stacks through
 the row kernels. check_fold is where the public scalar fold is checked
 against the stacked one.
+
+What is still evaluated one point at a time: check_fold's public folds,
+kept so that they are checked, and check_profile's scalar grids of h on
+[1, 3] and of h' on (0, 2]. Its monotonicity grid takes h^(0..4) at each
+point from one jet.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .calculus import (
     _evaluate,
     _jacobian_stencils,
     _least_resolved_slope,
-    _line_stencils,
     _run_stencils,
+    _shared_line_stencils,
     _wall_reports,
     growth_bound_check,
     origin_line_probe,
@@ -51,6 +56,7 @@ from .smoothing import (
     _apply_G_rows,
     _apply_H_rows,
     _first_claims,
+    _h_derivatives,
     _radius_at,
     eval_h,
 )
@@ -113,19 +119,15 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
                seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     mats = np.stack([e.matrix for e in group.elements])
-    worst_violation = 0.0       # chamber inequality shortfall
-    worst_orbit = 0.0           # distance to the nearest true translate
-    images = np.empty((count, group.dimension))
-    orbits = np.empty((count, len(mats), group.dimension))
-    for k in range(count):
-        p = rng.normal(scale=2.0, size=group.dimension)
-        image = fold(group, chamber, p).image
-        worst_violation = max(worst_violation,
-                              -float(np.min(chamber.inequality_values(image))))
-        translates = mats @ p
-        worst_orbit = max(worst_orbit,
-                          float(np.min(np.linalg.norm(translates - image, axis=1))))
-        images[k], orbits[k] = image, translates
+    # the draws of `count` points one at a time, as one block
+    points = rng.normal(scale=2.0, size=(count, group.dimension))
+    images = np.array([fold(group, chamber, p).image for p in points]).reshape(points.shape)
+    # chamber inequality shortfall, and distance to the nearest true translate
+    shortfall = -np.matmul(chamber.simple_normals, images[:, :, None])[:, :, 0].min(axis=1)
+    orbits = np.matmul(mats[None], points[:, None, :, None])[..., 0]
+    distances = np.linalg.norm(orbits - images[:, None], axis=2).min(axis=1)
+    worst_violation = float(np.max(shortfall, initial=0.0))
+    worst_orbit = float(np.max(distances, initial=0.0))
     # every orbit as one stack, fed ROW_CAP rows at a time; each orbit holds
     # its p, so the public fold and the stacked one are checked against
     # each other too
@@ -146,11 +148,11 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
 
 def _flat_derivatives(prof: SmoothProfile) -> list[float]:
     """h^(1), ..., h^(4) at t = 1e-3 by central differences of step 5e-5,
-    all from one stacked evaluation of h."""
+    all from one evaluation of h at the 5 points the stencils share."""
     base, steps = np.array([[1e-3]]), np.array([5e-5])
     h_rows = lambda rows: np.array([[eval_h(prof, t)] for t in rows[:, 0].tolist()])
-    derivatives = _run_stencils(h_rows, [_line_stencils(base, np.eye(1), order, steps)
-                                         for order in (1, 2, 3, 4)])
+    derivatives, = _run_stencils(h_rows, [_shared_line_stencils(base, np.eye(1),
+                                                                (1, 2, 3, 4), steps)])
     return [float(d[0, 0, 0]) for d in derivatives]
 
 
@@ -174,9 +176,10 @@ def check_profile() -> list[CheckResult]:
     out.append(_result("h' positive on (0,2]", min_slope, 0.0, mode="min",
                        detail="minimum of h' over the grid; must stay above 0"))
 
-    mono_grid = np.linspace(0.2 / 200, 0.2, 200)
+    # h^(0..4) at each grid point from one jet
+    jets = [_h_derivatives(t, 4) for t in np.linspace(0.2 / 200, 0.2, 200).tolist()]
     for order in range(5):
-        vals = [eval_h(prof, float(t), order=order) for t in mono_grid]
+        vals = [jet[order] for jet in jets]
         min_diff = min(b - a for a, b in zip(vals, vals[1:]))
         out.append(_result(
             f"h^({order}) nondecreasing on (0,0.2]", min_diff, -1e-12,
@@ -337,12 +340,12 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
         if not bases:
             continue
         fn = lambda points: _apply_F_rows(chain, level, points)
-        # orders 1-3 at every sample of the level share one evaluation
-        stencils = [_line_stencils(np.array(bases), np.array(normals)[:, None], order,
-                                   np.asarray(steps))
-                    for order in (1, 2, 3)]
-        for derivatives in _run_stencils(fn, stencils):
-            for d in derivatives:
+        # orders 1-3 at every sample of the level share one evaluation of
+        # the 5 points each sample's stencils share
+        derivatives, = _run_stencils(fn, [_shared_line_stencils(
+            np.array(bases), np.array(normals)[:, None], (1, 2, 3), np.asarray(steps))])
+        for along in derivatives:
+            for d in along:
                 worst = max(worst, float(np.linalg.norm(d)))
         checked += len(bases)
     return _result("flat normal derivatives at strata", worst, 1e-6,

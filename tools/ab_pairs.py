@@ -1,16 +1,18 @@
 """Run alternating parent/change pairs of the benchmark and compare them.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload verify-a3 [--pairs 10]
-                              [--seconds 25] [--first-seed 1]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload verify-a3[,map-b3,...]
+                              [--pairs 10] [--seconds 25] [--first-seed 1]
 
 PARENT and CHANGE are two checkouts, each with its own perfbench/run.py,
-BENCHMARK.json and src/. Pair i runs one workload at seed first-seed + i
-in both, one after the other, the parent first in even pairs and the
-change first in odd ones. For each end-to-end metric the script prints
-both sides' medians and interquartile ranges, and how many pairs the
-change won and lost ("better" as BENCHMARK.json declares it; ties count
-for neither). It also prints each run's values. The script only reports:
-it applies no bound and no claim rule.
+BENCHMARK.json and src/. --workload names one workload or several,
+separated by commas. Pair i runs every workload at seed first-seed + i in
+both checkouts, workload by workload, one checkout after the other: the
+parent first in even pairs and the change first in odd ones. For each
+workload and each end-to-end metric the script prints both sides'
+medians and interquartile ranges, and how many pairs the change won and
+lost ("better" as BENCHMARK.json declares it; ties count for neither).
+It also prints each run's values. The script only reports: it applies
+no bound and no claim rule.
 """
 
 from __future__ import annotations
@@ -42,32 +44,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--first-seed", type=int, default=1)
-    args = parser.parse_args(argv)
-
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    better["failed"] = "lower"
-    sides = {"parent": args.parent, "change": args.change}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(sides[side], args.workload, seed, seconds))
-        print(f"pair {i + 1}/{args.pairs} seed {seed} done ({order[0]} first)",
-              file=sys.stderr, flush=True)
-
-    print(f"{args.workload}: {args.pairs} pairs, {seconds:g} s runs")
+def print_table(workload: str, runs: dict[str, list[dict]], better: dict[str, str],
+                pairs: int, seconds: float) -> None:
+    """One workload's comparison table, then each run's values."""
+    print(f"{workload}: {pairs} pairs, {seconds:g} s runs")
     print(f"{'metric':14s} {'parent median':>14s} {'parent IQR':>12s} "
           f"{'change median':>14s} {'change IQR':>12s} {'ratio':>8s} {'wins':>5s} {'losses':>6s}")
     for name, direction in better.items():
@@ -84,6 +64,38 @@ def main(argv: list[str] | None = None) -> int:
     for side in ("parent", "change"):
         for name in better:
             print(f"{side} {name}: " + " ".join(f"{r[name]:.6g}" for r in runs[side]))
+    print()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="run length (default: run_seconds of BENCHMARK.json)")
+    parser.add_argument("--first-seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better["failed"] = "lower"
+    workloads = args.workload.split(",")
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in workloads:
+            for side in order:
+                runs[workload][side].append(run_once(sides[side], workload, seed, seconds))
+        print(f"pair {i + 1}/{args.pairs} seed {seed} done ({order[0]} first)",
+              file=sys.stderr, flush=True)
+
+    for workload in workloads:
+        print_table(workload, runs[workload], better, args.pairs, seconds)
     return 0
 
 

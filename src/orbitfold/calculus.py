@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .chamber import Face, _fold_rows
+from .chamber import Face, _fold_rows, _square_sums
 from .smoothing import SmoothChain, _apply_partial_rows, _radius_at
 
 DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
@@ -328,12 +328,27 @@ def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
     derivatives = {}
     for group, results in zip(groups, _run_stencils(fn, stencils)):
         derivatives.update(zip(group, results))
-    results = {order: derivatives[order].reshape(count, k, 2, *derivatives[order].shape[1:])
-               for order in orders}
-    return [{order: tuple(max(float(np.linalg.norm(r[i, j, 0] - r[i, j, 1])), JUMP_FLOOR)
-                          for j in range(k))
-             for order, r in results.items()}
+    norms = {order: _jump_norms(derivatives[order].reshape(count, k, 2,
+                                                           *derivatives[order].shape[1:]))
+             for order in orders}
+    return [{order: tuple(max(d, JUMP_FLOOR) for d in r[i]) for order, r in norms.items()}
             for i in range(count)]
+
+
+def _jump_norms(r: np.ndarray) -> list[list[float]]:
+    """|r[i, j, 0] - r[i, j, 1]| for every probe i and offset j, as nested
+    lists, with the bits of np.linalg.norm of each difference.
+
+    norm ravels a difference in memory order ('K') and takes its dot with
+    itself; the Jacobian is a moveaxis view, so its differences are laid
+    out column by column. The stack is put in that order first, and each
+    difference is one row of stacked 1 x m square sums (_square_sums),
+    which round as the dot does.
+    """
+    tail = sorted(range(3, r.ndim), key=lambda axis: -r.strides[axis])
+    r = r.transpose(0, 1, 2, *tail)
+    diffs = (r[:, :, 0] - r[:, :, 1]).reshape(r.shape[0], r.shape[1], -1)
+    return np.sqrt(_square_sums(diffs)).tolist()
 
 
 def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,

@@ -117,10 +117,37 @@ def _square_sums(v: np.ndarray) -> np.ndarray:
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
+def _reduce_columns(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """op.reduce(a, axis=-1) for op np.minimum, np.maximum or
+    np.logical_or, as one elementwise call per column.
+
+    numpy reduces along a short last axis slowly: a min over the last axis
+    of a (1024, 3) array took 70 us against 8 us here, and of a
+    (1024, 3, 3) array 197 us against 13 us. These three operations are
+    exact, so the result has the reduction's bits. The last axis must not
+    be empty.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        op(out, a[..., j], out=out)
+    return out
+
+
+def _first_true_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, first): whether each row of a boolean array (last axis the
+    columns) holds a True, and the column of its first True, 0 where it
+    holds none, as mask.argmax(axis=-1) gives."""
+    hit = _reduce_columns(np.logical_or, mask)
+    first = np.zeros(mask.shape[:-1], dtype=np.intp)
+    for j in range(mask.shape[-1] - 1, -1, -1):
+        first = np.where(mask[..., j], j, first)
+    return hit, first
+
+
 def _unit_scaled_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_unit_scaled along the last axis of a stack, bit for bit: e and sq
     have the shape of v.shape[:-1]."""
-    big = np.abs(v).max(axis=-1)
+    big = _reduce_columns(np.maximum, np.abs(v))
     fits = _fits(big, v.shape[-1])
     if fits.all():
         sq = _square_sums(v)
@@ -153,7 +180,8 @@ def _norms(v: np.ndarray, below: float = math.inf) -> np.ndarray:
     """_norm along the last axis of a stack, `below` bounding every row. In
     range the sums are einsum's, whose bits the stacked tube kernels have
     always had."""
-    fits = True if below < _NORM_SAFE else _fits(np.abs(v).max(axis=-1), v.shape[-1])
+    fits = (True if below < _NORM_SAFE
+            else _fits(_reduce_columns(np.maximum, np.abs(v)), v.shape[-1]))
     safe = v if np.all(fits) else np.where(fits[..., None], v, 0.0)
     sq = np.einsum("...j,...j->...", safe, safe)
     out = np.sqrt(sq)
@@ -206,35 +234,61 @@ def _fold_image(normals: np.ndarray, p: np.ndarray, max_steps: int) -> tuple[np.
     return image, len(word)
 
 
+def _wall_dots(normals: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """(k, N) values <n_j, cur_r> over an (N, n) stack, row j one
+    matrix-vector product over all rows (cur @ n_j). Each value rounds as
+    the per-point `normals @ cur` rounds it. A one-row product is a dot,
+    which rounds differently, so a lone row is evaluated twice over, as in
+    _stack_product."""
+    rows = np.concatenate([cur, cur]) if len(cur) == 1 else cur
+    dots = np.empty((len(normals), len(rows)))
+    for j, normal in enumerate(normals):
+        np.matmul(rows, normal, out=dots[j])
+    return dots[:, :len(cur)]
+
+
 def _fold_rows(normals: np.ndarray, points: np.ndarray, max_steps: int) -> np.ndarray:
     """Fold images of every row of an (N, n) stack.
 
     Each row follows _reflect_into_chamber: the same lowest-index violated
     wall, the same tolerance and power-of-two scaling, the same step cap
-    and error. Dot products are stacked matrix-vector products, which round
-    as the per-point `normals @ cur` does, so each image equals the
-    per-point image bit for bit. Rows leave the loop once inside.
+    and error. The dot products are one matrix-vector product per wall
+    over the rows still outside (_wall_dots), and each rounds as the
+    per-point `normals @ cur` does, so each image equals the per-point
+    image bit for bit. The rows still outside are kept as one compacted
+    stack (np.take gathers rows several times faster than indexing does).
+    A row's image is set aside once it is inside, and the images are
+    written out in one scatter at the end.
     """
-    cur, e, sq = _unit_scaled_rows(np.array(points, dtype=float))
-    scaled = e != 0
-    tol = 1e-14 * np.sqrt(sq)
-    rows = np.arange(len(cur))
+    out, e, sq = _unit_scaled_rows(np.array(points, dtype=float))
+    bound = -1e-14 * np.sqrt(sq)       # a dot below this violates its wall
+    rows = np.arange(len(out))
+    cur = out
+    done_rows, done_images = [], []
     steps = 0
-    while True:
-        dots = np.matmul(normals, cur[rows, :, None])[:, :, 0]
-        bad = dots < -tol[rows, None]
-        hit = bad.any(axis=1)
-        if not hit.any():
-            break
-        rows, dots, bad = rows[hit], dots[hit], bad[hit]
+    while rows.size:
+        dots = _wall_dots(normals, cur)
+        hit, wall = _first_true_columns((dots < bound).T)
+        shift = 2.0 * dots[wall, np.arange(len(cur))]
+        if not hit.all():
+            inside, keep = np.flatnonzero(~hit), np.flatnonzero(hit)
+            if steps:
+                done_rows.append(rows[inside])
+                done_images.append(np.take(cur, inside, axis=0))
+            rows, bound, wall, shift = rows[keep], bound[keep], wall[keep], shift[keep]
+            cur = np.take(cur, keep, axis=0)
+            if not rows.size:
+                break
         steps += 1
         if steps > max_steps:
             raise RuntimeError("folding did not terminate; chamber data inconsistent")
-        i = bad.argmax(axis=1)
-        cur[rows] -= (2.0 * dots[np.arange(rows.size), i])[:, None] * normals[i]
+        cur = cur - shift[:, None] * np.take(normals, wall, axis=0)
+    if done_rows:
+        out[np.concatenate(done_rows)] = np.concatenate(done_images)
+    scaled = e != 0
     if scaled.any():
-        cur[scaled] = np.ldexp(cur[scaled], e[scaled, None])
-    return cur
+        out[scaled] = np.ldexp(out[scaled], e[scaled, None])
+    return out
 
 
 def _as_point(p: Iterable[float], dim: int) -> np.ndarray:

@@ -35,10 +35,12 @@ from .chamber import (
     Stratification,
     _as_point,
     _fold_image,
+    _first_true_columns,
     _fold_rows,
     _norm,
     _norms,
     _null_space_basis,
+    _reduce_columns,
     _stack_product,
     _unit_scaled,
     _unit_scaled_rows,
@@ -390,7 +392,7 @@ def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
         dists[scaled] = np.ldexp(dists[scaled], e[scaled, None])
     # softmin, scaled as in the scalar form
     k = chain.tubes.softmin_exponent
-    d_min = dists.min(axis=1)
+    d_min = _reduce_columns(np.minimum, dists)
     acc = ((d_min[:, None] / dists) ** k).sum(axis=1)
     raw = chain.tubes.b[i] * (d_min * acc ** (-1.0 / k))
     cap = chain.tubes.c[i]
@@ -530,13 +532,17 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     from the row than it allows, as in _claiming_face; `live` indexes the
     rows left with a pair, and the other arrays hold those rows alone, in
     that order. One matmul gives each live row's foot on every level-i face
-    (feet, (L, F, n), faces in faces_at_level order); the open-face test,
+    (feet, (L, F, n), faces in faces_at_level order), and one 2-D product
+    over the (L*F, n) feet gives their wall values; the open-face test,
     the heights t and the radii of the candidate feet that pass it are each
-    one array operation over the (row, face) pairs. claims (L, F) marks the
-    pairs whose tube holds the row; radius is 0 where the foot failed the
-    open-face test. A row's first claimed face is the one tube_coords
-    picks. Every product rounds each row as _stack_product does, so a row's
-    result does not depend on the rest of the stack.
+    one array operation over the (row, face) pairs, their reductions over
+    faces or walls one elementwise call per column (_reduce_columns).
+    claims (L, F) marks the pairs whose tube holds the row; radius is 0
+    where the foot failed the open-face test. A row's first claimed face is
+    the one tube_coords picks. Every product rounds each row as
+    _stack_product does, so a row's result does not depend on the rest of
+    the stack. (At level 0, F = 1, the single face has every wall active,
+    and its +inf penalty masks each wall value however it rounds.)
     """
     projectors, penalty = chain._face_rows[i]
     normals = chain.chamber.simple_normals
@@ -545,7 +551,7 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     far = np.abs(points @ normals.T) > _reach(chain, i, size)[:, None]
     far_bits = far @ (1 << np.arange(len(normals)))
     candidate = (far_bits[:, None] & np.array(chain._face_masks[i])) == 0
-    live = np.flatnonzero(candidate.any(axis=1))
+    live = np.flatnonzero(_reduce_columns(np.logical_or, candidate))
     n_rows, dim = len(live), points.shape[1]
     if not n_rows:
         empty = np.zeros((0, n_faces))
@@ -554,8 +560,10 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     below = size[live].max()
     feet = _stack_product(points, projectors).reshape(n_rows, n_faces, dim)
     foot_norm = _norms(feet, below)
-    wall_vals = feet @ normals.T + penalty
-    open_face = candidate & (wall_vals.min(axis=2) > ON_WALL_TOL * (1.0 + foot_norm))
+    wall_vals = (_stack_product(feet.reshape(-1, dim), normals).reshape(n_rows, n_faces, -1)
+                 + penalty)
+    open_face = candidate & (_reduce_columns(np.minimum, wall_vals)
+                             > ON_WALL_TOL * (1.0 + foot_norm))
     t = _norms(points[:, None, :] - feet, below)
     radius = np.zeros((n_rows, n_faces))
     radius[open_face] = _radius_rows(chain, i, feet[open_face])
@@ -565,8 +573,9 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
 def _first_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, columns): the rows of a 2-D boolean array that hold a True,
     and the column of each one's first."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    return rows, mask[rows].argmax(axis=1)
+    hit, first = _first_true_columns(mask)
+    rows = np.flatnonzero(hit)
+    return rows, first[rows]
 
 
 def _first_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -604,7 +613,7 @@ def _apply_G_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
     """apply_G at every row of an (N, n) stack of closed-chamber points."""
     normals = chain.chamber.simple_normals
     size = 1.0 + _norms(points)
-    if not np.all((points @ normals.T).min(axis=1) >= -ON_WALL_TOL * size):
+    if not np.all(_reduce_columns(np.minimum, points @ normals.T) >= -ON_WALL_TOL * size):
         raise ValueError("point lies outside the closed chamber")
     return _apply_partial_rows(chain, 0, points)
 

@@ -1,0 +1,156 @@
+"""The stacked fold and tube kernels give the per-point bits at every
+scale, in stacks of every size.
+
+The fold must equal the per-point _reflect_into_chamber byte for byte,
+and the tube kernels the copies frozen in row_kernel_oracle, from |p|
+near 1e-300 to 1e300 and within 1e-12 of a mirror. Stacks of one row are
+where BLAS rounds a product differently, so every kernel also runs on
+stacks of 1, 2 and 3 rows.
+"""
+
+import numpy as np
+import pytest
+
+import row_kernel_oracle as oracle
+from orbitfold.chamber import (
+    _first_true_columns,
+    _fold_rows,
+    _norms,
+    _reduce_columns,
+    _reflect_into_chamber,
+    _unit_scaled_rows,
+)
+from orbitfold.groups import preset_group
+from orbitfold.smoothing import _radius_rows, _tube_claims, build_chain, eval_l
+from orbitfold.verify import sample_face_point
+
+PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
+
+
+@pytest.fixture(scope="module", params=PRESETS)
+def chain(request):
+    return build_chain(preset_group(request.param))
+
+
+def _wide_points(chain, rng, count):
+    """count points at |p| log-uniform from 1e-300 to 1e300, every other
+    one moved onto a random mirror and then off it by at most 1e-12*|p|."""
+    mirrors = chain.group.mirror_normals
+    dim = chain.group.dimension
+    points = rng.normal(size=(count, dim))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    near = np.arange(count) % 2 == 1
+    normal = mirrors[rng.integers(len(mirrors), size=count)]
+    onto = points - np.sum(points * normal, axis=1)[:, None] * normal
+    onto += rng.uniform(-1e-12, 1e-12, size=(count, 1)) * normal
+    points[near] = onto[near]
+    return points * 10.0 ** rng.uniform(-300.0, 300.0, size=(count, 1))
+
+
+def _tube_points(chain, rng):
+    """Points inside the tubes of every face at |p| from 1e-3 to 1e3."""
+    strat, dim = chain.stratification, chain.group.dimension
+    points = []
+    for level in range(chain.rank):
+        for face in strat.faces_at_level(level):
+            for _ in range(8):
+                scale = 10.0 ** rng.uniform(-3.0, 3.0)
+                x = sample_face_point(chain, face, rng, radius_range=(scale, 2.0 * scale))
+                v = rng.normal(size=dim)
+                v -= face.basis @ (face.basis.T @ v)
+                if np.linalg.norm(v) < 1e-6:
+                    continue
+                radius = eval_l(chain, level, x)
+                points.append(x + (rng.uniform(0.05, 0.95) * radius / np.linalg.norm(v)) * v)
+    return np.array(points)
+
+
+def _chamber_points(chain, rng, count=1500):
+    """count closed-chamber points: tube points, then fold images of
+    _wide_points."""
+    tube = _tube_points(chain, rng)
+    wide = _wide_points(chain, rng, count - len(tube))
+    images = [_reflect_into_chamber(chain.chamber.simple_normals, p, chain.group.order)[0]
+              for p in wide]
+    return np.concatenate([tube, np.array(images)])
+
+
+def _stacks(points, rng):
+    """Stacks of 0, 1, 2 and 3 rows drawn from points, and points whole."""
+    picks = rng.choice(len(points), size=60)
+    out = [points[:0], points]
+    out += [points[[k]] for k in picks[:30]]
+    out += [points[picks[k:k + 2]] for k in range(30, 50, 2)]
+    out += [points[picks[k:k + 3]] for k in range(50, 59, 3)]
+    return out
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+def test_fold_rows_equals_point_fold_at_every_scale(chain, chunk):
+    rng = np.random.default_rng(41)
+    points = _wide_points(chain, rng, 1200)
+    normals, order = chain.chamber.simple_normals, chain.group.order
+    want = np.array([_reflect_into_chamber(normals, p, order)[0] for p in points])
+    got = np.concatenate([_fold_rows(normals, points[start:start + chunk], order)
+                          for start in range(0, len(points), chunk)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_tube_claims_and_radii_equal_frozen_kernels(chain):
+    rng = np.random.default_rng(43)
+    points = _chamber_points(chain, rng)
+    assert len(points) == 1500
+    for level in range(chain.rank):
+        for stack in _stacks(points, rng):
+            _assert_same_bytes(_tube_claims(chain, level, stack),
+                               oracle.tube_claims(chain, level, stack))
+        _, _, _, radius, feet = oracle.tube_claims(chain, level, points)
+        feet = feet[radius > 0.0]
+        assert len(feet) > 1
+        for stack in _stacks(feet, rng):
+            assert (_radius_rows(chain, level, stack).tobytes()
+                    == oracle.radius_rows(chain, level, stack).tobytes())
+
+
+def test_norms_and_unit_scaling_equal_frozen_kernels(chain):
+    rng = np.random.default_rng(47)
+    points = _chamber_points(chain, rng)
+    extreme = np.array([[1e300] * points.shape[1], [-1e-300] * points.shape[1],
+                        [5e-324] + [0.0] * (points.shape[1] - 1), [0.0] * points.shape[1]])
+    stacks = _stacks(np.concatenate([points, extreme]), rng) + [extreme]
+    for stack in stacks + [np.stack([stack, 2.0 * stack], axis=1) for stack in stacks]:
+        _assert_same_bytes(_unit_scaled_rows(stack), oracle.unit_scaled_rows(stack))
+        _assert_same_bytes([_norms(stack)], [oracle.norms(stack)])
+        below = 0.5 * 2.0 ** 510
+        small = stack[np.max(np.abs(stack), axis=-1) < 1e150]
+        _assert_same_bytes([_norms(small, below)], [oracle.norms(small, below)])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 1), (7, 3), (3, 5, 6)])
+def test_reduce_columns_equals_numpy_reduce(shape):
+    rng = np.random.default_rng(53)
+    values = rng.normal(size=shape)
+    values.reshape(-1)[::7] = np.nan
+    for op in (np.minimum, np.maximum):
+        assert _reduce_columns(op, values).tobytes() == op.reduce(values, axis=-1).tobytes()
+    mask = rng.random(size=shape) < 0.3
+    assert _reduce_columns(np.logical_or, mask).tobytes() == mask.any(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (6, 3), (4, 5, 7)])
+def test_first_true_columns_equals_argmax(shape):
+    rng = np.random.default_rng(59)
+    for share in (0.0, 0.2, 0.6, 1.0):
+        mask = rng.random(size=shape) < share
+        hit, first = _first_true_columns(mask)
+        assert hit.tobytes() == mask.any(axis=-1).tobytes()
+        assert np.array_equal(first, mask.argmax(axis=-1))
+        # a row with no True gives column 0, as argmax does
+        assert not first[~hit].any()

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .chamber import Face, _fold_rows, _square_sums
+from .chamber import Face, _fold_rows, _orthogonal_directions, _square_sums
 from .smoothing import SmoothChain, _apply_partial_rows, _radius_at
 
 DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
@@ -407,19 +407,11 @@ def origin_line_probe(
     """Two-sided derivative probes of orders 1 and 2, at the nominal
     offsets, along random lines through the origin of the essential
     subspace (where every stratum meets)."""
-    group = chain.group
-    rng = np.random.default_rng(seed)
-    fixed = group.fixed_subspace
     scaled = tuple(float(d) * chain.tubes.c0 / REFERENCE_RADIUS
                    for d in DEFAULT_OFFSETS)
-    directions = []
-    for _ in range(count):
-        v = rng.normal(size=group.dimension)
-        if fixed.shape[1]:
-            v = v - fixed @ (fixed.T @ v)
-        directions.append(v / np.linalg.norm(v))
-    vs = np.reshape(directions, (count, group.dimension))
-    return _probe_reports(fn, np.zeros_like(vs), vs, [scaled] * count, (1, 2))
+    vs = _orthogonal_directions(chain.group.fixed_subspace,
+                                np.random.default_rng(seed), count)
+    return _probe_reports(fn, np.zeros_like(vs), vs, [scaled] * len(vs), (1, 2))
 
 
 def curve_jump_probe(
@@ -487,9 +479,7 @@ def growth_bound_check(
             base_d = float(chain.lower_face_distances(i, base).min())
             x = base * (d / base_d)
             radius = _radius_at(chain, face, x)
-            active = list(face.active)
-            v = chain.chamber.simple_normals[active].sum(axis=0)
-            v = v / np.linalg.norm(v)
+            v = face.normal
             step = 0.02 * radius
         bases.append(x + (0.5 * radius) * v if i > 0 else x)
         steps.append(step)

@@ -51,9 +51,6 @@ class Chamber:
     def dimension(self) -> int:
         return self.simple_normals.shape[1]
 
-    def inequality_values(self, p: np.ndarray) -> np.ndarray:
-        return self.simple_normals @ p
-
     def contains(self, p: Iterable[float], tol: float = ON_WALL_TOL) -> bool:
         """Membership of p in the closed chamber, to tol relative to 1 + |p|."""
         p = np.asarray(p, dtype=float)
@@ -448,6 +445,24 @@ def _null_space_basis(rows: np.ndarray, dim: int) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
+def _orthogonal_directions(basis: np.ndarray, rng: np.random.Generator,
+                           count: int) -> np.ndarray:
+    """Up to `count` random unit vectors orthogonal to the span of an
+    (n, d) orthonormal basis, as (k, n) rows: each is a Gaussian draw with
+    its part in the span taken off (an exact zero when d = 0). A draw left
+    shorter than 1e-9 is dropped, and at most 4*count are made."""
+    out = []
+    for _ in range(count * 4):
+        v = rng.normal(size=basis.shape[0])
+        v = v - basis @ (basis.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            out.append(v / norm)
+        if len(out) == count:
+            break
+    return np.reshape(out, (len(out), basis.shape[0]))
+
+
 def _edge_rays(normals: np.ndarray) -> np.ndarray:
     """Rays u_j of the chamber cone: <u_j, n_i> = 0 for i != j, > 0 for i = j.
 
@@ -477,6 +492,7 @@ class Face:
     level: int
     basis: np.ndarray            # (n, d) orthonormal basis of the linear span
     inactive_normals: np.ndarray  # (len(inactive), n) rows of simple_normals
+    normal: np.ndarray | None    # unit sum of the active normals; None if none
 
     def project_to_span(self, p: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.T @ p)
@@ -532,6 +548,7 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
     for size in range(k + 1):
         for subset in itertools.combinations(range(k), size):
             inactive = tuple(j for j in range(k) if j not in subset)
+            active_sum = normals[list(subset)].sum(axis=0)
             faces.append(
                 Face(
                     active=subset,
@@ -539,6 +556,7 @@ def strata_levels(group: ReflectionGroup, chamber: Chamber) -> Stratification:
                     level=k - size,
                     basis=_null_space_basis(normals[list(subset)], dim),
                     inactive_normals=normals[list(inactive)],
+                    normal=active_sum / np.linalg.norm(active_sum) if subset else None,
                 )
             )
     faces.sort(key=lambda f: (f.level, f.active))

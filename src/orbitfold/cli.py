@@ -22,9 +22,10 @@ from .calculus import _RoundingFloorError, _least_resolved_slope, curve_jump_pro
 from .chamber import chamber_from_group, classify, fold
 from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
                      tube_spec_from_config)
+from .groups import preset_order
 from .polar import eigen_crossing_curve, model_H, random_rotation, sym_eig_model, sym_to_matrix
 from .smoothing import SmoothChain, TubeConfigError, apply_H, build_chain, validate_tubes
-from .verify import CheckResult, PRESET_ORDERS, _wall_probes, run_verification
+from .verify import CheckResult, _wall_probes, run_verification
 
 
 def _fmt(x: float) -> str:
@@ -284,7 +285,7 @@ def cmd_demo_sym3(cfg: RunConfig, matrices_path: str | None) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
-    expected = PRESET_ORDERS.get(cfg.preset) if cfg.preset else None
+    expected = preset_order(cfg.preset) if cfg.preset else None
     results = [_tube_check(chain)[0]]
     results += run_verification(chain, count=cfg.count, seed=cfg.seed,
                                 expected_order=expected)

@@ -88,9 +88,6 @@ class Hyperplane:
             or np.all(np.abs(self.normal + other.normal) <= MATCH_TOL)
         )
 
-    def canonical(self) -> "Hyperplane":
-        return Hyperplane(_canonical_sign(self.normal))
-
 
 def reflection_matrix(normal: np.ndarray) -> np.ndarray:
     n = np.asarray(normal, dtype=float)
@@ -109,7 +106,7 @@ class GroupElement:
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise ValueError("element matrix must be square")
-        if not np.allclose(mat @ mat.T, np.eye(n), atol=ORTHO_TOL):
+        if not np.allclose(mat @ mat.T, np.eye(n), rtol=0.0, atol=ORTHO_TOL):
             raise ValueError("element matrix is not orthogonal within 1e-10")
         mat = mat.copy()
         mat.flags.writeable = False
@@ -129,25 +126,17 @@ class GroupElement:
         n = self.dimension
         if abs(float(np.trace(self.matrix)) - (n - 2)) >= 1e-8:
             return False
-        if not np.allclose(self.matrix, self.matrix.T, atol=ORTHO_TOL):
+        if not np.allclose(self.matrix, self.matrix.T, rtol=0.0, atol=ORTHO_TOL):
             return False
-        return np.allclose(self.matrix @ self.matrix, np.eye(n), atol=ORTHO_TOL)
-
-    def mirror(self) -> Hyperplane:
-        """Extract the mirror of a reflection from (I - M)/2 = n n^T."""
-        if not self.is_reflection():
-            raise ValueError("element is not a reflection")
-        return self._mirror()
+        return np.allclose(self.matrix @ self.matrix, np.eye(n), rtol=0.0, atol=ORTHO_TOL)
 
     def _mirror(self) -> Hyperplane:
-        """mirror() of an element already known to be a reflection."""
+        """The mirror of an element known to be a reflection, from
+        (I - M)/2 = n n^T, its normal sign-fixed by _canonical_sign."""
         proj = 0.5 * (np.eye(self.dimension) - self.matrix)
         col = int(np.argmax(np.linalg.norm(proj, axis=0)))
         normal = proj[:, col] / np.linalg.norm(proj[:, col])
         return Hyperplane(_canonical_sign(normal))
-
-    def same_as(self, other: "GroupElement") -> bool:
-        return bool(np.all(np.abs(self.matrix - other.matrix) <= MATCH_TOL))
 
 
 def _matrix_key(mat: np.ndarray) -> bytes:
@@ -189,14 +178,6 @@ class ReflectionGroup:
             if np.all(np.abs(e.matrix - matrix) <= MATCH_TOL):
                 return i
         raise ValueError("matrix does not match any group element")
-
-
-def _deduplicate_mirrors(mirrors: Sequence[Hyperplane]) -> list[Hyperplane]:
-    out: list[Hyperplane] = []
-    for m in mirrors:
-        if not any(m.same_as(kept) for kept in out):
-            out.append(m.canonical())
-    return out
 
 
 def _generic_witness(dimension: int, mirrors: Sequence[Hyperplane]) -> np.ndarray:
@@ -302,9 +283,8 @@ def generate_group(
                     )
         frontier = next_frontier
 
-    mirrors = _deduplicate_mirrors(
-        [e._mirror() for e in elements if e.is_reflection()]
-    )
+    # distinct reflections have distinct mirrors: one per reflection
+    mirrors = [e._mirror() for e in elements if e.is_reflection()]
     mirrors.sort(key=lambda m: tuple(np.round(m.normal, 9)))
 
     normal_stack = np.stack([m.normal for m in mirrors])
@@ -367,14 +347,13 @@ _PRESET_BUILDERS = {
 }
 
 PRESET_NAMES = ("I2", "A2", "B2", "A3", "B3")
+_PRESET_ORDERS = {"A2": 6, "B2": 8, "A3": 24, "B3": 48}
 
 
-def preset_group(name: str, m: int | None = None) -> ReflectionGroup:
-    """Named small groups: I2(m) (pass m), A2, B2, A3, B3.
-
-    A2 acts on R^3 and A3 on R^4 by coordinate permutations, so both have a
-    one-dimensional fixed diagonal; the rest are essential.
-    """
+def _preset_key(name: str, m: int | None) -> tuple[str, int | None]:
+    """(key, m) of a preset name: key one of PRESET_NAMES, and m the I2
+    parameter, from the argument or the name ('i2-5', 'I2(5)'); None for
+    the other presets."""
     key = name.strip()
     if key.upper().startswith("I2"):
         if m is None:
@@ -384,15 +363,32 @@ def preset_group(name: str, m: int | None = None) -> ReflectionGroup:
             m = int(inner)
         if m < 2:
             raise ValueError("I2(m) needs m >= 2")
+        return "I2", m
+    if key.upper() not in _PRESET_BUILDERS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return key.upper(), None
+
+
+def preset_order(name: str, m: int | None = None) -> int:
+    """Order of the named preset group, read from its name alone (2m for
+    I2(m)), for checking the group that preset_group builds."""
+    key, m = _preset_key(name, m)
+    return 2 * m if key == "I2" else _PRESET_ORDERS[key]
+
+
+def preset_group(name: str, m: int | None = None) -> ReflectionGroup:
+    """Named small groups: I2(m) (pass m), A2, B2, A3, B3.
+
+    A2 acts on R^3 and A3 on R^4 by coordinate permutations, so both have a
+    one-dimensional fixed diagonal; the rest are essential.
+    """
+    key, m = _preset_key(name, m)
+    if key == "I2":
         normals = _i2_normals(m)
         theta = math.pi / (2 * m)
         witness = np.array([math.cos(theta), math.sin(theta)])
         return generate_group(normals, witness=witness)
-    try:
-        builder = _PRESET_BUILDERS[key.upper()]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
-    normals, witness = builder()
+    normals, witness = _PRESET_BUILDERS[key]()
     return generate_group(normals, witness=witness)
 
 

@@ -40,6 +40,7 @@ from .chamber import (
     _norm,
     _norms,
     _null_space_basis,
+    _orthogonal_directions,
     _reduce_columns,
     _stack_product,
     _unit_scaled,
@@ -624,12 +625,18 @@ def _apply_H_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
     return _apply_partial_rows(chain, 0, images)
 
 
+def _apply_partial(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
+    """apply_partial at a float point of the right shape and a level with
+    a tube."""
+    for j in range(chain.rank - 1, i - 1, -1):
+        p = _apply_F(chain, j, p)
+    return p
+
+
 def apply_partial(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
     """The partial composite: F_{n-1} first, descending to F_i last."""
-    q = np.asarray(p, dtype=float)
-    for j in range(chain.rank - 1, i - 1, -1):
-        q = _apply_F(chain, j, q)
-    return q
+    _check_tube_level(chain, i)
+    return _apply_partial(chain, i, _as_point(p, chain.chamber.dimension))
 
 
 def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
@@ -637,14 +644,14 @@ def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     p = _as_point(p, chain.chamber.dimension)
     if not chain.chamber.contains(p):
         raise ValueError("point lies outside the closed chamber")
-    return apply_partial(chain, 0, p)
+    return _apply_partial(chain, 0, p)
 
 
 def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """The invariant map: fold into the chamber, then smooth."""
     p = _as_point(p, chain.chamber.dimension)
     image, _ = _fold_image(chain.chamber.simple_normals, p, chain.group.order)
-    return apply_partial(chain, 0, image)
+    return _apply_partial(chain, 0, image)
 
 
 # ---------------------------------------------------------------------------
@@ -656,22 +663,6 @@ class TubeReport:
     theta_min: float | None
     slope_margins: dict[int, float]    # bound minus configured slope
     tube_points_checked: int
-
-
-def _normal_space_directions(face: Face, dim: int, rng: np.random.Generator,
-                             count: int) -> list[np.ndarray]:
-    """Random unit vectors orthogonal to the face span."""
-    basis = face.basis
-    out = []
-    for _ in range(count * 4):
-        v = rng.normal(size=dim)
-        v = v - basis @ (basis.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            out.append(v / norm)
-        if len(out) == count:
-            break
-    return out
 
 
 def validate_tubes(chain: SmoothChain) -> TubeReport:
@@ -709,7 +700,7 @@ def validate_tubes(chain: SmoothChain) -> TubeReport:
         faces = strat.faces_at_level(level)
         owner, bases, scales, points = [], [], [], []    # per sample
         for f, face in enumerate(faces):
-            dirs = _normal_space_directions(face, dim, rng, 4)
+            dirs = _orthogonal_directions(face.basis, rng, 4)
             for scale in (0.3, 1.0, 3.0):
                 x = strat.interior_point(face, radius=scale)
                 radius = _radius_at(chain, face, x)

@@ -11,6 +11,12 @@ classified, tested against the tubes and mapped as (N, n) stacks through
 the row kernels. check_fold is where the public scalar fold is checked
 against the stacked one.
 
+The flatness check, the wall probes and the wall-preservation check draw
+their face points through one sampler, _face_samples; the flatness check
+steps off each face along its Face.normal. check_closure compares the group's order with the
+one its caller expects; `orbitfold verify` reads that from the preset
+name (groups.preset_order), in any spelling preset_group accepts.
+
 What is still evaluated one point at a time: check_fold's public folds,
 kept so that they are checked, and check_profile's scalar grids of h on
 [1, 3] and of h' on (0, 2]. Its monotonicity grid takes h^(0..4) at each
@@ -60,9 +66,6 @@ from .smoothing import (
     _radius_at,
     eval_h,
 )
-
-PRESET_ORDERS = {"i2-3": 6, "i2-4": 8, "a2": 6, "b2": 8, "a3": 24, "b3": 48}
-
 
 @dataclasses.dataclass(frozen=True)
 class CheckResult:
@@ -326,10 +329,8 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
                 # is wide enough to measure through.
                 x = x * (0.15 / radius)
                 radius = _radius_at(chain, face, x)
-            v = chain.chamber.simple_normals[list(face.active)].sum(axis=0)
-            v = v / np.linalg.norm(v)
-            bases.append(x + (1e-3 * radius) * v)
-            normals.append(v)
+            bases.append(x + (1e-3 * radius) * face.normal)
+            normals.append(face.normal)
             # Step must stay well above the rounding blowup of the
             # order-3 stencil (~eps/step**3) while keeping the whole
             # stencil (heights up to 0.025*radius) where the profile is
@@ -441,16 +442,13 @@ def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
 
 def check_wall_preservation(chain: SmoothChain, points: int = 1000,
                             seed: int = 0) -> CheckResult:
-    rng = np.random.default_rng(seed)
     group, strat = chain.group, chain.stratification
     singular_faces = [f for f in strat.faces if 0 < f.level < chain.rank] or \
                      [f for f in strat.faces if f.level == 0]
-    xs = []
-    for j in range(points):
-        face = singular_faces[j % len(singular_faces)]
-        if face.inactive:
-            xs.append(sample_face_point(chain, face, rng))
-    xs = np.reshape(xs, (len(xs), group.dimension))
+    drawn, xs = _face_samples(chain, singular_faces, points, np.random.default_rng(seed),
+                              (0.5, 2.0))
+    # a face with no inactive wall samples only the origin; its rows are dropped
+    xs = xs[[bool(face.inactive) for face in drawn]]
     walls = _incident_rows(group, xs)
     images = _apply_G_rows(chain, xs)
     scale = 1.0 + np.sqrt(_square_sums(images))

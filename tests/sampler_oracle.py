@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from orbitfold import smoothing
-from orbitfold.chamber import ON_WALL_TOL, classify, fold
+from orbitfold.chamber import ON_WALL_TOL, _orthogonal_directions, classify, fold
 from orbitfold.groups import essential_split
 from orbitfold.smoothing import TubeCoords, TubeConfigError, tube_coords
 
@@ -107,7 +107,7 @@ def validate_tube_samples(chain):
     checked = 0
     for level in range(1, chain.rank):
         for face in strat.faces_at_level(level):
-            dirs = smoothing._normal_space_directions(face, chain.chamber.dimension, rng, 4)
+            dirs = _orthogonal_directions(face.basis, rng, 4)
             for scale in (0.3, 1.0, 3.0):
                 x = strat.interior_point(face, radius=scale)
                 radius = smoothing._radius_at(chain, face, x)

@@ -27,7 +27,7 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
-from orbitfold.chamber import ON_WALL_TOL, _fold_image
+from orbitfold.chamber import ON_WALL_TOL, _fold_image, _orthogonal_directions
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -329,7 +329,7 @@ def test_classify_agrees_with_face_lattice(preset):
     rng = np.random.default_rng(11)
     for _ in range(40):
         p = fold(group, chamber, rng.normal(size=group.dimension)).image
-        if np.min(np.abs(chamber.inequality_values(p))) < 1e-6:
+        if np.min(np.abs(chamber.simple_normals @ p)) < 1e-6:
             continue   # keep the sample unambiguous for the strict test
         desc = classify(group, p)
         homes = [f for f in strat.faces if in_relative_interior(strat, f, p)]
@@ -386,7 +386,7 @@ def test_interior_points_live_on_their_faces(preset):
 def test_witness_is_interior():
     for preset in PRESETS:
         group, chamber = make(preset)
-        assert np.min(chamber.inequality_values(chamber.witness)) > 1e-6
+        assert np.min(chamber.simple_normals @ chamber.witness) > 1e-6
 
 
 def test_face_span_contains_fixed_subspace():
@@ -396,6 +396,38 @@ def test_face_span_contains_fixed_subspace():
     for face in strat.faces:
         proj = face.project_to_span(diag)
         assert np.allclose(proj, diag, atol=1e-12)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_face_normal_is_the_unit_sum_of_its_active_normals(preset):
+    """Each face with an active wall carries the unit sum of its active
+    normals, orthogonal to its span; the open chamber carries None."""
+    group, chamber = make(preset)
+    for face in strata_levels(group, chamber).faces:
+        if not face.active:
+            assert face.normal is None
+            continue
+        total = chamber.simple_normals[list(face.active)].sum(axis=0)
+        assert np.array_equal(face.normal, total / np.linalg.norm(total))
+        assert np.linalg.norm(face.normal) == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(face.basis.T @ face.normal, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_orthogonal_directions_leave_the_span(preset):
+    group, chamber = make(preset)
+    for face in strata_levels(group, chamber).faces:
+        dirs = _orthogonal_directions(face.basis, np.random.default_rng(5), 4)
+        # the open chamber spans everything: every draw is dropped
+        assert len(dirs) == (0 if not face.active else 4)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(dirs @ face.basis, 0.0, atol=1e-14)
+
+
+def test_orthogonal_directions_of_an_empty_basis_are_normalized_draws():
+    draws = np.random.default_rng(3).normal(size=(3, 4))
+    dirs = _orthogonal_directions(np.zeros((4, 0)), np.random.default_rng(3), 3)
+    assert np.array_equal(dirs, draws / np.linalg.norm(draws, axis=1)[:, None])
 
 
 # ---------------------------------------------------------------------------

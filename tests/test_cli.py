@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from orbitfold import cli
 from orbitfold.cli import main
 
 
@@ -306,6 +307,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--preset", "e8")
         assert code == 2
         assert "unknown preset" in err
+
+    @pytest.mark.parametrize("preset,order", [("A3", 24), ("I2-3", 6), ("i2(3)", 6),
+                                              ("i2-5", 10)])
+    def test_group_order_checked_for_every_preset_spelling(self, capsys, monkeypatch,
+                                                           preset, order):
+        expected = []
+
+        def record(chain, count, seed, expected_order):
+            expected.append(expected_order)
+            return []
+
+        monkeypatch.setattr(cli, "run_verification", record)
+        code, _, _ = run(capsys, "verify", "--preset", preset)
+        assert code == 0
+        assert expected == [order]
 
     def test_default_suite_passes_with_profile_monotonicity(self, capsys, tmp_path):
         # Every derivative of the profile up to order 4 is monotone on

@@ -21,15 +21,19 @@ from hypothesis import strategies as st
 import orbitfold
 from orbitfold import (
     GroupClosureError,
+    GroupElement,
     Hyperplane,
     essential_split,
     generate_group,
     preset_group,
 )
 from orbitfold.groups import (
+    MATCH_TOL,
     UNIT_TOL,
     _as_unit_vector,
+    _canonical_sign,
     _simple_from_mirrors,
+    preset_order,
     reflection_matrix,
 )
 from orbitfold.verify import check_closure
@@ -295,7 +299,7 @@ def test_hyperplane_sign_identification():
     a = Hyperplane([0.0, 1.0])
     b = Hyperplane([0.0, -1.0])
     assert a.same_as(b)
-    assert np.allclose(a.canonical().normal, b.canonical().normal)
+    assert np.allclose(_canonical_sign(a.normal), _canonical_sign(b.normal))
     with pytest.raises(ValueError):
         Hyperplane([0.0, 0.0])
 
@@ -364,6 +368,55 @@ def test_simple_walls_match_nnls_oracle(name, m):
             assert got == {h.normal.tobytes() for h in group.simple_system}
         systems.add(frozenset(got))
     assert len(systems) == len(picks) == min(20, group.order)
+
+
+MIRROR_GROUPS = {
+    **{f"{name}-{m}": (lambda name=name, m=m: preset_group(name, m=m))
+       for name, m in SIMPLE_GROUPS},
+    "rank1": lambda: generate_group([[1.0]]),
+    "normals-axes": lambda: generate_group([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "normals-skew": lambda: generate_group([[1, 1, 0], [0, 1, -1], [1, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MIRROR_GROUPS))
+def test_one_sign_fixed_mirror_per_reflection(label):
+    """group.mirrors holds one mirror per reflection of the group, each
+    normal sign-fixed by _canonical_sign, no two normals within MATCH_TOL
+    of each other up to sign."""
+    group = MIRROR_GROUPS[label]()
+    reflections = [e.matrix for e in group.elements if e.is_reflection()]
+    normals = group.mirror_normals
+    assert len(group.mirrors) == len(reflections)
+    assert same_element_sets([reflection_matrix(n) for n in normals], reflections)
+    for n in normals:
+        assert np.array_equal(_canonical_sign(n), n)
+    for i, a in enumerate(normals):
+        for b in normals[i + 1:]:
+            assert min(np.abs(a - b).max(), np.abs(a + b).max()) > MATCH_TOL
+
+
+def test_element_orthogonality_tolerance_is_absolute():
+    # M M^T is 8e-6 from I: far outside the 1e-10 the check promises
+    with pytest.raises(ValueError, match="not orthogonal within 1e-10"):
+        GroupElement(np.diag([1 + 4e-6, 1.0, 1.0]), ())
+    GroupElement(np.diag([1 + 4e-11, 1.0, 1.0]), ())
+
+
+@pytest.mark.parametrize("name,order", [("A3", 24), ("I2-3", 6), ("i2(3)", 6),
+                                        ("i2-5", 10), ("b3", 48), (" a2 ", 6)])
+def test_preset_order_is_read_from_the_name(name, order):
+    assert preset_order(name) == order == preset_group(name).order
+
+
+def test_preset_order_rejects_what_preset_group_rejects():
+    for name in ("e8", "I2", "i2-1"):
+        messages = []
+        for call in (preset_group, preset_order):
+            with pytest.raises(ValueError) as err:
+                call(name)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 def test_simple_walls_reject_a_wrong_rank():

@@ -275,7 +275,7 @@ def _fold_check_per_point(group, chamber, count, seed):
         p = rng.normal(scale=2.0, size=group.dimension)
         image = fold(group, chamber, p).image
         worst_violation = max(worst_violation,
-                              -float(np.min(chamber.inequality_values(image))))
+                              -float(np.min(chamber.simple_normals @ image)))
         translates = mats @ p
         worst_orbit = max(worst_orbit,
                           float(np.min(np.linalg.norm(translates - image, axis=1))))

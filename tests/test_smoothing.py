@@ -694,6 +694,7 @@ ENTRY_POINTS = {
     "eval_l": lambda chain, p: eval_l(chain, 2, p),
     "apply_F": lambda chain, p: apply_F(chain, 1, p),
     "tube_coords": lambda chain, p: tube_coords(chain, 1, p),
+    "apply_partial": lambda chain, p: apply_partial(chain, 0, p),
 }
 
 
@@ -710,7 +711,7 @@ def test_entry_points_reject_bad_points(entry, bad):
             ENTRY_POINTS[entry](chain, np.array(BAD_POINTS[bad]))
 
 
-@pytest.mark.parametrize("entry", [apply_F, tube_coords])
+@pytest.mark.parametrize("entry", [apply_F, tube_coords, apply_partial])
 def test_tube_entry_points_name_levels_without_a_tube(entry):
     chain = build_chain(preset_group("b3"))
     for level in (3, 4, -1):

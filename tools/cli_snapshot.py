@@ -7,13 +7,17 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, and seven edge configurations: a rank-1 group under `verify` and
-`probe`, probe offsets at the rounding floor, a3 probes of orders 1, 2
-and 3, which put the directional stencils of the jump path under test, and
-`demo-sym3` with and without --out under a probe offset schedule other than
-the default one, which its curve probes take, under a schedule at the
-rounding floor, which they refuse, and under a configuration that sets the
-offsets alone and names no group. The `fold` inputs are generated here
+--out, `verify --preset A3` (a preset spelled in capitals), and nine edge
+configurations: a rank-1 group under `verify` and `probe`, two groups of
+rank 3 given by `[group] normals` under `verify` and `build-map` (the
+axis group A1^3, and an order-6 group with a fixed line whose generators
+are not simple), probe offsets at the rounding floor, a3 probes of orders
+1, 2 and 3, which put the directional stencils of the jump path under
+test, and `demo-sym3` with and without --out under a probe offset
+schedule other than the default one, which its curve probes take, under a
+schedule at the rounding floor, which they refuse, and under a
+configuration that sets the offsets alone and names no group. The `fold`
+inputs are generated here
 from numpy alone and written to OUTDIR/inputs, so they do not depend on
 the code under test.
 
@@ -46,6 +50,8 @@ DIMENSIONS = {"i2-3": 2, "i2-4": 2, "a2": 3, "b2": 2, "a3": 4, "b3": 3}
 # falls back to the default one.
 EDGE_CONFIGS = {
     "rank1": (("verify", "probe"), "[group]\nnormals = 1.0\n"),
+    "normals-axes": (("verify", "build-map"), "[group]\nnormals = 1,0,0; 0,1,0; 0,0,1\n"),
+    "normals-skew": (("verify", "build-map"), "[group]\nnormals = 1,1,0; 0,1,-1; 1,0,1\n"),
     "offset-floor": (("probe",),
                      "[group]\npreset = b2\n\n[probe]\noffsets = 1e-20,1e-21\n"),
     "orders-123": (("probe",), "[group]\npreset = a3\n\n[probe]\norders = 1,2,3\n"),
@@ -111,6 +117,7 @@ def cases(outdir: Path) -> list[tuple[str, list[str]]]:
                 (f"{name}-grid", ["grid", *base]),
                 (f"{name}-fold", ["fold", str(points), *base]),
             ]
+    out.append(("A3-verify", ["verify", "--preset", "A3", "--out", "A3-verify.out"]))
     for seed in SEEDS:
         out += [
             (f"sym3-s{seed}-demo", ["demo-sym3", "--seed", str(seed)]),

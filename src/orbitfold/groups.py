@@ -369,10 +369,11 @@ def _preset_key(name: str, m: int | None) -> tuple[str, int | None]:
     return key.upper(), None
 
 
-def preset_order(name: str, m: int | None = None) -> int:
+def preset_order(name: str) -> int:
     """Order of the named preset group, read from its name alone (2m for
-    I2(m)), for checking the group that preset_group builds."""
-    key, m = _preset_key(name, m)
+    I2(m), spelled 'i2-5' or 'I2(5)'), for checking the group that
+    preset_group builds."""
+    key, m = _preset_key(name, None)
     return 2 * m if key == "I2" else _PRESET_ORDERS[key]
 
 

@@ -21,8 +21,10 @@ axis rows.
 Probes across a wall, along lines through the origin and along a curve
 of one parameter are one measurement, and _probe_reports makes it for
 all three: it refuses offsets at the rounding floor before evaluating
-anything, takes the two-sided jumps of the map (and of the fold control
-for walls) and returns ProbeReports.
+anything, takes the two-sided jumps of the map and returns ProbeReports.
+Across a wall the map is H, the smoothing after the fold, and the fold is
+the control: every stencil point is folded once, and the smoothing maps
+those images, so H and its control share one fold.
 """
 
 from __future__ import annotations
@@ -73,7 +75,12 @@ def _evaluate(fn: StackMap, points: np.ndarray) -> np.ndarray:
 
 def _run_stencils(fn: StackMap, stencils: Sequence[_Stencil]) -> list[np.ndarray]:
     """Evaluate the points of all stencils together, then combine each."""
-    values = _evaluate(fn, np.concatenate([points for points, _ in stencils]))
+    return _combine(stencils, _evaluate(fn, np.concatenate([points for points, _ in stencils])))
+
+
+def _combine(stencils: Sequence[_Stencil], values: np.ndarray) -> list[np.ndarray]:
+    """Each stencil's results from its rows of the values of every
+    stencil's points, stacked in stencil order."""
     out = []
     start = 0
     for points, combine in stencils:
@@ -290,11 +297,12 @@ def _least_resolved_slope(reports: Sequence[ProbeReport], order: int) -> float:
                default=math.inf)
 
 
-def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
-                     offsets: Sequence[Sequence[float]],
-                     orders: Sequence[int]) -> list[dict[int, tuple[float, ...]]]:
-    """Jumps of each probe: xs[i] is its point, vs[i] its direction and
-    offsets[i] its offsets.
+def _jump_stencils(xs: np.ndarray, vs: np.ndarray, offsets: Sequence[Sequence[float]],
+                   orders: Sequence[int]) -> tuple[np.ndarray, Callable[[np.ndarray], list]]:
+    """(points, jumps): every stencil point of the two-sided probes at xs
+    along vs, each with its own offsets, and the function taking a map's
+    values at those points to each probe's jumps, {order: one jump per
+    offset}. A map's values can be combined this way more than once.
 
     Order 1 compares Jacobians, order 2 full second-derivative tensors,
     order 3 the normal third derivative. Order 2 takes the full tensor
@@ -302,11 +310,9 @@ def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
     reflection symmetry: a normal-only second difference reads zero even
     for maps whose second derivative genuinely jumps. The third derivative
     along the normal survives the symmetry because it is odd. Every stencil
-    of every probe, offset, side and order is evaluated in one stack, each
-    distinct point once: orders 1 and 2 take the Hessian's points alone.
+    of every probe, offset, side and order is one stack, each distinct
+    point once: orders 1 and 2 take the Hessian's points alone.
     """
-    if not len(xs):
-        return []
     deltas = np.asarray(offsets, dtype=float)
     count, k = deltas.shape
     x = np.repeat(xs, k, axis=0)
@@ -325,14 +331,29 @@ def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
         groups.append(line)
         stencils.append(_shared_line_stencils(sides, np.repeat(v, 2, axis=0)[:, None],
                                               line, steps))
-    derivatives = {}
-    for group, results in zip(groups, _run_stencils(fn, stencils)):
-        derivatives.update(zip(group, results))
-    norms = {order: _jump_norms(derivatives[order].reshape(count, k, 2,
-                                                           *derivatives[order].shape[1:]))
-             for order in orders}
-    return [{order: tuple(max(d, JUMP_FLOOR) for d in r[i]) for order, r in norms.items()}
-            for i in range(count)]
+
+    def jumps(values: np.ndarray) -> list[dict[int, tuple[float, ...]]]:
+        derivatives = {}
+        for group, results in zip(groups, _combine(stencils, values)):
+            derivatives.update(zip(group, results))
+        norms = {order: _jump_norms(derivatives[order].reshape(
+                     count, k, 2, *derivatives[order].shape[1:])) for order in orders}
+        return [{order: tuple(max(d, JUMP_FLOOR) for d in r[i])
+                 for order, r in norms.items()} for i in range(count)]
+
+    return np.concatenate([points for points, _ in stencils]), jumps
+
+
+def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
+                     offsets: Sequence[Sequence[float]],
+                     orders: Sequence[int]) -> list[dict[int, tuple[float, ...]]]:
+    """Jumps of fn at each probe of _jump_stencils: xs[i] is its point,
+    vs[i] its direction and offsets[i] its offsets. fn is evaluated once,
+    over every stencil point."""
+    if not len(xs):
+        return []
+    points, jumps = _jump_stencils(xs, vs, offsets, orders)
+    return jumps(_evaluate(fn, points))
 
 
 def _jump_norms(r: np.ndarray) -> list[list[float]]:
@@ -353,18 +374,27 @@ def _jump_norms(r: np.ndarray) -> list[list[float]]:
 
 def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
                    offsets: Sequence[tuple[float, ...]], orders: tuple[int, ...],
-                   control: StackMap | None = None) -> list[ProbeReport]:
+                   fold: StackMap | None = None) -> list[ProbeReport]:
     """The ProbeReports of the two-sided probes at the points xs along vs,
-    each with its own offsets; control, when given, runs through the same
-    probes. Every probe's orders and offsets are checked first, so a
-    schedule at the rounding floor evaluates nothing."""
+    each with its own offsets. Every probe's orders and offsets are checked
+    first, so a schedule at the rounding floor evaluates nothing.
+
+    fold, when given, runs first and fn maps its images: the probed map is
+    fn after fold, and fold itself, through the same probes, is the
+    control. The fold is evaluated once over every stencil point, fn once
+    over its images."""
     if any(order not in (1, 2, 3) for order in orders):
         raise ValueError("order must be 1, 2, or 3")
     for x, offs in zip(xs, offsets):
         _check_offsets(x, offs)
-    jumps = _two_sided_jumps(fn, xs, vs, offsets, orders)
-    controls = ([None] * len(xs) if control is None
-                else _two_sided_jumps(control, xs, vs, offsets, orders))
+    if not len(xs):
+        return []
+    if fold is None:
+        jumps, controls = _two_sided_jumps(fn, xs, vs, offsets, orders), [None] * len(xs)
+    else:
+        points, jumps_of = _jump_stencils(xs, vs, offsets, orders)
+        images = _evaluate(fold, points)
+        jumps, controls = jumps_of(_evaluate(fn, images)), jumps_of(images)
     return [ProbeReport(point=x, direction=v, offsets=offs, orders=orders,
                         jumps=j, control_jumps=c)
             for x, v, offs, j, c in zip(xs, vs, offsets, jumps, controls)]
@@ -373,15 +403,16 @@ def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
 def _wall_reports(chain: SmoothChain, fn: StackMap,
                   samples: Sequence[tuple[np.ndarray, Face, int]],
                   offsets: Sequence[float], orders: Sequence[int]) -> list[ProbeReport]:
-    """Derivatives of fn compared on the two sides of a wall, at every
-    sample (x, face, wall): x lies in the open codimension-one face and on
-    group mirror `wall` alone.
+    """Derivatives of fn after the fold compared on the two sides of a
+    wall, at every sample (x, face, wall): x lies in the open
+    codimension-one face and on group mirror `wall` alone. fn maps fold
+    images (for H, the partial composite from level 0).
 
     Each probe runs along the mirror's normal, pointed into the chamber.
     Offsets are rescaled so the nominal schedule probes fixed fractions of
     the local tube radius at x, and the raw fold runs through the same
-    probes as the control. fn and the fold are each evaluated once, over
-    every probe.
+    probes as the control. The fold is evaluated once, over every probe's
+    stencil points, and fn once, over their images.
     """
     xs, vs, scaled = [], [], []
     for x, face, wall in samples:
@@ -395,7 +426,7 @@ def _wall_reports(chain: SmoothChain, fn: StackMap,
     xs = np.reshape(xs, (len(xs), chain.group.dimension))
     normals, cap = chain.chamber.simple_normals, chain.group.order
     return _probe_reports(fn, xs, np.reshape(vs, xs.shape), scaled, tuple(orders),
-                          control=lambda points: _fold_rows(normals, points, cap))
+                          fold=lambda points: _fold_rows(normals, points, cap))
 
 
 def origin_line_probe(

@@ -10,14 +10,12 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
-import re
 
 import numpy as np
 
 from .calculus import DEFAULT_OFFSETS
-from .groups import ReflectionGroup, generate_group, preset_group
+from .groups import ReflectionGroup, _preset_key, generate_group, preset_group
 
-_PRESET_PATTERN = re.compile(r"^(a2|b2|a3|b3|i2[-(:]?\s*\d+\)?)$")
 DEFAULT_PRESET = "b2"          # the group of a run that names none
 
 
@@ -47,8 +45,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if (self.preset is None) == (self.normals is None):
             raise ConfigError("exactly one of preset / normals must be set")
-        if self.preset is not None and not _PRESET_PATTERN.match(self.preset.lower()):
-            raise ConfigError(f"unknown preset {self.preset!r}")
+        if self.preset is not None:
+            # the names preset_group reads, as it reads them
+            try:
+                _preset_key(self.preset, None)
+            except ValueError as exc:
+                raise ConfigError(f"unknown preset {self.preset!r}") from exc
         if self.normals is not None:
             widths = {len(row) for row in self.normals}
             if not self.normals or len(widths) != 1 or 0 in widths:

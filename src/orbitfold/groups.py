@@ -94,6 +94,11 @@ def reflection_matrix(normal: np.ndarray) -> np.ndarray:
     return np.eye(n.size) - 2.0 * np.outer(n, n)
 
 
+def _check_orthogonal(mat: np.ndarray) -> None:
+    if not np.allclose(mat @ mat.T, np.eye(len(mat)), rtol=0.0, atol=ORTHO_TOL):
+        raise ValueError("element matrix is not orthogonal within 1e-10")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class GroupElement:
     """Orthogonal matrix plus one shortest word in the generator indices."""
@@ -106,12 +111,22 @@ class GroupElement:
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise ValueError("element matrix must be square")
-        if not np.allclose(mat @ mat.T, np.eye(n), rtol=0.0, atol=ORTHO_TOL):
-            raise ValueError("element matrix is not orthogonal within 1e-10")
+        _check_orthogonal(mat)
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "word", tuple(int(i) for i in self.word))
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray, word: tuple[int, ...]) -> "GroupElement":
+        """An element whose square float matrix is known orthogonal, such as
+        a product of checked ones: the matrix is frozen in place, with no
+        test and no copy."""
+        elem = object.__new__(cls)
+        matrix.flags.writeable = False
+        object.__setattr__(elem, "matrix", matrix)
+        object.__setattr__(elem, "word", word)
+        return elem
 
     @property
     def dimension(self) -> int:
@@ -260,8 +275,11 @@ def generate_group(
             uniq.append(g)
     gens = uniq
 
+    # each generator is checked once; the products are built unchecked
     gen_mats = [reflection_matrix(g.normal) for g in gens]
-    identity = GroupElement(np.eye(dim), ())
+    for gmat in gen_mats:
+        _check_orthogonal(gmat)
+    identity = GroupElement._unchecked(np.eye(dim), ())
     elements: list[GroupElement] = [identity]
     seen = {_matrix_key(identity.matrix)}
     frontier = [identity]
@@ -274,7 +292,7 @@ def generate_group(
                 if key in seen:
                     continue
                 seen.add(key)
-                new = GroupElement(prod, (gi,) + elem.word)
+                new = GroupElement._unchecked(prod, (gi,) + elem.word)
                 elements.append(new)
                 next_frontier.append(new)
                 if len(elements) > cap:

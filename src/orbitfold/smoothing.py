@@ -12,11 +12,12 @@ the face while staying the identity outside. Composing wall maps first and
 the radial map last gives G; precomposing with the fold gives the smooth
 invariant map H.
 
-Derivatives of h are evaluated through truncated Taylor jets: a jet holds
-coefficients c_k = f^(k)(t)/k!, products are convolutions, and exp/divide
-have short recurrences. Below t ~ 5.5e-5 the factor exp(-a/sqrt(t))
-underflows, so h is *numerically* exactly flat there; the code leans on that
-instead of fighting it.
+Derivatives of h are evaluated through truncated Taylor jets, over a whole
+array of t at once: a jet holds coefficients c_k = f^(k)(t)/k!, one row per
+k and one column per entry, products are convolutions, and exp/divide have
+short recurrences. Below t ~ 5.5e-5 the factor exp(-a/sqrt(t)) underflows,
+so h is *numerically* exactly flat there; the code leans on that instead of
+fighting it.
 """
 
 from __future__ import annotations
@@ -64,60 +65,58 @@ class TubeConfigError(ValueError):
 # Taylor jets for h
 # ---------------------------------------------------------------------------
 
-def _jet_mul(a: list[float], b: list[float]) -> list[float]:
-    m = len(a)
-    out = [0.0] * m
-    for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
-        for j in range(m - i):
-            out[i + j] += ai * b[j]
+def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two stacks of jets, (m, N) each: coefficient k of entry
+    s sums a[i, s]*b[k - i, s] in increasing i."""
+    out = np.zeros_like(a)
+    for i in range(len(a)):
+        out[i:] += a[i] * b[:len(a) - i]
     return out
 
 
-def _jet_div(a: list[float], b: list[float]) -> list[float]:
-    m = len(a)
-    out = [0.0] * m
+def _jet_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quotient a/b of two stacks of jets, (m, N) each."""
+    out = np.empty_like(a)
     out[0] = a[0] / b[0]
-    for k in range(1, m):
+    for k in range(1, len(a)):
         s = a[k]
         for j in range(1, k + 1):
-            s -= b[j] * out[k - j]
+            s = s - b[j] * out[k - j]
         out[k] = s / b[0]
     return out
 
 
-def _jet_exp(a: list[float]) -> list[float]:
-    m = len(a)
-    out = [0.0] * m
-    out[0] = math.exp(a[0])
-    for k in range(1, m):
-        s = 0.0
+def _jet_exp(a: np.ndarray) -> np.ndarray:
+    """exp of a stack of jets, (m, N). The constant term goes through
+    math.exp entry by entry: np.exp rounds some arguments differently."""
+    out = np.empty_like(a)
+    out[0] = [math.exp(x) for x in a[0].tolist()]
+    ja = np.arange(len(a))[:, None] * a         # j * a[j]
+    for k in range(1, len(a)):
+        s = np.zeros_like(a[0])
         for j in range(1, k + 1):
-            s += j * a[j] * out[k - j]
+            s = s + ja[j] * out[k - j]
         out[k] = s / k
     return out
 
 
-def _jet_e(t: float, order: int) -> list[float]:
-    """Jet of e(t) = exp(-a/sqrt(t)) at t > 0 (zero jet once exp underflows,
-    below t ~ 5.5e-5).
+def _jet_e(t: np.ndarray, order: int) -> np.ndarray:
+    """Jets of e(t) = exp(-a/sqrt(t)) at every entry of t, as an
+    (order + 1, N) stack: the zero jet where t <= ARG_DEAD_EPS (exp
+    underflows below t ~ 5.5e-5 anyway).
 
     The exponent's jet is the binomial series of -a*t^(-1/2): its j-th
     coefficient is -a*C(-1/2, j)*t^(-1/2-j).
     """
-    if t <= ARG_DEAD_EPS:
-        return [0.0] * (order + 1)
-    w = [-E_RATE / math.sqrt(t)]
+    out = np.zeros((order + 1, len(t)))
+    live = t > ARG_DEAD_EPS
+    s = t[live]
+    w = np.empty((order + 1, len(s)))
+    w[0] = -E_RATE / np.sqrt(s)
     for j in range(1, order + 1):
-        w.append(w[-1] * (0.5 - j) / (j * t))
-    return _jet_exp(w)
-
-
-def _jet_e_reflected(t: float, order: int) -> list[float]:
-    """Jet in t of e(1 - t): reflect the jet of e at 1 - t."""
-    inner = _jet_e(1.0 - t, order)
-    return [(-1.0) ** k * c for k, c in enumerate(inner)]
+        w[j] = w[j - 1] * (0.5 - j) / (j * s)
+    out[:, live] = _jet_exp(w)
+    return out
 
 
 def _g0(t: float) -> float:
@@ -147,24 +146,29 @@ class SmoothProfile:
     DERIVATIVE_ORDER_MAX."""
 
 
-def _h_derivatives(t: float, order: int) -> list[float]:
-    """[h(t), h'(t), ..., h^(order)(t)] from one jet, at a finite t >= 0.
+def _h_derivatives(t: np.ndarray, order: int) -> np.ndarray:
+    """h, h', ..., h^(order) at every entry of a 1-D array of finite t >= 0,
+    as an (order + 1, N) stack, each column from one jet.
 
     Zero at and near 0 (flat), exactly t from 1 on, jets in between. A
     jet's coefficient k does not depend on how far the jet runs, so each
     entry has the bits a jet of its own order gives it.
     """
-    if t <= ARG_DEAD_EPS:
-        return [0.0] * (order + 1)
-    identity = ([t, 1.0] + [0.0] * order)[:order + 1]     # the jet of t itself
-    if t >= 1.0 - ARG_DEAD_EPS:
-        return identity
-    et = _jet_e(t, order)
-    er = _jet_e_reflected(t, order)
-    den = [x + y for x, y in zip(et, er)]
-    g = _jet_div(et, den)
-    h = _jet_mul(g, identity)
-    return [c * math.factorial(k) for k, c in enumerate(h)]
+    identity = np.zeros((order + 1, len(t)))     # the jet of t itself
+    identity[0] = t
+    if order:
+        identity[1] = 1.0
+    out = np.zeros_like(identity)
+    tail = t >= 1.0 - ARG_DEAD_EPS
+    out[:, tail] = identity[:, tail]
+    mid = (t > ARG_DEAD_EPS) & ~tail
+    s = t[mid]
+    et = _jet_e(s, order)
+    # the jet in t of e(1 - t): the jet of e at 1 - t, odd coefficients negated
+    er = _jet_e(1.0 - s, order) * [[(-1.0) ** k] for k in range(order + 1)]
+    h = _jet_mul(_jet_div(et, et + er), identity[:, mid])
+    out[:, mid] = h * [[float(math.factorial(k))] for k in range(order + 1)]
+    return out
 
 
 def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
@@ -179,9 +183,11 @@ def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
     if not 0 <= order <= DERIVATIVE_ORDER_MAX:
         raise ValueError(
             f"order {order} outside supported range 0..{DERIVATIVE_ORDER_MAX}")
-    if order == 0 and t > ARG_DEAD_EPS:
+    if t <= ARG_DEAD_EPS:
+        return 0.0          # flat: every derivative vanishes
+    if order == 0:
         return t * _g0(t)
-    return _h_derivatives(t, order)[order]
+    return float(_h_derivatives(np.array([t]), order)[order, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,18 @@ def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
     rows, starts = chain._lower_rows[i]
     unit, e, _ = _unit_scaled_rows(feet)
     y = _stack_product(unit, rows)
-    dists = np.sqrt(np.add.reduceat(y * y, starts, axis=1))
+    # each face's square sum, column by column: its first square plus the
+    # left-to-right chain of the rest, the order in which np.add.reduceat
+    # (slower on short segments) sums a segment of up to 8 squares
+    sq = y * y
+    bounds = starts.tolist() + [len(rows)]
+    sums = np.empty((len(sq), len(starts)))
+    for f, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        rest = sq[:, first + 1] if end - first > 1 else 0.0
+        for col in range(first + 2, end):
+            rest = rest + sq[:, col]
+        np.add(sq[:, first], rest, out=sums[:, f])
+    dists = np.sqrt(sums)
     scaled = e != 0
     if scaled.any():
         dists[scaled] = np.ldexp(dists[scaled], e[scaled, None])

@@ -12,15 +12,19 @@ the row kernels. check_fold is where the public scalar fold is checked
 against the stacked one.
 
 The flatness check, the wall probes and the wall-preservation check draw
-their face points through one sampler, _face_samples; the flatness check
-steps off each face along its Face.normal. check_closure compares the group's order with the
-one its caller expects; `orbitfold verify` reads that from the preset
-name (groups.preset_order), in any spelling preset_group accepts.
+their face points through one sampler, _face_samples, which takes every
+draw of a check's samples from one rng block, in the order a
+point-at-a-time loop drew them; the flatness check steps off each face
+along its Face.normal. The wall probes fold their stencil points once:
+the fold is the control, and H is the smoothing of its images.
+check_profile takes each of its grids (h on [1, 3], h' on (0, 2] and
+h^(0..4) on (0, 0.2]) as one stack of profile jets. check_closure
+compares the group's order with the one its caller expects; `orbitfold
+verify` reads that from the preset name (groups.preset_order), in any
+spelling preset_group accepts.
 
 What is still evaluated one point at a time: check_fold's public folds,
-kept so that they are checked, and check_profile's scalar grids of h on
-[1, 3] and of h' on (0, 2]. Its monotonicity grid takes h^(0..4) at each
-point from one jet.
+kept so that they are checked.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .smoothing import (
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
+    _apply_partial_rows,
     _first_claims,
     _h_derivatives,
     _radius_at,
@@ -149,41 +154,39 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
 # 3: profile properties
 # ---------------------------------------------------------------------------
 
-def _flat_derivatives(prof: SmoothProfile) -> list[float]:
+def _flat_derivatives() -> list[float]:
     """h^(1), ..., h^(4) at t = 1e-3 by central differences of step 5e-5,
     all from one evaluation of h at the 5 points the stencils share."""
     base, steps = np.array([[1e-3]]), np.array([5e-5])
-    h_rows = lambda rows: np.array([[eval_h(prof, t)] for t in rows[:, 0].tolist()])
+    h_rows = lambda rows: _h_derivatives(rows[:, 0], 0).T
     derivatives, = _run_stencils(h_rows, [_shared_line_stencils(base, np.eye(1),
                                                                 (1, 2, 3, 4), steps)])
     return [float(d[0, 0, 0]) for d in derivatives]
 
 
 def check_profile() -> list[CheckResult]:
-    prof = SmoothProfile()
     out = []
 
     ts = np.linspace(1.0, 3.0, 200)
-    tail = max(abs(eval_h(prof, float(t)) - float(t)) for t in ts)
+    tail = float(np.abs(_h_derivatives(ts, 0)[0] - ts).max())
     out.append(_result("linear tail h(t)=t for t>=1", tail, 1e-15))
 
     out.append(_result("symmetry value h(1/2)=1/4",
-                       abs(eval_h(prof, 0.5) - 0.25), 0.0))
+                       abs(eval_h(SmoothProfile(), 0.5) - 0.25), 0.0))
 
-    worst_fd = max(abs(d) for d in _flat_derivatives(prof))
+    worst_fd = max(abs(d) for d in _flat_derivatives())
     out.append(_result("derivatives vanish at t=1e-3 (orders 1-4)",
                        worst_fd, 1e-8))
 
     grid = np.linspace(2.0 / 1000, 2.0, 1000)
-    min_slope = min(eval_h(prof, float(t), order=1) for t in grid)
+    min_slope = float(_h_derivatives(grid, 1)[1].min())
     out.append(_result("h' positive on (0,2]", min_slope, 0.0, mode="min",
                        detail="minimum of h' over the grid; must stay above 0"))
 
     # h^(0..4) at each grid point from one jet
-    jets = [_h_derivatives(t, 4) for t in np.linspace(0.2 / 200, 0.2, 200).tolist()]
+    jets = _h_derivatives(np.linspace(0.2 / 200, 0.2, 200), 4)
     for order in range(5):
-        vals = [jet[order] for jet in jets]
-        min_diff = min(b - a for a, b in zip(vals, vals[1:]))
+        min_diff = float(np.diff(jets[order]).min())
         out.append(_result(
             f"h^({order}) nondecreasing on (0,0.2]", min_diff, -1e-12,
             mode="min",
@@ -195,27 +198,36 @@ def check_profile() -> list[CheckResult]:
 # shared sampling helpers
 # ---------------------------------------------------------------------------
 
-def sample_face_point(chain: SmoothChain, face, rng: np.random.Generator,
-                      radius_range: tuple[float, float] = (0.5, 2.0)) -> np.ndarray:
-    """Random point in the relative interior of a face (positive edge-ray
-    combination at a random scale). A face with no inactive walls is the
-    minimal stratum; its point is the origin."""
-    if not face.inactive:
-        return np.zeros(chain.group.dimension)
-    rays = chain.stratification.edge_rays[list(face.inactive)]
-    weights = rng.uniform(0.2, 1.8, size=len(rays))
-    x = weights @ rays
-    x = x / np.linalg.norm(x)
-    return float(rng.uniform(*radius_range)) * x
-
-
 def _face_samples(chain: SmoothChain, faces, count: int, rng: np.random.Generator,
                   radius_range: tuple[float, float]) -> tuple[list, np.ndarray]:
-    """(faces drawn, (count, n) stack of points): sample j from
-    sample_face_point on faces[j % len(faces)], in order."""
+    """(faces drawn, (count, n) stack of points): sample j is a random point
+    in the relative interior of faces[j % len(faces)], a positive
+    combination of its edge rays, normalised and scaled by a random radius
+    in radius_range. A face with no inactive walls is the minimal stratum;
+    its sample is the origin, and it draws nothing.
+
+    Every sample's draws come from one rng.random block, in the order a
+    point-at-a-time loop drew them (its k weights in [0.2, 1.8), then its
+    radius), scaled as rng.uniform scales them, so the points and the rng
+    state after them are that loop's. The samples on faces with k inactive
+    walls combine their rays in one batched matmul, whose (1, k) @ (k, n)
+    products round as each w @ rays does.
+    """
     drawn = [faces[j % len(faces)] for j in range(count)]
-    points = [sample_face_point(chain, face, rng, radius_range) for face in drawn]
-    return drawn, np.reshape(points, (count, chain.group.dimension))
+    sizes = np.array([len(face.inactive) for face in drawn], dtype=int)
+    ends = np.cumsum(sizes + (sizes > 0))     # one past each sample's last draw
+    u = rng.random(int(ends[-1]) if count else 0)
+    low, high = radius_range
+    edge_rays = chain.stratification.edge_rays
+    points = np.zeros((count, chain.group.dimension))
+    for k in sorted(set(sizes.tolist()) - {0}):
+        rows = np.flatnonzero(sizes == k)
+        weights = 0.2 + (1.8 - 0.2) * u[(ends[rows] - k - 1)[:, None] + np.arange(k)]
+        rays = edge_rays[[list(drawn[j].inactive) for j in rows.tolist()]]
+        x = np.matmul(weights[:, None, :], rays)[:, 0]
+        x = x / np.sqrt(_square_sums(x))[:, None]
+        points[rows] = (low + (high - low) * u[ends[rows] - 1])[:, None] * x
+    return drawn, points
 
 
 def _essential_norms(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
@@ -345,9 +357,7 @@ def check_flatness(chain: SmoothChain, points_per_level: int = 50,
         # the 5 points each sample's stencils share
         derivatives, = _run_stencils(fn, [_shared_line_stencils(
             np.array(bases), np.array(normals)[:, None], (1, 2, 3), np.asarray(steps))])
-        for along in derivatives:
-            for d in along:
-                worst = max(worst, float(np.linalg.norm(d)))
+        worst = max(worst, float(np.sqrt(_square_sums(np.stack(derivatives))).max()))
         checked += len(bases)
     return _result("flat normal derivatives at strata", worst, 1e-6,
                    detail=f"max over {checked} points, orders 1-3")
@@ -362,15 +372,16 @@ def _wall_probes(chain: SmoothChain, points: int, seed: int,
                  orders: Sequence[int] = (1, 2)) -> list[ProbeReport]:
     """Wall-jump probes of H at seeded points of the codimension-one faces,
     cycling through the faces; a sample not on exactly one wall is skipped,
-    and a kept one is probed across that wall. All probes share one stacked
-    evaluation of H and one of the fold."""
+    and a kept one is probed across that wall. Every probe's stencil points
+    are folded in one stack, which is the control, and the smoothing maps
+    those images in one more, which gives H."""
     rng = np.random.default_rng(seed)
     drawn, xs = _face_samples(chain, chain.stratification.faces_at_level(chain.rank - 1),
                               points, rng, (1.0, 2.0))
     incident, _ = _classify_rows(chain.group, xs)
     samples = [(x, face, int(walls.argmax()))
                for x, face, walls in zip(xs, drawn, incident) if walls.sum() == 1]
-    return _wall_reports(chain, lambda rows: _apply_H_rows(chain, rows), samples,
+    return _wall_reports(chain, lambda rows: _apply_partial_rows(chain, 0, rows), samples,
                          offsets, orders)
 
 
@@ -431,10 +442,10 @@ def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
                            seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     samples = _regular_margin_points(chain, rng, points)
-    steps = [1e-5 * (1.0 + float(np.linalg.norm(p))) for p in samples]
+    steps = 1e-5 * (1.0 + np.sqrt(_square_sums(samples)))
     jacobians = _run_stencils(lambda rows: _apply_G_rows(chain, rows),
                               [_jacobian_stencils(samples, steps)])[0]
-    worst = min((abs(float(np.linalg.det(J))) for J in jacobians), default=math.inf)
+    worst = float(np.abs(np.linalg.det(jacobians)).min(initial=math.inf))
     return _result("Jacobian determinant bounded away from zero",
                    worst, 1e-6, mode="min",
                    detail=f"min |det DG| over {points} margin-sampled points")

@@ -1,13 +1,14 @@
 """The verify samplers and validate_tubes' sampling checks as they were
 before they were stacked, frozen for tests.
 
-Each sampler draws one Gaussian point per try from the rng it is given,
+Each Gaussian sampler draws one point per try from the rng it is given,
 folds it with the public fold, and tests it with the public classify,
-essential_split and tube_coords, one point at a time. The stacked samplers
-in orbitfold.verify must choose the same points, bit for bit, from the same
-seed. tube_hits walks every face of a level for the tubes that hold a
-point, with no bound on which faces to try.
-"""
+essential_split and tube_coords, one point at a time. sample_face_point
+draws one face point per call, as the flatness check, the wall probes and
+the wall-preservation check did. The stacked samplers in orbitfold.verify
+must choose the same points, bit for bit, from the same seed. tube_hits
+walks every face of a level for the tubes that hold a point, with no bound
+on which faces to try."""
 
 import math
 
@@ -17,6 +18,26 @@ from orbitfold import smoothing
 from orbitfold.chamber import ON_WALL_TOL, _orthogonal_directions, classify, fold
 from orbitfold.groups import essential_split
 from orbitfold.smoothing import TubeCoords, TubeConfigError, tube_coords
+
+
+def sample_face_point(chain, face, rng, radius_range=(0.5, 2.0)):
+    """Random point in the relative interior of a face (positive edge-ray
+    combination at a random scale); the origin on a face with no inactive
+    walls."""
+    if not face.inactive:
+        return np.zeros(chain.group.dimension)
+    rays = chain.stratification.edge_rays[list(face.inactive)]
+    weights = rng.uniform(0.2, 1.8, size=len(rays))
+    x = weights @ rays
+    x = x / np.linalg.norm(x)
+    return float(rng.uniform(*radius_range)) * x
+
+
+def face_samples(chain, faces, count, rng, radius_range):
+    """verify._face_samples' points: sample j on faces[j % len(faces)]."""
+    points = [sample_face_point(chain, faces[j % len(faces)], rng, radius_range)
+              for j in range(count)]
+    return np.reshape(points, (count, chain.group.dimension))
 
 
 def tube_hits(chain, i, p):

@@ -44,7 +44,8 @@ def directional(fn, p, direction, order, step):
 
 
 def wall_probe(chain, fn, x):
-    """The wall probe of orders 1 and 2 at x, a point on exactly one mirror."""
+    """The wall probe of orders 1 and 2 at x, a point on exactly one mirror,
+    of fn after the fold (fn maps fold images)."""
     return _wall_reports(chain, per_point(fn), [wall_sample(chain, x)],
                          DEFAULT_OFFSETS, (1, 2))[0]
 
@@ -215,7 +216,7 @@ def test_fd_jacobian_agrees_bitwise_with_column_loop(preset):
 class TestWallProbe:
     def test_smoothed_map_jump_decays(self, b2_chain):
         x = np.array([1.5, 0.0])
-        rep = wall_probe(b2_chain, lambda q: apply_H(b2_chain, q), x)
+        rep = wall_probe(b2_chain, lambda q: apply_G(b2_chain, q), x)
         assert rep.slopes[1] >= 0.8
         assert rep.slopes[2] >= 0.8
         # offsets were rescaled by the local radius (0.15 here)
@@ -224,22 +225,20 @@ class TestWallProbe:
     def test_fold_control_jump_is_two(self, b2_chain):
         # |I - r|_F = |2 n n^T|_F = 2 exactly, for every reflection r.
         x = np.array([1.5, 0.0])
-        rep = wall_probe(b2_chain, lambda q: apply_H(b2_chain, q), x)
+        rep = wall_probe(b2_chain, lambda q: apply_G(b2_chain, q), x)
         for j in rep.control_jumps[1]:
             assert j == pytest.approx(2.0, abs=1e-9)
         assert abs(rep.control_slopes[1]) <= 0.1
         assert rep.control_jumps[1][0] >= 0.5
 
     def test_fold_as_main_map_matches_control(self, b2_chain):
-        from orbitfold.chamber import _fold_image
-        normals = b2_chain.chamber.simple_normals
-        fold_fn = lambda p: _fold_image(normals, p, 8)[0]
-        rep = wall_probe(b2_chain, fold_fn, np.array([1.5, 0.0]))
+        # the identity after the fold makes the main map the fold itself
+        rep = wall_probe(b2_chain, lambda q: q, np.array([1.5, 0.0]))
         assert rep.jumps[1] == rep.control_jumps[1]
 
     def test_default_direction_points_into_chamber(self, b2_chain):
         rep = wall_probe(
-            b2_chain, lambda q: apply_H(b2_chain, q), np.array([1.5, 0.0]))
+            b2_chain, lambda q: apply_G(b2_chain, q), np.array([1.5, 0.0]))
         assert float(rep.direction @ b2_chain.chamber.witness) > 0
 
     def test_even_normal_slice_cancels(self, b2_chain):

@@ -22,7 +22,7 @@ from orbitfold.chamber import (
 )
 from orbitfold.groups import preset_group
 from orbitfold.smoothing import _radius_rows, _tube_claims, build_chain, eval_l
-from orbitfold.verify import sample_face_point
+from sampler_oracle import sample_face_point
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 

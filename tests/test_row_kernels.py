@@ -39,6 +39,7 @@ from orbitfold.smoothing import (
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
+    _apply_partial_rows,
     apply_F,
     apply_G,
     apply_H,
@@ -46,7 +47,8 @@ from orbitfold.smoothing import (
     eval_h,
     eval_l,
 )
-from orbitfold.verify import _flat_derivatives, sample_face_point
+from orbitfold.verify import _flat_derivatives
+from sampler_oracle import sample_face_point
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 AGREEMENT = 1e-15
@@ -136,9 +138,9 @@ def _counted(fn, calls):
     return rows
 
 
-def _row_by_row(chain):
-    """The stacked apply_H kernel, given one row per call."""
-    return oracle.per_point(lambda p: _apply_H_rows(chain, p[None, :])[0])
+def _row_by_row(chain, kernel=_apply_H_rows):
+    """A stacked kernel (apply_H's unless given), given one row per call."""
+    return oracle.per_point(lambda p: kernel(chain, p[None, :])[0])
 
 
 @pytest.mark.parametrize("preset", ["b2", "a3"])
@@ -175,8 +177,11 @@ def test_probes_agree_bitwise_across_paths(preset):
     face = chain.stratification.faces_at_level(chain.rank - 1)[0]
     x = sample_face_point(chain, face, np.random.default_rng(3), radius_range=(1.0, 2.0))
     sample = oracle.wall_sample(chain, x)
-    a, = _wall_reports(chain, whole, [sample], DEFAULT_OFFSETS, (1, 2, 3))
-    b, = _wall_reports(chain, one_row, [sample], DEFAULT_OFFSETS, (1, 2, 3))
+    # a wall probe's map takes the fold images
+    smooth = lambda rows: _apply_partial_rows(chain, 0, rows)
+    a, = _wall_reports(chain, _counted(smooth, calls), [sample], DEFAULT_OFFSETS, (1, 2, 3))
+    b, = _wall_reports(chain, _row_by_row(chain, lambda chain, rows: smooth(rows)), [sample],
+                       DEFAULT_OFFSETS, (1, 2, 3))
     assert a.jumps == b.jumps and a.control_jumps == b.control_jumps
     assert len(calls) == 1
     for ra, rb in zip(origin_line_probe(chain, whole, count=2, seed=1),
@@ -251,7 +256,7 @@ def test_row_maps_get_at_most_row_cap_rows_per_call():
 def test_rounding_floor_is_refused_before_any_evaluation():
     chain = build_chain(preset_group("b2"))
     calls = []
-    fn = _counted(lambda rows: _apply_H_rows(chain, rows), calls)
+    fn = _counted(lambda rows: _apply_partial_rows(chain, 0, rows), calls)
     sample = oracle.wall_sample(chain, [1.5, 0.0])
     with pytest.raises(_RoundingFloorError):
         _wall_reports(chain, fn, [sample], (1e-20, 1e-21), (1, 2))
@@ -282,7 +287,7 @@ def test_profile_flatness_derivatives_match_frozen_central_differences():
     prof = SmoothProfile()
     want = [float(oracle.central_difference(lambda s: eval_h(prof, 1e-3 + s), order, 5e-5))
             for order in (1, 2, 3, 4)]
-    got = _flat_derivatives(prof)
+    got = _flat_derivatives()
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert any(d != 0.0 for d in got)
 

@@ -33,15 +33,14 @@ from orbitfold.smoothing import (
     DERIVATIVE_ORDER_MAX,
     SmoothProfile,
     _apply_H_rows,
+    _apply_partial_rows,
     _h_derivatives,
-    _jet_div,
-    _jet_e,
-    _jet_e_reflected,
-    _jet_mul,
     build_chain,
     eval_h,
 )
-from orbitfold.verify import check_flatness, check_fold, check_profile, sample_face_point
+from orbitfold.verify import check_flatness, check_fold, check_profile
+from jet_oracle import _jet_div, _jet_e, _jet_e_reflected, _jet_mul
+from sampler_oracle import sample_face_point
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -165,14 +164,15 @@ def test_wall_and_origin_probe_rows_on_a3(monkeypatch):
     origin_line_probe(chain, _counted(lambda rows: _apply_H_rows(chain, rows), calls),
                       count=20, seed=1)
     assert sum(calls) == 20 * 5 * 2 * 33
-    h_rows, fold_rows = [], []
-    monkeypatch.setattr(verify, "_apply_H_rows", lambda chain, rows:
-                        h_rows.append(len(rows)) or _apply_H_rows(chain, rows))
+    smooth_rows, fold_rows = [], []
+    monkeypatch.setattr(verify, "_apply_partial_rows", lambda chain, i, rows:
+                        smooth_rows.append(len(rows)) or _apply_partial_rows(chain, i, rows))
     monkeypatch.setattr(calculus, "_fold_rows", lambda normals, rows, cap:
                         fold_rows.append(len(rows)) or _fold_rows(normals, rows, cap))
     assert len(verify._wall_probes(chain, 20, 1)) == 20
-    # H and the fold control each: 20 probes * 5 offsets * 2 sides * 33 rows
-    assert sum(h_rows) == sum(fold_rows) == 6600
+    # one fold, shared by H and the control, and the smoothing of its
+    # images: 20 probes * 5 offsets * 2 sides * 33 rows each
+    assert sum(smooth_rows) == sum(fold_rows) == 6600
 
 
 def test_flatness_evaluates_five_rows_per_base_point(chain, monkeypatch):
@@ -189,18 +189,19 @@ def test_flatness_evaluates_five_rows_per_base_point(chain, monkeypatch):
 
 def test_profile_evaluates_one_jet_per_monotonicity_point(monkeypatch):
     jets, values = [], []
-    monkeypatch.setattr(verify, "_h_derivatives",
-                        lambda t, order: jets.append((t, order)) or _h_derivatives(t, order))
+    monkeypatch.setattr(verify, "_h_derivatives", lambda t, order:
+                        jets.append((t.copy(), order)) or _h_derivatives(t, order))
     monkeypatch.setattr(verify, "eval_h", lambda prof, t, order=0:
                         values.append((t, order)) or eval_h(prof, t, order))
     results = check_profile()
     assert all(r.passed for r in results)
-    assert len(jets) == 200 and {order for _, order in jets} == {4}
-    assert len({t for t, _ in jets}) == 200
-    # no scalar h derivative of order above 1 is taken any more
-    assert {order for _, order in values} == {0, 1}
-    # the flatness derivatives of orders 1-4 take h at 5 points
-    assert sum(order == 0 and t < 0.01 for t, order in values) == 5
+    # one stacked jet per grid: the tail, the flatness stencil's 5 points,
+    # h' on (0, 2] and h^(0..4) at each of the 200 monotonicity points
+    assert [(len(t), order) for t, order in jets] == [(200, 0), (5, 0), (1000, 1), (200, 4)]
+    assert len(set(jets[3][0].tolist())) == 200
+    assert (jets[1][0] < 0.01).all()
+    # h(1/2) is the one scalar value taken
+    assert values == [(0.5, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +209,8 @@ def test_profile_evaluates_one_jet_per_monotonicity_point(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _jet_of_own_order(t, order):
-    """h^(order)(t) from a jet of that order, as eval_h computed it before
-    one jet served every order (frozen)."""
+    """h^(order)(t) from a scalar jet of that order, as eval_h computed it
+    before one jet served every order (frozen)."""
     if t <= ARG_DEAD_EPS:
         return 0.0
     if t >= 1.0 - ARG_DEAD_EPS:
@@ -247,7 +248,7 @@ def test_jet_helper_gives_eval_h_bits_at_every_order():
     for t in _profile_ts():
         t = float(t)
         for top in range(DERIVATIVE_ORDER_MAX + 1):
-            jet = _h_derivatives(t, top)
+            jet = _h_derivatives(np.array([t]), top)[:, 0]
             want = [eval_h(prof, t, order) for order in range(top + 1)]
             assert np.array(jet).tobytes() == np.array(want).tobytes(), (t, top)
 

@@ -27,8 +27,7 @@ from orbitfold.smoothing import (
     tube_coords,
     validate_tubes,
 )
-from orbitfold.verify import sample_face_point
-from sampler_oracle import tube_hits
+from sampler_oracle import sample_face_point, tube_hits
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 

@@ -3,7 +3,8 @@
     python3 tools/check_times.py PARENT CHANGE [--preset a3] [--count 100]
                                  [--seed 1] [--repeats 11]
 
-PARENT and CHANGE are two checkouts, each with its own src/. Each repeat
+PARENT and CHANGE are two checkouts, each with its own src/, given as
+paths absolute or relative to the current directory. Each repeat
 starts one subprocess per checkout, the parent first in even repeats and
 the change first in odd ones. A subprocess imports orbitfold from its
 checkout's src/ and runs one untimed verification as a warm-up. It then
@@ -89,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=11)
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent, "change": args.change}
+    # absolute, since each subprocess runs inside its checkout
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(args.repeats):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

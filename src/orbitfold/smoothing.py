@@ -18,6 +18,12 @@ k and one column per entry, products are convolutions, and exp/divide have
 short recurrences. Below t ~ 5.5e-5 the factor exp(-a/sqrt(t)) underflows,
 so h is *numerically* exactly flat there; the code leans on that instead of
 fighting it.
+
+e has one array definition, the constant term of its jet (_jet_e), each
+exp through math.exp. The stacked g of the stacked tube maps and cap
+blends (_g_rows) is built on it, so the map's h is the jets' order 0 bit
+for bit. The scalar _g0 is its per-point twin; a test holds the two to
+each other bit for bit.
 """
 
 from __future__ import annotations
@@ -86,37 +92,28 @@ def _jet_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jet_exp(a: np.ndarray) -> np.ndarray:
-    """exp of a stack of jets, (m, N). The constant term goes through
-    math.exp entry by entry: np.exp rounds some arguments differently."""
-    out = np.empty_like(a)
-    out[0] = [math.exp(x) for x in a[0].tolist()]
-    ja = np.arange(len(a))[:, None] * a         # j * a[j]
-    for k in range(1, len(a)):
-        s = np.zeros_like(a[0])
-        for j in range(1, k + 1):
-            s = s + ja[j] * out[k - j]
-        out[k] = s / k
-    return out
-
-
 def _jet_e(t: np.ndarray, order: int) -> np.ndarray:
-    """Jets of e(t) = exp(-a/sqrt(t)) at every entry of t, as an
-    (order + 1, N) stack: the zero jet where t <= ARG_DEAD_EPS (exp
-    underflows below t ~ 5.5e-5 anyway).
+    """Jets of e(t) = exp(-a/sqrt(t)) at every entry of t > ARG_DEAD_EPS,
+    as an (order + 1, N) stack. Row 0 is the one array definition of e:
+    the jets of h and the stacked g both read it.
 
-    The exponent's jet is the binomial series of -a*t^(-1/2): its j-th
-    coefficient is -a*C(-1/2, j)*t^(-1/2-j).
+    The exponent's jet w is the binomial series of -a*t^(-1/2): its j-th
+    coefficient is -a*C(-1/2, j)*t^(-1/2-j). Its exp takes the constant
+    term through math.exp entry by entry, as _g0 does (np.exp rounds some
+    arguments differently), and the rest from k*e_k = sum_j j*w_j*e_(k-j).
     """
-    out = np.zeros((order + 1, len(t)))
-    live = t > ARG_DEAD_EPS
-    s = t[live]
-    w = np.empty((order + 1, len(s)))
-    w[0] = -E_RATE / np.sqrt(s)
+    w = np.empty((order + 1, len(t)))
+    w[0] = -E_RATE / np.sqrt(t)
     for j in range(1, order + 1):
-        w[j] = w[j - 1] * (0.5 - j) / (j * s)
-    out[:, live] = _jet_exp(w)
-    return out
+        w[j] = w[j - 1] * (0.5 - j) / (j * t)
+    e = np.empty_like(w)
+    e[0] = np.fromiter(map(math.exp, w[0].tolist()), float, len(t))
+    for k in range(1, order + 1):
+        acc = np.zeros(len(t))
+        for j in range(1, k + 1):
+            acc = acc + j * w[j] * e[k - j]
+        e[k] = acc / k
+    return e
 
 
 def _g0(t: float) -> float:
@@ -131,13 +128,18 @@ def _g0(t: float) -> float:
 
 
 def _g_rows(t: np.ndarray) -> np.ndarray:
-    """_g0 at every entry of t."""
+    """g at every entry of t, on the e of _jet_e: _g0's bits."""
     g = (t >= 1.0 - ARG_DEAD_EPS).astype(float)
     mid = (t > ARG_DEAD_EPS) & (t < 1.0 - ARG_DEAD_EPS)
-    u = np.exp(-E_RATE / np.sqrt(t[mid]))
-    v = np.exp(-E_RATE / np.sqrt(1.0 - t[mid]))
+    s = t[mid]
+    u, v = _jet_e(np.concatenate([s, 1.0 - s]), 0)[0].reshape(2, -1)
     g[mid] = u / (u + v)
     return g
+
+
+def _h_rows(u: np.ndarray) -> np.ndarray:
+    """h = u*g(u) at every entry of u, as the stacked tube map takes it."""
+    return u * _g_rows(u)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -615,8 +617,7 @@ def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
     off_face = height > 0.0
     rows, height, rad, foot = rows[off_face], height[off_face], rad[off_face], foot[off_face]
     u = height / rad
-    h = u * _g_rows(u)          # eval_h at order 0
-    out[rows] = foot + (rad * h)[:, None] * ((points[rows] - foot) / height[:, None])
+    out[rows] = foot + (rad * _h_rows(u))[:, None] * ((points[rows] - foot) / height[:, None])
     return out
 
 

@@ -18,10 +18,11 @@ point-at-a-time loop drew them; the flatness check steps off each face
 along its Face.normal. The wall probes fold their stencil points once:
 the fold is the control, and H is the smoothing of its images.
 check_profile takes each of its grids (h on [1, 3], h' on (0, 2] and
-h^(0..4) on (0, 0.2]) as one stack of profile jets. check_closure
-compares the group's order with the one its caller expects; `orbitfold
-verify` reads that from the preset name (groups.preset_order), in any
-spelling preset_group accepts.
+h^(0..4) on (0, 0.2]) as one stack of profile jets, and holds the h of
+the stacked tube map, which every FD check runs, to those jets on the h'
+grid. check_closure compares the group's order with the one its caller
+expects; `orbitfold verify` reads that from the preset name
+(groups.preset_order), in any spelling preset_group accepts.
 
 What is still evaluated one point at a time: check_fold's public folds,
 kept so that they are checked.
@@ -68,6 +69,7 @@ from .smoothing import (
     _apply_partial_rows,
     _first_claims,
     _h_derivatives,
+    _h_rows,
     _radius_at,
     eval_h,
 )
@@ -179,9 +181,11 @@ def check_profile() -> list[CheckResult]:
                        worst_fd, 1e-8))
 
     grid = np.linspace(2.0 / 1000, 2.0, 1000)
-    min_slope = float(_h_derivatives(grid, 1)[1].min())
-    out.append(_result("h' positive on (0,2]", min_slope, 0.0, mode="min",
+    h, slope = _h_derivatives(grid, 1)
+    out.append(_result("h' positive on (0,2]", float(slope.min()), 0.0, mode="min",
                        detail="minimum of h' over the grid; must stay above 0"))
+    out.append(_result("stacked h equals its jet on (0,2]",
+                       float(np.abs(_h_rows(grid) - h).max()), 0.0))
 
     # h^(0..4) at each grid point from one jet
     jets = _h_derivatives(np.linspace(0.2 / 200, 0.2, 200), 4)

@@ -5,7 +5,9 @@ Here every reduction over a short last axis is numpy's own (max, min,
 any, argmax along the axis), and _tube_claims takes its wall values as
 one matrix product per row (feet @ normals.T). The kernels in
 orbitfold.chamber and orbitfold.smoothing must return the same bytes.
-The helpers these four call, which did not change, are imported.
+The helpers these four call, which did not change, are imported, except
+the smooth step g of the cap blend: its copy here takes each exp through
+math.exp, so that a change to the package's g shows.
 """
 
 import math
@@ -20,7 +22,18 @@ from orbitfold.chamber import (
     _square_sums,
     _stack_product,
 )
-from orbitfold.smoothing import _g_rows, _reach
+from orbitfold.smoothing import _reach
+
+
+def g(t):
+    """g(t) = e(t)/(e(t)+e(1-t)), e(t) = exp(-5.5/sqrt(t)), entry by entry:
+    0 up to 1e-8 and 1 from 1 - 1e-8 on."""
+    def one(x):
+        if x <= 1e-8 or x >= 1.0 - 1e-8:
+            return float(x > 0.5)
+        u = math.exp(-5.5 / math.sqrt(x))
+        return u / (u + math.exp(-5.5 / math.sqrt(1.0 - x)))
+    return np.array([one(x) for x in t.tolist()])
 
 
 def unit_scaled_rows(v):
@@ -65,7 +78,7 @@ def radius_rows(chain, i, feet):
     cap = chain.tubes.c[i]
     ratio = raw / cap
     blend = (ratio > 1.0) & (ratio < 2.0)
-    w = _g_rows(ratio[blend] - 1.0)
+    w = g(ratio[blend] - 1.0)
     radius = np.where(ratio <= 1.0, raw, cap)
     radius[blend] = (1.0 - w) * raw[blend] + w * cap
     return radius

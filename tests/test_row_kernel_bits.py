@@ -3,9 +3,11 @@ scale, in stacks of every size.
 
 The fold must equal the per-point _reflect_into_chamber byte for byte,
 and the tube kernels the copies frozen in row_kernel_oracle, from |p|
-near 1e-300 to 1e300 and within 1e-12 of a mirror. Stacks of one row are
-where BLAS rounds a product differently, so every kernel also runs on
-stacks of 1, 2 and 3 rows.
+near 1e-300 to 1e300 and within 1e-12 of a mirror. The stacked smooth
+step g must equal the scalar _g0 byte for byte, so that the stacked map,
+the scalar map and the profile jets evaluate one function. Stacks of one
+row are where BLAS rounds a product differently, so every kernel also
+runs on stacks of 1, 2 and 3 rows.
 """
 
 import numpy as np
@@ -21,7 +23,15 @@ from orbitfold.chamber import (
     _unit_scaled_rows,
 )
 from orbitfold.groups import preset_group
-from orbitfold.smoothing import _radius_rows, _tube_claims, build_chain, eval_l
+from orbitfold.smoothing import (
+    ARG_DEAD_EPS,
+    _g0,
+    _g_rows,
+    _radius_rows,
+    _tube_claims,
+    build_chain,
+    eval_l,
+)
 from sampler_oracle import sample_face_point
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
@@ -154,3 +164,14 @@ def test_first_true_columns_equals_argmax(shape):
         assert np.array_equal(first, mask.argmax(axis=-1))
         # a row with no True gives column 0, as argmax does
         assert not first[~hit].any()
+
+
+def test_stacked_g_equals_scalar_g():
+    # g through np.exp rounds differently from _g0 at 4,246 of these t
+    below, above = np.nextafter(ARG_DEAD_EPS, 0.0), np.nextafter(ARG_DEAD_EPS, 1.0)
+    top = 1.0 - ARG_DEAD_EPS
+    edges = [0.0, -0.0, 5e-324, below, ARG_DEAD_EPS, above,
+             np.nextafter(top, 0.0), top, np.nextafter(top, 2.0), 0.5, 1.0, 2.0]
+    t = np.concatenate([np.random.default_rng(0).random(100_000), edges])
+    want = np.array([_g0(x) for x in t.tolist()])
+    assert _g_rows(t).tobytes() == want.tobytes()

@@ -8,12 +8,15 @@ paths absolute or relative to the current directory. Each repeat
 starts one subprocess per checkout, the parent first in even repeats and
 the change first in odd ones. A subprocess imports orbitfold from its
 checkout's src/ and runs one untimed verification as a warm-up. It then
-times, on a fresh group and chain as the command-line verify builds them:
-the chain build (preset_group and build_chain), the tube check
-(validate_tubes) and every check_* function that run_verification calls,
-each on its own, with time.perf_counter. The script prints each item's
-median and interquartile range in milliseconds on both sides, and the
-ratio of the medians. It only reports: it applies no bound.
+makes 5 timed passes, each on a fresh group and chain as the command-line
+verify builds them, and times in each: the chain build (preset_group and
+build_chain), the tube check (validate_tubes) and every check_* function
+that run_verification calls, each on its own, with time.perf_counter. It
+keeps each item's minimum over the passes, which is steadier than one
+pass per interpreter on a shared machine. The script prints each item's
+median over the repeats and its interquartile range in milliseconds on
+both sides, and the ratio of the medians. It only reports: it applies no
+bound.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from orbitfold.groups import preset_group
 from orbitfold.smoothing import build_chain, validate_tubes
 
 preset, count, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+PASSES = 5
 times = {}
 
 def timed(name, fn):
@@ -58,14 +62,19 @@ def one_pass():
 one_pass()
 for name in [n for n in vars(verify) if n.startswith("check_")]:
     setattr(verify, name, timed(name, getattr(verify, name)))
-times.clear()
-one_pass()
-print(json.dumps(times))
+best = {}
+for _ in range(PASSES):
+    times.clear()
+    one_pass()
+    for name, seconds in times.items():
+        best[name] = min(best.get(name, seconds), seconds)
+print(json.dumps(best))
 """
 
 
 def run_once(checkout: Path, preset: str, count: int, seed: int) -> dict[str, float]:
-    """One timed pass in a fresh interpreter: seconds per item, by name."""
+    """The timed passes of one fresh interpreter: each item's least
+    seconds, by name."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, preset, str(count), str(seed)],

@@ -44,7 +44,8 @@ JUMP_FLOOR = 1e-16
 RESOLUTION_FLOOR = 1e-12       # below this a jump is zero as far as FD can tell
 DECAY_SLOPE = 0.8              # least fitted jump slope that counts as decay
 STEP_FRACTION = 0.125          # FD step as a fraction of the probe offset
-ROW_CAP = 1024                 # most rows one call of a stack map is given
+ROW_CAP = 4096                 # most rows one call of a stack map is given;
+                               # a verify's probe stack takes one or two calls
 
 # The maps the stencils evaluate take an (N, n) stack of points and return
 # the (N, m) stack of their values, row for row.
@@ -67,8 +68,11 @@ _Stencil = tuple[np.ndarray, Callable[[np.ndarray], Any]]
 
 def _evaluate(fn: StackMap, points: np.ndarray) -> np.ndarray:
     """Values of fn at every row of points, one call per ROW_CAP rows,
-    which bounds the memory of the kernels' intermediates. The stacked
-    kernels round each row on its own, so the chunking changes no bit."""
+    which bounds the memory of the kernels' intermediates. Each call has a
+    fixed cost (a fold's is per reflection step, not per row), so the cap
+    is sized to take a verify's probe stack in one call (1,800 rows on i2
+    and b2, 3,800 on a2 and b3) and a3's 6,600 in two. The stacked kernels
+    round each row on its own, so the chunking changes no bit."""
     return np.concatenate([np.asarray(fn(points[start:start + ROW_CAP]), dtype=float)
                            for start in range(0, len(points), ROW_CAP) or [0]])
 

@@ -154,9 +154,19 @@ class GroupElement:
         return Hyperplane(_canonical_sign(normal))
 
 
-def _matrix_key(mat: np.ndarray) -> bytes:
+def _key_rounded(mats: np.ndarray) -> np.ndarray:
     # +0.0 collapses -0.0 so equal matrices can't get distinct keys
-    return (np.round(mat, _KEY_DECIMALS) + 0.0).tobytes()
+    return np.round(mats, _KEY_DECIMALS) + 0.0
+
+
+def _matrix_key(mat: np.ndarray) -> bytes:
+    return _key_rounded(mat).tobytes()
+
+
+def _matrix_keys(mats: np.ndarray) -> list[bytes]:
+    """_matrix_key of every matrix of an (N, n, n) stack, rounded at once."""
+    flat = np.ascontiguousarray(_key_rounded(mats)).reshape(len(mats), -1)
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0].tolist()
 
 
 @dataclasses.dataclass(eq=False)

@@ -418,9 +418,10 @@ def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
     cap = chain.tubes.c[i]
     ratio = raw / cap
     blend = (ratio > 1.0) & (ratio < 2.0)
-    w = _g_rows(ratio[blend] - 1.0)
     radius = np.where(ratio <= 1.0, raw, cap)
-    radius[blend] = (1.0 - w) * raw[blend] + w * cap
+    if blend.any():
+        w = _g_rows(ratio[blend] - 1.0)
+        radius[blend] = (1.0 - w) * raw[blend] + w * cap
     return radius
 
 
@@ -615,9 +616,10 @@ def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
     out = points.copy()
     # a row on its face (t == 0) stays where it is, as in apply_F
     off_face = height > 0.0
-    rows, height, rad, foot = rows[off_face], height[off_face], rad[off_face], foot[off_face]
-    u = height / rad
-    out[rows] = foot + (rad * _h_rows(u))[:, None] * ((points[rows] - foot) / height[:, None])
+    if off_face.any():
+        rows, height, rad, foot = rows[off_face], height[off_face], rad[off_face], foot[off_face]
+        u = height / rad
+        out[rows] = foot + (rad * _h_rows(u))[:, None] * ((points[rows] - foot) / height[:, None])
     return out
 
 

@@ -22,7 +22,10 @@ h^(0..4) on (0, 0.2]) as one stack of profile jets, and holds the h of
 the stacked tube map, which every FD check runs, to those jets on the h'
 grid. check_closure compares the group's order with the one its caller
 expects; `orbitfold verify` reads that from the preset name
-(groups.preset_order), in any spelling preset_group accepts.
+(groups.preset_order), in any spelling preset_group accepts. It rounds
+its stacks of products and conjugated reflections once to element keys,
+and measures each matrix against the one element its key finds, with
+one dict lookup; if some key finds none, against every element.
 
 What is still evaluated one point at a time: check_fold's public folds,
 kept so that they are checked.
@@ -59,7 +62,7 @@ from .chamber import (
     _stack_product,
     fold,
 )
-from .groups import ReflectionGroup, reflection_matrix
+from .groups import ReflectionGroup, _matrix_keys, reflection_matrix
 from .smoothing import (
     SmoothChain,
     SmoothProfile,
@@ -108,17 +111,30 @@ def check_closure(group: ReflectionGroup,
             threshold=float(expected_order),
             passed=group.order == expected_order))
     mats = np.stack([e.matrix for e in group.elements])
-
-    def nearest(moved: np.ndarray) -> float:
-        """Largest max-norm distance from a stack of matrices to the group."""
-        return float(np.abs(moved[:, None] - mats).max(axis=(2, 3)).min(axis=1).max())
-
-    worst = max(nearest(a @ mats) for a in mats)
-    out.append(_result("closure under products", worst, 1e-9))
     reflections = np.stack([reflection_matrix(m.normal) for m in group.mirrors])
-    conj = max(nearest(e @ reflections @ e.T) for e in mats)
-    out.append(_result("mirror conjugation closed", conj, 1e-9))
+    products = np.matmul(mats[:, None], mats[None])
+    conjugates = mats[:, None] @ reflections[None] @ mats.transpose(0, 2, 1)[:, None]
+    out.append(_result("closure under products", _distance_to_group(group, mats, products),
+                       1e-9))
+    out.append(_result("mirror conjugation closed",
+                       _distance_to_group(group, mats, conjugates), 1e-9))
     return out
+
+
+def _distance_to_group(group: ReflectionGroup, mats: np.ndarray, moved: np.ndarray) -> float:
+    """Largest max-norm distance from a (k, m, n, n) stack of matrices to
+    the elements mats of the group. Each matrix is looked up by its element
+    key, and its distance is the one to the element found: keys round at
+    1e-7 and distinct elements lie much farther apart, so that element is
+    the nearest. When some key finds no element, each block moved[i] is
+    compared with every element instead; max and min are exact, so both
+    ways give the same bits where both apply."""
+    flat = moved.reshape(-1, *mats.shape[1:])
+    found = [group._index.get(key) for key in _matrix_keys(flat)]
+    if None in found:
+        return max(float(np.abs(block[:, None] - mats).max(axis=(2, 3)).min(axis=1).max())
+                   for block in moved)
+    return float(np.abs(flat - mats[found]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +154,9 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
     distances = np.linalg.norm(orbits - images[:, None], axis=2).min(axis=1)
     worst_violation = float(np.max(shortfall, initial=0.0))
     worst_orbit = float(np.max(distances, initial=0.0))
-    # every orbit as one stack, fed ROW_CAP rows at a time; each orbit holds
-    # its p, so the public fold and the stacked one are checked against
-    # each other too
+    # every orbit as one stack (2,400 rows on a3 and 4,800 on b3 at count
+    # 100), fed ROW_CAP rows at a time; each orbit holds its p, so the
+    # public fold and the stacked one are checked against each other too
     folded = _evaluate(lambda rows: _fold_rows(chamber.simple_normals, rows, group.order),
                        orbits.reshape(-1, group.dimension))
     spread = np.linalg.norm(folded.reshape(orbits.shape) - images[:, None], axis=2)
@@ -496,10 +512,11 @@ def check_growth(chain: SmoothChain) -> list[CheckResult]:
 
 def check_identity_tail(chain: SmoothChain, count: int = 1000,
                         seed: int = 0) -> CheckResult:
-    points, images = _tail_points(chain, np.random.default_rng(seed), count)
-    worst = float(np.abs(_apply_H_rows(chain, points) - images).max(initial=0.0))
+    _, images = _tail_points(chain, np.random.default_rng(seed), count)
+    # H is the smoothing of the fold images _tail_points already took
+    worst = float(np.abs(_apply_partial_rows(chain, 0, images) - images).max(initial=0.0))
     return _result("identity outside all tubes", worst, 1e-12,
-                   detail=f"max |H - fold| over {len(points)} tail points")
+                   detail=f"max |H - fold| over {len(images)} tail points")
 
 
 # ---------------------------------------------------------------------------

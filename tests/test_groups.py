@@ -327,10 +327,17 @@ def test_essential_split_b2_has_no_fixed_part():
     assert group.fixed_subspace.shape == (2, 0)
 
 
-@pytest.mark.parametrize("name", ["i2-3", "a2", "b2", "a3"])
+# the two groups the command-line snapshot gives by `[group] normals`
+NORMALS = {"normals-axes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           "normals-skew": [[1, 1, 0], [0, 1, -1], [1, 0, 1]]}
+
+
+@pytest.mark.parametrize("name", ["i2-3", "a2", "b2", "a3", "b3", *NORMALS])
 def test_check_closure_equals_the_pairwise_loop(name):
-    """The broadcast residuals are the element-by-element loop's, exactly."""
-    group = preset_group(name)
+    """The residuals of the keyed lookup are the element-by-element loop's,
+    exactly: on presets, the axis group A1^3, and an order-6 group with a
+    fixed line whose generators are not simple."""
+    group = generate_group(NORMALS[name]) if name in NORMALS else preset_group(name)
     mats = [e.matrix for e in group.elements]
     prods = max(min(float(np.max(np.abs(a @ b - m))) for m in mats)
                 for a in mats for b in mats)

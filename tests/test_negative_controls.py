@@ -10,6 +10,11 @@ and so every finite-difference check of verify. Only check_profile's
 "stacked h equals its jet on (0,2]" line sees them: it compares the
 map's h with the jets the rest of check_profile certifies.
 
+check_closure finds each product's element by its key. Two controls
+hold it: keys that all miss must give the full comparison's values bit
+for bit, and a group with one element rotated slightly off must fail
+"closure under products".
+
 Blind spots, mutations no verify check catches:
 - g mutated in the scalar _g0 alone, keeping g(1/2) = 1/2 (any of the
   mutations below that leaves u = 1/2 alone). _g0 serves the per-point
@@ -20,11 +25,14 @@ Blind spots, mutations no verify check catches:
   _g0 to the stacked g bit for bit, catches it.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from orbitfold import smoothing
-from orbitfold.verify import check_profile
+from orbitfold import smoothing, verify
+from orbitfold.groups import GroupElement, preset_group
+from orbitfold.verify import check_closure, check_profile
 
 LINE = "stacked h equals its jet on (0,2]"
 _g_rows = smoothing._g_rows
@@ -56,3 +64,26 @@ def test_stacked_g_mutation_fails_the_profile_line(monkeypatch, mutation):
     monkeypatch.setattr(smoothing, "_g_rows", mutation)
     failed = [r.name for r in check_profile() if not r.passed]
     assert failed == [LINE]
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_closure_keys_that_all_miss_give_the_same_values(monkeypatch, preset):
+    group = preset_group(preset)
+    keyed = [r.value for r in check_closure(group, group.order)]
+    monkeypatch.setattr(verify, "_matrix_keys", lambda mats: [b""] * len(mats))
+    assert [r.value for r in check_closure(group, group.order)] == keyed
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_a_slightly_rotated_element_fails_closure(preset):
+    """Element 1 turned by 1e-6 rad in the plane of the first two axes: no
+    product of it finds its key, and its distance to the group is ~1e-6."""
+    group = preset_group(preset)
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    turn = np.eye(group.dimension)
+    turn[:2, :2] = [[c, -s], [s, c]]
+    moved = GroupElement._unchecked(turn @ group.elements[1].matrix, group.elements[1].word)
+    elements = group.elements[:1] + (moved,) + group.elements[2:]
+    broken = dataclasses.replace(group, elements=elements)
+    (result,) = [r for r in check_closure(broken) if r.name == "closure under products"]
+    assert not result.passed and 1e-7 < result.value < 1e-5

@@ -13,10 +13,13 @@ verify builds them, and times in each: the chain build (preset_group and
 build_chain), the tube check (validate_tubes) and every check_* function
 that run_verification calls, each on its own, with time.perf_counter. It
 keeps each item's minimum over the passes, which is steadier than one
-pass per interpreter on a shared machine. The script prints each item's
-median over the repeats and its interquartile range in milliseconds on
-both sides, and the ratio of the medians. It only reports: it applies no
-bound.
+pass per interpreter on a shared machine. Last, it makes one more pass,
+untimed, under tracemalloc, so the timed passes run untraced: an item's
+peak is the most memory numpy and Python held during it above what was
+held when it began. The script prints each item's median time over the
+repeats and its interquartile range in milliseconds on both sides, and
+the ratio of the medians; then each item's median peak in MB on both
+sides, and their ratio. It only reports: it applies no bound.
 """
 
 from __future__ import annotations
@@ -31,50 +34,56 @@ from pathlib import Path
 
 # run in the subprocess, with the checkout's src/ on sys.path
 PROBE = r"""
-import json, sys, time
+import json, sys, time, tracemalloc
 import orbitfold.verify as verify
 from orbitfold.groups import preset_group
 from orbitfold.smoothing import build_chain, validate_tubes
 
 preset, count, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 PASSES = 5
-times = {}
+times, peaks = {}, {}
 
-def timed(name, fn):
+def measured(name, fn):
     def run(*args, **kwargs):
+        tracing = tracemalloc.is_tracing()
+        if tracing:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             times[name] = times.get(name, 0.0) + time.perf_counter() - t0
+            if tracing:
+                peak = tracemalloc.get_traced_memory()[1] - held
+                peaks[name] = max(peaks.get(name, 0), peak)
     return run
 
 def one_pass():
-    t0 = time.perf_counter()
-    chain = build_chain(preset_group(preset))
-    t1 = time.perf_counter()
-    validate_tubes(chain)
-    t2 = time.perf_counter()
-    times["chain build"] = t1 - t0
-    times["tube check"] = t2 - t1
+    chain = measured("chain build", lambda: build_chain(preset_group(preset)))()
+    measured("tube check", validate_tubes)(chain)
     verify.run_verification(chain, count=count, seed=seed)
 
 one_pass()
 for name in [n for n in vars(verify) if n.startswith("check_")]:
-    setattr(verify, name, timed(name, getattr(verify, name)))
+    setattr(verify, name, measured(name, getattr(verify, name)))
 best = {}
 for _ in range(PASSES):
     times.clear()
     one_pass()
     for name, seconds in times.items():
         best[name] = min(best.get(name, seconds), seconds)
-print(json.dumps(best))
+tracemalloc.start()
+one_pass()
+tracemalloc.stop()
+print(json.dumps({"seconds": best, "peak_bytes": peaks}))
 """
 
 
-def run_once(checkout: Path, preset: str, count: int, seed: int) -> dict[str, float]:
-    """The timed passes of one fresh interpreter: each item's least
-    seconds, by name."""
+def run_once(checkout: Path, preset: str, count: int, seed: int) -> dict[str, dict]:
+    """One fresh interpreter: each item's least seconds over the timed
+    passes ("seconds") and its peak in the traced pass ("peak_bytes"), by
+    name."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, preset, str(count), str(seed)],
@@ -109,8 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"repeat {i + 1}/{args.repeats} done ({order[0]} first)",
               file=sys.stderr, flush=True)
 
-    names = list(runs["parent"][0])
-    names += [n for n in runs["change"][0] if n not in names]
+    names = list(runs["parent"][0]["seconds"])
+    names += [n for n in runs["change"][0]["seconds"] if n not in names]
     print(f"{args.preset} verify, count {args.count}, seed {args.seed}: "
           f"{args.repeats} repeats, times in ms")
     print(f"{'item':32s} {'parent median':>14s} {'parent IQR':>11s} "
@@ -119,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         row = []
         for side in ("parent", "change"):
-            values = [1e3 * r.get(name, 0.0) for r in runs[side]]
+            values = [1e3 * r["seconds"].get(name, 0.0) for r in runs[side]]
             totals[side] = [t + v for t, v in zip(totals[side], values)]
             q1, med, q3 = quartiles(values)
             row += [med, q3 - q1]
@@ -132,6 +141,13 @@ def main(argv: list[str] | None = None) -> int:
         row += [med, q3 - q1]
     print(f"{'total':32s} {row[0]:14.3f} {row[1]:11.3f} {row[2]:14.3f} {row[3]:11.3f} "
           f"{row[2] / row[0]:7.3f}")
+    print("\ntracemalloc peak of each item, one traced pass per repeat, in MB")
+    print(f"{'item':32s} {'parent median':>14s} {'change median':>14s} {'ratio':>7s}")
+    for name in names:
+        medians = [statistics.median([r["peak_bytes"].get(name, 0) / 1e6 for r in runs[side]])
+                   for side in ("parent", "change")]
+        ratio = medians[1] / medians[0] if medians[0] else float("nan")
+        print(f"{name:32s} {medians[0]:14.3f} {medians[1]:14.3f} {ratio:7.3f}")
     return 0
 
 

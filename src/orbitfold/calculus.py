@@ -141,19 +141,11 @@ def _shared_line_stencils(base: np.ndarray, directions: np.ndarray,
     return points, combine
 
 
-def _line_stencils(base: np.ndarray, directions: np.ndarray, order: int,
-                   steps: np.ndarray) -> _Stencil:
-    """The one order's stencils of _shared_line_stencils: the combine gives
-    the (M, d, ...) derivatives."""
-    points, combine = _shared_line_stencils(base, directions, (order,), steps)
-    return points, lambda values: combine(values)[0]
-
-
 def _jacobian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
     """Central Jacobians (M, m, n), one column per input coordinate."""
     steps = np.asarray(steps, dtype=float)
-    points, combine = _line_stencils(base, np.eye(base.shape[1]), 1, steps)
-    return points, lambda values: np.moveaxis(combine(values), 1, -1)
+    points, combine = _shared_line_stencils(base, np.eye(base.shape[1]), (1,), steps)
+    return points, lambda values: np.moveaxis(combine(values)[0], 1, -1)
 
 
 def _hessian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
@@ -253,8 +245,10 @@ class _RoundingFloorError(ValueError):
 
 
 def _check_offsets(point: np.ndarray, offsets: Sequence[float]) -> None:
-    """Offsets must strictly decrease and stay above the rounding floor
-    10*eps*(1 + |point|) of the point they probe around."""
+    """Offsets must be finite, strictly decrease and stay above the
+    rounding floor 10*eps*(1 + |point|) of the point they probe around."""
+    if not all(math.isfinite(d) for d in offsets):
+        raise ValueError("offsets must be finite")
     if any(b >= a for a, b in zip(offsets, offsets[1:])):
         raise ValueError("offsets must be strictly decreasing")
     eps_scale = 10.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(point)))
@@ -348,18 +342,6 @@ def _jump_stencils(xs: np.ndarray, vs: np.ndarray, offsets: Sequence[Sequence[fl
     return np.concatenate([points for points, _ in stencils]), jumps
 
 
-def _two_sided_jumps(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
-                     offsets: Sequence[Sequence[float]],
-                     orders: Sequence[int]) -> list[dict[int, tuple[float, ...]]]:
-    """Jumps of fn at each probe of _jump_stencils: xs[i] is its point,
-    vs[i] its direction and offsets[i] its offsets. fn is evaluated once,
-    over every stencil point."""
-    if not len(xs):
-        return []
-    points, jumps = _jump_stencils(xs, vs, offsets, orders)
-    return jumps(_evaluate(fn, points))
-
-
 def _jump_norms(r: np.ndarray) -> list[list[float]]:
     """|r[i, j, 0] - r[i, j, 1]| for every probe i and offset j, as nested
     lists, with the bits of np.linalg.norm of each difference.
@@ -393,12 +375,10 @@ def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
         _check_offsets(x, offs)
     if not len(xs):
         return []
-    if fold is None:
-        jumps, controls = _two_sided_jumps(fn, xs, vs, offsets, orders), [None] * len(xs)
-    else:
-        points, jumps_of = _jump_stencils(xs, vs, offsets, orders)
-        images = _evaluate(fold, points)
-        jumps, controls = jumps_of(_evaluate(fn, images)), jumps_of(images)
+    points, jumps_of = _jump_stencils(xs, vs, offsets, orders)
+    images = points if fold is None else _evaluate(fold, points)
+    jumps = jumps_of(_evaluate(fn, images))
+    controls = [None] * len(xs) if fold is None else jumps_of(images)
     return [ProbeReport(point=x, direction=v, offsets=offs, orders=orders,
                         jumps=j, control_jumps=c)
             for x, v, offs, j, c in zip(xs, vs, offsets, jumps, controls)]
@@ -524,9 +504,9 @@ def growth_bound_check(
         mixed = mixed / np.linalg.norm(mixed)
         lines.append([u / np.linalg.norm(u) for u in (v, tangent, mixed)])
     points = np.array(bases)
-    jacobians, second = _run_stencils(fn, [
+    jacobians, (second,) = _run_stencils(fn, [
         _jacobian_stencils(points, steps),
-        _line_stencils(points, np.array(lines), 2, np.asarray(steps))])
+        _shared_line_stencils(points, np.array(lines), (2,), np.asarray(steps))])
     d1 = [float(np.linalg.norm(jacobian)) for jacobian in jacobians]
     d2 = [max(float(np.linalg.norm(d)) for d in along) for along in second]
 

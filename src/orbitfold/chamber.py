@@ -221,16 +221,6 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
             raise RuntimeError("folding did not terminate; chamber data inconsistent")
 
 
-def _fold_image(normals: np.ndarray, p: np.ndarray, max_steps: int) -> tuple[np.ndarray, int]:
-    """Fold image and step count, without the group element.
-
-    This is the entry apply_H calls; the per-layer trace in
-    perfbench/tracer.py counts it by name.
-    """
-    image, word = _reflect_into_chamber(normals, p, max_steps)
-    return image, len(word)
-
-
 def _wall_dots(normals: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """(k, N) values <n_j, cur_r> over an (N, n) stack, row j one
     matrix-vector product over all rows (cur @ n_j). Each value rounds as

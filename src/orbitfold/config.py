@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 
 import numpy as np
 
@@ -55,16 +56,17 @@ class RunConfig:
             widths = {len(row) for row in self.normals}
             if not self.normals or len(widths) != 1 or 0 in widths:
                 raise ConfigError("normals must be non-empty rows of equal width")
-        if self.c0 <= 0:
-            raise ConfigError("c0 must be positive")
+        if not 0 < self.c0 < math.inf:
+            raise ConfigError("c0 must be positive and finite")
         if self.k < 1:
             raise ConfigError("k must be a positive integer")
         for label, pairs in (("b", self.b), ("c", self.c)):
             for level, value in pairs:
-                if level < 1 or value <= 0:
-                    raise ConfigError(f"{label} entries need level >= 1 and positive value")
-        if not self.offsets or any(d <= 0 for d in self.offsets):
-            raise ConfigError("offsets must be positive")
+                if level < 1 or not 0 < value < math.inf:
+                    raise ConfigError(
+                        f"{label} entries need level >= 1 and a finite positive value")
+        if not self.offsets or not all(0 < d < math.inf for d in self.offsets):
+            raise ConfigError("offsets must be positive and finite")
         if any(y >= x for x, y in zip(self.offsets, self.offsets[1:])):
             raise ConfigError("offsets must be strictly decreasing")
         if not self.orders or any(o not in (1, 2, 3) for o in self.orders):

@@ -23,7 +23,9 @@ e has one array definition, the constant term of its jet (_jet_e), each
 exp through math.exp. The stacked g of the stacked tube maps and cap
 blends (_g_rows) is built on it, so the map's h is the jets' order 0 bit
 for bit. The scalar _g0 is its per-point twin; a test holds the two to
-each other bit for bit.
+each other bit for bit. The per-point tube map takes h as u*_g0(u),
+the value eval_h returns at order 0; eval_h, which takes t and an order,
+serves callers outside the package.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .chamber import (
     Face,
     Stratification,
     _as_point,
-    _fold_image,
     _first_true_columns,
     _fold_rows,
     _norm,
@@ -49,6 +50,7 @@ from .chamber import (
     _null_space_basis,
     _orthogonal_directions,
     _reduce_columns,
+    _reflect_into_chamber,
     _stack_product,
     _unit_scaled,
     _unit_scaled_rows,
@@ -142,12 +144,6 @@ def _h_rows(u: np.ndarray) -> np.ndarray:
     return u * _g_rows(u)
 
 
-@dataclasses.dataclass(frozen=True)
-class SmoothProfile:
-    """The fixed flat-step profile h(t) = t*g(t); derivatives up to order
-    DERIVATIVE_ORDER_MAX."""
-
-
 def _h_derivatives(t: np.ndarray, order: int) -> np.ndarray:
     """h, h', ..., h^(order) at every entry of a 1-D array of finite t >= 0,
     as an (order + 1, N) stack, each column from one jet.
@@ -173,7 +169,7 @@ def _h_derivatives(t: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def eval_h(profile: SmoothProfile, t: float, order: int = 0) -> float:
+def eval_h(t: float, order: int = 0) -> float:
     """h or an analytic derivative of it: h^(order)(t), from
     _h_derivatives; h itself away from the flat zone is t*g(t), with no jet.
     """
@@ -207,14 +203,14 @@ class TubeSpec:
     softmin_exponent: int = 4
 
     def __post_init__(self) -> None:
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+        if not 0 < self.c0 < math.inf:
+            raise ValueError(f"c0 must be positive and finite, got {self.c0}")
         if self.softmin_exponent < 1:
             raise ValueError("softmin exponent must be >= 1")
         for d, label in ((self.b, "b"), (self.c, "c")):
             for i, val in d.items():
-                if val <= 0:
-                    raise ValueError(f"{label}_{i} must be positive, got {val}")
+                if not 0 < val < math.inf:
+                    raise ValueError(f"{label}_{i} must be positive and finite, got {val}")
 
 
 def minimal_wall_angle(group: ReflectionGroup) -> tuple[float, tuple[int, int] | None]:
@@ -282,7 +278,6 @@ class SmoothChain:
     group: ReflectionGroup
     chamber: Chamber
     stratification: Stratification
-    profile: SmoothProfile
     tubes: TubeSpec
 
     # level i >= 1 -> (stacked complement rows of every lower face, row offsets)
@@ -360,7 +355,7 @@ def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> Smooth
     return SmoothChain(
         group=group, chamber=chamber,
         stratification=strata_levels(group, chamber),
-        profile=SmoothProfile(), tubes=tubes,
+        tubes=tubes,
     )
 
 
@@ -536,7 +531,7 @@ def _apply_F(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
     if tc is None or tc.t == 0.0:
         return p.copy()
     u = tc.t / tc.radius
-    return tc.foot + (tc.radius * eval_h(chain.profile, u, 0)) * tc.normal
+    return tc.foot + (tc.radius * (u * _g0(u))) * tc.normal
 
 
 def apply_F(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
@@ -670,7 +665,7 @@ def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
 def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """The invariant map: fold into the chamber, then smooth."""
     p = _as_point(p, chain.chamber.dimension)
-    image, _ = _fold_image(chain.chamber.simple_normals, p, chain.group.order)
+    image, _ = _reflect_into_chamber(chain.chamber.simple_normals, p, chain.group.order)
     return _apply_partial(chain, 0, image)
 
 

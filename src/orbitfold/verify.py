@@ -28,7 +28,9 @@ and measures each matrix against the one element its key finds, with
 one dict lookup; if some key finds none, against every element.
 
 What is still evaluated one point at a time: check_fold's public folds,
-kept so that they are checked.
+kept so that they are checked, and the tube radius _radius_at, taken per
+sample by check_flatness, calculus._wall_reports, growth_bound_check and
+validate_tubes.
 """
 
 from __future__ import annotations
@@ -65,16 +67,15 @@ from .chamber import (
 from .groups import ReflectionGroup, _matrix_keys, reflection_matrix
 from .smoothing import (
     SmoothChain,
-    SmoothProfile,
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
     _apply_partial_rows,
     _first_claims,
+    _g0,
     _h_derivatives,
     _h_rows,
     _radius_at,
-    eval_h,
 )
 
 @dataclasses.dataclass(frozen=True)
@@ -190,7 +191,7 @@ def check_profile() -> list[CheckResult]:
     out.append(_result("linear tail h(t)=t for t>=1", tail, 1e-15))
 
     out.append(_result("symmetry value h(1/2)=1/4",
-                       abs(eval_h(SmoothProfile(), 0.5) - 0.25), 0.0))
+                       abs(0.5 * _g0(0.5) - 0.25), 0.0))
 
     worst_fd = max(abs(d) for d in _flat_derivatives())
     out.append(_result("derivatives vanish at t=1e-3 (orders 1-4)",
@@ -256,11 +257,11 @@ def _essential_norms(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
 
 
 def _fold_gaussians(chain: SmoothChain, rng: np.random.Generator, scale: float,
-                    rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, fold images) of `rows` Gaussian rows: the stream of `rows`
-    draws of one point each, folded as one stack."""
+                    rows: int) -> np.ndarray:
+    """Fold images of `rows` Gaussian rows: the stream of `rows` draws of
+    one point each, folded as one stack."""
     points = rng.normal(scale=scale, size=(rows, chain.group.dimension))
-    return points, _fold_rows(chain.chamber.simple_normals, points, chain.group.order)
+    return _fold_rows(chain.chamber.simple_normals, points, chain.group.order)
 
 
 def _separated_pairs(chain: SmoothChain, rng: np.random.Generator,
@@ -272,7 +273,7 @@ def _separated_pairs(chain: SmoothChain, rng: np.random.Generator,
     dim = chain.group.dimension
     firsts, seconds = np.empty((0, dim)), np.empty((0, dim))
     while len(firsts) < pairs:
-        _, block = _fold_gaussians(chain, rng, 2.0, 2 * pairs)
+        block = _fold_gaussians(chain, rng, 2.0, 2 * pairs)
         p, q = block[0::2], block[1::2]
         apart = np.flatnonzero(np.sqrt(_square_sums(p - q)) >= 1e-4)[:pairs - len(firsts)]
         firsts = np.concatenate([firsts, p[apart]])
@@ -280,26 +281,23 @@ def _separated_pairs(chain: SmoothChain, rng: np.random.Generator,
     return firsts, seconds
 
 
-def _tail_points(chain: SmoothChain, rng: np.random.Generator,
-                 count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, fold images) of up to `count` Gaussian points whose image
-    lies outside every tube: essential norm >= c0 and held by no tube of
-    levels 1..rank-1. At most 100*count points are drawn, `count` rows at
-    a time, and the first accepted are kept in draw order, as drawing one
-    point at a time would keep them."""
-    dim = chain.group.dimension
-    points, images = np.empty((0, dim)), np.empty((0, dim))
+def _tail_points(chain: SmoothChain, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Fold images of up to `count` Gaussian points whose image lies
+    outside every tube: essential norm >= c0 and held by no tube of levels
+    1..rank-1. At most 100*count points are drawn, `count` rows at a time,
+    and the first accepted are kept in draw order, as drawing one point at
+    a time would keep them."""
+    images = np.empty((0, chain.group.dimension))
     tries = 0
-    while len(points) < count and tries < 100 * count:
-        p, image = _fold_gaussians(chain, rng, 3.0, min(count, 100 * count - tries))
-        tries += len(p)
+    while len(images) < count and tries < 100 * count:
+        image = _fold_gaussians(chain, rng, 3.0, min(count, 100 * count - tries))
+        tries += len(image)
         tail = _essential_norms(chain, image) >= chain.tubes.c0
         for i in range(1, chain.rank):
             tail[_first_claims(chain, i, image)[0]] = False
-        keep = np.flatnonzero(tail)[:count - len(points)]
-        points = np.concatenate([points, p[keep]])
+        keep = np.flatnonzero(tail)[:count - len(images)]
         images = np.concatenate([images, image[keep]])
-    return points, images
+    return images
 
 
 def _regular_margin_points(chain: SmoothChain, rng: np.random.Generator,
@@ -317,7 +315,7 @@ def _regular_margin_points(chain: SmoothChain, rng: np.random.Generator,
     kept: list[np.ndarray] = []
     misses = 0
     while len(kept) < count:
-        _, q = _fold_gaussians(chain, rng, 1.5, count)
+        q = _fold_gaussians(chain, rng, 1.5, count)
         ok = ~_incident_rows(chain.group, q).any(axis=1)
         ok &= _essential_norms(chain, q) >= 0.3 * chain.tubes.c0
         for i in range(1, chain.rank):
@@ -512,7 +510,7 @@ def check_growth(chain: SmoothChain) -> list[CheckResult]:
 
 def check_identity_tail(chain: SmoothChain, count: int = 1000,
                         seed: int = 0) -> CheckResult:
-    _, images = _tail_points(chain, np.random.default_rng(seed), count)
+    images = _tail_points(chain, np.random.default_rng(seed), count)
     # H is the smoothing of the fold images _tail_points already took
     worst = float(np.abs(_apply_partial_rows(chain, 0, images) - images).max(initial=0.0))
     return _result("identity outside all tubes", worst, 1e-12,

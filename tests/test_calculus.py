@@ -12,8 +12,8 @@ from orbitfold.calculus import (
     ProbeReport,
     _hessian_stencils,
     _jacobian_stencils,
-    _line_stencils,
     _run_stencils,
+    _shared_line_stencils,
     _wall_reports,
     curve_jump_probe,
     growth_bound_check,
@@ -22,7 +22,7 @@ from orbitfold.calculus import (
 from orbitfold.chamber import fold
 from orbitfold.groups import preset_group
 from orbitfold.smoothing import (
-    SmoothProfile, _radius_at, apply_G, apply_H, build_chain, eval_h, eval_l)
+    _radius_at, apply_G, apply_H, build_chain, eval_h, eval_l)
 from orbitfold.verify import check_growth
 from stencil_oracle import per_point, wall_sample
 
@@ -39,8 +39,9 @@ def hessian(fn, p, step):
 
 
 def directional(fn, p, direction, order, step):
-    stencil = _line_stencils(p[None, :], direction[None, None, :], order, np.array([step]))
-    return _run_stencils(per_point(fn), [stencil])[0][0, 0]
+    stencil = _shared_line_stencils(p[None, :], direction[None, None, :], (order,),
+                                    np.array([step]))
+    return _run_stencils(per_point(fn), [stencil])[0][0][0, 0]
 
 
 def wall_probe(chain, fn, x):
@@ -108,6 +109,9 @@ class TestStencils:
         calls = []
         with pytest.raises(ValueError, match="order"):
             curve_jump_probe(lambda s: calls.append(s) or np.array([s]), orders=(4,))
+        for offsets in ((0.1, float("nan"), 0.01), (float("inf"), 0.1)):
+            with pytest.raises(ValueError, match="offsets must be finite"):
+                curve_jump_probe(lambda s: calls.append(s) or np.array([s]), offsets)
         assert calls == []
 
     def test_jacobian_of_full_map_in_identity_tail(self, b2_chain):
@@ -322,9 +326,8 @@ class TestFlatness:
             assert float(np.linalg.norm(d)) == 0.0
 
     def test_profile_is_alive_at_working_heights(self):
-        prof = SmoothProfile()
-        assert eval_h(prof, 0.1) > 0.0
-        assert eval_h(prof, 5e-5) == 0.0
+        assert eval_h(0.1) > 0.0
+        assert eval_h(5e-5) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
-from orbitfold.chamber import ON_WALL_TOL, _fold_image, _orthogonal_directions
+from orbitfold.chamber import ON_WALL_TOL, _orthogonal_directions, _reflect_into_chamber
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -220,7 +220,7 @@ def test_fold_step_count_is_word_length():
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_fold_and_fast_fold_agree_bitwise(preset):
-    # fold and the fast entry _fold_image must run the same reflection loop:
+    # fold and apply_H's entry _reflect_into_chamber must run the same loop:
     # identical images (bit for bit) and step counts on random points, on
     # points projected onto each mirror, and across scales.  The scale range
     # stops below ~1e154, where |p|^2 overflows.
@@ -236,9 +236,9 @@ def test_fold_and_fast_fold_agree_bitwise(preset):
         points.append(q / np.linalg.norm(q) * 10.0 ** rng.uniform(-300, 150))
     for p in points:
         result = fold(group, chamber, p)
-        image, steps = _fold_image(chamber.simple_normals, p, group.order)
+        image, word = _reflect_into_chamber(chamber.simple_normals, p, group.order)
         assert result.image.tobytes() == image.tobytes()
-        assert result.steps == steps
+        assert result.steps == len(word)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,19 @@ class TestVerify:
         assert code == 1
         assert "FAIL tube geometry" in out
 
+    @pytest.mark.parametrize("section,line", [
+        ("tubes", "c0 = nan"), ("tubes", "b = 1:nan"), ("tubes", "c0 = inf"),
+        ("tubes", "c = 1:inf"), ("probe", "offsets = nan"), ("probe", "offsets = inf,0.1"),
+    ])
+    def test_non_finite_parameters_exit_two(self, capsys, tmp_path, section, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[group]\npreset = b2\n\n[{section}]\n{line}\n"
+                       "\n[sampling]\ncount = 5\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_unknown_preset_fails_before_computation(self, capsys):
         code, _, err = run(capsys, "verify", "--preset", "e8")
         assert code == 2

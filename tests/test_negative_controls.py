@@ -10,6 +10,12 @@ and so every finite-difference check of verify. Only check_profile's
 "stacked h equals its jet on (0,2]" line sees them: it compares the
 map's h with the jets the rest of check_profile certifies.
 
+Two controls break the stacked maps verify evaluates. With every tube
+map F_i replaced by the identity, "flat normal derivatives at strata"
+must fail: the normal derivative of the identity is 1, against 1e-6. With
+the smoothing scaled by 1 + 1e-9, "identity outside all tubes" must
+fail: H moves tail points by about 1e-8, against 1e-12.
+
 check_closure finds each product's element by its key. Two controls
 hold it: keys that all miss must give the full comparison's values bit
 for bit, and a group with one element rotated slightly off must fail
@@ -17,12 +23,18 @@ for bit, and a group with one element rotated slightly off must fail
 
 Blind spots, mutations no verify check catches:
 - g mutated in the scalar _g0 alone, keeping g(1/2) = 1/2 (any of the
-  mutations below that leaves u = 1/2 alone). _g0 serves the per-point
-  map, eval_h at order 0 and the scalar cap blend (_radius_at); verify
-  reads it only in h(1/2), in validate_tubes' radii and where it sizes
-  and places its probes. Only
+  mutations below that leaves u = 1/2 alone). _g0 gives the h of the
+  per-point map and of eval_h at order 0 (h = u*_g0(u)) and the scalar
+  cap blend (_radius_at); verify reads it only in check_profile's h(1/2),
+  in validate_tubes' radii and where it sizes and places its probes. Only
   test_row_kernel_bits.py::test_stacked_g_equals_scalar_g, which holds
   _g0 to the stacked g bit for bit, catches it.
+
+Checks with no control yet:
+- The fold: check_fold holds the public and stacked folds to each other
+  and to the orbit, but no control breaks either one here.
+- check_injectivity, check_regular_jacobian, check_wall_preservation,
+  check_growth and the wall and origin decay lines.
 """
 
 import dataclasses
@@ -32,7 +44,8 @@ import pytest
 
 from orbitfold import smoothing, verify
 from orbitfold.groups import GroupElement, preset_group
-from orbitfold.verify import check_closure, check_profile
+from orbitfold.smoothing import build_chain
+from orbitfold.verify import check_closure, check_flatness, check_identity_tail, check_profile
 
 LINE = "stacked h equals its jet on (0,2]"
 _g_rows = smoothing._g_rows
@@ -87,3 +100,25 @@ def test_a_slightly_rotated_element_fails_closure(preset):
     broken = dataclasses.replace(group, elements=elements)
     (result,) = [r for r in check_closure(broken) if r.name == "closure under products"]
     assert not result.passed and 1e-7 < result.value < 1e-5
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_identity_tube_maps_fail_flatness(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    assert check_flatness(chain, points_per_level=10, seed=1).passed
+    monkeypatch.setattr(verify, "_apply_F_rows", lambda chain, level, points: points.copy())
+    result = check_flatness(chain, points_per_level=10, seed=1)
+    assert result.name == "flat normal derivatives at strata"
+    assert not result.passed and result.value > 0.5
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_scaled_smoothing_fails_the_identity_tail(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    assert check_identity_tail(chain, count=100, seed=1).passed
+    partial = verify._apply_partial_rows
+    monkeypatch.setattr(verify, "_apply_partial_rows",
+                        lambda chain, i, points: partial(chain, i, points) * (1.0 + 1e-9))
+    result = check_identity_tail(chain, count=100, seed=1)
+    assert result.name == "identity outside all tubes"
+    assert not result.passed and result.value > 1e-9

@@ -24,18 +24,17 @@ from orbitfold.calculus import (
     _evaluate,
     _hessian_stencils,
     _jacobian_stencils,
-    _line_stencils,
+    _probe_reports,
     _run_stencils,
-    _two_sided_jumps,
+    _shared_line_stencils,
     _wall_reports,
     curve_jump_probe,
     origin_line_probe,
 )
-from orbitfold.chamber import _fold_image, _fold_rows, fold
+from orbitfold.chamber import _fold_rows, _reflect_into_chamber, fold
 from orbitfold.groups import preset_group
 from orbitfold.polar import eigen_crossing_curve, model_H, sym_eig_model
 from orbitfold.smoothing import (
-    SmoothProfile,
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
@@ -95,7 +94,7 @@ def test_row_kernels_agree_with_point_entries(chain):
     normals, order = chain.chamber.simple_normals, chain.group.order
 
     images = _fold_rows(normals, points, order)
-    ref = np.array([_fold_image(normals, p, order)[0] for p in points])
+    ref = np.array([_reflect_into_chamber(normals, p, order)[0] for p in points])
     assert images.tobytes() == ref.tobytes()
 
     _assert_agrees(_apply_H_rows(chain, points),
@@ -120,7 +119,7 @@ def test_fold_rows_step_cap_matches_point_fold():
     group = preset_group("b2")
     chain = build_chain(group)
     p = np.array([-1.0, 2.0])
-    for call in (lambda: _fold_image(chain.chamber.simple_normals, p, 1),
+    for call in (lambda: _reflect_into_chamber(chain.chamber.simple_normals, p, 1),
                  lambda: _fold_rows(chain.chamber.simple_normals, p[None, :], 1)):
         with pytest.raises(RuntimeError, match="did not terminate"):
             call()
@@ -157,7 +156,8 @@ def test_fd_helpers_agree_bitwise_across_paths(preset):
         v /= np.linalg.norm(v)
         step = [10.0 ** rng.uniform(-4.0, -2.0)]
         stencils = [_jacobian_stencils(p, step), _hessian_stencils(p, step)] + [
-            _line_stencils(p, v[:, None], order, np.array(step)) for order in (1, 2, 3)]
+            _shared_line_stencils(p, v[:, None], (order,), np.array(step))
+            for order in (1, 2, 3)]
         calls = []
         whole = _run_stencils(_counted(lambda rows: _apply_H_rows(chain, rows), calls),
                               stencils)
@@ -165,7 +165,7 @@ def test_fd_helpers_agree_bitwise_across_paths(preset):
         # shared by its diagonal entries
         assert calls == [2 * dim + (1 + 2 * dim + 2 * dim * (dim - 1)) + 2 + 3 + 4]
         for got, want in zip(whole, _run_stencils(one_row, stencils)):
-            assert got.tobytes() == want.tobytes()
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("preset", ["b2", "a3"])
@@ -220,19 +220,20 @@ def test_stacked_stencils_match_frozen_per_point_path(preset):
     normals, cap = chain.chamber.simple_normals, chain.group.order
     for fn in (lambda rows: _apply_H_rows(chain, rows),
                lambda rows: _fold_rows(normals, rows, cap)):
-        stacked = _two_sided_jumps(fn, xs, vs, offsets, orders)
+        stacked = [r.jumps for r in _probe_reports(fn, xs, vs, offsets, orders)]
         for x, v, offs, jumps in zip(xs, vs, offsets, stacked):
             assert jumps == oracle.two_sided_jumps(fn, x, v, offs, orders)
 
         steps = [STEP_FRACTION * special] + list(10.0 ** rng.uniform(-5.0, -2.0, count - 1))
         jac, hess, *lines = _run_stencils(fn, [
             _jacobian_stencils(xs, steps), _hessian_stencils(xs, steps)]
-            + [_line_stencils(xs, vs[:, None], order, np.array(steps)) for order in orders])
+            + [_shared_line_stencils(xs, vs[:, None], (order,), np.array(steps))
+               for order in orders])
         for i, (x, v, step) in enumerate(zip(xs, vs, steps)):
             ref = oracle.run_stencils(fn, [
                 oracle.jacobian_stencil(x, step), oracle.hessian_stencil(x, step)]
                 + [oracle.directional_stencil(x, v, order, step) for order in orders])
-            for got, want in zip([jac[i], hess[i]] + [d[i, 0] for d in lines], ref):
+            for got, want in zip([jac[i], hess[i]] + [d[i, 0] for d, in lines], ref):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -284,8 +285,7 @@ def test_curve_probe_matches_frozen_central_differences(sym3, offsets, orders):
 
 
 def test_profile_flatness_derivatives_match_frozen_central_differences():
-    prof = SmoothProfile()
-    want = [float(oracle.central_difference(lambda s: eval_h(prof, 1e-3 + s), order, 5e-5))
+    want = [float(oracle.central_difference(lambda s: eval_h(1e-3 + s), order, 5e-5))
             for order in (1, 2, 3, 4)]
     got = _flat_derivatives()
     assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -14,16 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from orbitfold import calculus, verify
+from orbitfold import calculus, smoothing, verify
 from orbitfold.calculus import (
     DEFAULT_OFFSETS,
     _axis_stencils,
     _hessian_stencils,
     _jacobian_stencils,
-    _line_stencils,
+    _probe_reports,
     _run_stencils,
     _shared_line_stencils,
-    _two_sided_jumps,
     origin_line_probe,
 )
 from orbitfold.chamber import _fold_rows, fold
@@ -31,7 +30,6 @@ from orbitfold.groups import preset_group
 from orbitfold.smoothing import (
     ARG_DEAD_EPS,
     DERIVATIVE_ORDER_MAX,
-    SmoothProfile,
     _apply_H_rows,
     _apply_partial_rows,
     _h_derivatives,
@@ -106,14 +104,20 @@ def test_axis_stencils_match_separate_jacobian_and_hessian(chain, orders):
         _same_bits(shared, _run_stencils(fn, [own[order] for order in orders]))
 
 
+def _one_order_each(fn, base, directions, orders, steps):
+    """Each order's derivatives from a line stencil of that order alone."""
+    alone = _run_stencils(fn, [_shared_line_stencils(base, directions, (order,), steps)
+                               for order in orders])
+    return [derivatives for derivatives, in alone]
+
+
 @pytest.mark.parametrize("orders", [(1, 2, 3), (1, 2, 3, 4), (3,), (2, 4)])
 def test_shared_line_stencils_match_separate_orders(chain, orders):
     xs, vs, steps = _probe_points(chain, np.random.default_rng(43), 12)
     for directions in (vs[:, None], np.eye(chain.group.dimension)):
         for fn in _maps(chain):
             shared, = _run_stencils(fn, [_shared_line_stencils(xs, directions, orders, steps)])
-            _same_bits(shared, _run_stencils(fn, [_line_stencils(xs, directions, order, steps)
-                                                  for order in orders]))
+            _same_bits(shared, _one_order_each(fn, xs, directions, orders, steps))
 
 
 @pytest.mark.parametrize("orders", [(1, 2), (1, 2, 3), (2, 3)])
@@ -121,21 +125,20 @@ def test_two_sided_jumps_match_one_order_at_a_time(chain, orders):
     xs, vs, _ = _probe_points(chain, np.random.default_rng(47), 4)
     offsets = [DEFAULT_OFFSETS, (1e-1, 7e-3, 1e-3, 3e-4, 1e-4)] * 2
     for fn in _maps(chain):
-        shared = _two_sided_jumps(fn, xs, vs, offsets, orders)
-        alone = [_two_sided_jumps(fn, xs, vs, offsets, (order,)) for order in orders]
+        shared = [r.jumps for r in _probe_reports(fn, xs, vs, offsets, orders)]
+        alone = [[r.jumps for r in _probe_reports(fn, xs, vs, offsets, (order,))]
+                 for order in orders]
         for i, jumps in enumerate(shared):
             assert list(jumps) == list(orders)
             assert jumps == {order: a[i][order] for order, a in zip(orders, alone)}
 
 
 def test_profile_orders_share_one_line_stencil():
-    prof = SmoothProfile()
-    rows = lambda points: np.array([[eval_h(prof, t)] for t in points[:, 0].tolist()])
+    rows = lambda points: np.array([[eval_h(t)] for t in points[:, 0].tolist()])
     base, steps = np.array([[1e-3], [0.3], [0.9]]), np.array([5e-5, 1e-3, 7e-3])
     orders = (1, 2, 3, 4)
     shared, = _run_stencils(rows, [_shared_line_stencils(base, np.eye(1), orders, steps)])
-    _same_bits(shared, _run_stencils(rows, [_line_stencils(base, np.eye(1), order, steps)
-                                            for order in orders]))
+    _same_bits(shared, _one_order_each(rows, base, np.eye(1), orders, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,7 @@ def _probe_rows(n, orders):
 def test_two_sided_probe_rows(chain, orders):
     xs, vs, _ = _probe_points(chain, np.random.default_rng(53), 3)
     calls = []
-    _two_sided_jumps(_counted(_maps(chain)[0], calls), xs, vs, [DEFAULT_OFFSETS] * 3, orders)
+    _probe_reports(_counted(_maps(chain)[0], calls), xs, vs, [DEFAULT_OFFSETS] * 3, orders)
     sides = 3 * len(DEFAULT_OFFSETS) * 2
     assert sum(calls) == sides * _probe_rows(chain.group.dimension, orders)
 
@@ -191,8 +194,8 @@ def test_profile_evaluates_one_jet_per_monotonicity_point(monkeypatch):
     jets, values = [], []
     monkeypatch.setattr(verify, "_h_derivatives", lambda t, order:
                         jets.append((t.copy(), order)) or _h_derivatives(t, order))
-    monkeypatch.setattr(verify, "eval_h", lambda prof, t, order=0:
-                        values.append((t, order)) or eval_h(prof, t, order))
+    monkeypatch.setattr(smoothing, "eval_h", lambda t, order=0:
+                        values.append((t, order)) or eval_h(t, order))
     results = check_profile()
     assert all(r.passed for r in results)
     # one stacked jet per grid: the tail, the flatness stencil's 5 points,
@@ -200,8 +203,8 @@ def test_profile_evaluates_one_jet_per_monotonicity_point(monkeypatch):
     assert [(len(t), order) for t, order in jets] == [(200, 0), (5, 0), (1000, 1), (200, 4)]
     assert len(set(jets[3][0].tolist())) == 200
     assert (jets[1][0] < 0.01).all()
-    # h(1/2) is the one scalar value taken
-    assert values == [(0.5, 0)]
+    # h(1/2) is read from the scalar map's g, not through eval_h
+    assert values == [] and not hasattr(verify, "eval_h")
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +247,18 @@ def _profile_ts():
 
 
 def test_jet_helper_gives_eval_h_bits_at_every_order():
-    prof = SmoothProfile()
     for t in _profile_ts():
         t = float(t)
         for top in range(DERIVATIVE_ORDER_MAX + 1):
             jet = _h_derivatives(np.array([t]), top)[:, 0]
-            want = [eval_h(prof, t, order) for order in range(top + 1)]
+            want = [eval_h(t, order) for order in range(top + 1)]
             assert np.array(jet).tobytes() == np.array(want).tobytes(), (t, top)
 
 
 def test_eval_h_keeps_the_bits_of_a_jet_of_its_own_order():
-    prof = SmoothProfile()
     for t in _profile_ts():
         t = float(t)
-        got = [eval_h(prof, t, order) for order in range(DERIVATIVE_ORDER_MAX + 1)]
+        got = [eval_h(t, order) for order in range(DERIVATIVE_ORDER_MAX + 1)]
         want = [_jet_of_own_order(t, order) for order in range(DERIVATIVE_ORDER_MAX + 1)]
         assert np.array(got).tobytes() == np.array(want).tobytes(), t
 

@@ -27,7 +27,6 @@ from orbitfold import (
 from orbitfold.chamber import ON_WALL_TOL
 from orbitfold.smoothing import (
     SmoothChain,
-    SmoothProfile,
     TubeConfigError,
     TubeSpec,
     _radius_at,
@@ -45,7 +44,6 @@ from orbitfold.smoothing import (
     validate_tubes,
 )
 
-PROF = SmoothProfile()
 
 # values of h and derivatives, frozen from 60-digit evaluation of
 # h(t) = t*e(t)/(e(t)+e(1-t)), e(t) = exp(-5.5/sqrt(t)) ----------------------
@@ -88,66 +86,66 @@ def fd_scalar(f, t, order, step):
 class TestProfile:
     def test_frozen_values(self):
         for (t, order), want in H_FROZEN.items():
-            got = eval_h(PROF, t, order)
+            got = eval_h(t, order)
             assert got == pytest.approx(want, rel=1e-12), (t, order)
 
     def test_midpoint_symmetry_exact(self):
-        assert eval_h(PROF, 0.5, 0) == 0.25
+        assert eval_h(0.5, 0) == 0.25
 
     def test_linear_tail_exact(self):
         for t in (1.0, 1.5, 2.0, 7.25, 1e6):
-            assert eval_h(PROF, t, 0) == t
-            assert eval_h(PROF, t, 1) == 1.0
-            assert eval_h(PROF, t, 2) == 0.0
-            assert eval_h(PROF, t, 4) == 0.0
+            assert eval_h(t, 0) == t
+            assert eval_h(t, 1) == 1.0
+            assert eval_h(t, 2) == 0.0
+            assert eval_h(t, 4) == 0.0
 
     def test_zero_and_dead_zone(self):
         for t in (0.0, 1e-9, 1e-5, 5e-5):
             for order in range(5):
-                assert eval_h(PROF, t, order) == 0.0
+                assert eval_h(t, order) == 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            eval_h(PROF, -0.1, 0)
+            eval_h(-0.1, 0)
         with pytest.raises(ValueError):
-            eval_h(PROF, float("nan"), 0)
+            eval_h(float("nan"), 0)
         with pytest.raises(ValueError, match="order"):
-            eval_h(PROF, 0.5, 5)
+            eval_h(0.5, 5)
         with pytest.raises(ValueError, match="order"):
-            eval_h(PROF, 0.5, -1)
+            eval_h(0.5, -1)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_t(self, t):
         # a non-finite t is named as such; a negative finite one keeps
         # its own message
         with pytest.raises(ValueError, match="not finite"):
-            eval_h(PROF, t)
+            eval_h(t)
         with pytest.raises(ValueError, match=r"t >= 0"):
-            eval_h(PROF, -0.1)
+            eval_h(-0.1)
 
     @pytest.mark.parametrize("t", [0.3, 0.6, 0.85])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_jets_match_finite_differences(self, t, order):
-        f = lambda s: eval_h(PROF, s, 0)
+        f = lambda s: eval_h(s, 0)
         step = 1e-3 if order <= 2 else 4e-3
         approx = fd_scalar(f, t, order, step)
-        exact = eval_h(PROF, t, order)
+        exact = eval_h(t, order)
         tol = 1e-6 if order <= 2 else 5e-3
         assert approx == pytest.approx(exact, rel=tol, abs=tol)
 
     def test_flat_at_origin_by_finite_differences(self):
-        f = lambda s: eval_h(PROF, s, 0)
+        f = lambda s: eval_h(s, 0)
         for order in (1, 2, 3, 4):
             assert abs(fd_scalar(f, 1e-3, order, 2e-4)) < 1e-8
 
     def test_strictly_increasing_on_grid(self):
         grid = np.linspace(0.002, 2.0, 1000)
-        derivs = np.array([eval_h(PROF, t, 1) for t in grid])
+        derivs = np.array([eval_h(t, 1) for t in grid])
         assert np.all(derivs > 0.0)
 
     def test_bounded_by_identity(self):
         for t in np.linspace(0.0, 3.0, 301):
-            assert eval_h(PROF, t, 0) <= t + 1e-15
+            assert eval_h(t, 0) <= t + 1e-15
 
     def test_derivative_ladder_on_inner_interval(self):
         # On (0, 0.11] every derivative up to order 4 is nonnegative and
@@ -156,14 +154,14 @@ class TestProfile:
         # grid stays well inside it.
         grid = np.linspace(0.005, 0.11, 64)
         for order in range(5):
-            vals = np.array([eval_h(PROF, t, order) for t in grid])
+            vals = np.array([eval_h(t, order) for t in grid])
             assert np.all(vals >= 0.0), order
             assert np.all(np.diff(vals) >= 0.0), order
 
     def test_fourth_derivative_sign_change_located(self):
         # the sign flip of h'''' sits between 0.36 and 0.37 (at t = 0.36334)
-        assert eval_h(PROF, 0.36, 4) > 0.0
-        assert eval_h(PROF, 0.37, 4) < 0.0
+        assert eval_h(0.36, 4) > 0.0
+        assert eval_h(0.37, 4) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +326,15 @@ class TestRadii:
         with pytest.raises(ValueError, match="missing"):
             build_chain(preset_group("b3"), tubes=TubeSpec(b={1: 0.1}, c={1: 1.0}))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tube_spec_refuses_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="c0 must be positive and finite"):
+            TubeSpec(b={1: 0.1}, c={1: 1.0}, c0=bad)
+        with pytest.raises(ValueError, match="b_1 must be positive and finite"):
+            TubeSpec(b={1: bad}, c={1: 1.0})
+        with pytest.raises(ValueError, match="c_1 must be positive and finite"):
+            TubeSpec(b={1: 0.1}, c={1: bad})
+
 
 # ---------------------------------------------------------------------------
 # tube coordinates
@@ -406,7 +413,7 @@ class TestTubeMaps:
         p = np.array([0.3, 0.15])
         r = np.linalg.norm(p)
         got = apply_F(chain, 0, p)
-        want = (eval_h(PROF, r, 0) / r) * p
+        want = (eval_h(r, 0) / r) * p
         assert np.allclose(got, want, atol=1e-15)
 
     def test_monotone_radial_section(self):
@@ -598,14 +605,14 @@ class TestHalfLine:
         chain = self.build()
         for x in (0.0, 0.15, 0.35, 0.8, 2.0, -0.35, -2.0):
             got = apply_H(chain, np.array([x]))
-            want = eval_h(PROF, abs(x), 0)
+            want = eval_h(abs(x), 0)
             assert got[0] == pytest.approx(want, abs=1e-15)
 
     def test_G_is_profile_on_half_line(self):
         chain = self.build()
         for u in (0.0, 0.2, 0.5, 1.5):
             assert apply_G(chain, np.array([u]))[0] == pytest.approx(
-                eval_h(PROF, u, 0), abs=1e-15)
+                eval_h(u, 0), abs=1e-15)
 
     def test_validation_trivial(self):
         report = validate_tubes(self.build())

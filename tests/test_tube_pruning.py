@@ -42,7 +42,7 @@ def _oracle_apply_F(chain, i, p):
     if not hits or hits[0].t == 0.0:
         return p.copy()
     tc = hits[0]
-    return tc.foot + (tc.radius * eval_h(chain.profile, tc.t / tc.radius, 0)) * tc.normal
+    return tc.foot + (tc.radius * eval_h(tc.t / tc.radius, 0)) * tc.normal
 
 
 def _same_hit(a, b):

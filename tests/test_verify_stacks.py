@@ -11,7 +11,7 @@ import pytest
 import jet_oracle
 import sampler_oracle
 from orbitfold import groups, verify
-from orbitfold.calculus import DEFAULT_OFFSETS, _two_sided_jumps
+from orbitfold.calculus import DEFAULT_OFFSETS, _probe_reports
 from orbitfold.chamber import _fold_rows
 from orbitfold.config import ConfigError, RunConfig
 from orbitfold.groups import GroupElement, generate_group, preset_group, preset_order
@@ -108,13 +108,13 @@ def test_shared_fold_wall_reports_equal_separate_evaluations(chain, orders):
     vs = np.array([r.direction for r in reports])
     offsets = [r.offsets for r in reports]
     normals, cap = chain.chamber.simple_normals, chain.group.order
-    h_jumps = _two_sided_jumps(lambda rows: _apply_H_rows(chain, rows), xs, vs, offsets,
+    h_reports = _probe_reports(lambda rows: _apply_H_rows(chain, rows), xs, vs, offsets,
                                orders)
-    fold_jumps = _two_sided_jumps(lambda rows: _fold_rows(normals, rows, cap), xs, vs,
+    fold_reports = _probe_reports(lambda rows: _fold_rows(normals, rows, cap), xs, vs,
                                   offsets, orders)
-    for report, h, fold in zip(reports, h_jumps, fold_jumps):
-        assert report.jumps == h
-        assert report.control_jumps == fold
+    for report, h, fold in zip(reports, h_reports, fold_reports):
+        assert report.jumps == h.jumps
+        assert report.control_jumps == fold.jumps
 
 
 # ---------------------------------------------------------------------------

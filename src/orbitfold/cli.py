@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def _read_points(path: str, width: int) -> list[np.ndarray]:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = parse_config(fh.read())
@@ -103,12 +104,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig(preset=DEFAULT_PRESET)
     overrides = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         overrides["preset"] = args.preset
         overrides["normals"] = None
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         overrides["out"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
@@ -308,7 +309,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser,
+                run: Callable[[RunConfig, argparse.Namespace], int]) -> None:
+    sub.set_defaults(run=run)
     sub.add_argument("--config", help="path to a run configuration file")
     sub.add_argument("--out", help="output path (default: stdout)")
     sub.add_argument("--seed", type=int, help="override the sampling seed")
@@ -324,25 +327,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fold = sub.add_parser("fold", help="fold a CSV of points into the chamber")
     p_fold.add_argument("points", help="CSV file, one comma-separated point per row")
-    _add_common(p_fold)
+    _add_common(p_fold, lambda cfg, args: cmd_fold(cfg, args.points))
 
     p_map = sub.add_parser("build-map", help="dump chain parameters + tube validation")
-    _add_common(p_map)
+    _add_common(p_map, lambda cfg, args: cmd_build_map(cfg))
 
     p_grid = sub.add_parser("grid", help="evaluate the smooth map over a lattice")
-    _add_common(p_grid)
+    _add_common(p_grid, lambda cfg, args: cmd_grid(cfg))
 
     p_probe = sub.add_parser("probe", help="derivative-jump probes at wall points")
-    _add_common(p_probe)
+    _add_common(p_probe, lambda cfg, args: cmd_probe(cfg))
 
     p_demo = sub.add_parser("demo-sym3",
                             help="spectral demo on symmetric 3x3 matrices")
     p_demo.add_argument("matrices", nargs="?",
                         help="optional CSV of a11,a22,a33,a12,a13,a23 rows")
-    _add_common(p_demo)
+    _add_common(p_demo, lambda cfg, args: cmd_demo_sym3(cfg, args.matrices))
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    _add_common(p_verify)
+    _add_common(p_verify, lambda cfg, args: cmd_verify(cfg))
     return parser
 
 
@@ -351,19 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "fold":
-            return cmd_fold(cfg, args.points)
-        if args.command == "build-map":
-            return cmd_build_map(cfg)
-        if args.command == "grid":
-            return cmd_grid(cfg)
-        if args.command == "probe":
-            return cmd_probe(cfg)
-        if args.command == "demo-sym3":
-            return cmd_demo_sym3(cfg, args.matrices)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(cfg, args)
     except _RoundingFloorError:
         offsets = ",".join(f"{d:g}" for d in cfg.offsets)
         sys.stderr.write(f"error: probe offsets {offsets} reach the rounding floor "

@@ -252,15 +252,8 @@ def _simple_from_mirrors(
 
     # Prefer generator order where generators are themselves simple walls.
     chosen = [Hyperplane(oriented_arr[i]) for i in simple_idx]
-    ordered: list[Hyperplane] = []
-    for g in generators:
-        for h in chosen:
-            if g.same_as(h) and not any(h.same_as(o) for o in ordered):
-                ordered.append(h)
-    for h in chosen:
-        if not any(h.same_as(o) for o in ordered):
-            ordered.append(h)
-    return tuple(ordered)
+    first = [h for g in generators for h in chosen if g.same_as(h)]
+    return tuple(dict.fromkeys(first + chosen))
 
 
 def generate_group(

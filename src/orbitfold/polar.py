@@ -9,7 +9,10 @@ itself; the test suite cross-checks them with numpy's eigensolver. The
 sweeps rotate Python floats with the symmetric update, a dozen multiplies
 per rotation, because on a 3x3 matrix numpy's per-call overhead would
 cost more than the arithmetic; the eigenvector frame gets determinant +1
-from the parity of the sort that orders the eigenvalues.
+from the parity of the sort that orders the eigenvalues. The equidistance
+probe measures each sample of one orbit against the other orbit's point
+at the sample's own eigenframe; by Hoffman-Wielandt that point is nearest,
+so the probe needs no search.
 """
 
 from __future__ import annotations
@@ -192,17 +195,6 @@ class EquidistanceReport:
     analytic: float
 
 
-def _rodrigues(theta: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(theta))
-    if angle < 1e-14:
-        return np.eye(3)
-    k = theta / angle
-    K = np.array([[0.0, -k[2], k[1]],
-                  [k[2], 0.0, -k[0]],
-                  [-k[1], k[0], 0.0]])
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-
-
 def _require_regular(model: PolarModel, chamber, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (model.section_dim,):
@@ -226,8 +218,14 @@ def equidistance_probe(
     level set over v2; regular level sets of the fold sit at constant
     distance, so the spread of the measurements should vanish.
 
-    The analytic field carries the sorted-spectrum distance (symmetric
-    model) or radius difference (radial model) as an independent check.
+    On the symmetric model each sample p = Q diag(a) Q^T is measured
+    against V diag(b) V^T, where V is Jacobi's eigenframe of p. Both
+    spectra are sorted descending, so by the Hoffman-Wielandt inequality
+    (Duke Math. J. 20, 1953) this distance is the distance from p to the
+    whole orbit over v2. On the radial model the nearest point of the
+    second sphere lies on the same ray. The analytic field carries the
+    sorted-spectrum distance (symmetric model) or radius difference
+    (radial model), computed from v1 and v2 alone.
     """
     a = _require_regular(model, chain.chamber, v1)
     b = _require_regular(model, chain.chamber, v2)
@@ -245,22 +243,13 @@ def equidistance_probe(
             dists.append(abs(float(np.linalg.norm(p)) - r2))
         analytic = abs(r1 - r2)
     elif model.name == "sym3-eig":
-        from scipy import optimize  # the only scipy use, so not loaded on import
-
         D2 = np.diag(b)
         dists = []
         for _ in range(samples):
             Q = random_rotation(rng)
             p = Q @ np.diag(a) @ Q.T
             _, frame = jacobi_eigensystem(p)
-
-            def objective(theta: np.ndarray) -> float:
-                R = frame @ _rodrigues(theta)
-                return float(np.linalg.norm(p - R @ D2 @ R.T) ** 2)
-
-            res = optimize.minimize(objective, np.zeros(3), method="BFGS",
-                                    options={"gtol": 1e-12})
-            dists.append(float(np.sqrt(max(res.fun, 0.0))))
+            dists.append(float(np.linalg.norm(p - frame @ D2 @ frame.T)))
         analytic = float(np.linalg.norm(a - b))
     else:
         raise ValueError(f"no level-set sampler for model {model.name!r}")

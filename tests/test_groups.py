@@ -6,6 +6,7 @@ construction, so order counts and element sets are cross-checked by two
 independent routes.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -433,10 +434,27 @@ def test_simple_walls_reject_a_wrong_rank():
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported only inside polar.equidistance_probe."""
+    """scipy is imported nowhere in the package."""
     src = str(Path(orbitfold.__file__).resolve().parents[1])
     code = ("import sys, orbitfold, orbitfold.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+
+
+def test_no_package_source_imports_scipy():
+    """No module of the package imports scipy, at top level or inside a
+    function; scipy serves the tests as an oracle only."""
+    found = []
+    for path in sorted(Path(orbitfold.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [node.module or ""]
+            else:
+                continue
+            if any(r.split(".")[0] == "scipy" for r in roots):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,6 +1,7 @@
 """Concrete actions: eigenvalue section, radial section, equidistance."""
 
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -291,6 +292,15 @@ class TestEquidistance:
         model, chain = radial_setup
         with pytest.raises(ValueError, match="regular"):
             equidistance_probe(model, chain, np.array([0.0]), np.array([1.0]))
+
+    def test_matrix_probe_runs_without_scipy(self, sym_setup, monkeypatch):
+        model, chain = sym_setup
+        monkeypatch.setitem(sys.modules, "scipy", None)   # import scipy raises
+        rep = equidistance_probe(model, chain, np.array([3.0, 1.0, -0.5]),
+                                 np.array([2.6, 1.2, -0.7]), samples=4, seed=1)
+        assert rep.spread <= 1e-3
+        for d in rep.distances:
+            assert abs(d - rep.analytic) < 1e-6
 
     def test_unsorted_value_is_folded_first(self, sym_setup):
         model, chain = sym_setup

@@ -12,11 +12,11 @@ finite difference formulas on arbitrarily spaced grids", Math. Comp.
 takes an (M, n) stack of base points with one step per point, and each
 check evaluates the stencils of all its points and probes as one stack.
 The stencils of several orders on one base point and step share their
-points: each distinct point is evaluated once, and each order is combined
-with its own weights, order of summation and divisor, so it keeps the
-bits it has alone. Orders 1-4 along one line take 5 points, not 14, and
-a Jacobian asked for with a Hessian is read from the Hessian's +-step
-axis rows.
+points, p itself first: each distinct point is evaluated once, and each
+order is combined with its own weights, order of summation and divisor,
+so it keeps the bits it has alone. Orders 1-4 along one line take 5
+points, and order 2 along 3 lines 7. The Hessian is its axis lines plus
+the pair-product points of each axis pair.
 
 Probes across a wall, along lines through the origin and along a curve
 of one parameter are one measurement, and _probe_reports makes it for
@@ -123,93 +123,67 @@ def _shared_line_stencils(base: np.ndarray, directions: np.ndarray,
                           orders: Sequence[int], steps: np.ndarray) -> _Stencil:
     """The stencil points p + (shift*step)*e of several orders at once, for
     each base point p and each row e of directions ((d, n), or (M, d, n)
-    for directions of each point's own): the union of the orders' shifts,
-    in increasing order, each point once. The combine gives the (M, d, ...)
-    derivatives along them, one per order."""
-    shifts = sorted({s for order in orders for s, _ in _STENCILS[order]})
+    for directions of each point's own), each point once: p first when an
+    order needs shift 0, then the other shifts in (direction, shift) order.
+    The combine gives the (M, d, ...) derivatives along them, one per order."""
+    used = {s for order in orders for s, _ in _STENCILS[order]}
+    shifts = sorted(used - {0})
     moves = _moves(shifts, steps, directions)
-    points = (base[:, None, None, :] + moves).reshape(-1, base.shape[1])
     count, d = moves.shape[:2]
+    lines = (base[:, None, None, :] + moves).reshape(count, d * len(shifts), base.shape[1])
+    centre = int(0 in used)
+    points = np.concatenate([base[:, None, :], lines], axis=1) if centre else lines
 
     def combine(values: np.ndarray) -> list[np.ndarray]:
-        terms = values.reshape(count, d, len(shifts), *values.shape[1:])
+        own = values.reshape(count, centre + d * len(shifts), *values.shape[1:])
+        terms = own[:, centre:].reshape(count, d, len(shifts), *values.shape[1:])
+        row = lambda s: own[:, :1] if s == 0 else terms[:, :, shifts.index(s)]
         return [_weighted_sum([w for _, w in _STENCILS[order]],
-                              [terms[:, :, shifts.index(s)] for s, _ in _STENCILS[order]],
+                              [row(s) for s, _ in _STENCILS[order]],
                               _divisors(steps, order, terms.ndim - 1))
                 for order in orders]
 
-    return points, combine
-
-
-def _jacobian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
-    """Central Jacobians (M, m, n), one column per input coordinate."""
-    steps = np.asarray(steps, dtype=float)
-    points, combine = _shared_line_stencils(base, np.eye(base.shape[1]), (1,), steps)
-    return points, lambda values: np.moveaxis(combine(values)[0], 1, -1)
-
-
-def _hessian_stencils(base: np.ndarray, steps: Sequence[float]) -> _Stencil:
-    """Full second-derivative tensors (M, m, n, n). Diagonal entries come
-    from the order-2 row along each axis, with p itself as one point they
-    share; each mixed entry from the product of two order-1 rows along its
-    axis pair, one value filling (j, k) and (k, j)."""
-    steps = np.asarray(steps, dtype=float)
-    count, n = base.shape
-    axes = np.eye(n)
-    row1, row2 = _STENCILS[1], _STENCILS[2]
-    off = [s for s, _ in row2 if s]
-    shift_j, shift_k, mixed_weights = zip(*[(sj, sk, wj * wk)
-                                            for sj, wj in row1 for sk, wk in row1])
-    first, second = np.triu_indices(n, 1)
-    # row of each diagonal stencil point among a base point's own: p is row 0
-    diag_idx = np.zeros((n, len(row2)), dtype=int)
-    diag_idx[:, [i for i, (s, _) in enumerate(row2) if s]] = (
-        1 + np.arange(n * len(off)).reshape(n, len(off)))
-    mixed_start = 1 + n * len(off)
-    p = base[:, None, None, :]
-    own = np.concatenate([
-        base[:, None, :],
-        (p + _moves(off, steps, axes)).reshape(count, -1, n),
-        ((p + _moves(shift_j, steps, axes[first]))
-         + _moves(shift_k, steps, axes[second])).reshape(count, -1, n),
-    ], axis=1)
-    per_point = own.shape[1]
-
-    def combine(values: np.ndarray) -> np.ndarray:
-        values = values.reshape(count, per_point, -1)
-        scale = _divisors(steps, 2, 3)
-        diag = _weighted_sum([w for _, w in row2],
-                             np.moveaxis(values[:, diag_idx], 2, 0), scale)
-        mixed_terms = values[:, mixed_start:].reshape(count, len(first),
-                                                      len(mixed_weights), values.shape[2])
-        mixed = _weighted_sum(mixed_weights, np.moveaxis(mixed_terms, 2, 0), scale)
-        tensor = np.zeros((count, values.shape[2], n, n))
-        tensor[:, :, range(n), range(n)] = diag.swapaxes(1, 2)
-        tensor[:, :, first, second] = tensor[:, :, second, first] = mixed.swapaxes(1, 2)
-        return tensor
-
-    return own.reshape(-1, n), combine
+    return points.reshape(-1, base.shape[1]), combine
 
 
 def _axis_stencils(base: np.ndarray, steps: Sequence[float],
                    orders: Sequence[int]) -> _Stencil:
-    """Jacobians (order 1) and full second-derivative tensors (order 2) on
-    the points of the highest order asked; the combine lists them in
-    orders' order. With order 2, the Jacobian reads the Hessian's rows
-    1..2n of each base point: its +-step axis points, in the (axis, shift)
-    order _jacobian_stencils evaluates them."""
-    jacobian_points, jacobians = _jacobian_stencils(base, steps)
-    if 2 not in orders:
-        return jacobian_points, lambda values: [jacobians(values)]
-    points, hessians = _hessian_stencils(base, steps)
+    """Jacobians (M, m, n) for order 1 and full second-derivative tensors
+    (M, m, n, n) for order 2, listed in orders' order. The line stencils of
+    orders along the axes give the Jacobian's columns and the Hessian's
+    diagonal; each mixed entry comes from the product of two order-1 rows
+    along its axis pair, at the points (p + sj*step*e_j) + sk*step*e_k,
+    one value filling (j, k) and (k, j). A base point's rows are its line
+    points, then its pair points."""
+    steps = np.asarray(steps, dtype=float)
     count, n = base.shape
+    axes = np.eye(n)
+    line_points, lines = _shared_line_stencils(base, axes, orders, steps)
+    if 2 not in orders:
+        return line_points, lambda values: [np.moveaxis(lines(values)[0], 1, -1)]
+    row1 = _STENCILS[1]
+    shift_j, shift_k, mixed_weights = zip(*[(sj, sk, wj * wk)
+                                            for sj, wj in row1 for sk, wk in row1])
+    first, second = np.triu_indices(n, 1)
+    pairs = ((base[:, None, None, :] + _moves(shift_j, steps, axes[first]))
+             + _moves(shift_k, steps, axes[second])).reshape(count, -1, n)
+    own = np.concatenate([line_points.reshape(count, -1, n), pairs], axis=1)
+    width = own.shape[1] - pairs.shape[1]
 
     def combine(values: np.ndarray) -> list[np.ndarray]:
-        shape = values.shape[1:]
-        rows = values.reshape(count, -1, *shape)[:, 1:1 + 2 * n].reshape(-1, *shape)
-        return [jacobians(rows) if order == 1 else hessians(values) for order in orders]
+        values = values.reshape(count, own.shape[1], -1)
+        m = values.shape[2]
+        derivatives = dict(zip(orders, lines(values[:, :width].reshape(-1, m))))
+        mixed_terms = values[:, width:].reshape(count, len(first), len(mixed_weights), m)
+        mixed = _weighted_sum(mixed_weights, np.moveaxis(mixed_terms, 2, 0),
+                              _divisors(steps, 2, 3))
+        tensor = np.zeros((count, m, n, n))
+        tensor[:, :, range(n), range(n)] = derivatives[2].swapaxes(1, 2)
+        tensor[:, :, first, second] = tensor[:, :, second, first] = mixed.swapaxes(1, 2)
+        return [np.moveaxis(derivatives[1], 1, -1) if order == 1 else tensor
+                for order in orders]
 
-    return points, combine
+    return own.reshape(-1, n), combine
 
 
 def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
@@ -504,8 +478,8 @@ def growth_bound_check(
         mixed = mixed / np.linalg.norm(mixed)
         lines.append([u / np.linalg.norm(u) for u in (v, tangent, mixed)])
     points = np.array(bases)
-    jacobians, (second,) = _run_stencils(fn, [
-        _jacobian_stencils(points, steps),
+    (jacobians,), (second,) = _run_stencils(fn, [
+        _axis_stencils(points, steps, (1,)),
         _shared_line_stencils(points, np.array(lines), (2,), np.asarray(steps))])
     d1 = [float(np.linalg.norm(jacobian)) for jacobian in jacobians]
     d2 = [max(float(np.linalg.norm(d)) for d in along) for along in second]

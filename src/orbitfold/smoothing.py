@@ -130,9 +130,12 @@ def _g0(t: float) -> float:
 
 
 def _g_rows(t: np.ndarray) -> np.ndarray:
-    """g at every entry of t, on the e of _jet_e: _g0's bits."""
+    """g at every entry of t, on the e of _jet_e: _g0's bits. A stack with
+    no entry strictly inside (0, 1) takes no exp at all."""
     g = (t >= 1.0 - ARG_DEAD_EPS).astype(float)
     mid = (t > ARG_DEAD_EPS) & (t < 1.0 - ARG_DEAD_EPS)
+    if not mid.any():
+        return g
     s = t[mid]
     u, v = _jet_e(np.concatenate([s, 1.0 - s]), 0)[0].reshape(2, -1)
     g[mid] = u / (u + v)
@@ -367,6 +370,10 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     _claiming_face pass the open-face test, eval_l points and wall-probe
     samples lie on a face (to the classification tolerance) and
     validate_tubes uses interior points.
+
+    The cap blend is one formula, (1 - w)*raw + w*c_i with w =
+    g(raw/c_i - 1): g is 0 for raw <= c_i and 1 for raw >= 2c_i, so it
+    gives raw and c_i exactly there.
     """
     i = face.level
     if i == 0:
@@ -374,12 +381,7 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     dists = chain.lower_face_distances(i, x).tolist()
     raw = chain.tubes.b[i] * softmin(dists, chain.tubes.softmin_exponent)
     cap = chain.tubes.c[i]
-    ratio = raw / cap
-    if ratio <= 1.0:
-        return raw
-    if ratio >= 2.0:
-        return cap
-    w = _g0(ratio - 1.0)
+    w = _g0(raw / cap - 1.0)
     return (1.0 - w) * raw + w * cap
 
 
@@ -411,13 +413,8 @@ def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
     acc = ((d_min[:, None] / dists) ** k).sum(axis=1)
     raw = chain.tubes.b[i] * (d_min * acc ** (-1.0 / k))
     cap = chain.tubes.c[i]
-    ratio = raw / cap
-    blend = (ratio > 1.0) & (ratio < 2.0)
-    radius = np.where(ratio <= 1.0, raw, cap)
-    if blend.any():
-        w = _g_rows(ratio[blend] - 1.0)
-        radius[blend] = (1.0 - w) * raw[blend] + w * cap
-    return radius
+    w = _g_rows(raw / cap - 1.0)
+    return (1.0 - w) * raw + w * cap
 
 
 def _check_tube_level(chain: SmoothChain, i: int) -> None:

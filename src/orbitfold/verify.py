@@ -45,8 +45,8 @@ from .calculus import (
     DECAY_SLOPE,
     DEFAULT_OFFSETS,
     ProbeReport,
+    _axis_stencils,
     _evaluate,
-    _jacobian_stencils,
     _least_resolved_slope,
     _run_stencils,
     _shared_line_stencils,
@@ -461,8 +461,8 @@ def check_regular_jacobian(chain: SmoothChain, points: int = 1000,
     rng = np.random.default_rng(seed)
     samples = _regular_margin_points(chain, rng, points)
     steps = 1e-5 * (1.0 + np.sqrt(_square_sums(samples)))
-    jacobians = _run_stencils(lambda rows: _apply_G_rows(chain, rows),
-                              [_jacobian_stencils(samples, steps)])[0]
+    (jacobians,), = _run_stencils(lambda rows: _apply_G_rows(chain, rows),
+                                  [_axis_stencils(samples, steps, (1,))])
     worst = float(np.abs(np.linalg.det(jacobians)).min(initial=math.inf))
     return _result("Jacobian determinant bounded away from zero",
                    worst, 1e-6, mode="min",

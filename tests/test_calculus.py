@@ -10,8 +10,7 @@ from orbitfold.calculus import (
     DEFAULT_OFFSETS,
     GrowthReport,
     ProbeReport,
-    _hessian_stencils,
-    _jacobian_stencils,
+    _axis_stencils,
     _run_stencils,
     _shared_line_stencils,
     _wall_reports,
@@ -31,11 +30,11 @@ from stencil_oracle import per_point, wall_sample
 
 
 def jacobian(fn, p, step):
-    return _run_stencils(per_point(fn), [_jacobian_stencils(p[None, :], [step])])[0][0]
+    return _run_stencils(per_point(fn), [_axis_stencils(p[None, :], [step], (1,))])[0][0][0]
 
 
 def hessian(fn, p, step):
-    return _run_stencils(per_point(fn), [_hessian_stencils(p[None, :], [step])])[0][0]
+    return _run_stencils(per_point(fn), [_axis_stencils(p[None, :], [step], (2,))])[0][0][0]
 
 
 def directional(fn, p, direction, order, step):

@@ -16,6 +16,15 @@ must fail: the normal derivative of the identity is 1, against 1e-6. With
 the smoothing scaled by 1 + 1e-9, "identity outside all tubes" must
 fail: H moves tail points by about 1e-8, against 1e-12.
 
+Three controls break the maps the fold and smoothness checks hold to
+their claims. With the stacked fold of verify replaced by the identity,
+"fold orbit invariance" must fail: the images of one orbit no longer
+agree. With the smoothing after the fold replaced by the identity, so
+that H is the fold, both "wall jump decay slope" lines must fail: the
+fold's derivatives jump across a wall at every offset. With H replaced
+by the stacked fold on the origin lines, both "origin line jump decay"
+lines must fail for the same reason.
+
 check_closure finds each product's element by its key. Two controls
 hold it: keys that all miss must give the full comparison's values bit
 for bit, and a group with one element rotated slightly off must fail
@@ -31,10 +40,10 @@ Blind spots, mutations no verify check catches:
   _g0 to the stacked g bit for bit, catches it.
 
 Checks with no control yet:
-- The fold: check_fold holds the public and stacked folds to each other
-  and to the orbit, but no control breaks either one here.
+- The public fold: check_fold holds it to the orbit and to the stacked
+  fold, but no control breaks it here.
 - check_injectivity, check_regular_jacobian, check_wall_preservation,
-  check_growth and the wall and origin decay lines.
+  check_growth and the wall probe's two fold control lines.
 """
 
 import dataclasses
@@ -43,9 +52,18 @@ import numpy as np
 import pytest
 
 from orbitfold import smoothing, verify
+from orbitfold.chamber import _fold_rows
 from orbitfold.groups import GroupElement, preset_group
 from orbitfold.smoothing import build_chain
-from orbitfold.verify import check_closure, check_flatness, check_identity_tail, check_profile
+from orbitfold.verify import (
+    check_closure,
+    check_flatness,
+    check_fold,
+    check_identity_tail,
+    check_origin_smoothness,
+    check_profile,
+    check_wall_smoothness,
+)
 
 LINE = "stacked h equals its jet on (0,2]"
 _g_rows = smoothing._g_rows
@@ -122,3 +140,36 @@ def test_scaled_smoothing_fails_the_identity_tail(monkeypatch, preset):
     result = check_identity_tail(chain, count=100, seed=1)
     assert result.name == "identity outside all tubes"
     assert not result.passed and result.value > 1e-9
+
+
+def _failed(results):
+    return [r.name for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_identity_fold_fails_orbit_invariance(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: check_fold(chain.group, chain.chamber, count=100, seed=1)
+    assert _failed(check()) == []
+    monkeypatch.setattr(verify, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    assert _failed(check()) == ["fold orbit invariance"]
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_identity_smoothing_fails_wall_decay(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: check_wall_smoothness(chain, points=20, seed=1)
+    assert _failed(check()) == []
+    monkeypatch.setattr(verify, "_apply_partial_rows", lambda chain, i, rows: rows.copy())
+    assert _failed(check()) == [f"wall jump decay slope (order {order})" for order in (1, 2)]
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_fold_in_place_of_H_fails_origin_decay(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: check_origin_smoothness(chain, lines=20, seed=1)
+    assert _failed(check()) == []
+    normals, cap = chain.chamber.simple_normals, chain.group.order
+    monkeypatch.setattr(verify, "_apply_H_rows",
+                        lambda chain, rows: _fold_rows(normals, rows, cap))
+    assert _failed(check()) == [f"origin line jump decay (order {order})" for order in (1, 2)]

@@ -21,9 +21,8 @@ from orbitfold.calculus import (
     ROW_CAP,
     STEP_FRACTION,
     _RoundingFloorError,
+    _axis_stencils,
     _evaluate,
-    _hessian_stencils,
-    _jacobian_stencils,
     _probe_reports,
     _run_stencils,
     _shared_line_stencils,
@@ -155,7 +154,7 @@ def test_fd_helpers_agree_bitwise_across_paths(preset):
         v = rng.normal(size=(1, dim))
         v /= np.linalg.norm(v)
         step = [10.0 ** rng.uniform(-4.0, -2.0)]
-        stencils = [_jacobian_stencils(p, step), _hessian_stencils(p, step)] + [
+        stencils = [_axis_stencils(p, step, (1,)), _axis_stencils(p, step, (2,))] + [
             _shared_line_stencils(p, v[:, None], (order,), np.array(step))
             for order in (1, 2, 3)]
         calls = []
@@ -225,8 +224,8 @@ def test_stacked_stencils_match_frozen_per_point_path(preset):
             assert jumps == oracle.two_sided_jumps(fn, x, v, offs, orders)
 
         steps = [STEP_FRACTION * special] + list(10.0 ** rng.uniform(-5.0, -2.0, count - 1))
-        jac, hess, *lines = _run_stencils(fn, [
-            _jacobian_stencils(xs, steps), _hessian_stencils(xs, steps)]
+        (jac,), (hess,), *lines = _run_stencils(fn, [
+            _axis_stencils(xs, steps, (1,)), _axis_stencils(xs, steps, (2,))]
             + [_shared_line_stencils(xs, vs[:, None], (order,), np.array(steps))
                for order in orders])
         for i, (x, v, step) in enumerate(zip(xs, vs, steps)):

@@ -18,11 +18,10 @@ from orbitfold import calculus, smoothing, verify
 from orbitfold.calculus import (
     DEFAULT_OFFSETS,
     _axis_stencils,
-    _hessian_stencils,
-    _jacobian_stencils,
     _probe_reports,
     _run_stencils,
     _shared_line_stencils,
+    growth_bound_check,
     origin_line_probe,
 )
 from orbitfold.chamber import _fold_rows, fold
@@ -100,8 +99,8 @@ def test_axis_stencils_match_separate_jacobian_and_hessian(chain, orders):
     xs, _, steps = _probe_points(chain, np.random.default_rng(41), 12)
     for fn in _maps(chain):
         shared, = _run_stencils(fn, [_axis_stencils(xs, steps, orders)])
-        own = {1: _jacobian_stencils(xs, steps), 2: _hessian_stencils(xs, steps)}
-        _same_bits(shared, _run_stencils(fn, [own[order] for order in orders]))
+        alone = _run_stencils(fn, [_axis_stencils(xs, steps, (order,)) for order in orders])
+        _same_bits(shared, [derivatives for derivatives, in alone])
 
 
 def _one_order_each(fn, base, directions, orders, steps):
@@ -176,6 +175,17 @@ def test_wall_and_origin_probe_rows_on_a3(monkeypatch):
     # one fold, shared by H and the control, and the smoothing of its
     # images: 20 probes * 5 offsets * 2 sides * 33 rows each
     assert sum(smooth_rows) == sum(fold_rows) == 6600
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_growth_lines_evaluate_each_base_point_once(chain, level, monkeypatch):
+    calls = []
+    monkeypatch.setattr(calculus, "_apply_partial_rows", lambda chain, i, rows:
+                        calls.append(len(rows)) or _apply_partial_rows(chain, i, rows))
+    growth_bound_check(chain, level)
+    # per distance: the Jacobian's 2n axis points, then p once and its
+    # +-step points along each of the 3 order-2 lines
+    assert calls == [len(calculus.DEFAULT_GROWTH_DISTANCES) * (2 * chain.group.dimension + 7)]
 
 
 def test_flatness_evaluates_five_rows_per_base_point(chain, monkeypatch):

@@ -7,7 +7,7 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, `verify --preset A3` (a preset spelled in capitals), and nine edge
+--out, `verify --preset A3` (a preset spelled in capitals), and ten edge
 configurations: a rank-1 group under `verify` and `probe`, two groups of
 rank 3 given by `[group] normals` under `verify` and `build-map` (the
 axis group A1^3, and an order-6 group with a fixed line whose generators
@@ -15,8 +15,11 @@ are not simple), probe offsets at the rounding floor, a3 probes of orders
 1, 2 and 3, which put the directional stencils of the jump path under
 test, and `demo-sym3` with and without --out under a probe offset
 schedule other than the default one, which its curve probes take, under a
-schedule at the rounding floor, which they refuse, and under a
-configuration that sets the offsets alone and names no group. The `fold`
+schedule at the rounding floor, which they refuse, under a
+configuration that sets the offsets alone and names no group, and b3
+under `verify`, `probe` and `grid` with tube caps of 0.08 at levels 1 and
+2, small enough that the stacked cap blend of the tube radius runs (no
+default case reaches it). The `fold`
 inputs are generated here
 from numpy alone and written to OUTDIR/inputs, so they do not depend on
 the code under test.
@@ -60,6 +63,8 @@ EDGE_CONFIGS = {
     "sym3-offset-floor": (("demo-sym3",), "[group]\npreset = a2\n\n[probe]\n"
                                           "offsets = 1e-15,1e-16\n"),
     "sym3-offsets-only": (("demo-sym3",), "[probe]\noffsets = 0.3,0.1,0.03,0.01,0.001\n"),
+    "small-caps": (("verify", "probe", "grid"),
+                   "[group]\npreset = b3\n\n[tubes]\nc = 1:0.08,2:0.08\n"),
 }
 
 

@@ -40,7 +40,6 @@ from .smoothing import (
     SmoothChain,
     TubeConfigError,
     TubeSpec,
-    apply_F,
     apply_G,
     apply_H,
     build_chain,
@@ -72,7 +71,6 @@ __all__ = [
     "StratumDescriptor",
     "TubeConfigError",
     "TubeSpec",
-    "apply_F",
     "apply_G",
     "apply_H",
     "build_chain",

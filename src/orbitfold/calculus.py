@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .chamber import Face, _fold_rows, _orthogonal_directions, _square_sums
-from .smoothing import SmoothChain, _apply_partial_rows, _radius_at
+from .smoothing import SmoothChain, _apply_partial_rows, _check_tube_level, _radius_at
 
 DEFAULT_OFFSETS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 REFERENCE_RADIUS = 0.1
@@ -165,13 +165,14 @@ def _axis_stencils(base: np.ndarray, steps: Sequence[float],
     shift_j, shift_k, mixed_weights = zip(*[(sj, sk, wj * wk)
                                             for sj, wj in row1 for sk, wk in row1])
     first, second = np.triu_indices(n, 1)
+    # numpy cannot infer a -1 axis of an empty stack; its axis is 0
     pairs = ((base[:, None, None, :] + _moves(shift_j, steps, axes[first]))
-             + _moves(shift_k, steps, axes[second])).reshape(count, -1, n)
-    own = np.concatenate([line_points.reshape(count, -1, n), pairs], axis=1)
+             + _moves(shift_k, steps, axes[second])).reshape(count, -1 if count else 0, n)
+    own = np.concatenate([line_points.reshape(count, -1 if count else 0, n), pairs], axis=1)
     width = own.shape[1] - pairs.shape[1]
 
     def combine(values: np.ndarray) -> list[np.ndarray]:
-        values = values.reshape(count, own.shape[1], -1)
+        values = values.reshape(count, own.shape[1], *values.shape[1:])
         m = values.shape[2]
         derivatives = dict(zip(orders, lines(values[:, :width].reshape(-1, m))))
         mixed_terms = values[:, width:].reshape(count, len(first), len(mixed_weights), m)
@@ -453,6 +454,7 @@ def growth_bound_check(
     For i >= 1 the regressor is 1/l_i at the probe feet; for i = 0 the
     radius is the constant c0, so the regressor is 1/distance instead.
     """
+    _check_tube_level(chain, i)
     strat = chain.stratification
     fn = lambda points: _apply_partial_rows(chain, i, points)
     radii, bases, steps, lines = [], [], [], []

@@ -327,32 +327,39 @@ def _split_rows(group: ReflectionGroup, points: np.ndarray) -> tuple[np.ndarray,
     return p_fixed, points - p_fixed
 
 
-def _slack(tol: float, eff_norm, fixed_norm):
+def _slack(tol: float, eff_norm, fixed_norm, one=1.0):
     """The wall-incidence threshold tol*(1 + |p_eff|) + _SPLIT_ROUNDING*|p_fixed|,
-    for floats or arrays of norms.
+    for floats or arrays of norms; `one` is 1 in the scaling of the norms.
 
     The second term covers the rounding p_eff = p - p_fixed inherits from
     the fixed part, a few ulps of |p_fixed|; without it a3 (1, 1, 1, 1)*1e7,
     on every mirror, sat off all but one.
     """
-    return tol * (1.0 + eff_norm) + _SPLIT_ROUNDING * fixed_norm
+    return tol * (one + eff_norm) + _SPLIT_ROUNDING * fixed_norm
 
 
 def _incidence(group: ReflectionGroup, p: np.ndarray,
                tol: float = ON_WALL_TOL) -> tuple[np.ndarray, float]:
     """(p_eff, slack): p's essential part and the wall-incidence threshold
-    (_slack) that classify and Stratification.face_contains share."""
-    p_fixed, p_eff = essential_split(group, p)
-    return p_eff, _slack(tol, _norm(p_eff), _norm(p_fixed))
+    (_slack) that classify and Stratification.face_contains share. Where
+    |p|^2 would overflow, both are p*2**-e's (_unit_scaled, e > 0), the
+    threshold's 1 scaled with them, so no product or norm overflows."""
+    w, e, _ = _unit_scaled(p)
+    e = max(e, 0)
+    p_fixed, p_eff = essential_split(group, w if e else p)
+    return p_eff, _slack(tol, _norm(p_eff), _norm(p_fixed), math.ldexp(1.0, -e))
 
 
 def _incident_rows(group: ReflectionGroup, points: np.ndarray) -> np.ndarray:
     """(N, m) mask of the mirrors through each row of an (N, n) stack, by
-    classify's rule at ON_WALL_TOL: |<p_eff, n>| <= _slack. Each row rounds
-    as it would alone (_stack_product)."""
+    classify's rule at ON_WALL_TOL: |<p_eff, n>| <= _slack, scaled as in
+    _incidence. Each row rounds as it would alone (_stack_product)."""
+    w, e, _ = _unit_scaled_rows(points)
+    e = np.maximum(e, 0)
+    points = np.where(e[:, None] > 0, w, points)
     p_fixed, p_eff = _split_rows(group, points)
     fixed_norm = _norms(p_fixed) if group.fixed_subspace.shape[1] else 0.0
-    slack = _slack(ON_WALL_TOL, _norms(p_eff), fixed_norm)
+    slack = _slack(ON_WALL_TOL, _norms(p_eff), fixed_norm, np.ldexp(1.0, -e))
     return np.abs(_stack_product(p_eff, group.mirror_normals)) <= slack[:, None]
 
 

@@ -227,6 +227,8 @@ def equidistance_probe(
     sorted-spectrum distance (symmetric model) or radius difference
     (radial model), computed from v1 and v2 alone.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     a = _require_regular(model, chain.chamber, v1)
     b = _require_regular(model, chain.chamber, v2)
     rng = np.random.default_rng(seed)

@@ -23,9 +23,10 @@ e has one array definition, the constant term of its jet (_jet_e), each
 exp through math.exp. The stacked g of the stacked tube maps and cap
 blends (_g_rows) is built on it, so the map's h is the jets' order 0 bit
 for bit. The scalar _g0 is its per-point twin; a test holds the two to
-each other bit for bit. The per-point tube map takes h as u*_g0(u),
-the value eval_h returns at order 0; eval_h, which takes t and an order,
-serves callers outside the package.
+each other bit for bit. The per-point tube map _apply_F, which apply_G
+and apply_H chain, takes h as u*_g0(u), the value eval_h returns at order
+0, and reads the (face, foot, t, radius) that tube_coords gives; tests hold
+the stacked kernels verify runs to it bit for bit.
 """
 
 from __future__ import annotations
@@ -263,20 +264,6 @@ def softmin(distances: Iterable[float], k: int) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class TubeCoords:
-    """Location of a point inside one tube: foot, unit normal, height.
-
-    normal is None exactly when the point sits on the face (t == 0).
-    """
-
-    face: Face
-    foot: np.ndarray
-    normal: np.ndarray | None
-    t: float
-    radius: float
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class SmoothChain:
     group: ReflectionGroup
     chamber: Chamber
@@ -473,9 +460,10 @@ def _reach(chain: SmoothChain, i: int, size):
     return bound + 1e-9 * (1.0 + size + bound)
 
 
-def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray) -> TubeCoords | None:
-    """Tube coordinates of p in the first level-i tube, in faces_at_level
-    order, that holds it; None when none does.
+def _claiming_face(chain: SmoothChain, i: int,
+                   p: np.ndarray) -> tuple[Face, np.ndarray, float, float] | None:
+    """(face, foot, t, radius) of the first level-i tube, in faces_at_level
+    order, that holds p; None when none does.
 
     Faces with an active wall farther from p than _reach allows are skipped
     before their projection: their tubes cannot hold p. Every coordinate of
@@ -502,39 +490,31 @@ def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray) -> TubeCoords | No
             # would feed (numerically) zero distances to the radius field
             if vals.min() <= ON_WALL_TOL * (1.0 + _norm(x, size)):
                 continue
-        r = p - x
-        t = _norm(r, size)
+        t = _norm(p - x, size)
         radius = _radius_at(chain, face, x)
         if t >= radius:
             continue
-        normal = r / t if t > 0.0 else None
-        return TubeCoords(face=face, foot=x, normal=normal, t=t, radius=radius)
+        return face, x, t, radius
     return None
 
 
-def tube_coords(chain: SmoothChain, i: int, p: Iterable[float]) -> TubeCoords | None:
-    """Foot/normal/height of p inside the level-i tube, or None outside.
-
-    The foot must land in the open face and the height must be under the
-    local radius; t = 0 flags the on-stratum case with normal = None.
-    """
+def tube_coords(chain: SmoothChain, i: int,
+                p: Iterable[float]) -> tuple[Face, np.ndarray, float, float] | None:
+    """(face, foot, t, radius) of p inside the level-i tube, or None outside:
+    the foot lands in the open face, t < radius, and t = 0 on the face."""
     _check_tube_level(chain, i)
     return _claiming_face(chain, i, _as_point(p, chain.chamber.dimension))
 
 
 def _apply_F(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
-    """apply_F at a float point of the right shape and a level with a tube."""
-    tc = _claiming_face(chain, i, p)
-    if tc is None or tc.t == 0.0:
+    """The tube map F_i at a float point of the right shape, for a level
+    with a tube: radial reparametrization by h inside, identity outside."""
+    claim = _claiming_face(chain, i, p)
+    if claim is None or claim[2] == 0.0:
         return p.copy()
-    u = tc.t / tc.radius
-    return tc.foot + (tc.radius * (u * _g0(u))) * tc.normal
-
-
-def apply_F(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
-    """One tube map: radial reparametrization by h inside, identity outside."""
-    _check_tube_level(chain, i)
-    return _apply_F(chain, i, _as_point(p, chain.chamber.dimension))
+    _, foot, t, radius = claim
+    u = t / radius
+    return foot + (radius * (u * _g0(u))) * ((p - foot) / t)
 
 
 def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -601,12 +581,12 @@ def _first_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nd
 
 
 def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
-    """apply_F at every row of an (N, n) stack: each row held by a tube is
-    mapped in the one _first_claims gives, as apply_F maps it; a row no
+    """_apply_F at every row of an (N, n) stack: each row held by a tube is
+    mapped in the one _first_claims gives, as _apply_F maps it; a row no
     tube holds keeps its value."""
     rows, _, height, rad, foot = _first_claims(chain, i, points)
     out = points.copy()
-    # a row on its face (t == 0) stays where it is, as in apply_F
+    # a row on its face (t == 0) stays where it is, as in _apply_F
     off_face = height > 0.0
     if off_face.any():
         rows, height, rad, foot = rows[off_face], height[off_face], rad[off_face], foot[off_face]
@@ -616,7 +596,8 @@ def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
 
 
 def _apply_partial_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
-    """apply_partial at every row of an (N, n) stack."""
+    """The partial composite at every row of an (N, n) stack: F_{n-1}
+    first, descending to F_i last."""
     for j in range(chain.rank - 1, i - 1, -1):
         points = _apply_F_rows(chain, j, points)
     return points
@@ -637,18 +618,12 @@ def _apply_H_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
     return _apply_partial_rows(chain, 0, images)
 
 
-def _apply_partial(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
-    """apply_partial at a float point of the right shape and a level with
-    a tube."""
-    for j in range(chain.rank - 1, i - 1, -1):
+def _apply_partial(chain: SmoothChain, p: np.ndarray) -> np.ndarray:
+    """The tube maps at a float point of the right shape: F_{n-1} first,
+    descending to F_0 last."""
+    for j in range(chain.rank - 1, -1, -1):
         p = _apply_F(chain, j, p)
     return p
-
-
-def apply_partial(chain: SmoothChain, i: int, p: Iterable[float]) -> np.ndarray:
-    """The partial composite: F_{n-1} first, descending to F_i last."""
-    _check_tube_level(chain, i)
-    return _apply_partial(chain, i, _as_point(p, chain.chamber.dimension))
 
 
 def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
@@ -656,14 +631,14 @@ def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     p = _as_point(p, chain.chamber.dimension)
     if not chain.chamber.contains(p):
         raise ValueError("point lies outside the closed chamber")
-    return _apply_partial(chain, 0, p)
+    return _apply_partial(chain, p)
 
 
 def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """The invariant map: fold into the chamber, then smooth."""
     p = _as_point(p, chain.chamber.dimension)
     image, _ = _reflect_into_chamber(chain.chamber.simple_normals, p, chain.group.order)
-    return _apply_partial(chain, 0, image)
+    return _apply_partial(chain, image)
 
 
 # ---------------------------------------------------------------------------

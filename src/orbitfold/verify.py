@@ -3,7 +3,8 @@
 Each check returns CheckResult records: an invariant name, the measured
 value, the threshold it is held to, and whether it passed. Checks never
 raise on a failed invariant — they report — so a verification run always
-produces the complete list.
+produces the complete list; a ValueError that a broken map raises inside
+a check becomes that check's FAIL line in run_verification.
 
 Each check makes one stacked evaluation: its samples are drawn first, in
 the order a point-at-a-time loop would draw them, and then folded,
@@ -521,21 +522,27 @@ def check_identity_tail(chain: SmoothChain, count: int = 1000,
 # assembly for one configured group
 # ---------------------------------------------------------------------------
 
+def _reported(check, *args) -> list[CheckResult]:
+    """check(*args) as a list; a ValueError from it (an image outside the
+    closed chamber, say) is one FAIL line "<check> raised", value nan."""
+    try:
+        out = check(*args)
+    except ValueError as exc:
+        return [CheckResult(f"{check.__name__} raised", math.nan, math.nan, False, str(exc))]
+    return out if isinstance(out, list) else [out]
+
+
 def run_verification(chain: SmoothChain, count: int = 200, seed: int = 0,
                      expected_order: int | None = None) -> list[CheckResult]:
     """Group-scoped verification: every check that applies to a single
-    chain, at a sample size suitable for a command-line run."""
-    results = []
-    results += check_closure(chain.group, expected_order)
-    results += check_fold(chain.group, chain.chamber, count=count, seed=seed)
-    results += check_profile()
-    results.append(check_flatness(chain, points_per_level=min(count, 50),
-                                  seed=seed))
-    results += check_wall_smoothness(chain, points=min(count, 20), seed=seed)
-    results += check_origin_smoothness(chain, lines=min(count, 20), seed=seed)
-    results.append(check_injectivity(chain, pairs=count, seed=seed))
-    results.append(check_regular_jacobian(chain, points=count, seed=seed))
-    results.append(check_wall_preservation(chain, points=count, seed=seed))
-    results += check_growth(chain)
-    results.append(check_identity_tail(chain, count=count, seed=seed))
-    return results
+    chain, at a sample size suitable for a command-line run; a check that
+    raises a ValueError gives one FAIL line (_reported)."""
+    runs = [(check_closure, chain.group, expected_order),
+            (check_fold, chain.group, chain.chamber, count, seed), (check_profile,),
+            (check_flatness, chain, min(count, 50), seed),
+            (check_wall_smoothness, chain, min(count, 20), seed),
+            (check_origin_smoothness, chain, min(count, 20), seed),
+            (check_injectivity, chain, count, seed), (check_regular_jacobian, chain, count, seed),
+            (check_wall_preservation, chain, count, seed), (check_growth, chain),
+            (check_identity_tail, chain, count, seed)]
+    return [result for check, *args in runs for result in _reported(check, *args)]

@@ -17,7 +17,7 @@ import numpy as np
 from orbitfold import smoothing
 from orbitfold.chamber import ON_WALL_TOL, _orthogonal_directions, classify, fold
 from orbitfold.groups import essential_split
-from orbitfold.smoothing import TubeCoords, TubeConfigError, tube_coords
+from orbitfold.smoothing import TubeConfigError, tube_coords
 
 
 def sample_face_point(chain, face, rng, radius_range=(0.5, 2.0)):
@@ -41,7 +41,8 @@ def face_samples(chain, faces, count, rng, radius_range):
 
 
 def tube_hits(chain, i, p):
-    """Every level-i tube that holds p, in faces_at_level order."""
+    """Every level-i tube that holds p, in faces_at_level order, each as
+    tube_coords gives it: (face, foot, t, radius)."""
     hits = []
     for face in chain.stratification.faces_at_level(i):
         x = face.project_to_span(p)
@@ -54,8 +55,7 @@ def tube_hits(chain, i, p):
         radius = smoothing._radius_at(chain, face, x)
         if t >= radius:
             continue
-        hits.append(TubeCoords(face=face, foot=x, normal=r / t if t > 0.0 else None,
-                               t=t, radius=radius))
+        hits.append((face, x, t, radius))
     return hits
 
 
@@ -106,7 +106,7 @@ def regular_margin_point(chain, rng):
         ok = True
         for i in range(1, chain.rank):
             coords = tube_coords(chain, i, q)
-            if coords is not None and coords.t < 0.3 * coords.radius:
+            if coords is not None and coords[2] < 0.3 * coords[3]:
                 ok = False
                 break
         if ok:
@@ -137,16 +137,16 @@ def validate_tube_samples(chain):
                         p = x + (frac * radius) * v
                         hits = tube_hits(chain, level, p)
                         checked += 1
-                        owners = [h for h in hits if h.face is face]
-                        others = [h for h in hits if h.face is not face]
+                        owners = [h for h in hits if h[0] is face]
+                        others = [h for h in hits if h[0] is not face]
                         if others:
                             raise TubeConfigError(
                                 f"tubes overlap at level {level}: faces"
-                                f" {face.active} and {others[0].face.active}"
+                                f" {face.active} and {others[0][0].active}"
                                 f" both contain {p}")
                         if not owners:
                             continue
-                        if np.linalg.norm(owners[0].foot - x) > 1e-9 * (1 + scale):
+                        if np.linalg.norm(owners[0][1] - x) > 1e-9 * (1 + scale):
                             raise TubeConfigError(
                                 f"foot of a level-{level} tube point is not unique")
     return checked

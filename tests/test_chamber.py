@@ -11,6 +11,7 @@ Two independent oracles back the module:
 """
 
 import itertools
+import math
 import warnings
 import zlib
 
@@ -27,7 +28,13 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
-from orbitfold.chamber import ON_WALL_TOL, _orthogonal_directions, _reflect_into_chamber
+from orbitfold.chamber import (
+    ON_WALL_TOL,
+    _classify_rows,
+    _orthogonal_directions,
+    _reflect_into_chamber,
+)
+from orbitfold.groups import generate_group
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -295,6 +302,35 @@ def test_classify_at_extreme_scales():
         tiny = classify(group, p * 1e-200)
     assert tiny.level == 0
     assert len(tiny.walls_containing) == len(group.mirrors) == 9
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset", PRESETS + ["rank-1"])
+def test_classify_past_the_largest_float_is_the_scaled_down_point(preset):
+    # An inf |p_eff| would give an inf slack and put p on every wall at
+    # level 0. Scaling by 2**-1000 is exact, so classify and
+    # _classify_rows must give p the class of p*2**-1000: generic points,
+    # points within 1e-12 relative of a mirror, and (1.7, -1.7, 1)*1e308
+    # cut to the dimension, on one wall of b2 and of b3.
+    group = generate_group([[1.0]]) if preset == "rank-1" else preset_group(preset)
+    dim = group.dimension
+    rng = np.random.default_rng(37)
+    units = rng.normal(size=(40, dim))
+    normals = group.mirror_normals[rng.integers(len(group.mirrors), size=40)]
+    units[1::2] -= (1.0 - 1e-12) * (np.sum(units * normals, axis=1)[:, None] * normals)[1::2]
+    big = (units / np.max(np.abs(units), axis=1)[:, None]) * (
+        rng.uniform(1.0, 1.79, size=(40, 1)) * 1e308)
+    big = np.vstack([big, np.resize([1.7e308, -1.7e308, 1e308], dim)])
+    small = np.ldexp(big, -1000)
+    if dim > 1:
+        assert sum(math.hypot(*p) == math.inf for p in big) >= 5
+    for p, q in zip(big, small):
+        assert classify(group, p) == classify(group, q), p
+    for got, want in zip(_classify_rows(group, big), _classify_rows(group, small)):
+        assert got.tolist() == want.tolist()
+    if preset in ("b2", "b3"):
+        last = classify(group, big[-1])
+        assert last.level == group.essential_rank - 1 and len(last.walls_containing) == 1
 
 
 @pytest.mark.parametrize("preset,offsets", [

@@ -30,6 +30,22 @@ hold it: keys that all miss must give the full comparison's values bit
 for bit, and a group with one element rotated slightly off must fail
 "closure under products".
 
+With every point G maps moved by 1e-6 along the chamber's witness, so
+that wall points leave their walls, "wall sets preserved by the
+composite" must fail. With eps/|p|^2 (eps = 1e-3) added along the witness
+to the map growth_bound_check probes, the growth lines of levels 0 and 1
+must fail: the probes of every level close in on the origin as their
+distance shrinks, and the term's derivatives grow there like |p|^-3 and
+|p|^-4. growth_bound_check lives in calculus and binds
+_apply_partial_rows there, so that control patches the caller's binding,
+calculus._apply_partial_rows.
+
+A map broken badly enough to raise inside a check is reported, not
+raised: with the stacked fold of verify replaced by the identity, an a3
+run_verification must return, fail "fold orbit invariance" and one
+"<check> raised" line for each check whose G refuses the unfolded points,
+and `orbitfold verify` must exit 1 with no traceback.
+
 Blind spots, mutations no verify check catches:
 - g mutated in the scalar _g0 alone, keeping g(1/2) = 1/2 (any of the
   mutations below that leaves u = 1/2 alone). _g0 gives the h of the
@@ -39,11 +55,17 @@ Blind spots, mutations no verify check catches:
   test_row_kernel_bits.py::test_stacked_g_equals_scalar_g, which holds
   _g0 to the stacked g bit for bit, catches it.
 
+A blind spot of check_growth alone: an added |p|^2 term. It is smooth
+and its derivatives shrink toward every stratum the growth probes
+approach, so every growth exponent stays under its limit;
+check_identity_tail sees the term in the map it evaluates.
+
 Checks with no control yet:
 - The public fold: check_fold holds it to the orbit and to the stacked
   fold, but no control breaks it here.
-- check_injectivity, check_regular_jacobian, check_wall_preservation,
-  check_growth and the wall probe's two fold control lines.
+- The values of check_injectivity and check_regular_jacobian (under the
+  identity fold they fail only as raised lines), and the wall probe's two
+  fold control lines.
 """
 
 import dataclasses
@@ -51,8 +73,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from orbitfold import smoothing, verify
-from orbitfold.chamber import _fold_rows
+from orbitfold import calculus, smoothing, verify
+from orbitfold.chamber import _fold_rows, _square_sums
+from orbitfold.cli import main
 from orbitfold.groups import GroupElement, preset_group
 from orbitfold.smoothing import build_chain
 from orbitfold.verify import (
@@ -61,8 +84,11 @@ from orbitfold.verify import (
     check_fold,
     check_identity_tail,
     check_origin_smoothness,
+    check_growth,
     check_profile,
+    check_wall_preservation,
     check_wall_smoothness,
+    run_verification,
 )
 
 LINE = "stacked h equals its jet on (0,2]"
@@ -173,3 +199,45 @@ def test_fold_in_place_of_H_fails_origin_decay(monkeypatch, preset):
     monkeypatch.setattr(verify, "_apply_H_rows",
                         lambda chain, rows: _fold_rows(normals, rows, cap))
     assert _failed(check()) == [f"origin line jump decay (order {order})" for order in (1, 2)]
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_wall_points_moved_off_their_wall_fail_preservation(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: check_wall_preservation(chain, points=100, seed=1)
+    assert check().passed
+    apply_G_rows, shift = verify._apply_G_rows, 1e-6 * chain.chamber.witness
+    monkeypatch.setattr(verify, "_apply_G_rows",
+                        lambda chain, rows: apply_G_rows(chain, rows) + shift)
+    result = check()
+    assert result.name == "wall sets preserved by the composite"
+    assert not result.passed and result.value > 1e-9
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_a_term_steep_toward_the_strata_fails_growth(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    assert _failed(check_growth(chain)) == []
+    partial, witness = calculus._apply_partial_rows, chain.chamber.witness
+    monkeypatch.setattr(calculus, "_apply_partial_rows", lambda chain, i, points: (
+        partial(chain, i, points) + (1e-3 / _square_sums(points))[:, None] * witness))
+    failed = _failed(check_growth(chain))
+    assert {f"derivative growth exponent (level {level}, order {order})"
+            for level in (0, 1) for order in (1, 2)} <= set(failed)
+
+
+def test_an_identity_fold_is_reported_not_raised(monkeypatch, capsys):
+    chain = build_chain(preset_group("a3"))
+    monkeypatch.setattr(verify, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    results = run_verification(chain, count=100, seed=1)
+    raised = ["check_injectivity raised", "check_regular_jacobian raised"]
+    assert _failed(results) == ["fold orbit invariance"] + raised
+    for result in results:
+        if result.name in raised:
+            assert np.isnan(result.value)
+            assert result.detail == "point lies outside the closed chamber"
+    capsys.readouterr()
+    assert main(["verify", "--preset", "a3", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "Traceback" not in out
+    assert "FAIL check_injectivity raised: value=nan threshold=nan" in out.splitlines()

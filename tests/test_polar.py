@@ -282,6 +282,13 @@ class TestEquidistance:
         assert max(rep.distances) < 1e-6
         assert rep.analytic == 0.0
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_rejected(self, radial_setup, samples):
+        model, chain = radial_setup
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            equidistance_probe(model, chain, np.array([1.0]), np.array([1.7]),
+                               samples=samples)
+
     def test_wall_value_rejected(self, sym_setup):
         model, chain = sym_setup
         with pytest.raises(ValueError, match="regular"):

@@ -2,7 +2,7 @@
 the FD harness on whole stacks and on one row at a time, and the fold at
 extreme scales.
 
-The per-point entries (fold, apply_F, apply_G, apply_H) are the reference:
+The per-point maps (fold, _apply_F, apply_G, apply_H) are the reference:
 the fold kernel must match them bit for bit, the tube kernels to
 1e-15 * max(1, |p|_inf), and an FD helper must give the same bits whether
 the stacked kernel gets the whole stack or one row per call. The stacked
@@ -34,11 +34,11 @@ from orbitfold.chamber import _fold_rows, _reflect_into_chamber, fold
 from orbitfold.groups import preset_group
 from orbitfold.polar import eigen_crossing_curve, model_H, sym_eig_model
 from orbitfold.smoothing import (
+    _apply_F,
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
     _apply_partial_rows,
-    apply_F,
     apply_G,
     apply_H,
     build_chain,
@@ -103,7 +103,7 @@ def test_row_kernels_agree_with_point_entries(chain):
     claimed = 0
     for level in range(chain.rank):
         mapped = _apply_F_rows(chain, level, images)
-        _assert_agrees(mapped, np.array([apply_F(chain, level, q) for q in images]), images)
+        _assert_agrees(mapped, np.array([_apply_F(chain, level, q) for q in images]), images)
         claimed += int(np.any(mapped != images, axis=1).sum())
     assert claimed > 0
 

@@ -103,6 +103,16 @@ def test_axis_stencils_match_separate_jacobian_and_hessian(chain, orders):
         _same_bits(shared, [derivatives for derivatives, in alone])
 
 
+@pytest.mark.parametrize("orders", [(1, 2), (2, 1), (1,), (2,)])
+def test_axis_stencils_of_an_empty_stack_are_empty(chain, orders):
+    """An empty (0, n) stack gives empty results shaped like a full stack's."""
+    xs, _, steps = _probe_points(chain, np.random.default_rng(41), 2)
+    for fn in _maps(chain):
+        empty, = _run_stencils(fn, [_axis_stencils(xs[:0], steps[:0], orders)])
+        full, = _run_stencils(fn, [_axis_stencils(xs, steps, orders)])
+        assert [d.shape for d in empty] == [(0,) + d.shape[1:] for d in full]
+
+
 def _one_order_each(fn, base, directions, orders, steps):
     """Each order's derivatives from a line stencil of that order alone."""
     alone = _run_stencils(fn, [_shared_line_stencils(base, directions, (order,), steps)

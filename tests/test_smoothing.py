@@ -24,16 +24,17 @@ from orbitfold import (
     preset_group,
     strata_levels,
 )
+from orbitfold.calculus import growth_bound_check
 from orbitfold.chamber import ON_WALL_TOL
 from orbitfold.smoothing import (
     SmoothChain,
     TubeConfigError,
     TubeSpec,
+    _apply_F,
+    _apply_partial,
     _radius_at,
-    apply_F,
     apply_G,
     apply_H,
-    apply_partial,
     build_chain,
     default_tubes,
     eval_h,
@@ -344,18 +345,22 @@ class TestTubeCoords:
     def test_orthogonal_split(self):
         group = preset_group("i2", m=2)      # orthogonal mirrors, bound 0.25
         chain = build_chain(group, tubes=TubeSpec(b={1: 0.2}, c={1: 1.0}))
-        tc = tube_coords(chain, 1, np.array([1.0, 0.1]))
+        p = np.array([1.0, 0.1])
+        tc = tube_coords(chain, 1, p)
         assert tc is not None
-        assert np.allclose(tc.foot, [1.0, 0.0], atol=1e-14)
-        assert np.allclose(tc.normal, [0.0, 1.0], atol=1e-14)
-        assert tc.t == pytest.approx(0.1, abs=1e-15)
+        _, foot, t, _ = tc
+        assert np.allclose(foot, [1.0, 0.0], atol=1e-14)
+        # the unit normal _apply_F forms
+        assert np.allclose((p - foot) / t, [0.0, 1.0], atol=1e-14)
+        assert t == pytest.approx(0.1, abs=1e-15)
 
     def test_on_face_point_flagged(self):
         chain = build_chain(preset_group("b2"))
         tc = tube_coords(chain, 1, np.array([1.0, 0.0]))
         assert tc is not None
-        assert tc.t == 0.0 and tc.normal is None
-        assert np.allclose(tc.foot, [1.0, 0.0])
+        _, foot, t, _ = tc
+        assert t == 0.0
+        assert np.allclose(foot, [1.0, 0.0])
 
     def test_boundary_height_is_outside(self):
         chain = build_chain(preset_group("b2"))
@@ -376,8 +381,9 @@ class TestTubeCoords:
         p = np.array([1.0, 1.0, 1.0]) + 0.1 * np.array([1.0, -1.0, 0.0])
         tc = tube_coords(chain, 0, p)
         assert tc is not None
-        assert np.allclose(tc.foot, [1.0, 1.0, 1.0], atol=1e-12)
-        assert tc.t == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-12)
+        _, foot, t, _ = tc
+        assert np.allclose(foot, [1.0, 1.0, 1.0], atol=1e-12)
+        assert t == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +393,32 @@ class TestTubeCoords:
 class TestTubeMaps:
     def test_wall_map_formula(self):
         chain = build_chain(preset_group("b2"))
-        got = apply_F(chain, 1, np.array([1.0, 0.05]))
+        got = _apply_F(chain, 1, np.array([1.0, 0.05]))
         # l = 0.1 at the foot, so the height becomes 0.1*h(0.5) = 0.025
         assert np.allclose(got, [1.0, 0.025], atol=1e-15)
 
     def test_wall_map_is_odd_in_height(self):
         chain = build_chain(preset_group("b2"))
-        up = apply_F(chain, 1, np.array([1.0, 0.05]))
-        down = apply_F(chain, 1, np.array([1.0, -0.05]))
+        up = _apply_F(chain, 1, np.array([1.0, 0.05]))
+        down = _apply_F(chain, 1, np.array([1.0, -0.05]))
         assert np.allclose(down, up * np.array([1.0, -1.0]), atol=1e-15)
 
     def test_identity_outside_is_exact(self):
         chain = build_chain(preset_group("b2"))
         p = np.array([2.0, 1.0])
         for i in (0, 1):
-            assert np.array_equal(apply_F(chain, i, p), p)
+            assert np.array_equal(_apply_F(chain, i, p), p)
 
     def test_on_stratum_fixed(self):
         chain = build_chain(preset_group("b2"))
         p = np.array([1.3, 0.0])
-        assert np.array_equal(apply_F(chain, 1, p), p)
+        assert np.array_equal(_apply_F(chain, 1, p), p)
 
     def test_radial_map_scales_toward_origin(self):
         chain = build_chain(preset_group("b2"))
         p = np.array([0.3, 0.15])
         r = np.linalg.norm(p)
-        got = apply_F(chain, 0, p)
+        got = _apply_F(chain, 0, p)
         want = (eval_h(r, 0) / r) * p
         assert np.allclose(got, want, atol=1e-15)
 
@@ -424,7 +430,7 @@ class TestTubeMaps:
         ratios = np.concatenate([[0.0], np.linspace(0.002, 0.999, 80)])
         # signed height along v, not the norm: squaring inside the norm
         # would underflow the ~1e-220 heights at the bottom of the grid
-        heights = [(apply_F(chain, 1, x + (r * l) * v) - x) @ v for r in ratios]
+        heights = [(_apply_F(chain, 1, x + (r * l) * v) - x) @ v for r in ratios]
         assert np.all(np.diff(heights) > 0.0)
 
 
@@ -453,7 +459,7 @@ def _well_inside(chain, q):
         return False
     for i in range(1, chain.rank):
         tc = tube_coords(chain, i, q)
-        if tc is not None and tc.t < 0.3 * tc.radius:
+        if tc is not None and tc[2] < 0.3 * tc[3]:
             return False
     return True
 
@@ -567,13 +573,9 @@ class TestComposites:
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = fold(chain.group, chain.chamber, rng.normal(size=3)).image
-            top = apply_partial(chain, chain.rank - 1, p)
-            assert np.allclose(apply_partial(chain, 0, p),
-                               apply_F(chain, 0, apply_partial(chain, 1, p)),
-                               atol=1e-14)
-            assert np.allclose(apply_G(chain, p),
-                               apply_partial(chain, 0, p), atol=0)
-            del top
+            composite = _apply_F(chain, 0, _apply_F(chain, 1, _apply_F(chain, 2, p)))
+            assert np.array_equal(_apply_partial(chain, p), composite)
+            assert np.allclose(apply_G(chain, p), _apply_partial(chain, p), atol=0)
 
     def test_separated_points_stay_separated(self):
         chain = build_chain(preset_group("b2"))
@@ -699,9 +701,7 @@ ENTRY_POINTS = {
     "apply_G": apply_G,
     "apply_H": apply_H,
     "eval_l": lambda chain, p: eval_l(chain, 2, p),
-    "apply_F": lambda chain, p: apply_F(chain, 1, p),
     "tube_coords": lambda chain, p: tube_coords(chain, 1, p),
-    "apply_partial": lambda chain, p: apply_partial(chain, 0, p),
 }
 
 
@@ -718,13 +718,20 @@ def test_entry_points_reject_bad_points(entry, bad):
             ENTRY_POINTS[entry](chain, np.array(BAD_POINTS[bad]))
 
 
-@pytest.mark.parametrize("entry", [apply_F, tube_coords, apply_partial])
+LEVEL_ENTRY_POINTS = {
+    "tube_coords": lambda chain, i: tube_coords(chain, i, chain.chamber.witness),
+    "eval_l": lambda chain, i: eval_l(chain, i, chain.chamber.witness),
+    "growth_bound_check": growth_bound_check,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
 def test_tube_entry_points_name_levels_without_a_tube(entry):
     chain = build_chain(preset_group("b3"))
     for level in (3, 4, -1):
         with pytest.raises(ValueError, match=rf"no tube at level {level}; "
                                              r"tube levels run 0\.\.2"):
-            entry(chain, level, chain.chamber.witness)
+            LEVEL_ENTRY_POINTS[entry](chain, level)
 
 
 def _overflowing_maps(chain, p):

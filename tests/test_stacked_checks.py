@@ -93,9 +93,10 @@ def test_tube_claims_give_tube_coords(chain):
                 continue
             claimed += 1
             f = held[0]
-            assert faces[f] is tc.face
-            assert abs(t[r, f] - tc.t) <= 1e-15 * float(np.max(np.abs(p)))
-            assert abs(radius[r, f] - tc.radius) <= 1e-15 * tc.radius
+            face, _, tc_t, tc_radius = tc
+            assert faces[f] is face
+            assert abs(t[r, f] - tc_t) <= 1e-15 * float(np.max(np.abs(p)))
+            assert abs(radius[r, f] - tc_radius) <= 1e-15 * tc_radius
     assert claimed > len(points) // 2
 
 

@@ -3,7 +3,7 @@ extremes of the float range.
 
 The oracle, sampler_oracle.tube_hits, walks every face of a level with no
 bound, as the tube kernels did before the rule; with the rule the claimed face and every bit
-of tube_coords, apply_F and _apply_F_rows must stay the same. The stacked
+of tube_coords, _apply_F and _apply_F_rows must stay the same. The stacked
 oracle is the kernel itself with the bound switched off.
 """
 
@@ -17,9 +17,9 @@ from orbitfold import smoothing
 from orbitfold.chamber import fold
 from orbitfold.groups import essential_split, preset_group
 from orbitfold.smoothing import (
+    _apply_F,
     _apply_F_rows,
     _apply_H_rows,
-    apply_F,
     apply_H,
     build_chain,
     eval_h,
@@ -39,20 +39,19 @@ def chain(request):
 
 def _oracle_apply_F(chain, i, p):
     hits = tube_hits(chain, i, p)
-    if not hits or hits[0].t == 0.0:
+    if not hits or hits[0][2] == 0.0:
         return p.copy()
-    tc = hits[0]
-    return tc.foot + (tc.radius * eval_h(tc.t / tc.radius, 0)) * tc.normal
+    _, foot, t, radius = hits[0]
+    return foot + (radius * eval_h(t / radius, 0)) * ((p - foot) / t)
 
 
 def _same_hit(a, b):
+    """The same (face, foot, t, radius), bit for bit; the unit normal
+    (p - foot)/t follows from p, foot and t."""
     if a is None or b is None:
         return a is None and b is None
-    same_normal = (a.normal is None and b.normal is None) or (
-        a.normal is not None and b.normal is not None
-        and a.normal.tobytes() == b.normal.tobytes())
-    return (a.face is b.face and a.foot.tobytes() == b.foot.tobytes() and same_normal
-            and a.t == b.t and a.radius == b.radius)
+    return (a[0] is b[0] and a[1].tobytes() == b[1].tobytes()
+            and a[2] == b[2] and a[3] == b[3])
 
 
 def _points(chain, rng):
@@ -110,7 +109,7 @@ def test_scalar_tube_maps_equal_the_oracle_bitwise(chain):
             hits = tube_hits(chain, i, p)
             tc = tube_coords(chain, i, p)
             assert _same_hit(tc, hits[0] if hits else None), (i, p)
-            assert apply_F(chain, i, p).tobytes() == _oracle_apply_F(chain, i, p).tobytes()
+            assert _apply_F(chain, i, p).tobytes() == _oracle_apply_F(chain, i, p).tobytes()
             claimed += bool(hits)
     assert claimed > len(points) // 4
 
@@ -148,12 +147,12 @@ def test_validate_tubes_sees_the_oracle_hits(chain, monkeypatch):
             expected = tube_hits(chain, level, p)
             r = row_of.get(k)
             held = [] if r is None else np.flatnonzero(claims[r]).tolist()
-            assert [faces[f] for f in held] == [h.face for h in expected]
-            for f, hit in zip(held, expected):
+            assert [faces[f] for f in held] == [face for face, *_ in expected]
+            for f, (_, foot, hit_t, hit_radius) in zip(held, expected):
                 scale = max(1.0, float(np.max(np.abs(p))))
-                assert np.max(np.abs(feet[r, f] - hit.foot)) <= 1e-15 * scale
-                assert abs(t[r, f] - hit.t) <= 1e-15 * scale
-                assert abs(radius[r, f] - hit.radius) <= 1e-15 * max(1.0, hit.radius)
+                assert np.max(np.abs(feet[r, f] - foot)) <= 1e-15 * scale
+                assert abs(t[r, f] - hit_t) <= 1e-15 * scale
+                assert abs(radius[r, f] - hit_radius) <= 1e-15 * max(1.0, hit_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +207,6 @@ def test_huge_point_over_a_wall_is_smoothed_by_the_capped_tube():
         tc = tube_coords(chain, 2, p)
         h = apply_H(chain, p)
         row = _apply_H_rows(chain, p[None, :])[0]
-    assert tc is not None and tc.face.active == (2,) and tc.radius == 1.0
+    assert tc is not None and tc[0].active == (2,) and tc[3] == 1.0
     assert h.tolist() == [3e200, 2e200, 0.25]
     assert row.tolist() == [3e200, 2e200, 0.25]

@@ -20,8 +20,12 @@ the pair-product points of each axis pair.
 
 Probes across a wall, along lines through the origin and along a curve
 of one parameter are one measurement, and _probe_reports makes it for
-all three: it refuses offsets at the rounding floor before evaluating
-anything, takes the two-sided jumps of the map and returns ProbeReports.
+all three: it checks each probe's offsets once and refuses those at the
+rounding floor before evaluating anything, takes the two-sided jumps of
+the map, fits the slopes of every report and returns ProbeReports.
+Every log-log slope, of the probes and of the growth check, comes from
+_loglog_slopes: all of a check's fits as one stack, with the bits
+np.polyfit gives each, and a named error where the fit has rank 1.
 Across a wall the map is H, the smoothing after the fold, and the fold is
 the control: every stencil point is folded once, and the smoothing maps
 those images, so H and its control share one fold.
@@ -187,31 +191,52 @@ def _axis_stencils(base: np.ndarray, steps: Sequence[float],
     return own.reshape(-1, n), combine
 
 
-def _loglog_slope(offsets: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares decay exponent of ``values`` against ``offsets``.
+class _RankDeficientFitError(ValueError):
+    """A log-log fit whose abscissae round to one logarithm."""
 
-    The fit stops at the first minimum of the sequence: the finite-difference
-    error of an order-k stencil grows like eps/step**k as the step shrinks, so
-    once the measured mismatch turns back upward the remaining entries track
-    rounding noise rather than the quantity under study.  A sequence that
-    never decreases keeps every point, which leaves flat (non-decaying)
-    controls with their honest near-zero slope.
+
+def _loglog_slopes(abscissae: np.ndarray, values: np.ndarray,
+                   first_minimum: bool = True) -> np.ndarray:
+    """Least-squares slopes of log values against log abscissae, one per
+    row of (F, k) stacks, each with the bits of np.polyfit(x, y, 1)[0] on
+    its row's kept entries.
+
+    Values are clamped at JUMP_FLOOR. With first_minimum each fit stops at
+    the first minimum of its row: the finite-difference error of an
+    order-k stencil grows like eps/step**k as the step shrinks, so once
+    the measured mismatch turns back upward the remaining entries track
+    rounding noise rather than the quantity under study. A row that never
+    decreases keeps every entry, which leaves flat (non-decaying) controls
+    with their honest near-zero slope.
+
+    The clamp, the stops, the logs and polyfit's column-scaled Vandermonde
+    (columns log x and 1, each divided by its norm) are array operations
+    over the stack; a dropped entry is a zero in the norm's sum, which
+    leaves its bits. Each fit is then one np.linalg.lstsq on its kept rows
+    with polyfit's rcond, k*eps, and its slope is the first coefficient
+    over its column's norm. A fit of rank below 2 raises, where polyfit
+    would warn and return a minimum-norm slope: its abscissae are one
+    entry, or adjacent floats whose logarithms round together.
     """
     v = np.maximum(np.asarray(values, dtype=float), JUMP_FLOOR)
-    stop = int(np.argmin(v))
-    keep = slice(None) if stop == 0 else slice(0, stop + 1)
-    x = np.log(np.asarray(offsets, dtype=float)[keep])
-    y = np.log(v[keep])
-    return float(np.polyfit(x, y, 1)[0])
-
-
-def _fit_slopes(offsets: Sequence[float],
-                jumps: dict[int, tuple[float, ...]]) -> dict[int, float]:
-    """Per-order log-log slopes of jumps against offsets; each must be finite."""
-    slopes = {o: _loglog_slope(offsets, js) for o, js in jumps.items()}
-    for order, slope in slopes.items():
-        if not math.isfinite(slope):
-            raise ValueError(f"slope for order {order} is not finite")
+    fits, k = v.shape
+    stop = np.argmin(v, axis=1) if first_minimum else np.zeros(fits, dtype=int)
+    kept = np.where(stop == 0, k, stop + 1)
+    x = np.where(np.arange(k) < kept[:, None], np.log(np.asarray(abscissae, dtype=float)), 0.0)
+    y = np.log(v)
+    scale = np.sqrt((x * x).sum(axis=1))
+    lhs = np.stack([x / scale[:, None],
+                    np.repeat(1.0 / np.sqrt(kept.astype(float))[:, None], k, axis=1)], axis=2)
+    eps = np.finfo(float).eps
+    slopes = np.empty(fits)
+    for f, n in enumerate(kept.tolist()):
+        coef, _, rank, _ = np.linalg.lstsq(lhs[f, :n], y[f, :n], rcond=n * eps)
+        if rank < 2:
+            raise _RankDeficientFitError(
+                f"cannot fit a log-log slope to {n} abscissae "
+                f"{np.asarray(abscissae)[f, :n].tolist()}: their logarithms do not "
+                f"separate at float precision (rank {rank})")
+        slopes[f] = coef[0] / scale[f]
     return slopes
 
 
@@ -236,7 +261,10 @@ class ProbeReport:
     """Derivative mismatches across a stratum at shrinking offsets.
 
     slopes and control_slopes are the log-log fits of jumps and
-    control_jumps against offsets, derived at construction.
+    control_jumps against offsets. _probe_reports, which makes every
+    report, checks the offsets once, before evaluating anything, and fits
+    the slopes of all its reports in one stack (_loglog_slopes); each
+    slope is finite.
     """
 
     point: np.ndarray
@@ -244,15 +272,9 @@ class ProbeReport:
     offsets: tuple[float, ...]
     orders: tuple[int, ...]
     jumps: dict[int, tuple[float, ...]]
+    slopes: dict[int, float]
     control_jumps: dict[int, tuple[float, ...]] | None = None
-    slopes: dict[int, float] = dataclasses.field(init=False)
-    control_slopes: dict[int, float] | None = dataclasses.field(init=False)
-
-    def __post_init__(self) -> None:
-        _check_offsets(self.point, self.offsets)
-        object.__setattr__(self, "slopes", _fit_slopes(self.offsets, self.jumps))
-        object.__setattr__(self, "control_slopes", None if self.control_jumps is None
-                           else _fit_slopes(self.offsets, self.control_jumps))
+    control_slopes: dict[int, float] | None = None
 
     def resolved(self, order: int) -> bool:
         """Whether the mismatch ever rose above what FD can distinguish
@@ -338,7 +360,10 @@ def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
                    fold: StackMap | None = None) -> list[ProbeReport]:
     """The ProbeReports of the two-sided probes at the points xs along vs,
     each with its own offsets. Every probe's orders and offsets are checked
-    first, so a schedule at the rounding floor evaluates nothing.
+    first, and only here, so a schedule at the rounding floor evaluates
+    nothing. The jump and control slopes of every report are fitted in
+    one _loglog_slopes stack; a slope that is not finite raises, naming
+    its order.
 
     fold, when given, runs first and fn maps its images: the probed map is
     fn after fold, and fold itself, through the same probes, is the
@@ -352,11 +377,26 @@ def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,
         return []
     points, jumps_of = _jump_stencils(xs, vs, offsets, orders)
     images = points if fold is None else _evaluate(fold, points)
-    jumps = jumps_of(_evaluate(fn, images))
-    controls = [None] * len(xs) if fold is None else jumps_of(images)
-    return [ProbeReport(point=x, direction=v, offsets=offs, orders=orders,
-                        jumps=j, control_jumps=c)
-            for x, v, offs, j, c in zip(xs, vs, offsets, jumps, controls)]
+    measured = [jumps_of(_evaluate(fn, images))]        # the map's jumps, then the control's
+    if fold is not None:
+        measured.append(jumps_of(images))
+    # every fit of every report as one stack of rows: (map, control) x report x order
+    values = np.array([[[jumps[order] for order in orders] for jumps in each]
+                       for each in measured])
+    k = values.shape[-1]
+    abscissae = np.broadcast_to(np.asarray(offsets, dtype=float)[:, None], values.shape)
+    slopes = _loglog_slopes(abscissae.reshape(-1, k),
+                            values.reshape(-1, k)).reshape(values.shape[:-1])
+    bad = np.argwhere(~np.isfinite(slopes.transpose(1, 0, 2)))    # by report first
+    if len(bad):
+        raise ValueError(f"slope for order {orders[bad[0][2]]} is not finite")
+    fitted = [[dict(zip(orders, row)) for row in each] for each in slopes.tolist()]
+    if fold is None:
+        measured.append([None] * len(xs))
+        fitted.append([None] * len(xs))
+    return [ProbeReport(point=x, direction=v, offsets=offs, orders=orders, jumps=j,
+                        slopes=s, control_jumps=cj, control_slopes=cs)
+            for x, v, offs, j, cj, s, cs in zip(xs, vs, offsets, *measured, *fitted)]
 
 
 def _wall_reports(chain: SmoothChain, fn: StackMap,
@@ -435,14 +475,6 @@ class GrowthReport:
     limits: dict[int, float]
 
 
-def _fit_exponent(regressor: Sequence[float], norms: Sequence[float]) -> float:
-    x = np.log(np.asarray(regressor, dtype=float))
-    if float(np.std(x)) < 1e-12:
-        return 0.0          # constant radius (capped or level 0): no growth axis
-    y = np.log(np.maximum(np.asarray(norms, dtype=float), JUMP_FLOOR))
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def growth_bound_check(
     chain: SmoothChain,
     i: int,
@@ -487,7 +519,12 @@ def growth_bound_check(
     d2 = [max(float(np.linalg.norm(d)) for d in along) for along in second]
 
     regressor = [1.0 / r for r in radii] if i > 0 else [1.0 / d for d in distances]
-    exponents = {1: _fit_exponent(regressor, d1), 2: _fit_exponent(regressor, d2)}
+    if float(np.std(np.log(regressor))) < 1e-12:
+        fitted = [0.0, 0.0]     # constant radius (capped or level 0): no growth axis
+    else:
+        fitted = _loglog_slopes(np.array([regressor, regressor]), np.array([d1, d2]),
+                                first_minimum=False).tolist()
+    exponents = dict(zip((1, 2), fitted))
     return GrowthReport(
         level=i,
         distances=tuple(distances),

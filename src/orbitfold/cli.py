@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import _RoundingFloorError, _least_resolved_slope, curve_jump_probe
+from .calculus import (_RankDeficientFitError, _RoundingFloorError, _least_resolved_slope,
+                       curve_jump_probe)
 from .chamber import chamber_from_group, classify, fold
 from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
                      tube_spec_from_config)
@@ -360,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: probe offsets {offsets} reach the rounding floor "
                          "at the probe points; use larger offsets\n")
         return 2
-    except ConfigError as exc:
+    except (ConfigError, _RankDeficientFitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -286,22 +286,25 @@ def generate_group(
     elements: list[GroupElement] = [identity]
     seen = {_matrix_key(identity.matrix)}
     frontier = [identity]
+    gen_stack = np.stack(gen_mats)
     while frontier:
         next_frontier: list[GroupElement] = []
-        for elem in frontier:
-            for gi, gmat in enumerate(gen_mats):
-                prod = gmat @ elem.matrix
-                key = _matrix_key(prod)
-                if key in seen:
-                    continue
-                seen.add(key)
-                new = GroupElement._unchecked(prod, (gi,) + elem.word)
-                elements.append(new)
-                next_frontier.append(new)
-                if len(elements) > cap:
-                    raise GroupClosureError(
-                        f"group not finite at this cap ({cap} elements exceeded)"
-                    )
+        # every generator times every frontier element, one stacked product,
+        # in the order a loop over elements, then generators, takes them
+        prods = np.matmul(gen_stack[None], np.stack([e.matrix for e in frontier])[:, None])
+        prods = prods.reshape(-1, dim, dim)
+        for k, key in enumerate(_matrix_keys(prods)):
+            if key in seen:
+                continue
+            seen.add(key)
+            elem, gi = divmod(k, len(gen_mats))
+            new = GroupElement._unchecked(prods[k], (gi,) + frontier[elem].word)
+            elements.append(new)
+            next_frontier.append(new)
+            if len(elements) > cap:
+                raise GroupClosureError(
+                    f"group not finite at this cap ({cap} elements exceeded)"
+                )
         frontier = next_frontier
 
     # distinct reflections have distinct mirrors: one per reflection

@@ -279,6 +279,10 @@ class SmoothChain:
         init=False, repr=False)
     # level i -> active-wall bitmask of each of its faces (bit j for wall j)
     _face_masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, repr=False)
+    # the same masks as arrays, and the weights 1 << j that pack a row of
+    # wall flags into a mask
+    _mask_rows: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
+    _wall_bits: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         faces = self.stratification.faces
@@ -299,10 +303,12 @@ class SmoothChain:
             projectors = [face.basis @ face.basis.T for face in level_faces]
             face_rows.append((np.concatenate(projectors), penalty))
         object.__setattr__(self, "_face_rows", tuple(face_rows))
-        object.__setattr__(self, "_face_masks", tuple(
-            tuple(sum(1 << j for j in face.active)
-                  for face in self.stratification.faces_at_level(lv))
-            for lv in range(self.rank)))
+        masks = tuple(tuple(sum(1 << j for j in face.active)
+                            for face in self.stratification.faces_at_level(lv))
+                      for lv in range(self.rank))
+        object.__setattr__(self, "_face_masks", masks)
+        object.__setattr__(self, "_mask_rows", tuple(np.array(m) for m in masks))
+        object.__setattr__(self, "_wall_bits", 1 << np.arange(len(self.chamber.simple_normals)))
 
     @property
     def rank(self) -> int:
@@ -534,29 +540,36 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     where the foot failed the open-face test. A row's first claimed face is
     the one tube_coords picks. Every product rounds each row as
     _stack_product does, so a row's result does not depend on the rest of
-    the stack. (At level 0, F = 1, the single face has every wall active,
-    and its +inf penalty masks each wall value however it rounds.)
+    the stack. At level 0, F = 1 and the single face has every wall
+    active: its +inf penalty makes the open-face test true at every finite
+    foot, so the foot norms and wall values are skipped there, as
+    _claiming_face skips the test on a face with no inactive wall. The
+    face masks and wall bit weights are built once, with the chain.
     """
     projectors, penalty = chain._face_rows[i]
     normals = chain.chamber.simple_normals
-    n_faces = len(penalty)
-    size = _norms(points)
+    n_faces, (count, dim) = len(penalty), points.shape
+    # |row| <= dim*max|entry|: one bound for the stack spares the per-row scan
+    size = _norms(points, dim * float(np.abs(points).max(initial=0.0)))
     far = np.abs(points @ normals.T) > _reach(chain, i, size)[:, None]
-    far_bits = far @ (1 << np.arange(len(normals)))
-    candidate = (far_bits[:, None] & np.array(chain._face_masks[i])) == 0
+    candidate = ((far @ chain._wall_bits)[:, None] & chain._mask_rows[i]) == 0
     live = np.flatnonzero(_reduce_columns(np.logical_or, candidate))
-    n_rows, dim = len(live), points.shape[1]
+    n_rows = len(live)
     if not n_rows:
         empty = np.zeros((0, n_faces))
         return live, empty.astype(bool), empty, empty, np.zeros((0, n_faces, dim))
-    points, candidate = points[live], candidate[live]
-    below = size[live].max()
+    if n_rows < count:
+        points, candidate, size = (np.take(a, live, axis=0) for a in (points, candidate, size))
+    below = size.max()
     feet = _stack_product(points, projectors).reshape(n_rows, n_faces, dim)
-    foot_norm = _norms(feet, below)
-    wall_vals = (_stack_product(feet.reshape(-1, dim), normals).reshape(n_rows, n_faces, -1)
-                 + penalty)
-    open_face = candidate & (_reduce_columns(np.minimum, wall_vals)
-                             > ON_WALL_TOL * (1.0 + foot_norm))
+    if i == 0:
+        open_face = candidate
+    else:
+        foot_norm = _norms(feet, below)
+        wall_vals = (_stack_product(feet.reshape(-1, dim), normals).reshape(n_rows, n_faces, -1)
+                     + penalty)
+        open_face = candidate & (_reduce_columns(np.minimum, wall_vals)
+                                 > ON_WALL_TOL * (1.0 + foot_norm))
     t = _norms(points[:, None, :] - feet, below)
     radius = np.zeros((n_rows, n_faces))
     radius[open_face] = _radius_rows(chain, i, feet[open_face])
@@ -576,7 +589,11 @@ def _first_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nd
     tube tube_coords gives each, the first in faces_at_level order:
     (rows, face, t, radius, foot), rows indexing the stack."""
     live, claims, t, radius, feet = _tube_claims(chain, i, points)
-    rows, face = _first_true(claims)
+    if claims.shape[1] == 1:
+        rows = np.flatnonzero(claims[:, 0])
+        face = np.zeros(len(rows), dtype=np.intp)
+    else:
+        rows, face = _first_true(claims)
     return live[rows], face, t[rows, face], radius[rows, face], feet[rows, face]
 
 
@@ -589,7 +606,8 @@ def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
     # a row on its face (t == 0) stays where it is, as in _apply_F
     off_face = height > 0.0
     if off_face.any():
-        rows, height, rad, foot = rows[off_face], height[off_face], rad[off_face], foot[off_face]
+        if not off_face.all():
+            rows, height, rad, foot = (a[off_face] for a in (rows, height, rad, foot))
         u = height / rad
         out[rows] = foot + (rad * _h_rows(u))[:, None] * ((points[rows] - foot) / height[:, None])
     return out

@@ -17,7 +17,11 @@ their face points through one sampler, _face_samples, which takes every
 draw of a check's samples from one rng block, in the order a
 point-at-a-time loop drew them; the flatness check steps off each face
 along its Face.normal. The wall probes fold their stencil points once:
-the fold is the control, and H is the smoothing of its images.
+the fold is the control, and H is the smoothing of its images. The wall
+and origin probes' reports come from calculus._probe_reports, which
+checks each probe's offsets once and fits every decay slope of a check,
+jumps and controls, in one stack; check_growth's exponents come from
+the same fit.
 check_profile takes each of its grids (h on [1, 3], h' on (0, 2] and
 h^(0..4) on (0, 0.2]) as one stack of profile jets, and holds the h of
 the stacked tube map, which every FD check runs, to those jets on the h'

@@ -124,13 +124,16 @@ class TestStencils:
 # report invariants
 # ---------------------------------------------------------------------------
 
-def _mk_report(offsets, jumps=None):
-    offs = tuple(offsets)
-    return ProbeReport(
-        point=np.zeros(2), direction=np.array([0.0, 1.0]),
-        offsets=offs, orders=(1,),
-        jumps={1: jumps if jumps is not None else tuple(1.0 for _ in offs)},
-    )
+def _kink(points):
+    """|y| on the plane: its order-1 jump across y = 0 is 2 at every offset."""
+    return np.abs(points[:, 1:])
+
+
+def _mk_report(offsets, fn=_kink):
+    """The report of fn probed at the origin along y, made as every report
+    is made: by _probe_reports, which checks the offsets and fits the slopes."""
+    return calculus._probe_reports(fn, np.zeros((1, 2)), np.array([[0.0, 1.0]]),
+                                   [tuple(offsets)], (1,))[0]
 
 
 class TestProbeReport:
@@ -145,12 +148,21 @@ class TestProbeReport:
             _mk_report([1e-3, 1e-17])
 
     def test_slopes_must_be_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            _mk_report([1e-2, 1e-3], jumps=(1.0, float("inf")))
+        # finite at the first offset; every stencil point of the second
+        # takes inf, so its jump is inf - inf, nan
+        overflowing = lambda points: np.where(np.abs(points[:, 1:]) < 5e-3, np.inf,
+                                              np.abs(points[:, 1:]))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="slope for order 1 is not finite"):
+            _mk_report([1e-2, 1e-3], fn=overflowing)
 
     def test_valid_report_constructs(self):
         rep = _mk_report([1e-2, 1e-3])
         assert rep.offsets == (1e-2, 1e-3)
+
+
+def _slope(offsets, jumps):
+    return float(calculus._loglog_slopes(np.array([offsets]), np.array([jumps]))[0])
 
 
 class TestSlopeFit:
@@ -158,7 +170,7 @@ class TestSlopeFit:
 
     def test_clean_power_law_recovered(self):
         jumps = tuple(d**2 for d in self.OFFSETS)
-        assert calculus._loglog_slope(self.OFFSETS, jumps) == pytest.approx(2.0)
+        assert _slope(self.OFFSETS, jumps) == pytest.approx(2.0)
 
     def test_noise_turnup_is_excluded(self):
         # A real mismatch that collapses below measurement precision at the
@@ -166,16 +178,76 @@ class TestSlopeFit:
         # step shrinks.  The fit must stop at the minimum instead of letting
         # the noise tail drag the slope negative.
         jumps = (3e-2, 1e-10, 1e-8, 1e-7, 1e-6)
-        assert calculus._loglog_slope(self.OFFSETS, jumps) >= 0.8
+        assert _slope(self.OFFSETS, jumps) >= 0.8
 
     def test_flat_sequence_keeps_zero_slope(self):
         jumps = (2.0, 2.0, 2.0, 2.0, 2.0)
-        assert abs(calculus._loglog_slope(self.OFFSETS, jumps)) < 1e-9
+        assert abs(_slope(self.OFFSETS, jumps)) < 1e-9
 
     def test_flat_with_dip_stays_below_decay(self):
         # A non-decaying sequence with one noisy dip must not read as decay.
         jumps = (2.0, 1.9, 2.0, 2.1, 2.0)
-        assert calculus._loglog_slope(self.OFFSETS, jumps) < 0.8
+        assert _slope(self.OFFSETS, jumps) < 0.8
+
+
+def _polyfit_slope(offsets, values, first_minimum=True):
+    """The fit as np.polyfit makes it on one sequence: clamp at JUMP_FLOOR,
+    stop at the first minimum, then a degree-1 fit of the logs."""
+    v = np.maximum(np.asarray(values, dtype=float), calculus.JUMP_FLOOR)
+    stop = int(np.argmin(v)) if first_minimum else 0
+    keep = slice(None) if stop == 0 else slice(0, stop + 1)
+    x = np.log(np.asarray(offsets, dtype=float)[keep])
+    return float(np.polyfit(x, np.log(v[keep]), 1)[0])
+
+
+def _seeded_fits(rng, fits, k):
+    """(offsets, values) of `fits` sequences of length k: decreasing
+    offsets scaled per probe, and jumps that decay, grow, stay flat at and
+    below JUMP_FLOOR, or decay into a noisy turn-up."""
+    scale = 10.0 ** rng.uniform(-6.0, 2.0, size=(fits, 1))
+    offsets = scale * np.sort(rng.uniform(1e-4, 1.0, size=(fits, k)), axis=1)[:, ::-1]
+    power = rng.uniform(-1.0, 3.0, size=(fits, 1))
+    clean = rng.uniform(0.1, 10.0, size=(fits, 1)) * offsets ** power
+    floor = calculus.JUMP_FLOOR * rng.choice([0.25, 1.0, 1.0, 3.0], size=(fits, k))
+    noisy = clean * rng.uniform(0.5, 1.5, size=(fits, k)) + 1e-12 / offsets
+    kind = rng.integers(0, 4, size=(fits, 1))
+    values = np.select([kind == 0, kind == 1, kind == 2], [clean, clean[:, ::-1], floor], noisy)
+    return offsets, values
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_stacked_fit_equals_polyfit_bytewise(k):
+    rng = np.random.default_rng(100 + k)
+    offsets, values = _seeded_fits(rng, 400, k)
+    stops = {int(np.argmin(np.maximum(v, calculus.JUMP_FLOOR))) for v in values}
+    assert stops == set(range(k))    # every fit length from 2 to k is kept
+    for first_minimum in (True, False):
+        got = calculus._loglog_slopes(offsets, values, first_minimum)
+        for f in range(len(values)):
+            want = _polyfit_slope(offsets[f], values[f], first_minimum)
+            assert np.float64(want).tobytes() == got[f].tobytes()
+
+
+@pytest.mark.parametrize("preset", ["a3", "b3"])
+def test_wall_probe_slopes_equal_polyfit_per_report(preset):
+    chain = build_chain(preset_group(preset))
+    reports = verify._wall_probes(chain, 20, 1)
+    assert len(reports) > 10
+    for rep in reports:
+        for jumps, slopes in ((rep.jumps, rep.slopes), (rep.control_jumps, rep.control_slopes)):
+            for order in rep.orders:
+                want = _polyfit_slope(rep.offsets, jumps[order])
+                assert np.float64(slopes[order]).tobytes() == np.float64(want).tobytes()
+
+
+def test_adjacent_offsets_give_a_rank_deficient_fit_by_name():
+    """Two adjacent floats pass the offset checks, but their logarithms do
+    not separate: the fit has rank 1, where polyfit would warn and return
+    a minimum-norm slope."""
+    offsets = (1e-2, float(np.nextafter(1e-2, 0.0)))
+    calculus._check_offsets(np.zeros(1), offsets)
+    with pytest.raises(ValueError, match="do not separate at float precision"):
+        curve_jump_probe(lambda s: np.array([abs(s)]), offsets=offsets)
 
 
 def _fd_jacobian_by_columns(fn, p, step):

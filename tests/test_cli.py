@@ -193,6 +193,19 @@ class TestProbe:
         assert err.count("\n") == 1
         assert "1e-20,1e-21" in err and "rounding floor" in err
 
+    @pytest.mark.parametrize("offsets", ["0.01", "0.01,0.00999999999999999"])
+    def test_offsets_too_few_to_fit_a_slope_exit_two(self, capsys, tmp_path, offsets):
+        """One offset, or two that differ in the 15th digit: the log-log fit
+        has rank 1."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[group]\npreset = b2\n\n[probe]\noffsets = {offsets}\n"
+                       "\n[sampling]\ncount = 2\n")
+        code, out, err = run(capsys, "probe", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot fit a log-log slope") and err.count("\n") == 1
+        assert "do not separate at float precision (rank 1)" in err
+
 
 class TestRankOne:
     @pytest.mark.parametrize("command", ["verify", "probe"])

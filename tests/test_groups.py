@@ -33,6 +33,7 @@ from orbitfold.groups import (
     UNIT_TOL,
     _as_unit_vector,
     _canonical_sign,
+    _matrix_key,
     _simple_from_mirrors,
     preset_order,
     reflection_matrix,
@@ -347,6 +348,39 @@ def test_check_closure_equals_the_pairwise_loop(name):
                for e in mats for h in group.mirrors)
     results = check_closure(group, group.order)
     assert [r.value for r in results] == [float(group.order), prods, conj]
+
+
+def _loop_closure(gens):
+    """(matrices, words) of the breadth-first closure as an element-by-
+    element loop builds it: each frontier element times each generator,
+    `gmat @ elem`, keyed one product at a time."""
+    gen_mats = [reflection_matrix(h.normal) for h in gens]
+    dim = len(gen_mats[0])
+    elements = [(np.eye(dim), ())]
+    seen = {_matrix_key(np.eye(dim))}
+    frontier = list(elements)
+    while frontier:
+        next_frontier = []
+        for mat, word in frontier:
+            for gi, gmat in enumerate(gen_mats):
+                prod = gmat @ mat
+                key = _matrix_key(prod)
+                if key not in seen:
+                    seen.add(key)
+                    elements.append((prod, (gi,) + word))
+                    next_frontier.append(elements[-1])
+        frontier = next_frontier
+    return elements
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "b2", "b3", "i2-5", "i2-8", *NORMALS])
+def test_stacked_closure_equals_the_element_loop(name):
+    """generate_group multiplies each frontier by every generator as one
+    stacked product: its elements and words are the loop's, bit for bit."""
+    group = generate_group(NORMALS[name]) if name in NORMALS else preset_group(name)
+    want = _loop_closure(group.generators)
+    assert [e.word for e in group.elements] == [word for _, word in want]
+    assert all(e.matrix.tobytes() == mat.tobytes() for e, (mat, _) in zip(group.elements, want))
 
 
 SIMPLE_GROUPS = [("A2", None), ("B2", None), ("A3", None), ("B3", None)] + [

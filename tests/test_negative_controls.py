@@ -40,6 +40,13 @@ distance shrinks, and the term's derivatives grow there like |p|^-3 and
 _apply_partial_rows there, so that control patches the caller's binding,
 calculus._apply_partial_rows.
 
+With h = 0 inside the level-0 tube, so that G maps every point that
+tube holds to its foot, "separated points stay separated" must fail by
+its value on i2-5 and b3: the foot is the origin, and two separated
+points in the tube meet there. b3 needs the check's default 1000 pairs:
+at 100 no pair has both points in the tube. That control patches
+verify._apply_G_rows, the binding check_injectivity calls.
+
 A map broken badly enough to raise inside a check is reported, not
 raised: with the stacked fold of verify replaced by the identity, an a3
 run_verification must return, fail "fold orbit invariance" and one
@@ -60,12 +67,18 @@ and its derivatives shrink toward every stratum the growth probes
 approach, so every growth exponent stays under its limit;
 check_identity_tail sees the term in the map it evaluates.
 
+A blind spot of check_injectivity alone: the level-0 collapse above on
+a group with a fixed subspace (a3, a2). The feet lie on the fixed line,
+and two points of a pair keep their distinct fixed parts, so every image
+pair stays separated (on a3 the value does not move). verify still sees
+the collapse there: check_regular_jacobian reads |det DG| = 0 on a3 and
+a2 (1000 points, seed 1) under the same mutation.
+
 Checks with no control yet:
 - The public fold: check_fold holds it to the orbit and to the stacked
   fold, but no control breaks it here.
-- The values of check_injectivity and check_regular_jacobian (under the
-  identity fold they fail only as raised lines), and the wall probe's two
-  fold control lines.
+- The value of check_regular_jacobian (under the identity fold it fails
+  only as a raised line), and the wall probe's two fold control lines.
 """
 
 import dataclasses
@@ -224,6 +237,31 @@ def test_a_term_steep_toward_the_strata_fails_growth(monkeypatch, preset):
     failed = _failed(check_growth(chain))
     assert {f"derivative growth exponent (level {level}, order {order})"
             for level in (0, 1) for order in (1, 2)} <= set(failed)
+
+
+def _collapsed_level_zero(chain, rows):
+    """G with h = 0 in the level-0 tube: every point it holds maps to its foot."""
+    points = smoothing._apply_partial_rows(chain, 1, rows).copy()
+    held, _, _, _, foot = smoothing._first_claims(chain, 0, points)
+    points[held] = foot
+    return points
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "b3", "a3"])
+def test_a_collapsed_level_zero_tube_fails_injectivity_by_value(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: verify._reported(verify.check_injectivity, chain, 1000, 1)
+    (passed,) = check()
+    assert passed.name == "separated points stay separated" and passed.passed
+    monkeypatch.setattr(verify, "_apply_G_rows", _collapsed_level_zero)
+    (result,) = check()
+    assert result.name == "separated points stay separated"
+    if preset == "a3":
+        # the blind spot in the module docstring: the feet on the fixed
+        # line stay as far apart as the points were
+        assert result.passed and result.value == passed.value
+    else:
+        assert not result.passed and result.value == 0.0
 
 
 def test_an_identity_fold_is_reported_not_raised(monkeypatch, capsys):

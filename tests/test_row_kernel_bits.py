@@ -7,7 +7,10 @@ near 1e-300 to 1e300 and within 1e-12 of a mirror. The stacked smooth
 step g must equal the scalar _g0 byte for byte, so that the stacked map,
 the scalar map and the profile jets evaluate one function. Stacks of one
 row are where BLAS rounds a product differently, so every kernel also
-runs on stacks of 1, 2 and 3 rows.
+runs on stacks of 1, 2 and 3 rows. At level 0 the claim kernel skips its
+open-face test, and it gathers rows only when some are pruned, so level-0
+stacks where every row is live, and where none is, are held to the
+frozen kernel too.
 """
 
 import numpy as np
@@ -27,6 +30,7 @@ from orbitfold.smoothing import (
     ARG_DEAD_EPS,
     _g0,
     _g_rows,
+    _first_claims,
     _radius_rows,
     _tube_claims,
     build_chain,
@@ -127,6 +131,60 @@ def test_tube_claims_and_radii_equal_frozen_kernels(chain):
         for stack in _stacks(feet, rng):
             assert (_radius_rows(chain, level, stack).tobytes()
                     == oracle.radius_rows(chain, level, stack).tobytes())
+
+
+def _first_claims_of_oracle(chain, level, stack):
+    """_first_claims from the frozen claims: each claimed row's first face."""
+    live, claims, t, radius, feet = oracle.tube_claims(chain, level, stack)
+    rows = np.flatnonzero(claims.any(axis=1))
+    face = claims.argmax(axis=1)[rows]
+    return live[rows], face, t[rows, face], radius[rows, face], feet[rows, face]
+
+
+def test_first_claims_equal_frozen_kernels(chain):
+    rng = np.random.default_rng(53)
+    points = _chamber_points(chain, rng)
+    for level in range(chain.rank):
+        for stack in _stacks(points, rng):
+            _assert_same_bytes(_first_claims(chain, level, stack),
+                               _first_claims_of_oracle(chain, level, stack))
+
+
+def _level_zero_stacks(chain, rng, live):
+    """Stacks of 1, 2, 3 and 40 rows that the level-0 tube prunes not at
+    all (live) or wholly: a fixed part of any size plus an essential part
+    at most c0/2 long, so every wall value lies inside _reach, and for
+    none live a push of 2 to 10 c0 along a simple normal, which puts that
+    wall's value beyond it."""
+    dim, c0 = chain.group.dimension, chain.tubes.c0
+    normals, fixed = chain.chamber.simple_normals, chain.group.fixed_subspace
+    out = []
+    for count in (1, 2, 3, 40):
+        points = rng.normal(scale=10.0, size=(count, fixed.shape[1])) @ fixed.T
+        essential = rng.normal(size=(count, dim))
+        essential -= (essential @ fixed) @ fixed.T
+        essential *= (rng.uniform(0.0, 0.5 * c0, size=(count, 1))
+                      / np.linalg.norm(essential, axis=1)[:, None])
+        if not live:
+            wall = normals[rng.integers(len(normals), size=count)]
+            essential += rng.uniform(2.0, 10.0, size=(count, 1)) * c0 * wall
+        out.append(points + essential)
+    return out
+
+
+@pytest.mark.parametrize("live", [True, False])
+def test_level_zero_claims_where_every_row_or_none_is_live(chain, live):
+    """At level 0 the kernel skips the open-face test, and it gathers rows
+    only when some row is not live: both branches against the frozen one."""
+    rng = np.random.default_rng(59)
+    for stack in _level_zero_stacks(chain, rng, live):
+        want = oracle.tube_claims(chain, 0, stack)
+        assert len(want[0]) == (len(stack) if live else 0)
+        _assert_same_bytes(_tube_claims(chain, 0, stack), want)
+        _assert_same_bytes(_first_claims(chain, 0, stack),
+                           _first_claims_of_oracle(chain, 0, stack))
+        if live:
+            assert want[1].all()        # every row is in the level-0 tube
 
 
 def test_norms_and_unit_scaling_equal_frozen_kernels(chain):

@@ -212,11 +212,14 @@ def _loglog_slopes(abscissae: np.ndarray, values: np.ndarray,
     The clamp, the stops, the logs and polyfit's column-scaled Vandermonde
     (columns log x and 1, each divided by its norm) are array operations
     over the stack; a dropped entry is a zero in the norm's sum, which
-    leaves its bits. Each fit is then one np.linalg.lstsq on its kept rows
-    with polyfit's rcond, k*eps, and its slope is the first coefficient
-    over its column's norm. A fit of rank below 2 raises, where polyfit
-    would warn and return a minimum-norm slope: its abscissae are one
-    entry, or adjacent floats whose logarithms round together.
+    leaves its bits. Fits with one abscissae row and one kept length share
+    that design, and each design is one np.linalg.lstsq, with polyfit's
+    rcond, k*eps, and one right-hand side per fit: LAPACK solves each
+    finite column as it would solve it alone. A fit's slope is its first
+    coefficient over its column's norm. A design of rank below 2 raises,
+    naming the first such fit in row order, where polyfit would warn and
+    return a minimum-norm slope: its abscissae are one entry, or adjacent
+    floats whose logarithms round together.
     """
     v = np.maximum(np.asarray(values, dtype=float), JUMP_FLOOR)
     fits, k = v.shape
@@ -228,15 +231,23 @@ def _loglog_slopes(abscissae: np.ndarray, values: np.ndarray,
     lhs = np.stack([x / scale[:, None],
                     np.repeat(1.0 / np.sqrt(kept.astype(float))[:, None], k, axis=1)], axis=2)
     eps = np.finfo(float).eps
+    # fits by design, in order of first fit; a fit with a value that is not
+    # finite solves alone, since LAPACK scales every right-hand side by the
+    # largest, and an inf there turns every slope of the solve into NaN
+    designs: dict[tuple[int, bytes | int], list[int]] = {}
+    finite = np.isfinite(y).all(axis=1).tolist()
+    for f, key in enumerate(zip(kept.tolist(), map(bytes, x))):
+        designs.setdefault(key if finite[f] else (key[0], f), []).append(f)
     slopes = np.empty(fits)
-    for f, n in enumerate(kept.tolist()):
-        coef, _, rank, _ = np.linalg.lstsq(lhs[f, :n], y[f, :n], rcond=n * eps)
+    for (n, _), members in designs.items():
+        f = members[0]
+        coef, _, rank, _ = np.linalg.lstsq(lhs[f, :n], y[members, :n].T, rcond=n * eps)
         if rank < 2:
             raise _RankDeficientFitError(
                 f"cannot fit a log-log slope to {n} abscissae "
                 f"{np.asarray(abscissae)[f, :n].tolist()}: their logarithms do not "
                 f"separate at float precision (rank {rank})")
-        slopes[f] = coef[0] / scale[f]
+        slopes[members] = coef[0] / scale[members]
     return slopes
 
 
@@ -244,13 +255,24 @@ class _RoundingFloorError(ValueError):
     """A probe offset at or below the rounding floor of its probe point."""
 
 
+class _OffsetOrderError(ValueError):
+    """Probe offsets that do not strictly decrease at a probe point: the
+    one at `index` is not above the next. Offsets rescaled to a tube
+    radius can round together even where the schedule decreases."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__("offsets must be strictly decreasing")
+        self.index = index
+
+
 def _check_offsets(point: np.ndarray, offsets: Sequence[float]) -> None:
     """Offsets must be finite, strictly decrease and stay above the
     rounding floor 10*eps*(1 + |point|) of the point they probe around."""
     if not all(math.isfinite(d) for d in offsets):
         raise ValueError("offsets must be finite")
-    if any(b >= a for a, b in zip(offsets, offsets[1:])):
-        raise ValueError("offsets must be strictly decreasing")
+    for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        if b >= a:
+            raise _OffsetOrderError(j)
     eps_scale = 10.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(point)))
     if min(offsets) <= eps_scale:
         raise _RoundingFloorError("offsets reach the rounding floor")
@@ -331,17 +353,17 @@ def _jump_stencils(xs: np.ndarray, vs: np.ndarray, offsets: Sequence[Sequence[fl
         derivatives = {}
         for group, results in zip(groups, _combine(stencils, values)):
             derivatives.update(zip(group, results))
-        norms = {order: _jump_norms(derivatives[order].reshape(
-                     count, k, 2, *derivatives[order].shape[1:])) for order in orders}
-        return [{order: tuple(max(d, JUMP_FLOOR) for d in r[i])
-                 for order, r in norms.items()} for i in range(count)]
+        floored = {order: np.maximum(_jump_norms(derivatives[order].reshape(
+                       count, k, 2, *derivatives[order].shape[1:])), JUMP_FLOOR).tolist()
+                   for order in orders}
+        return [{order: tuple(r[i]) for order, r in floored.items()} for i in range(count)]
 
     return np.concatenate([points for points, _ in stencils]), jumps
 
 
-def _jump_norms(r: np.ndarray) -> list[list[float]]:
-    """|r[i, j, 0] - r[i, j, 1]| for every probe i and offset j, as nested
-    lists, with the bits of np.linalg.norm of each difference.
+def _jump_norms(r: np.ndarray) -> np.ndarray:
+    """|r[i, j, 0] - r[i, j, 1]| for every probe i and offset j, with the
+    bits of np.linalg.norm of each difference.
 
     norm ravels a difference in memory order ('K') and takes its dot with
     itself; the Jacobian is a moveaxis view, so its differences are laid
@@ -352,7 +374,7 @@ def _jump_norms(r: np.ndarray) -> list[list[float]]:
     tail = sorted(range(3, r.ndim), key=lambda axis: -r.strides[axis])
     r = r.transpose(0, 1, 2, *tail)
     diffs = (r[:, :, 0] - r[:, :, 1]).reshape(r.shape[0], r.shape[1], -1)
-    return np.sqrt(_square_sums(diffs)).tolist()
+    return np.sqrt(_square_sums(diffs))
 
 
 def _probe_reports(fn: StackMap, xs: np.ndarray, vs: np.ndarray,

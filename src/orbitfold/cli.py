@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import (_RankDeficientFitError, _RoundingFloorError, _least_resolved_slope,
-                       curve_jump_probe)
+from .calculus import (_OffsetOrderError, _RankDeficientFitError, _RoundingFloorError,
+                       _least_resolved_slope, curve_jump_probe)
 from .chamber import chamber_from_group, classify, fold
 from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
                      tube_spec_from_config)
@@ -360,6 +360,12 @@ def main(argv: list[str] | None = None) -> int:
         offsets = ",".join(f"{d:g}" for d in cfg.offsets)
         sys.stderr.write(f"error: probe offsets {offsets} reach the rounding floor "
                          "at the probe points; use larger offsets\n")
+        return 2
+    except _OffsetOrderError as exc:
+        first, second = cfg.offsets[exc.index:exc.index + 2]
+        sys.stderr.write(f"error: probe offsets {first!r} and {second!r} collide at the "
+                         "probe points: rescaled to the tube radius there, they do not "
+                         "strictly decrease; use offsets further apart\n")
         return 2
     except (ConfigError, _RankDeficientFitError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -44,7 +44,6 @@ from .chamber import (
     Face,
     Stratification,
     _as_point,
-    _first_true_columns,
     _fold_rows,
     _norm,
     _norms,
@@ -279,10 +278,9 @@ class SmoothChain:
         init=False, repr=False)
     # level i -> active-wall bitmask of each of its faces (bit j for wall j)
     _face_masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, repr=False)
-    # the same masks as arrays, and the weights 1 << j that pack a row of
-    # wall flags into a mask
-    _mask_rows: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
-    _wall_bits: np.ndarray = dataclasses.field(init=False, repr=False)
+    # level i -> (k, F) float array, 1 where wall j is active on face f, 0
+    # elsewhere: a row of wall flags times it counts each face's flagged walls
+    _active_walls: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         faces = self.stratification.faces
@@ -307,8 +305,8 @@ class SmoothChain:
                             for face in self.stratification.faces_at_level(lv))
                       for lv in range(self.rank))
         object.__setattr__(self, "_face_masks", masks)
-        object.__setattr__(self, "_mask_rows", tuple(np.array(m) for m in masks))
-        object.__setattr__(self, "_wall_bits", 1 << np.arange(len(self.chamber.simple_normals)))
+        object.__setattr__(self, "_active_walls", tuple(
+            (penalty == np.inf).T.astype(float) for _, penalty in face_rows))
 
     @property
     def rank(self) -> int:
@@ -524,27 +522,29 @@ def _apply_F(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
 
 
 def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Which level-i tubes hold each row of an (N, n) stack:
-    (live, claims, t, radius, feet).
+    """Which level-i tubes hold the rows of an (N, n) stack, pair by pair:
+    (rows, faces, claims, t, radius, feet).
 
     _reach rules out each (row, face) pair with an active wall farther
-    from the row than it allows, as in _claiming_face; `live` indexes the
-    rows left with a pair, and the other arrays hold those rows alone, in
-    that order. One matmul gives each live row's foot on every level-i face
-    (feet, (L, F, n), faces in faces_at_level order), and one 2-D product
-    over the (L*F, n) feet gives their wall values; the open-face test,
-    the heights t and the radii of the candidate feet that pass it are each
-    one array operation over the (row, face) pairs, their reductions over
-    faces or walls one elementwise call per column (_reduce_columns).
-    claims (L, F) marks the pairs whose tube holds the row; radius is 0
-    where the foot failed the open-face test. A row's first claimed face is
-    the one tube_coords picks. Every product rounds each row as
-    _stack_product does, so a row's result does not depend on the rest of
-    the stack. At level 0, F = 1 and the single face has every wall
-    active: its +inf penalty makes the open-face test true at every finite
-    foot, so the foot norms and wall values are skipped there, as
-    _claiming_face skips the test on a face with no inactive wall. The
-    face masks and wall bit weights are built once, with the chain.
+    from the row than it allows, as in _claiming_face. The pairs left are
+    the candidates, in row-major order: rows indexes the stack and faces
+    faces_at_level, one entry per pair, and the other arrays hold those
+    pairs alone, in that order. One matmul gives each row with a candidate
+    its foot on every level-i face, and each pair takes its foot from it;
+    one 2-D product over the pairs' feet gives their wall values. The
+    open-face test, the heights t and the radii of the feet that pass it
+    are each one array operation over the pairs, the reduction over walls
+    one elementwise call per column (_reduce_columns). claims marks the
+    pairs whose tube holds the row; radius is 0 where the foot failed the
+    open-face test. A row's first claimed pair is the face tube_coords
+    picks. Every product rounds each row as _stack_product does, so a
+    pair's result does not depend on the rest of the stack. At level 0,
+    F = 1 and the single face has every wall active: its +inf penalty
+    makes the open-face test true at every finite foot, so the foot norms
+    and wall values are skipped there, as _claiming_face skips the test on
+    a face with no inactive wall. Each level's active walls are built once,
+    with the chain, as a 0/1 matrix: one product of the far flags with it
+    counts each face's far walls.
     """
     projectors, penalty = chain._face_rows[i]
     normals = chain.chamber.simple_normals
@@ -552,49 +552,45 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     # |row| <= dim*max|entry|: one bound for the stack spares the per-row scan
     size = _norms(points, dim * float(np.abs(points).max(initial=0.0)))
     far = np.abs(points @ normals.T) > _reach(chain, i, size)[:, None]
-    candidate = ((far @ chain._wall_bits)[:, None] & chain._mask_rows[i]) == 0
+    candidate = (far @ chain._active_walls[i]) == 0      # no active wall is far
     live = np.flatnonzero(_reduce_columns(np.logical_or, candidate))
-    n_rows = len(live)
-    if not n_rows:
-        empty = np.zeros((0, n_faces))
-        return live, empty.astype(bool), empty, empty, np.zeros((0, n_faces, dim))
-    if n_rows < count:
+    if not len(live):
+        empty = np.zeros(0)
+        return live, live, empty.astype(bool), empty, empty, np.zeros((0, dim))
+    if len(live) < count:
         points, candidate, size = (np.take(a, live, axis=0) for a in (points, candidate, size))
+    # each pair's index among the live rows' (row, face) feet, row-major;
+    # np.take gathers rows several times faster than indexing does
+    pairs = np.flatnonzero(candidate)
+    pair_rows = pairs // n_faces
+    faces = pairs - pair_rows * n_faces
+    feet = np.take(_stack_product(points, projectors).reshape(-1, dim), pairs, axis=0)
     below = size.max()
-    feet = _stack_product(points, projectors).reshape(n_rows, n_faces, dim)
+    t = _norms(np.take(points, pair_rows, axis=0) - feet, below)
     if i == 0:
-        open_face = candidate
-    else:
-        foot_norm = _norms(feet, below)
-        wall_vals = (_stack_product(feet.reshape(-1, dim), normals).reshape(n_rows, n_faces, -1)
-                     + penalty)
-        open_face = candidate & (_reduce_columns(np.minimum, wall_vals)
-                                 > ON_WALL_TOL * (1.0 + foot_norm))
-    t = _norms(points[:, None, :] - feet, below)
-    radius = np.zeros((n_rows, n_faces))
-    radius[open_face] = _radius_rows(chain, i, feet[open_face])
-    return live, open_face & (t < radius), t, radius, feet
-
-
-def _first_true(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns): the rows of a 2-D boolean array that hold a True,
-    and the column of each one's first."""
-    hit, first = _first_true_columns(mask)
-    rows = np.flatnonzero(hit)
-    return rows, first[rows]
+        radius = np.full(len(pairs), chain.tubes.c0)
+        return live[pair_rows], faces, t < radius, t, radius, feet
+    wall_vals = _stack_product(feet, normals) + np.take(penalty, faces, axis=0)
+    open_face = (_reduce_columns(np.minimum, wall_vals)
+                 > ON_WALL_TOL * (1.0 + _norms(feet, below)))
+    radius = np.zeros(len(pairs))
+    radius[open_face] = _radius_rows(chain, i, np.compress(open_face, feet, axis=0))
+    return live[pair_rows], faces, open_face & (t < radius), t, radius, feet
 
 
 def _first_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows of an (N, n) stack that a level-i tube holds, with the
     tube tube_coords gives each, the first in faces_at_level order:
-    (rows, face, t, radius, foot), rows indexing the stack."""
-    live, claims, t, radius, feet = _tube_claims(chain, i, points)
-    if claims.shape[1] == 1:
-        rows = np.flatnonzero(claims[:, 0])
-        face = np.zeros(len(rows), dtype=np.intp)
-    else:
-        rows, face = _first_true(claims)
-    return live[rows], face, t[rows, face], radius[rows, face], feet[rows, face]
+    (rows, face, t, radius, foot), rows indexing the stack. Pairs come in
+    row-major order, so a row's first claim is the claimed pair whose row
+    differs from the claimed pair before it."""
+    rows, faces, claims, t, radius, feet = _tube_claims(chain, i, points)
+    claimed = np.flatnonzero(claims)
+    held = rows[claimed]
+    first = np.ones(len(held), dtype=bool)
+    np.not_equal(held[1:], held[:-1], out=first[1:])
+    pick = claimed[first]
+    return rows[pick], faces[pick], t[pick], radius[pick], np.take(feet, pick, axis=0)
 
 
 def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
@@ -607,9 +603,11 @@ def _apply_F_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
     off_face = height > 0.0
     if off_face.any():
         if not off_face.all():
-            rows, height, rad, foot = (a[off_face] for a in (rows, height, rad, foot))
+            rows, height, rad, foot = (np.compress(off_face, a, axis=0)
+                                       for a in (rows, height, rad, foot))
         u = height / rad
-        out[rows] = foot + (rad * _h_rows(u))[:, None] * ((points[rows] - foot) / height[:, None])
+        out[rows] = foot + (rad * _h_rows(u))[:, None] * (
+            (np.take(points, rows, axis=0) - foot) / height[:, None])
     return out
 
 
@@ -701,39 +699,38 @@ def validate_tubes(chain: SmoothChain) -> TubeReport:
     strat = chain.stratification
     dim = chain.chamber.dimension
     checked = 0
+    fracs = np.array([0.25, 0.6, 0.95])
     for level in range(1, chain.rank):
         faces = strat.faces_at_level(level)
-        owner, bases, scales, points = [], [], [], []    # per sample
+        owner, bases, scales, points = [], [], [], []    # per block of samples
         for f, face in enumerate(faces):
             dirs = _orthogonal_directions(face.basis, rng, 4)
             for scale in (0.3, 1.0, 3.0):
                 x = strat.interior_point(face, radius=scale)
                 radius = _radius_at(chain, face, x)
-                for v in dirs:
-                    for frac in (0.25, 0.6, 0.95):
-                        owner.append(f)
-                        bases.append(x)
-                        scales.append(scale)
-                        points.append(x + (frac * radius) * v)
-        # every sample of the level against every level face, in one pass
-        n, rows, owner = len(points), np.arange(len(points)), np.array(owner, dtype=int)
-        live, claims, _, _, feet = _tube_claims(chain, level, np.reshape(points, (n, dim)))
-        held = np.zeros((n, len(faces)), dtype=bool)
-        held[live] = claims
-        own_foot = np.zeros((n, dim))
-        own_foot[live] = feet[np.arange(len(live)), owner[live]]
-        owned = held[rows, owner]
-        held[rows, owner] = False       # what is left is held by another face
-        overlap, other = _first_true(held)
+                # x + (frac*radius)*v for each direction v, then each frac
+                block = (x + (fracs * radius)[:, None] * dirs[:, None, :]).reshape(-1, dim)
+                owner += [f] * len(block)
+                bases += [x] * len(block)
+                scales += [scale] * len(block)
+                points.append(block)
+        # every sample of the level against every level face, in one pass;
+        # the pairs come in sampling order
+        points, owner = np.concatenate(points), np.array(owner, dtype=int)
+        n = len(points)
+        rows, pair_faces, claims, _, _, feet = _tube_claims(chain, level, points)
+        own_face = pair_faces == owner[rows]
+        overlap = np.flatnonzero(claims & ~own_face)     # held by another face
         # a sample its own tube does not hold fell past a face edge; harmless
-        moved = np.flatnonzero(owned & (np.linalg.norm(own_foot - bases, axis=1)
-                                        > 1e-9 * (1.0 + np.array(scales))))
+        own = np.flatnonzero(claims & own_face)
+        drift = np.linalg.norm(feet[own] - np.array(bases)[rows[own]], axis=1)
+        moved = rows[own[drift > 1e-9 * (1.0 + np.array(scales)[rows[own]])]]
         checked += n
-        if overlap.size and (not moved.size or overlap[0] <= moved[0]):
-            k = overlap[0]
+        if overlap.size and (not moved.size or rows[overlap[0]] <= moved[0]):
+            k = rows[overlap[0]]
             raise TubeConfigError(
                 f"tubes overlap at level {level}: faces"
-                f" {faces[owner[k]].active} and {faces[other[0]].active}"
+                f" {faces[owner[k]].active} and {faces[pair_faces[overlap[0]]].active}"
                 f" both contain {points[k]}")
         if moved.size:
             raise TubeConfigError(f"foot of a level-{level} tube point is not unique")

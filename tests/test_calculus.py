@@ -228,6 +228,74 @@ def test_stacked_fit_equals_polyfit_bytewise(k):
             assert np.float64(want).tobytes() == got[f].tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_fits_sharing_abscissae_equal_polyfit_bytewise(k):
+    """Fits of one design share one lstsq: 40 rows on each abscissae row,
+    their kept lengths mixed, each with polyfit's bits on its own row."""
+    rng = np.random.default_rng(200 + k)
+    offsets, values = _seeded_fits(rng, 400, k)
+    shared = np.repeat(offsets[::40], 40, axis=0)
+    for first_minimum in (True, False):
+        got = calculus._loglog_slopes(shared, values, first_minimum)
+        for f in range(len(values)):
+            want = _polyfit_slope(shared[f], values[f], first_minimum)
+            assert np.float64(want).tobytes() == got[f].tobytes()
+    for block in np.split(values, 10):
+        stops = {int(np.argmin(np.maximum(v, calculus.JUMP_FLOOR))) for v in block}
+        assert len(stops) > 1       # each shared row carries several kept lengths
+
+
+def test_an_overflowed_fit_leaves_its_design_mates_alone():
+    """A fit whose value overflowed to inf solves alone: the other fits of
+    its design keep polyfit's bits, and its own slope is not finite, as a
+    lone fit's is."""
+    rng = np.random.default_rng(211)
+    offsets, values = _seeded_fits(rng, 40, 4)
+    shared = np.repeat(offsets[:1], 40, axis=0)
+    values[7, 0] = np.inf
+    for first_minimum in (True, False):
+        with np.errstate(invalid="ignore"):
+            got = calculus._loglog_slopes(shared, values, first_minimum)
+        assert not np.isfinite(got[7])
+        for f in range(len(values)):
+            if f != 7:
+                want = _polyfit_slope(shared[f], values[f], first_minimum)
+                assert np.float64(want).tobytes() == got[f].tobytes()
+
+
+def test_an_overflowed_second_derivative_leaves_the_first_exponent(monkeypatch):
+    """growth_bound_check fits both exponents on one regressor: a D2 norm
+    that overflows to inf leaves the order-1 exponent's bits."""
+    chain = build_chain(preset_group("b2"))
+    want = growth_bound_check(chain, 1).exponents[1]
+    run = calculus._run_stencils
+
+    def overflowing(fn, stencils):
+        (first,), (second,) = run(fn, stencils)
+        return (first,), (np.full_like(second, np.inf),)
+
+    monkeypatch.setattr(calculus, "_run_stencils", overflowing)
+    with np.errstate(invalid="ignore"):
+        report = growth_bound_check(chain, 1)
+    assert set(report.norms[2]) == {np.inf}
+    assert np.isfinite(want) and want != 0.0
+    assert np.float64(report.exponents[1]).tobytes() == np.float64(want).tobytes()
+    assert not np.isfinite(report.exponents[2])
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_rank_deficient_fit_named_first_in_row_order(first):
+    """Two rank-1 designs, each shared by two rows, between good fits: the
+    error names the one whose first row comes first."""
+    good = (1e-2, 1e-3)
+    flat = [(d, float(np.nextafter(d, 0.0))) for d in (1e-2, 1e-4)]
+    rows = [good, flat[first - 1], flat[2 - first], good, flat[0], flat[1]]
+    values = np.tile([2.0, 1.0], (len(rows), 1))
+    with pytest.raises(calculus._RankDeficientFitError) as caught:
+        calculus._loglog_slopes(np.array(rows), values)
+    assert str(list(flat[first - 1])) in str(caught.value)
+
+
 @pytest.mark.parametrize("preset", ["a3", "b3"])
 def test_wall_probe_slopes_equal_polyfit_per_report(preset):
     chain = build_chain(preset_group(preset))

@@ -193,6 +193,19 @@ class TestProbe:
         assert err.count("\n") == 1
         assert "1e-20,1e-21" in err and "rounding floor" in err
 
+    def test_offsets_that_collide_at_the_probe_points_exit_two(self, capsys, tmp_path):
+        """Two offsets that strictly decrease but round together once
+        rescaled to the tube radius at the b2 wall points."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\npreset = b2\n\n[probe]\noffsets = 0.01,0.009999999999999998\n"
+                       "\n[sampling]\ncount = 2\n")
+        code, out, err = run(capsys, "probe", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: probe offsets 0.01 and 0.009999999999999998 collide at the "
+                       "probe points: rescaled to the tube radius there, they do not "
+                       "strictly decrease; use offsets further apart\n")
+
     @pytest.mark.parametrize("offsets", ["0.01", "0.01,0.00999999999999999"])
     def test_offsets_too_few_to_fit_a_slope_exit_two(self, capsys, tmp_path, offsets):
         """One offset, or two that differ in the 15th digit: the log-log fit

@@ -30,6 +30,7 @@ from orbitfold import (
 )
 from orbitfold.groups import (
     MATCH_TOL,
+    ORTHO_TOL,
     UNIT_TOL,
     _as_unit_vector,
     _canonical_sign,
@@ -436,6 +437,70 @@ def test_one_sign_fixed_mirror_per_reflection(label):
     for i, a in enumerate(normals):
         for b in normals[i + 1:]:
             assert min(np.abs(a - b).max(), np.abs(a + b).max()) > MATCH_TOL
+
+
+def _is_reflection_by_allclose(element):
+    """GroupElement.is_reflection as it was written with np.allclose, frozen."""
+    n, mat = element.dimension, element.matrix
+    if abs(float(np.trace(mat)) - (n - 2)) >= 1e-8:
+        return False
+    if not np.allclose(mat, mat.T, rtol=0.0, atol=ORTHO_TOL):
+        return False
+    return np.allclose(mat @ mat, np.eye(n), rtol=0.0, atol=ORTHO_TOL)
+
+
+GENERATED_GROUPS = {
+    **{name: (lambda name=name: preset_group(name)) for name in ("a2", "b2", "a3", "b3")},
+    **{f"i2-{m}": (lambda m=m: preset_group("I2", m=m)) for m in range(3, 9)},
+    "normals-axes": MIRROR_GROUPS["normals-axes"],
+    "normals-skew": MIRROR_GROUPS["normals-skew"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(GENERATED_GROUPS))
+def test_generation_is_unchanged_by_the_reflection_test(monkeypatch, label):
+    """generate_group gives the elements, words, mirrors (in order) and
+    simple system it gave when is_reflection called np.allclose."""
+    group = GENERATED_GROUPS[label]()
+    monkeypatch.setattr(GroupElement, "is_reflection", _is_reflection_by_allclose)
+    frozen = GENERATED_GROUPS[label]()
+    assert ([(e.matrix.tobytes(), e.word) for e in group.elements]
+            == [(e.matrix.tobytes(), e.word) for e in frozen.elements])
+    for planes in ("mirrors", "simple_system"):
+        assert ([h.normal.tobytes() for h in getattr(group, planes)]
+                == [h.normal.tobytes() for h in getattr(frozen, planes)])
+
+
+def test_reflection_test_gives_the_allclose_verdict():
+    """Reflections, rotations and the identity, each moved by a multiple of
+    ORTHO_TOL in one entry or in two symmetric ones, and matrices with a
+    NaN or an inf: is_reflection agrees with the np.allclose form."""
+    rng = np.random.default_rng(61)
+    mats = []
+    for dim in (1, 2, 3, 4):
+        normal = rng.normal(size=dim)
+        rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        for base in (reflection_matrix(normal), rotation, np.eye(dim)):
+            mats.append(base)
+            for factor in (0.25, 0.5, 0.999, 1.0, 1.001, 2.0, 1e6):
+                i, j = rng.integers(dim, size=2)
+                moved = base.copy()
+                moved[i, j] += factor * ORTHO_TOL
+                mats.append(moved)
+                moved = moved.copy()
+                moved[j, i] = moved[i, j]
+                mats.append(moved)
+            for bad in (np.nan, np.inf):
+                broken = base.copy()
+                broken[rng.integers(dim), rng.integers(dim)] = bad
+                mats.append(broken)
+    verdicts = set()
+    for mat in mats:
+        element = GroupElement._unchecked(mat, ())
+        verdict = element.is_reflection()
+        assert verdict is _is_reflection_by_allclose(element)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_element_orthogonality_tolerance_is_absolute():

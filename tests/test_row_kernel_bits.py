@@ -3,14 +3,17 @@ scale, in stacks of every size.
 
 The fold must equal the per-point _reflect_into_chamber byte for byte,
 and the tube kernels the copies frozen in row_kernel_oracle, from |p|
-near 1e-300 to 1e300 and within 1e-12 of a mirror. The stacked smooth
-step g must equal the scalar _g0 byte for byte, so that the stacked map,
-the scalar map and the profile jets evaluate one function. Stacks of one
-row are where BLAS rounds a product differently, so every kernel also
-runs on stacks of 1, 2 and 3 rows. At level 0 the claim kernel skips its
-open-face test, and it gathers rows only when some are pruned, so level-0
-stacks where every row is live, and where none is, are held to the
-frozen kernel too.
+near 1e-300 to 1e300 and within 1e-12 of a mirror. The claim kernel
+works on the (row, face) pairs its reach test keeps, where the frozen one
+fills every face of every row it keeps: each pair must carry the frozen
+kernel's bytes, and the frozen kernel may claim no other pair. The stacked
+smooth step g must equal the scalar _g0 byte for byte, so that the
+stacked map, the scalar map and the profile jets evaluate one function.
+Stacks of one row are where BLAS rounds a product differently, so every
+kernel also runs on stacks of 1, 2 and 3 rows. At level 0 the claim
+kernel skips its open-face test, and it gathers rows only when some are
+pruned, so level-0 stacks where every row is live, and where none is,
+are held to the frozen kernel too.
 """
 
 import numpy as np
@@ -117,14 +120,29 @@ def test_fold_rows_equals_point_fold_at_every_scale(chain, chunk):
     assert got.tobytes() == want.tobytes()
 
 
+def _assert_pairs_equal_frozen_kernel(chain, level, stack):
+    """Each (row, face) pair _tube_claims returns has the frozen kernel's
+    foot, t, radius and claim, byte for byte; the pairs come in row-major
+    order, each once; and the frozen kernel claims no pair outside them."""
+    rows, faces, claims, t, radius, feet = _tube_claims(chain, level, stack)
+    live, want_claims, want_t, want_radius, want_feet = oracle.tube_claims(chain, level, stack)
+    at = np.searchsorted(live, rows)
+    assert np.array_equal(live[at], rows)
+    assert np.all(np.diff(rows * want_claims.shape[1] + faces) > 0)
+    _assert_same_bytes((claims, t, radius, feet),
+                       tuple(a[at, faces] for a in (want_claims, want_t, want_radius, want_feet)))
+    outside = want_claims.copy()
+    outside[at, faces] = False
+    assert not outside.any()
+
+
 def test_tube_claims_and_radii_equal_frozen_kernels(chain):
     rng = np.random.default_rng(43)
     points = _chamber_points(chain, rng)
     assert len(points) == 1500
     for level in range(chain.rank):
         for stack in _stacks(points, rng):
-            _assert_same_bytes(_tube_claims(chain, level, stack),
-                               oracle.tube_claims(chain, level, stack))
+            _assert_pairs_equal_frozen_kernel(chain, level, stack)
         _, _, _, radius, feet = oracle.tube_claims(chain, level, points)
         feet = feet[radius > 0.0]
         assert len(feet) > 1
@@ -180,7 +198,7 @@ def test_level_zero_claims_where_every_row_or_none_is_live(chain, live):
     for stack in _level_zero_stacks(chain, rng, live):
         want = oracle.tube_claims(chain, 0, stack)
         assert len(want[0]) == (len(stack) if live else 0)
-        _assert_same_bytes(_tube_claims(chain, 0, stack), want)
+        _assert_pairs_equal_frozen_kernel(chain, 0, stack)
         _assert_same_bytes(_first_claims(chain, 0, stack),
                            _first_claims_of_oracle(chain, 0, stack))
         if live:

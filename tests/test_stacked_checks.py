@@ -81,22 +81,20 @@ def test_tube_claims_give_tube_coords(chain):
     for i in range(chain.rank):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            live, claims, t, radius, _ = _tube_claims(chain, i, points)
-        row_of = dict(zip(live.tolist(), range(len(live))))
+            rows, pair_faces, claims, t, radius, _ = _tube_claims(chain, i, points)
         faces = chain.stratification.faces_at_level(i)
         for k, p in enumerate(points):
             tc = tube_coords(chain, i, p)
-            r = row_of.get(k)
-            held = [] if r is None else np.flatnonzero(claims[r]).tolist()
-            assert (tc is None) == (not held)
+            held = np.flatnonzero(claims & (rows == k))     # pairs, in face order
+            assert (tc is None) == (not held.size)
             if tc is None:
                 continue
             claimed += 1
-            f = held[0]
+            pair = held[0]
             face, _, tc_t, tc_radius = tc
-            assert faces[f] is face
-            assert abs(t[r, f] - tc_t) <= 1e-15 * float(np.max(np.abs(p)))
-            assert abs(radius[r, f] - tc_radius) <= 1e-15 * tc_radius
+            assert faces[pair_faces[pair]] is face
+            assert abs(t[pair] - tc_t) <= 1e-15 * float(np.max(np.abs(p)))
+            assert abs(radius[pair] - tc_radius) <= 1e-15 * tc_radius
     assert claimed > len(points) // 2
 
 
@@ -104,8 +102,9 @@ def test_zero_row_stacks(chain):
     empty = np.empty((0, chain.group.dimension))
     incident, level = _classify_rows(chain.group, empty)
     assert incident.shape == (0, len(chain.group.mirrors)) and level.shape == (0,)
-    live, claims, *_ = _tube_claims(chain, 0, empty)
-    assert live.size == 0 and claims.shape == (0, 1)
+    rows, faces, claims, t, radius, feet = _tube_claims(chain, 0, empty)
+    assert rows.size == faces.size == claims.size == t.size == radius.size == 0
+    assert claims.dtype == bool and feet.shape == (0, chain.group.dimension)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

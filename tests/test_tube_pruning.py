@@ -140,19 +140,17 @@ def test_validate_tubes_sees_the_oracle_hits(chain, monkeypatch):
     monkeypatch.setattr(smoothing, "_tube_claims", recording)
     validate_tubes(chain)
     assert [level for level, _, _ in seen] == list(range(1, chain.rank))
-    for level, points, (live, claims, t, radius, feet) in seen:
+    for level, points, (rows, pair_faces, claims, t, radius, feet) in seen:
         faces = chain.stratification.faces_at_level(level)
-        row_of = dict(zip(live.tolist(), range(len(live))))
         for k, p in enumerate(points):
             expected = tube_hits(chain, level, p)
-            r = row_of.get(k)
-            held = [] if r is None else np.flatnonzero(claims[r]).tolist()
-            assert [faces[f] for f in held] == [face for face, *_ in expected]
-            for f, (_, foot, hit_t, hit_radius) in zip(held, expected):
+            held = np.flatnonzero(claims & (rows == k))     # pairs, in face order
+            assert [faces[f] for f in pair_faces[held]] == [face for face, *_ in expected]
+            for pair, (_, foot, hit_t, hit_radius) in zip(held, expected):
                 scale = max(1.0, float(np.max(np.abs(p))))
-                assert np.max(np.abs(feet[r, f] - foot)) <= 1e-15 * scale
-                assert abs(t[r, f] - hit_t) <= 1e-15 * scale
-                assert abs(radius[r, f] - hit_radius) <= 1e-15 * max(1.0, hit_radius)
+                assert np.max(np.abs(feet[pair] - foot)) <= 1e-15 * scale
+                assert abs(t[pair] - hit_t) <= 1e-15 * scale
+                assert abs(radius[pair] - hit_radius) <= 1e-15 * max(1.0, hit_radius)
 
 
 # ---------------------------------------------------------------------------

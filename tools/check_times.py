@@ -11,14 +11,17 @@ checkout's src/ and runs one untimed verification as a warm-up. It then
 makes 5 timed passes, each on a fresh group and chain as the command-line
 verify builds them, and times in each: the chain build (preset_group and
 build_chain), the tube check (validate_tubes) and every check_* function
-that run_verification calls, each on its own, with time.perf_counter. It
-keeps each item's minimum over the passes, which is steadier than one
-pass per interpreter on a shared machine. Last, it makes one more pass,
+that run_verification calls, each on its own, with time.perf_counter
+(wall time) and time.thread_time (the CPU time of the thread). It keeps
+each item's minimum over the passes, which is steadier than one pass per
+interpreter on a shared machine. Thread CPU time leaves out the time the
+process waits while other processes hold the CPU. Last, it makes one more pass,
 untimed, under tracemalloc, so the timed passes run untraced: an item's
 peak is the most memory numpy and Python held during it above what was
-held when it began. The script prints each item's median time over the
-repeats and its interquartile range in milliseconds on both sides, and
-the ratio of the medians; then each item's median peak in MB on both
+held when it began. The script prints each item's median wall time over
+the repeats and its interquartile range in milliseconds on both sides,
+and the ratio of the medians, and beside them the median thread CPU
+times and their ratio; then each item's median peak in MB on both
 sides, and their ratio. It only reports: it applies no bound.
 """
 
@@ -41,7 +44,7 @@ from orbitfold.smoothing import build_chain, validate_tubes
 
 preset, count, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 PASSES = 5
-times, peaks = {}, {}
+times, cpu, peaks = {}, {}, {}
 
 def measured(name, fn):
     def run(*args, **kwargs):
@@ -49,11 +52,12 @@ def measured(name, fn):
         if tracing:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.thread_time()
         try:
             return fn(*args, **kwargs)
         finally:
             times[name] = times.get(name, 0.0) + time.perf_counter() - t0
+            cpu[name] = cpu.get(name, 0.0) + time.thread_time() - c0
             if tracing:
                 peak = tracemalloc.get_traced_memory()[1] - held
                 peaks[name] = max(peaks.get(name, 0), peak)
@@ -67,23 +71,25 @@ def one_pass():
 one_pass()
 for name in [n for n in vars(verify) if n.startswith("check_")]:
     setattr(verify, name, measured(name, getattr(verify, name)))
-best = {}
+best, best_cpu = {}, {}
 for _ in range(PASSES):
     times.clear()
+    cpu.clear()
     one_pass()
-    for name, seconds in times.items():
-        best[name] = min(best.get(name, seconds), seconds)
+    for clock, kept in ((times, best), (cpu, best_cpu)):
+        for name, seconds in clock.items():
+            kept[name] = min(kept.get(name, seconds), seconds)
 tracemalloc.start()
 one_pass()
 tracemalloc.stop()
-print(json.dumps({"seconds": best, "peak_bytes": peaks}))
+print(json.dumps({"seconds": best, "cpu_seconds": best_cpu, "peak_bytes": peaks}))
 """
 
 
 def run_once(checkout: Path, preset: str, count: int, seed: int) -> dict[str, dict]:
-    """One fresh interpreter: each item's least seconds over the timed
-    passes ("seconds") and its peak in the traced pass ("peak_bytes"), by
-    name."""
+    """One fresh interpreter: each item's least wall and thread CPU
+    seconds over the timed passes ("seconds", "cpu_seconds") and its peak
+    in the traced pass ("peak_bytes"), by name."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, preset, str(count), str(seed)],
@@ -123,24 +129,31 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.preset} verify, count {args.count}, seed {args.seed}: "
           f"{args.repeats} repeats, times in ms")
     print(f"{'item':32s} {'parent median':>14s} {'parent IQR':>11s} "
-          f"{'change median':>14s} {'change IQR':>11s} {'ratio':>7s}")
-    totals = {"parent": [0.0] * args.repeats, "change": [0.0] * args.repeats}
-    for name in names:
-        row = []
+          f"{'change median':>14s} {'change IQR':>11s} {'ratio':>7s} "
+          f"{'parent cpu':>11s} {'change cpu':>11s} {'cpu ratio':>9s}")
+
+    def ms(side, clock, name):
+        return [1e3 * r[clock].get(name, 0.0) for r in runs[side]]
+
+    def totals(side, clock):
+        return [sum(col) for col in zip(*(ms(side, clock, name) for name in names))]
+
+    def row(label, values):
+        """label, then each side's wall median and IQR, their ratio, and
+        each side's thread CPU median and their ratio."""
+        cells = []
         for side in ("parent", "change"):
-            values = [1e3 * r["seconds"].get(name, 0.0) for r in runs[side]]
-            totals[side] = [t + v for t, v in zip(totals[side], values)]
-            q1, med, q3 = quartiles(values)
-            row += [med, q3 - q1]
-        ratio = row[2] / row[0] if row[0] else float("nan")
-        print(f"{name:32s} {row[0]:14.3f} {row[1]:11.3f} {row[2]:14.3f} {row[3]:11.3f} "
-              f"{ratio:7.3f}")
-    row = []
-    for side in ("parent", "change"):
-        q1, med, q3 = quartiles(totals[side])
-        row += [med, q3 - q1]
-    print(f"{'total':32s} {row[0]:14.3f} {row[1]:11.3f} {row[2]:14.3f} {row[3]:11.3f} "
-          f"{row[2] / row[0]:7.3f}")
+            q1, med, q3 = quartiles(values(side, "seconds"))
+            cells += [med, q3 - q1]
+        cpu = [statistics.median(values(side, "cpu_seconds")) for side in ("parent", "change")]
+        ratio = cells[2] / cells[0] if cells[0] else float("nan")
+        cpu_ratio = cpu[1] / cpu[0] if cpu[0] else float("nan")
+        print(f"{label:32s} {cells[0]:14.3f} {cells[1]:11.3f} {cells[2]:14.3f} "
+              f"{cells[3]:11.3f} {ratio:7.3f} {cpu[0]:11.3f} {cpu[1]:11.3f} {cpu_ratio:9.3f}")
+
+    for name in names:
+        row(name, lambda side, clock: ms(side, clock, name))
+    row("total", totals)
     print("\ntracemalloc peak of each item, one traced pass per repeat, in MB")
     print(f"{'item':32s} {'parent median':>14s} {'change median':>14s} {'ratio':>7s}")
     for name in names:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .groups import GroupElement, ReflectionGroup, essential_split
+from .groups import GroupElement, ReflectionGroup
 
 ON_WALL_TOL = 1e-9        # relative wall-incidence and membership tolerance
 _RANK_TOL = 1e-9
@@ -327,40 +327,34 @@ def _split_rows(group: ReflectionGroup, points: np.ndarray) -> tuple[np.ndarray,
     return p_fixed, points - p_fixed
 
 
-def _slack(tol: float, eff_norm, fixed_norm, one=1.0):
-    """The wall-incidence threshold tol*(1 + |p_eff|) + _SPLIT_ROUNDING*|p_fixed|,
-    for floats or arrays of norms; `one` is 1 in the scaling of the norms.
+def _wall_values(group: ReflectionGroup, points: np.ndarray,
+                 normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, slack) over an (N, n) stack: values the (N, k) products
+    <p_eff, n> with each row of the (k, n) normals, and slack each row's
+    wall-incidence threshold ON_WALL_TOL*(1 + |p_eff|) +
+    _SPLIT_ROUNDING*|p_fixed|. Each row rounds as it would alone
+    (_stack_product).
 
     The second term covers the rounding p_eff = p - p_fixed inherits from
     the fixed part, a few ulps of |p_fixed|; without it a3 (1, 1, 1, 1)*1e7,
-    on every mirror, sat off all but one.
+    on every mirror, sat off all but one. Where |p|^2 would overflow, both
+    are p*2**-e's (_unit_scaled, e > 0), the threshold's 1 scaled with
+    them, so no product or norm overflows.
     """
-    return tol * (one + eff_norm) + _SPLIT_ROUNDING * fixed_norm
-
-
-def _incidence(group: ReflectionGroup, p: np.ndarray,
-               tol: float = ON_WALL_TOL) -> tuple[np.ndarray, float]:
-    """(p_eff, slack): p's essential part and the wall-incidence threshold
-    (_slack) that classify and Stratification.face_contains share. Where
-    |p|^2 would overflow, both are p*2**-e's (_unit_scaled, e > 0), the
-    threshold's 1 scaled with them, so no product or norm overflows."""
-    w, e, _ = _unit_scaled(p)
-    e = max(e, 0)
-    p_fixed, p_eff = essential_split(group, w if e else p)
-    return p_eff, _slack(tol, _norm(p_eff), _norm(p_fixed), math.ldexp(1.0, -e))
-
-
-def _incident_rows(group: ReflectionGroup, points: np.ndarray) -> np.ndarray:
-    """(N, m) mask of the mirrors through each row of an (N, n) stack, by
-    classify's rule at ON_WALL_TOL: |<p_eff, n>| <= _slack, scaled as in
-    _incidence. Each row rounds as it would alone (_stack_product)."""
     w, e, _ = _unit_scaled_rows(points)
     e = np.maximum(e, 0)
     points = np.where(e[:, None] > 0, w, points)
     p_fixed, p_eff = _split_rows(group, points)
     fixed_norm = _norms(p_fixed) if group.fixed_subspace.shape[1] else 0.0
-    slack = _slack(ON_WALL_TOL, _norms(p_eff), fixed_norm, np.ldexp(1.0, -e))
-    return np.abs(_stack_product(p_eff, group.mirror_normals)) <= slack[:, None]
+    slack = ON_WALL_TOL * (np.ldexp(1.0, -e) + _norms(p_eff)) + _SPLIT_ROUNDING * fixed_norm
+    return _stack_product(p_eff, normals), slack
+
+
+def _incident_rows(group: ReflectionGroup, points: np.ndarray) -> np.ndarray:
+    """(N, m) mask of the mirrors through each row of an (N, n) stack:
+    |<p_eff, n>| within the slack of _wall_values."""
+    values, slack = _wall_values(group, points, group.mirror_normals)
+    return np.abs(values) <= slack[:, None]
 
 
 # per group, the rank of each wall subset met so far (_wall_rank)
@@ -400,32 +394,27 @@ def _classify_rows(group: ReflectionGroup, points: np.ndarray) -> tuple[np.ndarr
     return incident, group.essential_rank - ranks[inverse.reshape(-1)]
 
 
-def classify(group: ReflectionGroup, p: Iterable[float], tol: float = ON_WALL_TOL) -> StratumDescriptor:
-    """Mirror incidences of p and the level of its orbit-type stratum.
+def classify(group: ReflectionGroup, p: Iterable[float]) -> StratumDescriptor:
+    """Mirror incidences of p and the level of its orbit-type stratum: one
+    row of _classify_rows.
 
-    Incidence is relative: |<p_eff, n>| <= tol * (1 + |p_eff|), plus the
-    rounding of the essential split (_incidence). The level is
-    essential_rank minus the rank of the collected normals, read from the
-    table _classify_rows shares (_wall_rank), so the minimal stratum gets
-    level 0 everywhere the group acts.
+    Incidence is relative: |<p_eff, n>| <= ON_WALL_TOL * (1 + |p_eff|),
+    plus the rounding of the essential split (_wall_values). The level is
+    essential_rank minus the rank of the collected normals (_wall_rank),
+    so the minimal stratum gets level 0 everywhere the group acts.
 
-    The 1 keeps the tolerance at tol or more near 0, so a point with
-    |p_eff| below about tol lies on every mirror and classifies to level 0:
-    (3, 2, 1)*1e-200 on b3 is on all 9 walls. This is the contract, and it
-    matches apply_H, which is flat there. |p_eff| is taken without
-    overflow or underflow at any scale.
+    The 1 keeps the tolerance at ON_WALL_TOL or more near 0, so a point
+    with |p_eff| below about 1e-9 lies on every mirror and classifies to
+    level 0: (3, 2, 1)*1e-200 on b3 is on all 9 walls. This is the
+    contract, and it matches apply_H, which is flat there. |p_eff| is
+    taken without overflow or underflow at any scale.
     """
-    p = _as_point(p, group.dimension)
-    p_eff, slack = _incidence(group, p, tol)
-    walls = tuple(
-        i for i, m in enumerate(group.mirrors)
-        if abs(float(m.normal @ p_eff)) <= slack
-    )
-    rank = _wall_rank(group, walls)
+    incident, level = _classify_rows(group, _as_point(p, group.dimension)[None])
+    level = int(level[0])
     return StratumDescriptor(
-        walls_containing=walls,
-        level=group.essential_rank - rank,
-        dimension=group.dimension - rank,
+        walls_containing=tuple(np.flatnonzero(incident[0]).tolist()),
+        level=level,
+        dimension=group.dimension - group.essential_rank + level,
     )
 
 
@@ -522,8 +511,9 @@ class Stratification:
         root over unit simple roots are >= 1. So a chamber point classify
         puts at level i passes for some level-i face.
         """
-        p_eff, slack = _incidence(self.group, p)
-        vals = (self.chamber.simple_normals @ p_eff).tolist()
+        values, slack = _wall_values(self.group, np.asarray(p, dtype=float)[None],
+                                     self.chamber.simple_normals)
+        vals, slack = values[0].tolist(), float(slack[0])
         return (all(abs(vals[j]) <= slack for j in face.active)
                 and all(vals[j] >= -slack for j in face.inactive))
 

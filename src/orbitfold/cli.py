@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -143,11 +144,11 @@ def cmd_fold(cfg: RunConfig, points_path: str) -> int:
 
 
 def cmd_grid(cfg: RunConfig) -> int:
-    group, tubes = tube_spec_from_config(cfg)
+    chain = _build_chain(cfg)
+    group = chain.group
     dim = group.dimension
     if dim > 3:
         raise ConfigError(f"grid emission supports dimensions 1-3, group lives in R^{dim}")
-    chain = build_chain(group, tubes=tubes)
     if cfg.nodes is not None:
         box_min, box_max, nodes = cfg.box_min, cfg.box_max, cfg.nodes
         if len(nodes) != dim:
@@ -220,21 +221,10 @@ def cmd_probe(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     reports = _wall_probes(chain, cfg.count, cfg.seed,
                            offsets=cfg.offsets, orders=cfg.orders)
-    probes = []
-    for rep in reports:
-        probes.append({
-            "point": rep.point,
-            "direction": rep.direction,
-            "offsets": rep.offsets,
-            "jumps": {str(o): rep.jumps[o] for o in rep.orders},
-            "slopes": {str(o): rep.slopes[o] for o in rep.orders},
-            "control_jumps": {str(o): rep.control_jumps[o] for o in rep.orders},
-            "control_slopes": {str(o): rep.control_slopes[o] for o in rep.orders},
-        })
+    probes = [{k: v for k, v in dataclasses.asdict(r).items() if k != "orders"} for r in reports]
     summary = {
-        "min_slope": {str(o): _least_resolved_slope(reports, o) for o in cfg.orders},
-        "max_control_slope": {str(o): max(p["control_slopes"][str(o)] for p in probes)
-                              for o in cfg.orders},
+        "min_slope": {o: _least_resolved_slope(reports, o) for o in cfg.orders},
+        "max_control_slope": {o: max(r.control_slopes[o] for r in reports) for o in cfg.orders},
     }
     doc = {"preset": cfg.preset, "seed": cfg.seed, "count": cfg.count,
            "orders": list(cfg.orders), "probes": probes, "summary": summary}
@@ -281,7 +271,7 @@ def cmd_demo_sym3(cfg: RunConfig, matrices_path: str | None) -> int:
         "seed": cfg.seed,
     }
     if cfg.out is not None:
-        sys.stdout.write(json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
+        _emit_json(None, summary)
     return 0
 
 
@@ -319,6 +309,7 @@ def _add_common(sub: argparse.ArgumentParser,
     sub.add_argument("--preset", help="override the group preset (e.g. b2, a3, i2-5)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitfold",
@@ -351,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         return args.run(cfg, args)

@@ -67,8 +67,9 @@ def _canonical_sign(normal: np.ndarray) -> np.ndarray:
 class Hyperplane:
     """A mirror: hyperplane through the origin with unit normal.
 
-    Two hyperplanes are the same mirror when their normals agree up to sign
-    within MATCH_TOL.
+    Two hyperplanes are the same mirror when their normals have one
+    _mirror_key: equal up to sign once rounded as element keys are, so
+    normals 1e-9 to 1e-7 apart may name one mirror.
     """
 
     normal: np.ndarray
@@ -79,14 +80,6 @@ class Hyperplane:
     @property
     def dimension(self) -> int:
         return self.normal.size
-
-    def same_as(self, other: "Hyperplane") -> bool:
-        if self.normal.size != other.normal.size:
-            return False
-        return bool(
-            np.all(np.abs(self.normal - other.normal) <= MATCH_TOL)
-            or np.all(np.abs(self.normal + other.normal) <= MATCH_TOL)
-        )
 
 
 def reflection_matrix(normal: np.ndarray) -> np.ndarray:
@@ -164,6 +157,12 @@ def _key_rounded(mats: np.ndarray) -> np.ndarray:
 
 def _matrix_key(mat: np.ndarray) -> bytes:
     return _key_rounded(mat).tobytes()
+
+
+def _mirror_key(normal: np.ndarray) -> bytes:
+    """The key of a mirror: its normal sign-fixed by _canonical_sign and
+    rounded as an element's matrix is."""
+    return _matrix_key(_canonical_sign(normal))
 
 
 def _matrix_keys(mats: np.ndarray) -> list[bytes]:
@@ -253,10 +252,10 @@ def _simple_from_mirrors(
             f"chamber has {len(simple_idx)} walls, expected essential rank {essential_rank}"
         )
 
-    # Prefer generator order where generators are themselves simple walls.
+    # Generator order first where generators are themselves simple walls.
+    order = {_mirror_key(g.normal): k for k, g in enumerate(generators)}
     chosen = [Hyperplane(oriented_arr[i]) for i in simple_idx]
-    first = [h for g in generators for h in chosen if g.same_as(h)]
-    return tuple(dict.fromkeys(first + chosen))
+    return tuple(sorted(chosen, key=lambda h: order.get(_mirror_key(h.normal), len(order))))
 
 
 def generate_group(
@@ -275,11 +274,10 @@ def generate_group(
     dim = gens[0].dimension
     if any(g.dimension != dim for g in gens):
         raise ValueError("all generator normals must share one dimension")
-    uniq: list[Hyperplane] = []
+    unique: dict[bytes, Hyperplane] = {}
     for g in gens:
-        if not any(g.same_as(u) for u in uniq):
-            uniq.append(g)
-    gens = uniq
+        unique.setdefault(_mirror_key(g.normal), g)      # the first given wins
+    gens = list(unique.values())
 
     # each generator is checked once; the products are built unchecked
     gen_mats = [reflection_matrix(g.normal) for g in gens]

@@ -299,9 +299,7 @@ def eigen_crossing_curve(seed: int = 0, gap: float = 1.0) -> CrossingCurve:
     a = rng.uniform(0.5, 1.5)
     c = a - rng.uniform(1.0, 2.0)
     base = np.diag([a, a, c])
-    T = rng.normal(size=(3, 3))
-    T = 0.5 * (T + T.T)
-    r = float(np.hypot(0.5 * (T[0, 0] - T[1, 1]), T[0, 1]))
+    r = 0.0
     while r < 1e-3:      # resample a degenerate coupling
         T = rng.normal(size=(3, 3))
         T = 0.5 * (T + T.T)

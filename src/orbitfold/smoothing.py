@@ -225,7 +225,6 @@ def minimal_wall_angle(group: ReflectionGroup) -> tuple[float, tuple[int, int] |
         for j in range(i + 1, len(mirrors)):
             c = abs(float(mirrors[i].normal @ mirrors[j].normal))
             ang = math.acos(min(c, 1.0))
-            ang = min(ang, math.pi - ang)
             if ang < best:
                 best, pair = ang, (i, j)
     return best, pair

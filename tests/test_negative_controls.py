@@ -47,20 +47,20 @@ points in the tube meet there. b3 needs the check's default 1000 pairs:
 at 100 no pair has both points in the tube. That control patches
 verify._apply_G_rows, the binding check_injectivity calls.
 
+With one output coordinate of G set to 0, "Jacobian determinant
+bounded away from zero" must fail by its value: every |det DG| is 0. The
+wall probe's fold control must fail by value too. With the fold the probes
+use (calculus._fold_rows, the binding _wall_reports calls) replaced by the
+identity, the control's first-derivative jump is 0 and "fold control jump
+stays large" must fail. With it replaced by the smooth p + <p, w>^2*w, w
+the unit chamber witness, the control's jump decays linearly with the
+offset, and "fold control slope stays flat" must fail with a slope near 1.
+
 A map broken badly enough to raise inside a check is reported, not
 raised: with the stacked fold of verify replaced by the identity, an a3
 run_verification must return, fail "fold orbit invariance" and one
 "<check> raised" line for each check whose G refuses the unfolded points,
 and `orbitfold verify` must exit 1 with no traceback.
-
-Blind spots, mutations no verify check catches:
-- g mutated in the scalar _g0 alone, keeping g(1/2) = 1/2 (any of the
-  mutations below that leaves u = 1/2 alone). _g0 gives the h of the
-  per-point map and of eval_h at order 0 (h = u*_g0(u)) and the scalar
-  cap blend (_radius_at); verify reads it only in check_profile's h(1/2),
-  in validate_tubes' radii and where it sizes and places its probes. Only
-  test_row_kernel_bits.py::test_stacked_g_equals_scalar_g, which holds
-  _g0 to the stacked g bit for bit, catches it.
 
 A blind spot of check_growth alone: an added |p|^2 term. It is smooth
 and its derivatives shrink toward every stratum the growth probes
@@ -77,8 +77,6 @@ a2 (1000 points, seed 1) under the same mutation.
 Checks with no control yet:
 - The public fold: check_fold holds it to the orbit and to the stacked
   fold, but no control breaks it here.
-- The value of check_regular_jacobian (under the identity fold it fails
-  only as a raised line), and the wall probe's two fold control lines.
 """
 
 import dataclasses
@@ -93,6 +91,7 @@ from orbitfold.groups import GroupElement, preset_group
 from orbitfold.smoothing import build_chain
 from orbitfold.verify import (
     check_closure,
+    check_regular_jacobian,
     check_flatness,
     check_fold,
     check_identity_tail,
@@ -237,6 +236,49 @@ def test_a_term_steep_toward_the_strata_fails_growth(monkeypatch, preset):
     failed = _failed(check_growth(chain))
     assert {f"derivative growth exponent (level {level}, order {order})"
             for level in (0, 1) for order in (1, 2)} <= set(failed)
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_a_flattened_coordinate_fails_the_regular_jacobian_by_value(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: check_regular_jacobian(chain, points=100, seed=1)
+    assert check().passed
+    apply_G_rows = verify._apply_G_rows
+    kept = np.ones(chain.group.dimension)
+    kept[-1] = 0.0
+    monkeypatch.setattr(verify, "_apply_G_rows",
+                        lambda chain, rows: apply_G_rows(chain, rows) * kept)
+    result = check()
+    assert result.name == "Jacobian determinant bounded away from zero"
+    assert not result.passed and result.value == 0.0
+
+
+def _fold_control(chain, name):
+    (result,) = [r for r in check_wall_smoothness(chain, points=20, seed=1) if r.name == name]
+    return result
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_an_identity_fold_control_fails_the_control_jump(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    name = "fold control jump stays large"
+    assert _fold_control(chain, name).passed
+    monkeypatch.setattr(calculus, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    result = _fold_control(chain, name)
+    assert not result.passed and result.value < 1e-12
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_a_smooth_fold_control_fails_the_flat_control_slope(monkeypatch, preset):
+    """p + <p, w>^2*w: its first-derivative jump decays like the offset."""
+    chain = build_chain(preset_group(preset))
+    name = "fold control slope stays flat"
+    assert _fold_control(chain, name).passed
+    w = chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
+    monkeypatch.setattr(calculus, "_fold_rows",
+                        lambda normals, rows, cap: rows + ((rows @ w) ** 2)[:, None] * w)
+    result = _fold_control(chain, name)
+    assert not result.passed and 0.9 < result.value < 1.1
 
 
 def _collapsed_level_zero(chain, rows):

@@ -145,7 +145,7 @@ class TestSymModel:
         S = Q @ np.diag([2.0, 2.0, -1.0]) @ Q.T
         out = model.section_map(S)
         assert np.allclose(out, [2.0, 2.0, -1.0], atol=1e-10)
-        desc = classify(model.weyl, out, tol=1e-8)
+        desc = classify(model.weyl, out)
         assert len(desc.walls_containing) == 1
 
     def test_conjugation_invariance_of_section(self, sym_setup):

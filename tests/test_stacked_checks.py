@@ -1,7 +1,8 @@
 """The stacked forms the verify checks run on, against the scalar entries
 and the per-point samplers they replaced.
 
-_classify_rows must give classify's walls and level row by row, and
+_classify_rows, and classify with it, must give the walls and level of
+the frozen scalar rule in stratum_oracle row by row, and
 _tube_claims must claim the face tube_coords gives, with its t and radius
 to 1e-15, on points from 1e-300 to 1e300, half of them within 1e-10*|p|
 of a mirror. The stacked samplers must choose the points of the frozen
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import sampler_oracle as oracle
+import stratum_oracle
 from orbitfold.chamber import _classify_rows, classify
 from orbitfold.groups import generate_group, preset_group
 from orbitfold.smoothing import (
@@ -67,10 +69,14 @@ def test_classify_rows_is_classify_row_by_row(chain):
         warnings.simplefilter("error")
         incident, level = _classify_rows(chain.group, points)
     levels = set()
+    strat = chain.stratification
     for p, walls, lv in zip(points, incident, level.tolist()):
-        desc = classify(chain.group, p)
+        desc = stratum_oracle.classify(chain.group, p)
         assert desc.walls_containing == tuple(np.flatnonzero(walls).tolist())
         assert desc.level == lv
+        assert classify(chain.group, p) == desc
+        for face in strat.faces:
+            assert strat.face_contains(face, p) == stratum_oracle.face_contains(strat, face, p)
         levels.add(lv)
     assert levels >= {0, chain.rank}
 

@@ -22,7 +22,12 @@ under `verify`, `probe` and `grid` with tube caps of 0.08 at levels 1 and
 default case reaches it). The `fold`
 inputs are generated here
 from numpy alone and written to OUTDIR/inputs, so they do not depend on
-the code under test.
+the code under test. Beside random, log-scale and on-mirror points they
+hold, on a2, b2, a3 and b3, points on two mirrors at once (the strata of
+level rank - 2), and on every preset points moved off one mirror along
+its normal by 0.5 and 2 times classify's threshold 1e-9*(1 + |p_eff|),
+so the `level` and `walls` columns record classify's decision on every
+level and on both sides of its threshold.
 
 Two checkouts behave the same when `diff -r` of their snapshots is empty:
 
@@ -91,9 +96,50 @@ def _on_mirrors(preset: str, rng: np.random.Generator) -> list[np.ndarray]:
     return out
 
 
+def _mirror_normals(preset: str) -> np.ndarray:
+    """The unit normals of the preset's mirrors, as rows."""
+    dim = DIMENSIONS[preset]
+    if preset.startswith("i2"):
+        m = int(preset[3:])
+        return np.array([[-math.sin(k * math.pi / m), math.cos(k * math.pi / m)]
+                         for k in range(m)])
+    eye = np.eye(dim)
+    out = [eye[i] - eye[j] for i in range(dim) for j in range(i + 1, dim)]
+    if preset.startswith("b"):
+        out += [eye[i] + eye[j] for i in range(dim) for j in range(i + 1, dim)]
+        out += list(eye)
+    return np.array(out) / np.linalg.norm(out, axis=1)[:, None]
+
+
+def _essential_norm(preset: str, p: np.ndarray) -> float:
+    """|p_eff|: p less its mean on a2 and a3, whose diagonal is fixed."""
+    return float(np.linalg.norm(p - p.mean() if preset.startswith("a") else p))
+
+
+def _near_mirrors(preset: str, rng: np.random.Generator) -> list[np.ndarray]:
+    """Points on two mirrors at once (projected onto both), except on the
+    dihedral presets, where only the origin is; then points projected onto
+    one mirror and moved along its normal by 0.5 and 2 times classify's
+    threshold 1e-9*(1 + |p_eff|), two per mirror."""
+    normals = _mirror_normals(preset)
+    out = []
+    if not preset.startswith("i2"):
+        for i in range(len(normals)):
+            for j in range(i + 1, len(normals)):
+                pair = normals[[i, j]]
+                p = rng.normal(scale=2.0, size=pair.shape[1])
+                out.append(p - pair.T @ np.linalg.solve(pair @ pair.T, pair @ p))
+    for n in normals:
+        for p in rng.normal(scale=2.0, size=(2, len(n))):
+            q = p - (p @ n) * n
+            threshold = 1e-9 * (1.0 + _essential_norm(preset, q))
+            out += [q + factor * threshold * n for factor in (0.5, 2.0)]
+    return out
+
+
 def fold_points(preset: str) -> list[np.ndarray]:
     """Random, on-mirror and log-scale points (|p| from 1e-300 to 1e150),
-    and the origin."""
+    the origin, and the points of _near_mirrors."""
     rng = np.random.default_rng(7)
     dim = DIMENSIONS[preset]
     pts = list(rng.normal(scale=2.0, size=(40, dim)))
@@ -102,7 +148,7 @@ def fold_points(preset: str) -> list[np.ndarray]:
         u = rng.normal(size=dim)
         pts.append(mag * u / np.linalg.norm(u))
     pts.append(np.zeros(dim))
-    return pts
+    return pts + _near_mirrors(preset, rng)
 
 
 def cases(outdir: Path) -> list[tuple[str, list[str]]]:

@@ -512,19 +512,23 @@ def growth_bound_check(
     strat = chain.stratification
     fn = lambda points: _apply_partial_rows(chain, i, points)
     radii, bases, steps, lines = [], [], [], []
+    if i == 0:       # the direction and the face do not depend on d
+        witness = chain.chamber.witness
+        witness_norm = np.linalg.norm(witness)
+        v = witness / witness_norm
+    else:
+        face = strat.faces_at_level(i)[0]
+        base = strat.interior_point(face, radius=1.0)
+        base_d = float(chain.lower_face_distances(i, base).min())
+        v = face.normal
     for d in distances:
         if i == 0:
-            x = d * chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
+            x = d * witness / witness_norm
             radius = chain.tubes.c0
-            v = chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
             step = 0.02 * max(d, 1e-6)
         else:
-            face = strat.faces_at_level(i)[0]
-            base = strat.interior_point(face, radius=1.0)
-            base_d = float(chain.lower_face_distances(i, base).min())
             x = base * (d / base_d)
             radius = _radius_at(chain, face, x)
-            v = face.normal
             step = 0.02 * radius
         bases.append(x + (0.5 * radius) * v if i > 0 else x)
         steps.append(step)

@@ -462,7 +462,10 @@ def _edge_rays(normals: np.ndarray) -> np.ndarray:
     rays = dual @ q.T                     # back to ambient, rows are rays
     rays /= np.linalg.norm(rays, axis=1)[:, None]
     check = normals @ rays.T
-    if not np.allclose(check, np.diag(np.diag(check)), atol=1e-10):
+    # np.allclose(check, diag(check), atol=1e-10) written out: the same
+    # verdict on every finite check, but an infinite diagonal entry fails
+    # (inf - inf is NaN), which np.allclose would pass as inf equal to inf
+    if not np.abs(check - np.diag(np.diag(check))).max(initial=0.0) <= 1e-10:
         raise RuntimeError("edge rays failed the duality check")
     if np.min(np.diag(check)) <= 0:
         raise RuntimeError("edge ray oriented outward; chamber data inconsistent")

@@ -88,7 +88,9 @@ def reflection_matrix(normal: np.ndarray) -> np.ndarray:
 
 
 def _check_orthogonal(mat: np.ndarray) -> None:
-    if not np.allclose(mat @ mat.T, np.eye(len(mat)), rtol=0.0, atol=ORTHO_TOL):
+    """np.allclose(M M^T, I, rtol=0, atol=ORTHO_TOL) written out, as in
+    GroupElement.is_reflection: the same verdict, NaN and inf rejected."""
+    if not np.abs(mat @ mat.T - np.eye(len(mat))).max(initial=0.0) <= ORTHO_TOL:
         raise ValueError("element matrix is not orthogonal within 1e-10")
 
 

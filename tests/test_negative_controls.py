@@ -52,9 +52,11 @@ bounded away from zero" must fail by its value: every |det DG| is 0. The
 wall probe's fold control must fail by value too. With the fold the probes
 use (calculus._fold_rows, the binding _wall_reports calls) replaced by the
 identity, the control's first-derivative jump is 0 and "fold control jump
-stays large" must fail. With it replaced by the smooth p + <p, w>^2*w, w
-the unit chamber witness, the control's jump decays linearly with the
-offset, and "fold control slope stays flat" must fail with a slope near 1.
+stays large" must fail; "fold control slope stays flat" must fail too,
+with value inf, as no control jump rises above the rounding floor to
+fit. With it replaced by the smooth p + <p, w>^2*w, w the unit chamber
+witness, the control's jump decays linearly with the offset, and "fold
+control slope stays flat" must fail with a slope near 1.
 
 A map broken badly enough to raise inside a check is reported, not
 raised: with the stacked fold of verify replaced by the identity, an a3
@@ -75,11 +77,14 @@ the collapse there: check_regular_jacobian reads |det DG| = 0 on a3 and
 a2 (1000 points, seed 1) under the same mutation.
 
 Checks with no control yet:
-- The public fold: check_fold holds it to the orbit and to the stacked
-  fold, but no control breaks it here.
+- The scalar fold loop (chamber._reflect_into_chamber, which fold and
+  apply_H run): check_fold holds its images to the orbit and to the
+  stacked fold, but no control breaks it here. The public fold's element
+  is not checked by verify; tier-1 tests hold it.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -260,12 +265,20 @@ def _fold_control(chain, name):
 
 @pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
 def test_an_identity_fold_control_fails_the_control_jump(monkeypatch, preset):
+    """The identity's control jumps sit at the rounding floor: the jump
+    line fails by value, and the slope line, which fits only resolved
+    control jumps, has none to fit and fails with inf."""
     chain = build_chain(preset_group(preset))
-    name = "fold control jump stays large"
+    name, slope_name = "fold control jump stays large", "fold control slope stays flat"
     assert _fold_control(chain, name).passed
+    unmutated = _fold_control(chain, slope_name)
+    assert unmutated.passed and unmutated.detail == ""
     monkeypatch.setattr(calculus, "_fold_rows", lambda normals, rows, cap: rows.copy())
     result = _fold_control(chain, name)
     assert not result.passed and result.value < 1e-12
+    slope = _fold_control(chain, slope_name)
+    assert not slope.passed and slope.value == float("inf")
+    assert re.fullmatch(r"[1-9]\d* control reports below resolution", slope.detail)
 
 
 @pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])

@@ -6,10 +6,14 @@ the frozen scalar rule in stratum_oracle row by row, and
 _tube_claims must claim the face tube_coords gives, with its t and radius
 to 1e-15, on points from 1e-300 to 1e300, half of them within 1e-10*|p|
 of a mirror. The stacked samplers must choose the points of the frozen
-per-point ones in sampler_oracle bit for bit, and each check keeps its
-edge cases: caps, zero-row stacks and the margin sampler's error.
+per-point ones in sampler_oracle bit for bit, also where one block of
+draws falls short, and each check keeps its edge cases: caps, zero-row
+stacks and the margin sampler's error. A verification's calls to the
+public fold and to the samplers' draw are counted, which guards their
+cost without timing it.
 """
 
+import sys
 import warnings
 
 import numpy as np
@@ -27,7 +31,7 @@ from orbitfold.smoothing import (
     tube_coords,
     validate_tubes,
 )
-from orbitfold import smoothing, verify
+from orbitfold import chamber, smoothing, verify
 from orbitfold.verify import (
     _regular_margin_points,
     _separated_pairs,
@@ -126,6 +130,57 @@ def test_samplers_choose_the_per_point_points(chain, seed, count):
     assert same([_tail_points(chain, rng(), count)], [oracle.tail_points(chain, rng(), count)[1]])
     assert same([_regular_margin_points(chain, rng(), count)],
                 [oracle.regular_margin_points(chain, rng(), count)])
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to the list
+    returned."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_samplers_draw_more_blocks_where_two_count_rows_fall_short(monkeypatch, seed):
+    """c0 = 6 on b2 accepts about 0.09 of the tail draws and 0.45 of the
+    margin draws (4,000 draws, seed 1), so one block of 2*count rows falls
+    short and more are drawn; the points kept are still the per-point
+    samplers' points."""
+    chain = build_chain(preset_group("b2"), tubes=TubeSpec(b={1: 0.1}, c={1: 1.0}, c0=6.0))
+    rng = lambda: np.random.default_rng(seed)
+    blocks = _counted(monkeypatch, verify, "_fold_gaussians")
+    for sampler, frozen in ((_tail_points, lambda *args: oracle.tail_points(*args)[1]),
+                            (_regular_margin_points, oracle.regular_margin_points)):
+        blocks.clear()
+        points = sampler(chain, rng(), 40)
+        assert len(blocks) >= 2 and len(points) == 40
+        assert points.tobytes() == frozen(chain, rng(), 40).tobytes()
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a2", "b2", "a3", "b3"])
+def test_a_verification_makes_no_public_fold_and_one_draw_per_sampler(monkeypatch, preset):
+    """Counts that guard verify's cost without timing it, at count 100 and
+    seed 1: check_fold takes images from the scalar fold loop and never
+    builds the public fold's element, and each of the three Gaussian
+    samplers (_separated_pairs, _tail_points, _regular_margin_points)
+    accepts enough of its first block to need no second."""
+    chain = build_chain(preset_group(preset))
+    public_fold = chamber.fold
+    folds = _counted(monkeypatch, chamber, "fold")
+    # every module that bound the public fold by name calls the counted one
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orbitfold" and getattr(module, "fold", None) is public_fold:
+            monkeypatch.setattr(module, "fold", chamber.fold)
+    blocks = _counted(monkeypatch, verify, "_fold_gaussians")
+    results = verify.run_verification(chain, count=100, seed=1)
+    assert all(r.passed for r in results)
+    assert len(folds) == 0
+    assert len(blocks) == 3
 
 
 def test_separated_pairs_carry_over_blocks(monkeypatch):

@@ -18,11 +18,16 @@ interpreter on a shared machine. Thread CPU time leaves out the time the
 process waits while other processes hold the CPU. Last, it makes one more pass,
 untimed, under tracemalloc, so the timed passes run untraced: an item's
 peak is the most memory numpy and Python held during it above what was
-held when it began. The script prints each item's median wall time over
-the repeats and its interquartile range in milliseconds on both sides,
-and the ratio of the medians, and beside them the median thread CPU
-times and their ratio; then each item's median peak in MB on both
-sides, and their ratio. It only reports: it applies no bound.
+held when it began. A last untimed pass counts, per item, the calls to
+the public fold, to chamber._fold_rows and to smoothing._tube_claims,
+through every module's binding of each. The script prints each item's
+median wall time over the repeats and its interquartile range in
+milliseconds on both sides, and the ratio of the medians, and beside
+them the median thread CPU times and their ratio, and then one column
+per counted function with its calls on both sides, as "parent/change";
+then each item's median peak in MB on both sides, and their ratio.
+Counts repeat exactly from run to run, so a change in the work an item
+does shows beside its noisy times. It only reports: it applies no bound.
 """
 
 from __future__ import annotations
@@ -38,13 +43,17 @@ from pathlib import Path
 # run in the subprocess, with the checkout's src/ on sys.path
 PROBE = r"""
 import json, sys, time, tracemalloc
+import orbitfold.chamber as chamber
+import orbitfold.smoothing as smoothing
 import orbitfold.verify as verify
 from orbitfold.groups import preset_group
 from orbitfold.smoothing import build_chain, validate_tubes
 
 preset, count, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 PASSES = 5
-times, cpu, peaks = {}, {}, {}
+COUNTED = {"fold": chamber, "_fold_rows": chamber, "_tube_claims": smoothing}
+times, cpu, peaks, calls = {}, {}, {}, {}
+live = dict.fromkeys(COUNTED, 0)     # calls so far, once counting is on
 
 def measured(name, fn):
     def run(*args, **kwargs):
@@ -52,6 +61,7 @@ def measured(name, fn):
         if tracing:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+        before = dict(live)
         t0, c0 = time.perf_counter(), time.thread_time()
         try:
             return fn(*args, **kwargs)
@@ -61,7 +71,20 @@ def measured(name, fn):
             if tracing:
                 peak = tracemalloc.get_traced_memory()[1] - held
                 peaks[name] = max(peaks.get(name, 0), peak)
+            calls[name] = {f: live[f] - before[f] for f in live}
     return run
+
+def count_calls():
+    # every orbitfold module's binding of a counted function calls one
+    # wrapper, which adds to live
+    for fn_name, home in COUNTED.items():
+        original = getattr(home, fn_name)
+        def counted(*args, fn_name=fn_name, original=original, **kwargs):
+            live[fn_name] += 1
+            return original(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "orbitfold" and getattr(module, fn_name, None) is original:
+                setattr(module, fn_name, counted)
 
 def one_pass():
     chain = measured("chain build", lambda: build_chain(preset_group(preset)))()
@@ -82,14 +105,18 @@ for _ in range(PASSES):
 tracemalloc.start()
 one_pass()
 tracemalloc.stop()
-print(json.dumps({"seconds": best, "cpu_seconds": best_cpu, "peak_bytes": peaks}))
+count_calls()
+one_pass()
+print(json.dumps({"seconds": best, "cpu_seconds": best_cpu, "peak_bytes": peaks,
+                  "calls": calls}))
 """
 
 
 def run_once(checkout: Path, preset: str, count: int, seed: int) -> dict[str, dict]:
     """One fresh interpreter: each item's least wall and thread CPU
-    seconds over the timed passes ("seconds", "cpu_seconds") and its peak
-    in the traced pass ("peak_bytes"), by name."""
+    seconds over the timed passes ("seconds", "cpu_seconds"), its peak
+    in the traced pass ("peak_bytes") and its calls to each counted
+    function in the counting pass ("calls"), by name."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, preset, str(count), str(seed)],
@@ -128,9 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     names += [n for n in runs["change"][0]["seconds"] if n not in names]
     print(f"{args.preset} verify, count {args.count}, seed {args.seed}: "
           f"{args.repeats} repeats, times in ms")
+    counted = list(runs["parent"][0]["calls"].get(names[0], {}))
     print(f"{'item':32s} {'parent median':>14s} {'parent IQR':>11s} "
           f"{'change median':>14s} {'change IQR':>11s} {'ratio':>7s} "
-          f"{'parent cpu':>11s} {'change cpu':>11s} {'cpu ratio':>9s}")
+          f"{'parent cpu':>11s} {'change cpu':>11s} {'cpu ratio':>9s}"
+          + "".join(f" {fn:>15s}" for fn in counted))
 
     def ms(side, clock, name):
         return [1e3 * r[clock].get(name, 0.0) for r in runs[side]]
@@ -138,9 +167,15 @@ def main(argv: list[str] | None = None) -> int:
     def totals(side, clock):
         return [sum(col) for col in zip(*(ms(side, clock, name) for name in names))]
 
-    def row(label, values):
-        """label, then each side's wall median and IQR, their ratio, and
-        each side's thread CPU median and their ratio."""
+    def calls(side, items, fn):
+        """Median over the repeats of the calls to fn in the given items."""
+        return int(statistics.median(sum(r["calls"].get(name, {}).get(fn, 0) for name in items)
+                                     for r in runs[side]))
+
+    def row(label, values, items):
+        """label, then each side's wall median and IQR, their ratio, each
+        side's thread CPU median and their ratio, and the calls the items
+        make to each counted function, parent/change."""
         cells = []
         for side in ("parent", "change"):
             q1, med, q3 = quartiles(values(side, "seconds"))
@@ -148,12 +183,14 @@ def main(argv: list[str] | None = None) -> int:
         cpu = [statistics.median(values(side, "cpu_seconds")) for side in ("parent", "change")]
         ratio = cells[2] / cells[0] if cells[0] else float("nan")
         cpu_ratio = cpu[1] / cpu[0] if cpu[0] else float("nan")
+        counts = [f"{calls('parent', items, fn)}/{calls('change', items, fn)}" for fn in counted]
         print(f"{label:32s} {cells[0]:14.3f} {cells[1]:11.3f} {cells[2]:14.3f} "
-              f"{cells[3]:11.3f} {ratio:7.3f} {cpu[0]:11.3f} {cpu[1]:11.3f} {cpu_ratio:9.3f}")
+              f"{cells[3]:11.3f} {ratio:7.3f} {cpu[0]:11.3f} {cpu[1]:11.3f} {cpu_ratio:9.3f}"
+              + "".join(f" {pair:>15s}" for pair in counts))
 
     for name in names:
-        row(name, lambda side, clock: ms(side, clock, name))
-    row("total", totals)
+        row(name, lambda side, clock: ms(side, clock, name), [name])
+    row("total", totals, names)
     print("\ntracemalloc peak of each item, one traced pass per repeat, in MB")
     print(f"{'item':32s} {'parent median':>14s} {'change median':>14s} {'ratio':>7s}")
     for name in names:

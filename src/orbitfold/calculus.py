@@ -305,6 +305,10 @@ class ProbeReport:
         identical), not for numerical ones."""
         return max(self.jumps[order]) > RESOLUTION_FLOOR
 
+    def control_resolved(self, order: int) -> bool:
+        """resolved, for the control's jumps."""
+        return max(self.control_jumps[order]) > RESOLUTION_FLOOR
+
 
 def _least_resolved_slope(reports: Sequence[ProbeReport], order: int) -> float:
     """Least fitted slope of the given order over the probes that resolve
@@ -312,6 +316,15 @@ def _least_resolved_slope(reports: Sequence[ProbeReport], order: int) -> float:
     Decay holds when this is at least DECAY_SLOPE."""
     return min((r.slopes[order] for r in reports if r.resolved(order)),
                default=math.inf)
+
+
+def _largest_control_slope(reports: Sequence[ProbeReport], order: int) -> float:
+    """Largest |control slope| of the given order over the probes whose
+    control resolves it; inf when there are probes and none does, since a
+    slope fitted to jumps at the rounding floor is noise, not flatness, and
+    -inf when there are none. The control stays flat when this is small."""
+    return max((abs(r.control_slopes[order]) for r in reports if r.control_resolved(order)),
+               default=math.inf if reports else -math.inf)
 
 
 def _jump_stencils(xs: np.ndarray, vs: np.ndarray, offsets: Sequence[Sequence[float]],
@@ -519,7 +532,7 @@ def growth_bound_check(
     else:
         face = strat.faces_at_level(i)[0]
         base = strat.interior_point(face, radius=1.0)
-        base_d = float(chain.lower_face_distances(i, base).min())
+        base_d = min(chain.lower_face_distances(i, base))
         v = face.normal
     for d in distances:
         if i == 0:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import (_OffsetOrderError, _RankDeficientFitError, _RoundingFloorError,
-                       _least_resolved_slope, curve_jump_probe)
+                       _largest_control_slope, _least_resolved_slope, curve_jump_probe)
 from .chamber import chamber_from_group, classify, fold
 from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
                      tube_spec_from_config)
@@ -224,7 +224,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     probes = [{k: v for k, v in dataclasses.asdict(r).items() if k != "orders"} for r in reports]
     summary = {
         "min_slope": {o: _least_resolved_slope(reports, o) for o in cfg.orders},
-        "max_control_slope": {o: max(r.control_slopes[o] for r in reports) for o in cfg.orders},
+        "max_control_slope": {o: _largest_control_slope(reports, o) for o in cfg.orders},
     }
     doc = {"preset": cfg.preset, "seed": cfg.seed, "count": cfg.count,
            "orders": list(cfg.orders), "probes": probes, "summary": summary}

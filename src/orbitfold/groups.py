@@ -23,7 +23,9 @@ _KEY_DECIMALS = 7      # rounding used for exact-dict element lookup
 
 
 class GroupClosureError(RuntimeError):
-    """Group not finite at this cap (or generators mis-specified)."""
+    """The closure of the generators has more elements than the cap allows:
+    an infinite group, mis-specified generators, or a finite group larger
+    than the cap."""
 
 
 def _as_unit_vector(v: Iterable[float]) -> np.ndarray:
@@ -267,8 +269,9 @@ def generate_group(
 ) -> ReflectionGroup:
     """Breadth-first closure of the reflections given by `normals`.
 
-    Raises GroupClosureError("group not finite at this cap") when the closure
-    exceeds `cap` elements, which signals an infinite or mis-specified group.
+    Raises GroupClosureError, naming the cap, when the closure exceeds `cap`
+    elements: the group is infinite, mis-specified, or finite but larger
+    than the cap.
     """
     gens = [Hyperplane(n) for n in normals]
     if not gens:
@@ -306,7 +309,7 @@ def generate_group(
             next_frontier.append(new)
             if len(elements) > cap:
                 raise GroupClosureError(
-                    f"group not finite at this cap ({cap} elements exceeded)"
+                    f"group closure exceeded the cap of {cap} elements"
                 )
         frontier = next_frontier
 

@@ -268,8 +268,9 @@ class SmoothChain:
     stratification: Stratification
     tubes: TubeSpec
 
-    # level i >= 1 -> (stacked complement rows of every lower face, row offsets)
-    _lower_rows: dict[int, tuple[np.ndarray, np.ndarray]] = dataclasses.field(
+    # level i >= 1 -> (stacked complement rows of every lower face, the row
+    # offset of each face's block as ints)
+    _lower_rows: dict[int, tuple[np.ndarray, tuple[int, ...]]] = dataclasses.field(
         init=False, repr=False)
     # level i -> (projectors of its faces stacked as (F*n, n), (F, k) penalty
     # rows: inf at each face's active walls, 0 at its inactive ones)
@@ -289,7 +290,7 @@ class SmoothChain:
             blocks = [_null_space_basis(f.basis.T, dim).T
                       for f in faces if f.level < lv]
             sizes = [b.shape[0] for b in blocks]
-            rows[lv] = (np.concatenate(blocks), np.cumsum([0] + sizes[:-1]))
+            rows[lv] = (np.concatenate(blocks), tuple(np.cumsum([0] + sizes[:-1]).tolist()))
         object.__setattr__(self, "_lower_rows", rows)
         face_rows = []
         for lv in range(self.rank):
@@ -311,9 +312,10 @@ class SmoothChain:
     def rank(self) -> int:
         return self.group.essential_rank
 
-    def lower_face_distances(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Distances from a closed-chamber point x to each face of lower
-        level than `level`, in stratification order, for 1 <= level < rank.
+    def lower_face_distances(self, level: int, x: np.ndarray) -> list[float]:
+        """Distances, as floats, from a closed-chamber point x to each face
+        of lower level than `level`, in stratification order, for
+        1 <= level < rank.
 
         On the closed chamber the distance to a face is the distance to
         its linear span. Inward simple normals meet pairwise at
@@ -324,16 +326,36 @@ class SmoothChain:
         c = G_S^-1 (<x, n_i>)_{i in S} >= 0, so for j outside S it keeps
         <., n_j> >= <x, n_j> >= 0 and lies in the face. Each distance is
         then the norm of x in the face's orthogonal complement: one matmul
-        against the stacked complement rows and one segmented sum of
-        squares. Off the chamber it is only a lower bound. Where |x|^2
-        would leave the normal range, x is scaled by a power of two first
-        and the distances scaled back (chamber._unit_scaled).
+        against the stacked complement rows, and each face's squares summed
+        by _segment_sums, the body _radius_rows sums its columns with. Off
+        the chamber it is only a lower bound. Where |x|^2 would leave the
+        normal range, x is scaled by a power of two first and the distances
+        scaled back (chamber._unit_scaled).
         """
         rows, starts = self._lower_rows[level]
         w, e, _ = _unit_scaled(x)
-        y = rows @ w
-        dists = np.sqrt(np.add.reduceat(y * y, starts))
-        return np.ldexp(dists, e) if e else dists
+        sums = _segment_sums([v * v for v in (rows @ w).tolist()], (*starts, len(rows)))
+        if e:
+            return np.ldexp(np.sqrt(sums), e).tolist()
+        return list(map(math.sqrt, sums))
+
+
+def _segment_sums(squares, bounds: tuple[int, ...]) -> list:
+    """The square sum of each face's block of squares, the blocks running
+    from bounds[f] to bounds[f + 1]: its first square plus the
+    left-to-right chain of the rest. squares[c] is square c, a float of one
+    point (lower_face_distances) or the column of a stack (_radius_rows),
+    so both paths add in one order; for blocks of up to 8 squares it is the
+    order in which np.add.reduceat sums them."""
+    sums = []
+    first = bounds[0]
+    for end in bounds[1:]:
+        rest = squares[first + 1] if end - first > 1 else 0.0
+        for col in range(first + 2, end):
+            rest = rest + squares[col]
+        sums.append(squares[first] + rest)
+        first = end
+    return sums
 
 
 def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> SmoothChain:
@@ -368,35 +390,32 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     i = face.level
     if i == 0:
         return chain.tubes.c0
-    dists = chain.lower_face_distances(i, x).tolist()
+    dists = chain.lower_face_distances(i, x)
     raw = chain.tubes.b[i] * softmin(dists, chain.tubes.softmin_exponent)
     cap = chain.tubes.c[i]
     w = _g0(raw / cap - 1.0)
     return (1.0 - w) * raw + w * cap
 
 
+def _lower_face_distance_rows(chain: SmoothChain, i: int, points: np.ndarray) -> np.ndarray:
+    """lower_face_distances at every row of an (N, n) stack, as an (N, F)
+    array: one _stack_product, and each face's squares summed column by
+    column (np.add.reduceat is slower on short segments)."""
+    rows, starts = chain._lower_rows[i]
+    unit, e, _ = _unit_scaled_rows(points)
+    y = _stack_product(unit, rows)
+    dists = np.sqrt(np.stack(_segment_sums((y * y).T, (*starts, len(rows))), axis=1))
+    scaled = e != 0
+    if scaled.any():
+        dists[scaled] = np.ldexp(dists[scaled], e[scaled, None])
+    return dists
+
+
 def _radius_rows(chain: SmoothChain, i: int, feet: np.ndarray) -> np.ndarray:
     """_radius_at for every row of a stack of feet in open level-i faces."""
     if i == 0:
         return np.full(len(feet), chain.tubes.c0)
-    rows, starts = chain._lower_rows[i]
-    unit, e, _ = _unit_scaled_rows(feet)
-    y = _stack_product(unit, rows)
-    # each face's square sum, column by column: its first square plus the
-    # left-to-right chain of the rest, the order in which np.add.reduceat
-    # (slower on short segments) sums a segment of up to 8 squares
-    sq = y * y
-    bounds = starts.tolist() + [len(rows)]
-    sums = np.empty((len(sq), len(starts)))
-    for f, (first, end) in enumerate(zip(bounds, bounds[1:])):
-        rest = sq[:, first + 1] if end - first > 1 else 0.0
-        for col in range(first + 2, end):
-            rest = rest + sq[:, col]
-        np.add(sq[:, first], rest, out=sums[:, f])
-    dists = np.sqrt(sums)
-    scaled = e != 0
-    if scaled.any():
-        dists[scaled] = np.ldexp(dists[scaled], e[scaled, None])
+    dists = _lower_face_distance_rows(chain, i, feet)
     # softmin, scaled as in the scalar form
     k = chain.tubes.softmin_exponent
     d_min = _reduce_columns(np.minimum, dists)
@@ -463,23 +482,32 @@ def _reach(chain: SmoothChain, i: int, size):
     return bound + 1e-9 * (1.0 + size + bound)
 
 
-def _claiming_face(chain: SmoothChain, i: int,
-                   p: np.ndarray) -> tuple[Face, np.ndarray, float, float] | None:
-    """(face, foot, t, radius) of the first level-i tube, in faces_at_level
-    order, that holds p; None when none does.
-
-    Faces with an active wall farther from p than _reach allows are skipped
-    before their projection: their tubes cannot hold p. Every coordinate of
-    p may be finite while |p| exceeds the largest float; the projections
-    would then overflow, so such a p is refused by name.
-    """
+def _point_walls(chain: SmoothChain, p: np.ndarray) -> tuple[float, list[float]]:
+    """(|p|, the wall values <p, n_j> as floats): what _claiming_face reads
+    of p at every level. Every coordinate of p may be finite while |p|
+    exceeds the largest float; the projections would then overflow, so such
+    a p is refused by name."""
     size = _norm(p)
     if size == math.inf:
         raise ValueError("|p| overflows: the point's norm exceeds the largest "
                          f"float, {sys.float_info.max:.17g}")
+    return size, (chain.chamber.simple_normals @ p).tolist()
+
+
+def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray,
+                   walls: tuple[float, list[float]] | None = None,
+                   ) -> tuple[Face, np.ndarray, float, float] | None:
+    """(face, foot, t, radius) of the first level-i tube, in faces_at_level
+    order, that holds p; None when none does. walls is _point_walls(chain,
+    p), taken here when not given.
+
+    Faces with an active wall farther from p than _reach allows are skipped
+    before their projection: their tubes cannot hold p.
+    """
+    size, values = walls or _point_walls(chain, p)
     reach = _reach(chain, i, size)
     far = 0
-    for j, w in enumerate((chain.chamber.simple_normals @ p).tolist()):
+    for j, w in enumerate(values):
         if w > reach or w < -reach:
             far |= 1 << j
     for face, mask in zip(chain.stratification.faces_at_level(i), chain._face_masks[i]):
@@ -487,11 +515,11 @@ def _claiming_face(chain: SmoothChain, i: int,
             continue
         x = face.project_to_span(p)
         if face.inactive:
-            vals = face.inactive_normals @ x
             # the open-face test carries the classification fuzz: feet within
             # it of the boundary belong to lower strata, and admitting them
             # would feed (numerically) zero distances to the radius field
-            if vals.min() <= ON_WALL_TOL * (1.0 + _norm(x, size)):
+            if (min((face.inactive_normals @ x).tolist())
+                    <= ON_WALL_TOL * (1.0 + _norm(x, size))):
                 continue
         t = _norm(p - x, size)
         radius = _radius_at(chain, face, x)
@@ -509,12 +537,14 @@ def tube_coords(chain: SmoothChain, i: int,
     return _claiming_face(chain, i, _as_point(p, chain.chamber.dimension))
 
 
-def _apply_F(chain: SmoothChain, i: int, p: np.ndarray) -> np.ndarray:
+def _apply_F(chain: SmoothChain, i: int, p: np.ndarray,
+             walls: tuple[float, list[float]] | None = None) -> np.ndarray:
     """The tube map F_i at a float point of the right shape, for a level
-    with a tube: radial reparametrization by h inside, identity outside."""
-    claim = _claiming_face(chain, i, p)
+    with a tube: radial reparametrization by h inside, identity outside,
+    where p itself comes back. walls is as for _claiming_face."""
+    claim = _claiming_face(chain, i, p, walls)
     if claim is None or claim[2] == 0.0:
-        return p.copy()
+        return p
     _, foot, t, radius = claim
     u = t / radius
     return foot + (radius * (u * _g0(u))) * ((p - foot) / t)
@@ -635,18 +665,25 @@ def _apply_H_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
 
 def _apply_partial(chain: SmoothChain, p: np.ndarray) -> np.ndarray:
     """The tube maps at a float point of the right shape: F_{n-1} first,
-    descending to F_0 last."""
+    descending to F_0 last. |p| and the wall values are taken once and
+    serve every level until one moves the point; when none does, p itself
+    comes back."""
+    walls = None
     for j in range(chain.rank - 1, -1, -1):
-        p = _apply_F(chain, j, p)
+        walls = walls or _point_walls(chain, p)
+        q = _apply_F(chain, j, p, walls)
+        if q is not p:
+            p, walls = q, None
     return p
 
 
 def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
-    """Full composite on the closed chamber (walls first, origin last)."""
+    """Full composite on the closed chamber (walls first, origin last). The
+    result is a new array, even where no tube moves p."""
     p = _as_point(p, chain.chamber.dimension)
     if not chain.chamber.contains(p):
         raise ValueError("point lies outside the closed chamber")
-    return _apply_partial(chain, p)
+    return _apply_partial(chain, p.copy())
 
 
 def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:

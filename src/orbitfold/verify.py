@@ -62,10 +62,10 @@ import numpy as np
 from .calculus import (
     DECAY_SLOPE,
     DEFAULT_OFFSETS,
-    RESOLUTION_FLOOR,
     ProbeReport,
     _axis_stencils,
     _evaluate,
+    _largest_control_slope,
     _least_resolved_slope,
     _run_stencils,
     _shared_line_stencils,
@@ -445,12 +445,9 @@ def _decay_results(reports: Sequence[ProbeReport], name: str,
 def check_wall_smoothness(chain: SmoothChain, points: int = 20,
                           seed: int = 0) -> list[CheckResult]:
     reports = _wall_probes(chain, points, seed)
-    # a slope fitted to control jumps at the rounding floor is noise: only
-    # reports whose control resolves count, and none resolving fails
-    resolved = [r for r in reports if max(r.control_jumps[1]) > RESOLUTION_FLOOR]
-    n_unres = len(reports) - len(resolved)
-    control_slope = max((abs(r.control_slopes[1]) for r in resolved),
-                        default=math.inf if reports else -math.inf)
+    # only reports whose control resolves count, and none resolving fails
+    n_unres = sum(not r.control_resolved(1) for r in reports)
+    control_slope = _largest_control_slope(reports, 1)
     control_jump = min((r.control_jumps[1][0] for r in reports),
                        default=math.inf)
     out = _decay_results(reports, "wall jump decay slope",

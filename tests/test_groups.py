@@ -135,8 +135,19 @@ def test_closure_cap_rejects_infinite_group():
     """Mirrors at an irrational angle generate an infinite dihedral group."""
     ang = math.pi / math.sqrt(7.0)
     n2 = np.array([math.sin(ang), -math.cos(ang)])
-    with pytest.raises(GroupClosureError, match="not finite"):
+    with pytest.raises(GroupClosureError, match="exceeded the cap of 300 elements"):
         generate_group([[0.0, 1.0], n2], cap=300)
+
+
+def test_closure_cap_names_only_the_cap():
+    """A finite group larger than the cap is refused by its cap alone: the
+    message does not call B3 (order 48) infinite."""
+    normals = [m.normal for m in preset_group("b3").simple_system]
+    with pytest.raises(GroupClosureError) as caught:
+        generate_group(normals, cap=47)
+    assert str(caught.value) == "group closure exceeded the cap of 47 elements"
+    assert "finite" not in str(caught.value)
+    assert generate_group(normals, cap=48).order == 48
 
 
 @pytest.mark.parametrize("name,m", list(PRESET_ORDERS))

@@ -84,6 +84,7 @@ Checks with no control yet:
 """
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -279,6 +280,26 @@ def test_an_identity_fold_control_fails_the_control_jump(monkeypatch, preset):
     slope = _fold_control(chain, slope_name)
     assert not slope.passed and slope.value == float("inf")
     assert re.fullmatch(r"[1-9]\d* control reports below resolution", slope.detail)
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_probe_summary_control_slope_follows_the_verify_line(monkeypatch, tmp_path, preset):
+    """probe's max_control_slope takes |slope| over the probes whose control
+    resolves, as the verify line does: its value there, and inf under the
+    identity control, where a signed max over every probe read rounding
+    noise (5.38 on a3)."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[group]\npreset = {preset}\n\n[sampling]\ncount = 20\nseed = 1\n")
+    out = tmp_path / "probe.json"
+
+    def control_slope():
+        assert main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads(out.read_text())["summary"]["max_control_slope"]["1"]
+
+    chain = build_chain(preset_group(preset))
+    assert control_slope() == _fold_control(chain, "fold control slope stays flat").value
+    monkeypatch.setattr(calculus, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    assert control_slope() == "inf"
 
 
 @pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])

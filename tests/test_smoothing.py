@@ -494,6 +494,27 @@ class TestComposites:
                 moved = apply_H(chain, elem.matrix @ p)
                 assert np.linalg.norm(moved - base) <= 1e-9 * np.linalg.norm(base)
 
+    @pytest.mark.parametrize("preset", ["i2-5", "a2", "b2", "a3", "b3"])
+    def test_maps_return_new_arrays(self, preset):
+        """Neither apply_G nor apply_H returns its input or writes through
+        to it, at a point no tube moves (far out along the witness) as at
+        points the tubes move."""
+        chain = build_chain(preset_group(preset))
+        witness = chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
+        rng = np.random.default_rng(29)
+        points = [100.0 * witness] + [np.abs(rng.normal(size=witness.shape)) * 0.3
+                                      for _ in range(6)]
+        points = [fold(chain.group, chain.chamber, p).image for p in points]
+        for k, p in enumerate(points):
+            before = p.copy()
+            for fn in (apply_G, apply_H):
+                out = fn(chain, p)
+                if k == 0:
+                    assert np.array_equal(out, p)      # the identity tail
+                assert out is not p and not np.shares_memory(out, p)
+                out += 1.0
+                assert np.array_equal(p, before)
+
     def test_apply_G_rejects_outside_points(self):
         chain = build_chain(preset_group("b2"))
         with pytest.raises(ValueError, match="chamber"):

@@ -27,6 +27,7 @@ _RANK_TOL = 1e-9
 _SQ_MIN = sys.float_info.min  # least square sum taken without rescaling
 _SQ_MAX = 2.0 ** 1022         # square sums are formed only where they stay below this
 _NORM_SAFE = 2.0 ** 510       # no square sum of a vector shorter than this overflows
+_NORM_MIN = 2.0 ** -510       # a _norm from this up came from a square sum of at least _SQ_MIN
 _SPLIT_ROUNDING = 1e-14       # relative rounding of the essential split, as the fold's
 
 
@@ -189,11 +190,13 @@ def _norms(v: np.ndarray, below: float = math.inf) -> np.ndarray:
 
 
 def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
-                          max_steps: int) -> tuple[np.ndarray, list[int]]:
+                          max_steps: int) -> tuple[np.ndarray, list[int], list[float] | None]:
     """Reflect across the lowest-index violated wall until inside.
 
-    Returns the image and the reflection word (wall indices in the order
-    applied). Points within rounding distance of a wall count as inside: a
+    Returns the image, the reflection word (wall indices in the order
+    applied) and the image's wall values `normals @ image` as floats, from
+    the last pass, or None where the image was scaled back. Points within
+    rounding distance of a wall count as inside: a
     dot product of a few ulps below zero calls for a correction smaller than
     the spacing of floats at that coordinate, so reflecting would leave the
     point bitwise unchanged and the loop would never terminate. The
@@ -209,12 +212,12 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
     tol = 1e-14 * math.sqrt(sq)
     word: list[int] = []
     while True:
-        dots = normals @ cur
-        for i, d in enumerate(dots.tolist()):
+        dots = (normals @ cur).tolist()
+        for i, d in enumerate(dots):
             if d < -tol:
                 break
         else:
-            return (np.ldexp(cur, e) if e else cur), word
+            return (np.ldexp(cur, e), word, None) if e else (cur, word, dots)
         cur = cur - (2.0 * d) * normals[i]
         word.append(i)
         if len(word) > max_steps:
@@ -297,7 +300,7 @@ def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldRe
     """Fold p into the closed chamber, recording the orthogonal transform."""
     p = _as_point(p, chamber.dimension)
     normals = chamber.simple_normals
-    image, word = _reflect_into_chamber(normals, p, group.order)
+    image, word, _ = _reflect_into_chamber(normals, p, group.order)
     mat = np.eye(chamber.dimension)
     for i in word:
         n_i = normals[i]

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chamber import classify, fold
+from .chamber import _norm, classify, fold
 from .groups import ReflectionGroup, generate_group, preset_group
 from .smoothing import SmoothChain, apply_H
 
@@ -157,7 +157,7 @@ def radial_model(n: int) -> PolarModel:
         p = np.asarray(p, dtype=float)
         if p.shape != (n,):
             raise ValueError(f"point must have shape ({n},)")
-        return np.array([np.linalg.norm(p)])
+        return np.array([_norm(p)])
 
     return PolarModel(name=f"radial-{n}", ambient_dim=n, section_dim=1,
                       section_map=section_map, weyl=weyl)
@@ -239,10 +239,10 @@ def equidistance_probe(
         dists = []
         for _ in range(samples):
             u = rng.normal(size=n)
-            u = u / np.linalg.norm(u)
+            u = u / _norm(u)
             p = r1 * u
             # nearest point of the second sphere lies along the same ray
-            dists.append(abs(float(np.linalg.norm(p)) - r2))
+            dists.append(abs(_norm(p) - r2))
         analytic = abs(r1 - r2)
     elif model.name == "sym3-eig":
         D2 = np.diag(b)
@@ -251,8 +251,8 @@ def equidistance_probe(
             Q = random_rotation(rng)
             p = Q @ np.diag(a) @ Q.T
             _, frame = jacobi_eigensystem(p)
-            dists.append(float(np.linalg.norm(p - frame @ D2 @ frame.T)))
-        analytic = float(np.linalg.norm(a - b))
+            dists.append(_norm((p - frame @ D2 @ frame.T).ravel()))
+        analytic = _norm(a - b)
     else:
         raise ValueError(f"no level-set sampler for model {model.name!r}")
 

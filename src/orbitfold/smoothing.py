@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import sys
 from typing import Iterable
 
@@ -43,7 +44,10 @@ from .chamber import (
     Chamber,
     Face,
     Stratification,
+    _NORM_MIN,
+    _NORM_SAFE,
     _as_point,
+    _fits,
     _fold_rows,
     _norm,
     _norms,
@@ -63,6 +67,7 @@ from .groups import ReflectionGroup
 ARG_DEAD_EPS = 1e-8      # below this (or within it of 1) the jet is replaced
 E_RATE = 5.5             # a in e(t) = exp(-a/sqrt(t))
 DERIVATIVE_ORDER_MAX = 4  # highest order eval_h evaluates
+_ROW_SUM_MAX = 1e4       # largest |row|_1 of a face bound row (_reach) that is kept
 
 
 class TubeConfigError(ValueError):
@@ -281,6 +286,11 @@ class SmoothChain:
     # level i -> (k, F) float array, 1 where wall j is active on face f, 0
     # elsewhere: a row of wall flags times it counts each face's flagged walls
     _active_walls: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
+    # level i -> per face, (its active walls, its rows): one row per inactive
+    # wall k, the coefficients over all walls of b_i*d_k, whose bound _reach
+    # proves (none at level 0)
+    _face_bounds: tuple[tuple[tuple[tuple[int, ...], tuple[tuple[float, ...], ...]], ...], ...] = \
+        dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         faces = self.stratification.faces
@@ -307,12 +317,31 @@ class SmoothChain:
         object.__setattr__(self, "_face_masks", masks)
         object.__setattr__(self, "_active_walls", tuple(
             (penalty == np.inf).T.astype(float) for _, penalty in face_rows))
+        normals = self.chamber.simple_normals
+        gram = normals @ normals.T
+        bounds = []
+        for lv in range(self.rank):
+            level_bounds = []
+            for face in self.stratification.faces_at_level(lv):
+                active, kept = list(face.active), []
+                for k in face.inactive:
+                    # P_F n_k = n_k - sum_j a_j n_j over the active walls, G_SS a = G_Sk
+                    row = np.zeros(len(normals))
+                    row[k] = 1.0
+                    row[active] = -np.linalg.solve(gram[np.ix_(active, active)], gram[active, k])
+                    row *= self.tubes.b[lv] / np.linalg.norm(row @ normals)
+                    if np.abs(row).sum() <= _ROW_SUM_MAX:
+                        kept.append(tuple(row.tolist()))
+                level_bounds.append((face.active, tuple(kept)))
+            bounds.append(tuple(level_bounds))
+        object.__setattr__(self, "_face_bounds", tuple(bounds))
 
     @property
     def rank(self) -> int:
         return self.group.essential_rank
 
-    def lower_face_distances(self, level: int, x: np.ndarray) -> list[float]:
+    def lower_face_distances(self, level: int, x: np.ndarray,
+                             size: float | None = None) -> list[float]:
         """Distances, as floats, from a closed-chamber point x to each face
         of lower level than `level`, in stratification order, for
         1 <= level < rank.
@@ -331,9 +360,18 @@ class SmoothChain:
         the chamber it is only a lower bound. Where |x|^2 would leave the
         normal range, x is scaled by a power of two first and the distances
         scaled back (chamber._unit_scaled).
+
+        size, when given, is _norm(x). From _NORM_MIN up, that norm came
+        from a square sum x.x of at least _SQ_MIN, and no |x_i| exceeds it
+        (sqrt(fl(a*a)) = |a|, and adding squares only raises the sum), so
+        where it also _fits, _unit_scaled would leave x unscaled: its scan
+        is skipped.
         """
         rows, starts = self._lower_rows[level]
-        w, e, _ = _unit_scaled(x)
+        if size is not None and _NORM_MIN <= size and _fits(size, len(x)):
+            w, e = x, 0
+        else:
+            w, e, _ = _unit_scaled(x)
         sums = _segment_sums([v * v for v in (rows @ w).tolist()], (*starts, len(rows)))
         if e:
             return np.ldexp(np.sqrt(sums), e).tolist()
@@ -374,8 +412,10 @@ def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> Smooth
     )
 
 
-def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
-    """l_i at a point of the open level-i face (no membership re-check).
+def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray,
+               size: float | None = None) -> float:
+    """l_i at a point of the open level-i face (no membership re-check);
+    size, when given, is _norm(x), as lower_face_distances takes it.
 
     The lower-face distances come from SmoothChain.lower_face_distances,
     exact on the closed chamber. Every caller stays there: the feet of
@@ -390,7 +430,7 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray) -> float:
     i = face.level
     if i == 0:
         return chain.tubes.c0
-    dists = chain.lower_face_distances(i, x)
+    dists = chain.lower_face_distances(i, x, size)
     raw = chain.tubes.b[i] * softmin(dists, chain.tubes.softmin_exponent)
     cap = chain.tubes.c[i]
     w = _g0(raw / cap - 1.0)
@@ -452,9 +492,11 @@ def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
     raise ValueError(f"point is not on any level-{i} chamber face")
 
 
-def _reach(chain: SmoothChain, i: int, size):
+def _reach(chain: SmoothChain, i: int, size, nearest: float | None = None):
     """Bound on |<p, n_j>| at every active wall j of a level-i face whose
     tube can hold p, where size = |p| (a float, or an array of row norms).
+    nearest, given by the per-point claim test alone, is the least of the
+    face's rows (SmoothChain._face_bounds) against p's wall values.
 
     Let F_S be a level-i face with active walls S, x the foot of p on its
     span and t = |p - x|. Each n_j (j in S) is a unit vector orthogonal to
@@ -467,11 +509,25 @@ def _reach(chain: SmoothChain, i: int, size):
     faces. So every such wall has |<p, n_j>| < R_i, with R_0 = c0 and
     R_i = min(b_i*|p|, 2c_i).
 
-    The bound returned is R_i + 1e-9*(1 + |p| + R_i). The computed wall
+    The face's rows bound l_i further. For an inactive wall k let
+    P_F n_k = n_k - sum_{j in S} a_j n_j with G_SS a = G_Sk (G the Gram
+    matrix of the simple normals): the part of n_k in the span. Within the
+    span, the span of the level-(i-1) face S + {k} is the hyperplane
+    normal to P_F n_k, so x lies at distance |d_k| from it, where
+    d_k = <x, P_F n_k>/|P_F n_k| = <p, P_F n_k>/|P_F n_k|, linear in p's
+    wall values. That face is among the lower faces, so l_i <= b_i*|d_k|;
+    and a foot with d_k <= 0 fails the open-face test. Row k holds the
+    coefficients of b_i*d_k, and nearest = min_k b_i*d_k, so the bound
+    becomes min(R_i, max(nearest, 0)).
+
+    The bound returned is bound + 1e-9*(1 + |p| + bound). The computed wall
     values, t and l_i are each within a few ulps of the exact ones, that is
-    about 1e-15*(|p| + R_i), far inside the margin. So a face with a wall
-    value beyond the bound would also fail the computed test t < l_i, and
-    skipping it leaves the claimed face and every output bit unchanged.
+    about 1e-15*(|p| + bound); nearest is within about 1e-15*|p|*|row|_1,
+    and rows with |row|_1 above _ROW_SUM_MAX are not kept (dropping a row
+    only loosens the bound). All of it is far inside the margin. So a face
+    with an active wall value beyond the bound would also fail the
+    computed claim test (the open-face test, or t < l_i), and skipping it
+    leaves the claimed face and every output bit unchanged.
     """
     tubes = chain.tubes
     if i == 0:
@@ -479,19 +535,23 @@ def _reach(chain: SmoothChain, i: int, size):
     else:
         minimum = min if isinstance(size, float) else np.minimum
         bound = minimum(tubes.b[i] * size, 2.0 * tubes.c[i])
+        if nearest is not None:
+            bound = min(bound, max(nearest, 0.0))
     return bound + 1e-9 * (1.0 + size + bound)
 
 
-def _point_walls(chain: SmoothChain, p: np.ndarray) -> tuple[float, list[float]]:
+def _point_walls(chain: SmoothChain, p: np.ndarray,
+                 values: list[float] | None = None) -> tuple[float, list[float]]:
     """(|p|, the wall values <p, n_j> as floats): what _claiming_face reads
-    of p at every level. Every coordinate of p may be finite while |p|
-    exceeds the largest float; the projections would then overflow, so such
-    a p is refused by name."""
+    of p at every level. values, when given, are p's wall values already
+    taken (the fold's last pass). Every coordinate of p may be finite while
+    |p| exceeds the largest float; the projections would then overflow, so
+    such a p is refused by name."""
     size = _norm(p)
     if size == math.inf:
         raise ValueError("|p| overflows: the point's norm exceeds the largest "
                          f"float, {sys.float_info.max:.17g}")
-    return size, (chain.chamber.simple_normals @ p).tolist()
+    return size, values if values is not None else (chain.chamber.simple_normals @ p).tolist()
 
 
 def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray,
@@ -502,7 +562,11 @@ def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray,
     p), taken here when not given.
 
     Faces with an active wall farther from p than _reach allows are skipped
-    before their projection: their tubes cannot hold p.
+    before their projection: their tubes cannot hold p. The faces left are
+    tried against the tighter bound of their own rows, which _reach proves
+    and applies with the same margin, 1e-9*(1 + |p| + bound), and skipped
+    when the largest of their active wall values passes it. That bound is
+    taken only while |p| < _NORM_SAFE, where no row's products overflow.
     """
     size, values = walls or _point_walls(chain, p)
     reach = _reach(chain, i, size)
@@ -510,19 +574,28 @@ def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray,
     for j, w in enumerate(values):
         if w > reach or w < -reach:
             far |= 1 << j
-    for face, mask in zip(chain.stratification.faces_at_level(i), chain._face_masks[i]):
+    bounded = size < _NORM_SAFE
+    for face, mask, (active, rows) in zip(chain.stratification.faces_at_level(i),
+                                          chain._face_masks[i], chain._face_bounds[i]):
         if mask & far:
             continue
+        if rows and bounded:
+            nearest = min(sum(map(operator.mul, row, values)) for row in rows)
+            # below R_i the rows bound l_i more tightly than reach did
+            if nearest < reach and \
+                    max(abs(values[j]) for j in active) > _reach(chain, i, size, nearest):
+                continue
         x = face.project_to_span(p)
+        x_size = None
         if face.inactive:
             # the open-face test carries the classification fuzz: feet within
             # it of the boundary belong to lower strata, and admitting them
             # would feed (numerically) zero distances to the radius field
-            if (min((face.inactive_normals @ x).tolist())
-                    <= ON_WALL_TOL * (1.0 + _norm(x, size))):
+            x_size = _norm(x, size)
+            if min((face.inactive_normals @ x).tolist()) <= ON_WALL_TOL * (1.0 + x_size):
                 continue
         t = _norm(p - x, size)
-        radius = _radius_at(chain, face, x)
+        radius = _radius_at(chain, face, x, x_size)
         if t >= radius:
             continue
         return face, x, t, radius
@@ -663,12 +736,12 @@ def _apply_H_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
     return _apply_partial_rows(chain, 0, images)
 
 
-def _apply_partial(chain: SmoothChain, p: np.ndarray) -> np.ndarray:
+def _apply_partial(chain: SmoothChain, p: np.ndarray,
+                   walls: tuple[float, list[float]] | None = None) -> np.ndarray:
     """The tube maps at a float point of the right shape: F_{n-1} first,
-    descending to F_0 last. |p| and the wall values are taken once and
-    serve every level until one moves the point; when none does, p itself
-    comes back."""
-    walls = None
+    descending to F_0 last. |p| and the wall values are taken once (or
+    given, as _point_walls(chain, p)) and serve every level until one moves
+    the point; when none does, p itself comes back."""
     for j in range(chain.rank - 1, -1, -1):
         walls = walls or _point_walls(chain, p)
         q = _apply_F(chain, j, p, walls)
@@ -689,8 +762,9 @@ def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
 def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """The invariant map: fold into the chamber, then smooth."""
     p = _as_point(p, chain.chamber.dimension)
-    image, _ = _reflect_into_chamber(chain.chamber.simple_normals, p, chain.group.order)
-    return _apply_partial(chain, image)
+    image, _, values = _reflect_into_chamber(chain.chamber.simple_normals, p,
+                                             chain.group.order)
+    return _apply_partial(chain, image, _point_walls(chain, image, values))
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,12 @@ def test_fold_and_fast_fold_agree_bitwise(preset):
         points.append(q / np.linalg.norm(q) * 10.0 ** rng.uniform(-300, 150))
     for p in points:
         result = fold(group, chamber, p)
-        image, word = _reflect_into_chamber(chamber.simple_normals, p, group.order)
+        image, word, walls = _reflect_into_chamber(chamber.simple_normals, p, group.order)
         assert result.image.tobytes() == image.tobytes()
         assert result.steps == len(word)
+        # the wall values handed on are the image's own, where it was not rescaled
+        if walls is not None:
+            assert walls == (chamber.simple_normals @ image).tolist()
 
 
 # ---------------------------------------------------------------------------

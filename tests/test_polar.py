@@ -1,6 +1,7 @@
 """Concrete actions: eigenvalue section, radial section, equidistance."""
 
 import itertools
+import math
 import sys
 import warnings
 
@@ -250,6 +251,25 @@ class TestRadialModel:
         with pytest.raises(ValueError):
             model.section_map(np.zeros(3))
 
+    def test_norm_holds_over_the_float_range(self, radial_setup):
+        """From |p| = 1e-300 to 1e300 the section value is |p| and model_H
+        is finite, with no warning; from the level-0 tube's radius c0 on,
+        model_H is the section value itself (the identity tail). A plain
+        square sum overflows from |p| ~ 1.3e154 and underflows below
+        ~1e-154."""
+        model, chain = radial_setup
+        u = np.random.default_rng(41).normal(size=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-300, 301, 5):
+                p = u * 10.0 ** k
+                size = model.section_map(p)[0]
+                assert size == pytest.approx(math.hypot(*p.tolist()), rel=1e-15)
+                out = model_H(model, chain, p)
+                assert np.all(np.isfinite(out))
+                if size >= chain.tubes.c0:
+                    assert out.tolist() == [size]
+
 
 # ---------------------------------------------------------------------------
 # equidistance of level sets
@@ -264,6 +284,20 @@ class TestEquidistance:
         assert rep.analytic == pytest.approx(0.7)
         for d in rep.distances:
             assert d == pytest.approx(0.7, abs=1e-12)
+
+    def test_spheres_far_out(self, radial_setup):
+        """At r = 1e160 the probe measures without overflow: every distance
+        is the radius difference, to the rounding of |r1*u| (a few ulps of
+        r1, 3.1e144 at this seed)."""
+        model, chain = radial_setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = equidistance_probe(model, chain, np.array([1e160]), np.array([1.7e160]),
+                                     samples=12, seed=0)
+        assert rep.analytic == pytest.approx(0.7e160, rel=1e-15)
+        assert rep.spread <= 1e-15 * 1e160
+        for d in rep.distances:
+            assert d == pytest.approx(rep.analytic, rel=1e-15)
 
     def test_matrix_orbits_equidistant(self, sym_setup):
         model, chain = sym_setup

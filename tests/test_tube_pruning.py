@@ -1,10 +1,12 @@
-"""The wall-distance rule that skips tube faces, and the tube maps at the
+"""The wall-distance rules that skip tube faces, and the tube maps at the
 extremes of the float range.
 
 The oracle, sampler_oracle.tube_hits, walks every face of a level with no
-bound, as the tube kernels did before the rule; with the rule the claimed face and every bit
-of tube_coords, _apply_F and _apply_F_rows must stay the same. The stacked
-oracle is the kernel itself with the bound switched off.
+bound, as the tube kernels did before the rules; with the rules the claimed
+face and every bit of tube_coords, _apply_F and _apply_F_rows must stay the
+same. Both rules, the far-wall mask and the per-point bound of each face's
+rows, take their bound from smoothing._reach, so patching it switches both
+off. The stacked oracle is the kernel itself with the bound switched off.
 """
 
 import math
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 
 from orbitfold import smoothing
-from orbitfold.chamber import fold
-from orbitfold.groups import essential_split, preset_group
+from orbitfold.chamber import _NORM_SAFE, fold
+from orbitfold.groups import essential_split, generate_group, preset_group
 from orbitfold.smoothing import (
+    TubeSpec,
     _apply_F,
     _apply_F_rows,
     _apply_H_rows,
@@ -31,10 +34,31 @@ from sampler_oracle import sample_face_point, tube_hits
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
+# groups given by [group] normals: H3 and B4 as in the ROADMAP's state
+# paragraph, and the order-6 group with a fixed line of the CLI snapshot
+_Y = -0.5 / math.sin(math.pi / 5.0)
+NORMALS = {
+    "H3": [(1.0, 0.0, 0.0), (-math.cos(math.pi / 5.0), math.sin(math.pi / 5.0), 0.0),
+           (0.0, _Y, math.sqrt(1.0 - _Y * _Y))],
+    "B4": [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)],
+    "skew": [(1, 1, 0), (0, 1, -1), (1, 0, 1)],
+}
+
+
+def _build(name):
+    if name in NORMALS:
+        return build_chain(generate_group([np.array(n, dtype=float) for n in NORMALS[name]]))
+    return build_chain(preset_group(name))
+
 
 @pytest.fixture(scope="module", params=PRESETS)
 def chain(request):
     return build_chain(preset_group(request.param))
+
+
+@pytest.fixture(scope="module", params=PRESETS + list(NORMALS))
+def any_chain(request):
+    return _build(request.param)
 
 
 def _oracle_apply_F(chain, i, p):
@@ -57,11 +81,14 @@ def _same_hit(a, b):
 def _points(chain, rng):
     """Generic, tube and on-wall points, and points whose value at an active
     wall of some face lies within 1e-12 relative of b_i*|p| or of 2c_i,
-    each also moved by a random group element."""
+    each also moved by a random group element. The generic points run
+    from |p| ~ 1e-150 to 1e150, where the oracle's plain square sums
+    neither overflow nor underflow."""
     group, strat, tubes = chain.group, chain.stratification, chain.tubes
     dim = group.dimension
     normals = chain.chamber.simple_normals
     pts = [rng.normal(size=dim) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(40)]
+    pts += [rng.normal(size=dim) * 10.0 ** rng.uniform(-150.0, 150.0) for _ in range(20)]
     for level in range(chain.rank):
         for face in strat.faces_at_level(level):
             # tube points, out to the scales where the cap blend lifts l_i above c_i
@@ -72,7 +99,8 @@ def _points(chain, rng):
                 if np.linalg.norm(v) < 1e-6:
                     continue
                 radius = eval_l(chain, level, x)
-                for frac in (0.1, 0.6, 0.99, 1.01):
+                # on the tube's edge too: at rank 2 its radius is the rows' bound
+                for frac in (0.1, 0.6, 0.99, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.01):
                     pts.append(x + (frac * radius / np.linalg.norm(v)) * v)
                 pts.append(x)
             for j in face.active:
@@ -97,11 +125,12 @@ def _points(chain, rng):
     return np.array(pts + [m @ p for m, p in zip(mats, pts)])
 
 
-def _unbounded(chain, i, size):
+def _unbounded(chain, i, size, nearest=None):
     return np.full(np.shape(size), np.inf)
 
 
-def test_scalar_tube_maps_equal_the_oracle_bitwise(chain):
+def test_scalar_tube_maps_equal_the_oracle_bitwise(any_chain):
+    chain = any_chain
     points = _points(chain, np.random.default_rng(23))
     claimed = 0
     for i in range(chain.rank):
@@ -112,6 +141,98 @@ def test_scalar_tube_maps_equal_the_oracle_bitwise(chain):
             assert _apply_F(chain, i, p).tobytes() == _oracle_apply_F(chain, i, p).tobytes()
             claimed += bool(hits)
     assert claimed > len(points) // 4
+
+
+def _ruled_out(chain, i, p):
+    """The level-i faces that the bound of their rows skips at p: those the
+    far-wall mask keeps, with an active wall value beyond _reach's bound
+    for the least of their rows."""
+    size, values = smoothing._point_walls(chain, p)
+    reach = smoothing._reach(chain, i, size)
+    out = []
+    for face, (active, rows) in zip(chain.stratification.faces_at_level(i),
+                                    chain._face_bounds[i]):
+        height = max(abs(values[j]) for j in active)
+        if height > reach or not rows or size >= _NORM_SAFE:
+            continue
+        nearest = min(sum(c * w for c, w in zip(row, values)) for row in rows)
+        if height > smoothing._reach(chain, i, size, nearest):
+            out.append(face)
+    return out
+
+
+def test_ruled_out_faces_fail_the_full_claim_test(any_chain):
+    """Each face the rows' bound rules out fails the oracle's claim test
+    (projection, open-face test and t < radius), and the bound rules out
+    faces on every group, so the test is not passed vacuously."""
+    chain = any_chain
+    points = _points(chain, np.random.default_rng(43))
+    ruled = 0
+    for i in range(1, chain.rank):
+        for p in points:
+            out = _ruled_out(chain, i, p)
+            if out:
+                held = [face for face, *_ in tube_hits(chain, i, p)]
+                assert not any(face in held for face in out), (i, p)
+                ruled += len(out)
+    assert ruled > 0
+
+
+def test_face_rows_give_the_distance_to_each_lower_face(any_chain):
+    """Row k of a face, against the wall values of a point of the face's
+    open face, is b_i times its distance to the span of the face with k
+    made active, which lower_face_distances measures."""
+    chain = any_chain
+    strat, normals = chain.stratification, chain.chamber.simple_normals
+    rng = np.random.default_rng(47)
+    for i in range(1, chain.rank):
+        lower = [f.active for f in strat.faces if f.level < i]     # lower_face_distances order
+        for face, (active, rows) in zip(strat.faces_at_level(i), chain._face_bounds[i]):
+            assert active == face.active and len(rows) == len(face.inactive)
+            x = sample_face_point(chain, face, rng)
+            dists = chain.lower_face_distances(i, x)
+            values = (normals @ x).tolist()
+            for k, row in zip(face.inactive, rows):
+                want = dists[lower.index(tuple(sorted(active + (k,))))]
+                got = sum(c * w for c, w in zip(row, values))
+                assert got == pytest.approx(chain.tubes.b[i] * want, rel=1e-12, abs=1e-15)
+
+
+def test_steep_slopes_keep_no_rows():
+    """A slope far past the tubes' bound, which a config may set, makes rows
+    whose rounding could pass the margin: they are not kept, and the claims
+    stay the oracle's."""
+    chain = build_chain(preset_group("a3"), TubeSpec(b={1: 1e5, 2: 0.1}, c={1: 1.0, 2: 1.0}))
+    assert [rows for _, rows in chain._face_bounds[1]] == [()] * 3
+    assert all(rows for _, rows in chain._face_bounds[2])
+    rng = np.random.default_rng(59)
+    for p in rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(300, 1)):
+        for i in range(chain.rank):
+            hits = tube_hits(chain, i, p)
+            assert _same_hit(tube_coords(chain, i, p), hits[0] if hits else None), (i, p)
+
+
+@pytest.mark.parametrize("widen", [1.0, 8.0])
+@pytest.mark.parametrize("preset", ["b2", "a3"])
+def test_claims_with_widened_radii_and_no_bounds_match_the_oracle(monkeypatch, preset, widen):
+    """The scalar counterpart of the stacked first-offending-point test:
+    with every radius widened and _reach switched off (the far-wall mask and
+    the rows' bound both take their bound from it), tube_coords claims the
+    oracle's face at every point. With the bounds on, widened radii break
+    what they assume, and some claims differ."""
+    chain = build_chain(preset_group(preset))
+    points = _points(chain, np.random.default_rng(53))
+    radius = smoothing._radius_at
+    monkeypatch.setattr(smoothing, "_radius_at", lambda *args: widen * radius(*args))
+    bounded = [tube_coords(chain, i, p) for i in range(chain.rank) for p in points]
+    monkeypatch.setattr(smoothing, "_reach", _unbounded)
+    differ = 0
+    for k, (i, p) in enumerate((i, p) for i in range(chain.rank) for p in points):
+        hits = tube_hits(chain, i, p)
+        tc = tube_coords(chain, i, p)
+        assert _same_hit(tc, hits[0] if hits else None), (i, p)
+        differ += not _same_hit(bounded[k], tc)
+    assert (differ > 0) == (widen > 1.0)
 
 
 def test_stacked_tube_maps_equal_the_oracle_bitwise(chain, monkeypatch):

@@ -20,8 +20,9 @@ repeats and the change first in odd ones. A subprocess imports orbitfold
 from its checkout's src/, makes one untimed pass over each case's inputs,
 then times 5 passes with time.perf_counter and keeps the best, as µs per
 call. A last, untimed pass counts the calls to chamber._norm, through
-every module's binding of it, and to SmoothChain.lower_face_distances, as
-calls per map call. The script prints each case's median best time over
+every module's binding of it, to Face.project_to_span, to
+smoothing._radius_at and to SmoothChain.lower_face_distances, as calls
+per map call. The script prints each case's median best time over
 the repeats and its interquartile range on both sides, the ratio of the
 medians, and the counts as "parent/change". Counts repeat exactly from
 run to run, so a change in the work a call does shows beside its noisy
@@ -88,7 +89,7 @@ def model_case():
 cases = {f"apply_H {name}": preset_case(k, name) for k, name in enumerate(("a2", "a3", "b3"))}
 cases["model_H"] = model_case()
 
-counts = {"_norm": 0, "lower_face_distances": 0}
+counts = {"_norm": 0, "project_to_span": 0, "_radius_at": 0, "lower_face_distances": 0}
 def counting(key, fn):
     def counted(*args, **kwargs):
         counts[key] += 1
@@ -111,6 +112,8 @@ norm = chamber._norm
 for module in [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "orbitfold"]:
     if getattr(module, "_norm", None) is norm:
         module._norm = counting("_norm", norm)
+chamber.Face.project_to_span = counting("project_to_span", chamber.Face.project_to_span)
+smoothing._radius_at = counting("_radius_at", smoothing._radius_at)
 smoothing.SmoothChain.lower_face_distances = counting(
     "lower_face_distances", smoothing.SmoothChain.lower_face_distances)
 for name, (call, inputs) in cases.items():

@@ -510,13 +510,10 @@ class GrowthReport:
     limits: dict[int, float]
 
 
-def growth_bound_check(
-    chain: SmoothChain,
-    i: int,
-    distances: Sequence[float] = DEFAULT_GROWTH_DISTANCES,
-) -> GrowthReport:
+def growth_bound_check(chain: SmoothChain, i: int) -> GrowthReport:
     """Fit how ||D1|| and ||D2|| of the partial composite grow toward
-    level-(i-1) strata; exponents must stay under order + 0.3.
+    level-(i-1) strata, at the DEFAULT_GROWTH_DISTANCES; exponents must
+    stay under order + 0.3.
 
     For i >= 1 the regressor is 1/l_i at the probe feet; for i = 0 the
     radius is the constant c0, so the regressor is 1/distance instead.
@@ -534,7 +531,7 @@ def growth_bound_check(
         base = strat.interior_point(face, radius=1.0)
         base_d = min(chain.lower_face_distances(i, base))
         v = face.normal
-    for d in distances:
+    for d in DEFAULT_GROWTH_DISTANCES:
         if i == 0:
             x = d * witness / witness_norm
             radius = chain.tubes.c0
@@ -557,7 +554,7 @@ def growth_bound_check(
     d1 = [float(np.linalg.norm(jacobian)) for jacobian in jacobians]
     d2 = [max(float(np.linalg.norm(d)) for d in along) for along in second]
 
-    regressor = [1.0 / r for r in radii] if i > 0 else [1.0 / d for d in distances]
+    regressor = [1.0 / r for r in (radii if i > 0 else DEFAULT_GROWTH_DISTANCES)]
     if float(np.std(np.log(regressor))) < 1e-12:
         fitted = [0.0, 0.0]     # constant radius (capped or level 0): no growth axis
     else:
@@ -566,7 +563,7 @@ def growth_bound_check(
     exponents = dict(zip((1, 2), fitted))
     return GrowthReport(
         level=i,
-        distances=tuple(distances),
+        distances=DEFAULT_GROWTH_DISTANCES,
         radii=tuple(radii),
         norms={1: tuple(d1), 2: tuple(d2)},
         exponents=exponents,

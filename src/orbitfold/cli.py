@@ -120,7 +120,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _build_chain(cfg: RunConfig) -> SmoothChain:
     group, tubes = tube_spec_from_config(cfg)
-    return build_chain(group, tubes=tubes)
+    try:
+        return build_chain(group, tubes=tubes)
+    except ValueError as exc:       # tube parameters for a level the group lacks
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

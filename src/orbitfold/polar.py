@@ -293,8 +293,8 @@ def eigen_crossing_curve(seed: int = 0, gap: float = 1.0) -> CrossingCurve:
     vector jumps by 2*sqrt(2)*r in norm. The velocity is rescaled so that
     norm equals the requested gap.
     """
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+    if not 0 < gap < math.inf:
+        raise ValueError(f"gap must be positive and finite, got {gap}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.5, 1.5)
     c = a - rng.uniform(1.0, 2.0)

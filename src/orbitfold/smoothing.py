@@ -35,7 +35,7 @@ import dataclasses
 import math
 import operator
 import sys
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -213,8 +213,8 @@ class TubeSpec:
     def __post_init__(self) -> None:
         if not 0 < self.c0 < math.inf:
             raise ValueError(f"c0 must be positive and finite, got {self.c0}")
-        if self.softmin_exponent < 1:
-            raise ValueError("softmin exponent must be >= 1")
+        if not self.softmin_exponent >= 1:     # NaN too
+            raise ValueError(f"softmin exponent must be >= 1, got {self.softmin_exponent}")
         for d, label in ((self.b, "b"), (self.c, "c")):
             for i, val in d.items():
                 if not 0 < val < math.inf:
@@ -266,6 +266,20 @@ def softmin(distances: Iterable[float], k: int) -> float:
 # the chain
 # ---------------------------------------------------------------------------
 
+class _Level(NamedTuple):
+    """One tube level's faces and the tables its claim tests and its
+    lower-face distances read, built with the chain."""
+
+    faces: tuple[Face, ...]
+    masks: tuple[int, ...]       # each face's active walls, bit j for wall j
+    rows: tuple[tuple[tuple[float, ...], ...], ...]   # each face's _reach rows
+    projectors: np.ndarray       # (F*n, n): the faces' projectors, stacked
+    penalty: np.ndarray          # (F, k): inf at each face's active walls, 0 elsewhere
+    active: np.ndarray           # (k, F): 1 where wall j is active on face f, 0 elsewhere
+    lower: np.ndarray            # complement rows of every lower face, stacked
+    starts: tuple[int, ...]      # the offset of each lower face's block of rows
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SmoothChain:
     group: ReflectionGroup
@@ -273,68 +287,27 @@ class SmoothChain:
     stratification: Stratification
     tubes: TubeSpec
 
-    # level i >= 1 -> (stacked complement rows of every lower face, the row
-    # offset of each face's block as ints)
-    _lower_rows: dict[int, tuple[np.ndarray, tuple[int, ...]]] = dataclasses.field(
-        init=False, repr=False)
-    # level i -> (projectors of its faces stacked as (F*n, n), (F, k) penalty
-    # rows: inf at each face's active walls, 0 at its inactive ones)
-    _face_rows: tuple[tuple[np.ndarray, np.ndarray], ...] = dataclasses.field(
-        init=False, repr=False)
-    # level i -> active-wall bitmask of each of its faces (bit j for wall j)
-    _face_masks: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, repr=False)
-    # level i -> (k, F) float array, 1 where wall j is active on face f, 0
-    # elsewhere: a row of wall flags times it counts each face's flagged walls
-    _active_walls: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
-    # level i -> per face, (its active walls, its rows): one row per inactive
-    # wall k, the coefficients over all walls of b_i*d_k, whose bound _reach
-    # proves (none at level 0)
-    _face_bounds: tuple[tuple[tuple[tuple[int, ...], tuple[tuple[float, ...], ...]], ...], ...] = \
-        dataclasses.field(init=False, repr=False)
+    _levels: tuple[_Level, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        faces = self.stratification.faces
-        dim = self.chamber.dimension
-        rows = {}
-        for lv in range(1, self.rank):
-            blocks = [_null_space_basis(f.basis.T, dim).T
-                      for f in faces if f.level < lv]
-            sizes = [b.shape[0] for b in blocks]
-            rows[lv] = (np.concatenate(blocks), tuple(np.cumsum([0] + sizes[:-1]).tolist()))
-        object.__setattr__(self, "_lower_rows", rows)
-        face_rows = []
-        for lv in range(self.rank):
-            level_faces = self.stratification.faces_at_level(lv)
-            penalty = np.zeros((len(level_faces), len(self.chamber.simple_normals)))
-            for row, face in zip(penalty, level_faces):
-                row[list(face.active)] = np.inf
-            projectors = [face.basis @ face.basis.T for face in level_faces]
-            face_rows.append((np.concatenate(projectors), penalty))
-        object.__setattr__(self, "_face_rows", tuple(face_rows))
-        masks = tuple(tuple(sum(1 << j for j in face.active)
-                            for face in self.stratification.faces_at_level(lv))
-                      for lv in range(self.rank))
-        object.__setattr__(self, "_face_masks", masks)
-        object.__setattr__(self, "_active_walls", tuple(
-            (penalty == np.inf).T.astype(float) for _, penalty in face_rows))
         normals = self.chamber.simple_normals
-        gram = normals @ normals.T
-        bounds = []
+        gram, dim = normals @ normals.T, self.chamber.dimension
+        levels, lower, starts = [], [], []      # lower and starts: the faces below lv
         for lv in range(self.rank):
-            level_bounds = []
-            for face in self.stratification.faces_at_level(lv):
-                active, kept = list(face.active), []
-                for k in face.inactive:
-                    # P_F n_k = n_k - sum_j a_j n_j over the active walls, G_SS a = G_Sk
-                    row = np.zeros(len(normals))
-                    row[k] = 1.0
-                    row[active] = -np.linalg.solve(gram[np.ix_(active, active)], gram[active, k])
-                    row *= self.tubes.b[lv] / np.linalg.norm(row @ normals)
-                    if np.abs(row).sum() <= _ROW_SUM_MAX:
-                        kept.append(tuple(row.tolist()))
-                level_bounds.append((face.active, tuple(kept)))
-            bounds.append(tuple(level_bounds))
-        object.__setattr__(self, "_face_bounds", tuple(bounds))
+            faces = self.stratification.faces_at_level(lv)
+            active = np.zeros((len(faces), len(normals)), dtype=bool)
+            for flags, face in zip(active, faces):
+                flags[list(face.active)] = True
+            levels.append(_Level(
+                faces=faces, masks=tuple(sum(1 << j for j in face.active) for face in faces),
+                rows=tuple(_bound_rows(face, normals, gram, self.tubes) for face in faces),
+                projectors=np.concatenate([face.basis @ face.basis.T for face in faces]),
+                penalty=np.where(active, np.inf, 0.0), active=active.T.astype(float),
+                lower=np.concatenate(lower or [np.zeros((0, dim))]), starts=tuple(starts)))
+            for face in faces:
+                starts.append(starts[-1] + len(lower[-1]) if lower else 0)
+                lower.append(_null_space_basis(face.basis.T, dim).T)
+        object.__setattr__(self, "_levels", tuple(levels))
 
     @property
     def rank(self) -> int:
@@ -367,7 +340,9 @@ class SmoothChain:
         where it also _fits, _unit_scaled would leave x unscaled: its scan
         is skipped.
         """
-        rows, starts = self._lower_rows[level]
+        if not 1 <= level < self.rank:
+            raise ValueError(f"lower faces are measured at levels 1..{self.rank - 1}, not {level}")
+        rows, starts = self._levels[level].lower, self._levels[level].starts
         if size is not None and _NORM_MIN <= size and _fits(size, len(x)):
             w, e = x, 0
         else:
@@ -376,6 +351,21 @@ class SmoothChain:
         if e:
             return np.ldexp(np.sqrt(sums), e).tolist()
         return list(map(math.sqrt, sums))
+
+
+def _bound_rows(face: Face, normals: np.ndarray, gram: np.ndarray,
+                tubes: TubeSpec) -> tuple[tuple[float, ...], ...]:
+    """A face's rows for _reach: one per inactive wall k, the coefficients
+    over all walls of b_i*d_k, each kept while its |row|_1 is at most
+    _ROW_SUM_MAX (none at level 0, whose face has no inactive wall)."""
+    active, rows = list(face.active), []
+    for k in face.inactive:
+        # P_F n_k = n_k - sum_j a_j n_j over the active walls, G_SS a = G_Sk
+        row = np.zeros(len(normals))
+        row[k] = 1.0
+        row[active] = -np.linalg.solve(gram[np.ix_(active, active)], gram[active, k])
+        rows.append(row * (tubes.b[face.level] / np.linalg.norm(row @ normals)))
+    return tuple(tuple(row.tolist()) for row in rows if np.abs(row).sum() <= _ROW_SUM_MAX)
 
 
 def _segment_sums(squares, bounds: tuple[int, ...]) -> list:
@@ -398,13 +388,17 @@ def _segment_sums(squares, bounds: tuple[int, ...]) -> list:
 
 def build_chain(group: ReflectionGroup, tubes: TubeSpec | None = None) -> SmoothChain:
     """Assemble the smoothing chain over the group's chamber; tubes default
-    to the safe preset."""
+    to the safe preset. Every level 1..rank-1 needs its b and c, and no
+    other level may have them."""
     chamber = chamber_from_group(group)
     if tubes is None:
         tubes = default_tubes(group)
-    for i in range(1, group.essential_rank):
-        if i not in tubes.b or i not in tubes.c:
-            raise ValueError(f"tube parameters missing for level {i}")
+    levels = set(range(1, group.essential_rank))
+    for label, given in (("b", tubes.b), ("c", tubes.c)):
+        for i in sorted(levels ^ given.keys()):     # the least offending level
+            what = "missing" if i in levels else "given for a level the group lacks"
+            raise ValueError(f"tube parameter {label}_{i} {what}:"
+                             f" b and c levels run 1..{group.essential_rank - 1}")
     return SmoothChain(
         group=group, chamber=chamber,
         stratification=strata_levels(group, chamber),
@@ -441,7 +435,7 @@ def _lower_face_distance_rows(chain: SmoothChain, i: int, points: np.ndarray) ->
     """lower_face_distances at every row of an (N, n) stack, as an (N, F)
     array: one _stack_product, and each face's squares summed column by
     column (np.add.reduceat is slower on short segments)."""
-    rows, starts = chain._lower_rows[i]
+    rows, starts = chain._levels[i].lower, chain._levels[i].starts
     unit, e, _ = _unit_scaled_rows(points)
     y = _stack_product(unit, rows)
     dists = np.sqrt(np.stack(_segment_sums((y * y).T, (*starts, len(rows))), axis=1))
@@ -496,7 +490,7 @@ def _reach(chain: SmoothChain, i: int, size, nearest: float | None = None):
     """Bound on |<p, n_j>| at every active wall j of a level-i face whose
     tube can hold p, where size = |p| (a float, or an array of row norms).
     nearest, given by the per-point claim test alone, is the least of the
-    face's rows (SmoothChain._face_bounds) against p's wall values.
+    face's rows (_bound_rows) against p's wall values.
 
     Let F_S be a level-i face with active walls S, x the foot of p on its
     span and t = |p - x|. Each n_j (j in S) is a unit vector orthogonal to
@@ -575,15 +569,15 @@ def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray,
         if w > reach or w < -reach:
             far |= 1 << j
     bounded = size < _NORM_SAFE
-    for face, mask, (active, rows) in zip(chain.stratification.faces_at_level(i),
-                                          chain._face_masks[i], chain._face_bounds[i]):
+    level = chain._levels[i]
+    for face, mask, rows in zip(level.faces, level.masks, level.rows):
         if mask & far:
             continue
         if rows and bounded:
             nearest = min(sum(map(operator.mul, row, values)) for row in rows)
             # below R_i the rows bound l_i more tightly than reach did
             if nearest < reach and \
-                    max(abs(values[j]) for j in active) > _reach(chain, i, size, nearest):
+                    max(abs(values[j]) for j in face.active) > _reach(chain, i, size, nearest):
                 continue
         x = face.project_to_span(p)
         x_size = None
@@ -648,13 +642,13 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     with the chain, as a 0/1 matrix: one product of the far flags with it
     counts each face's far walls.
     """
-    projectors, penalty = chain._face_rows[i]
+    level = chain._levels[i]
     normals = chain.chamber.simple_normals
-    n_faces, (count, dim) = len(penalty), points.shape
+    n_faces, (count, dim) = len(level.faces), points.shape
     # |row| <= dim*max|entry|: one bound for the stack spares the per-row scan
     size = _norms(points, dim * float(np.abs(points).max(initial=0.0)))
     far = np.abs(points @ normals.T) > _reach(chain, i, size)[:, None]
-    candidate = (far @ chain._active_walls[i]) == 0      # no active wall is far
+    candidate = (far @ level.active) == 0      # no active wall is far
     live = np.flatnonzero(_reduce_columns(np.logical_or, candidate))
     if not len(live):
         empty = np.zeros(0)
@@ -666,13 +660,13 @@ def _tube_claims(chain: SmoothChain, i: int, points: np.ndarray) -> tuple[np.nda
     pairs = np.flatnonzero(candidate)
     pair_rows = pairs // n_faces
     faces = pairs - pair_rows * n_faces
-    feet = np.take(_stack_product(points, projectors).reshape(-1, dim), pairs, axis=0)
+    feet = np.take(_stack_product(points, level.projectors).reshape(-1, dim), pairs, axis=0)
     below = size.max()
     t = _norms(np.take(points, pair_rows, axis=0) - feet, below)
     if i == 0:
         radius = np.full(len(pairs), chain.tubes.c0)
         return live[pair_rows], faces, t < radius, t, radius, feet
-    wall_vals = _stack_product(feet, normals) + np.take(penalty, faces, axis=0)
+    wall_vals = _stack_product(feet, normals) + np.take(level.penalty, faces, axis=0)
     open_face = (_reduce_columns(np.minimum, wall_vals)
                  > ON_WALL_TOL * (1.0 + _norms(feet, below)))
     radius = np.zeros(len(pairs))

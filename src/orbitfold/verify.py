@@ -9,13 +9,15 @@ a check becomes that check's FAIL line in run_verification.
 Each check makes one stacked evaluation: its samples are drawn first, in
 the order a point-at-a-time loop would draw them, and then folded,
 classified, tested against the tubes and mapped as (N, n) stacks through
-the row kernels. check_fold is where the scalar fold loop, which fold
-and apply_H run, is checked against the stacked one; it takes the images
-alone, not fold's element, which nothing in verify reads. The Gaussian
-samplers of check_identity_tail and check_regular_jacobian draw and test
-2*count rows at a time: every preset accepts 0.64 to 0.96 of its draws
-(4,000 draws, seed 1), so one block mostly serves, and a second block's
-fold and tube tests, a fixed cost paid for a handful of points, are rare.
+the row kernels. Every stack a check maps goes through calculus._evaluate,
+which caps the rows of one call. check_fold is where the scalar fold
+loop, which fold and apply_H run, is checked against the stacked one; it
+takes the images alone, not fold's element, which nothing in verify
+reads. The Gaussian samplers of check_identity_tail and
+check_regular_jacobian draw and test 2*count rows at a time: every preset
+accepts 0.64 to 0.96 of its draws (4,000 draws, seed 1), so one block
+mostly serves, and a second block's fold and tube tests, a fixed cost
+paid for a handful of points, are rare.
 
 The flatness check, the wall probes and the wall-preservation check draw
 their face points through one sampler, _face_samples, which takes every
@@ -476,7 +478,8 @@ def check_origin_smoothness(chain: SmoothChain, lines: int = 20,
 def check_injectivity(chain: SmoothChain, pairs: int = 1000,
                       seed: int = 0) -> CheckResult:
     firsts, seconds = _separated_pairs(chain, np.random.default_rng(seed), pairs)
-    images = _apply_G_rows(chain, np.concatenate([firsts, seconds]))
+    images = _evaluate(lambda rows: _apply_G_rows(chain, rows),
+                       np.concatenate([firsts, seconds]))
     worst = np.sqrt(_square_sums(images[:pairs] - images[pairs:])).min(initial=math.inf)
     return _result("separated points stay separated", worst, 1e-8,
                    mode="min", detail=f"min image separation over {pairs} pairs")
@@ -505,7 +508,7 @@ def check_wall_preservation(chain: SmoothChain, points: int = 1000,
     # a face with no inactive wall samples only the origin; its rows are dropped
     xs = xs[[bool(face.inactive) for face in drawn]]
     walls = _incident_rows(group, xs)
-    images = _apply_G_rows(chain, xs)
+    images = _evaluate(lambda rows: _apply_G_rows(chain, rows), xs)
     scale = 1.0 + np.sqrt(_square_sums(images))
     deviation = np.abs(_stack_product(images, group.mirror_normals)) / scale[:, None]
     worst = float(deviation[walls].max(initial=0.0))
@@ -538,7 +541,8 @@ def check_identity_tail(chain: SmoothChain, count: int = 1000,
                         seed: int = 0) -> CheckResult:
     images = _tail_points(chain, np.random.default_rng(seed), count)
     # H is the smoothing of the fold images _tail_points already took
-    worst = float(np.abs(_apply_partial_rows(chain, 0, images) - images).max(initial=0.0))
+    smoothed = _evaluate(lambda rows: _apply_partial_rows(chain, 0, rows), images)
+    worst = float(np.abs(smoothed - images).max(initial=0.0))
     return _result("identity outside all tubes", worst, 1e-12,
                    detail=f"max |H - fold| over {len(images)} tail points")
 

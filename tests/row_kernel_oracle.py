@@ -7,7 +7,11 @@ one matrix product per row (feet @ normals.T). The kernels in
 orbitfold.chamber and orbitfold.smoothing must return the same bytes.
 The helpers these four call, which did not change, are imported, except
 the smooth step g of the cap blend: its copy here takes each exp through
-math.exp, so that a change to the package's g shows.
+math.exp, so that a change to the package's g shows. The kernels read no
+table of the chain: level_tables builds each level's projectors, penalty,
+active-wall masks and lower-face rows from chain.stratification, with the
+operations the chain first built them with, so a test can hold the
+chain's tables to them.
 """
 
 import math
@@ -19,6 +23,7 @@ from orbitfold.chamber import (
     _SQ_MIN,
     ON_WALL_TOL,
     _fits,
+    _null_space_basis,
     _square_sums,
     _stack_product,
 )
@@ -34,6 +39,25 @@ def g(t):
         u = math.exp(-5.5 / math.sqrt(x))
         return u / (u + math.exp(-5.5 / math.sqrt(1.0 - x)))
     return np.array([one(x) for x in t.tolist()])
+
+
+def level_tables(chain, i):
+    """(projectors, penalty, masks, lower rows, their offsets) of level i:
+    each face's projector, stacked; inf at each face's active walls and 0
+    at the rest; each face's active walls as a bitmask; and the complement
+    rows of every lower face, stacked, with the offset of each face's
+    first row."""
+    strat, dim = chain.stratification, chain.chamber.dimension
+    faces = strat.faces_at_level(i)
+    penalty = np.zeros((len(faces), len(chain.chamber.simple_normals)))
+    for row, face in zip(penalty, faces):
+        row[list(face.active)] = np.inf
+    projectors = np.concatenate([face.basis @ face.basis.T for face in faces])
+    masks = tuple(sum(1 << j for j in face.active) for face in faces)
+    blocks = [_null_space_basis(f.basis.T, dim).T for f in strat.faces if f.level < i]
+    sizes = [b.shape[0] for b in blocks]
+    lower = np.concatenate(blocks) if blocks else np.zeros((0, dim))
+    return projectors, penalty, masks, lower, tuple(np.cumsum([0] + sizes[:-1]).tolist())
 
 
 def unit_scaled_rows(v):
@@ -64,7 +88,7 @@ def norms(v, below=math.inf):
 def radius_rows(chain, i, feet):
     if i == 0:
         return np.full(len(feet), chain.tubes.c0)
-    rows, starts = chain._lower_rows[i]
+    *_, rows, starts = level_tables(chain, i)
     unit, e, _ = unit_scaled_rows(feet)
     y = _stack_product(unit, rows)
     dists = np.sqrt(np.add.reduceat(y * y, starts, axis=1))
@@ -85,13 +109,13 @@ def radius_rows(chain, i, feet):
 
 
 def tube_claims(chain, i, points):
-    projectors, penalty = chain._face_rows[i]
+    projectors, penalty, masks, _, _ = level_tables(chain, i)
     normals = chain.chamber.simple_normals
     n_faces = len(penalty)
     size = norms(points)
     far = np.abs(points @ normals.T) > _reach(chain, i, size)[:, None]
     far_bits = far @ (1 << np.arange(len(normals)))
-    candidate = (far_bits[:, None] & np.array(chain._face_masks[i])) == 0
+    candidate = (far_bits[:, None] & np.array(masks)) == 0
     live = np.flatnonzero(candidate.any(axis=1))
     n_rows, dim = len(live), points.shape[1]
     if not n_rows:

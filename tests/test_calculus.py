@@ -21,7 +21,7 @@ from orbitfold.calculus import (
 from orbitfold.chamber import fold
 from orbitfold.groups import preset_group
 from orbitfold.smoothing import (
-    _radius_at, apply_G, apply_H, build_chain, eval_h, eval_l)
+    TubeSpec, _radius_at, apply_G, apply_H, build_chain, eval_h, eval_l)
 from orbitfold.verify import check_growth
 from stencil_oracle import per_point, wall_sample
 
@@ -486,12 +486,21 @@ class TestGrowth:
         assert all(rep.exponents[o] <= rep.limits[o] for o in (1, 2))
         assert rep.radii == tuple([b2_chain.tubes.c0] * len(rep.distances))
 
-    def test_capped_region_is_flat(self, b2_chain):
-        # Far out the radius saturates at its cap, so there is no growth
-        # axis left to regress on and the exponent is zero by convention.
-        rep = growth_bound_check(b2_chain, 1, distances=(20.0, 25.0, 30.0))
+    def test_capped_region_is_flat(self):
+        # With a cap below every raw radius the radius is the cap at each
+        # probe foot, so there is no growth axis left to regress on and the
+        # exponent is zero by convention.
+        chain = build_chain(preset_group("b2"), TubeSpec(b={1: 0.1}, c={1: 1e-4}))
+        rep = growth_bound_check(chain, 1)
+        assert rep.radii == (1e-4,) * len(DEFAULT_GROWTH_DISTANCES)
         assert rep.exponents == {1: 0.0, 2: 0.0}
         assert max(rep.norms[1]) / min(rep.norms[1]) < 1.2
+
+    def test_distances_are_not_a_parameter(self, b2_chain):
+        # the fit reads only the fixed schedule: on b3 level 1, distances
+        # (0.1, -0.1, 0.01) gave exponents {1: 0.095, 2: 10.44}
+        with pytest.raises(TypeError):
+            growth_bound_check(b2_chain, 1, distances=(0.1, -0.1, 0.01))
 
     def test_three_dimensional_group(self):
         chain = build_chain(preset_group("b3"))

@@ -342,6 +342,18 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("command", ["verify", "build-map"])
+    @pytest.mark.parametrize("line,key", [("b = 5:0.9", "b_5"), ("c = 7:0.5", "c_7")])
+    def test_tubes_for_a_level_the_group_lacks_exit_two(self, capsys, tmp_path,
+                                                        command, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[group]\npreset = b2\n\n[tubes]\n{line}\n\n[sampling]\ncount = 5\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: tube parameter {key} given for a level the group lacks:"
+                       " b and c levels run 1..1\n")
+
     def test_unknown_preset_fails_before_computation(self, capsys):
         code, _, err = run(capsys, "verify", "--preset", "e8")
         assert code == 2

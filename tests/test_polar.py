@@ -383,5 +383,6 @@ class TestCrossingCurves:
             assert rep.slopes[1] >= 0.8
 
     def test_gap_validation(self):
-        with pytest.raises(ValueError):
-            eigen_crossing_curve(seed=0, gap=-1.0)
+        for gap in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gap must be positive and finite"):
+                eigen_crossing_curve(seed=0, gap=gap)

@@ -124,6 +124,20 @@ def test_fold_rows_equals_point_fold_at_every_scale(chain, chunk):
     assert got.tobytes() == want.tobytes()
 
 
+def test_level_tables_are_the_frozen_tables(chain):
+    """Each level's record holds the tables the frozen kernels build for
+    themselves, byte for byte, and its 0/1 active matrix marks the
+    penalty's inf entries, transposed."""
+    for i, level in enumerate(chain._levels):
+        projectors, penalty, masks, lower, starts = oracle.level_tables(chain, i)
+        assert level.faces == chain.stratification.faces_at_level(i) and level.masks == masks
+        _assert_same_bytes([level.projectors, level.penalty, level.active],
+                           [projectors, penalty, (penalty == np.inf).T.astype(float)])
+        if i:
+            _assert_same_bytes([level.lower], [lower])
+            assert level.starts == starts
+
+
 def _assert_pairs_equal_frozen_kernel(chain, level, stack):
     """Each (row, face) pair _tube_claims returns has the frozen kernel's
     foot, t, radius and claim, byte for byte; the pairs come in row-major
@@ -274,7 +288,7 @@ def test_lower_face_sums_are_one_body(name):
     points = _wide_points(chain, np.random.default_rng(53), 300)
     unit, _, _ = _unit_scaled_rows(points)
     for level in range(1, chain.rank):
-        rows, _ = chain._lower_rows[level]
+        rows = chain._levels[level].lower
         stacked = _lower_face_distance_rows(chain, level, points)
         products = _stack_product(unit, rows)
         agree = 0

@@ -198,6 +198,34 @@ def test_growth_lines_evaluate_each_base_point_once(chain, level, monkeypatch):
     assert calls == [len(calculus.DEFAULT_GROWTH_DISTANCES) * (2 * chain.group.dimension + 7)]
 
 
+@pytest.mark.parametrize("check", ["check_injectivity", "check_wall_preservation",
+                                   "check_identity_tail"])
+def test_checks_map_every_row_through_evaluate(chain, check, monkeypatch):
+    """The checks that map one stack through the composite take it through
+    calculus._evaluate, as the stencil checks do: every row the kernels
+    see comes through it, and it sees no other row."""
+    through, mapped, inside = [], [], []    # mapped: (inside _evaluate?, rows) per call
+    evaluate = verify._evaluate
+
+    def counting(fn, points):
+        through.append(len(points))
+        inside.append(True)
+        try:
+            return evaluate(fn, points)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify, "_evaluate", counting)
+    for name in ("_apply_G_rows", "_apply_partial_rows"):
+        kernel = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda chain_, *args, kernel=kernel:
+                            mapped.append((bool(inside), len(args[-1])))
+                            or kernel(chain_, *args))
+    getattr(verify, check)(chain, 40, 1)
+    assert mapped and all(within for within, _ in mapped)
+    assert sum(rows for _, rows in mapped) == sum(through) > 0
+
+
 def test_flatness_evaluates_five_rows_per_base_point(chain, monkeypatch):
     calls = []
     apply_F_rows = verify._apply_F_rows

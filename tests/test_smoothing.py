@@ -336,6 +336,21 @@ class TestRadii:
         with pytest.raises(ValueError, match="c_1 must be positive and finite"):
             TubeSpec(b={1: 0.1}, c={1: bad})
 
+    def test_tube_spec_refuses_a_nan_softmin_exponent(self):
+        with pytest.raises(ValueError, match="softmin exponent must be >= 1, got nan"):
+            TubeSpec(b={1: 0.1}, c={1: 1.0}, softmin_exponent=math.nan)
+
+    @pytest.mark.parametrize("b,c,error", [
+        ({0: 0.2, 1: 0.05}, {0: 3.0, 1: 1.0}, "b_0 given for a level the group lacks"),
+        ({1: 0.05, 5: 0.9}, {1: 1.0}, "b_5 given for a level the group lacks"),
+        ({1: 0.05}, {1: 1.0, 7: 0.5}, "c_7 given for a level the group lacks"),
+        ({1: 0.05}, {7: 0.5}, "c_1 missing"),
+    ], ids=["b_0", "b_5", "c_7", "c_1"])
+    def test_build_chain_refuses_levels_the_group_lacks(self, b, c, error):
+        # b2 has one level with a slope and a cap, level 1
+        with pytest.raises(ValueError, match=f"^tube parameter {error}: b and c levels run 1..1$"):
+            build_chain(preset_group("b2"), TubeSpec(b=b, c=c))
+
 
 # ---------------------------------------------------------------------------
 # tube coordinates
@@ -705,6 +720,9 @@ def test_face_sequences_match_their_definitions(preset):
             below = [f for f in strat.faces if f.level < level]
             want = [_dist_by_subset_enumeration(strat, f, x) for f in below]
             assert chain.lower_face_distances(level, x) == pytest.approx(want, abs=1e-15)
+        else:
+            with pytest.raises(ValueError, match=f"measured at levels 1..{chain.rank - 1}, not"):
+                chain.lower_face_distances(level, x)
 
 
 BAD_POINTS = {

@@ -150,9 +150,9 @@ def _ruled_out(chain, i, p):
     size, values = smoothing._point_walls(chain, p)
     reach = smoothing._reach(chain, i, size)
     out = []
-    for face, (active, rows) in zip(chain.stratification.faces_at_level(i),
-                                    chain._face_bounds[i]):
-        height = max(abs(values[j]) for j in active)
+    level = chain._levels[i]
+    for face, rows in zip(level.faces, level.rows):
+        height = max(abs(values[j]) for j in face.active)
         if height > reach or not rows or size >= _NORM_SAFE:
             continue
         nearest = min(sum(c * w for c, w in zip(row, values)) for row in rows)
@@ -187,13 +187,13 @@ def test_face_rows_give_the_distance_to_each_lower_face(any_chain):
     rng = np.random.default_rng(47)
     for i in range(1, chain.rank):
         lower = [f.active for f in strat.faces if f.level < i]     # lower_face_distances order
-        for face, (active, rows) in zip(strat.faces_at_level(i), chain._face_bounds[i]):
-            assert active == face.active and len(rows) == len(face.inactive)
+        for face, rows in zip(strat.faces_at_level(i), chain._levels[i].rows):
+            assert len(rows) == len(face.inactive)
             x = sample_face_point(chain, face, rng)
             dists = chain.lower_face_distances(i, x)
             values = (normals @ x).tolist()
             for k, row in zip(face.inactive, rows):
-                want = dists[lower.index(tuple(sorted(active + (k,))))]
+                want = dists[lower.index(tuple(sorted(face.active + (k,))))]
                 got = sum(c * w for c, w in zip(row, values))
                 assert got == pytest.approx(chain.tubes.b[i] * want, rel=1e-12, abs=1e-15)
 
@@ -203,8 +203,8 @@ def test_steep_slopes_keep_no_rows():
     whose rounding could pass the margin: they are not kept, and the claims
     stay the oracle's."""
     chain = build_chain(preset_group("a3"), TubeSpec(b={1: 1e5, 2: 0.1}, c={1: 1.0, 2: 1.0}))
-    assert [rows for _, rows in chain._face_bounds[1]] == [()] * 3
-    assert all(rows for _, rows in chain._face_bounds[2])
+    assert chain._levels[1].rows == ((),) * 3
+    assert all(chain._levels[2].rows)
     rng = np.random.default_rng(59)
     for p in rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(300, 1)):
         for i in range(chain.rank):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calculus import (_OffsetOrderError, _RankDeficientFitError, _RoundingFloorError,
                        _largest_control_slope, _least_resolved_slope, curve_jump_probe)
-from .chamber import chamber_from_group, classify, fold
+from .chamber import classify, fold
 from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
                      tube_spec_from_config)
 from .groups import preset_order
@@ -131,8 +131,8 @@ def _build_chain(cfg: RunConfig) -> SmoothChain:
 # ---------------------------------------------------------------------------
 
 def cmd_fold(cfg: RunConfig, points_path: str) -> int:
-    group = cfg.build_group()
-    chamber = chamber_from_group(group)
+    chain = _build_chain(cfg)       # refuses tubes for a level the group lacks
+    group, chamber = chain.group, chain.chamber
     points = _read_points(points_path, group.dimension)
     rows = []
     for p in points:

@@ -201,14 +201,30 @@ class ReflectionGroup:
         return len(self.elements)
 
     def element_index(self, matrix: np.ndarray) -> int:
-        """Index of the element equal to `matrix` within MATCH_TOL."""
+        """Index of the element equal to `matrix` within MATCH_TOL: the one
+        its key finds, with one dict lookup. A matrix whose key misses, such
+        as one that rounds across a key boundary, takes _nearest's scan."""
         idx = self._index.get(_matrix_key(matrix))
         if idx is not None:
             return idx
-        for i, e in enumerate(self.elements):  # rounding-boundary fallback
-            if np.all(np.abs(e.matrix - matrix) <= MATCH_TOL):
-                return i
+        (idx,), (gap,) = self._nearest(np.asarray(matrix)[None])
+        if gap <= MATCH_TOL:
+            return int(idx)
         raise ValueError("matrix does not match any group element")
+
+    def _nearest(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index, max-norm distance) of the element nearest to each matrix
+        of an (N, n, n) stack. The stack's keys are rounded at once and each
+        is looked up: keys round at 1e-7 and distinct elements lie much
+        farther apart, so the element a key finds is the nearest. A matrix
+        whose key misses is compared with every element, one matrix at a
+        time, so the scan holds O(|G|*n^2) floats however many keys miss;
+        where both ways apply they find the same element."""
+        elements = np.stack([e.matrix for e in self.elements])
+        index = np.array([self._index.get(key, -1) for key in _matrix_keys(mats)])
+        for row in np.flatnonzero(index < 0):
+            index[row] = np.abs(mats[row] - elements).max(axis=(1, 2)).argmin()
+        return index, np.abs(mats - elements[index]).max(axis=(1, 2))
 
 
 def _generic_witness(dimension: int, mirrors: Sequence[Hyperplane]) -> np.ndarray:
@@ -349,31 +365,12 @@ def _i2_normals(m: int) -> list[np.ndarray]:
     ]
 
 
-_PRESET_BUILDERS = {
-    "A2": lambda: (
-        [np.array([1.0, -1.0, 0.0]) / math.sqrt(2), np.array([0.0, 1.0, -1.0]) / math.sqrt(2)],
-        np.array([3.0, 2.0, 1.0]),
-    ),
-    "B2": lambda: (
-        [np.array([0.0, 1.0]), np.array([1.0, -1.0]) / math.sqrt(2)],
-        np.array([2.0, 1.0]),
-    ),
-    "A3": lambda: (
-        [
-            np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2),
-            np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2),
-            np.array([0.0, 0.0, 1.0, -1.0]) / math.sqrt(2),
-        ],
-        np.array([4.0, 3.0, 2.0, 1.0]),
-    ),
-    "B3": lambda: (
-        [
-            np.array([1.0, -1.0, 0.0]) / math.sqrt(2),
-            np.array([0.0, 1.0, -1.0]) / math.sqrt(2),
-            np.array([0.0, 0.0, 1.0]),
-        ],
-        np.array([3.0, 2.0, 1.0]),
-    ),
+# each preset's simple roots, with integer entries, and a witness in its chamber
+_PRESET_ROOTS = {
+    "A2": ([(1, -1, 0), (0, 1, -1)], (3, 2, 1)),
+    "B2": ([(0, 1), (1, -1)], (2, 1)),
+    "A3": ([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)], (4, 3, 2, 1)),
+    "B3": ([(1, -1, 0), (0, 1, -1), (0, 0, 1)], (3, 2, 1)),
 }
 
 PRESET_NAMES = ("I2", "A2", "B2", "A3", "B3")
@@ -394,7 +391,7 @@ def _preset_key(name: str, m: int | None) -> tuple[str, int | None]:
         if m < 2:
             raise ValueError("I2(m) needs m >= 2")
         return "I2", m
-    if key.upper() not in _PRESET_BUILDERS:
+    if key.upper() not in _PRESET_ROOTS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     return key.upper(), None
 
@@ -419,8 +416,9 @@ def preset_group(name: str, m: int | None = None) -> ReflectionGroup:
         theta = math.pi / (2 * m)
         witness = np.array([math.cos(theta), math.sin(theta)])
         return generate_group(normals, witness=witness)
-    normals, witness = _PRESET_BUILDERS[key]()
-    return generate_group(normals, witness=witness)
+    roots, witness = _PRESET_ROOTS[key]
+    normals = [np.array(r, dtype=float) / math.sqrt(np.dot(r, r)) for r in roots]
+    return generate_group(normals, witness=np.array(witness, dtype=float))
 
 
 def essential_split(group: ReflectionGroup, p: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:

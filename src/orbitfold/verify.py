@@ -34,10 +34,17 @@ h^(0..4) on (0, 0.2]) as one stack of profile jets, and holds the h of
 the stacked tube map, which every FD check runs, to those jets on the h'
 grid. check_closure compares the group's order with the one its caller
 expects; `orbitfold verify` reads that from the preset name
-(groups.preset_order), in any spelling preset_group accepts. It rounds
-its stacks of products and conjugated reflections once to element keys,
-and measures each matrix against the one element its key finds, with
-one dict lookup; if some key finds none, against every element.
+(groups.preset_order), in any spelling preset_group accepts. It
+certifies the element list S from the generators (Humphreys, Reflection
+Groups and Coxeter Groups, 1.5-1.7): the word () is the identity; each
+generator s_i times each element lies in S, so S holds every word in
+the generators; and the element with word (i, *w) is s_i times the
+element with word w, so S holds nothing else. "closure under products"
+reads the worst distance of the |G|*rank products s_i*e to S, at least
+1.0 when a word fails; "mirror conjugation closed" reads that of the
+|G|*|mirrors| conjugated reflections. ReflectionGroup._nearest finds
+the element of each by its key, and scans every element only for a
+matrix whose key misses.
 
 What is still evaluated one point at a time: check_fold's scalar fold
 images, kept so that they are checked, and the tube radius _radius_at,
@@ -85,7 +92,7 @@ from .chamber import (
     _square_sums,
     _stack_product,
 )
-from .groups import ReflectionGroup, _matrix_keys, reflection_matrix
+from .groups import ReflectionGroup, reflection_matrix
 from .smoothing import (
     SmoothChain,
     _apply_F_rows,
@@ -132,31 +139,24 @@ def check_closure(group: ReflectionGroup,
             name="group order", value=float(group.order),
             threshold=float(expected_order),
             passed=group.order == expected_order))
+    n, rank = group.dimension, len(group.generators)
     mats = np.stack([e.matrix for e in group.elements])
+    gens = np.stack([reflection_matrix(g.normal) for g in group.generators])
     reflections = np.stack([reflection_matrix(m.normal) for m in group.mirrors])
-    products = np.matmul(mats[:, None], mats[None])
+    # s_i e for every element e and generator s_i, in row e*rank + i
+    found, gaps = group._nearest(np.matmul(gens[None], mats[:, None]).reshape(-1, n, n))
+    # the word () is I, and the word (i, *w) is s_i times the word w
+    words = {e.word: k for k, e in enumerate(group.elements)}
+    spelled = () in words and np.abs(mats[words[()]] - np.eye(n)).max() <= 1e-9 and all(
+        e.word[0] in range(rank) and e.word[1:] in words
+        and found[words[e.word[1:]] * rank + e.word[0]] == k
+        for k, e in enumerate(group.elements) if e.word)
+    worst = float(gaps.max()) if spelled else max(float(gaps.max()), 1.0)
     conjugates = mats[:, None] @ reflections[None] @ mats.transpose(0, 2, 1)[:, None]
-    out.append(_result("closure under products", _distance_to_group(group, mats, products),
-                       1e-9))
+    out.append(_result("closure under products", worst, 1e-9))
     out.append(_result("mirror conjugation closed",
-                       _distance_to_group(group, mats, conjugates), 1e-9))
+                       float(group._nearest(conjugates.reshape(-1, n, n))[1].max()), 1e-9))
     return out
-
-
-def _distance_to_group(group: ReflectionGroup, mats: np.ndarray, moved: np.ndarray) -> float:
-    """Largest max-norm distance from a (k, m, n, n) stack of matrices to
-    the elements mats of the group. Each matrix is looked up by its element
-    key, and its distance is the one to the element found: keys round at
-    1e-7 and distinct elements lie much farther apart, so that element is
-    the nearest. When some key finds no element, each block moved[i] is
-    compared with every element instead; max and min are exact, so both
-    ways give the same bits where both apply."""
-    flat = moved.reshape(-1, *mats.shape[1:])
-    found = [group._index.get(key) for key in _matrix_keys(flat)]
-    if None in found:
-        return max(float(np.abs(block[:, None] - mats).max(axis=(2, 3)).min(axis=1).max())
-                   for block in moved)
-    return float(np.abs(flat - mats[found]).max())
 
 
 # ---------------------------------------------------------------------------

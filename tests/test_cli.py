@@ -354,6 +354,17 @@ class TestVerify:
         assert err == (f"error: tube parameter {key} given for a level the group lacks:"
                        " b and c levels run 1..1\n")
 
+    def test_fold_refuses_tubes_for_a_level_the_group_lacks(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\npreset = b2\n\n[tubes]\nb = 5:0.9\n")
+        points = tmp_path / "points.csv"
+        points.write_text("1,2\n")
+        code, out, err = run(capsys, "fold", str(points), "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: tube parameter b_5 given for a level the group lacks:"
+                       " b and c levels run 1..1\n")
+
     def test_unknown_preset_fails_before_computation(self, capsys):
         code, _, err = run(capsys, "verify", "--preset", "e8")
         assert code == 2

@@ -25,10 +25,12 @@ fold's derivatives jump across a wall at every offset. With H replaced
 by the stacked fold on the origin lines, both "origin line jump decay"
 lines must fail for the same reason.
 
-check_closure finds each product's element by its key. Two controls
-hold it: keys that all miss must give the full comparison's values bit
-for bit, and a group with one element rotated slightly off must fail
-"closure under products".
+check_closure certifies the element list from the generators, and finds
+each product's element by its key (groups._matrix_keys). Keys that all
+miss must give the scan's values bit for bit. An element list with one
+element dropped, with an orthogonal matrix outside the group appended,
+or with two words swapped must fail "closure under products" on a3, b3
+and B4, and so must a group with one element rotated slightly off.
 
 With every point G maps moved by 1e-6 along the chamber's witness, so
 that wall points leave their walls, "wall sets preserved by the
@@ -90,7 +92,7 @@ import re
 import numpy as np
 import pytest
 
-from orbitfold import calculus, smoothing, verify
+from orbitfold import calculus, groups, smoothing, verify
 from orbitfold.chamber import _fold_rows, _square_sums
 from orbitfold.cli import main
 from orbitfold.groups import GroupElement, preset_group
@@ -108,6 +110,7 @@ from orbitfold.verify import (
     check_wall_smoothness,
     run_verification,
 )
+from normals_groups import named_group
 
 LINE = "stacked h equals its jet on (0,2]"
 _g_rows = smoothing._g_rows
@@ -141,12 +144,52 @@ def test_stacked_g_mutation_fails_the_profile_line(monkeypatch, mutation):
     assert failed == [LINE]
 
 
-@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3", "B4"])
 def test_closure_keys_that_all_miss_give_the_same_values(monkeypatch, preset):
-    group = preset_group(preset)
+    group = named_group(preset)
     keyed = [r.value for r in check_closure(group, group.order)]
-    monkeypatch.setattr(verify, "_matrix_keys", lambda mats: [b""] * len(mats))
+    monkeypatch.setattr(groups, "_matrix_keys", lambda mats: [b""] * len(mats))
     assert [r.value for r in check_closure(group, group.order)] == keyed
+
+
+def _dropped(group):
+    """The group less its last element, the longest word."""
+    return dataclasses.replace(group, elements=group.elements[:-1])
+
+
+def _stranger(group):
+    """The group with one more element: element 1 turned by 0.3 rad in the
+    plane of the first two axes, an orthogonal matrix outside the group,
+    spelled as a word no element has."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.eye(group.dimension)
+    turn[:2, :2] = [[c, -s], [s, c]]
+    word = (0,) * (len(group.elements[-1].word) + 2)
+    stranger = GroupElement._unchecked(turn @ group.elements[1].matrix, word)
+    return dataclasses.replace(group, elements=group.elements + (stranger,))
+
+
+def _misspelled(group):
+    """The group with the words of elements 1 and 2, s_0 and s_1, swapped."""
+    first, second = group.elements[1:3]
+    swapped = (GroupElement._unchecked(first.matrix.copy(), second.word),
+               GroupElement._unchecked(second.matrix.copy(), first.word))
+    return dataclasses.replace(group, elements=group.elements[:1] + swapped
+                               + group.elements[3:])
+
+
+@pytest.mark.parametrize("mutation", [_dropped, _stranger, _misspelled])
+@pytest.mark.parametrize("name", ["a3", "b3", "B4"])
+def test_a_broken_element_list_fails_closure(name, mutation):
+    """Each mutation breaks one fact of the certificate. With an element
+    dropped, some generator times some element lies about 1.0 from every
+    element left. An element outside the group, and a wrong word, each
+    leave a word that does not spell its element, which reads 1.0."""
+    group = named_group(name)
+    assert all(r.passed for r in check_closure(group, group.order))
+    (result,) = [r for r in check_closure(mutation(group))
+                 if r.name == "closure under products"]
+    assert not result.passed and result.value > 0.9
 
 
 @pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])

@@ -30,19 +30,14 @@ from orbitfold.smoothing import (
     tube_coords,
     validate_tubes,
 )
+from normals_groups import NORMALS as GIVEN
 from sampler_oracle import sample_face_point, tube_hits
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
-# groups given by [group] normals: H3 and B4 as in the ROADMAP's state
-# paragraph, and the order-6 group with a fixed line of the CLI snapshot
-_Y = -0.5 / math.sin(math.pi / 5.0)
-NORMALS = {
-    "H3": [(1.0, 0.0, 0.0), (-math.cos(math.pi / 5.0), math.sin(math.pi / 5.0), 0.0),
-           (0.0, _Y, math.sqrt(1.0 - _Y * _Y))],
-    "B4": [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)],
-    "skew": [(1, 1, 0), (0, 1, -1), (1, 0, 1)],
-}
+# groups given by [group] normals: H3 and B4, and the order-6 group with a
+# fixed line of the CLI snapshot
+NORMALS = {"H3": GIVEN["H3"], "B4": GIVEN["B4"], "skew": [(1, 1, 0), (0, 1, -1), (1, 0, 1)]}
 
 
 def _build(name):

@@ -7,7 +7,7 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, `verify --preset A3` (a preset spelled in capitals), and eleven
+--out, `verify --preset A3` (a preset spelled in capitals), and ten
 edge configurations: a rank-1 group under `verify` and `probe`, two groups
 of rank 3 given by `[group] normals` under `verify` and `build-map` (the
 axis group A1^3, and an order-6 group with a fixed line whose generators
@@ -19,8 +19,9 @@ schedule at the rounding floor, which they refuse, under a
 configuration that sets the offsets alone and names no group, and b3
 under `verify`, `probe` and `grid` with tube caps of 0.08 at levels 1 and
 2, small enough that the stacked cap blend of the tube radius runs (no
-default case reaches it), and b2 under `verify` with a slope for level
-5, a level b2 lacks, which is refused with exit 2. The `fold` inputs are
+default case reaches it), and b2 under `verify` and `fold` (on the b2
+`fold` inputs) with a slope for level 5, a level b2 lacks, which is
+refused with exit 2. The `fold` inputs are
 generated here from numpy alone and written to OUTDIR/inputs, so they do
 not depend on the code under test. Beside random, log-scale and on-mirror points they
 hold, on a2, b2, a3 and b3, points on two mirrors at once (the strata of
@@ -70,7 +71,7 @@ EDGE_CONFIGS = {
     "sym3-offsets-only": (("demo-sym3",), "[probe]\noffsets = 0.3,0.1,0.03,0.01,0.001\n"),
     "small-caps": (("verify", "probe", "grid"),
                    "[group]\npreset = b3\n\n[tubes]\nc = 1:0.08,2:0.08\n"),
-    "missing-level": (("verify",), "[group]\npreset = b2\n\n[tubes]\nb = 5:0.9\n"),
+    "missing-level": (("verify", "fold"), "[group]\npreset = b2\n\n[tubes]\nb = 5:0.9\n"),
 }
 
 
@@ -182,6 +183,8 @@ def cases(outdir: Path) -> list[tuple[str, list[str]]]:
         for command in commands:
             name = f"{label}-{command}"
             args = [command, "--config", str(config)]
+            if command == "fold":       # the one fold edge configuration is on b2
+                args.insert(1, str(inputs / "b2.csv"))
             out.append((name, [*args, "--out", f"{name}.out"]))
             if command == "demo-sym3":
                 out.append((f"{name}-stdout", args))

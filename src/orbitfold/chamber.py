@@ -15,12 +15,11 @@ import dataclasses
 import itertools
 import math
 import sys
-import weakref
 from typing import Iterable
 
 import numpy as np
 
-from .groups import GroupElement, ReflectionGroup
+from .groups import GroupElement, ReflectionGroup, _require_finite
 
 ON_WALL_TOL = 1e-9        # relative wall-incidence and membership tolerance
 _RANK_TOL = 1e-9
@@ -291,8 +290,7 @@ def _as_point(p: Iterable[float], dim: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (dim,):
         raise ValueError(f"point must have shape ({dim},), got {p.shape}")
-    if not all(map(math.isfinite, p.tolist())):
-        raise ValueError(f"point has a non-finite coordinate: {p.tolist()}")
+    _require_finite(p, "point")
     return p
 
 
@@ -360,41 +358,16 @@ def _incident_rows(group: ReflectionGroup, points: np.ndarray) -> np.ndarray:
     return np.abs(values) <= slack[:, None]
 
 
-# per group, the rank of each wall subset met so far (_wall_rank)
-_WALL_RANKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _wall_rank(group: ReflectionGroup, walls: tuple[int, ...]) -> int:
-    """Rank of the normals of the mirrors `walls`.
-
-    The rank depends on the wall subset alone, so its SVD is taken once per
-    subset, at the subset's first use, and kept in _WALL_RANKS.
-    """
-    ranks = _WALL_RANKS.setdefault(group, {})
-    rank = ranks.get(walls)
-    if rank is None:
-        rank = 0
-        if walls:
-            svals = np.linalg.svd(group.mirror_normals[list(walls)], compute_uv=False)
-            rank = int(np.sum(svals > _RANK_TOL))
-        ranks[walls] = rank
-    return rank
-
-
 def _classify_rows(group: ReflectionGroup, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """classify at every row of an (N, n) stack, at ON_WALL_TOL: (incident,
     level), with incident the (N, m) mask of the mirrors through each row
-    and level its stratum's level. Each distinct wall subset looks its rank
-    up once."""
+    and level its stratum's level, essential_rank minus the number of
+    singular values above _RANK_TOL of the row's incident mirror normals.
+    The other normals are zeroed, so one SVD call covers the whole stack."""
     incident = _incident_rows(group, points)
-    if not len(incident):
-        return incident, np.zeros(0, dtype=int)
-    packed = np.packbits(incident, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    ranks = np.array([_wall_rank(group, tuple(np.flatnonzero(incident[k]).tolist()))
-                      for k in first.tolist()])
-    return incident, group.essential_rank - ranks[inverse.reshape(-1)]
+    normals = np.where(incident[:, :, None], group.mirror_normals, 0.0)
+    svals = np.linalg.svd(normals, compute_uv=False)
+    return incident, group.essential_rank - np.sum(svals > _RANK_TOL, axis=1)
 
 
 def classify(group: ReflectionGroup, p: Iterable[float]) -> StratumDescriptor:
@@ -403,8 +376,8 @@ def classify(group: ReflectionGroup, p: Iterable[float]) -> StratumDescriptor:
 
     Incidence is relative: |<p_eff, n>| <= ON_WALL_TOL * (1 + |p_eff|),
     plus the rounding of the essential split (_wall_values). The level is
-    essential_rank minus the rank of the collected normals (_wall_rank),
-    so the minimal stratum gets level 0 everywhere the group acts.
+    essential_rank minus the rank of the collected normals, so the minimal
+    stratum gets level 0 everywhere the group acts.
 
     The 1 keeps the tolerance at ON_WALL_TOL or more near 0, so a point
     with |p_eff| below about 1e-9 lies on every mirror and classifies to
@@ -507,21 +480,6 @@ class Stratification:
 
     def faces_at_level(self, level: int) -> tuple[Face, ...]:
         return self.by_level.get(level, ())
-
-    def face_contains(self, face: Face, p: np.ndarray) -> bool:
-        """Membership of p in the closed face, wall by wall with classify's
-        threshold: on every active wall and not beyond any inactive one.
-
-        On the closed chamber the mirrors through p are spanned by the
-        simple walls through p, since the nonzero coefficients of a positive
-        root over unit simple roots are >= 1. So a chamber point classify
-        puts at level i passes for some level-i face.
-        """
-        values, slack = _wall_values(self.group, np.asarray(p, dtype=float)[None],
-                                     self.chamber.simple_normals)
-        vals, slack = values[0].tolist(), float(slack[0])
-        return (all(abs(vals[j]) <= slack for j in face.active)
-                and all(vals[j] >= -slack for j in face.inactive))
 
     def interior_point(self, face: Face, radius: float = 1.0) -> np.ndarray:
         """A point in the relative interior of the face at the given scale."""

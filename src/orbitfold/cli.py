@@ -119,10 +119,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_chain(cfg: RunConfig) -> SmoothChain:
-    group, tubes = tube_spec_from_config(cfg)
+    """The configured chain; a group or tubes the configuration cannot build
+    (a non-finite or zero normal, an infinite group, tube parameters for a
+    level the group lacks) is a ConfigError."""
     try:
+        group, tubes = tube_spec_from_config(cfg)
         return build_chain(group, tubes=tubes)
-    except ValueError as exc:       # tube parameters for a level the group lacks
+    except (ValueError, RuntimeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

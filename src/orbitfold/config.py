@@ -83,6 +83,9 @@ class RunConfig:
                 raise ConfigError("grid fields must share one dimension")
             if any(n < 0 for n in self.nodes):
                 raise ConfigError("node counts must be non-negative")
+            widths = tuple(hi - lo for lo, hi in zip(self.box_min, self.box_max))
+            if not all(map(math.isfinite, self.box_min + self.box_max + widths)):
+                raise ConfigError("box_min, box_max and their difference must be finite")
             for lo, hi in zip(self.box_min, self.box_max):
                 if hi < lo:
                     raise ConfigError("box_max must dominate box_min")

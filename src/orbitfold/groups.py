@@ -28,6 +28,14 @@ class GroupClosureError(RuntimeError):
     than the cap."""
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first NaN or infinite entry of a 1-D array."""
+    vals = arr.tolist()
+    if not all(map(math.isfinite, vals)):
+        i = next(i for i, x in enumerate(vals) if not math.isfinite(x))
+        raise ValueError(f"{what} has a non-finite entry {vals[i]} at index {i}: {vals}")
+
+
 def _as_unit_vector(v: Iterable[float]) -> np.ndarray:
     """v, or v/|v| when |v| is off 1 by more than UNIT_TOL.
 
@@ -42,6 +50,7 @@ def _as_unit_vector(v: Iterable[float]) -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.size == 0:
         raise ValueError("normal must be a nonempty 1-D vector")
+    _require_finite(arr, "normal")
     _, e = math.frexp(float(np.max(np.abs(arr))))
     scaled = np.ldexp(arr, -e)
     norm = float(np.linalg.norm(scaled))
@@ -426,6 +435,7 @@ def essential_split(group: ReflectionGroup, p: Iterable[float]) -> tuple[np.ndar
     p = np.asarray(p, dtype=float)
     if p.shape != (group.dimension,):
         raise ValueError(f"point must have shape ({group.dimension},)")
+    _require_finite(p, "point")
     basis = group.fixed_subspace
     if basis.shape[1] == 0:
         return np.zeros_like(p), p.copy()

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chamber import _norm, classify, fold
+from .chamber import _as_point, _incident_rows, _norm, _reflect_into_chamber
 from .groups import ReflectionGroup, generate_group, preset_group
 from .smoothing import SmoothChain, apply_H
 
@@ -199,11 +199,11 @@ def _require_regular(model: PolarModel, chamber, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (model.section_dim,):
         raise ValueError(f"section value must have shape ({model.section_dim},)")
-    folded = fold(model.weyl, chamber, v).image
-    desc = classify(model.weyl, folded)
-    if desc.walls_containing:
+    image = _reflect_into_chamber(chamber.simple_normals, _as_point(v, chamber.dimension),
+                                  model.weyl.order)[0]
+    if _incident_rows(model.weyl, image[None]).any():
         raise ValueError("section value lies on a wall; level set is not regular")
-    return folded
+    return image
 
 
 def equidistance_probe(

@@ -58,6 +58,7 @@ from .chamber import (
     _stack_product,
     _unit_scaled,
     _unit_scaled_rows,
+    _wall_values,
     chamber_from_group,
     classify,
     strata_levels,
@@ -186,6 +187,8 @@ def eval_h(t: float, order: int = 0) -> float:
         raise ValueError(f"t is not finite: {t}")
     if t < 0.0:
         raise ValueError("h is only evaluated at t >= 0")
+    if not isinstance(order, (int, np.integer)):
+        raise ValueError(f"order must be an integer, got {order!r}")
     if not 0 <= order <= DERIVATIVE_ORDER_MAX:
         raise ValueError(
             f"order {order} outside supported range 0..{DERIVATIVE_ORDER_MAX}")
@@ -470,8 +473,15 @@ def _check_tube_level(chain: SmoothChain, i: int) -> None:
 def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
     """Tube radius of level i at a point x of a level-i face.
 
-    A point classify puts at level i on the closed chamber passes the face
-    test (Stratification.face_contains shares its threshold).
+    x must classify to level i; its face comes from one row of wall values
+    over the simple normals, at classify's threshold. On the closed chamber
+    the mirrors through x are spanned by the simple walls through x (the
+    nonzero coefficients of a positive root over unit simple roots are >=
+    1), so x lies on a level-i face. The simple normals are mirror normals
+    up to sign, bit for bit, so the on-wall walls (|v| <= slack) are
+    incident mirrors; being independent, they number at most k - i, the
+    active count of a level-i face. So x lies in the closed face F exactly
+    when F.active is the on-wall set and no value is below -slack.
     """
     _check_tube_level(chain, i)
     x = _as_point(x, chain.chamber.dimension)
@@ -480,9 +490,12 @@ def eval_l(chain: SmoothChain, i: int, x: Iterable[float]) -> float:
         raise ValueError(f"point classifies to level {desc.level}, not {i}")
     if i == 0:
         return chain.tubes.c0
-    for face in chain.stratification.faces_at_level(i):
-        if chain.stratification.face_contains(face, x):
-            return _radius_at(chain, face, x)
+    values, slack = _wall_values(chain.group, x[None], chain.chamber.simple_normals)
+    if not (values < -slack[:, None]).any():
+        on_wall = tuple(np.flatnonzero(np.abs(values[0]) <= slack[0]).tolist())
+        for face in chain.stratification.faces_at_level(i):
+            if face.active == on_wall:
+                return _radius_at(chain, face, x)
     raise ValueError(f"point is not on any level-{i} chamber face")
 
 

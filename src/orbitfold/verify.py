@@ -423,7 +423,7 @@ def _wall_probes(chain: SmoothChain, points: int, seed: int,
     rng = np.random.default_rng(seed)
     drawn, xs = _face_samples(chain, chain.stratification.faces_at_level(chain.rank - 1),
                               points, rng, (1.0, 2.0))
-    incident, _ = _classify_rows(chain.group, xs)
+    incident = _incident_rows(chain.group, xs)
     samples = [(x, face, int(walls.argmax()))
                for x, face, walls in zip(xs, drawn, incident) if walls.sum() == 1]
     return _wall_reports(chain, lambda rows: _apply_partial_rows(chain, 0, rows), samples,

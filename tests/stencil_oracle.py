@@ -18,6 +18,7 @@ point into one. wall_sample gives a wall probe's sample at a point.
 
 import numpy as np
 
+import stratum_oracle
 from orbitfold.calculus import _STENCILS, JUMP_FLOOR, STEP_FRACTION
 from orbitfold.chamber import classify
 
@@ -33,7 +34,8 @@ def wall_sample(chain, x):
     x = np.asarray(x, dtype=float)
     wall, = classify(chain.group, x).walls_containing
     strat = chain.stratification
-    face = next(f for f in strat.faces_at_level(chain.rank - 1) if strat.face_contains(f, x))
+    face = next(f for f in strat.faces_at_level(chain.rank - 1)
+                if stratum_oracle.face_contains(strat, f, x))
     return x, face, wall
 
 

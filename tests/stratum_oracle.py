@@ -49,7 +49,8 @@ def classify(group, p, tol=ON_WALL_TOL):
 
 def face_contains(strat, face, p):
     """Membership of p in the closed face, wall by wall with classify's
-    threshold."""
+    threshold: on every active wall and not beyond any inactive one. eval_l
+    must take the first face of its level that passes."""
     p_eff, slack = incidence(strat.group, np.asarray(p, dtype=float))
     vals = (strat.chamber.simple_normals @ p_eff).tolist()
     return (all(abs(vals[j]) <= slack for j in face.active)

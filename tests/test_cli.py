@@ -365,6 +365,36 @@ class TestVerify:
         assert err == ("error: tube parameter b_5 given for a level the group lacks:"
                        " b and c levels run 1..1\n")
 
+    @pytest.mark.parametrize("command", ["verify", "grid", "fold", "build-map", "probe"])
+    @pytest.mark.parametrize("normals,error", [
+        ("nan,1; 1,0", "error: normal has a non-finite entry nan at index 0: [nan, 1.0]\n"),
+        ("1,0; 0,0", "error: normal must be nonzero\n"),
+    ], ids=["nan-normal", "zero-normal"])
+    def test_a_group_the_config_cannot_build_exits_two(self, capsys, tmp_path, command,
+                                                       normals, error):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[group]\nnormals = {normals}\n\n[sampling]\ncount = 5\n")
+        points = tmp_path / "points.csv"
+        points.write_text("1,2\n")
+        args = [command, str(points)] if command == "fold" else [command]
+        code, out, err = run(capsys, *args, "--config", str(cfg))
+        assert (code, out, err) == (2, "", error)
+
+    def test_an_infinite_group_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\nnormals = 1,0; 0.6,0.8\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: group closure exceeded the cap of "
+                                           "10000 elements\n")
+
+    def test_a_non_finite_grid_box_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\npreset = b2\n\n[grid]\nbox_min = nan,0\n"
+                       "box_max = 1,1\nnodes = 3,3\n")
+        code, out, err = run(capsys, "grid", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: box_min, box_max and their "
+                                           "difference must be finite\n")
+
     def test_unknown_preset_fails_before_computation(self, capsys):
         code, _, err = run(capsys, "verify", "--preset", "e8")
         assert code == 2

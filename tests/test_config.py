@@ -140,6 +140,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dominate"):
             RunConfig(preset="b2", box_min=(1.0,), box_max=(-1.0,), nodes=(3,))
 
+    @pytest.mark.parametrize("box_min,box_max", [
+        ("nan,0", "1,1"), ("-inf,0", "1,1"), ("-1,-1", "1,inf"), ("-1,-1", "nan,1"),
+        ("-1e308,-1", "1e308,1"),       # finite, but box_max - box_min overflows
+    ])
+    def test_box_must_be_finite(self, box_min, box_max):
+        with pytest.raises(ConfigError,
+                           match="box_min, box_max and their difference must be finite"):
+            parse_config(f"[group]\npreset = b2\n[grid]\nbox_min = {box_min}\n"
+                         f"box_max = {box_max}\nnodes = 3,3\n")
+
     def test_zero_nodes_allowed(self):
         cfg = RunConfig(preset="b2", box_min=(-1.0,), box_max=(1.0,), nodes=(0,))
         assert cfg.nodes == (0,)

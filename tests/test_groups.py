@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
 from pathlib import Path
 
@@ -320,6 +321,29 @@ def test_hyperplane_sign_identification():
     assert np.allclose(_canonical_sign(a.normal), _canonical_sign(b.normal))
     with pytest.raises(ValueError):
         Hyperplane([0.0, 0.0])
+
+
+@pytest.mark.parametrize("normal,entry", [
+    ([math.nan, 1.0], "nan at index 0"),
+    ([math.inf, 0.0], "inf at index 0"),
+    ([1.0, -math.inf], "-inf at index 1"),
+])
+def test_hyperplane_names_a_non_finite_entry(normal, entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"normal has a non-finite entry {entry}"):
+            Hyperplane(normal)
+        with pytest.raises(ValueError, match=f"normal has a non-finite entry {entry}"):
+            generate_group([normal, [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("name,point,entry", [
+    ("a2", [0.0, math.nan, 1.0], "nan at index 1"),
+    ("b2", [math.inf, 0.0], "inf at index 0"),
+])
+def test_essential_split_names_a_non_finite_entry(name, point, entry):
+    with pytest.raises(ValueError, match=f"point has a non-finite entry {entry}"):
+        essential_split(preset_group(name), point)
 
 
 def test_essential_split_a2_diagonal_is_fixed():

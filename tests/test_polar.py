@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from orbitfold import chamber
 from orbitfold.calculus import curve_jump_probe
 from orbitfold.chamber import classify, fold
 from orbitfold.polar import (
@@ -328,6 +329,38 @@ class TestEquidistance:
         with pytest.raises(ValueError, match="regular"):
             equidistance_probe(model, chain, np.array([2.0, 2.0, -1.0]),
                                np.array([3.0, 1.0, -0.5]))
+
+    @pytest.mark.parametrize("v,message", [
+        ([3.0, 1.0], r"section value must have shape \(3,\)"),
+        ([3.0, math.nan, -0.5], r"point has a non-finite entry nan at index 1: \[3.0, nan, -0.5\]"),
+        ([2.0, -1.0, 2.0], "section value lies on a wall; level set is not regular"),
+    ])
+    def test_refusals_of_either_value(self, sym_setup, v, message):
+        model, chain = sym_setup
+        good = [2.6, 1.2, -0.7]
+        for v1, v2 in ((v, good), (good, v)):
+            with pytest.raises(ValueError, match=message):
+                equidistance_probe(model, chain, np.array(v1), np.array(v2))
+
+    def test_probe_makes_no_public_fold_or_classify_call(self, sym_setup, radial_setup,
+                                                         monkeypatch):
+        """The section values are folded by the fold loop alone and tested
+        against the mirror incidence mask: neither the public fold, which
+        also builds the fold element, nor classify is called."""
+        calls = []
+        for public in (chamber.fold, chamber.classify):
+            def counted(*args, inner=public):
+                calls.append(inner.__name__)
+                return inner(*args)
+            # every module that bound the public function by name calls the counted one
+            for name, module in list(sys.modules.items()):
+                if (name.split(".")[0] == "orbitfold"
+                        and getattr(module, public.__name__, None) is public):
+                    monkeypatch.setattr(module, public.__name__, counted)
+        for (model, chain), v1, v2 in ((sym_setup, [1.0, 3.0, -0.5], [2.6, 1.2, -0.7]),
+                                       (radial_setup, [-1.0], [1.7])):
+            equidistance_probe(model, chain, np.array(v1), np.array(v2), samples=2)
+        assert calls == []
 
     def test_radial_origin_rejected(self, radial_setup):
         model, chain = radial_setup

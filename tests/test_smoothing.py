@@ -27,6 +27,7 @@ from orbitfold import (
 from orbitfold.calculus import growth_bound_check
 from orbitfold.chamber import ON_WALL_TOL
 from orbitfold.smoothing import (
+    DERIVATIVE_ORDER_MAX,
     SmoothChain,
     TubeConfigError,
     TubeSpec,
@@ -114,6 +115,16 @@ class TestProfile:
             eval_h(0.5, 5)
         with pytest.raises(ValueError, match="order"):
             eval_h(0.5, -1)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("order", [1.5, 2.0, "2", None])
+    def test_rejects_a_non_integer_order(self, t, order):
+        with pytest.raises(ValueError, match=r"order must be an integer, got"):
+            eval_h(t, order)
+
+    def test_accepts_numpy_integer_orders(self):
+        for order in range(DERIVATIVE_ORDER_MAX + 1):
+            assert eval_h(0.5, np.int64(order)) == eval_h(0.5, order)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_t(self, t):

@@ -2,7 +2,9 @@
 and the per-point samplers they replaced.
 
 _classify_rows, and classify with it, must give the walls and level of
-the frozen scalar rule in stratum_oracle row by row, and
+the frozen scalar rule in stratum_oracle row by row, on the presets, H3,
+B4 and F4; eval_l must take the radius of the first face the frozen
+wall-by-wall face test accepts, and refuse a point no face accepts; and
 _tube_claims must claim the face tube_coords gives, with its t and radius
 to 1e-15, on points from 1e-300 to 1e300, half of them within 1e-10*|p|
 of a mirror. The stacked samplers must choose the points of the frozen
@@ -21,13 +23,16 @@ import pytest
 
 import sampler_oracle as oracle
 import stratum_oracle
-from orbitfold.chamber import _classify_rows, classify
+from normals_groups import named_group
+from orbitfold.chamber import _classify_rows, _fold_rows, classify
 from orbitfold.groups import generate_group, preset_group
 from orbitfold.smoothing import (
     TubeConfigError,
     TubeSpec,
+    _radius_at,
     _tube_claims,
     build_chain,
+    eval_l,
     tube_coords,
     validate_tubes,
 )
@@ -67,8 +72,13 @@ def _scale_sample(chain, rng, count=150):
     return np.concatenate([points, np.einsum("kij,kj->ki", mats, points)])
 
 
-def test_classify_rows_is_classify_row_by_row(chain):
-    points = _scale_sample(chain, np.random.default_rng(5))
+@pytest.mark.parametrize("name", PRESETS + ["H3", "B4", "F4"])
+def test_classify_rows_is_classify_row_by_row(name):
+    chain = build_chain(named_group(name))
+    sample = _scale_sample(chain, np.random.default_rng(5))
+    # with their fold images, which lie on the chamber faces eval_l reads
+    points = np.concatenate([sample, _fold_rows(chain.chamber.simple_normals, sample,
+                                                chain.group.order)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         incident, level = _classify_rows(chain.group, points)
@@ -79,8 +89,15 @@ def test_classify_rows_is_classify_row_by_row(chain):
         assert desc.walls_containing == tuple(np.flatnonzero(walls).tolist())
         assert desc.level == lv
         assert classify(chain.group, p) == desc
-        for face in strat.faces:
-            assert strat.face_contains(face, p) == stratum_oracle.face_contains(strat, face, p)
+        if 0 < lv < chain.rank:
+            # eval_l takes the first level-lv face the wall-by-wall test accepts
+            face = next((f for f in strat.faces_at_level(lv)
+                         if stratum_oracle.face_contains(strat, f, p)), None)
+            if face is None:
+                with pytest.raises(ValueError, match=f"not on any level-{lv} chamber face"):
+                    eval_l(chain, lv, p)
+            else:
+                assert eval_l(chain, lv, p) == _radius_at(chain, face, p)
         levels.add(lv)
     assert levels >= {0, chain.rank}
 

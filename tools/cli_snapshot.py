@@ -7,7 +7,7 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, `verify --preset A3` (a preset spelled in capitals), and ten
+--out, `verify --preset A3` (a preset spelled in capitals), and fourteen
 edge configurations: a rank-1 group under `verify` and `probe`, two groups
 of rank 3 given by `[group] normals` under `verify` and `build-map` (the
 axis group A1^3, and an order-6 group with a fixed line whose generators
@@ -21,10 +21,12 @@ under `verify`, `probe` and `grid` with tube caps of 0.08 at levels 1 and
 2, small enough that the stacked cap blend of the tube radius runs (no
 default case reaches it), and b2 under `verify` and `fold` (on the b2
 `fold` inputs) with a slope for level 5, a level b2 lacks, which is
-refused with exit 2. The `fold` inputs are
-generated here from numpy alone and written to OUTDIR/inputs, so they do
-not depend on the code under test. Beside random, log-scale and on-mirror points they
-hold, on a2, b2, a3 and b3, points on two mirrors at once (the strata of
+refused with exit 2, and four configurations refused with exit 2: a NaN
+normal under `verify` and `grid`, a zero normal and two generators whose
+closure is infinite under `verify`, and a NaN `[grid] box_min` under
+`grid`. The `fold` inputs are generated here from numpy alone and
+written to OUTDIR/inputs, so they do not depend on the code under test.
+Beside random, log-scale and on-mirror points they hold, on a2, b2, a3 and b3, points on two mirrors at once (the strata of
 level rank - 2), and on every preset points moved off one mirror along
 its normal by 0.5 and 2 times classify's threshold 1e-9*(1 + |p_eff|),
 so the `level` and `walls` columns record classify's decision on every
@@ -72,6 +74,11 @@ EDGE_CONFIGS = {
     "small-caps": (("verify", "probe", "grid"),
                    "[group]\npreset = b3\n\n[tubes]\nc = 1:0.08,2:0.08\n"),
     "missing-level": (("verify", "fold"), "[group]\npreset = b2\n\n[tubes]\nb = 5:0.9\n"),
+    "nan-normal": (("verify", "grid"), "[group]\nnormals = nan,1; 1,0\n"),
+    "zero-normal": (("verify",), "[group]\nnormals = 1,0; 0,0\n"),
+    "infinite-group": (("verify",), "[group]\nnormals = 1,0; 0.6,0.8\n"),
+    "nan-grid": (("grid",), "[group]\npreset = b2\n\n[grid]\nbox_min = nan,0\n"
+                            "box_max = 1,1\nnodes = 3,3\n"),
 }
 
 

@@ -46,9 +46,8 @@ from .smoothing import (
     default_tubes,
     eval_h,
     eval_l,
-    validate_tubes,
 )
-from .verify import CheckResult, run_verification
+from .verify import CheckResult, run_verification, validate_tubes
 
 __version__ = "0.1.0"
 

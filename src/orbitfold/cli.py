@@ -27,8 +27,8 @@ from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
                      tube_spec_from_config)
 from .groups import preset_order
 from .polar import eigen_crossing_curve, model_H, random_rotation, sym_eig_model, sym_to_matrix
-from .smoothing import SmoothChain, TubeConfigError, apply_H, build_chain, validate_tubes
-from .verify import CheckResult, _wall_probes, run_verification
+from .smoothing import SmoothChain, apply_H, build_chain
+from .verify import _slope_margins, _tube_lines, _wall_probes, run_verification
 
 
 def _fmt(x: float) -> str:
@@ -175,33 +175,17 @@ def cmd_grid(cfg: RunConfig) -> int:
     return 0
 
 
-def _tube_check(chain: SmoothChain) -> tuple[CheckResult, dict]:
-    try:
-        report = validate_tubes(chain)
-    except TubeConfigError as exc:
-        ok, detail = False, str(exc)
-        info = {"ok": False, "error": str(exc)}
-    else:
-        ok = True
-        detail = (f"{report.tube_points_checked} tube points, "
-                  f"min slope margin "
-                  f"{min(report.slope_margins.values(), default=math.inf):.3g}")
-        info = {
-            "ok": True,
-            "theta_min": report.theta_min,
-            "slope_margins": {str(k): v for k, v in report.slope_margins.items()},
-            "tube_points_checked": report.tube_points_checked,
-        }
-    result = CheckResult(name="tube geometry (slope bound, disjoint, unique feet)",
-                         value=1.0 if ok else 0.0, threshold=1.0, passed=ok,
-                         detail=detail)
-    return result, info
-
-
 def cmd_build_map(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     group = chain.group
-    check, validation = _tube_check(chain)
+    lines, checked = _tube_lines(chain, 0)
+    failed = [line.detail for line in lines if not line.passed]
+    if failed:
+        validation = {"ok": False, "error": failed[0]}
+    else:
+        theta, _, margins = _slope_margins(chain)
+        validation = {"ok": True, "theta_min": theta, "tube_points_checked": checked,
+                      "slope_margins": {str(k): v for k, v in margins.items()}}
     doc = {
         "group": {
             "preset": cfg.preset,
@@ -220,7 +204,7 @@ def cmd_build_map(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     _emit_json(cfg.out, doc)
-    return 0 if check.passed else 1
+    return 1 if failed else 0
 
 
 def cmd_probe(cfg: RunConfig) -> int:
@@ -284,9 +268,8 @@ def cmd_demo_sym3(cfg: RunConfig, matrices_path: str | None) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     expected = preset_order(cfg.preset) if cfg.preset else None
-    results = [_tube_check(chain)[0]]
-    results += run_verification(chain, count=cfg.count, seed=cfg.seed,
-                                expected_order=expected)
+    results = run_verification(chain, count=cfg.count, seed=cfg.seed,
+                               expected_order=expected)
     for r in results:
         sys.stdout.write(r.line() + "\n")
     passed = all(r.passed for r in results)

@@ -52,7 +52,6 @@ from .chamber import (
     _norm,
     _norms,
     _null_space_basis,
-    _orthogonal_directions,
     _reduce_columns,
     _reflect_into_chamber,
     _stack_product,
@@ -225,7 +224,10 @@ class TubeSpec:
 
 
 def minimal_wall_angle(group: ReflectionGroup) -> tuple[float, tuple[int, int] | None]:
-    """Smallest dihedral angle between any two mirrors, with the pair."""
+    """Smallest dihedral angle between any two mirrors, with the first pair
+    at it; (pi/2, None) with fewer than two mirrors. No angle exceeds
+    pi/2, so the first pair is kept when every pair meets at a right
+    angle."""
     best = math.pi / 2.0
     pair = None
     mirrors = group.mirrors
@@ -233,7 +235,7 @@ def minimal_wall_angle(group: ReflectionGroup) -> tuple[float, tuple[int, int] |
         for j in range(i + 1, len(mirrors)):
             c = abs(float(mirrors[i].normal @ mirrors[j].normal))
             ang = math.acos(min(c, 1.0))
-            if ang < best:
+            if pair is None or ang < best:
                 best, pair = ang, (i, j)
     return best, pair
 
@@ -416,9 +418,8 @@ def _radius_at(chain: SmoothChain, face: Face, x: np.ndarray,
 
     The lower-face distances come from SmoothChain.lower_face_distances,
     exact on the closed chamber. Every caller stays there: the feet of
-    _claiming_face pass the open-face test, eval_l points and wall-probe
-    samples lie on a face (to the classification tolerance) and
-    validate_tubes uses interior points.
+    _claiming_face pass the open-face test, and eval_l points and
+    wall-probe samples lie on a face (to the classification tolerance).
 
     The cap blend is one formula, (1 - w)*raw + w*c_i with w =
     g(raw/c_i - 1): g is 0 for raw <= c_i and 1 for raw >= 2c_i, so it
@@ -772,87 +773,3 @@ def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     image, _, values = _reflect_into_chamber(chain.chamber.simple_normals, p,
                                              chain.group.order)
     return _apply_partial(chain, image, _point_walls(chain, image, values))
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class TubeReport:
-    theta_min: float | None
-    slope_margins: dict[int, float]    # bound minus configured slope
-    tube_points_checked: int
-
-
-def validate_tubes(chain: SmoothChain) -> TubeReport:
-    """Check the slope bound, tube disjointness, and foot uniqueness.
-
-    The analytic bound b_i <= sin(theta_min)/4 is checked first and raises
-    TubeConfigError naming the offending wall pair; the sampling checks then
-    confirm disjointness of same-level tubes and that each sampled tube
-    point projects back to the face it was built over. Each face is sampled
-    along 4 random normal directions (seed 0) at 3 scales and 3 heights;
-    each level's samples meet its tubes in one _tube_claims pass, and the
-    first offending sample, in sampling order, raises.
-    """
-    group = chain.group
-    theta: float | None
-    slope_margins: dict[int, float] = {}
-    if len(group.mirrors) >= 2:
-        theta, pair = minimal_wall_angle(group)
-        bound = math.sin(theta) / 4.0
-        for i, b_i in chain.tubes.b.items():
-            slope_margins[i] = bound - b_i
-            if b_i > bound + 1e-12:
-                raise TubeConfigError(
-                    f"slope b_{i} = {b_i:g} exceeds sin(theta_min)/4 = {bound:.6g}"
-                    f" set by mirror pair {pair}")
-    else:
-        theta = None
-        slope_margins = {i: math.inf for i in chain.tubes.b}
-
-    rng = np.random.default_rng(0)
-    strat = chain.stratification
-    dim = chain.chamber.dimension
-    checked = 0
-    fracs = np.array([0.25, 0.6, 0.95])
-    for level in range(1, chain.rank):
-        faces = strat.faces_at_level(level)
-        owner, bases, scales, points = [], [], [], []    # per block of samples
-        for f, face in enumerate(faces):
-            dirs = _orthogonal_directions(face.basis, rng, 4)
-            for scale in (0.3, 1.0, 3.0):
-                x = strat.interior_point(face, radius=scale)
-                radius = _radius_at(chain, face, x)
-                # x + (frac*radius)*v for each direction v, then each frac
-                block = (x + (fracs * radius)[:, None] * dirs[:, None, :]).reshape(-1, dim)
-                owner += [f] * len(block)
-                bases += [x] * len(block)
-                scales += [scale] * len(block)
-                points.append(block)
-        # every sample of the level against every level face, in one pass;
-        # the pairs come in sampling order
-        points, owner = np.concatenate(points), np.array(owner, dtype=int)
-        n = len(points)
-        rows, pair_faces, claims, _, _, feet = _tube_claims(chain, level, points)
-        own_face = pair_faces == owner[rows]
-        overlap = np.flatnonzero(claims & ~own_face)     # held by another face
-        # a sample its own tube does not hold fell past a face edge; harmless
-        own = np.flatnonzero(claims & own_face)
-        drift = np.linalg.norm(feet[own] - np.array(bases)[rows[own]], axis=1)
-        moved = rows[own[drift > 1e-9 * (1.0 + np.array(scales)[rows[own]])]]
-        checked += n
-        if overlap.size and (not moved.size or rows[overlap[0]] <= moved[0]):
-            k = rows[overlap[0]]
-            raise TubeConfigError(
-                f"tubes overlap at level {level}: faces"
-                f" {faces[owner[k]].active} and {faces[pair_faces[overlap[0]]].active}"
-                f" both contain {points[k]}")
-        if moved.size:
-            raise TubeConfigError(f"foot of a level-{level} tube point is not unique")
-    return TubeReport(
-        theta_min=theta,
-        slope_margins=slope_margins,
-        tube_points_checked=checked,
-    )

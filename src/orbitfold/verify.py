@@ -19,16 +19,17 @@ accepts 0.64 to 0.96 of its draws (4,000 draws, seed 1), so one block
 mostly serves, and a second block's fold and tube tests, a fixed cost
 paid for a handful of points, are rare.
 
-The flatness check, the wall probes and the wall-preservation check draw
-their face points through one sampler, _face_samples, which takes every
-draw of a check's samples from one rng block, in the order a
-point-at-a-time loop drew them; the flatness check steps off each face
-along its Face.normal. The wall probes fold their stencil points once:
-the fold is the control, and H is the smoothing of its images. The wall
-and origin probes' reports come from calculus._probe_reports, which
-checks each probe's offsets once and fits every decay slope of a check,
-jumps and controls, in one stack; check_growth's exponents come from
-the same fit.
+The flatness check, the wall probes, the wall-preservation check and the
+tube check draw their face points through one sampler, _face_samples,
+which takes every draw of a check's samples from one rng block, in the
+order a point-at-a-time loop drew them; the flatness check steps off each
+face along its Face.normal, and the tube check along random normals, to
+heights set by the stacked _radius_rows. The wall probes fold their
+stencil points once: the fold is the control, and H is the smoothing of
+its images. The wall and origin probes' reports come from
+calculus._probe_reports, which checks each probe's offsets once and fits
+every decay slope of a check, jumps and controls, in one stack;
+check_growth's exponents come from the same fit.
 check_profile takes each of its grids (h on [1, 3], h' on (0, 2] and
 h^(0..4) on (0, 0.2]) as one stack of profile jets, and holds the h of
 the stacked tube map, which every FD check runs, to those jets on the h'
@@ -48,8 +49,8 @@ matrix whose key misses.
 
 What is still evaluated one point at a time: check_fold's scalar fold
 images, kept so that they are checked, and the tube radius _radius_at,
-taken per sample by check_flatness, calculus._wall_reports,
-growth_bound_check and validate_tubes. The stacked _radius_rows of the
+taken per sample by check_flatness, calculus._wall_reports and
+growth_bound_check. The stacked _radius_rows of the
 tube kernels would move their values: on 1,600 face points of
 _face_samples (800 per level, seed 0, |x| in [1, 2]) it differs from
 _radius_at in the last bit at 334 points on a3 and 211 on b3, up to
@@ -87,6 +88,7 @@ from .chamber import (
     _classify_rows,
     _fold_rows,
     _incident_rows,
+    _orthogonal_directions,
     _reflect_into_chamber,
     _split_rows,
     _square_sums,
@@ -95,6 +97,7 @@ from .chamber import (
 from .groups import ReflectionGroup, reflection_matrix
 from .smoothing import (
     SmoothChain,
+    TubeConfigError,
     _apply_F_rows,
     _apply_G_rows,
     _apply_H_rows,
@@ -104,6 +107,9 @@ from .smoothing import (
     _h_derivatives,
     _h_rows,
     _radius_at,
+    _radius_rows,
+    _tube_claims,
+    minimal_wall_angle,
 )
 
 @dataclasses.dataclass(frozen=True)
@@ -534,6 +540,92 @@ def check_growth(chain: SmoothChain) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
+# 8: tube geometry
+# ---------------------------------------------------------------------------
+
+def _slope_margins(chain: SmoothChain) -> tuple[float | None, tuple[int, int] | None,
+                                                 dict[int, float]]:
+    """(theta_min, the mirror pair at it, {i: sin(theta_min)/4 - b_i} over
+    the tube levels). With fewer than two mirrors there is no angle, and the
+    rank is at most 1, so there are no tube levels either."""
+    if len(chain.group.mirrors) < 2:
+        return None, None, {}
+    theta, pair = minimal_wall_angle(chain.group)
+    bound = math.sin(theta) / 4.0
+    return theta, pair, {i: bound - b_i for i, b_i in chain.tubes.b.items()}
+
+
+def _tube_lines(chain: SmoothChain, seed: int) -> tuple[list[CheckResult], int]:
+    """check_tubes' lines, and the number of tube points they read."""
+    theta, pair, margins = _slope_margins(chain)
+    excess, slope_at = -math.inf, "no tube levels"
+    if margins:
+        level = min(margins, key=margins.get)     # the first with the least margin
+        excess = -margins[level]
+        slope_at = (f"slope b_{level} = {chain.tubes.b[level]:g}"
+                    f" {'exceeds' if excess > 1e-12 else 'is within'} sin(theta_min)/4 ="
+                    f" {math.sin(theta) / 4.0:.6g} set by mirror pair {pair}")
+    rng = np.random.default_rng(seed)
+    heights = np.array([0.25, 0.6, 0.95])
+    dim = chain.group.dimension
+    overlaps, overlap_at, drift, drift_at, checked = 0, "", 0.0, "", 0
+    for level in range(1, chain.rank):
+        faces = chain.stratification.faces_at_level(level)
+        drawn, xs = _face_samples(chain, faces, 3 * len(faces), rng, (0.3, 3.0))
+        dirs = [_orthogonal_directions(face.basis, rng, 4) for face in drawn]
+        # sample s gives x_s + (height*l_i(x_s))*v for each direction v, then
+        # each height
+        points = np.concatenate([(x + (heights * r)[:, None] * d[:, None, :]).reshape(-1, dim)
+                                 for x, r, d in zip(xs, _radius_rows(chain, level, xs), dirs)])
+        sample = np.repeat(np.arange(len(xs)), [len(heights) * len(d) for d in dirs])
+        # every point of the level against every level face, in one pass;
+        # the pairs come in sampling order
+        rows, pair_faces, claims, _, _, feet = _tube_claims(chain, level, points)
+        home = sample[rows] % len(faces)         # the face the pair's point was drawn on
+        other = np.flatnonzero(claims & (pair_faces != home))
+        if other.size and not overlap_at:
+            k = other[0]
+            overlap_at = (f"tubes overlap at level {level}: faces {faces[home[k]].active}"
+                          f" and {faces[pair_faces[k]].active} both contain {points[rows[k]]}")
+        overlaps += len(set(rows[other].tolist()))
+        # a point its own tube does not hold fell past a face edge; harmless
+        own = np.flatnonzero(claims & (pair_faces == home))
+        bases = xs[sample[rows[own]]]
+        moved = np.sqrt(_square_sums(feet[own] - bases)) / (1.0 + np.sqrt(_square_sums(bases)))
+        if moved.size and (not drift_at or moved.max() > drift):
+            j = int(moved.argmax())
+            k, drift = own[j], float(moved[j])
+            drift_at = (f"largest foot drift at level {level}: tube point {points[rows[k]]}"
+                        f" of face {faces[home[k]].active}")
+        checked += len(points)
+    return [_result("tube slope within sin(theta_min)/4", excess, 1e-12, detail=slope_at),
+            _result("same-level tubes disjoint", overlaps, 0.0, detail=overlap_at or (
+                f"none of {checked} tube points held by another face's tube")),
+            _result("tube feet unique", drift, 1e-9,
+                    detail=drift_at or "no tube point held by its own tube")], checked
+
+
+def check_tubes(chain: SmoothChain, seed: int = 0) -> list[CheckResult]:
+    """Tube geometry as three lines: the slope bound b_i <= sin(theta_min)/4,
+    same-level tubes disjoint, and each tube point's foot the face point x
+    it was built over. The points are 36 per face of levels 1..rank-1: 3
+    samples x of _face_samples at radii in [0.3, 3), each moved along 4
+    random normals v to x + (height*l_i(x))*v, heights 0.25, 0.6 and 0.95.
+    Each level's points meet its tubes in one _tube_claims pass."""
+    return _tube_lines(chain, seed)[0]
+
+
+def validate_tubes(chain: SmoothChain) -> list[CheckResult]:
+    """check_tubes at seed 0: its lines when all pass, or TubeConfigError
+    with the detail of the first line that fails."""
+    lines, _ = _tube_lines(chain, 0)
+    for line in lines:
+        if not line.passed:
+            raise TubeConfigError(line.detail)
+    return lines
+
+
+# ---------------------------------------------------------------------------
 # 9: identity tail
 # ---------------------------------------------------------------------------
 
@@ -552,21 +644,25 @@ def check_identity_tail(chain: SmoothChain, count: int = 1000,
 # ---------------------------------------------------------------------------
 
 def _reported(check, *args) -> list[CheckResult]:
-    """check(*args) as a list; a ValueError from it (an image outside the
-    closed chamber, say) is one FAIL line "<check> raised", value nan."""
+    """check(*args) as a list. A ValueError from it (an image outside the
+    closed chamber, say), a RuntimeError (a sampler that finds no point)
+    or an ArithmeticError (a stencil step whose power overflows) is one
+    FAIL line "<check> raised", value nan; its detail is the ValueError's
+    message, or the other error's type and message."""
     try:
         out = check(*args)
-    except ValueError as exc:
-        return [CheckResult(f"{check.__name__} raised", math.nan, math.nan, False, str(exc))]
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        detail = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        return [CheckResult(f"{check.__name__} raised", math.nan, math.nan, False, detail)]
     return out if isinstance(out, list) else [out]
 
 
 def run_verification(chain: SmoothChain, count: int = 200, seed: int = 0,
                      expected_order: int | None = None) -> list[CheckResult]:
     """Group-scoped verification: every check that applies to a single
-    chain, at a sample size suitable for a command-line run; a check that
-    raises a ValueError gives one FAIL line (_reported)."""
-    runs = [(check_closure, chain.group, expected_order),
+    chain, at a sample size suitable for a command-line run, the tube
+    geometry first; a check that raises gives one FAIL line (_reported)."""
+    runs = [(check_tubes, chain, seed), (check_closure, chain.group, expected_order),
             (check_fold, chain.group, chain.chamber, count, seed), (check_profile,),
             (check_flatness, chain, min(count, 50), seed),
             (check_wall_smoothness, chain, min(count, 20), seed),

@@ -1,14 +1,15 @@
-"""The verify samplers and validate_tubes' sampling checks as they were
-before they were stacked, frozen for tests.
+"""The verify samplers and the tube check as point-at-a-time loops,
+frozen for tests.
 
 Each Gaussian sampler draws one point per try from the rng it is given,
 folds it with the public fold, and tests it with the public classify,
 essential_split and tube_coords, one point at a time. sample_face_point
 draws one face point per call, as the flatness check, the wall probes and
-the wall-preservation check did. The stacked samplers in orbitfold.verify
-must choose the same points, bit for bit, from the same seed. tube_hits
-walks every face of a level for the tubes that hold a point, with no bound
-on which faces to try."""
+the wall-preservation check did; validate_tube_samples draws check_tubes'
+points through it and tests them one at a time. The stacked samplers in
+orbitfold.verify must choose the same points, bit for bit, from the same
+seed. tube_hits walks every face of a level for the tubes that hold a
+point, with no bound on which faces to try."""
 
 import math
 
@@ -17,7 +18,7 @@ import numpy as np
 from orbitfold import smoothing
 from orbitfold.chamber import ON_WALL_TOL, _orthogonal_directions, classify, fold
 from orbitfold.groups import essential_split
-from orbitfold.smoothing import TubeConfigError, tube_coords
+from orbitfold.smoothing import tube_coords
 
 
 def sample_face_point(chain, face, rng, radius_range=(0.5, 2.0)):
@@ -119,34 +120,33 @@ def regular_margin_points(chain, rng, count):
                       (count, chain.group.dimension))
 
 
-def validate_tube_samples(chain):
-    """validate_tubes' sampling checks, one point at a time through
-    tube_hits: the number of points checked, or the TubeConfigError of the
-    first offending point."""
-    rng = np.random.default_rng(0)
-    strat = chain.stratification
-    checked = 0
+def validate_tube_samples(chain, seed=0):
+    """check_tubes' points, drawn and tested one at a time through
+    face_samples and tube_hits: (points checked, points held by another
+    face's tube, the overlap message of the first of them, the largest
+    |foot - x|/(1 + |x|) over the points their own tube holds)."""
+    rng = np.random.default_rng(seed)
+    checked, overlaps, first, drift = 0, 0, "", 0.0
     for level in range(1, chain.rank):
-        for face in strat.faces_at_level(level):
-            dirs = _orthogonal_directions(face.basis, rng, 4)
-            for scale in (0.3, 1.0, 3.0):
-                x = strat.interior_point(face, radius=scale)
-                radius = smoothing._radius_at(chain, face, x)
-                for v in dirs:
-                    for frac in (0.25, 0.6, 0.95):
-                        p = x + (frac * radius) * v
-                        hits = tube_hits(chain, level, p)
-                        checked += 1
-                        owners = [h for h in hits if h[0] is face]
-                        others = [h for h in hits if h[0] is not face]
-                        if others:
-                            raise TubeConfigError(
-                                f"tubes overlap at level {level}: faces"
-                                f" {face.active} and {others[0][0].active}"
-                                f" both contain {p}")
-                        if not owners:
-                            continue
-                        if np.linalg.norm(owners[0][1] - x) > 1e-9 * (1 + scale):
-                            raise TubeConfigError(
-                                f"foot of a level-{level} tube point is not unique")
-    return checked
+        faces = chain.stratification.faces_at_level(level)
+        drawn = [faces[j % len(faces)] for j in range(3 * len(faces))]
+        xs = face_samples(chain, faces, len(drawn), rng, (0.3, 3.0))
+        dirs = [_orthogonal_directions(face.basis, rng, 4) for face in drawn]
+        for face, x, face_dirs in zip(drawn, xs, dirs):
+            radius = smoothing._radius_rows(chain, level, x[None])[0]
+            for v in face_dirs:
+                for frac in (0.25, 0.6, 0.95):
+                    p = x + (frac * radius) * v
+                    hits = tube_hits(chain, level, p)
+                    checked += 1
+                    others = [h for h in hits if h[0] is not face]
+                    if others:
+                        overlaps += 1
+                        first = first or (f"tubes overlap at level {level}: faces"
+                                          f" {face.active} and {others[0][0].active}"
+                                          f" both contain {p}")
+                    owners = [h for h in hits if h[0] is face]
+                    if owners:
+                        drift = max(drift, float(np.linalg.norm(owners[0][1] - x))
+                                    / (1.0 + float(np.linalg.norm(x))))
+    return checked, overlaps, first, drift

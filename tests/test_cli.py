@@ -327,7 +327,28 @@ class TestVerify:
                        "\n[sampling]\ncount = 10\n")
         code, out, _ = run(capsys, "verify", "--config", str(cfg))
         assert code == 1
-        assert "FAIL tube geometry" in out
+        assert out.startswith("FAIL tube slope within sin(theta_min)/4: value=")
+
+    @pytest.mark.parametrize("c0,raised", [
+        ("20", {"check_regular_jacobian": "RuntimeError"}),
+        ("1e200", {"check_origin_smoothness": "OverflowError",
+                   "check_regular_jacobian": "RuntimeError"}),
+    ])
+    def test_a_check_that_raises_is_one_fail_line(self, capsys, tmp_path, c0, raised):
+        # at c0 = 20 the margin sampler finds no regular point, and from
+        # about c0 = 1e160 a stencil step's power overflows
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[group]\npreset = b3\n\n[tubes]\nc0 = {c0}\n"
+                       "\n[sampling]\ncount = 10\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg),
+                             "--out", str(tmp_path / "verify.json"))
+        assert code == 1 and err == "" and "Traceback" not in out
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        got = {c["name"][:-len(" raised")]: c["detail"].split(":")[0]
+               for c in checks if c["name"].endswith(" raised")}
+        assert got == raised
+        for name in raised:
+            assert f"FAIL {name} raised: value=nan threshold=nan" in out.splitlines()
 
     @pytest.mark.parametrize("section,line", [
         ("tubes", "c0 = nan"), ("tubes", "b = 1:nan"), ("tubes", "c0 = inf"),

@@ -60,6 +60,14 @@ fit. With it replaced by the smooth p + <p, w>^2*w, w the unit chamber
 witness, the control's jump decays linearly with the offset, and "fold
 control slope stays flat" must fail with a slope near 1.
 
+check_tubes holds the tube geometry the maps need. With every tube
+radius widened 8x (the tube kernels' _radius_rows and the heights the
+check samples at) and the wall-distance rule that assumes the slope bound
+switched off (smoothing._reach), "same-level tubes disjoint" must fail on
+b2, a3 and b3. A chain whose last tube level has a slope 1e-6 over
+sin(theta_min)/4 must fail "tube slope within sin(theta_min)/4", and only
+that line: its tubes still sample as disjoint.
+
 A map broken badly enough to raise inside a check is reported, not
 raised: with the stacked fold of verify replaced by the identity, an a3
 run_verification must return, fail "fold orbit invariance" and one
@@ -106,6 +114,7 @@ from orbitfold.verify import (
     check_origin_smoothness,
     check_growth,
     check_profile,
+    check_tubes,
     check_wall_preservation,
     check_wall_smoothness,
     run_verification,
@@ -231,6 +240,36 @@ def test_scaled_smoothing_fails_the_identity_tail(monkeypatch, preset):
 
 def _failed(results):
     return [r.name for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("preset", ["b2", "a3", "b3"])
+def test_widened_tubes_fail_disjointness(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: check_tubes(chain, seed=1)
+    assert _failed(check()) == []
+    for module in (smoothing, verify):
+        radius = module._radius_rows
+        monkeypatch.setattr(module, "_radius_rows",
+                            lambda *args, radius=radius: 8.0 * radius(*args))
+    monkeypatch.setattr(smoothing, "_reach", lambda chain, i, size: np.full(np.shape(size), np.inf))
+    (result,) = [r for r in check() if not r.passed]
+    assert result.name == "same-level tubes disjoint" and result.value >= 10
+    assert result.detail.startswith("tubes overlap at level ")
+
+
+@pytest.mark.parametrize("preset", ["b2", "a3", "b3"])
+def test_a_slope_over_the_bound_fails_the_slope_line(preset):
+    chain = build_chain(preset_group(preset))
+    assert _failed(check_tubes(chain, seed=1)) == []
+    theta, _, _ = verify._slope_margins(chain)
+    level = chain.rank - 1
+    bound = np.sin(theta) / 4.0
+    steep = build_chain(chain.group, tubes=dataclasses.replace(
+        chain.tubes, b={**chain.tubes.b, level: bound * (1.0 + 1e-6)}))
+    (result,) = [r for r in check_tubes(steep, seed=1) if not r.passed]
+    assert result.name == "tube slope within sin(theta_min)/4"
+    assert result.value == pytest.approx(1e-6 * bound, rel=1e-6)
+    assert result.detail.startswith(f"slope b_{level} = ")
 
 
 @pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])

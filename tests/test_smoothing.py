@@ -23,6 +23,7 @@ from orbitfold import (
     generate_group,
     preset_group,
     strata_levels,
+    validate_tubes,
 )
 from orbitfold.calculus import growth_bound_check
 from orbitfold.chamber import ON_WALL_TOL
@@ -43,8 +44,8 @@ from orbitfold.smoothing import (
     minimal_wall_angle,
     softmin,
     tube_coords,
-    validate_tubes,
 )
+from orbitfold.verify import _slope_margins
 
 
 # values of h and derivatives, frozen from 60-digit evaluation of
@@ -664,8 +665,9 @@ class TestHalfLine:
                 eval_h(u, 0), abs=1e-15)
 
     def test_validation_trivial(self):
-        report = validate_tubes(self.build())
-        assert report.theta_min is None
+        chain = self.build()
+        assert [line.value for line in validate_tubes(chain)] == [-math.inf, 0.0, 0.0]
+        assert _slope_margins(chain) == (None, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -676,15 +678,25 @@ class TestValidation:
     @pytest.mark.parametrize("preset", ["i2-3", "i2-4", "a2", "b2", "a3", "b3"])
     def test_default_configuration_passes(self, preset):
         chain = build_chain(preset_group(preset))
-        report = validate_tubes(chain)
-        assert report.tube_points_checked > 0
-        assert all(m >= 0 for m in report.slope_margins.values())
+        slope, disjoint, feet = validate_tubes(chain)
+        assert slope.passed and disjoint.passed and feet.passed
+        _, _, margins = _slope_margins(chain)
+        assert margins and all(m >= 0 for m in margins.values())
+        assert slope.value == -min(margins.values())
 
     def test_minimal_angles(self):
         assert minimal_wall_angle(preset_group("b2"))[0] == pytest.approx(math.pi / 4)
         assert minimal_wall_angle(preset_group("a2"))[0] == pytest.approx(math.pi / 3)
         assert minimal_wall_angle(preset_group("b3"))[0] == pytest.approx(math.pi / 4)
         assert minimal_wall_angle(preset_group("i2", m=7))[0] == pytest.approx(math.pi / 7)
+
+    def test_right_angles_name_their_pair(self):
+        # every pair of the two axis mirrors meets at pi/2: the first is named
+        group = generate_group([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        assert minimal_wall_angle(group) == (math.pi / 2, (0, 1))
+        chain = build_chain(group, tubes=TubeSpec(b={1: 0.3}, c={1: 1.0}))
+        with pytest.raises(TubeConfigError, match=r"b_1 = 0.3 exceeds .* mirror pair \(0, 1\)$"):
+            validate_tubes(chain)
 
     def test_oversized_slope_rejected_with_pair(self):
         chain = build_chain(preset_group("b2"),

@@ -34,21 +34,25 @@ from orbitfold.smoothing import (
     build_chain,
     eval_l,
     tube_coords,
-    validate_tubes,
 )
 from orbitfold import chamber, smoothing, verify
 from orbitfold.verify import (
+    _face_samples,
     _regular_margin_points,
     _separated_pairs,
     _tail_points,
+    _tube_lines,
     check_identity_tail,
     check_injectivity,
     check_regular_jacobian,
+    check_tubes,
     check_wall_preservation,
+    validate_tubes,
 )
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
-TUBE_POINTS = {"i2-3": 72, "i2-4": 72, "a2": 72, "b2": 72, "a3": 216, "b3": 216}
+TUBE_POINTS = {"i2-3": 72, "i2-4": 72, "a2": 72, "b2": 72, "a3": 216, "b3": 216,
+               "H3": 216, "B4": 504, "F4": 504}
 
 
 @pytest.fixture(scope="module", params=PRESETS)
@@ -75,15 +79,21 @@ def _scale_sample(chain, rng, count=150):
 @pytest.mark.parametrize("name", PRESETS + ["H3", "B4", "F4"])
 def test_classify_rows_is_classify_row_by_row(name):
     chain = build_chain(named_group(name))
-    sample = _scale_sample(chain, np.random.default_rng(5))
-    # with their fold images, which lie on the chamber faces eval_l reads
+    rng = np.random.default_rng(5)
+    sample = _scale_sample(chain, rng)
+    strat = chain.stratification
+    # with their fold images, which lie on the chamber faces eval_l reads,
+    # and points on the faces of every level above 0 at two scales; none
+    # at |p| <= 1e-9, which classify's threshold puts at level 0
+    on_faces = [_face_samples(chain, strat.faces_at_level(lv), 2 * len(strat.faces_at_level(lv)),
+                              rng, scales)[1]
+                for lv in range(1, chain.rank + 1) for scales in ((1.0, 2.0), (1e299, 1e300))]
     points = np.concatenate([sample, _fold_rows(chain.chamber.simple_normals, sample,
-                                                chain.group.order)])
+                                                chain.group.order), *on_faces])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         incident, level = _classify_rows(chain.group, points)
     levels = set()
-    strat = chain.stratification
     for p, walls, lv in zip(points, incident, level.tolist()):
         desc = stratum_oracle.classify(chain.group, p)
         assert desc.walls_containing == tuple(np.flatnonzero(walls).tolist())
@@ -99,7 +109,7 @@ def test_classify_rows_is_classify_row_by_row(name):
             else:
                 assert eval_l(chain, lv, p) == _radius_at(chain, face, p)
         levels.add(lv)
-    assert levels >= {0, chain.rank}
+    assert levels == set(range(chain.rank + 1))
 
 
 def test_tube_claims_give_tube_coords(chain):
@@ -219,10 +229,12 @@ def test_separated_pairs_carry_over_blocks(monkeypatch):
     assert seconds.tobytes() == block[1::2][apart][:12].tobytes()
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_tube_points_checked_are_pinned(preset):
-    chain = build_chain(preset_group(preset))
-    assert validate_tubes(chain).tube_points_checked == TUBE_POINTS[preset]
+@pytest.mark.parametrize("name", PRESETS + ["H3", "B4", "F4"])
+def test_tube_points_checked_are_pinned(name):
+    """36 points per face of levels 1..rank-1: 3 samples, 4 directions and
+    3 heights each."""
+    chain = build_chain(named_group(name))
+    assert _tube_lines(chain, 0)[1] == TUBE_POINTS[name]
 
 
 @pytest.mark.parametrize("widen", [1.0, 8.0])
@@ -230,24 +242,27 @@ def test_tube_points_checked_are_pinned(preset):
 def test_validate_tubes_raises_at_the_first_offending_point(monkeypatch, preset, widen):
     """With every radius widened past what the slope bound allows, and the
     wall-distance rule that assumes the bound switched off, same-level tubes
-    overlap: the stacked check names the point the per-point loop stopped
-    at."""
-    for name in ("_radius_at", "_radius_rows"):
-        radius = getattr(smoothing, name)
-        monkeypatch.setattr(smoothing, name,
-                            lambda *args, radius=radius: widen * radius(*args))
+    overlap: the stacked check counts the points the per-point loop counts,
+    names the first one it met, and validate_tubes raises with that name."""
+    for module, name in ((smoothing, "_radius_at"), (smoothing, "_radius_rows"),
+                         (verify, "_radius_rows")):
+        radius = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, radius=radius: widen * radius(*args))
     monkeypatch.setattr(smoothing, "_reach", lambda chain, i, size: np.full(np.shape(size), np.inf))
     chain = build_chain(preset_group(preset))
-    try:
-        expected = oracle.validate_tube_samples(chain)
-    except TubeConfigError as exc:
-        expected = str(exc)
-    try:
-        got = validate_tubes(chain).tube_points_checked
-    except TubeConfigError as exc:
-        got = str(exc)
-    assert got == expected
-    assert isinstance(got, int) == (widen == 1.0)
+    checked, overlaps, first, drift = oracle.validate_tube_samples(chain, seed=3)
+    (slope, disjoint, feet), got_checked = _tube_lines(chain, 3)
+    assert got_checked == checked == TUBE_POINTS[preset]
+    assert slope.passed
+    assert disjoint.value == overlaps and (overlaps > 0) == (widen > 1.0)
+    assert feet.passed and abs(feet.value - drift) <= 1e-15
+    if overlaps:
+        assert disjoint.detail == first
+        with pytest.raises(TubeConfigError) as err:
+            validate_tubes(chain)
+        assert str(err.value) == oracle.validate_tube_samples(chain)[2]
+    else:
+        assert validate_tubes(chain) == check_tubes(chain, 0)
 
 
 def test_tail_cap_and_detail():

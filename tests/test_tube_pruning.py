@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from orbitfold import smoothing
+from orbitfold import smoothing, verify
 from orbitfold.chamber import _NORM_SAFE, fold
 from orbitfold.groups import essential_split, generate_group, preset_group
 from orbitfold.smoothing import (
@@ -28,7 +28,6 @@ from orbitfold.smoothing import (
     eval_h,
     eval_l,
     tube_coords,
-    validate_tubes,
 )
 from normals_groups import NORMALS as GIVEN
 from sampler_oracle import sample_face_point, tube_hits
@@ -253,8 +252,8 @@ def test_validate_tubes_sees_the_oracle_hits(chain, monkeypatch):
         seen.append((level, points, out))
         return out
 
-    monkeypatch.setattr(smoothing, "_tube_claims", recording)
-    validate_tubes(chain)
+    monkeypatch.setattr(verify, "_tube_claims", recording)
+    verify.validate_tubes(chain)
     assert [level for level, _, _ in seen] == list(range(1, chain.rank))
     for level, points, (rows, pair_faces, claims, t, radius, feet) in seen:
         faces = chain.stratification.faces_at_level(level)

@@ -10,8 +10,10 @@ the change first in odd ones. A subprocess imports orbitfold from its
 checkout's src/ and runs one untimed verification as a warm-up. It then
 makes 5 timed passes, each on a fresh group and chain as the command-line
 verify builds them, and times in each: the chain build (preset_group and
-build_chain), the tube check (validate_tubes) and every check_* function
-that run_verification calls, each on its own, with time.perf_counter
+build_chain), the tube check (the public orbitfold.validate_tubes) and
+every check_* function that run_verification calls, each on its own (where
+run_verification runs check_tubes too, the total counts the tube check
+twice), with time.perf_counter
 (wall time) and time.thread_time (the CPU time of the thread). It keeps
 each item's minimum over the passes, which is steadier than one pass per
 interpreter on a shared machine. Thread CPU time leaves out the time the
@@ -46,8 +48,7 @@ import json, sys, time, tracemalloc
 import orbitfold.chamber as chamber
 import orbitfold.smoothing as smoothing
 import orbitfold.verify as verify
-from orbitfold.groups import preset_group
-from orbitfold.smoothing import build_chain, validate_tubes
+from orbitfold import build_chain, preset_group, validate_tubes
 
 preset, count, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 PASSES = 5

@@ -7,7 +7,7 @@ every case below and writes, per case NAME, NAME.stdout, NAME.stderr,
 NAME.exit and, for commands given --out, NAME.out. The cases are `verify
 --out`, `probe --out`, `build-map`, `grid` and `fold` for i2-3, i2-4, a2,
 b2, a3 and b3 at seeds 0 and 1, `demo-sym3` at both seeds with and without
---out, `verify --preset A3` (a preset spelled in capitals), and fourteen
+--out, `verify --preset A3` (a preset spelled in capitals), and sixteen
 edge configurations: a rank-1 group under `verify` and `probe`, two groups
 of rank 3 given by `[group] normals` under `verify` and `build-map` (the
 axis group A1^3, and an order-6 group with a fixed line whose generators
@@ -21,10 +21,13 @@ under `verify`, `probe` and `grid` with tube caps of 0.08 at levels 1 and
 2, small enough that the stacked cap blend of the tube radius runs (no
 default case reaches it), and b2 under `verify` and `fold` (on the b2
 `fold` inputs) with a slope for level 5, a level b2 lacks, which is
-refused with exit 2, and four configurations refused with exit 2: a NaN
+refused with exit 2, four configurations refused with exit 2 (a NaN
 normal under `verify` and `grid`, a zero normal and two generators whose
 closure is infinite under `verify`, and a NaN `[grid] box_min` under
-`grid`. The `fold` inputs are generated here from numpy alone and
+`grid`), b3 under `verify` with c0 = 20, where the margin sampler of the
+Jacobian check finds no point, and the right-angle group A1xA1 (normals
+1,0 and 0,1) under `verify` and `build-map` with a slope of 0.3 over its
+bound of 1/4. The `fold` inputs are generated here from numpy alone and
 written to OUTDIR/inputs, so they do not depend on the code under test.
 Beside random, log-scale and on-mirror points they hold, on a2, b2, a3 and b3, points on two mirrors at once (the strata of
 level rank - 2), and on every preset points moved off one mirror along
@@ -79,6 +82,9 @@ EDGE_CONFIGS = {
     "infinite-group": (("verify",), "[group]\nnormals = 1,0; 0.6,0.8\n"),
     "nan-grid": (("grid",), "[group]\npreset = b2\n\n[grid]\nbox_min = nan,0\n"
                             "box_max = 1,1\nnodes = 3,3\n"),
+    "wide-c0": (("verify",), "[group]\npreset = b3\n\n[tubes]\nc0 = 20\n"),
+    "right-angle-slope": (("verify", "build-map"),
+                          "[group]\nnormals = 1,0; 0,1\n\n[tubes]\nb = 1:0.3\n"),
 }
 
 

@@ -458,9 +458,8 @@ def _wall_reports(chain: SmoothChain, fn: StackMap,
         vs.append(v / np.linalg.norm(v))
         scaled.append(tuple(float(d) * radius / REFERENCE_RADIUS for d in offsets))
     xs = np.reshape(xs, (len(xs), chain.group.dimension))
-    normals, cap = chain.chamber.simple_normals, chain.group.order
     return _probe_reports(fn, xs, np.reshape(vs, xs.shape), scaled, tuple(orders),
-                          fold=lambda points: _fold_rows(normals, points, cap))
+                          fold=lambda points: _fold_rows(chain.chamber, points))
 
 
 def origin_line_probe(

@@ -2,7 +2,10 @@
 
 The closed chamber is the cone {p : <p, n_i> >= 0} over the simple normals.
 Folding repeatedly reflects across the lowest-index violated wall, which
-terminates for finite groups and accumulates a single orthogonal transform.
+terminates for finite groups and accumulates a single orthogonal transform:
+each step crosses a mirror the point had not crossed before, so a fold takes
+at most |mirrors| steps (Humphreys, Reflection Groups and Coxeter Groups,
+1.6-1.8).
 Faces of the chamber are indexed by subsets of the simple normals; the level
 of a face counts its dimension above the minimal stratum, so level 0 is the
 essential origin (times the fixed subspace) and level == essential rank is
@@ -27,7 +30,9 @@ _SQ_MIN = sys.float_info.min  # least square sum taken without rescaling
 _SQ_MAX = 2.0 ** 1022         # square sums are formed only where they stay below this
 _NORM_SAFE = 2.0 ** 510       # no square sum of a vector shorter than this overflows
 _NORM_MIN = 2.0 ** -510       # a _norm from this up came from a square sum of at least _SQ_MIN
-_SPLIT_ROUNDING = 1e-14       # relative rounding of the essential split, as the fold's
+_FOLD_TOL = 1e-14             # relative depth below a wall that the fold still calls inside
+_SPLIT_ROUNDING = _FOLD_TOL   # relative rounding of the essential split, as the fold's
+_RUNAWAY = "folding did not terminate; chamber data inconsistent"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -36,6 +41,7 @@ class Chamber:
 
     simple_normals: np.ndarray   # (k, n), rows are inward unit normals
     witness: np.ndarray          # a point in the open chamber
+    fold_steps: int              # most reflections one fold takes: |mirrors|
 
     def __post_init__(self) -> None:
         normals = np.array(self.simple_normals, dtype=float)
@@ -78,7 +84,8 @@ def chamber_from_group(group: ReflectionGroup) -> Chamber:
     rays = _edge_rays(normals)
     witness = rays.sum(axis=0)
     witness /= np.linalg.norm(witness)
-    return Chamber(simple_normals=normals, witness=witness)
+    return Chamber(simple_normals=normals, witness=witness,
+                   fold_steps=len(group.mirrors))
 
 
 def _fits(big, dim: int):
@@ -188,8 +195,8 @@ def _norms(v: np.ndarray, below: float = math.inf) -> np.ndarray:
     return out
 
 
-def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
-                          max_steps: int) -> tuple[np.ndarray, list[int], list[float] | None]:
+def _reflect_into_chamber(chamber: Chamber,
+                          p: np.ndarray) -> tuple[np.ndarray, list[int], list[float] | None]:
     """Reflect across the lowest-index violated wall until inside.
 
     Returns the image, the reflection word (wall indices in the order
@@ -199,16 +206,21 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
     dot product of a few ulps below zero calls for a correction smaller than
     the spacing of floats at that coordinate, so reflecting would leave the
     point bitwise unchanged and the loop would never terminate. The
-    tolerance is 1e-14*|p|, relative at every scale. Where |p|^2 would
+    tolerance is _FOLD_TOL*|p|, relative at every scale. Where |p|^2 would
     overflow or leave the normal range the fold runs on p scaled to unit
     size by a power of two (_unit_scaled) and scales the image back:
     reflections are linear and the scaling is exact, so p takes the word of
     its unit-size copy. In the normal range no scaling is done: it could
     change only the bits of subnormal coordinates. The walls are scanned as
     Python floats, in index order, for the first one below -tol.
+
+    Each reflection crosses one mirror, never one crossed before, so a fold
+    ends within chamber.fold_steps = |mirrors| steps; needing one more
+    raises RuntimeError, as chamber data that are not a simple system would.
     """
+    normals = chamber.simple_normals
     cur, e, sq = _unit_scaled(np.array(p, dtype=float))
-    tol = 1e-14 * math.sqrt(sq)
+    tol = _FOLD_TOL * math.sqrt(sq)
     word: list[int] = []
     while True:
         dots = (normals @ cur).tolist()
@@ -219,8 +231,8 @@ def _reflect_into_chamber(normals: np.ndarray, p: np.ndarray,
             return (np.ldexp(cur, e), word, None) if e else (cur, word, dots)
         cur = cur - (2.0 * d) * normals[i]
         word.append(i)
-        if len(word) > max_steps:
-            raise RuntimeError("folding did not terminate; chamber data inconsistent")
+        if len(word) > chamber.fold_steps:
+            raise RuntimeError(_RUNAWAY)
 
 
 def _wall_dots(normals: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -236,12 +248,13 @@ def _wall_dots(normals: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return dots[:, :len(cur)]
 
 
-def _fold_rows(normals: np.ndarray, points: np.ndarray, max_steps: int) -> np.ndarray:
+def _fold_rows(chamber: Chamber, points: np.ndarray) -> np.ndarray:
     """Fold images of every row of an (N, n) stack.
 
     Each row follows _reflect_into_chamber: the same lowest-index violated
-    wall, the same tolerance and power-of-two scaling, the same step cap
-    and error. The dot products are one matrix-vector product per wall
+    wall, the same tolerance and power-of-two scaling, the same step bound
+    (chamber.fold_steps = |mirrors|, as no fold crosses a mirror twice) and
+    error. The dot products are one matrix-vector product per wall
     over the rows still outside (_wall_dots), and each rounds as the
     per-point `normals @ cur` does, so each image equals the per-point
     image bit for bit. The rows still outside are kept as one compacted
@@ -249,8 +262,9 @@ def _fold_rows(normals: np.ndarray, points: np.ndarray, max_steps: int) -> np.nd
     A row's image is set aside once it is inside, and the images are
     written out in one scatter at the end.
     """
+    normals = chamber.simple_normals
     out, e, sq = _unit_scaled_rows(np.array(points, dtype=float))
-    bound = -1e-14 * np.sqrt(sq)       # a dot below this violates its wall
+    bound = -_FOLD_TOL * np.sqrt(sq)   # a dot below this violates its wall
     rows = np.arange(len(out))
     cur = out
     done_rows, done_images = [], []
@@ -269,8 +283,8 @@ def _fold_rows(normals: np.ndarray, points: np.ndarray, max_steps: int) -> np.nd
             if not rows.size:
                 break
         steps += 1
-        if steps > max_steps:
-            raise RuntimeError("folding did not terminate; chamber data inconsistent")
+        if steps > chamber.fold_steps:
+            raise RuntimeError(_RUNAWAY)
         cur = cur - shift[:, None] * np.take(normals, wall, axis=0)
     if done_rows:
         out[np.concatenate(done_rows)] = np.concatenate(done_images)
@@ -297,11 +311,10 @@ def _as_point(p: Iterable[float], dim: int) -> np.ndarray:
 def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldResult:
     """Fold p into the closed chamber, recording the orthogonal transform."""
     p = _as_point(p, chamber.dimension)
-    normals = chamber.simple_normals
-    image, word, _ = _reflect_into_chamber(normals, p, group.order)
+    image, word, _ = _reflect_into_chamber(chamber, p)
     mat = np.eye(chamber.dimension)
     for i in word:
-        n_i = normals[i]
+        n_i = chamber.simple_normals[i]
         mat = mat - 2.0 * np.outer(n_i, n_i @ mat)
     element = group.elements[group.element_index(mat)]
     return FoldResult(image=image, element=element, steps=len(word))
@@ -412,17 +425,23 @@ def _orthogonal_directions(basis: np.ndarray, rng: np.random.Generator,
     """Up to `count` random unit vectors orthogonal to the span of an
     (n, d) orthonormal basis, as (k, n) rows: each is a Gaussian draw with
     its part in the span taken off (an exact zero when d = 0). A draw left
-    shorter than 1e-9 is dropped, and at most 4*count are made."""
-    out = []
-    for _ in range(count * 4):
-        v = rng.normal(size=basis.shape[0])
-        v = v - basis @ (basis.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-9:
-            out.append(v / norm)
-        if len(out) == count:
-            break
-    return np.reshape(out, (len(out), basis.shape[0]))
+    shorter than 1e-9 is dropped, and at most 4*count are made.
+
+    The draws still missing are made as one block, as often as some are
+    dropped, so the stream, the directions and the rng state after them are
+    those of one draw per step. The batched products round as each row's
+    matrix-vector products do, and _square_sums as each row's dot does."""
+    n = basis.shape[0]
+    out, left = [], 4 * count
+    while count and left:
+        v = rng.normal(size=(min(count, left), n))
+        left -= len(v)
+        v = v - np.matmul(basis, np.matmul(basis.T, v[:, :, None]))[:, :, 0]
+        norm = np.sqrt(_square_sums(v))
+        keep = norm > 1e-9
+        out.append(v[keep] / norm[keep, None])
+        count -= int(np.count_nonzero(keep))
+    return np.concatenate(out) if out else np.empty((0, n))
 
 
 def _edge_rays(normals: np.ndarray) -> np.ndarray:

@@ -199,8 +199,7 @@ def _require_regular(model: PolarModel, chamber, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (model.section_dim,):
         raise ValueError(f"section value must have shape ({model.section_dim},)")
-    image = _reflect_into_chamber(chamber.simple_normals, _as_point(v, chamber.dimension),
-                                  model.weyl.order)[0]
+    image = _reflect_into_chamber(chamber, _as_point(v, chamber.dimension))[0]
     if _incident_rows(model.weyl, image[None]).any():
         raise ValueError("section value lies on a wall; level set is not regular")
     return image

@@ -740,7 +740,7 @@ def _apply_G_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
 
 def _apply_H_rows(chain: SmoothChain, points: np.ndarray) -> np.ndarray:
     """apply_H at every row of an (N, n) stack."""
-    images = _fold_rows(chain.chamber.simple_normals, points, chain.group.order)
+    images = _fold_rows(chain.chamber, points)
     return _apply_partial_rows(chain, 0, images)
 
 
@@ -770,6 +770,5 @@ def apply_G(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
 def apply_H(chain: SmoothChain, p: Iterable[float]) -> np.ndarray:
     """The invariant map: fold into the chamber, then smooth."""
     p = _as_point(p, chain.chamber.dimension)
-    image, _, values = _reflect_into_chamber(chain.chamber.simple_normals, p,
-                                             chain.group.order)
+    image, _, values = _reflect_into_chamber(chain.chamber, p)
     return _apply_partial(chain, image, _point_walls(chain, image, values))

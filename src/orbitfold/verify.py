@@ -84,6 +84,8 @@ from .calculus import (
     origin_line_probe,
 )
 from .chamber import (
+    ON_WALL_TOL,
+    _SPLIT_ROUNDING,
     Chamber,
     _classify_rows,
     _fold_rows,
@@ -177,8 +179,7 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
     points = rng.normal(scale=2.0, size=(count, group.dimension))
     # the images of the scalar fold loop that fold and apply_H run; fold's
     # element is not built, as nothing here reads it
-    images = np.array([_reflect_into_chamber(chamber.simple_normals, p, group.order)[0]
-                       for p in points]).reshape(points.shape)
+    images = np.array([_reflect_into_chamber(chamber, p)[0] for p in points]).reshape(points.shape)
     # chamber inequality shortfall, and distance to the nearest true translate
     shortfall = -np.matmul(chamber.simple_normals, images[:, :, None])[:, :, 0].min(axis=1)
     orbits = np.matmul(mats[None], points[:, None, :, None])[..., 0]
@@ -188,7 +189,7 @@ def check_fold(group: ReflectionGroup, chamber: Chamber, count: int = 1000,
     # every orbit as one stack (2,400 rows on a3 and 4,800 on b3 at count
     # 100), fed ROW_CAP rows at a time; each orbit holds its p, so the
     # scalar fold and the stacked one are checked against each other too
-    folded = _evaluate(lambda rows: _fold_rows(chamber.simple_normals, rows, group.order),
+    folded = _evaluate(lambda rows: _fold_rows(chamber, rows),
                        orbits.reshape(-1, group.dimension))
     spread = np.linalg.norm(folded.reshape(orbits.shape) - images[:, None], axis=2)
     worst_invariance = float(np.max(spread, initial=0.0))   # fold's spread over an orbit
@@ -291,7 +292,7 @@ def _fold_gaussians(chain: SmoothChain, rng: np.random.Generator, scale: float,
     """Fold images of `rows` Gaussian rows: the stream of `rows` draws of
     one point each, folded as one stack."""
     points = rng.normal(scale=scale, size=(rows, chain.group.dimension))
-    return _fold_rows(chain.chamber.simple_normals, points, chain.group.order)
+    return _fold_rows(chain.chamber, points)
 
 
 def _separated_pairs(chain: SmoothChain, rng: np.random.Generator,
@@ -518,7 +519,13 @@ def check_wall_preservation(chain: SmoothChain, points: int = 1000,
     scale = 1.0 + np.sqrt(_square_sums(images))
     deviation = np.abs(_stack_product(images, group.mirror_normals)) / scale[:, None]
     worst = float(deviation[walls].max(initial=0.0))
-    if (_incident_rows(group, images) != walls).any():
+    # judged on the essential part alone, with x's split rounding: classify's
+    # floor ON_WALL_TOL*1 puts images squeezed to 1e-13 on every wall
+    img_eff = _split_rows(group, images)[1]
+    slack = (ON_WALL_TOL * np.sqrt(_square_sums(img_eff))
+             + _SPLIT_ROUNDING * np.sqrt(_square_sums(xs)))
+    on_walls = np.abs(_stack_product(img_eff, group.mirror_normals)) <= slack[:, None]
+    if (on_walls != walls).any():
         worst = max(worst, 1.0)
     return _result("wall sets preserved by the composite", worst, 1e-9,
                    detail=f"max relative wall deviation over {points} points")

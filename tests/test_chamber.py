@@ -32,10 +32,12 @@ from orbitfold import (
 from orbitfold.chamber import (
     ON_WALL_TOL,
     _classify_rows,
+    _fold_rows,
     _orthogonal_directions,
     _reflect_into_chamber,
 )
 from orbitfold.groups import generate_group
+from normals_groups import named_group
 
 PRESETS = ["i2-3", "i2-4", "a2", "b2", "a3", "b3"]
 
@@ -244,7 +246,7 @@ def test_fold_and_fast_fold_agree_bitwise(preset):
         points.append(q / np.linalg.norm(q) * 10.0 ** rng.uniform(-300, 150))
     for p in points:
         result = fold(group, chamber, p)
-        image, word, walls = _reflect_into_chamber(chamber.simple_normals, p, group.order)
+        image, word, walls = _reflect_into_chamber(chamber, p)
         assert result.image.tobytes() == image.tobytes()
         assert result.steps == len(word)
         # the wall values handed on are the image's own, where it was not rescaled
@@ -468,6 +470,79 @@ def test_orthogonal_directions_of_an_empty_basis_are_normalized_draws():
     draws = np.random.default_rng(3).normal(size=(3, 4))
     dirs = _orthogonal_directions(np.zeros((4, 0)), np.random.default_rng(3), 3)
     assert np.array_equal(dirs, draws / np.linalg.norm(draws, axis=1)[:, None])
+
+
+def _directions_one_draw_at_a_time(basis, rng, count):
+    """The oracle of _orthogonal_directions' block draws: one Gaussian draw
+    per step, projected and normalised alone, at most 4*count draws."""
+    out = []
+    for _ in range(count * 4):
+        v = rng.normal(size=basis.shape[0])
+        v = v - basis @ (basis.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-9:
+            out.append(v / norm)
+        if len(out) == count:
+            break
+    return np.reshape(out, (len(out), basis.shape[0]))
+
+
+class _SpanFirst:
+    """A Generator whose first normal draw is replaced by a given vector."""
+
+    def __init__(self, seed, first):
+        self.rng, self.first = np.random.default_rng(seed), first
+
+    def normal(self, size):
+        v = self.rng.normal(size=size)
+        if self.first is not None:
+            v.reshape(-1, len(self.first))[0] = self.first
+            self.first = None
+        return v
+
+
+@pytest.mark.parametrize("name", PRESETS + ["H3", "B4", "F4"])
+def test_orthogonal_directions_match_one_draw_at_a_time(name):
+    group = named_group(name)
+    n = group.dimension
+    bases = [face.basis for face in strata_levels(group, chamber_from_group(group)).faces]
+    for basis in bases + [np.zeros((n, 0))]:
+        for count in (1, 2, 4):
+            pairs = [(np.random.default_rng(11), np.random.default_rng(11))]
+            if basis.shape[1]:
+                # a first draw in the span is dropped, and one more is made
+                pairs.append((_SpanFirst(11, basis[:, 0]), _SpanFirst(11, basis[:, 0])))
+            for rng, oracle_rng in pairs:
+                got = _orthogonal_directions(basis, rng, count)
+                want = _directions_one_draw_at_a_time(basis, oracle_rng, count)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                # the stream goes on where the oracle's does
+                assert rng.normal(size=3).tobytes() == oracle_rng.normal(size=3).tobytes()
+
+
+@pytest.mark.parametrize("name", ["i2-5", "i2-8", "a2", "b2", "a3", "b3", "H3", "B4", "F4"])
+def test_folds_end_within_one_step_per_mirror(name):
+    # a fold by simple reflections crosses each mirror at most once, so N =
+    # |mirrors|, the length of the longest element, bounds its word
+    group = named_group(name)
+    chamber = build_chain(group).chamber
+    steps = len(group.mirrors)
+    assert chamber.fold_steps == steps
+    rng = np.random.default_rng(23)
+    n = group.dimension
+    gaussian = rng.normal(size=(16, n))
+    on_mirrors = np.concatenate([
+        q - np.outer(q @ m, m) for m in group.mirror_normals
+        for q in [rng.normal(size=(2, n))]])
+    units = np.concatenate([gaussian, on_mirrors])
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    points = np.concatenate([units * scale for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300)])
+    images = []
+    for p in points:
+        image, word, _ = _reflect_into_chamber(chamber, p)
+        assert len(word) <= steps
+        images.append(image)
+    assert _fold_rows(chamber, points).tobytes() == np.array(images).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,18 @@ class TestVerify:
         for name in raised:
             assert f"FAIL {name} raised: value=nan threshold=nan" in out.splitlines()
 
+    @pytest.mark.parametrize("preset", ["a3", "b3"])
+    def test_wide_level_zero_tube_keeps_wall_sets(self, capsys, tmp_path, preset):
+        # at c0 = 20, G squeezes the face samples to |image| near 1e-13,
+        # where only the essential part of an image tells its walls
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[group]\npreset = {preset}\n\n[tubes]\nc0 = 20\n"
+                       "\n[sampling]\ncount = 100\nseed = 1\n")
+        _, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert [line.split(":")[0] for line in out.splitlines()
+                if "wall sets preserved" in line] == [
+            "PASS wall sets preserved by the composite"]
+
     @pytest.mark.parametrize("section,line", [
         ("tubes", "c0 = nan"), ("tubes", "b = 1:nan"), ("tubes", "c0 = inf"),
         ("tubes", "c = 1:inf"), ("probe", "offsets = nan"), ("probe", "offsets = inf,0.1"),

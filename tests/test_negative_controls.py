@@ -34,8 +34,10 @@ and B4, and so must a group with one element rotated slightly off.
 
 With every point G maps moved by 1e-6 along the chamber's witness, so
 that wall points leave their walls, "wall sets preserved by the
-composite" must fail. With eps/|p|^2 (eps = 1e-3) added along the witness
-to the map growth_bound_check probes, the growth lines of levels 0 and 1
+composite" must fail. So must it with one wall point's image alone moved
+off its wall by 1e-6 times its norm: the image's wall set changes. With
+eps/|p|^2 (eps = 1e-3) added along the witness to the map
+growth_bound_check probes, the growth lines of levels 0 and 1
 must fail: the probes of every level close in on the origin as their
 distance shrinks, and the term's derivatives grow there like |p|^-3 and
 |p|^-4. growth_bound_check lives in calculus and binds
@@ -101,7 +103,7 @@ import numpy as np
 import pytest
 
 from orbitfold import calculus, groups, smoothing, verify
-from orbitfold.chamber import _fold_rows, _square_sums
+from orbitfold.chamber import _fold_rows, _incident_rows, _square_sums
 from orbitfold.cli import main
 from orbitfold.groups import GroupElement, preset_group
 from orbitfold.smoothing import build_chain
@@ -277,7 +279,7 @@ def test_identity_fold_fails_orbit_invariance(monkeypatch, preset):
     chain = build_chain(preset_group(preset))
     check = lambda: check_fold(chain.group, chain.chamber, count=100, seed=1)
     assert _failed(check()) == []
-    monkeypatch.setattr(verify, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    monkeypatch.setattr(verify, "_fold_rows", lambda chamber, rows: rows.copy())
     assert _failed(check()) == ["fold orbit invariance"]
 
 
@@ -295,9 +297,8 @@ def test_fold_in_place_of_H_fails_origin_decay(monkeypatch, preset):
     chain = build_chain(preset_group(preset))
     check = lambda: check_origin_smoothness(chain, lines=20, seed=1)
     assert _failed(check()) == []
-    normals, cap = chain.chamber.simple_normals, chain.group.order
     monkeypatch.setattr(verify, "_apply_H_rows",
-                        lambda chain, rows: _fold_rows(normals, rows, cap))
+                        lambda chain, rows: _fold_rows(chain.chamber, rows))
     assert _failed(check()) == [f"origin line jump decay (order {order})" for order in (1, 2)]
 
 
@@ -312,6 +313,25 @@ def test_wall_points_moved_off_their_wall_fail_preservation(monkeypatch, preset)
     result = check()
     assert result.name == "wall sets preserved by the composite"
     assert not result.passed and result.value > 1e-9
+
+
+@pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
+def test_one_image_moved_off_its_wall_fails_preservation(monkeypatch, preset):
+    chain = build_chain(preset_group(preset))
+    check = lambda: check_wall_preservation(chain, points=100, seed=1)
+    assert check().passed
+    apply_G_rows = verify._apply_G_rows
+
+    def moved(chain, rows):
+        images = apply_G_rows(chain, rows)
+        k, wall = np.argwhere(_incident_rows(chain.group, rows))[0]
+        images[k] += 1e-6 * np.linalg.norm(images[k]) * chain.group.mirror_normals[wall]
+        return images
+
+    monkeypatch.setattr(verify, "_apply_G_rows", moved)
+    result = check()
+    # 1 is the value of a changed wall set; the deviation alone is near 1e-6
+    assert not result.passed and result.value == 1.0
 
 
 @pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])
@@ -356,7 +376,7 @@ def test_an_identity_fold_control_fails_the_control_jump(monkeypatch, preset):
     assert _fold_control(chain, name).passed
     unmutated = _fold_control(chain, slope_name)
     assert unmutated.passed and unmutated.detail == ""
-    monkeypatch.setattr(calculus, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    monkeypatch.setattr(calculus, "_fold_rows", lambda chamber, rows: rows.copy())
     result = _fold_control(chain, name)
     assert not result.passed and result.value < 1e-12
     slope = _fold_control(chain, slope_name)
@@ -380,7 +400,7 @@ def test_probe_summary_control_slope_follows_the_verify_line(monkeypatch, tmp_pa
 
     chain = build_chain(preset_group(preset))
     assert control_slope() == _fold_control(chain, "fold control slope stays flat").value
-    monkeypatch.setattr(calculus, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    monkeypatch.setattr(calculus, "_fold_rows", lambda chamber, rows: rows.copy())
     assert control_slope() == "inf"
 
 
@@ -392,7 +412,7 @@ def test_a_smooth_fold_control_fails_the_flat_control_slope(monkeypatch, preset)
     assert _fold_control(chain, name).passed
     w = chain.chamber.witness / np.linalg.norm(chain.chamber.witness)
     monkeypatch.setattr(calculus, "_fold_rows",
-                        lambda normals, rows, cap: rows + ((rows @ w) ** 2)[:, None] * w)
+                        lambda chamber, rows: rows + ((rows @ w) ** 2)[:, None] * w)
     result = _fold_control(chain, name)
     assert not result.passed and 0.9 < result.value < 1.1
 
@@ -424,7 +444,7 @@ def test_a_collapsed_level_zero_tube_fails_injectivity_by_value(monkeypatch, pre
 
 def test_an_identity_fold_is_reported_not_raised(monkeypatch, capsys):
     chain = build_chain(preset_group("a3"))
-    monkeypatch.setattr(verify, "_fold_rows", lambda normals, rows, cap: rows.copy())
+    monkeypatch.setattr(verify, "_fold_rows", lambda chamber, rows: rows.copy())
     results = run_verification(chain, count=100, seed=1)
     raised = ["check_injectivity raised", "check_regular_jacobian raised"]
     assert _failed(results) == ["fold orbit invariance"] + raised

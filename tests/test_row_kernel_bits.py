@@ -91,8 +91,7 @@ def _chamber_points(chain, rng, count=1500):
     _wide_points."""
     tube = _tube_points(chain, rng)
     wide = _wide_points(chain, rng, count - len(tube))
-    images = [_reflect_into_chamber(chain.chamber.simple_normals, p, chain.group.order)[0]
-              for p in wide]
+    images = [_reflect_into_chamber(chain.chamber, p)[0] for p in wide]
     return np.concatenate([tube, np.array(images)])
 
 
@@ -117,9 +116,8 @@ def _assert_same_bytes(got, want):
 def test_fold_rows_equals_point_fold_at_every_scale(chain, chunk):
     rng = np.random.default_rng(41)
     points = _wide_points(chain, rng, 1200)
-    normals, order = chain.chamber.simple_normals, chain.group.order
-    want = np.array([_reflect_into_chamber(normals, p, order)[0] for p in points])
-    got = np.concatenate([_fold_rows(normals, points[start:start + chunk], order)
+    want = np.array([_reflect_into_chamber(chain.chamber, p)[0] for p in points])
+    got = np.concatenate([_fold_rows(chain.chamber, points[start:start + chunk])
                           for start in range(0, len(points), chunk)])
     assert got.tobytes() == want.tobytes()
 

@@ -10,6 +10,7 @@ stencil builders, the curve probe and the profile's flatness derivatives
 must give the bits of the per-point harness frozen in stencil_oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,10 +91,8 @@ def _assert_agrees(rows, ref, points):
 def test_row_kernels_agree_with_point_entries(chain):
     rng = np.random.default_rng(19)
     points = _test_points(chain, rng)
-    normals, order = chain.chamber.simple_normals, chain.group.order
-
-    images = _fold_rows(normals, points, order)
-    ref = np.array([_reflect_into_chamber(normals, p, order)[0] for p in points])
+    images = _fold_rows(chain.chamber, points)
+    ref = np.array([_reflect_into_chamber(chain.chamber, p)[0] for p in points])
     assert images.tobytes() == ref.tobytes()
 
     _assert_agrees(_apply_H_rows(chain, points),
@@ -118,8 +117,9 @@ def test_fold_rows_step_cap_matches_point_fold():
     group = preset_group("b2")
     chain = build_chain(group)
     p = np.array([-1.0, 2.0])
-    for call in (lambda: _reflect_into_chamber(chain.chamber.simple_normals, p, 1),
-                 lambda: _fold_rows(chain.chamber.simple_normals, p[None, :], 1)):
+    chamber = dataclasses.replace(chain.chamber, fold_steps=1)
+    for call in (lambda: _reflect_into_chamber(chamber, p),
+                 lambda: _fold_rows(chamber, p[None, :])):
         with pytest.raises(RuntimeError, match="did not terminate"):
             call()
 
@@ -216,9 +216,8 @@ def test_stacked_stencils_match_frozen_per_point_path(preset):
         tuple(sorted(10.0 ** rng.uniform(-4.0, -1.0, size=5), reverse=True))
         for _ in range(count - 1)]
     orders = (1, 2, 3)
-    normals, cap = chain.chamber.simple_normals, chain.group.order
     for fn in (lambda rows: _apply_H_rows(chain, rows),
-               lambda rows: _fold_rows(normals, rows, cap)):
+               lambda rows: _fold_rows(chain.chamber, rows)):
         stacked = [r.jumps for r in _probe_reports(fn, xs, vs, offsets, orders)]
         for x, v, offs, jumps in zip(xs, vs, offsets, stacked):
             assert jumps == oracle.two_sided_jumps(fn, x, v, offs, orders)
@@ -314,7 +313,7 @@ def test_fold_far_out_lands_in_chamber_with_right_element():
             res = fold(group, chain.chamber, p)
             _assert_folded(chain.chamber, p, res)
             assert res.element is unit.element and res.steps == unit.steps
-            rows = _fold_rows(chain.chamber.simple_normals, p[None, :], group.order)
+            rows = _fold_rows(chain.chamber, p[None, :])
             assert rows[0].tobytes() == res.image.tobytes()
 
 
@@ -327,5 +326,5 @@ def test_fold_tiny_points_take_every_step(s):
     assert res.steps == 2
     assert res.element is fold(group, chain.chamber, np.array([-1.0, 2.0])).element
     _assert_folded(chain.chamber, p, res)
-    rows = _fold_rows(chain.chamber.simple_normals, p[None, :], group.order)
+    rows = _fold_rows(chain.chamber, p[None, :])
     assert rows[0].tobytes() == res.image.tobytes()

@@ -80,7 +80,7 @@ def test_fold_element_maps_each_point_to_its_image(sample):
 def test_entry_points_are_finite_or_name_the_problem(sample):
     chain, points, _, _ = sample
     group = chain.group
-    images = _fold_rows(chain.chamber.simple_normals, points, group.order)
+    images = _fold_rows(chain.chamber, points)
     for k, (p, image) in enumerate(zip(points, images)):
         assert 0 <= classify(group, p).level <= chain.rank
         assert np.all(np.isfinite(apply_H(chain, p)))

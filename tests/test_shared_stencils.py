@@ -48,9 +48,8 @@ def chain(request):
 
 
 def _maps(chain):
-    normals, cap = chain.chamber.simple_normals, chain.group.order
     return (lambda rows: _apply_H_rows(chain, rows),
-            lambda rows: _fold_rows(normals, rows, cap))
+            lambda rows: _fold_rows(chain.chamber, rows))
 
 
 def _counted(fn, calls):
@@ -179,8 +178,8 @@ def test_wall_and_origin_probe_rows_on_a3(monkeypatch):
     smooth_rows, fold_rows = [], []
     monkeypatch.setattr(verify, "_apply_partial_rows", lambda chain, i, rows:
                         smooth_rows.append(len(rows)) or _apply_partial_rows(chain, i, rows))
-    monkeypatch.setattr(calculus, "_fold_rows", lambda normals, rows, cap:
-                        fold_rows.append(len(rows)) or _fold_rows(normals, rows, cap))
+    monkeypatch.setattr(calculus, "_fold_rows", lambda chamber, rows:
+                        fold_rows.append(len(rows)) or _fold_rows(chamber, rows))
     assert len(verify._wall_probes(chain, 20, 1)) == 20
     # one fold, shared by H and the control, and the smoothing of its
     # images: 20 probes * 5 offsets * 2 sides * 33 rows each

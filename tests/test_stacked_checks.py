@@ -88,8 +88,7 @@ def test_classify_rows_is_classify_row_by_row(name):
     on_faces = [_face_samples(chain, strat.faces_at_level(lv), 2 * len(strat.faces_at_level(lv)),
                               rng, scales)[1]
                 for lv in range(1, chain.rank + 1) for scales in ((1.0, 2.0), (1e299, 1e300))]
-    points = np.concatenate([sample, _fold_rows(chain.chamber.simple_normals, sample,
-                                                chain.group.order), *on_faces])
+    points = np.concatenate([sample, _fold_rows(chain.chamber, sample), *on_faces])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         incident, level = _classify_rows(chain.group, points)

@@ -107,10 +107,9 @@ def test_shared_fold_wall_reports_equal_separate_evaluations(chain, orders):
     xs = np.array([r.point for r in reports])
     vs = np.array([r.direction for r in reports])
     offsets = [r.offsets for r in reports]
-    normals, cap = chain.chamber.simple_normals, chain.group.order
     h_reports = _probe_reports(lambda rows: _apply_H_rows(chain, rows), xs, vs, offsets,
                                orders)
-    fold_reports = _probe_reports(lambda rows: _fold_rows(normals, rows, cap), xs, vs,
+    fold_reports = _probe_reports(lambda rows: _fold_rows(chain.chamber, rows), xs, vs,
                                   offsets, orders)
     for report, h, fold in zip(reports, h_reports, fold_reports):
         assert report.jumps == h.jumps

@@ -27,7 +27,10 @@ closure is infinite under `verify`, and a NaN `[grid] box_min` under
 `grid`), b3 under `verify` with c0 = 20, where the margin sampler of the
 Jacobian check finds no point, and the right-angle group A1xA1 (normals
 1,0 and 0,1) under `verify` and `build-map` with a slope of 0.3 over its
-bound of 1/4. The `fold` inputs are generated here from numpy alone and
+bound of 1/4. Last, `fold` runs on H3, B4 and F4, given by `[group]
+normals`, whose folds take at most 15, 16 and 24 steps, one per mirror,
+on random, log-scale (|p| from 1e-300 to 1e300) and on-mirror points of
+their own. The `fold` inputs are generated here from numpy alone and
 written to OUTDIR/inputs, so they do not depend on the code under test.
 Beside random, log-scale and on-mirror points they hold, on a2, b2, a3 and b3, points on two mirrors at once (the strata of
 level rank - 2), and on every preset points moved off one mirror along
@@ -86,6 +89,46 @@ EDGE_CONFIGS = {
     "right-angle-slope": (("verify", "build-map"),
                           "[group]\nnormals = 1,0; 0,1\n\n[tubes]\nb = 1:0.3\n"),
 }
+
+_Y = -0.5 / math.sin(math.pi / 5.0)
+# label -> the simple normals of a group beyond the presets, run under `fold`
+NORMAL_GROUPS = {
+    "H3": [(1.0, 0.0, 0.0), (-math.cos(math.pi / 5.0), math.sin(math.pi / 5.0), 0.0),
+           (0.0, _Y, math.sqrt(1.0 - _Y * _Y))],
+    "B4": [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)],
+    "F4": [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (0.5, -0.5, -0.5, -0.5)],
+}
+
+
+def _roots(normals: list[tuple[float, ...]]) -> np.ndarray:
+    """One unit normal per mirror of the group the normals generate: the
+    unit normals closed under reflection in one another, up to sign."""
+    simple = [np.array(n, dtype=float) / np.linalg.norm(n) for n in normals]
+    roots = list(simple)
+    for r in roots:          # the list grows while it is walked
+        for s in simple:
+            q = r - 2.0 * (r @ s) * s
+            if not any(min(np.abs(q - t).max(), np.abs(q + t).max()) < 1e-9 for t in roots):
+                roots.append(q)
+    return np.array(roots)
+
+
+def normal_group_points(normals: list[tuple[float, ...]]) -> list[np.ndarray]:
+    """Random points, three projected onto each mirror, log-scale points
+    (|p| from 1e-300 to 1e300) and the origin."""
+    rng = np.random.default_rng(7)
+    dim = len(normals[0])
+    pts = list(rng.normal(scale=2.0, size=(40, dim)))
+    for m in _roots(normals):
+        pts += [p - (p @ m) * m for p in rng.normal(scale=2.0, size=(3, dim))]
+    for mag in 10.0 ** rng.uniform(-300.0, 300.0, size=30):
+        u = rng.normal(size=dim)
+        pts.append(mag * u / np.linalg.norm(u))
+    return pts + [np.zeros(dim)]
+
+
+def _write_points(path: Path, points: list[np.ndarray]) -> None:
+    path.write_text("".join(",".join("%.17g" % x for x in p) + "\n" for p in points))
 
 
 def _on_mirrors(preset: str, rng: np.random.Generator) -> list[np.ndarray]:
@@ -171,8 +214,7 @@ def cases(outdir: Path) -> list[tuple[str, list[str]]]:
     out = []
     for preset in PRESETS:
         points = inputs / f"{preset}.csv"
-        points.write_text("".join(
-            ",".join("%.17g" % x for x in p) + "\n" for p in fold_points(preset)))
+        _write_points(points, fold_points(preset))
         for seed in SEEDS:
             base = ["--preset", preset, "--seed", str(seed)]
             name = f"{preset}-s{seed}"
@@ -201,6 +243,13 @@ def cases(outdir: Path) -> list[tuple[str, list[str]]]:
             out.append((name, [*args, "--out", f"{name}.out"]))
             if command == "demo-sym3":
                 out.append((f"{name}-stdout", args))
+    for label, normals in NORMAL_GROUPS.items():
+        config, points = inputs / f"{label}.ini", inputs / f"{label}.csv"
+        config.write_text("[group]\nnormals = " + "; ".join(
+            ",".join("%.17g" % x for x in row) for row in normals) + "\n")
+        _write_points(points, normal_group_points(normals))
+        out.append((f"{label}-fold", ["fold", str(points), "--config", str(config),
+                                      "--out", f"{label}-fold.out"]))
     return out
 
 

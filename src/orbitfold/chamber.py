@@ -309,14 +309,20 @@ def _as_point(p: Iterable[float], dim: int) -> np.ndarray:
 
 
 def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldResult:
-    """Fold p into the closed chamber, recording the orthogonal transform."""
+    """Fold p into the closed chamber, recording the orthogonal transform.
+
+    The element is the product of the fold's reflections, spelled by its
+    word in the chamber's wall indices: the fold crosses each mirror at
+    most once, so that word is reduced, and it is written in the (i, *w) =
+    s_i*w convention of the group's elements, the last reflection first.
+    """
     p = _as_point(p, chamber.dimension)
     image, word, _ = _reflect_into_chamber(chamber, p)
     mat = np.eye(chamber.dimension)
     for i in word:
         n_i = chamber.simple_normals[i]
         mat = mat - 2.0 * np.outer(n_i, n_i @ mat)
-    element = group.elements[group.element_index(mat)]
+    element = GroupElement._unchecked(mat, tuple(reversed(word)))
     return FoldResult(image=image, element=element, steps=len(word))
 
 

@@ -25,7 +25,7 @@ from .calculus import (_OffsetOrderError, _RankDeficientFitError, _RoundingFloor
 from .chamber import classify, fold
 from .config import (DEFAULT_PRESET, ConfigError, RunConfig, parse_config,
                      tube_spec_from_config)
-from .groups import preset_order
+from .groups import GroupClosureError, preset_order
 from .polar import eigen_crossing_curve, model_H, random_rotation, sym_eig_model, sym_to_matrix
 from .smoothing import SmoothChain, apply_H, build_chain
 from .verify import _slope_margins, _tube_lines, _wall_probes, run_verification
@@ -346,7 +346,8 @@ def main(argv: list[str] | None = None) -> int:
                          "probe points: rescaled to the tube radius there, they do not "
                          "strictly decrease; use offsets further apart\n")
         return 2
-    except (ConfigError, _RankDeficientFitError) as exc:
+    except (ConfigError, _RankDeficientFitError, GroupClosureError) as exc:
+        # GroupClosureError: build-map's order reads the elements past the cap
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,15 +1,20 @@
 """Finite reflection groups on R^n generated by mirrors through the origin.
 
-A group is built by breadth-first closure of a set of generating reflections.
-Closure records, for every element, one shortest word in the generators, the
-full mirror arrangement, a simple system bounding a fundamental chamber, and
-the subspace fixed by the whole group (so callers can split points into a
-fixed part and an essential part).
+A group is built from its roots. The generators' unit normals are closed
+under reflection in one another, r - 2<r, n_i>n_i, each image sign-fixed:
+that set is the root system up to sign, one normal per mirror, and it is
+finite exactly when the group is (Humphreys, Reflection Groups and Coxeter
+Groups, 1.2 and 1.5: Phi = W.Delta). The mirror arrangement, the subspace
+fixed by the whole group (so callers can split points into a fixed part and
+an essential part) and a simple system bounding a fundamental chamber are
+read from those mirrors. The |G| elements, each with one shortest word in
+the generators, are closed breadth-first only when they are read.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -18,14 +23,16 @@ import numpy as np
 UNIT_TOL = 1e-12       # generator normals must be unit length to this
 MATCH_TOL = 1e-9       # entrywise tolerance identifying elements / mirrors
 ORTHO_TOL = 1e-10      # orthogonality tolerance for element matrices
-DEFAULT_CAP = 10_000   # closure size guard
+DEFAULT_CAP = 10_000   # closure size guard: mirrors, and elements when read
 _KEY_DECIMALS = 7      # rounding used for exact-dict element lookup
 
 
 class GroupClosureError(RuntimeError):
-    """The closure of the generators has more elements than the cap allows:
-    an infinite group, mis-specified generators, or a finite group larger
-    than the cap."""
+    """A closure of the generators outgrew the cap: the root closure, which
+    generate_group runs, found more mirrors than the cap (an infinite group
+    or mis-specified generators), or the element closure, which reading
+    ReflectionGroup.elements runs, found more elements (that, or a finite
+    group larger than the cap)."""
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -99,15 +106,16 @@ def reflection_matrix(normal: np.ndarray) -> np.ndarray:
 
 
 def _check_orthogonal(mat: np.ndarray) -> None:
-    """np.allclose(M M^T, I, rtol=0, atol=ORTHO_TOL) written out, as in
-    GroupElement.is_reflection: the same verdict, NaN and inf rejected."""
+    """np.allclose(M M^T, I, rtol=0, atol=ORTHO_TOL) written out: the same
+    verdict, NaN and inf rejected."""
     if not np.abs(mat @ mat.T - np.eye(len(mat))).max(initial=0.0) <= ORTHO_TOL:
         raise ValueError("element matrix is not orthogonal within 1e-10")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Orthogonal matrix plus one shortest word in the generator indices."""
+    """Orthogonal matrix plus one shortest word: in the generator indices
+    for a group element, in the chamber wall indices for a fold's."""
 
     matrix: np.ndarray
     word: tuple[int, ...]
@@ -134,35 +142,6 @@ class GroupElement:
         object.__setattr__(elem, "word", word)
         return elem
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def is_reflection(self) -> bool:
-        """Orthogonal involution whose -1 eigenspace is one-dimensional.
-
-        The trace test comes first: it is one sum, and it rejects most
-        elements of a group (18 of a3's 24) before the two tolerance tests.
-        Each is np.allclose(a, b, rtol=0, atol=ORTHO_TOL) written out, with
-        its verdict on every finite matrix and its False on NaN, at a
-        fraction of its cost.
-        """
-        n, mat = self.dimension, self.matrix
-        if abs(float(np.trace(mat)) - (n - 2)) >= 1e-8:
-            return False
-        if not np.abs(mat - mat.T).max() <= ORTHO_TOL:
-            return False
-        return bool(np.abs(mat @ mat - np.eye(n)).max() <= ORTHO_TOL)
-
-    def _mirror(self) -> Hyperplane:
-        """The mirror of an element known to be a reflection, from
-        (I - M)/2 = n n^T, its normal sign-fixed by _canonical_sign."""
-        proj = 0.5 * (np.eye(self.dimension) - self.matrix)
-        col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-        normal = proj[:, col] / np.linalg.norm(proj[:, col])
-        return Hyperplane(_canonical_sign(normal))
-
-
 def _key_rounded(mats: np.ndarray) -> np.ndarray:
     # +0.0 collapses -0.0 so equal matrices can't get distinct keys
     return np.round(mats, _KEY_DECIMALS) + 0.0
@@ -184,6 +163,27 @@ def _matrix_keys(mats: np.ndarray) -> list[bytes]:
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0].tolist()
 
 
+def _close(found: dict, grow, cap: int, message: str) -> list:
+    """Breadth-first closure: the items of `found` (by key), then each
+    frontier's new images, frontier by frontier, in the order grow gives
+    them. grow(frontier) returns the keys of the images of every frontier
+    item under every generator, in one stacked pass, and a function that
+    builds image k, called only for a key not found before. Raises
+    GroupClosureError(message) when more than cap items are found."""
+    frontier = list(found.values())
+    while frontier:
+        keys, make = grow(frontier)
+        fresh = []
+        for k, key in enumerate(keys):
+            if key not in found:
+                found[key] = make(k)
+                fresh.append(found[key])
+                if len(found) > cap:
+                    raise GroupClosureError(message)
+        frontier = fresh
+    return list(found.values())
+
+
 @dataclasses.dataclass(eq=False)
 class ReflectionGroup:
     """A finite reflection group with its arrangement data.
@@ -191,35 +191,51 @@ class ReflectionGroup:
     fixed_subspace is an (n, f) orthonormal basis of the subspace fixed by
     every element (f may be zero); essential_rank = n - f. mirror_normals
     stacks the mirrors' unit normals as (m, n) rows, in mirrors order.
+    elements is built on first read, and cap bounds it as it bounds the
+    mirrors.
     """
 
     dimension: int
     generators: tuple[Hyperplane, ...]
-    elements: tuple[GroupElement, ...]
     mirrors: tuple[Hyperplane, ...]
     simple_system: tuple[Hyperplane, ...]
     fixed_subspace: np.ndarray
     essential_rank: int
+    cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
-        self._index = {_matrix_key(e.matrix): i for i, e in enumerate(self.elements)}
         self.mirror_normals = np.reshape([m.normal for m in self.mirrors], (-1, self.dimension))
+
+    @functools.cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """Breadth-first closure of the generators' reflections: the
+        identity first, then each frontier element times each generator,
+        the product s_i*e spelled (i, *w) for e spelled w.
+
+        Raises GroupClosureError, naming the cap, when the closure exceeds
+        cap elements.
+        """
+        dim, count = self.dimension, len(self.generators)
+        # generate_group checked each generator; the products are built unchecked
+        gen_stack = np.stack([reflection_matrix(g.normal) for g in self.generators])
+
+        def grow(frontier):
+            prods = np.matmul(gen_stack[None], np.stack([e.matrix for e in frontier])[:, None])
+            prods = prods.reshape(-1, dim, dim)
+            return _matrix_keys(prods), lambda k: GroupElement._unchecked(
+                prods[k], (k % count,) + frontier[k // count].word)
+
+        identity = GroupElement._unchecked(np.eye(dim), ())
+        return tuple(_close({_matrix_key(identity.matrix): identity}, grow,
+                            self.cap, f"group closure exceeded the cap of {self.cap} elements"))
+
+    @functools.cached_property
+    def _index(self) -> dict[bytes, int]:
+        return {_matrix_key(e.matrix): i for i, e in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element_index(self, matrix: np.ndarray) -> int:
-        """Index of the element equal to `matrix` within MATCH_TOL: the one
-        its key finds, with one dict lookup. A matrix whose key misses, such
-        as one that rounds across a key boundary, takes _nearest's scan."""
-        idx = self._index.get(_matrix_key(matrix))
-        if idx is not None:
-            return idx
-        (idx,), (gap,) = self._nearest(np.asarray(matrix)[None])
-        if gap <= MATCH_TOL:
-            return int(idx)
-        raise ValueError("matrix does not match any group element")
 
     def _nearest(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(index, max-norm distance) of the element nearest to each matrix
@@ -263,7 +279,9 @@ def _simple_from_mirrors(
     positive root negative, namely a itself: the length of w equals the
     number of positive roots w makes negative, and the reflections of
     length 1 are the simple ones (Humphreys, Reflection Groups and Coxeter
-    Groups, 1.6-1.7). All images b - 2<b, a>a are formed in one broadcast.
+    Groups, 1.6-1.7). The image b - 2<b, a>a lies on the witness's far
+    side when side_b < 2<a, b>side_a, side the oriented normals times the
+    witness, so one (m, m) comparison counts them all; no image is formed.
     Each image is plus or minus some mirror normal, so its sign against the
     witness is as far from 0 as the on-mirror check below demands.
     """
@@ -272,9 +290,9 @@ def _simple_from_mirrors(
     if np.min(np.abs(sides)) < 1e-12:
         raise ValueError("witness lies on a mirror; cannot pick a chamber")
     oriented_arr = np.where(sides[:, None] > 0, normals, -normals)
-    gram = oriented_arr @ oriented_arr.T
-    images = oriented_arr[None, :, :] - 2.0 * gram[:, :, None] * oriented_arr[:, None, :]
-    simple_idx = np.flatnonzero(np.sum(images @ witness < 0, axis=1) == 1).tolist()
+    side = oriented_arr @ witness
+    negative = side[None, :] < 2.0 * (oriented_arr @ oriented_arr.T) * side[:, None]
+    simple_idx = np.flatnonzero(np.sum(negative, axis=1) == 1).tolist()
 
     if len(simple_idx) != essential_rank:
         raise RuntimeError(
@@ -292,11 +310,20 @@ def generate_group(
     cap: int = DEFAULT_CAP,
     witness: Iterable[float] | None = None,
 ) -> ReflectionGroup:
-    """Breadth-first closure of the reflections given by `normals`.
+    """The group of the reflections given by `normals`, built from its roots.
 
-    Raises GroupClosureError, naming the cap, when the closure exceeds `cap`
-    elements: the group is infinite, mis-specified, or finite but larger
-    than the cap.
+    Each generator's unit normal, read off its reflection matrix, seeds the
+    root closure: every root found is reflected in every generator, r -
+    2<r, n_i>n_i, one stacked pass per frontier, and each image is
+    sign-fixed and kept when its _mirror_key is new. The roots found are the
+    mirror normals; the fixed subspace, the essential rank and the simple
+    system are read from them. The elements are not built here (see
+    ReflectionGroup.elements).
+
+    `cap` bounds the number of mirrors here, and the number of elements
+    when they are read. Raises GroupClosureError, naming the cap, when the
+    root closure exceeds `cap` mirrors: the group is infinite or
+    mis-specified.
     """
     gens = [Hyperplane(n) for n in normals]
     if not gens:
@@ -309,61 +336,34 @@ def generate_group(
         unique.setdefault(_mirror_key(g.normal), g)      # the first given wins
     gens = list(unique.values())
 
-    # each generator is checked once; the products are built unchecked
-    gen_mats = [reflection_matrix(g.normal) for g in gens]
-    for gmat in gen_mats:
-        _check_orthogonal(gmat)
-    identity = GroupElement._unchecked(np.eye(dim), ())
-    elements: list[GroupElement] = [identity]
-    seen = {_matrix_key(identity.matrix)}
-    frontier = [identity]
-    gen_stack = np.stack(gen_mats)
-    while frontier:
-        next_frontier: list[GroupElement] = []
-        # every generator times every frontier element, one stacked product,
-        # in the order a loop over elements, then generators, takes them
-        prods = np.matmul(gen_stack[None], np.stack([e.matrix for e in frontier])[:, None])
-        prods = prods.reshape(-1, dim, dim)
-        for k, key in enumerate(_matrix_keys(prods)):
-            if key in seen:
-                continue
-            seen.add(key)
-            elem, gi = divmod(k, len(gen_mats))
-            new = GroupElement._unchecked(prods[k], (gi,) + frontier[elem].word)
-            elements.append(new)
-            next_frontier.append(new)
-            if len(elements) > cap:
-                raise GroupClosureError(
-                    f"group closure exceeded the cap of {cap} elements"
-                )
-        frontier = next_frontier
+    seeds = []
+    for g in gens:
+        gmat = reflection_matrix(g.normal)
+        _check_orthogonal(gmat)          # once per generator
+        proj = 0.5 * (np.eye(dim) - gmat)   # n n^T; its largest column is along n
+        col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+        seeds.append(_canonical_sign(col / np.linalg.norm(col)))
+    seeds = np.stack(seeds)
 
-    # distinct reflections have distinct mirrors: one per reflection
-    mirrors = [e._mirror() for e in elements if e.is_reflection()]
-    mirrors.sort(key=lambda m: tuple(np.round(m.normal, 9)))
+    def grow(frontier):
+        # every frontier root reflected in every generator, sign-fixed
+        roots = np.stack(frontier)
+        images = roots[:, None] - 2.0 * (roots @ seeds.T)[:, :, None] * seeds[None]
+        images = [_canonical_sign(v) for v in images.reshape(-1, dim)]
+        return [_matrix_key(v) for v in images], images.__getitem__
 
-    normal_stack = np.stack([m.normal for m in mirrors])
-    _, svals, vt = np.linalg.svd(normal_stack)
+    roots = _close({_matrix_key(r): r for r in seeds}, grow, cap,
+                   f"root closure exceeded the cap of {cap} mirrors")
+    mirrors = sorted((Hyperplane(r) for r in roots), key=lambda m: tuple(np.round(m.normal, 9)))
+
+    _, svals, vt = np.linalg.svd(np.stack([m.normal for m in mirrors]))
     rank = int(np.sum(svals > 1e-10))
     fixed_basis = vt[rank:].T.copy() if rank < dim else np.zeros((dim, 0))
     fixed_basis.flags.writeable = False
-    essential_rank = rank
-
-    if witness is None:
-        wit = _generic_witness(dim, mirrors)
-    else:
-        wit = np.asarray(witness, dtype=float)
-    simple = _simple_from_mirrors(mirrors, wit, essential_rank, gens)
-
-    return ReflectionGroup(
-        dimension=dim,
-        generators=tuple(gens),
-        elements=tuple(elements),
-        mirrors=tuple(mirrors),
-        simple_system=simple,
-        fixed_subspace=fixed_basis,
-        essential_rank=essential_rank,
-    )
+    wit = _generic_witness(dim, mirrors) if witness is None else np.asarray(witness, dtype=float)
+    return ReflectionGroup(dimension=dim, generators=tuple(gens), mirrors=tuple(mirrors),
+                           simple_system=_simple_from_mirrors(mirrors, wit, rank, gens),
+                           fixed_subspace=fixed_basis, essential_rank=rank, cap=cap)
 
 
 def _i2_normals(m: int) -> list[np.ndarray]:

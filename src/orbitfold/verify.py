@@ -35,9 +35,10 @@ h^(0..4) on (0, 0.2]) as one stack of profile jets, and holds the h of
 the stacked tube map, which every FD check runs, to those jets on the h'
 grid. check_closure compares the group's order with the one its caller
 expects; `orbitfold verify` reads that from the preset name
-(groups.preset_order), in any spelling preset_group accepts. It
-certifies the element list S from the generators (Humphreys, Reflection
-Groups and Coxeter Groups, 1.5-1.7): the word () is the identity; each
+(groups.preset_order), in any spelling preset_group accepts. It reads
+the element list, which the group builds only then, and certifies it, S,
+from the generators (Humphreys, Reflection Groups and Coxeter Groups,
+1.5-1.7): the word () is the identity; each
 generator s_i times each element lies in S, so S holds every word in
 the generators; and the element with word (i, *w) is s_i times the
 element with word w, so S holds nothing else. "closure under products"
@@ -45,7 +46,14 @@ reads the worst distance of the |G|*rank products s_i*e to S, at least
 1.0 when a word fails; "mirror conjugation closed" reads that of the
 |G|*|mirrors| conjugated reflections. ReflectionGroup._nearest finds
 the element of each by its key, and scans every element only for a
-matrix whose key misses.
+matrix whose key misses. Past the group's cap the element list is
+refused with GroupClosureError, so check_closure and check_fold each
+give their "<check> raised" line naming it. check_roots certifies the
+mirrors, which generate_group closes from the roots and not from the
+element list, on every group: "roots closed under the simple
+reflections" reads the worst distance of the |mirrors|*rank images
+r - 2<r, s>s to plus or minus a mirror normal, found by its key, with a
+scan only for an image whose key misses.
 
 What is still evaluated one point at a time: check_fold's scalar fold
 images, kept so that they are checked, and the tube radius _radius_at,
@@ -96,7 +104,7 @@ from .chamber import (
     _square_sums,
     _stack_product,
 )
-from .groups import ReflectionGroup, reflection_matrix
+from .groups import ReflectionGroup, _mirror_key, reflection_matrix
 from .smoothing import (
     SmoothChain,
     TubeConfigError,
@@ -165,6 +173,27 @@ def check_closure(group: ReflectionGroup,
     out.append(_result("mirror conjugation closed",
                        float(group._nearest(conjugates.reshape(-1, n, n))[1].max()), 1e-9))
     return out
+
+
+def check_roots(group: ReflectionGroup) -> CheckResult:
+    """Each r - 2<r, s>s, for r a mirror normal and s a simple normal, lies
+    within 1e-9 of plus or minus a mirror normal: the mirrors are a root
+    system the simple reflections permute, so they are every mirror of the
+    group the simple walls generate (Humphreys 1.2, 1.5 and 1.14). The
+    value is the worst max-norm distance. Each image's normal is found by
+    its _mirror_key, and only an image whose key misses is compared with
+    every normal."""
+    normals = group.mirror_normals
+    index = {_mirror_key(n): k for k, n in enumerate(normals)}
+    simple = np.stack([h.normal for h in group.simple_system])
+    images = normals[:, None] - 2.0 * (normals @ simple.T)[:, :, None] * simple[None]
+    worst = 0.0
+    for image in images.reshape(-1, group.dimension):
+        k = index.get(_mirror_key(image))
+        near = normals if k is None else normals[k:k + 1]
+        gaps = np.minimum(np.abs(image - near).max(axis=1), np.abs(image + near).max(axis=1))
+        worst = max(worst, float(gaps.min()))
+    return _result("roots closed under the simple reflections", worst, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +699,8 @@ def run_verification(chain: SmoothChain, count: int = 200, seed: int = 0,
     chain, at a sample size suitable for a command-line run, the tube
     geometry first; a check that raises gives one FAIL line (_reported)."""
     runs = [(check_tubes, chain, seed), (check_closure, chain.group, expected_order),
-            (check_fold, chain.group, chain.chamber, count, seed), (check_profile,),
+            (check_roots, chain.group), (check_fold, chain.group, chain.chamber, count, seed),
+            (check_profile,),
             (check_flatness, chain, min(count, 50), seed),
             (check_wall_smoothness, chain, min(count, 20), seed),
             (check_origin_smoothness, chain, min(count, 20), seed),

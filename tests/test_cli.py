@@ -5,6 +5,7 @@ import pytest
 
 from orbitfold import cli
 from orbitfold.cli import main
+from normals_groups import NORMALS
 
 
 def run(capsys, *argv):
@@ -417,6 +418,16 @@ class TestVerify:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[group]\nnormals = 1,0; 0.6,0.8\n")
         code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: root closure exceeded the cap of "
+                                           "10000 mirrors\n")
+
+    def test_build_map_past_the_element_cap_exits_two(self, capsys, tmp_path):
+        """H4 builds from its roots, and build-map's order field reads its
+        14,400 elements, past the cap: exit 2 naming the cap, no traceback."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[group]\nnormals = " + "; ".join(
+            ",".join("%.17g" % x for x in row) for row in NORMALS["H4"]) + "\n")
+        code, out, err = run(capsys, "build-map", "--config", str(cfg))
         assert (code, out, err) == (2, "", "error: group closure exceeded the cap of "
                                            "10000 elements\n")
 

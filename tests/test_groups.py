@@ -38,12 +38,14 @@ from orbitfold.groups import (
     _as_unit_vector,
     _canonical_sign,
     _matrix_key,
+    _mirror_key,
     _simple_from_mirrors,
     preset_order,
     reflection_matrix,
 )
-from orbitfold.verify import check_closure
-from normals_groups import named_group
+from orbitfold.chamber import chamber_from_group
+from orbitfold.verify import check_closure, check_roots
+from normals_groups import NORMALS as GIVEN, named_group
 from simple_root_oracle import simple_normals_by_nnls
 
 TOL = 1e-9
@@ -139,19 +141,58 @@ def test_closure_cap_rejects_infinite_group():
     """Mirrors at an irrational angle generate an infinite dihedral group."""
     ang = math.pi / math.sqrt(7.0)
     n2 = np.array([math.sin(ang), -math.cos(ang)])
-    with pytest.raises(GroupClosureError, match="exceeded the cap of 300 elements"):
+    with pytest.raises(GroupClosureError, match="root closure exceeded the cap of 300 mirrors"):
         generate_group([[0.0, 1.0], n2], cap=300)
 
 
 def test_closure_cap_names_only_the_cap():
-    """A finite group larger than the cap is refused by its cap alone: the
-    message does not call B3 (order 48) infinite."""
+    """A finite group larger than the cap builds, and is refused by its cap
+    alone when its elements are read: the message does not call B3 (order
+    48) infinite."""
     normals = [m.normal for m in preset_group("b3").simple_system]
+    group = generate_group(normals, cap=47)
     with pytest.raises(GroupClosureError) as caught:
-        generate_group(normals, cap=47)
+        group.elements
     assert str(caught.value) == "group closure exceeded the cap of 47 elements"
     assert "finite" not in str(caught.value)
     assert generate_group(normals, cap=48).order == 48
+
+
+PAST_THE_CAP = {"H4": 60, "E6": 36, "E7": 63, "E8": 120}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_CAP))
+def test_a_group_past_the_cap_builds_from_its_roots(name):
+    """H4, E6, E7 and E8 have more elements than the cap, and build: their
+    mirrors are the N of their root systems, each fold takes at most N
+    steps, there is one simple wall per rank, and the roots check holds."""
+    group = named_group(name)
+    mirrors = PAST_THE_CAP[name]
+    assert len(group.mirrors) == chamber_from_group(group).fold_steps == mirrors
+    assert len(group.simple_system) == group.essential_rank == len(GIVEN[name])
+    assert check_roots(group).passed
+
+
+def test_reading_the_elements_past_the_cap_raises():
+    """H4 (order 14,400) builds, and its element closure is refused by the
+    cap when the elements are read."""
+    group = named_group("H4")
+    with pytest.raises(GroupClosureError, match="exceeded the cap of 10000 elements"):
+        group.elements
+
+
+def test_no_element_is_built_until_the_elements_are_read():
+    """Building the group and its chain, the tube check, the fold, H and the
+    roots check read no element: the element list is closed on first read."""
+    group = preset_group("b3")
+    chain = orbitfold.build_chain(group)
+    orbitfold.validate_tubes(chain)
+    p = np.array([-1.0, 2.0, -3.0])
+    orbitfold.fold(group, chain.chamber, p)
+    orbitfold.apply_H(chain, p)
+    assert check_roots(group).passed
+    assert "elements" not in vars(group)
+    assert len(group.elements) == 48 and "elements" in vars(group)
 
 
 @pytest.mark.parametrize("name,m", list(PRESET_ORDERS))
@@ -165,25 +206,27 @@ def test_group_axioms_and_mirror_conjugation(name, m):
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
             assert np.max(np.abs(a - b)) > TOL
-    # closure under products and inverses: element_index raises on a
-    # matrix that is no element
+    # closure under products and inverses: _nearest finds an element
+    # within MATCH_TOL of each, and none of a matrix that is no element
+    def assert_element(mat):
+        assert group._nearest(mat[None])[1][0] <= MATCH_TOL
+
     for a in mats:
-        group.element_index(a.T)
+        assert_element(a.T)
         for b in mats:
-            group.element_index(a @ b)
+            assert_element(a @ b)
     # every mirror's reflection is an element, and conjugation permutes mirrors
     for mir in group.mirrors:
         rm = reflection_matrix(mir.normal)
-        group.element_index(rm)
+        assert_element(rm)
         for a in mats:
             conj = a @ rm @ a.T
             conj_mirror = Hyperplane(a @ mir.normal)
-            group.element_index(conj)
+            assert_element(conj)
             assert any(np.all(np.abs(conj_mirror.normal - other.normal) <= 1e-9)
                        or np.all(np.abs(conj_mirror.normal + other.normal) <= 1e-9)
                        for other in group.mirrors)
-    with pytest.raises(ValueError, match="does not match"):
-        group.element_index(2.0 * eye)
+    assert group._nearest((2.0 * eye)[None])[1][0] > MATCH_TOL
 
 
 @pytest.mark.parametrize("name,m", [("I2", 5), ("B2", None), ("A2", None)])
@@ -425,15 +468,15 @@ def test_check_closure_on_f4_stays_small():
 
 
 @pytest.mark.parametrize("name", ["a3", "b3"])
-def test_element_index_finds_every_element_when_keys_miss(monkeypatch, name):
-    """With every key missing, element_index takes the scan of _nearest:
-    the same index for every element, and still no element for 2*I."""
+def test_nearest_finds_every_element_when_keys_miss(monkeypatch, name):
+    """With every key of the stack missing, _nearest scans: each element
+    finds its own index at distance 0, and 2*I is no element."""
     group = preset_group(name)
-    monkeypatch.setattr(groups, "_matrix_key", lambda mat: b"")
+    mats = np.stack([e.matrix for e in group.elements])
     monkeypatch.setattr(groups, "_matrix_keys", lambda mats: [b""] * len(mats))
-    assert [group.element_index(e.matrix) for e in group.elements] == list(range(group.order))
-    with pytest.raises(ValueError, match="does not match"):
-        group.element_index(2.0 * np.eye(group.dimension))
+    index, gaps = group._nearest(mats)
+    assert index.tolist() == list(range(group.order)) and gaps.max() == 0.0
+    assert group._nearest(2.0 * np.eye(group.dimension)[None])[1][0] > MATCH_TOL
 
 
 def _loop_closure(gens):
@@ -513,7 +556,7 @@ def test_one_sign_fixed_mirror_per_reflection(label):
     normal sign-fixed by _canonical_sign, no two normals within MATCH_TOL
     of each other up to sign."""
     group = MIRROR_GROUPS[label]()
-    reflections = [e.matrix for e in group.elements if e.is_reflection()]
+    reflections = [e.matrix for e in group.elements if _is_reflection_by_allclose(e)]
     normals = group.mirror_normals
     assert len(group.mirrors) == len(reflections)
     assert same_element_sets([reflection_matrix(n) for n in normals], reflections)
@@ -525,8 +568,10 @@ def test_one_sign_fixed_mirror_per_reflection(label):
 
 
 def _is_reflection_by_allclose(element):
-    """GroupElement.is_reflection as it was written with np.allclose, frozen."""
-    n, mat = element.dimension, element.matrix
+    """Oracle: an orthogonal involution whose -1 eigenspace is a line, by
+    np.allclose, as GroupElement.is_reflection read it, frozen."""
+    mat = element.matrix
+    n = len(mat)
     if abs(float(np.trace(mat)) - (n - 2)) >= 1e-8:
         return False
     if not np.allclose(mat, mat.T, rtol=0.0, atol=ORTHO_TOL):
@@ -542,18 +587,32 @@ GENERATED_GROUPS = {
 }
 
 
+def _mirror_of(mat):
+    """The unit normal of a reflection matrix's mirror, as generate_group
+    read it before it closed the roots: the largest column of (I - M)/2 =
+    n n^T, normalised and sign-fixed."""
+    proj = 0.5 * (np.eye(len(mat)) - mat)
+    col = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    return _canonical_sign(col / np.linalg.norm(col))
+
+
 @pytest.mark.parametrize("label", sorted(GENERATED_GROUPS))
-def test_generation_is_unchanged_by_the_reflection_test(monkeypatch, label):
-    """generate_group gives the elements, words, mirrors (in order) and
-    simple system it gave when is_reflection called np.allclose."""
+def test_generation_is_unchanged_by_the_reflection_test(label):
+    """generate_group, which closes the roots, gives the mirrors, in order,
+    that it read off the reflections of the element list: one key each,
+    every normal within 1e-15, and the mirror of each generator's
+    reflection matrix, which seeds the roots, and each simple normal bit
+    for bit, so the chamber and every fold keep their bits."""
     group = GENERATED_GROUPS[label]()
-    monkeypatch.setattr(GroupElement, "is_reflection", _is_reflection_by_allclose)
-    frozen = GENERATED_GROUPS[label]()
-    assert ([(e.matrix.tobytes(), e.word) for e in group.elements]
-            == [(e.matrix.tobytes(), e.word) for e in frozen.elements])
-    for planes in ("mirrors", "simple_system"):
-        assert ([h.normal.tobytes() for h in getattr(group, planes)]
-                == [h.normal.tobytes() for h in getattr(frozen, planes)])
+    want = sorted((_mirror_of(e.matrix) for e in group.elements
+                   if _is_reflection_by_allclose(e)), key=lambda n: tuple(np.round(n, 9)))
+    assert [_mirror_key(n) for n in group.mirror_normals] == [_mirror_key(n) for n in want]
+    assert np.abs(group.mirror_normals - np.array(want)).max() <= 1e-15
+    have = {n.tobytes() for n in group.mirror_normals}
+    for g in group.generators:
+        assert _mirror_of(reflection_matrix(g.normal)).tobytes() in have
+    kept = have & {n.tobytes() for n in want}
+    assert all(_canonical_sign(h.normal).tobytes() in kept for h in group.simple_system)
 
 
 def _generated(group):
@@ -576,38 +635,6 @@ def test_a_repeated_negated_or_perturbed_generator_is_dropped(name):
     first = generate_group([normals[0] + nudge] + normals)
     assert first.generators[0].normal.tobytes() == Hyperplane(normals[0] + nudge).normal.tobytes()
     assert len(first.generators) == len(normals) and first.order == base.order
-
-
-def test_reflection_test_gives_the_allclose_verdict():
-    """Reflections, rotations and the identity, each moved by a multiple of
-    ORTHO_TOL in one entry or in two symmetric ones, and matrices with a
-    NaN or an inf: is_reflection agrees with the np.allclose form."""
-    rng = np.random.default_rng(61)
-    mats = []
-    for dim in (1, 2, 3, 4):
-        normal = rng.normal(size=dim)
-        rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-        for base in (reflection_matrix(normal), rotation, np.eye(dim)):
-            mats.append(base)
-            for factor in (0.25, 0.5, 0.999, 1.0, 1.001, 2.0, 1e6):
-                i, j = rng.integers(dim, size=2)
-                moved = base.copy()
-                moved[i, j] += factor * ORTHO_TOL
-                mats.append(moved)
-                moved = moved.copy()
-                moved[j, i] = moved[i, j]
-                mats.append(moved)
-            for bad in (np.nan, np.inf):
-                broken = base.copy()
-                broken[rng.integers(dim), rng.integers(dim)] = bad
-                mats.append(broken)
-    verdicts = set()
-    for mat in mats:
-        element = GroupElement._unchecked(mat, ())
-        verdict = element.is_reflection()
-        assert verdict is _is_reflection_by_allclose(element)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
 
 
 def test_element_orthogonality_tolerance_is_absolute():

@@ -30,7 +30,16 @@ each product's element by its key (groups._matrix_keys). Keys that all
 miss must give the scan's values bit for bit. An element list with one
 element dropped, with an orthogonal matrix outside the group appended,
 or with two words swapped must fail "closure under products" on a3, b3
-and B4, and so must a group with one element rotated slightly off.
+and B4, and so must a group with one element rotated slightly off. Each
+such copy of the group has its element list set, as the cached property
+of ReflectionGroup allows.
+
+check_roots holds the mirrors, which generate_group closes from the
+roots, to the simple reflections. A group with one mirror dropped, or
+with one mirror normal turned by 1e-6 rad, must fail "roots closed under
+the simple reflections" on i2-5, a3, b3 and H4: some image of a mirror
+normal is then no mirror normal, about 0.1 or more away from every one,
+or about 1e-6 away.
 
 With every point G maps moved by 1e-6 along the chamber's witness, so
 that wall points leave their walls, "wall sets preserved by the
@@ -116,6 +125,7 @@ from orbitfold.verify import (
     check_origin_smoothness,
     check_growth,
     check_profile,
+    check_roots,
     check_tubes,
     check_wall_preservation,
     check_wall_smoothness,
@@ -163,9 +173,17 @@ def test_closure_keys_that_all_miss_give_the_same_values(monkeypatch, preset):
     assert [r.value for r in check_closure(group, group.order)] == keyed
 
 
+def _with_elements(group, elements):
+    """A copy of the group whose element list is `elements`: the copy's
+    cached elements property is set, so it closes nothing."""
+    broken = dataclasses.replace(group)
+    broken.elements = elements
+    return broken
+
+
 def _dropped(group):
     """The group less its last element, the longest word."""
-    return dataclasses.replace(group, elements=group.elements[:-1])
+    return _with_elements(group, group.elements[:-1])
 
 
 def _stranger(group):
@@ -177,7 +195,7 @@ def _stranger(group):
     turn[:2, :2] = [[c, -s], [s, c]]
     word = (0,) * (len(group.elements[-1].word) + 2)
     stranger = GroupElement._unchecked(turn @ group.elements[1].matrix, word)
-    return dataclasses.replace(group, elements=group.elements + (stranger,))
+    return _with_elements(group, group.elements + (stranger,))
 
 
 def _misspelled(group):
@@ -185,8 +203,7 @@ def _misspelled(group):
     first, second = group.elements[1:3]
     swapped = (GroupElement._unchecked(first.matrix.copy(), second.word),
                GroupElement._unchecked(second.matrix.copy(), first.word))
-    return dataclasses.replace(group, elements=group.elements[:1] + swapped
-                               + group.elements[3:])
+    return _with_elements(group, group.elements[:1] + swapped + group.elements[3:])
 
 
 @pytest.mark.parametrize("mutation", [_dropped, _stranger, _misspelled])
@@ -213,9 +230,35 @@ def test_a_slightly_rotated_element_fails_closure(preset):
     turn[:2, :2] = [[c, -s], [s, c]]
     moved = GroupElement._unchecked(turn @ group.elements[1].matrix, group.elements[1].word)
     elements = group.elements[:1] + (moved,) + group.elements[2:]
-    broken = dataclasses.replace(group, elements=elements)
+    broken = _with_elements(group, elements)
     (result,) = [r for r in check_closure(broken) if r.name == "closure under products"]
     assert not result.passed and 1e-7 < result.value < 1e-5
+
+
+def _mirror_dropped(group):
+    """The group less its last mirror."""
+    return dataclasses.replace(group, mirrors=group.mirrors[:-1])
+
+
+def _mirror_turned(group):
+    """The group with its last mirror normal n turned by 1e-6 rad toward
+    the unit vector u orthogonal to n in the plane of n and (1, 2, ..., n)."""
+    normal = group.mirrors[-1].normal
+    ramp = np.arange(1.0, group.dimension + 1.0)
+    u = ramp - (ramp @ normal) * normal
+    turned = np.cos(1e-6) * normal + np.sin(1e-6) * u / np.linalg.norm(u)
+    return dataclasses.replace(group, mirrors=group.mirrors[:-1] + (groups.Hyperplane(turned),))
+
+
+@pytest.mark.parametrize("mutation,low,high", [(_mirror_dropped, 0.1, 2.0),
+                                               (_mirror_turned, 1e-7, 1e-5)])
+@pytest.mark.parametrize("name", ["i2-5", "a3", "b3", "H4"])
+def test_a_broken_root_system_fails_the_roots_check(name, mutation, low, high):
+    group = named_group(name)
+    assert check_roots(group).passed
+    result = check_roots(mutation(group))
+    assert result.name == "roots closed under the simple reflections"
+    assert not result.passed and low < result.value < high
 
 
 @pytest.mark.parametrize("preset", ["i2-5", "a3", "b3"])

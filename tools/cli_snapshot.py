@@ -27,10 +27,13 @@ closure is infinite under `verify`, and a NaN `[grid] box_min` under
 `grid`), b3 under `verify` with c0 = 20, where the margin sampler of the
 Jacobian check finds no point, and the right-angle group A1xA1 (normals
 1,0 and 0,1) under `verify` and `build-map` with a slope of 0.3 over its
-bound of 1/4. Last, `fold` runs on H3, B4 and F4, given by `[group]
-normals`, whose folds take at most 15, 16 and 24 steps, one per mirror,
-on random, log-scale (|p| from 1e-300 to 1e300) and on-mirror points of
-their own. The `fold` inputs are generated here from numpy alone and
+bound of 1/4. Last, `fold` runs on H3, B4, F4, H4 and E6, given by
+`[group] normals`, whose folds take at most 15, 16, 24, 60 and 36 steps,
+one per mirror, on random, log-scale (|p| from 1e-300 to 1e300) and
+on-mirror points of their own, and `verify` runs on H4, whose 14,400
+elements exceed the cap, so the checks that read them fail by name. H4
+and E6 are the rows of the Cholesky factor of their Coxeter Gram matrix
+(entries -cos(pi/m_ij)). The `fold` inputs are generated here from numpy alone and
 written to OUTDIR/inputs, so they do not depend on the code under test.
 Beside random, log-scale and on-mirror points they hold, on a2, b2, a3 and b3, points on two mirrors at once (the strata of
 level rank - 2), and on every preset points moved off one mirror along
@@ -98,6 +101,23 @@ NORMAL_GROUPS = {
     "B4": [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)],
     "F4": [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (0.5, -0.5, -0.5, -0.5)],
 }
+
+
+def _coxeter_rows(rank: int, edges: list[tuple[int, int, int]]) -> list[tuple[float, ...]]:
+    """Unit normals with Gram matrix -cos(pi/m) on each edge (i, j, m) of a
+    Coxeter graph, and 0 between walls no edge joins."""
+    gram = np.eye(rank)
+    for i, j, m in edges:
+        gram[i, j] = gram[j, i] = -math.cos(math.pi / m)
+    return [tuple(row) for row in np.linalg.cholesky(gram).tolist()]
+
+
+NORMAL_GROUPS.update({
+    "H4": _coxeter_rows(4, [(0, 1, 5), (1, 2, 3), (2, 3, 3)]),
+    "E6": _coxeter_rows(6, [(0, 2, 3), (1, 3, 3), (2, 3, 3), (3, 4, 3), (4, 5, 3)]),
+})
+# the groups of NORMAL_GROUPS also run under `verify`
+NORMAL_VERIFY = ("H4",)
 
 
 def _roots(normals: list[tuple[float, ...]]) -> np.ndarray:
@@ -250,6 +270,9 @@ def cases(outdir: Path) -> list[tuple[str, list[str]]]:
         _write_points(points, normal_group_points(normals))
         out.append((f"{label}-fold", ["fold", str(points), "--config", str(config),
                                       "--out", f"{label}-fold.out"]))
+        if label in NORMAL_VERIFY:
+            out.append((f"{label}-verify", ["verify", "--config", str(config),
+                                            "--out", f"{label}-verify.out"]))
     return out
 
 

@@ -10,6 +10,11 @@ Faces of the chamber are indexed by subsets of the simple normals; the level
 of a face counts its dimension above the minimal stratum, so level 0 is the
 essential origin (times the fixed subspace) and level == essential rank is
 the open chamber.
+
+A product of a matrix with one point is `a.dot(v)`: the same BLAS gemv as
+`a @ v`, bit for bit, without matmul's dispatch cost. Stacks of points go
+through `@` and np.matmul. Every point reaches the products at unit stride
+(_as_point), as a strided vector would take another BLAS kernel.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ class Chamber:
         """Membership of p in the closed chamber, to tol relative to 1 + |p|."""
         p = np.asarray(p, dtype=float)
         scale = 1.0 + _norm(p)
-        return bool(np.min(self.simple_normals @ p) >= -tol * scale)
+        return bool(np.min(self.simple_normals.dot(p)) >= -tol * scale)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -200,7 +205,7 @@ def _reflect_into_chamber(chamber: Chamber,
     """Reflect across the lowest-index violated wall until inside.
 
     Returns the image, the reflection word (wall indices in the order
-    applied) and the image's wall values `normals @ image` as floats, from
+    applied) and the image's wall values `normals.dot(image)` as floats, from
     the last pass, or None where the image was scaled back. Points within
     rounding distance of a wall count as inside: a
     dot product of a few ulps below zero calls for a correction smaller than
@@ -223,7 +228,7 @@ def _reflect_into_chamber(chamber: Chamber,
     tol = _FOLD_TOL * math.sqrt(sq)
     word: list[int] = []
     while True:
-        dots = (normals @ cur).tolist()
+        dots = normals.dot(cur).tolist()
         for i, d in enumerate(dots):
             if d < -tol:
                 break
@@ -238,7 +243,7 @@ def _reflect_into_chamber(chamber: Chamber,
 def _wall_dots(normals: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """(k, N) values <n_j, cur_r> over an (N, n) stack, row j one
     matrix-vector product over all rows (cur @ n_j). Each value rounds as
-    the per-point `normals @ cur` rounds it. A one-row product is a dot,
+    the per-point `normals.dot(cur)` rounds it. A one-row product is a dot,
     which rounds differently, so a lone row is evaluated twice over, as in
     _stack_product."""
     rows = np.concatenate([cur, cur]) if len(cur) == 1 else cur
@@ -256,7 +261,7 @@ def _fold_rows(chamber: Chamber, points: np.ndarray) -> np.ndarray:
     (chamber.fold_steps = |mirrors|, as no fold crosses a mirror twice) and
     error. The dot products are one matrix-vector product per wall
     over the rows still outside (_wall_dots), and each rounds as the
-    per-point `normals @ cur` does, so each image equals the per-point
+    per-point `normals.dot(cur)` does, so each image equals the per-point
     image bit for bit. The rows still outside are kept as one compacted
     stack (np.take gathers rows several times faster than indexing does).
     A row's image is set aside once it is inside, and the images are
@@ -295,17 +300,21 @@ def _fold_rows(chamber: Chamber, points: np.ndarray) -> np.ndarray:
 
 
 def _as_point(p: Iterable[float], dim: int) -> np.ndarray:
-    """p as a float vector, checked before any arithmetic touches it.
+    """p as a contiguous float vector, checked before any arithmetic
+    touches it.
 
     Raises ValueError when the shape is not (dim,) or a coordinate is NaN
     or infinite; such points would otherwise fail deep inside a matmul or
-    come back as a confident but meaningless answer.
+    come back as a confident but meaningless answer. A strided view is
+    copied to unit stride (a contiguous p is not copied): BLAS takes
+    another kernel for a strided vector, whose sums round differently, so
+    the answer would depend on p's memory layout.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (dim,):
         raise ValueError(f"point must have shape ({dim},), got {p.shape}")
     _require_finite(p, "point")
-    return p
+    return np.ascontiguousarray(p)
 
 
 def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldResult:
@@ -321,7 +330,7 @@ def fold(group: ReflectionGroup, chamber: Chamber, p: Iterable[float]) -> FoldRe
     mat = np.eye(chamber.dimension)
     for i in word:
         n_i = chamber.simple_normals[i]
-        mat = mat - 2.0 * np.outer(n_i, n_i @ mat)
+        mat = mat - 2.0 * np.outer(n_i, n_i.dot(mat))
     element = GroupElement._unchecked(mat, tuple(reversed(word)))
     return FoldResult(image=image, element=element, steps=len(word))
 
@@ -485,7 +494,7 @@ class Face:
     normal: np.ndarray | None    # unit sum of the active normals; None if none
 
     def project_to_span(self, p: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ p)
+        return self.basis.dot(self.basis.T.dot(p))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

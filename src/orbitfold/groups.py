@@ -431,7 +431,9 @@ def preset_group(name: str, m: int | None = None) -> ReflectionGroup:
 
 
 def essential_split(group: ReflectionGroup, p: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Split p = p_fixed + p_eff into the fixed subspace and its complement."""
+    """Split p = p_fixed + p_eff into the fixed subspace and its complement.
+    p is read at unit stride, as chamber._as_point reads a point, so the
+    bits do not depend on its memory layout."""
     p = np.asarray(p, dtype=float)
     if p.shape != (group.dimension,):
         raise ValueError(f"point must have shape ({group.dimension},)")
@@ -439,5 +441,5 @@ def essential_split(group: ReflectionGroup, p: Iterable[float]) -> tuple[np.ndar
     basis = group.fixed_subspace
     if basis.shape[1] == 0:
         return np.zeros_like(p), p.copy()
-    p_fixed = basis @ (basis.T @ p)
+    p_fixed = basis.dot(basis.T.dot(np.ascontiguousarray(p)))
     return p_fixed, p - p_fixed

@@ -352,7 +352,7 @@ class SmoothChain:
             w, e = x, 0
         else:
             w, e, _ = _unit_scaled(x)
-        sums = _segment_sums([v * v for v in (rows @ w).tolist()], (*starts, len(rows)))
+        sums = _segment_sums([v * v for v in rows.dot(w).tolist()], (*starts, len(rows)))
         if e:
             return np.ldexp(np.sqrt(sums), e).tolist()
         return list(map(math.sqrt, sums))
@@ -559,7 +559,7 @@ def _point_walls(chain: SmoothChain, p: np.ndarray,
     if size == math.inf:
         raise ValueError("|p| overflows: the point's norm exceeds the largest "
                          f"float, {sys.float_info.max:.17g}")
-    return size, values if values is not None else (chain.chamber.simple_normals @ p).tolist()
+    return size, values if values is not None else chain.chamber.simple_normals.dot(p).tolist()
 
 
 def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray,
@@ -600,7 +600,7 @@ def _claiming_face(chain: SmoothChain, i: int, p: np.ndarray,
             # it of the boundary belong to lower strata, and admitting them
             # would feed (numerically) zero distances to the radius field
             x_size = _norm(x, size)
-            if min((face.inactive_normals @ x).tolist()) <= ON_WALL_TOL * (1.0 + x_size):
+            if min(face.inactive_normals.dot(x).tolist()) <= ON_WALL_TOL * (1.0 + x_size):
                 continue
         t = _norm(p - x, size)
         radius = _radius_at(chain, face, x, x_size)

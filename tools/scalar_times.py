@@ -5,8 +5,9 @@
 
 PARENT and CHANGE are two checkouts, each with its own src/, given as
 paths absolute or relative to the current directory. The cases are the
-scalar `apply_H` on a2, a3 and b3, one call per point, and `model_H` of
-the 3x3 symmetric-matrix model, one call per matrix. Their inputs are
+scalar `apply_H` on a2, a3 and b3, one call per point, the public `fold`
+on b3 (which map-b3 also times) on the b3 `apply_H` inputs, and `model_H`
+of the 3x3 symmetric-matrix model, one call per matrix. Their inputs are
 drawn from numpy alone, with the seed, so both checkouts see the same:
 per preset, a third of the points at Gaussian directions and log-uniform
 sizes in [0.05, 5], a third moved onto a random mirror and a third onto
@@ -18,15 +19,19 @@ random (their section point lies on a wall).
 Each repeat starts one subprocess per checkout, the parent first in even
 repeats and the change first in odd ones. A subprocess imports orbitfold
 from its checkout's src/, makes one untimed pass over each case's inputs,
-then times 5 passes with time.perf_counter and keeps the best, as µs per
-call. A last, untimed pass counts the calls to chamber._norm, through
+in which it takes a sha256 over the bytes of every output (for `fold`,
+the image, the element's matrix, its word and the step count), then times
+5 passes with time.perf_counter and keeps the best, as µs per call. A
+last, untimed pass counts the calls to chamber._norm, through
 every module's binding of it, to Face.project_to_span, to
 smoothing._radius_at and to SmoothChain.lower_face_distances, as calls
 per map call. The script prints each case's median best time over
 the repeats and its interquartile range on both sides, the ratio of the
-medians, and the counts as "parent/change". Counts repeat exactly from
-run to run, so a change in the work a call does shows beside its noisy
-times. It only reports: it applies no bound.
+medians, `same` where every run on both sides gave one sha256 and
+`DIFFERS` otherwise, and the counts as "parent/change". Counts and
+digests repeat exactly from run to run, so a change in the work a call
+does, or in one bit of its answer, shows beside its noisy times. It only
+reports: it applies no bound.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 
 # run in the subprocess, with the checkout's src/ on sys.path
 PROBE = r"""
-import json, sys, time
+import hashlib, json, sys, time
 import numpy as np
 import orbitfold as of
 import orbitfold.chamber as chamber
@@ -69,7 +74,7 @@ def preset_case(index, name):
     generic = [rng.normal(size=dim) * 10.0 ** rng.uniform(np.log10(0.05), np.log10(5.0))
                for _ in range(points - 2 * third)]
     inputs = generic + near_walls(rng, normals, dim, third, 1) + near_walls(rng, normals, dim, third, 2)
-    return (lambda p: of.apply_H(chain, p)), inputs
+    return chain, inputs
 
 def model_case():
     model = of.sym_eig_model()
@@ -86,7 +91,18 @@ def model_case():
             inputs.append(q @ np.diag([lam, lam, rng.normal()]) @ q.T)
     return (lambda m: of.model_H(model, chain, m)), inputs
 
-cases = {f"apply_H {name}": preset_case(k, name) for k, name in enumerate(("a2", "a3", "b3"))}
+def as_bytes(out):
+    # an array, or a fold's result
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return out.image.tobytes() + out.element.matrix.tobytes() + repr((out.element.word, out.steps)).encode()
+
+cases, chains = {}, {}
+for k, name in enumerate(("a2", "a3", "b3")):
+    chains[name], inputs = preset_case(k, name)
+    cases[f"apply_H {name}"] = (lambda p, chain=chains[name]: of.apply_H(chain, p)), inputs
+b3 = chains["b3"]
+cases["fold b3"] = (lambda p: of.fold(b3.group, b3.chamber, p)), cases["apply_H b3"][1]
 cases["model_H"] = model_case()
 
 counts = {"_norm": 0, "project_to_span": 0, "_radius_at": 0, "lower_face_distances": 0}
@@ -96,10 +112,12 @@ def counting(key, fn):
         return fn(*args, **kwargs)
     return counted
 
-best, per_call = {}, {}
+best, per_call, digest = {}, {}, {}
 for name, (call, inputs) in cases.items():
+    sha = hashlib.sha256()
     for p in inputs:
-        call(p)
+        sha.update(as_bytes(call(p)))
+    digest[name] = sha.hexdigest()
     times = []
     for _ in range(PASSES):
         t0 = time.perf_counter()
@@ -122,13 +140,14 @@ for name, (call, inputs) in cases.items():
     for p in inputs:
         call(p)
     per_call[name] = {key: n / len(inputs) for key, n in counts.items()}
-print(json.dumps({"us": best, "calls": per_call}))
+print(json.dumps({"us": best, "calls": per_call, "sha256": digest}))
 """
 
 
 def run_once(checkout: Path, points: int, seed: int) -> dict:
-    """One fresh interpreter: each case's best µs per call ("us") and its
-    counted calls per map call ("calls"), by case."""
+    """One fresh interpreter: each case's best µs per call ("us"), its
+    counted calls per map call ("calls") and the sha256 of its outputs
+    ("sha256"), by case."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, str(points), str(seed)],
@@ -167,18 +186,20 @@ def main(argv: list[str] | None = None) -> int:
     print(f"scalar calls, {args.points} inputs per case, seed {args.seed}: "
           f"{args.repeats} repeats, best of 5 passes, µs per call")
     print(f"{'case':12s} {'parent median':>14s} {'parent IQR':>11s} {'change median':>14s} "
-          f"{'change IQR':>11s} {'ratio':>7s}" + "".join(f" {fn:>22s}" for fn in counted))
+          f"{'change IQR':>11s} {'ratio':>7s} {'bits':>7s}" + "".join(f" {fn:>22s}" for fn in counted))
     for case in cases:
         cells = []
         for side in ("parent", "change"):
             q1, med, q3 = quartiles([r["us"][case] for r in runs[side]])
             cells += [med, q3 - q1]
         ratio = cells[2] / cells[0] if cells[0] else float("nan")
+        digests = {r["sha256"][case] for side in runs.values() for r in side}
+        bits = "same" if len(digests) == 1 else "DIFFERS"
         # counts are deterministic: the first run of each side gives them
         pairs = [f"{runs['parent'][0]['calls'][case][fn]:.2f}/"
                  f"{runs['change'][0]['calls'][case][fn]:.2f}" for fn in counted]
         print(f"{case:12s} {cells[0]:14.2f} {cells[1]:11.2f} {cells[2]:14.2f} "
-              f"{cells[3]:11.2f} {ratio:7.3f}" + "".join(f" {pair:>22s}" for pair in pairs))
+              f"{cells[3]:11.2f} {ratio:7.3f} {bits:>7s}" + "".join(f" {pair:>22s}" for pair in pairs))
     return 0
 
 
